@@ -12,10 +12,11 @@ have a machine-readable baseline:
   (``streaming`` vs ``columnar``), plus ``analysis_speedup_columnar``;
   the two maps are asserted bit-identical before any speedup is
   reported;
-* ``windowed_entries_per_sec`` — live-path throughput (chunked
-  ``WireDecoder`` feeding a ``WindowedAccumulator`` at a 1 s stride),
-  the per-node cost of the ingest server; the folded windows are
-  asserted bit-identical to the offline map first;
+* ``windowed_entries_per_sec`` — live-path throughput
+  (``NodeSession.ingest`` on 1021-byte chunks: columnar decode and the
+  batched windowed fold at a 1 s stride), the per-node cost of the
+  ingest server; the served map is asserted bit-identical to the
+  offline map first;
 * ``serve_recovery_ms`` — wall time for the durable ingest path to
   rebuild one node session from its checkpoint + journal-tail replay
   (a half-log tail, the post-SIGKILL shape).  Recorded, not gated;
@@ -40,12 +41,13 @@ spread ``(max - min) / median`` recorded alongside — a single-shot
 number on a busy host is measurement noise (the pre-PR-4 baseline
 reported a 1.195x "parallel speedup" on a 1-CPU container).
 
-``--check`` compares fresh serial/batched throughput and
-columnar-analysis measurements against the committed baseline and exits
-nonzero if any regressed by more than the tolerance (default 25 %, the
-CI gate).  ``--check-parallel`` runs only the sweep grid and gates the
-``--jobs 2`` speedup against the multi-core floor — the taskset-pinned
-CI leg that proves the pool actually scales when cores exist.
+``--check`` compares fresh serial/batched throughput, columnar-analysis
+and live-ingest (windowed) measurements against the committed baseline
+and exits nonzero if any regressed by more than the tolerance (default
+25 %, the CI gate).  ``--check-parallel`` runs only the sweep grid and
+gates the ``--jobs 2`` speedup against the multi-core floor — the
+taskset-pinned CI leg that proves the pool actually scales when cores
+exist.
 Runnable standalone (``PYTHONPATH=src python benchmarks/bench_engine.py
 [--check|--check-parallel]``) or via pytest.
 """
@@ -208,43 +210,42 @@ def bench_analysis(rounds: int = 20) -> dict:
 
 
 def bench_windowed(rounds: int = 20) -> dict:
-    """Live-path throughput: chunked wire decode feeding the windowed
-    accumulator — the per-node work the ingest server performs.  Each
-    round replays the packed Blink log in 1021-byte chunks (a prime, so
-    entry boundaries drift through every offset) through a fresh
-    :class:`WireDecoder` + :class:`WindowedAccumulator` at a 1 s stride,
-    and the folded windows are asserted bit-identical to the offline
-    streaming map before any number is published."""
-    from repro.core.accounting import (
-        WindowedAccumulator,
-        fold_windows,
-        stream_energy_map,
-    )
-    from repro.core.logger import WireDecoder
+    """Live-path throughput: the per-node work the ingest server runs,
+    :meth:`NodeSession.ingest` decoding each chunk into columns and
+    folding them through the windowed accumulator at a 1 s stride.
+    Each round replays the packed Blink log in 1021-byte chunks (a
+    prime, so entry boundaries drift through every offset) through a
+    fresh session, and the final map is asserted bit-identical to the
+    offline streaming map before any number is published."""
+    from repro.core.accounting import build_energy_map
+    from repro.experiments.common import run_blink
+    from repro.serve import NodeSession, hello_for_node
+    from repro.tos.node import COMPONENT_NAMES
 
-    raw, args, kwargs = _analysis_workload()
-    entry_count = len(raw) // 12
-    windowed_kwargs = {k: v for k, v in kwargs.items()
-                       if k != "fold_proxies"}
     stride_ns = int(seconds(1))
     chunk = 1021
+    node, _, _sim = run_blink(0, duration_ns=seconds(48))
+    timeline = node.timeline()  # marks the log end
+    regression = node.regression(timeline)
+    hello = hello_for_node(node, stride_ns=stride_ns, timeline=timeline,
+                           regression=regression)
+    raw = bytes(node.logger.raw_bytes())
+    entry_count = len(raw) // 12
 
     def run_windowed():
-        accumulator = WindowedAccumulator(
-            *args, stride_ns=stride_ns, retain=None, **windowed_kwargs)
-        decoder = WireDecoder()
+        session = NodeSession(hello, retain=None)
         for offset in range(0, len(raw), chunk):
-            for entry in decoder.feed(raw[offset:offset + chunk]):
-                accumulator.feed(entry)
-        decoder.finish()
-        accumulator.finish()
-        return accumulator
+            session.ingest(raw[offset:offset + chunk])
+        return session.finish()
 
-    reference = stream_energy_map(iter_entries(raw), *args, **kwargs)
-    folded = fold_windows(list(run_windowed().windows))
-    assert list(folded.energy_j) == list(reference.energy_j) \
-        and folded.energy_j == reference.energy_j, \
-        "windowed fold diverged from batch — fix before benchmarking"
+    reference = build_energy_map(
+        timeline, regression, node.registry, COMPONENT_NAMES,
+        node.platform.icount.nominal_energy_per_pulse_j,
+        idle_name=node.registry.name_of(node.idle), backend="streaming")
+    served = run_windowed()
+    assert list(served.energy_j) == list(reference.energy_j) \
+        and served.energy_j == reference.energy_j, \
+        "served map diverged from batch — fix before benchmarking"
 
     samples: list[float] = []
     for _ in range(REPEATS):
@@ -410,10 +411,10 @@ def run_benchmarks() -> dict:
 
 
 def check_against_baseline(numbers: dict) -> list[str]:
-    """The regression gate: serial table3 throughput and columnar
-    analysis throughput must stay within tolerance of the committed
-    baseline; the determinism digest must match it exactly when the
-    grid definition is unchanged."""
+    """The regression gate: serial table3 throughput, columnar
+    analysis throughput and live-ingest throughput must stay within
+    tolerance of the committed baseline; the determinism digest must
+    match it exactly when the grid definition is unchanged."""
     failures: list[str] = []
     if not BASELINE_PATH.is_file():
         return [f"no committed baseline at {BASELINE_PATH}"]
@@ -456,6 +457,16 @@ def check_against_baseline(numbers: dict) -> list[str]:
                 f"columnar analysis throughput regressed: "
                 f"{measured:.0f} entries/s < {floor:.0f} (baseline "
                 f"{baseline_analysis['columnar']:.0f} - {tolerance:.0%})"
+            )
+    if "windowed_entries_per_sec" in baseline:
+        floor = baseline["windowed_entries_per_sec"] * (1.0 - tolerance)
+        measured = numbers["windowed_entries_per_sec"]
+        if measured < floor:
+            failures.append(
+                f"live-ingest (windowed) throughput regressed: "
+                f"{measured:.0f} entries/s < {floor:.0f} (baseline "
+                f"{baseline['windowed_entries_per_sec']:.0f} - "
+                f"{tolerance:.0%})"
             )
     if baseline.get("sweep_grid_points") == numbers["sweep_grid_points"] \
             and baseline.get("sweep_digest") != numbers["sweep_digest"]:

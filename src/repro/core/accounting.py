@@ -50,7 +50,14 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.labels import ActivityLabel, ActivityRegistry
-from repro.core.logger import LogColumns, decode_columns
+from repro.core.logger import (
+    TYPE_ACT_ADD,
+    TYPE_ACT_BIND,
+    TYPE_ACT_CHANGE,
+    TYPE_ACT_REMOVE,
+    LogColumns,
+    decode_columns,
+)
 from repro.core.regression import RegressionResult, SinkColumn
 from repro.core.timeline import (
     ActivitySegment,
@@ -58,6 +65,7 @@ from repro.core.timeline import (
     MultiActivitySegment,
     PowerInterval,
     TimelineBuilder,
+    TimelineCarry,
     TimelineStream,
 )
 from repro.errors import AnalysisBackendError, RegressionError, WindowingError
@@ -197,6 +205,35 @@ def _scan_cover(
     return shares, covered, cursor
 
 
+def _column_power(
+    regression: Optional[RegressionResult],
+) -> dict[tuple[int, int], tuple[str, float]]:
+    """Which (res_id, value) pairs carry estimated power: pair ->
+    (column name, draw).  Empty without a regression (which only errors
+    once an interval actually needs it)."""
+    if regression is None:
+        return {}
+    return {
+        (column.res_id, column.value):
+            (column.name, regression.power_w[column.name])
+        for column in regression.columns
+    }
+
+
+def _plan_of(vector, column_power, component_names) -> list:
+    """One state vector's charge plan: ``(res_id, component, draw)`` for
+    each sink whose state carries a power column, in vector order (a
+    sink's baseline state has no marginal draw)."""
+    plan = []
+    for res_id, value in vector:
+        entry = column_power.get((res_id, value))
+        if entry is not None:
+            column_name, power_w = entry
+            plan.append((res_id, component_names.get(res_id, column_name),
+                         power_w))
+    return plan
+
+
 @dataclass
 class EnergyMap:
     """Time and energy by (component name, activity name)."""
@@ -313,15 +350,7 @@ class EnergyAccumulator:
         self.idle_name = idle_name
         self.end_time_ns = end_time_ns
         self.regression = regression
-        # Column lookup: which (res_id, value) pairs carry estimated power.
-        # (A missing regression only errors if an interval actually needs
-        # it — an empty log fails first with "no power intervals".)
-        self._column_power: dict[tuple[int, int], tuple[str, float]] = {}
-        for column in (regression.columns if regression is not None else ()):
-            self._column_power[(column.res_id, column.value)] = (
-                column.name,
-                regression.power_w[column.name],
-            )
+        self._column_power = _column_power(regression)
         # Per-vector cover plan: state vectors are interned by the
         # timeline tracker, so the (res_id, component, power) triples an
         # interval needs are resolved once per distinct vector instead of
@@ -568,18 +597,8 @@ class EnergyAccumulator:
         states = interval.states
         plan = self._vector_plan.get(states)
         if plan is None:
-            resolved = []
-            for res_id, value in states:
-                entry = self._column_power.get((res_id, value))
-                if entry is None:
-                    continue  # baseline state of the sink: no marginal draw
-                column_name, power_w = entry
-                resolved.append((
-                    res_id,
-                    self.component_names.get(res_id, column_name),
-                    power_w,
-                ))
-            plan = self._vector_plan[states] = tuple(resolved)
+            plan = self._vector_plan[states] = tuple(_plan_of(
+                states, self._column_power, self.component_names))
         singles = self.stream._singles
         multis = self.stream._multis
         for res_id, component, power_w in plan:
@@ -786,9 +805,22 @@ def fold_windows(snapshots: Sequence[WindowSnapshot]) -> EnergyMap:
     )
 
 
-class WindowedAccumulator(EnergyAccumulator):
-    """Online accounting: the streaming accumulator, sliced into
-    tumbling windows as entries arrive.
+#: Rows a :class:`WindowedAccumulator` buffers before folding them as
+#: one columnar batch.  A batch fold costs about a millisecond of fixed
+#: numpy work however few rows it holds, so folding each ~1 KB network
+#: chunk on its own would be slower than per-entry accounting.  Fewer
+#: rows wait for the next batch, or for a read of the accumulator, which
+#: folds whatever is buffered first.
+MIN_BATCH_ENTRIES = 2048
+
+#: The empty batch :meth:`WindowedAccumulator.finish` folds to close the
+#: spans still open.
+_NO_ROWS = LogColumns.from_entries(())
+
+
+class WindowedAccumulator:
+    """Online accounting: the columnar backend folded batch by batch as
+    the log arrives, sliced into tumbling windows.
 
     Time is divided into ``stride_ns``-wide strides anchored at
     ``origin_ns`` (default: the first power interval's start).  The
@@ -802,14 +834,42 @@ class WindowedAccumulator(EnergyAccumulator):
     partial window; its snapshot absorbs the deferred tail re-cover and
     carries the finished map's exact state.
 
-    Memory stays bounded by the stream's open spans plus ``retain``
-    snapshots of the (component, activity) key set — independent of log
-    length, like the parent.
+    Decoded rows arrive through :meth:`feed_columns` (or the per-entry
+    :meth:`feed` / :meth:`feed_all` adapters) and fold in batches of at
+    least :data:`MIN_BATCH_ENTRIES` rows, or of whatever is buffered
+    when something reads the accumulator (:meth:`live_breakdown`,
+    :attr:`windows`, :attr:`windows_emitted`, :meth:`snapshot`,
+    :meth:`finish`).  A batch is one
+    :class:`~repro.core.timeline.ColumnarTimeline` and one
+    :func:`_contribution_stream`; between batches only O(devices) state
+    carries over — the state vector and open power span, each device's
+    open segment or label set (a :class:`TimelineCarry`), the per-device
+    busy-time sums, the running energy dict and the window clock.  The
+    windows and the final map are the streaming
+    :class:`EnergyAccumulator`'s, bit for bit, however the log is split:
+
+    * intervals and segments still open at the end of a batch wait for
+      a later batch or for :meth:`finish`;
+    * so do intervals ending past ``end_time_ns``, whose covers are
+      complete only once the finished stream has closed every segment
+      (see :class:`EnergyAccumulator`): the rows from their batch on are
+      kept and re-covered at :meth:`finish` (the tail re-cover);
+    * each key's prior running sum enters its ``bincount`` stream as the
+      first weight (:func:`_charge_stream`), so the adds continue in the
+      same IEEE-754 order;
+    * windows close on the interval where the streaming path closes
+      them, with the energy, busy time and counters it had there;
+    * a batch splits where an undeclared device first appears, so
+      intervals emitted before that row charge it as untracked, as the
+      streaming trackers do.
+
+    Memory stays bounded by the open spans, one buffered batch and
+    ``retain`` snapshots of the (component, activity) key set —
+    independent of log length.
 
     Windowing requires eager charging, so proxy folding (inherently
     retrospective — a bind can reattribute arbitrarily old segments) is
-    not supported; the parent is always constructed with
-    ``fold_proxies=False``.
+    not supported: segments charge their painted labels.
 
     Sliding windows are views, not extra state: :meth:`sliding` merges
     the last ``width/stride`` retained snapshots.
@@ -835,50 +895,349 @@ class WindowedAccumulator(EnergyAccumulator):
             raise WindowingError(
                 f"window stride must be positive, got {stride_ns}"
             )
-        super().__init__(
-            regression, registry, component_names, energy_per_pulse_j,
-            fold_proxies=False, idle_name=idle_name,
-            single_res_ids=single_res_ids, multi_res_ids=multi_res_ids,
-            end_time_ns=end_time_ns,
-        )
+        self.regression = regression
+        self.registry = registry
+        self.component_names = component_names
+        self.energy_per_pulse_j = energy_per_pulse_j
+        self.idle_name = idle_name
+        self.end_time_ns = end_time_ns
         self.stride_ns = int(stride_ns)
         self.on_window = on_window
-        #: Closed windows, oldest first, bounded by ``retain`` (None
-        #: retains everything — batch-replay use only).
-        self.windows: deque[WindowSnapshot] = deque(maxlen=retain)
-        #: Total windows closed (unlike ``len(windows)``, unaffected by
-        #: the retention bound).
-        self.windows_emitted = 0
+        self._column_power = _column_power(regression)
+        self._const_power_w = (
+            regression.const_power_w if regression is not None else 0.0
+        )
+        # Charge plans per state vector and names per label encoding,
+        # resolved once for the whole stream.
+        self._plans: dict[tuple[tuple[int, int], ...], list] = {}
+        self._value_names: dict[int, str] = {}
+        self._single_ids: set[int] = set(single_res_ids or ())
+        self._multi_ids: set[int] = set(multi_res_ids or ())
+        self._carry = TimelineCarry()
+        self.map = EnergyMap()
+        # Busy time per device: name -> ns, in first-closed order.
+        self._time_single: dict[int, dict[str, int]] = {}
+        self._time_multi: dict[int, dict[str, int]] = {}
+        self._intervals_seen = 0
+        self._pulses_total = 0
+        self._span_t0_ns = 0
+        self._last_interval_t1_ns = 0
+        # Set once an interval ends past end_time_ns: the carry from
+        # before that interval's batch, that batch's rows and every
+        # later batch's, and how many of the batch's intervals were
+        # charged before the tail began.
+        self._tail: Optional[
+            tuple[TimelineCarry, list[LogColumns], int]] = None
+        self._pending: list[LogColumns] = []
+        self._pending_rows = 0
+        self._pending_entries: list = []
+        self._finished = False
+        self._windows: deque[WindowSnapshot] = deque(maxlen=retain)
+        self._windows_emitted = 0
         self._window_origin = origin_ns
         self._window_index: Optional[int] = None
         self._prev_energy: dict[tuple[str, str], float] = {}
         self._prev_time: dict[tuple[str, str], int] = {}
         self._prev_intervals = 0
 
+    # -- feeding -------------------------------------------------------------
+
+    def feed_columns(self, columns: LogColumns) -> None:
+        """Take decoded rows, in log order."""
+        self._park_entries()
+        if len(columns):
+            self._pending.append(columns)
+            self._pending_rows += len(columns)
+            if self._pending_rows >= MIN_BATCH_ENTRIES:
+                self._flush()
+
+    def feed(self, entry) -> None:
+        """Take one decoded :class:`~repro.core.logger.LogEntry` (an
+        adapter onto the same batched fold)."""
+        self._pending_entries.append(entry)
+        if self._pending_rows + len(self._pending_entries) \
+                >= MIN_BATCH_ENTRIES:
+            self._flush()
+
+    def feed_all(self, entries: Iterable) -> EnergyMap:
+        """Take a whole entry iterable, then :meth:`finish`."""
+        self.feed_columns(LogColumns.from_entries(entries))
+        return self.finish()
+
+    def _park_entries(self) -> None:
+        if self._pending_entries:
+            parked = LogColumns.from_entries(self._pending_entries)
+            self._pending_entries = []
+            self._pending.append(parked)
+            self._pending_rows += len(parked)
+
+    def _flush(self) -> None:
+        """Fold every buffered row now."""
+        self._park_entries()
+        if not self._pending:
+            return
+        pending = self._pending
+        self._pending = []
+        self._pending_rows = 0
+        self._fold_rows(pending[0] if len(pending) == 1
+                        else LogColumns.concat(pending))
+
+    def _fold_rows(self, columns: LogColumns) -> None:
+        """Fold rows in batches within which the device sets are fixed:
+        split where a device not yet known first appears."""
+        while True:
+            found = self._first_new_device(columns)
+            if found is None:
+                self._fold_batch(columns)
+                return
+            row, res_id, multi = found
+            if row:
+                self._fold_batch(columns[:row])
+                columns = columns[row:]
+            (self._multi_ids if multi else self._single_ids).add(res_id)
+
+    def _first_new_device(self, columns: LogColumns):
+        """``(row, res_id, is_multi)`` of the first record that makes
+        the stream learn a device — a change/bind of a device neither
+        single nor multi yet, or an add/remove of one not yet multi —
+        or None."""
+        types = columns.type
+        res = columns.res_id
+        # Wire res_ids are one byte; a declared id outside that range
+        # never matches a record.
+        known = np.zeros(256, dtype=bool)
+        known[[r for r in self._multi_ids if 0 <= r < 256]] = True
+        multi = ((types == TYPE_ACT_ADD) | (types == TYPE_ACT_REMOVE)) \
+            & ~known[res]
+        known[[r for r in self._single_ids if 0 <= r < 256]] = True
+        single = ((types == TYPE_ACT_CHANGE) | (types == TYPE_ACT_BIND)) \
+            & ~known[res]
+        rows = [(int(np.argmax(mask)), is_multi)
+                for mask, is_multi in ((single, False), (multi, True))
+                if mask.any()]
+        if not rows:
+            return None
+        row, is_multi = min(rows)
+        return row, int(res[row]), is_multi
+
+    # -- the batch fold -------------------------------------------------------
+
+    def _name_of_value(self, value: int) -> str:
+        name = self._value_names.get(value)
+        if name is None:
+            name = self._value_names[value] = self.registry.name_of(
+                ActivityLabel.decode(value))
+        return name
+
+    def _contributions(self, timeline: ColumnarTimeline):
+        """The batch's ordered contribution stream (see
+        :func:`_contribution_stream`)."""
+        plans = self._plans
+        plan_raw = []
+        for vector in timeline.vectors:
+            plan = plans.get(vector)
+            if plan is None:
+                plan = plans[vector] = _plan_of(
+                    vector, self._column_power, self.component_names)
+            plan_raw.append(plan)
+        dt_ns = timeline.interval_t1 - timeline.interval_t0
+        dt_s = dt_ns * 1e-9
+        return _contribution_stream(
+            timeline, plan_raw, dt_ns, dt_s, self._const_power_w * dt_s,
+            self._name_of_value, False, self.idle_name,
+            self.registry.name_of)
+
+    def _charge(self, stream, lo: int, hi: int) -> None:
+        """Charge stream rows ``[lo, hi)`` onto the running sums."""
+        if hi > lo:
+            _, code, values, n_codes, key_of = stream
+            self.map.reconstructed_energy_j = _charge_stream(
+                self.map.energy_j, self.map.reconstructed_energy_j,
+                code[lo:hi], values[lo:hi], n_codes, key_of)
+
+    def _fold_batch(self, columns: LogColumns, final: bool = False) -> None:
+        """Fold one batch: reconstruct it against the carry, charge its
+        intervals (all but those waiting for the tail re-cover) and add
+        its closed segments' busy time, closing windows on the way."""
+        end = self.end_time_ns
+        n = len(columns)
+        saved = None
+        if self._tail is None and end is not None and not final and n \
+                and int(columns.time_ns[n - 1]) > end:
+            saved = self._carry.copy()  # the tail may begin in this batch
+        timeline = ColumnarTimeline(
+            columns, end_time_ns=end, single_res_ids=self._single_ids,
+            multi_res_ids=self._multi_ids, carry=self._carry, final=final)
+        t0s = timeline.interval_t0
+        t1s = timeline.interval_t1
+        n_intervals = len(t0s)
+        if n_intervals and self.regression is None:
+            raise RegressionError(
+                "accounting needs a regression once power intervals exist"
+            )
+        # Intervals charged now; the rest wait for the tail re-cover.  A
+        # final batch's covers are already complete.
+        charge = n_intervals
+        if self._tail is not None:
+            charge = 0
+            if not final:
+                self._tail[1].append(columns)
+        elif saved is not None:
+            first = int(np.searchsorted(t1s, end, side="right"))
+            if first < n_intervals:
+                charge = first
+                self._tail = (saved, [columns], first)
+        stream = self._contributions(timeline) if charge else None
+        cum_pulses = np.zeros(n_intervals + 1, dtype=np.int64)
+        np.cumsum(timeline.interval_pulses, out=cum_pulses[1:])
+        seen, pulses = self._intervals_seen, self._pulses_total
+        closes: list[int] = []
+        if n_intervals:
+            if not seen:
+                self._span_t0_ns = int(t0s[0])
+            if self._window_index is None:
+                if self._window_origin is None:
+                    self._window_origin = int(t0s[0])
+                self._window_index = \
+                    (int(t0s[0]) - self._window_origin) // self.stride_ns
+            index = (t0s - self._window_origin) // self.stride_ns
+            previous = np.concatenate(([self._window_index], index[:-1]))
+            closes = np.nonzero(index > previous)[0].tolist()
+        # Chunk k of busy time: the segments closed before the record
+        # that emits the k-th window-closing interval (and after the
+        # previous one's); the last chunk is the rest of the batch.
+        emit_rows = timeline.interval_row
+        busy = self._busy_time(
+            timeline, [int(emit_rows[i]) for i in closes] + [n + 1])
+        charged = 0
+
+        def advance(chunk: int, upto: int) -> None:
+            # The state just before interval `upto` is emitted: its
+            # predecessors charged, the chunk's segments timed, the
+            # counters caught up.
+            nonlocal charged
+            if stream is not None:
+                stop = int(np.searchsorted(stream[0], min(upto, charge),
+                                           side="left"))
+                self._charge(stream, charged, stop)
+                charged = stop
+            for per_name, name, dt_ns in busy[chunk]:
+                per_name[name] = per_name.get(name, 0) + dt_ns
+            self._intervals_seen = seen + upto
+            self._pulses_total = pulses + int(cum_pulses[upto])
+            if upto:
+                self._last_interval_t1_ns = int(t1s[upto - 1])
+
+        # Interval starts are monotone (intervals tile), so strides close
+        # in order; a long interval can leave empty strides behind it,
+        # which still emit (zero-delta) snapshots so the window sequence
+        # is gap-free.
+        for chunk, i in enumerate(closes):
+            advance(chunk, i)
+            target = int(index[i])
+            while self._window_index < target:
+                self._close_window(final=False)
+        advance(len(closes), n_intervals)
+
+    def _busy_time(self, timeline: ColumnarTimeline,
+                   bounds: list[int]) -> list[list[tuple]]:
+        """The busy time the batch's segments add, cut into chunks by
+        closing row (chunk k: closed before row ``bounds[k]`` and not
+        before ``bounds[k-1]``) as ``(per-name sums, name, ns)`` adds in
+        close order per device — the streaming trackers' name→ns
+        accumulation.  Segments an earlier batch timed (row -1) or still
+        open (row past the last bound) add nothing."""
+        chunks: list[list[tuple]] = [[] for _ in bounds]
+        cuts = np.asarray(bounds, dtype=np.int64)
+        # Single devices, fused: one grouping over every device's fresh
+        # segments keyed by (chunk, device, name); int sums (exact in
+        # float64 far past any batch's span), replayed per chunk in
+        # first-closed order.
+        devices: list[int] = []
+        parts: list[tuple] = []
+        for res_id in timeline.single_device_ids():
+            single = timeline.single_columns(res_id)
+            chunk = np.searchsorted(cuts, single.close_row, side="right")
+            fresh = np.nonzero((single.close_row >= 0)
+                               & (chunk < len(bounds)))[0]
+            if len(fresh):
+                parts.append((len(devices), chunk[fresh],
+                              np.asarray(single.labels)[fresh],
+                              (single.t1 - single.t0)[fresh]))
+                devices.append(res_id)
+        if parts:
+            values = np.concatenate([p[2] for p in parts])
+            unique_values, value_index = np.unique(
+                values, return_inverse=True)
+            name_ids: dict[str, int] = {}
+            value_name = np.asarray(
+                [name_ids.setdefault(self._name_of_value(value),
+                                     len(name_ids))
+                 for value in unique_values.tolist()], dtype=np.int64)
+            names = list(name_ids)
+            n_names = len(names)
+            span = len(devices) * n_names
+            key = (np.concatenate([p[1] for p in parts]) * span
+                   + np.concatenate([np.full(len(p[1]), p[0] * n_names)
+                                     for p in parts])
+                   + value_name[value_index])
+            n_keys = len(bounds) * span
+            first = np.full(n_keys, -1, dtype=np.int64)
+            first[key[::-1]] = np.arange(len(key) - 1, -1, -1,
+                                         dtype=np.int64)
+            sums = np.bincount(key, weights=np.concatenate(
+                [p[3] for p in parts]), minlength=n_keys)
+            present = np.nonzero(first >= 0)[0]
+            present = present[np.lexsort((first[present], present // span))]
+            for k, total in zip(present.tolist(), sums[present].tolist()):
+                chunk, rest = divmod(k, span)
+                device, name = divmod(rest, n_names)
+                per_name = self._time_single.setdefault(devices[device], {})
+                chunks[chunk].append((per_name, names[name], int(total)))
+        sets = timeline.label_sets
+        for res_id in timeline.multi_device_ids():
+            multi = timeline.multi_columns(res_id)
+            chunk = np.searchsorted(cuts, multi.close_row, side="right")
+            fresh = np.nonzero((multi.close_row >= 0)
+                               & (chunk < len(bounds)))[0]
+            if not len(fresh):
+                continue
+            per_name = self._time_multi.setdefault(res_id, {})
+            spans = (multi.t1 - multi.t0)[fresh].tolist()
+            for k, chunk_k, dt_ns in zip(fresh.tolist(),
+                                         chunk[fresh].tolist(), spans):
+                labels = sets[multi.set_ids[k]]
+                if not labels:
+                    chunks[chunk_k].append((per_name, self.idle_name, dt_ns))
+                    continue
+                split = dt_ns // len(labels)
+                for label in labels:
+                    chunks[chunk_k].append(
+                        (per_name, self.registry.name_of(label), split))
+        return chunks
+
+    def _recover_tail(self) -> None:
+        """Charge the intervals deferred past ``end_time_ns``: rebuild
+        every row since the tail's first batch as one final batch — each
+        segment now closed where the finished stream closes it — and
+        charge its intervals from the first deferred one on, in order."""
+        carry, parts, charged = self._tail
+        self._tail = None
+        timeline = ColumnarTimeline(
+            LogColumns.concat(parts), end_time_ns=self.end_time_ns,
+            single_res_ids=self._single_ids, multi_res_ids=self._multi_ids,
+            carry=carry, final=True)
+        stream = self._contributions(timeline)
+        start = int(np.searchsorted(stream[0], charged, side="left"))
+        self._charge(stream, start, len(stream[1]))
+
     # -- the stride clock ---------------------------------------------------
 
-    def _on_interval(self, interval: PowerInterval) -> None:
-        t0 = interval.t0_ns
-        if self._window_index is None:
-            if self._window_origin is None:
-                self._window_origin = t0
-            self._window_index = (t0 - self._window_origin) // self.stride_ns
-        else:
-            index = (t0 - self._window_origin) // self.stride_ns
-            # Interval starts are monotone (intervals tile), so strides
-            # close in order; a long interval can leave empty strides
-            # behind it, which still emit (zero-delta) snapshots so the
-            # window sequence is gap-free.
-            while self._window_index < index:
-                self._close_window(final=False)
-        super()._on_interval(interval)
-
     def _fold_time(self) -> dict[tuple[str, str], int]:
-        """The cumulative busy-time breakdown from the live per-device
-        name→ns sums — the same device/name order the parent's finish
-        folds, so the final snapshot's dict matches it exactly.  Only
-        closed segments are included (an open span's label is charged
-        when it closes)."""
+        """The cumulative busy-time breakdown from the per-device
+        name→ns sums, in the finished map's order (sorted devices, then
+        per-device first-closed names).  Only closed segments are
+        included (an open span's label is charged when it closes)."""
         cumulative: dict[tuple[str, str], int] = {}
         for res_id in sorted(self._time_single):
             component = self.component_names.get(res_id, f"res{res_id}")
@@ -933,36 +1292,65 @@ class WindowedAccumulator(EnergyAccumulator):
         self._prev_time = cumulative_time
         self._prev_intervals = self._intervals_seen
         self._window_index = index + 1
-        self.windows.append(snapshot)
-        self.windows_emitted += 1
+        self._windows.append(snapshot)
+        self._windows_emitted += 1
         if self.on_window is not None:
             self.on_window(snapshot)
 
     def finish(self) -> EnergyMap:
+        """Fold what is buffered, close every open span, charge the tail
+        and close the final window.  Idempotent: a second call returns
+        the same map without re-charging."""
         if self._finished:
             return self.map
-        super().finish()
+        self._flush()
+        self._fold_batch(_NO_ROWS, final=True)
+        if not self._intervals_seen:
+            raise RegressionError("no power intervals to account")
+        self._finished = True
+        if self._tail is not None:
+            self._recover_tail()
+        self.map.time_ns = self._fold_time()
+        self.map.span_ns = self._last_interval_t1_ns - self._span_t0_ns
+        self.map.metered_energy_j = (
+            self._pulses_total * self.energy_per_pulse_j
+        )
         if self._window_index is not None:
             self._close_window(final=True)
         return self.map
+
+    @property
+    def windows(self) -> deque:
+        """Closed windows, oldest first, bounded by ``retain`` (None
+        retains everything — batch-replay use only)."""
+        self._flush()
+        return self._windows
+
+    @property
+    def windows_emitted(self) -> int:
+        """Total windows closed (unlike ``len(windows)``, unaffected by
+        the retention bound)."""
+        self._flush()
+        return self._windows_emitted
 
     # -- durability ---------------------------------------------------------
 
     def snapshot(self) -> bytes:
         """The accumulator's complete mid-stream state as one opaque
-        blob (pickle).  Everything the fold contract depends on rides
-        along — open spans, interned state-vector sums, cumulative
-        per-key float sums, window origin/index, the retained snapshot
-        deque — so :meth:`restore` of this blob, fed the remaining
-        entries, produces windows and a final map **bit-identical** to
-        an uninterrupted accumulator (the crash-safety contract the
-        ingest server's checkpoints lean on).
+        blob (pickle), buffered rows folded first.  Everything the fold
+        contract depends on rides along — the carried spans, the tail
+        rows, cumulative per-key float sums, window origin/index, the
+        retained snapshot deque — so :meth:`restore` of this blob, fed
+        the remaining rows, produces windows and a final map
+        **bit-identical** to an uninterrupted accumulator (the
+        crash-safety contract the ingest server's checkpoints lean on).
 
         ``on_window`` is deliberately not captured (server callbacks
         close over sockets); reattach one via :meth:`restore`.
         """
         import pickle
 
+        self._flush()
         on_window = self.on_window
         self.on_window = None
         try:
@@ -993,6 +1381,7 @@ class WindowedAccumulator(EnergyAccumulator):
         """The cumulative breakdown *right now*, without closing the
         stream: what a dashboard polls between window closes.  Energy
         values are the exact running sums; time covers closed segments."""
+        self._flush()
         return {
             "energy_j": dict(self.map.energy_j),
             "time_ns": self._fold_time(),
@@ -1002,7 +1391,7 @@ class WindowedAccumulator(EnergyAccumulator):
             ),
             "span_ns": self._last_interval_t1_ns - self._span_t0_ns,
             "intervals": self._intervals_seen,
-            "windows_emitted": self.windows_emitted,
+            "windows_emitted": self._windows_emitted,
         }
 
     def sliding(self, width_ns: int) -> dict:
@@ -1098,15 +1487,60 @@ def _ragged_cover(window_t0, window_t1, seg_t0, seg_t1):
     return offsets, seg_rows, overlaps
 
 
+def _charge_stream(energy_j, recon, code, values, n_codes, key_of):
+    """Add an ordered contribution stream to running sums: the per-key
+    dict ``energy_j`` (keys new to it inserted in first-occurrence
+    stream order) and the reconstructed total ``recon``, returned.
+
+    ``np.bincount`` accumulates each bin's weights strictly in array
+    order, starting from ``0.0`` — the ``energy_j.get(key, 0.0) + x``
+    fold the reference performs.  Each key's prior running sum goes in
+    as the first weight of its bin (``0.0 + prior`` is exact, and a sum
+    begun at ``0.0`` is never ``-0.0``), so the adds continue in the
+    same IEEE-754 order whether the stream is a whole log or one window
+    of a live batch.  Codes live in a small dense range (components x
+    names), so first-occurrence order comes from a reversed fancy
+    assignment (last write wins == first occurrence), no sort needed.
+    """
+    n_rows = len(code)
+    first_row = np.full(n_codes, -1, dtype=np.int64)
+    first_row[code[::-1]] = np.arange(n_rows - 1, -1, -1, dtype=np.int64)
+    present = np.nonzero(first_row >= 0)[0]
+    ordered = present[np.argsort(first_row[present], kind="stable")]
+    keys = [key_of(c) for c in ordered.tolist()]
+    prior = np.array([energy_j.get(key, 0.0) for key in keys],
+                     dtype=np.float64)
+    totals = np.bincount(np.concatenate((ordered, code)),
+                         weights=np.concatenate((prior, values)),
+                         minlength=n_codes)
+    for key, total in zip(keys, totals[ordered].tolist()):
+        energy_j[key] = total
+    return float(np.bincount(
+        np.zeros(n_rows + 1, dtype=np.intp),
+        weights=np.concatenate(([recon], values)), minlength=1)[0])
+
+
 def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
                  label_name, name_of_value, fold_proxies, idle_name,
                  name_of):
+    """The vectorized ordered fold: :func:`_contribution_stream` charged
+    into ``emap`` (same signature as :func:`_fold_reference`)."""
+    _, code, values, n_codes, key_of = _contribution_stream(
+        timeline, plan_raw, dt_ns, dt_s, const_arr, name_of_value,
+        fold_proxies, idle_name, name_of)
+    emap.reconstructed_energy_j = _charge_stream(
+        emap.energy_j, emap.reconstructed_energy_j, code, values, n_codes,
+        key_of)
+
+
+def _contribution_stream(timeline, plan_raw, dt_ns, dt_s, const_arr,
+                         name_of_value, fold_proxies, idle_name, name_of):
     """The ordered fold, vectorized and fused: every charged device's
     per-interval work is flattened into ONE cover query and ONE
     grouping sort (charges separated by a per-charge time offset larger
     than any timestamp), producing a single
     ``(interval, plan-position, within-charge-rank)``-keyed contribution
-    stream whose final scalar adds are replayed in reference order.
+    stream in reference order, for :func:`_charge_stream` to add up.
 
     Bit-identity with :func:`_fold_reference` (and hence the streaming
     accumulator) rests on these facts, each pinned by the
@@ -1120,17 +1554,13 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
       Python's ``int/int`` does for magnitudes below 2**53;
     * ``joules * fraction`` is the same elementwise IEEE-754 multiply
       either way;
-    * per-key accumulation replays with ``np.cumsum`` — a strict
-      left-to-right accumulation, unlike ``np.sum``'s pairwise tree —
-      over each key's contributions gathered in stream order, and keys
-      are inserted in first-occurrence stream order, preserving dict
-      order.  The lone divergence from a fold that starts at literal
-      ``0.0`` is an all-negative-zero stream, which the reference
-      rounds to ``+0.0``; the ``== 0.0`` normalization below restores
-      exactly that.
+    * the per-key adds happen in stream order (see
+      :func:`_charge_stream`), and keys are inserted in first-occurrence
+      stream order, preserving dict order.
 
-    Requires ``emap`` fresh (empty ``energy_j``, zero reconstructed
-    total), which :func:`columnar_energy_map` guarantees.
+    Returns ``(interval, code, value, n_codes, key_of)``: per stream row
+    (in order) its interval index, key code and joules, plus the code
+    range and the code → ``(component, activity)`` mapping.
     """
     vectors = timeline.vectors
     n_vec = len(vectors)
@@ -1397,26 +1827,12 @@ def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
     code = (np.concatenate(stream_c) * span
             + np.concatenate(stream_n))[order]
     values = np.concatenate(stream_v)[order]
-    # Codes live in a small dense range (components x names), so the
-    # per-key totals come straight from one weighted bincount over the
-    # codes themselves (same in-order per-bin accumulation as the dict
-    # fold) and first-occurrence order from a reversed fancy assignment
-    # (last write wins == first occurrence) — no sort needed.
-    n_rows = len(code)
-    n_codes = len(comps) * span
-    first_row = np.full(n_codes, -1, dtype=np.int64)
-    first_row[code[::-1]] = np.arange(n_rows - 1, -1, -1, dtype=np.int64)
-    totals = np.bincount(code, weights=values, minlength=n_codes)
-    present = np.nonzero(first_row >= 0)[0]
-    energy_j = emap.energy_j
-    for c in present[np.argsort(first_row[present],
-                                kind="stable")].tolist():
+
+    def key_of(c: int) -> tuple[str, str]:
         cid, nid = divmod(c, span)
-        key = _CONST_PAIR if cid == 0 else (comps[cid], names[nid])
-        energy_j[key] = float(totals[c])
-    emap.reconstructed_energy_j = float(np.bincount(
-        np.zeros(n_rows, dtype=np.intp), weights=values,
-        minlength=1)[0])
+        return _CONST_PAIR if cid == 0 else (comps[cid], names[nid])
+
+    return i_all[order], code, values, len(comps) * span, key_of
 
 
 def _fold_reference(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
@@ -1615,29 +2031,10 @@ def columnar_energy_map(
         raise RegressionError(
             "accounting needs a regression once power intervals exist"
         )
-    column_power: dict[tuple[int, int], tuple[str, float]] = {}
-    for column in regression.columns:
-        column_power[(column.res_id, column.value)] = (
-            column.name, regression.power_w[column.name])
-    # Per-vector charge plans, exactly as the accumulator resolves them:
-    # the sorted (res_id, value) pairs that carry a power column, with
-    # the display component name.
-    vectors = timeline.vectors
-    plan_raw: list[list[tuple[int, str, float]]] = []
-    for vector in vectors:
-        resolved = []
-        for res_id, value in vector:
-            entry = column_power.get((res_id, value))
-            if entry is None:
-                continue  # baseline state of the sink: no marginal draw
-            column_name, power_w = entry
-            resolved.append((
-                res_id,
-                component_names.get(res_id, column_name),
-                power_w,
-            ))
-        plan_raw.append(resolved)
-    interval_vec = timeline.interval_vec
+    # Per-vector charge plans, exactly as the accumulator resolves them.
+    column_power = _column_power(regression)
+    plan_raw = [_plan_of(vector, column_power, component_names)
+                for vector in timeline.vectors]
     dt_ns = timeline.interval_t1 - timeline.interval_t0
     # Vectorized energy products: duration and draw as elementwise
     # multiplies — the identical IEEE-754 operations the streaming path

@@ -521,14 +521,14 @@ class WireDecoder:
     :func:`iter_entries`.
 
     A TCP stream (or any chunked transport) cuts the packed log wherever
-    it likes: mid-entry, even mid-field.  :meth:`feed` buffers the
-    partial tail of each chunk and carries the u32 time/iCount unwrap
-    state across calls, so feeding a log in any split — one byte at a
-    time or all at once — yields exactly the entry sequence
-    :func:`iter_entries` yields for the whole buffer (same ``seq``
-    numbers, same unwrapped timestamps).  State between feeds is the
-    sub-entry remainder (< 12 bytes) plus five integers, independent of
-    how much has streamed through.
+    it likes: mid-entry, even mid-field.  :meth:`feed_columns` (and
+    :meth:`feed`, its per-entry wrapper) buffers the partial tail of
+    each chunk and carries the u32 time/iCount unwrap state across
+    calls, so feeding a log in any split — one byte at a time or all at
+    once — yields exactly the entries :func:`iter_entries` yields for
+    the whole buffer (same ``seq`` numbers, same unwrapped timestamps).
+    State between feeds is the sub-entry remainder (< 12 bytes) plus
+    five integers, independent of how much has streamed through.
     """
 
     __slots__ = ("_partial", "_time_base", "_last_time", "_ic_base",
@@ -552,43 +552,46 @@ class WireDecoder:
         """Buffered bytes of the incomplete trailing entry (0..11)."""
         return len(self._partial)
 
-    def feed(self, chunk: bytes) -> list[LogEntry]:
-        """Decode every entry completed by ``chunk``; buffer the rest."""
+    def feed_columns(self, chunk: bytes) -> "LogColumns":
+        """Decode every entry completed by ``chunk`` into columns (one
+        ``np.frombuffer`` shot); buffer the rest.  Any split of a log
+        decodes to the rows :func:`decode_columns` gives for the whole
+        buffer."""
         buf = self._partial + bytes(chunk) if self._partial else bytes(chunk)
-        usable = len(buf) - len(buf) % ENTRY_SIZE
-        self._partial = buf[usable:]
-        if not usable:
-            return []
-        entries: list[LogEntry] = []
-        append = entries.append
-        time_base = self._time_base
-        last_time = self._last_time
-        ic_base = self._ic_base
-        last_ic = self._last_ic
-        seq = self._seq
-        for entry_type, res_id, time_us, pulses, value in \
-                ENTRY_STRUCT.iter_unpack(buf[:usable]):
-            if seq:
-                if time_us < last_time:
-                    time_base += 1 << 32
-                if pulses < last_ic:
-                    ic_base += 1 << 32
-            last_time, last_ic = time_us, pulses
-            append(LogEntry(
-                type=entry_type,
-                res_id=res_id,
-                time_us=time_base + time_us,
-                icount=ic_base + pulses,
-                value=value,
-                seq=seq,
-            ))
-            seq += 1
-        self._time_base = time_base
-        self._last_time = last_time
-        self._ic_base = ic_base
-        self._last_ic = last_ic
-        self._seq = seq
-        return entries
+        count = len(buf) // ENTRY_SIZE
+        self._partial = buf[count * ENTRY_SIZE:]
+        records = np.frombuffer(buf, dtype=ENTRY_DTYPE, count=count)
+        time_us = records["time"].astype(np.int64)
+        icount = records["ic"].astype(np.int64)
+        if count:
+            continued = self._seq > 0
+            time_us, self._time_base, self._last_time = _unwrap_u32(
+                time_us, self._time_base, self._last_time, continued)
+            icount, self._ic_base, self._last_ic = _unwrap_u32(
+                icount, self._ic_base, self._last_ic, continued)
+            self._seq += count
+        return LogColumns(
+            type=records["type"].copy(),
+            res_id=records["res_id"].copy(),
+            time_ns=time_us * 1000,
+            icount=icount,
+            value=records["value"].astype(np.int64),
+        )
+
+    def feed(self, chunk: bytes) -> list[LogEntry]:
+        """Decode every entry completed by ``chunk`` as
+        :class:`LogEntry` objects; buffer the rest (a thin wrapper over
+        :meth:`feed_columns`)."""
+        first = self._seq
+        columns = self.feed_columns(chunk)
+        return [
+            LogEntry(type=entry_type, res_id=res_id, time_us=time_us,
+                     icount=icount, value=value, seq=seq)
+            for seq, entry_type, res_id, time_us, icount, value in zip(
+                range(first, self._seq), columns.type.tolist(),
+                columns.res_id.tolist(), (columns.time_ns // 1000).tolist(),
+                columns.icount.tolist(), columns.value.tolist())
+        ]
 
     def finish(self) -> None:
         """Assert the stream ended on an entry boundary.  A leftover
@@ -674,21 +677,52 @@ class LogColumns:
             value=np.array([e.value for e in entries], dtype=np.int64),
         )
 
+    @classmethod
+    def concat(cls, parts: Sequence["LogColumns"]) -> "LogColumns":
+        """Consecutive pieces of one log as one set of columns."""
+        return cls(
+            type=np.concatenate([p.type for p in parts]),
+            res_id=np.concatenate([p.res_id for p in parts]),
+            time_ns=np.concatenate([p.time_ns for p in parts]),
+            icount=np.concatenate([p.icount for p in parts]),
+            value=np.concatenate([p.value for p in parts]),
+        )
+
+    def __getitem__(self, rows: slice) -> "LogColumns":
+        return LogColumns(
+            type=self.type[rows], res_id=self.res_id[rows],
+            time_ns=self.time_ns[rows], icount=self.icount[rows],
+            value=self.value[rows])
+
+
+def _unwrap_u32(values: np.ndarray, base: int, last: int,
+                continued: bool) -> tuple[np.ndarray, int, int]:
+    """Unwrap a non-empty u32 counter column (as int64): the counter
+    wrapped wherever it decreases — including against ``last``, the
+    previous chunk's final raw value, when the column ``continued`` a
+    stream — so ``base`` plus the cumulative wrap count times 2^32 is
+    what to add.  Returns (unwrapped column, new base, last raw value):
+    the vectorized form of :func:`iter_entries`'s three-integer state."""
+    if (not continued or int(values[0]) >= last) \
+            and bool((values[1:] >= values[:-1]).all()):
+        # No wrap in this column (the common case by far).
+        return values + base, base, int(values[-1])
+    previous = np.empty_like(values)
+    previous[0] = last if continued else values[0]
+    previous[1:] = values[:-1]
+    wraps = np.cumsum(values < previous)
+    return (values + (base + (wraps << 32)),
+            base + (int(wraps[-1]) << 32), int(values[-1]))
+
 
 def _unwrap_records(records: np.ndarray) -> LogColumns:
     """Unwrap u32 time/iCount wrap-around over a structured entry array
-    — the vectorized form of :func:`iter_entries`'s three-integer state:
-    a field wrapped wherever it decreases, so the cumulative wrap count
-    times 2^32 is the base to add."""
+    (a whole log, see :func:`_unwrap_u32`)."""
     time_us = records["time"].astype(np.int64)
     icount = records["ic"].astype(np.int64)
-    if len(records) > 1:
-        time_wraps = np.zeros(len(records), dtype=np.int64)
-        np.cumsum(np.diff(time_us) < 0, out=time_wraps[1:])
-        time_us = time_us + (time_wraps << 32)
-        ic_wraps = np.zeros(len(records), dtype=np.int64)
-        np.cumsum(np.diff(icount) < 0, out=ic_wraps[1:])
-        icount = icount + (ic_wraps << 32)
+    if len(records):
+        time_us = _unwrap_u32(time_us, 0, 0, False)[0]
+        icount = _unwrap_u32(icount, 0, 0, False)[0]
     return LogColumns(
         type=records["type"].copy(),
         res_id=records["res_id"].copy(),

@@ -40,7 +40,7 @@ res_ids exist, what their state values are named) — never ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -568,6 +568,53 @@ class TimelineStream:
 # -- columnar reconstruction ------------------------------------------------
 
 
+@dataclass
+class TimelineCarry:
+    """The spans a batch-built :class:`ColumnarTimeline` hands to the
+    next batch: the columnar form of the streaming trackers' state,
+    O(devices) however long the stream.
+
+    * ``states`` — each sink's current power-state value;
+    * ``span_t0`` / ``span_pulses`` — the open power span (``None``: no
+      power record seen yet);
+    * ``last_time`` / ``last_icount`` — the last record of any type,
+      where the trailing span closes at finish;
+    * ``single_open`` — each single device's open segment,
+      ``res_id -> (t0_ns, label encoding)``;
+    * ``multi_open`` — each started multi device's open span,
+      ``res_id -> (t0_ns, label encodings)``;
+    * ``single_done`` / ``multi_done`` — segments already closed that
+      end inside the open power span, so still overlap the interval it
+      becomes: ``res_id -> (t0s, t1s, labels)``, label encodings for a
+      single device, encoding sets for a multi one.
+    """
+
+    states: dict[int, int] = field(default_factory=dict)
+    span_t0: Optional[int] = None
+    span_pulses: int = 0
+    last_time: Optional[int] = None
+    last_icount: int = 0
+    single_open: dict[int, tuple[int, int]] = field(default_factory=dict)
+    multi_open: dict[int, tuple[int, frozenset[int]]] = field(
+        default_factory=dict)
+    single_done: dict[int, tuple] = field(default_factory=dict)
+    multi_done: dict[int, tuple] = field(default_factory=dict)
+
+    def copy(self) -> "TimelineCarry":
+        return TimelineCarry(
+            dict(self.states), self.span_t0, self.span_pulses,
+            self.last_time, self.last_icount, dict(self.single_open),
+            dict(self.multi_open), dict(self.single_done),
+            dict(self.multi_done))
+
+    def overlaps_open_span(self, t1: np.ndarray) -> np.ndarray:
+        """Which closed segments (by end time) reach into the open
+        power span — all of them before the span opens."""
+        if self.span_t0 is None:
+            return np.ones(len(t1), dtype=bool)
+        return t1 > self.span_t0
+
+
 class _SingleColumns:
     """One single-activity device's segments as parallel columns.
 
@@ -575,15 +622,18 @@ class _SingleColumns:
     segments were never emitted); ``labels`` holds the painted 16-bit
     encodings and ``bound`` the bind-resolved encoding (or ``None``) per
     segment — the columnar form of :class:`ActivitySegment`.
+    ``close_row`` is the row whose record closed each segment (see
+    :meth:`ColumnarTimeline._segments_single`).
     """
 
-    __slots__ = ("t0", "t1", "labels", "bound")
+    __slots__ = ("t0", "t1", "labels", "bound", "close_row")
 
-    def __init__(self, t0, t1, labels, bound) -> None:
+    def __init__(self, t0, t1, labels, bound, close_row=None) -> None:
         self.t0 = t0
         self.t1 = t1
         self.labels = labels
         self.bound = bound
+        self.close_row = close_row
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -591,17 +641,70 @@ class _SingleColumns:
 
 class _MultiColumns:
     """One multi-activity device's segments as parallel columns;
-    ``set_ids`` indexes :attr:`ColumnarTimeline.label_sets`."""
+    ``set_ids`` indexes :attr:`ColumnarTimeline.label_sets` and
+    ``close_row`` is as for :class:`_SingleColumns`."""
 
-    __slots__ = ("t0", "t1", "set_ids")
+    __slots__ = ("t0", "t1", "set_ids", "close_row")
 
-    def __init__(self, t0, t1, set_ids) -> None:
+    def __init__(self, t0, t1, set_ids, close_row) -> None:
         self.t0 = t0
         self.t1 = t1
         self.set_ids = set_ids
+        self.close_row = close_row
 
     def __len__(self) -> int:
         return len(self.set_ids)
+
+
+def _odd_multipliers(count: int) -> np.ndarray:
+    """``count`` fixed odd 64-bit multipliers (a 64-bit LCG walk)."""
+    state, out = 0x5EED, []
+    for _ in range(count):
+        state = (state * 6364136223846793005 + 1442695040888963407) \
+            & 0xFFFFFFFFFFFFFFFF
+        out.append(state | 1)
+    return np.array(out, dtype=np.uint64)
+
+
+#: One multiplier per sink column: a state-vector row hashes to its dot
+#: product with them (mod 2**64).
+_ROW_HASH = _odd_multipliers(256)
+
+
+def _intern_vectors(value_matrix: np.ndarray, sink_ids: list[int]):
+    """State-vector rows (``-1``: sink not yet set) → interned vector
+    tuples in sorted-``res_id`` order, numbered in first-occurrence
+    order (the order the streaming tracker would have produced them):
+    a unique over one 64-bit hash per row — checked against the rows
+    themselves, with a byte-view unique of whole rows should two rows
+    ever collide — plus a first-index renumbering, no per-row python.
+    Returns ``(vectors, per-row vector ids)``."""
+    if not len(value_matrix):
+        return [], np.empty(0, dtype=np.intp)
+    matrix = np.ascontiguousarray(value_matrix)
+    if matrix.shape[1]:
+        keys = (matrix.astype(np.uint64)
+                * _ROW_HASH[:matrix.shape[1]]).sum(axis=1)
+        _, first_idx, inverse = np.unique(
+            keys, return_index=True, return_inverse=True)
+        if not (matrix[first_idx][inverse] == matrix).all():
+            row_view = matrix.view(
+                [("", matrix.dtype)] * matrix.shape[1]).ravel()
+            _, first_idx, inverse = np.unique(
+                row_view, return_index=True, return_inverse=True)
+    else:
+        first_idx = np.zeros(1, dtype=np.intp)
+        inverse = np.zeros(len(matrix), dtype=np.intp)
+    rank = np.argsort(first_idx, kind="stable")
+    remap = np.empty(len(first_idx), dtype=np.intp)
+    remap[rank] = np.arange(len(first_idx), dtype=np.intp)
+    vectors = [
+        tuple((rid, value)
+              for rid, value in zip(sink_ids, matrix[row].tolist())
+              if value != -1)
+        for row in first_idx[rank].tolist()
+    ]
+    return vectors, remap[inverse]
 
 
 class ColumnarTimeline:
@@ -628,6 +731,11 @@ class ColumnarTimeline:
     Entries must be in log order.  Devices may be declared up front
     (always the case on node paths); otherwise they are inferred over
     the whole log like :class:`TimelineBuilder` does.
+
+    With a ``carry`` the columns are one batch of a longer stream (see
+    :meth:`_build_batch`): the batch continues the spans the carry holds
+    open and, unless ``final``, hands back the spans still open at its
+    end instead of closing them.
     """
 
     def __init__(
@@ -636,8 +744,17 @@ class ColumnarTimeline:
         end_time_ns: Optional[int] = None,
         single_res_ids: Optional[Iterable[int]] = None,
         multi_res_ids: Optional[Iterable[int]] = None,
+        carry: Optional[TimelineCarry] = None,
+        final: bool = True,
     ) -> None:
         self.columns = columns
+        self.label_sets: list[frozenset[ActivityLabel]] = []
+        self._set_intern: dict[tuple[int, ...], int] = {}
+        self._set_values: list[frozenset[int]] = []
+        if carry is not None:
+            self._build_batch(carry, end_time_ns, set(single_res_ids or []),
+                              set(multi_res_ids or []), final)
+            return
         n = len(columns)
         if end_time_ns is None:
             end_time_ns = int(columns.time_ns[-1]) if n else 0
@@ -669,7 +786,7 @@ class ColumnarTimeline:
                 bound = first_multi.get(rid)
                 if bound is None or int(single_pos[first]) < bound:
                     self._single_ids.add(rid)
-        self._build_intervals(single_pos, multi_pos)
+        self._build_intervals(TimelineCarry(), final=True)
         self._singles: dict[int, _SingleColumns] = {}
         for rid in sorted(self._single_ids):
             mask = is_single_entry & (res == rid)
@@ -682,18 +799,70 @@ class ColumnarTimeline:
             bound = first_multi.get(rid)
             if bound is not None:
                 rows = rows[rows < bound]
-            self._singles[rid] = self._build_single(rows)
-        self.label_sets: list[frozenset[ActivityLabel]] = []
-        self._set_intern: dict[tuple[int, ...], int] = {}
+            self._singles[rid] = self._build_single(rid, rows)
         self._multis: dict[int, _MultiColumns] = {}
         for rid in sorted(self._multi_ids):
             mask = is_multi_entry & (res == rid)
-            self._multis[rid] = self._build_multi(np.nonzero(mask)[0])
+            self._multis[rid] = self._segments_multi(
+                rid, np.nonzero(mask)[0], TimelineCarry(),
+                self.end_time_ns, final=True)
 
     # -- construction -------------------------------------------------------
 
-    def _build_intervals(self, single_pos, multi_pos) -> None:
-        """Power entries → interval columns, fully vectorized.
+    def _build_batch(self, carry: TimelineCarry,
+                     end_time_ns: Optional[int], single_ids: set[int],
+                     multi_ids: set[int], final: bool) -> None:
+        """Batch mode: these rows continue the stream ``carry``
+        describes, with exactly the streaming trackers' semantics.
+
+        Devices are the given sets — no inference: a caller that meets
+        a new device splits its batch there.  A device in both sets is
+        covered as single, and its change/bind rows are dropped (the
+        stream stops feeding its single tracker once it turns multi).
+        Unless ``final``, the power span and every activity span still
+        open at the batch's end go back into ``carry``; for covering,
+        an open activity span is clamped at the batch's last record (no
+        interval of the batch ends later).  ``final`` closes them as the
+        stream's finish does: the trailing interval at the last record,
+        activity spans at ``end_time_ns`` (default: the last record).
+
+        Batch mode also records each interval's emitting row
+        (``interval_row``; ``n`` for the trailing interval) and each
+        segment's closing row (``close_row``: ``-1`` for a segment an
+        earlier batch closed, ``n`` when closed at finish, ``n + 1``
+        while still open).
+        """
+        columns = self.columns
+        self._build_intervals(carry, final)
+        last_time = carry.last_time if carry.last_time is not None else 0
+        close_ns = end_time_ns if final and end_time_ns is not None \
+            else last_time
+        # Read by the fold only to separate devices' time bands, so it
+        # must bound every segment and interval time of the batch.
+        self.end_time_ns = max(close_ns, last_time)
+        self._single_ids = single_ids
+        self._multi_ids = multi_ids
+        types = columns.type
+        res = columns.res_id
+        rows = np.nonzero((types == TYPE_ACT_CHANGE)
+                          | (types == TYPE_ACT_BIND))[0]
+        rows_res = res[rows]
+        self._singles = {}
+        for rid in sorted(single_ids):
+            pos = rows[:0] if rid in multi_ids else rows[rows_res == rid]
+            self._singles[rid] = self._segments_single(
+                rid, pos, carry, close_ns, final)
+        rows = np.nonzero((types == TYPE_ACT_ADD)
+                          | (types == TYPE_ACT_REMOVE))[0]
+        rows_res = res[rows]
+        self._multis = {}
+        for rid in sorted(multi_ids):
+            self._multis[rid] = self._segments_multi(
+                rid, rows[rows_res == rid], carry, close_ns, final)
+
+    def _build_intervals(self, carry: TimelineCarry, final: bool) -> None:
+        """Power entries → interval columns, continuing ``carry``'s open
+        span and state vector (a fresh carry for a whole log).
 
         Equivalent to replaying :class:`_IntervalTracker` entry by
         entry:
@@ -704,131 +873,138 @@ class ColumnarTimeline:
           computed as a first-of-each-distinct-time mask;
         * pulses are the iCount deltas between consecutive boundaries;
         * the state vector at each boundary is the last value every sink
-          set *before* the emitting entry — a per-sink ``searchsorted``
-          forward fill — with equal rows interned via ``np.unique``;
-        * the trailing span closes at the last record of any type, with
-          the post-log state vector and non-negative clamped pulses.
+          set *before* the emitting entry (else its carried value) — a
+          per-sink ``searchsorted`` forward fill — with equal rows
+          interned (:func:`_intern_vectors`);
+        * ``final`` closes the trailing span at the last record of any
+          type, with the post-log state vector and non-negative clamped
+          pulses; otherwise the span stays open in ``carry``.
         """
         columns = self.columns
+        n = len(columns)
+        if n:
+            carry.last_time = int(columns.time_ns[n - 1])
+            carry.last_icount = int(columns.icount[n - 1])
         types = columns.type
         p_pos = np.nonzero(
             (types == TYPE_POWERSTATE) | (types == TYPE_BOOT))[0]
-        self.vectors: list[tuple[tuple[int, int], ...]] = []
-        n_power = len(p_pos)
-        n = len(columns)
-        if not n_power or not n:
-            self.interval_t0 = np.empty(0, dtype=np.int64)
-            self.interval_t1 = np.empty(0, dtype=np.int64)
-            self.interval_pulses = np.empty(0, dtype=np.int64)
-            self.interval_vec = np.empty(0, dtype=np.intp)
-            return
-        p_types = types[p_pos]
-        p_res = columns.res_id[p_pos]
-        p_time = columns.time_ns[p_pos]
-        p_ic = columns.icount[p_pos]
-        p_val = columns.value[p_pos]
-        open_time = int(p_time[0])
-        open_ic = int(p_ic[0])
-        # Emitting entries: non-boot rows whose time exceeds the running
-        # span start.  Times are non-decreasing, so the running start is
-        # simply the previous candidate's time (or the open time).
-        candidates = np.nonzero(p_types != TYPE_BOOT)[0]
-        cand_times = p_time[candidates]
-        previous = np.concatenate((
-            np.array([open_time], dtype=np.int64), cand_times[:-1]))
-        emit = candidates[cand_times > previous]
-        boundary_times = p_time[emit]
-        boundary_ic = p_ic[emit]
-        if len(emit):
-            t0s = np.concatenate((
-                np.array([open_time], dtype=np.int64), boundary_times[:-1]))
-            pulse_base = np.concatenate((
-                np.array([open_ic], dtype=np.int64), boundary_ic[:-1]))
-            t1s = boundary_times
-            pulses = boundary_ic - pulse_base
-        else:
-            t0s = np.empty(0, dtype=np.int64)
-            t1s = np.empty(0, dtype=np.int64)
-            pulses = np.empty(0, dtype=np.int64)
-        # Trailing span: closes at the last record of *any* type (time
-        # past it is unobservable), clamped to non-negative pulses.
-        last_t = int(columns.time_ns[n - 1])
-        last_ic = int(columns.icount[n - 1])
-        tail_start = int(t1s[-1]) if len(t1s) else open_time
-        tail_ic = int(boundary_ic[-1]) if len(t1s) else open_ic
-        has_tail = last_t > tail_start
-        if has_tail:
-            t0s = np.concatenate((t0s, [tail_start]))
-            t1s = np.concatenate((t1s, [last_t]))
-            pulses = np.concatenate((pulses, [max(last_ic - tail_ic, 0)]))
-        # State vectors: one query per boundary (the state *before* the
-        # emitting entry) plus the post-log state for the tail.  Per
-        # sink, the value at query q is the sink's last write before
-        # row q — a forward fill by bisection over its write positions.
-        queries = emit
-        if has_tail:
-            queries = np.concatenate((queries, [n_power]))
-        sink_ids = np.unique(p_res).tolist()
-        value_matrix = np.full((len(queries), len(sink_ids)), -1,
-                               dtype=np.int64)
-        for column_index, rid in enumerate(sink_ids):
-            writes = np.nonzero(p_res == rid)[0]
-            write_values = p_val[writes]
-            fill = np.searchsorted(writes, queries, side="left") - 1
-            seen = fill >= 0
-            value_matrix[seen, column_index] = write_values[fill[seen]]
-        # Intern equal rows, numbered in first-occurrence order (the
-        # order the streaming tracker would have produced): byte-view
-        # unique + a first-index renumbering, no per-row python.
-        matrix = np.ascontiguousarray(value_matrix)
-        if matrix.shape[1]:
-            row_view = matrix.view(
-                [("", matrix.dtype)] * matrix.shape[1]).ravel()
-            _, first_idx, inverse = np.unique(
-                row_view, return_index=True, return_inverse=True)
-        else:
-            first_idx = np.zeros(min(len(matrix), 1), dtype=np.intp)
-            inverse = np.zeros(len(matrix), dtype=np.intp)
-        rank = np.argsort(first_idx, kind="stable")
-        remap = np.empty(len(first_idx), dtype=np.intp)
-        remap[rank] = np.arange(len(first_idx), dtype=np.intp)
-        vectors = self.vectors
-        for row_index in first_idx[rank].tolist():
-            vectors.append(tuple(
-                (rid, value)
-                for rid, value in zip(sink_ids,
-                                      value_matrix[row_index].tolist())
-                if value != -1))
+        span_t0, span_ic = carry.span_t0, carry.span_pulses
+        t0s = t1s = pulses = rows = np.empty(0, dtype=np.int64)
+        sink_ids = sorted(carry.states)
+        before = np.empty((0, len(sink_ids)), dtype=np.int64)
+        post = [carry.states[rid] for rid in sink_ids]
+        if len(p_pos):
+            p_types = types[p_pos]
+            p_time = columns.time_ns[p_pos]
+            p_ic = columns.icount[p_pos]
+            p_res = columns.res_id[p_pos]
+            p_val = columns.value[p_pos]
+            if span_t0 is None:
+                span_t0, span_ic = int(p_time[0]), int(p_ic[0])
+            candidates = np.nonzero(p_types != TYPE_BOOT)[0]
+            cand_times = p_time[candidates]
+            previous = np.empty_like(cand_times)
+            if len(candidates):
+                previous[0] = span_t0
+                previous[1:] = cand_times[:-1]
+            emit = candidates[cand_times > previous]
+            if len(emit):
+                b_time = p_time[emit]
+                b_ic = p_ic[emit]
+                t0s = np.concatenate(([span_t0], b_time[:-1]))
+                t1s = b_time
+                pulses = b_ic - np.concatenate(([span_ic], b_ic[:-1]))
+                rows = p_pos[emit]
+                span_t0, span_ic = int(b_time[-1]), int(b_ic[-1])
+            sink_ids = sorted(set(sink_ids).union(np.unique(p_res).tolist()))
+            queries = np.concatenate((emit, [len(p_pos)]))
+            matrix = np.empty((len(queries), len(sink_ids)), dtype=np.int64)
+            for column_index, rid in enumerate(sink_ids):
+                matrix[:, column_index] = carry.states.get(rid, -1)
+                writes = np.nonzero(p_res == rid)[0]
+                if len(writes):
+                    fill = np.searchsorted(writes, queries, side="left") - 1
+                    seen = fill >= 0
+                    matrix[seen, column_index] = p_val[writes[fill[seen]]]
+            before = matrix[:-1]
+            post = matrix[-1].tolist()
+        carry.states = {rid: value for rid, value in zip(sink_ids, post)
+                        if value != -1}
+        if final:
+            if span_t0 is not None and carry.last_time is not None \
+                    and carry.last_time > span_t0:
+                t0s = np.append(t0s, span_t0)
+                t1s = np.append(t1s, carry.last_time)
+                pulses = np.append(
+                    pulses, max(carry.last_icount - span_ic, 0))
+                rows = np.append(rows, n)
+                before = np.vstack((before, [post]))
+            span_t0 = None
+        carry.span_t0, carry.span_pulses = span_t0, span_ic
+        self.vectors, self.interval_vec = _intern_vectors(before, sink_ids)
         self.interval_t0 = t0s
         self.interval_t1 = t1s
         self.interval_pulses = pulses
-        self.interval_vec = remap[inverse]
+        self.interval_row = rows
 
-    def _build_single(self, pos: np.ndarray) -> _SingleColumns:
+    def _segments_single(self, res_id: int, pos: np.ndarray,
+                         carry: TimelineCarry, close_ns: int,
+                         final: bool) -> _SingleColumns:
+        """One device's change/bind rows → segment columns by painted
+        label (a bind repaints like a change), after the closed segments
+        ``carry`` still holds and continuing the segment it holds open:
+        each segment spans one record to the next, the last one to
+        ``close_ns``, zero-length spans dropped.  Unless ``final`` the
+        last segment stays open in ``carry``, with the closed ones that
+        reach into the open power span."""
+        columns = self.columns
+        n = len(columns)
+        times = columns.time_ns[pos]
+        values = columns.value[pos]
+        ends = pos
+        opened = carry.single_open.get(res_id)
+        if opened is not None:
+            times = np.concatenate(([opened[0]], times))
+            values = np.concatenate(([opened[1]], values))
+        else:
+            ends = pos[1:]
+        t0 = t1 = values[:0]
+        if len(times):
+            if final:
+                carry.single_open.pop(res_id, None)
+            else:
+                carry.single_open[res_id] = (int(times[-1]),
+                                             int(values[-1]))
+            t1 = np.concatenate((times[1:], [close_ns]))
+            ends = np.concatenate((ends, [n if final else n + 1]))
+            keep = t1 > times
+            t0, t1, values, ends = times[keep], t1[keep], values[keep], \
+                ends[keep]
+        done = carry.single_done.pop(res_id, None)
+        if done is not None:
+            t0 = np.concatenate((done[0], t0))
+            t1 = np.concatenate((done[1], t1))
+            values = np.concatenate((done[2], values))
+            ends = np.concatenate((np.full(len(done[0]), -1), ends))
+        if not final:
+            alive = (ends < n) & carry.overlaps_open_span(t1)
+            if alive.any():
+                carry.single_done[res_id] = (t0[alive], t1[alive],
+                                             values[alive])
+        labels = values.tolist()
+        return _SingleColumns(t0=t0, t1=t1, labels=labels,
+                              bound=[None] * len(labels), close_row=ends)
+
+    def _build_single(self, res_id: int, pos: np.ndarray) -> _SingleColumns:
         """One device's change/bind rows → segment columns, with the
         :class:`_SingleTracker` bind semantics (pop every unresolved
         segment of the rebound label; chain transitively)."""
         columns = self.columns
         bind_rows = columns.type[pos] == TYPE_ACT_BIND
         if not bind_rows.any():
-            # No binds: segments are simply the spans between
-            # consecutive changes (plus the trailing span to the window
-            # end), zero-length spans dropped — fully vectorized.
-            times = columns.time_ns[pos]
-            values = columns.value[pos]
-            if not len(pos):
-                empty = np.empty(0, dtype=np.int64)
-                return _SingleColumns(t0=empty, t1=empty, labels=[],
-                                      bound=[])
-            t0 = times
-            t1 = np.concatenate((times[1:], [self.end_time_ns]))
-            keep = t1 > t0
-            kept_labels = values[keep].tolist()
-            return _SingleColumns(
-                t0=t0[keep], t1=t1[keep],
-                labels=kept_labels,
-                bound=[None] * len(kept_labels),
-            )
+            # No binds: the painted-label segments are the whole answer.
+            return self._segments_single(res_id, pos, TimelineCarry(),
+                                         self.end_time_ns, final=True)
         times = columns.time_ns[pos].tolist()
         labels = columns.value[pos].tolist()
         binds = bind_rows.tolist()
@@ -870,7 +1046,7 @@ class ColumnarTimeline:
             bound=bound,
         )
 
-    def _intern_set(self, values: set[int]) -> int:
+    def _intern_set(self, values) -> int:
         key = tuple(sorted(values))
         set_id = self._set_intern.get(key)
         if set_id is None:
@@ -878,42 +1054,74 @@ class ColumnarTimeline:
             self._set_intern[key] = set_id
             self.label_sets.append(
                 frozenset(ActivityLabel.decode(v) for v in key))
+            self._set_values.append(frozenset(key))
         return set_id
 
-    def _build_multi(self, pos: np.ndarray) -> _MultiColumns:
+    def _segments_multi(self, res_id: int, pos: np.ndarray,
+                        carry: TimelineCarry, close_ns: int,
+                        final: bool) -> _MultiColumns:
         """One device's add/remove rows → label-set spans, mirroring
-        :class:`_MultiTracker` (snapshot emitted before each change)."""
+        :class:`_MultiTracker` (snapshot emitted before each change) and
+        continuing the span ``carry`` holds open; the last span runs to
+        ``close_ns`` and, unless ``final``, stays open in ``carry``."""
         columns = self.columns
+        n = len(columns)
         times = columns.time_ns[pos].tolist()
         labels = columns.value[pos].tolist()
         adds = (columns.type[pos] == TYPE_ACT_ADD).tolist()
+        rows = pos.tolist()
         t0s: list[int] = []
         t1s: list[int] = []
         set_ids: list[int] = []
-        current: set[int] = set()
-        start = 0
-        started = False
+        close_rows: list[int] = []
+        done = carry.multi_done.pop(res_id, None)
+        if done is not None:
+            t0s.extend(done[0])
+            t1s.extend(done[1])
+            set_ids.extend(self._intern_set(values) for values in done[2])
+            close_rows.extend([-1] * len(done[0]))
+        opened = carry.multi_open.get(res_id)
+        started = opened is not None
+        start, current = (opened[0], set(opened[1])) if started \
+            else (0, set())
         for k in range(len(times)):
             t = times[k]
             if started and t > start:
                 t0s.append(start)
                 t1s.append(t)
                 set_ids.append(self._intern_set(current))
+                close_rows.append(rows[k])
             if adds[k]:
                 current.add(labels[k])
             else:
                 current.discard(labels[k])
             start = t
             started = True
-        if started and self.end_time_ns > start:
-            t0s.append(start)
-            t1s.append(self.end_time_ns)
-            set_ids.append(self._intern_set(current))
-        return _MultiColumns(
+        if started:
+            if close_ns > start:
+                t0s.append(start)
+                t1s.append(close_ns)
+                set_ids.append(self._intern_set(current))
+                close_rows.append(n if final else n + 1)
+            if final:
+                carry.multi_open.pop(res_id, None)
+            else:
+                carry.multi_open[res_id] = (start, frozenset(current))
+        columns = _MultiColumns(
             t0=np.array(t0s, dtype=np.int64),
             t1=np.array(t1s, dtype=np.int64),
             set_ids=set_ids,
+            close_row=np.array(close_rows, dtype=np.int64),
         )
+        if not final:
+            alive = np.nonzero((columns.close_row < n)
+                               & carry.overlaps_open_span(columns.t1))[0]
+            if len(alive):
+                sets = self._set_values
+                carry.multi_done[res_id] = (
+                    columns.t0[alive].tolist(), columns.t1[alive].tolist(),
+                    [sets[set_ids[k]] for k in alive.tolist()])
+        return columns
 
     # -- views --------------------------------------------------------------
 

@@ -1006,6 +1006,7 @@ def run_sweep(
         result = _run_sweep_inner(
             exp_id, seeds, overrides, jobs=jobs,
             start_method=start_method, cache_dir=cache_dir, shard=shard,
+            batch=batch,
         )
     finally:
         if backend is not None:

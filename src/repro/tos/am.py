@@ -78,17 +78,27 @@ def decode_frame(raw: bytes) -> Frame:
                  activity=activity, seqno=dsn)
 
 
-def _crc16(data: bytes) -> int:
-    """CRC-16/CCITT as used by 802.15.4 FCS."""
-    crc = 0
-    for byte in data:
-        crc ^= byte
+def _crc16_table() -> tuple[int, ...]:
+    """Entry ``b``: the CRC register after shifting byte ``b`` through
+    the reflected CCITT polynomial (0x8408) bit by bit."""
+    table = []
+    for crc in range(256):
         for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0x8408
-            else:
-                crc >>= 1
-    return crc & 0xFFFF
+            crc = (crc >> 1) ^ 0x8408 if crc & 1 else crc >> 1
+        table.append(crc)
+    return tuple(table)
+
+
+_CRC16_TABLE = _crc16_table()
+
+
+def _crc16(data: bytes) -> int:
+    """CRC-16/CCITT as used by 802.15.4 FCS, one table lookup per byte."""
+    crc = 0
+    table = _CRC16_TABLE
+    for byte in data:
+        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
+    return crc
 
 
 class ActiveMessageLayer:

@@ -86,3 +86,29 @@ def test_send_stamps_cpu_activity(bounce_run):
 
 def test_broadcast_constant():
     assert AM_BROADCAST == 0xFFFF
+
+
+def _crc16_bitwise(data: bytes) -> int:
+    """The bitwise CRC-16/CCITT loop: the reference for the table."""
+    crc = 0
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            if crc & 1:
+                crc = (crc >> 1) ^ 0x8408
+            else:
+                crc >>= 1
+    return crc & 0xFFFF
+
+
+def test_crc16_table_matches_bitwise_reference():
+    import random
+
+    from repro.tos.am import _crc16
+
+    rng = random.Random(0x8408)
+    frames = [b"", bytes(range(256)), b"\xff" * 64]
+    frames += [bytes(rng.randrange(256) for _ in range(rng.randrange(1, 128)))
+               for _ in range(200)]
+    for frame in frames:
+        assert _crc16(frame) == _crc16_bitwise(frame)

@@ -260,6 +260,45 @@ def test_restore_from_journal_without_checkpoint(tmp_path, blink, offline):
     session.journal.close()
 
 
+def test_schema_1_checkpoint_is_ignored(tmp_path, blink, offline):
+    """A checkpoint written before the columnar accumulator (schema 1:
+    a pickled per-entry accumulator under the same class name) must not
+    load as the new class: restore ignores it and replays the whole
+    journal, to the same map byte for byte."""
+    from repro.core.accounting import EnergyAccumulator
+    from repro.core.logger import iter_entries
+
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+    cut = 600
+    journal = NodeJournal(tmp_path, 1)
+    journal.create(hello)
+    journal.append_chunk(raw[:cut])
+    timeline = blink.timeline()
+    old = EnergyAccumulator(
+        blink.regression(timeline), blink.registry, COMPONENT_NAMES,
+        blink.platform.icount.nominal_energy_per_pulse_j,
+        idle_name=blink.registry.name_of(blink.idle),
+        end_time_ns=timeline.end_time_ns)
+    decoder = WireDecoder()
+    for entry in decoder.feed(raw[:cut]):
+        old.feed(entry)
+    old.__class__ = WindowedAccumulator  # how the old pickle names it
+    journal.write_checkpoint({
+        "schema": 1, "node_id": 1, "journal_offset": cut,
+        "decoder": decoder.snapshot(), "accumulator": pickle.dumps(old),
+        "complete": False})
+    journal.close()
+
+    session = NodeSession.restore(tmp_path, 1, retain=64)
+    assert session.state == "suspended"
+    assert session.bytes_received == cut
+    session.ingest(raw[cut:])
+    assert_maps_identical(session.finish(), offline)
+    assert session.checkpoint_state()["schema"] == 2
+    session.journal.close()
+
+
 # -- crash, restart, resume --------------------------------------------------
 
 

@@ -245,3 +245,26 @@ def test_parallel_sweep_chunked_path_matches_serial_on_64_points():
     parallel = run_sweep("table3", range(8), overrides, jobs=2)
     assert serial.digest() == parallel.digest()
     assert serial.metrics == parallel.metrics
+
+
+def test_run_sweep_honours_batch(monkeypatch):
+    """``batch=`` reaches the executor: K=1 builds no batch simulator and
+    reports 1; K=2 batches and reports 2."""
+    from repro.sim import batch as batch_module
+
+    built = []
+    original = batch_module.BatchSimulator.__init__
+
+    def counting(self, sims):
+        built.append(len(sims))
+        original(self, sims)
+
+    monkeypatch.setattr(batch_module.BatchSimulator, "__init__", counting)
+    grid = {"duration_ns": [str(seconds(4))]}
+    serial = run_sweep("table3", range(2), grid, batch=1)
+    assert serial.batch == 1
+    assert built == []
+    batched = run_sweep("table3", range(2), grid, batch=2)
+    assert batched.batch == 2
+    assert built == [2]
+    assert batched.digest() == serial.digest()

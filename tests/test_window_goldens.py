@@ -1,0 +1,253 @@
+"""Window-sequence goldens and the ingest split fuzz.
+
+Each golden is a sha256 over every :class:`WindowSnapshot` field of a
+windowed run (floats written by ``repr``, dicts in insertion order), so
+any change to when a window closes, what it holds, or the float bits of
+its cumulative sums shows up as a digest change.  The goldens were
+captured from the per-entry streaming accumulator and pin:
+
+* blink at strides of 0.25, 1, 3 and 100 s;
+* the two-node bounce network at a 400 ms stride;
+* a collection node whose records run 500 ms past its analysis end
+  (``end_time_ns``), so the tail re-cover is part of the sequence.
+
+The split fuzz streams the same logs through :meth:`NodeSession.ingest`
+in 1-byte, prime-sized, 64 KB and whole-log chunks, with and without a
+checkpoint/restore midway, folding each chunk as its own batch or in
+batches of the default size: every split must give the same windows and
+the same final map.
+"""
+
+import dataclasses
+import hashlib
+import pickle
+
+import pytest
+
+from repro.core import accounting
+from repro.core.accounting import WindowedAccumulator, fold_windows
+from repro.core.logger import WireDecoder, iter_entries
+from repro.experiments.common import run_blink
+from repro.serve import NodeSession, hello_for_node
+from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
+from repro.units import ms, seconds
+
+#: sha256 of the full window sequence, per workload.
+GOLDEN = {
+    "blink-0.25s":
+        "cda2b7b223b7a10ff90b4fc51fd8ee257a2dfa6c3399d42ab0ca16d8b7aeaf29",
+    "blink-1s":
+        "8edf1243bedab3a94754d56db3c9c4762cfe6ee3915e017688fe44aa6ad2741f",
+    "blink-3s":
+        "af184aea6ab756d38375a0c425b891618e73bcc1414e17bfe62acddecc973670",
+    "blink-100s":
+        "18bcb6412482f8b9da6470e21d8985cb75a7661be2bba1d4ec2fbad4389ef9ac",
+    "bounce-1":
+        "736657ae076bf8067a59b4eb8e33bc8be23e0822a497147521884d5294e9b60d",
+    "bounce-4":
+        "2238001a41a58b2a99a9c82fb9bcc036c5874e90c3d363be8450c9a9d20ae5ae",
+    "collection-11":
+        "a0cd58305fec24d450ea8a116b6f5d27546729fc7b43fc6357dc8782edecd57d",
+}
+
+#: How far the collection node's records run past its analysis end.
+OVERSHOOT_NS = int(ms(500))
+
+
+def window_digest(snapshots) -> str:
+    digest = hashlib.sha256()
+    for snapshot in snapshots:
+        fields = [(f.name, getattr(snapshot, f.name))
+                  for f in dataclasses.fields(snapshot)]
+        digest.update(repr(fields).encode())
+    return digest.hexdigest()
+
+
+def analysis_end(node, overshoot_ns=0):
+    return node.timeline().end_time_ns - overshoot_ns
+
+
+def windowed_windows(node, stride_ns, end_time_ns):
+    """The full window sequence of one node's log at ``stride_ns``."""
+    regression = node.regression(node.timeline())
+    accumulator = WindowedAccumulator(
+        regression, node.registry, COMPONENT_NAMES,
+        node.platform.icount.nominal_energy_per_pulse_j,
+        stride_ns=stride_ns,
+        idle_name=node.registry.name_of(node.idle),
+        single_res_ids=[d.res_id for d in node._single_devices()],
+        multi_res_ids=[RES_TIMERB],
+        end_time_ns=end_time_ns,
+        retain=None,
+    )
+    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    return list(accumulator.windows)
+
+
+@pytest.fixture(scope="module")
+def blink():
+    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
+    return node
+
+
+@pytest.fixture(scope="module")
+def bounce():
+    from repro.apps.bounce import BounceApp
+    from repro.tos.network import Network
+    from repro.tos.node import NodeConfig
+
+    network = Network(seed=1)
+    network.add_node(NodeConfig(node_id=1, mac="csma"))
+    network.add_node(NodeConfig(node_id=4, mac="csma"))
+    app1 = BounceApp(peer_id=4, originate_delay_ns=ms(250))
+    app4 = BounceApp(peer_id=1, originate_delay_ns=ms(650))
+    network.boot_all({1: app1.start, 4: app4.start})
+    network.run(seconds(3))
+    return network
+
+
+@pytest.fixture(scope="module")
+def collection():
+    """The root of a small multihop collection line, built the way the
+    serve-ingest benchmark builds its nodes."""
+    from repro.apps.collection import build_line_topology
+    from repro.hw.platform import PlatformConfig
+    from repro.tos.network import Network
+    from repro.tos.node import NodeConfig
+
+    network = Network(seed=5)
+    node_ids = [11, 12, 13]
+    for node_id in node_ids:
+        network.add_node(NodeConfig(
+            node_id=node_id, mac="csma",
+            platform=PlatformConfig(device_variation=0.02)))
+    apps = build_line_topology(network, node_ids, root_id=11,
+                               sample_period_ns=seconds(1))
+    network.boot_all({nid: app.start for nid, app in apps.items()})
+    network.run(seconds(6))
+    return network.node(11)
+
+
+# -- goldens -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stride_s", [0.25, 1, 3, 100])
+def test_blink_window_golden(blink, stride_s):
+    windows = windowed_windows(blink, int(seconds(stride_s)),
+                               analysis_end(blink))
+    assert window_digest(windows) == GOLDEN[f"blink-{stride_s}s"]
+
+
+@pytest.mark.parametrize("node_id", [1, 4])
+def test_bounce_window_golden(bounce, node_id):
+    node = bounce.node(node_id)
+    windows = windowed_windows(node, int(ms(400)), analysis_end(node))
+    assert window_digest(windows) == GOLDEN[f"bounce-{node_id}"]
+
+
+def test_collection_window_golden_runs_past_end_time(collection):
+    end = analysis_end(collection, OVERSHOOT_NS)
+    assert collection.timeline().entries[-1].time_ns > end
+    windows = windowed_windows(collection, int(seconds(1)), end)
+    assert window_digest(windows) == GOLDEN["collection-11"]
+
+
+# -- split fuzz --------------------------------------------------------------
+
+
+def ingest_split(hello, raw, chunk, checkpoint_at=None):
+    """Stream ``raw`` through a session in ``chunk``-byte pieces; with
+    ``checkpoint_at``, round-trip the session through a checkpoint once
+    that many bytes have gone in.  Returns (windows, final map)."""
+    session = NodeSession(hello, retain=None)
+    at = 0
+    while at < len(raw):
+        piece = raw[at:at + chunk]
+        session.ingest(piece)
+        at += len(piece)
+        if checkpoint_at is not None and at >= checkpoint_at:
+            checkpoint_at = None
+            state = pickle.loads(pickle.dumps(session.checkpoint_state()))
+            session = NodeSession(hello, retain=None)
+            session.decoder = WireDecoder.from_snapshot(state["decoder"])
+            session.accumulator = WindowedAccumulator.restore(
+                state["accumulator"])
+            session.bytes_received = state["journal_offset"]
+    final = session.finish()
+    return list(session.accumulator.windows), final
+
+
+@pytest.mark.parametrize("min_batch", [1, accounting.MIN_BATCH_ENTRIES])
+@pytest.mark.parametrize("workload", ["blink", "collection"])
+def test_every_split_gives_the_same_windows(workload, min_batch, blink,
+                                            collection, monkeypatch):
+    monkeypatch.setattr(accounting, "MIN_BATCH_ENTRIES", min_batch)
+    if workload == "blink":
+        node, golden = blink, GOLDEN["blink-1s"]
+        end = analysis_end(node)
+    else:
+        node, golden = collection, GOLDEN["collection-11"]
+        end = analysis_end(node, OVERSHOOT_NS)
+    hello = dict(hello_for_node(node, stride_ns=int(seconds(1))),
+                 end_time_ns=end)
+    raw = bytes(node.logger.raw_bytes())
+    reference = None
+    # Checkpoints midway and near the end, where the collection node's
+    # intervals already wait for the tail re-cover.
+    for chunk in (1, 7, 1021, 1 << 16, len(raw)):
+        for checkpoint_at in (None, len(raw) // 2 + 5, len(raw) - 400):
+            windows, final = ingest_split(hello, raw, chunk, checkpoint_at)
+            assert window_digest(windows) == golden, (chunk, checkpoint_at)
+            folded = fold_windows(windows)
+            assert list(final.energy_j) == list(folded.energy_j)
+            assert final.energy_j == folded.energy_j
+            assert final.time_ns == folded.time_ns
+            if reference is None:
+                reference = final
+            assert list(final.energy_j) == list(reference.energy_j)
+            assert final.energy_j == reference.energy_j
+            assert final.time_ns == reference.time_ns
+            assert final.reconstructed_energy_j \
+                == reference.reconstructed_energy_j
+            assert final.metered_energy_j == reference.metered_energy_j
+            assert final.span_ns == reference.span_ns
+
+
+@pytest.mark.parametrize("min_batch", [1, 7, accounting.MIN_BATCH_ENTRIES])
+def test_undeclared_device_charged_untracked_until_it_appears(
+        bounce, min_batch, monkeypatch):
+    """Without declared devices a device is learned at its first record:
+    intervals emitted before it charge it as untracked, exactly as the
+    per-entry streaming accumulator does, however the batches fall."""
+    from repro.core.accounting import EnergyAccumulator
+    from repro.core.logger import TYPE_ACT_CHANGE
+
+    monkeypatch.setattr(accounting, "MIN_BATCH_ENTRIES", min_batch)
+    node = bounce.node(1)
+    # Drop the boot-time record of every device but the CPU, so each is
+    # learned mid-log, at its first real activity change.
+    seen: set[int] = set()
+    kept = []
+    for entry in iter_entries(node.logger.raw_bytes()):
+        if entry.type == TYPE_ACT_CHANGE and entry.res_id not in seen:
+            seen.add(entry.res_id)
+            if entry.res_id != 0:
+                continue
+        kept.append(entry)
+    timeline = node.timeline()
+    args = (node.regression(timeline), node.registry, COMPONENT_NAMES,
+            node.platform.icount.nominal_energy_per_pulse_j)
+    kwargs = dict(idle_name=node.registry.name_of(node.idle),
+                  end_time_ns=timeline.end_time_ns)
+    reference = EnergyAccumulator(*args, **kwargs).feed_all(kept)
+    assert ("Radio", "(untracked)") in reference.energy_j
+    accumulator = WindowedAccumulator(*args, stride_ns=int(ms(400)),
+                                      **kwargs)
+    for entry in kept:
+        accumulator.feed(entry)
+    served = accumulator.finish()
+    assert list(served.energy_j) == list(reference.energy_j)
+    assert served.energy_j == reference.energy_j
+    assert list(served.time_ns) == list(reference.time_ns)
+    assert served.time_ns == reference.time_ns
+    assert served.reconstructed_energy_j == reference.reconstructed_energy_j
