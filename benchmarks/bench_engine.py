@@ -35,6 +35,8 @@ have a machine-readable baseline:
   records ``cpu_count``/``usable_cpus``, ``--check`` gates the speedup
   (>= 1.5x) **only** on a multi-core host, and a single-core box
   records the number without judging it.
+* ``src_loc`` — lines in ``src/repro/**/*.py``: code size as a
+  tracked number.  Recorded, not gated.
 
 Every timing is the **median of 3** independent runs, with the relative
 spread ``(max - min) / median`` recorded alongside — a single-shot
@@ -68,6 +70,7 @@ from repro.sim.sweep import run_sweep
 from repro.units import seconds
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
 BASELINE_PATH = RESULTS_DIR / "BENCH_engine.json"
 
 #: The reference sweep grid: 64 table3 points with the paper's noise
@@ -115,6 +118,12 @@ def _median_spread(samples: list[float]) -> tuple[float, float]:
     median = statistics.median(samples)
     spread = (max(samples) - min(samples)) / median if median else 0.0
     return median, spread
+
+
+def src_loc() -> int:
+    """Lines of Python under ``src/repro``."""
+    return sum(len(path.read_text("utf-8").splitlines())
+               for path in SRC_DIR.rglob("*.py"))
 
 
 def bench_engine_events(total: int = 60_000) -> float:
@@ -403,6 +412,7 @@ def run_benchmarks() -> dict:
         "sweep_digest": digest,
         "cpu_count": os.cpu_count(),
         "usable_cpus": _usable_cpus(),
+        "src_loc": src_loc(),
     }
     numbers.update(analysis)
     numbers.update(windowed)
@@ -560,6 +570,7 @@ def test_engine_bench_smoke():
     assert windowed["windowed_entries_per_sec"] > 0
     recovery = bench_serve_recovery(rounds=1)
     assert recovery["serve_recovery_ms"] > 0
+    assert src_loc() > 0
 
 
 if __name__ == "__main__":

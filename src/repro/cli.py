@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     backend_kwargs = dict(
         choices=("streaming", "columnar"), default=None,
         help="analysis backend for the log->energy reconstruction "
-             "(default: $REPRO_ANALYSIS_BACKEND if set, else streaming; "
+             "(default: $REPRO_ANALYSIS_BACKEND if set, else columnar; "
              "backends are bit-identical, columnar is faster)")
 
     p_exp = sub.add_parser("experiment", help="run one experiment")

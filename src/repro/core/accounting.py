@@ -16,24 +16,28 @@ into per-(component, activity) time and energy totals.  Policies:
   activities present (the paper's stated default policy; a proportional
   hook exists for experimentation).
 
-The accounting core is :class:`EnergyAccumulator`, a streaming consumer:
-it owns a :class:`~repro.core.timeline.TimelineStream`, folds every power
-interval into the :class:`EnergyMap` the moment the interval closes, and
-consumes activity segments as the intervals sweep past them — so the
-whole log → timeline → accounting pipeline runs in one pass with state
-bounded by the number of *open* spans, not the log length.
+Two backends produce the same :class:`EnergyMap`, float bits and dict
+order alike:
 
-One policy is inherently retrospective: with ``fold_proxies=True`` a
-proxy segment's attribution can change arbitrarily late (a bind reaches
-back over every unresolved segment of its label), so the fold path
-records compact per-interval cover ops and resolves activity names only
-at :meth:`EnergyAccumulator.finish` — replayed in interval order, which
-keeps the result byte-identical to the batch computation.  The
-``fold_proxies=False`` path needs no deferral and runs fully bounded.
+* **columnar** (the default) rebuilds the log as column arrays
+  (:class:`~repro.core.timeline.ColumnarTimeline`) and folds them in one
+  vectorized pass: :func:`_contribution_stream` orders every interval's
+  charges as the reference would make them, :func:`_charge_stream` adds
+  them up, and :func:`_busy_time` + :func:`_fold_time` give the
+  per-device busy time.  :func:`columnar_energy_map` (offline, the whole
+  log at once) and :class:`WindowedAccumulator` (live ingest, batch by
+  batch) share that one fold.  Input must be in time order;
+  ``ColumnarTimeline`` refuses a log whose time goes backwards.
+* **streaming** (:class:`EnergyAccumulator`) is the reference the tests
+  compare against: entry by entry it closes intervals and segments and
+  charges each interval the moment it closes.  With
+  ``fold_proxies=True`` a bind can reattribute arbitrarily old proxy
+  segments, so it records cover ops and resolves names at
+  :meth:`EnergyAccumulator.finish`, in interval order.
 
-:func:`build_energy_map` is the batch wrapper: it re-feeds a
-:class:`~repro.core.timeline.TimelineBuilder`'s entries through an
-accumulator, so both paths share one accounting implementation.
+:func:`build_energy_map` runs a
+:class:`~repro.core.timeline.TimelineBuilder`'s (sorted) entries through
+the selected backend.
 
 The map also carries the metered total so callers can verify that the
 reconstruction matches the measurement (the paper reports 0.004 % for
@@ -152,34 +156,6 @@ def _multi_shares(pairs, window: int, idle_name: str, name_of) -> dict[str, floa
     return shares
 
 
-def _charge_named(
-    energy_map: "EnergyMap",
-    component: str,
-    joules: float,
-    named: dict[str, int],
-    total_share: int,
-    idle_ns: int,
-    idle_name: str,
-) -> None:
-    """Charge one interval×device cover, grouped by activity name, into
-    the map — the single place single-device joules are attributed (the
-    streaming path calls it per cover, the columnar fold per row), so
-    both backends produce identical arithmetic in identical order."""
-    if idle_ns > 0:
-        named[idle_name] = named.get(idle_name, 0) + idle_ns
-        total_share += idle_ns
-    if not total_share:
-        total_share = 1
-    # Inlined EnergyMap.add_energy: one dict probe per activity on
-    # the hottest attribution loop, same accumulation order.
-    energy_j = energy_map.energy_j
-    for activity, share_ns in named.items():
-        key = (component, activity)
-        joule_share = joules * (share_ns / total_share)
-        energy_j[key] = energy_j.get(key, 0.0) + joule_share
-        energy_map.reconstructed_energy_j += joule_share
-
-
 def _scan_cover(
     segments: Sequence,
     start: int,
@@ -232,6 +208,19 @@ def _plan_of(vector, column_power, component_names) -> list:
             plan.append((res_id, component_names.get(res_id, column_name),
                          power_w))
     return plan
+
+
+def _label_namer(registry: ActivityRegistry, cache: dict[int, str]):
+    """``value -> activity name`` for 16-bit label encodings, each
+    resolved once into ``cache`` (kept across calls by the windowed
+    accumulator, fresh per offline map)."""
+    def name_of_value(value: int) -> str:
+        name = cache.get(value)
+        if name is None:
+            name = cache[value] = registry.name_of(
+                ActivityLabel.decode(value))
+        return name
+    return name_of_value
 
 
 @dataclass
@@ -559,8 +548,17 @@ class EnergyAccumulator:
             name = name_of(label)
             named[name] = named.get(name, 0) + overlap
             total_share += overlap
-        _charge_named(self.map, component, joules, named, total_share,
-                      idle_ns, self.idle_name)
+        if idle_ns > 0:
+            named[self.idle_name] = named.get(self.idle_name, 0) + idle_ns
+            total_share += idle_ns
+        if not total_share:
+            total_share = 1
+        energy_j = self.map.energy_j
+        for activity, share_ns in named.items():
+            key = (component, activity)
+            joule_share = joules * (share_ns / total_share)
+            energy_j[key] = energy_j.get(key, 0.0) + joule_share
+            self.map.reconstructed_energy_j += joule_share
 
     def _on_interval(self, interval: PowerInterval) -> None:
         if self._intervals_seen == 0:
@@ -1022,30 +1020,14 @@ class WindowedAccumulator:
 
     # -- the batch fold -------------------------------------------------------
 
-    def _name_of_value(self, value: int) -> str:
-        name = self._value_names.get(value)
-        if name is None:
-            name = self._value_names[value] = self.registry.name_of(
-                ActivityLabel.decode(value))
-        return name
-
     def _contributions(self, timeline: ColumnarTimeline):
         """The batch's ordered contribution stream (see
         :func:`_contribution_stream`)."""
-        plans = self._plans
-        plan_raw = []
-        for vector in timeline.vectors:
-            plan = plans.get(vector)
-            if plan is None:
-                plan = plans[vector] = _plan_of(
-                    vector, self._column_power, self.component_names)
-            plan_raw.append(plan)
-        dt_ns = timeline.interval_t1 - timeline.interval_t0
-        dt_s = dt_ns * 1e-9
         return _contribution_stream(
-            timeline, plan_raw, dt_ns, dt_s, self._const_power_w * dt_s,
-            self._name_of_value, False, self.idle_name,
-            self.registry.name_of)
+            timeline, self._plans, self._column_power, self.component_names,
+            self._const_power_w,
+            _label_namer(self.registry, self._value_names), False,
+            self.idle_name, self.registry.name_of)
 
     def _charge(self, stream, lo: int, hi: int) -> None:
         """Charge stream rows ``[lo, hi)`` onto the running sums."""
@@ -1107,8 +1089,11 @@ class WindowedAccumulator:
         # that emits the k-th window-closing interval (and after the
         # previous one's); the last chunk is the rest of the batch.
         emit_rows = timeline.interval_row
-        busy = self._busy_time(
-            timeline, [int(emit_rows[i]) for i in closes] + [n + 1])
+        busy = _busy_time(
+            timeline, [int(emit_rows[i]) for i in closes] + [n + 1],
+            self._time_single, self._time_multi,
+            _label_namer(self.registry, self._value_names),
+            self.registry.name_of, self.idle_name, False)
         charged = 0
 
         def advance(chunk: int, upto: int) -> None:
@@ -1139,83 +1124,6 @@ class WindowedAccumulator:
                 self._close_window(final=False)
         advance(len(closes), n_intervals)
 
-    def _busy_time(self, timeline: ColumnarTimeline,
-                   bounds: list[int]) -> list[list[tuple]]:
-        """The busy time the batch's segments add, cut into chunks by
-        closing row (chunk k: closed before row ``bounds[k]`` and not
-        before ``bounds[k-1]``) as ``(per-name sums, name, ns)`` adds in
-        close order per device — the streaming trackers' name→ns
-        accumulation.  Segments an earlier batch timed (row -1) or still
-        open (row past the last bound) add nothing."""
-        chunks: list[list[tuple]] = [[] for _ in bounds]
-        cuts = np.asarray(bounds, dtype=np.int64)
-        # Single devices, fused: one grouping over every device's fresh
-        # segments keyed by (chunk, device, name); int sums (exact in
-        # float64 far past any batch's span), replayed per chunk in
-        # first-closed order.
-        devices: list[int] = []
-        parts: list[tuple] = []
-        for res_id in timeline.single_device_ids():
-            single = timeline.single_columns(res_id)
-            chunk = np.searchsorted(cuts, single.close_row, side="right")
-            fresh = np.nonzero((single.close_row >= 0)
-                               & (chunk < len(bounds)))[0]
-            if len(fresh):
-                parts.append((len(devices), chunk[fresh],
-                              np.asarray(single.labels)[fresh],
-                              (single.t1 - single.t0)[fresh]))
-                devices.append(res_id)
-        if parts:
-            values = np.concatenate([p[2] for p in parts])
-            unique_values, value_index = np.unique(
-                values, return_inverse=True)
-            name_ids: dict[str, int] = {}
-            value_name = np.asarray(
-                [name_ids.setdefault(self._name_of_value(value),
-                                     len(name_ids))
-                 for value in unique_values.tolist()], dtype=np.int64)
-            names = list(name_ids)
-            n_names = len(names)
-            span = len(devices) * n_names
-            key = (np.concatenate([p[1] for p in parts]) * span
-                   + np.concatenate([np.full(len(p[1]), p[0] * n_names)
-                                     for p in parts])
-                   + value_name[value_index])
-            n_keys = len(bounds) * span
-            first = np.full(n_keys, -1, dtype=np.int64)
-            first[key[::-1]] = np.arange(len(key) - 1, -1, -1,
-                                         dtype=np.int64)
-            sums = np.bincount(key, weights=np.concatenate(
-                [p[3] for p in parts]), minlength=n_keys)
-            present = np.nonzero(first >= 0)[0]
-            present = present[np.lexsort((first[present], present // span))]
-            for k, total in zip(present.tolist(), sums[present].tolist()):
-                chunk, rest = divmod(k, span)
-                device, name = divmod(rest, n_names)
-                per_name = self._time_single.setdefault(devices[device], {})
-                chunks[chunk].append((per_name, names[name], int(total)))
-        sets = timeline.label_sets
-        for res_id in timeline.multi_device_ids():
-            multi = timeline.multi_columns(res_id)
-            chunk = np.searchsorted(cuts, multi.close_row, side="right")
-            fresh = np.nonzero((multi.close_row >= 0)
-                               & (chunk < len(bounds)))[0]
-            if not len(fresh):
-                continue
-            per_name = self._time_multi.setdefault(res_id, {})
-            spans = (multi.t1 - multi.t0)[fresh].tolist()
-            for k, chunk_k, dt_ns in zip(fresh.tolist(),
-                                         chunk[fresh].tolist(), spans):
-                labels = sets[multi.set_ids[k]]
-                if not labels:
-                    chunks[chunk_k].append((per_name, self.idle_name, dt_ns))
-                    continue
-                split = dt_ns // len(labels)
-                for label in labels:
-                    chunks[chunk_k].append(
-                        (per_name, self.registry.name_of(label), split))
-        return chunks
-
     def _recover_tail(self) -> None:
         """Charge the intervals deferred past ``end_time_ns``: rebuild
         every row since the tail's first batch as one final batch — each
@@ -1233,32 +1141,11 @@ class WindowedAccumulator:
 
     # -- the stride clock ---------------------------------------------------
 
-    def _fold_time(self) -> dict[tuple[str, str], int]:
-        """The cumulative busy-time breakdown from the per-device
-        name→ns sums, in the finished map's order (sorted devices, then
-        per-device first-closed names).  Only closed segments are
-        included (an open span's label is charged when it closes)."""
-        cumulative: dict[tuple[str, str], int] = {}
-        for res_id in sorted(self._time_single):
-            component = self.component_names.get(res_id, f"res{res_id}")
-            for name, dt_ns in self._time_single[res_id].items():
-                key = (component, name)
-                cumulative[key] = cumulative.get(key, 0) + dt_ns
-        for res_id in sorted(self._time_multi):
-            component = self.component_names.get(res_id, f"res{res_id}")
-            for name, dt_ns in self._time_multi[res_id].items():
-                key = (component, name)
-                cumulative[key] = cumulative.get(key, 0) + dt_ns
-        return cumulative
-
     def _close_window(self, final: bool) -> None:
         index = self._window_index
         cumulative_energy = dict(self.map.energy_j)
-        # The finished map's own time fold is authoritative for the
-        # final window (it includes spans the stream just closed).
-        cumulative_time = (
-            dict(self.map.time_ns) if final else self._fold_time()
-        )
+        cumulative_time = _fold_time(
+            self._time_single, self._time_multi, self.component_names)
         delta_energy: dict[tuple[str, str], float] = {}
         previous = self._prev_energy
         for key, value in cumulative_energy.items():
@@ -1310,7 +1197,8 @@ class WindowedAccumulator:
         self._finished = True
         if self._tail is not None:
             self._recover_tail()
-        self.map.time_ns = self._fold_time()
+        self.map.time_ns = _fold_time(
+            self._time_single, self._time_multi, self.component_names)
         self.map.span_ns = self._last_interval_t1_ns - self._span_t0_ns
         self.map.metered_energy_j = (
             self._pulses_total * self.energy_per_pulse_j
@@ -1384,7 +1272,8 @@ class WindowedAccumulator:
         self._flush()
         return {
             "energy_j": dict(self.map.energy_j),
-            "time_ns": self._fold_time(),
+            "time_ns": _fold_time(self._time_single, self._time_multi,
+                                  self.component_names),
             "reconstructed_energy_j": self.map.reconstructed_energy_j,
             "metered_energy_j": (
                 self._pulses_total * self.energy_per_pulse_j
@@ -1432,32 +1321,6 @@ class WindowedAccumulator:
 
 
 # -- columnar backend -------------------------------------------------------
-
-
-class _ColumnarCharge:
-    """One charged device's precomputed per-interval columns: for every
-    interval whose state vector gives this device a power column (in
-    interval order), the component name, the joules (vectorized
-    draw × duration products), and — for tracked devices — the ragged
-    cover rows produced by :func:`_ragged_cover`.  ``cursor`` walks the
-    columns as the ordered fold sweeps the intervals."""
-
-    __slots__ = ("kind", "components", "joules", "offsets",
-                 "pair_names", "pair_sets", "pair_overlap", "cursor")
-
-    KIND_SINGLE = 0
-    KIND_MULTI = 1
-    KIND_UNTRACKED = 2
-
-    def __init__(self, kind: int) -> None:
-        self.kind = kind
-        self.components: list[str] = []
-        self.joules: list[float] = []
-        self.offsets: list[int] = [0]
-        self.pair_names: list[str] = []
-        self.pair_sets: list[frozenset] = []
-        self.pair_overlap: list[int] = []
-        self.cursor = 0
 
 
 def _ragged_cover(window_t0, window_t1, seg_t0, seg_t1):
@@ -1520,21 +1383,109 @@ def _charge_stream(energy_j, recon, code, values, n_codes, key_of):
         weights=np.concatenate(([recon], values)), minlength=1)[0])
 
 
-def _fold_stream(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
-                 label_name, name_of_value, fold_proxies, idle_name,
-                 name_of):
-    """The vectorized ordered fold: :func:`_contribution_stream` charged
-    into ``emap`` (same signature as :func:`_fold_reference`)."""
-    _, code, values, n_codes, key_of = _contribution_stream(
-        timeline, plan_raw, dt_ns, dt_s, const_arr, name_of_value,
-        fold_proxies, idle_name, name_of)
-    emap.reconstructed_energy_j = _charge_stream(
-        emap.energy_j, emap.reconstructed_energy_j, code, values, n_codes,
-        key_of)
+def _value_codes(values: np.ndarray, code_of) -> np.ndarray:
+    """``code_of`` applied to every value of an int array holding few
+    distinct ones: called once per distinct value, in sorted order, then
+    spread by table lookup (a handful of labels name hundreds of
+    segments)."""
+    unique = np.unique(values)
+    table = np.fromiter((code_of(value) for value in unique.tolist()),
+                        dtype=np.int64, count=len(unique))
+    return table[np.searchsorted(unique, values)]
 
 
-def _contribution_stream(timeline, plan_raw, dt_ns, dt_s, const_arr,
-                         name_of_value, fold_proxies, idle_name, name_of):
+def _busy_time(timeline, bounds, time_single, time_multi, name_of_value,
+               name_of, idle_name, fold_proxies) -> list[list[tuple]]:
+    """The busy time (Table 3a) a timeline's segments add, cut into
+    chunks by closing row (chunk k: closed before row ``bounds[k]`` and
+    not before ``bounds[k-1]``) as ``(per-name sums, name, ns)`` adds in
+    close order per device — the streaming trackers' name→ns
+    accumulation.  The per-name dicts live in ``time_single`` /
+    ``time_multi`` (``res_id -> {name: ns}``, created as devices first
+    add time); a single device's segments count under their bound label
+    with ``fold_proxies``, else their painted one.  Segments an earlier
+    batch timed (row -1) or still open (row past the last bound) add
+    nothing; a whole log is one chunk past its last row.  See
+    :func:`_fold_time` for the breakdown itself."""
+    chunks: list[list[tuple]] = [[] for _ in bounds]
+    cuts = np.asarray(bounds, dtype=np.int64)
+    # Single devices, fused: one grouping over every device's fresh
+    # segments keyed by (chunk, device, name); float sums of int spans
+    # (exact while a device's busy time stays below 2**53 ns, ~104
+    # days), replayed per chunk in first-closed order.
+    devices = timeline.single_device_ids()
+    singles = [timeline.single_columns(res_id) for res_id in devices]
+    close_row = np.concatenate(
+        [s.close_row for s in singles] or [np.empty(0, dtype=np.int64)])
+    chunk = np.searchsorted(cuts, close_row, side="right")
+    fresh = np.nonzero((close_row >= 0) & (chunk < len(bounds)))[0]
+    if len(fresh):
+        device = np.repeat(np.arange(len(devices)),
+                           [len(s) for s in singles])[fresh]
+        spans = (np.concatenate([s.t1 for s in singles])
+                 - np.concatenate([s.t0 for s in singles]))[fresh]
+        name_ids: dict[str, int] = {}
+        value_name = _value_codes(
+            np.concatenate([s.label_values(fold_proxies)
+                            for s in singles])[fresh],
+            lambda value: name_ids.setdefault(name_of_value(value),
+                                              len(name_ids)))
+        names = list(name_ids)
+        n_names = len(names)
+        span = len(devices) * n_names
+        key = chunk[fresh] * span + device * n_names + value_name
+        n_keys = len(bounds) * span
+        first = np.full(n_keys, -1, dtype=np.int64)
+        first[key[::-1]] = np.arange(len(key) - 1, -1, -1, dtype=np.int64)
+        sums = np.bincount(key, weights=spans, minlength=n_keys)
+        present = np.nonzero(first >= 0)[0]
+        present = present[np.lexsort((first[present], present // span))]
+        for k, total in zip(present.tolist(), sums[present].tolist()):
+            chunk_k, rest = divmod(k, span)
+            device_k, name = divmod(rest, n_names)
+            per_name = time_single.setdefault(devices[device_k], {})
+            chunks[chunk_k].append((per_name, names[name], int(total)))
+    sets = timeline.label_sets
+    for res_id in timeline.multi_device_ids():
+        multi = timeline.multi_columns(res_id)
+        chunk = np.searchsorted(cuts, multi.close_row, side="right")
+        fresh = np.nonzero((multi.close_row >= 0)
+                           & (chunk < len(bounds)))[0]
+        if not len(fresh):
+            continue
+        per_name = time_multi.setdefault(res_id, {})
+        spans = (multi.t1 - multi.t0)[fresh].tolist()
+        for k, chunk_k, dt_ns in zip(fresh.tolist(),
+                                     chunk[fresh].tolist(), spans):
+            labels = sets[multi.set_ids[k]]
+            if not labels:
+                chunks[chunk_k].append((per_name, idle_name, dt_ns))
+                continue
+            split = dt_ns // len(labels)
+            for label in labels:
+                chunks[chunk_k].append((per_name, name_of(label), split))
+    return chunks
+
+
+def _fold_time(time_single, time_multi,
+               component_names) -> dict[tuple[str, str], int]:
+    """The busy-time breakdown from per-device name→ns sums, in the
+    finished map's order: sorted single devices, then sorted multi
+    devices, each with its names in first-closed order.  Only closed
+    segments count (an open span's label is charged when it closes)."""
+    cumulative: dict[tuple[str, str], int] = {}
+    for per_device in (time_single, time_multi):
+        for res_id in sorted(per_device):
+            component = component_names.get(res_id, f"res{res_id}")
+            for name, dt_ns in per_device[res_id].items():
+                key = (component, name)
+                cumulative[key] = cumulative.get(key, 0) + dt_ns
+    return cumulative
+
+
+def _contribution_stream(timeline, plans, column_power, component_names,
+                         const_power_w, name_of_value, fold_proxies,
+                         idle_name, name_of):
     """The ordered fold, vectorized and fused: every charged device's
     per-interval work is flattened into ONE cover query and ONE
     grouping sort (charges separated by a per-charge time offset larger
@@ -1542,18 +1493,22 @@ def _contribution_stream(timeline, plan_raw, dt_ns, dt_s, const_arr,
     ``(interval, plan-position, within-charge-rank)``-keyed contribution
     stream in reference order, for :func:`_charge_stream` to add up.
 
-    Bit-identity with :func:`_fold_reference` (and hence the streaming
-    accumulator) rests on these facts, each pinned by the
-    backend-equivalence fuzz tests:
+    ``plans`` caches each state vector's charge plan (:func:`_plan_of`)
+    across calls; ``const_power_w`` is the regression's baseline draw.
 
-    * with every interval strictly positive (the guard the caller
-      enforces), a single-device cover's share denominator is always
-      exactly the interval duration — the named overlaps plus the idle
-      remainder sum to ``dt_ns`` — so ``share/total`` is an
-      ``int64/int64`` divide, which numpy evaluates to the same float64
-      Python's ``int/int`` does for magnitudes below 2**53;
-    * ``joules * fraction`` is the same elementwise IEEE-754 multiply
-      either way;
+    Bit-identity with the streaming accumulator rests on these facts,
+    each pinned by the backend-equivalence fuzz tests:
+
+    * every interval is strictly positive (``ColumnarTimeline`` refuses
+      a log whose time goes backwards, and emits boundaries only at
+      strictly later times), so a single-device cover's share
+      denominator is always exactly the interval duration — the named
+      overlaps plus the idle remainder sum to ``dt_ns`` — and
+      ``share/total`` is an ``int64/int64`` divide, which numpy
+      evaluates to the same float64 Python's ``int/int`` does for
+      magnitudes below 2**53;
+    * the duration × draw products and ``joules * fraction`` are the
+      same elementwise IEEE-754 multiplies either way;
     * the per-key adds happen in stream order (see
       :func:`_charge_stream`), and keys are inserted in first-occurrence
       stream order, preserving dict order.
@@ -1563,6 +1518,16 @@ def _contribution_stream(timeline, plan_raw, dt_ns, dt_s, const_arr,
     range and the code → ``(component, activity)`` mapping.
     """
     vectors = timeline.vectors
+    plan_raw = []
+    for vector in vectors:
+        plan = plans.get(vector)
+        if plan is None:
+            plan = plans[vector] = _plan_of(
+                vector, column_power, component_names)
+        plan_raw.append(plan)
+    dt_ns = timeline.interval_t1 - timeline.interval_t0
+    dt_s = dt_ns * 1e-9
+    const_arr = const_power_w * dt_s
     n_vec = len(vectors)
     interval_vec = timeline.interval_vec
     n_intervals = len(dt_ns)
@@ -1663,23 +1628,11 @@ def _contribution_stream(timeline, plan_raw, dt_ns, dt_s, const_arr,
             shift = c * span_ns
             seg_t0_parts.append(single.t0 + shift)
             seg_t1_parts.append(single.t1 + shift)
-            if fold_proxies:
-                seg_val_parts.extend(
-                    b if b is not None else label
-                    for label, b in zip(single.labels, single.bound))
-            else:
-                seg_val_parts.extend(single.labels)
+            seg_val_parts.append(single.label_values(fold_proxies))
         seg_t0_all = np.concatenate(seg_t0_parts)
         seg_t1_all = np.concatenate(seg_t1_parts)
-        # A handful of distinct labels name hundreds of segments:
-        # resolve the uniques, then translate by table lookup.
-        uvals, uinv = np.unique(
-            np.asarray(seg_val_parts, dtype=np.int64),
-            return_inverse=True)
-        nid_lut = np.fromiter(
-            (nid_of_value(value) for value in uvals.tolist()),
-            dtype=np.int64, count=len(uvals))
-        seg_name_ids = nid_lut[uinv]
+        seg_name_ids = _value_codes(
+            np.concatenate(seg_val_parts), nid_of_value)
         shift_f = c_idx[single_rows] * span_ns
         offsets, seg_rows, overlaps = _ragged_cover(
             timeline.interval_t0[i_idx[single_rows]] + shift_f,
@@ -1835,144 +1788,6 @@ def _contribution_stream(timeline, plan_raw, dt_ns, dt_s, const_arr,
     return i_all[order], code, values, len(comps) * span, key_of
 
 
-def _fold_reference(emap, timeline, plan_raw, dt_ns, dt_s, const_arr,
-                    label_name, name_of_value, fold_proxies, idle_name,
-                    name_of):
-    """The scalar ordered fold — the executable spec for
-    :func:`_fold_stream` and the path for degenerate inputs
-    (zero-length intervals, where the share denominator diverges from
-    the interval duration)."""
-    vectors = timeline.vectors
-    interval_vec = timeline.interval_vec
-    n_intervals = len(dt_ns)
-    const_list = const_arr.tolist()
-    _name_of_value = name_of_value
-    charged: dict[int, _ColumnarCharge] = {}
-    for res_id in sorted({r for plan in plan_raw for r, _, _ in plan}):
-        single = timeline.single_columns(res_id)
-        multi = timeline.multi_columns(res_id) if single is None else None
-        if single is not None:
-            charge = _ColumnarCharge(_ColumnarCharge.KIND_SINGLE)
-        elif multi is not None:
-            charge = _ColumnarCharge(_ColumnarCharge.KIND_MULTI)
-        else:
-            charge = _ColumnarCharge(_ColumnarCharge.KIND_UNTRACKED)
-        has_power = np.zeros(len(vectors), dtype=bool)
-        power_by_vec = np.zeros(len(vectors), dtype=np.float64)
-        comp_by_vec: list[Optional[str]] = [None] * len(vectors)
-        for vec_id, plan in enumerate(plan_raw):
-            for rid, component, power_w in plan:
-                if rid == res_id:
-                    has_power[vec_id] = True
-                    power_by_vec[vec_id] = power_w
-                    comp_by_vec[vec_id] = component
-        rows = np.nonzero(has_power[interval_vec])[0]
-        row_vecs = interval_vec[rows]
-        charge.components = [comp_by_vec[v] for v in row_vecs.tolist()]
-        charge.joules = (power_by_vec[row_vecs] * dt_s[rows]).tolist()
-        if charge.kind == _ColumnarCharge.KIND_SINGLE:
-            offsets, seg_rows, overlaps = _ragged_cover(
-                timeline.interval_t0[rows], timeline.interval_t1[rows],
-                single.t0, single.t1)
-            # A handful of distinct labels name hundreds of segments:
-            # resolve each once, then translate by dict hit (no per-item
-            # function call).
-            if fold_proxies:
-                seg_names = []
-                append_name = seg_names.append
-                for label, b in zip(single.labels, single.bound):
-                    value = b if b is not None else label
-                    name = label_name.get(value)
-                    append_name(name if name is not None
-                                else _name_of_value(value))
-            else:
-                seg_names = []
-                append_name = seg_names.append
-                for value in single.labels:
-                    name = label_name.get(value)
-                    append_name(name if name is not None
-                                else _name_of_value(value))
-            charge.offsets = offsets.tolist()
-            charge.pair_names = [seg_names[j] for j in seg_rows.tolist()]
-            charge.pair_overlap = overlaps.tolist()
-        elif charge.kind == _ColumnarCharge.KIND_MULTI:
-            offsets, seg_rows, overlaps = _ragged_cover(
-                timeline.interval_t0[rows], timeline.interval_t1[rows],
-                multi.t0, multi.t1)
-            sets = timeline.label_sets
-            seg_sets = [sets[s] for s in multi.set_ids]
-            charge.offsets = offsets.tolist()
-            charge.pair_sets = [seg_sets[j] for j in seg_rows.tolist()]
-            charge.pair_overlap = overlaps.tolist()
-        charged[res_id] = charge
-    plans: list[list[_ColumnarCharge]] = [
-        [charged[rid] for rid, _, _ in plan] for plan in plan_raw
-    ]
-    # The ordered fold: the one remaining per-interval loop, walking
-    # precomputed columns — no trackers, no deques, no span objects.
-    # The single-device charge (the hot kind) is _charge_named inlined,
-    # with the reconstructed-total accumulator held in a local: the
-    # adds happen to the same running value in the same order, so the
-    # bits match the streaming accumulator exactly (the helper remains
-    # the streaming path's implementation and this loop's spec; the
-    # shared golden digests pin the two against each other).
-    energy_j = emap.energy_j
-    energy_get = energy_j.get
-    dt_ns_list = dt_ns.tolist()
-    vec_list = interval_vec.tolist()
-    recon = emap.reconstructed_energy_j
-    for i in range(n_intervals):
-        const_j = const_list[i]
-        energy_j[_CONST_PAIR] = energy_get(_CONST_PAIR, 0.0) + const_j
-        recon += const_j
-        for charge in plans[vec_list[i]]:
-            cursor = charge.cursor
-            charge.cursor = cursor + 1
-            joules = charge.joules[cursor]
-            component = charge.components[cursor]
-            kind = charge.kind
-            if kind == _ColumnarCharge.KIND_SINGLE:
-                start = charge.offsets[cursor]
-                stop = charge.offsets[cursor + 1]
-                named: dict[str, int] = {}
-                covered = 0
-                pair_names = charge.pair_names
-                pair_overlap = charge.pair_overlap
-                for k in range(start, stop):
-                    name = pair_names[k]
-                    overlap = pair_overlap[k]
-                    named[name] = named.get(name, 0) + overlap
-                    covered += overlap
-                idle_ns = dt_ns_list[i] - covered
-                if idle_ns > 0:
-                    named[idle_name] = named.get(idle_name, 0) + idle_ns
-                    covered += idle_ns
-                if not covered:
-                    covered = 1
-                for activity, share_ns in named.items():
-                    key = (component, activity)
-                    joule_share = joules * (share_ns / covered)
-                    energy_j[key] = energy_get(key, 0.0) + joule_share
-                    recon += joule_share
-            elif kind == _ColumnarCharge.KIND_MULTI:
-                start = charge.offsets[cursor]
-                stop = charge.offsets[cursor + 1]
-                shares = _multi_shares(
-                    zip(charge.pair_sets[start:stop],
-                        charge.pair_overlap[start:stop]),
-                    dt_ns_list[i], idle_name, name_of)
-                for activity, fraction in shares.items():
-                    key = (component, activity)
-                    joule_share = joules * fraction
-                    energy_j[key] = energy_get(key, 0.0) + joule_share
-                    recon += joule_share
-            else:
-                key = (component, UNTRACKED_KEY)
-                energy_j[key] = energy_get(key, 0.0) + joules
-                recon += joules
-    emap.reconstructed_energy_j = recon
-
-
 ColumnarSource = Union[bytes, bytearray, memoryview, LogColumns,
                        ColumnarTimeline, Iterable]
 
@@ -1999,16 +1814,16 @@ def columnar_energy_map(
     ``end_time_ns``/device sets then apply), or an iterable of decoded
     entries (the compat path).
 
-    The expensive per-entry and per-interval work is vectorized —
-    decode, interval/segment reconstruction as columns, the
-    ``searchsorted`` cover, and the duration × draw energy products —
-    while the final fold into the :class:`EnergyMap` walks the
-    precomputed columns in exactly the order the streaming accumulator
-    charges them: interval order, then state-vector column order, then
-    activity-name first-occurrence order.  Same operations on the same
-    operands in the same order ⇒ the map is bit-identical to the
-    streaming backend's (float bits *and* dict insertion order) — the
-    contract the backend-parametrized golden tests enforce.
+    Decode, reconstruction, cover, the energy products and the ordered
+    fold are all vectorized: :func:`_contribution_stream` orders the
+    charges exactly as the streaming accumulator makes them (interval
+    order, then state-vector column order, then activity-name
+    first-occurrence order) and :func:`_charge_stream` adds them up, so
+    the map is bit-identical to the streaming backend's (float bits
+    *and* dict insertion order) — the contract the backend-parametrized
+    golden tests enforce.  The busy time is :func:`_busy_time` with the
+    whole log as one chunk.  This is the same fold the
+    :class:`WindowedAccumulator` runs batch by batch.
     """
     if isinstance(source, ColumnarTimeline):
         timeline = source
@@ -2023,7 +1838,6 @@ def columnar_energy_map(
             columns, end_time_ns=end_time_ns,
             single_res_ids=single_res_ids, multi_res_ids=multi_res_ids,
         )
-    emap = EnergyMap()
     n_intervals = len(timeline.interval_t0)
     if not n_intervals:
         raise RegressionError("no power intervals to account")
@@ -2031,101 +1845,22 @@ def columnar_energy_map(
         raise RegressionError(
             "accounting needs a regression once power intervals exist"
         )
-    # Per-vector charge plans, exactly as the accumulator resolves them.
-    column_power = _column_power(regression)
-    plan_raw = [_plan_of(vector, column_power, component_names)
-                for vector in timeline.vectors]
-    dt_ns = timeline.interval_t1 - timeline.interval_t0
-    # Vectorized energy products: duration and draw as elementwise
-    # multiplies — the identical IEEE-754 operations the streaming path
-    # performs one interval at a time.
-    dt_s = dt_ns * 1e-9
-    const_arr = regression.const_power_w * dt_s
-    label_name: dict[int, str] = {}
-
-    def _name_of_value(value: int) -> str:
-        name = label_name.get(value)
-        if name is None:
-            name = label_name[value] = registry.name_of(
-                ActivityLabel.decode(value))
-        return name
-
-    name_of = registry.name_of
-    # The fold itself: vectorized when every interval is strictly
-    # positive (always, on simulator logs — boundaries only emit at
-    # strictly increasing times), scalar reference otherwise (the
-    # degenerate share denominators the stream form cannot express).
-    fold = _fold_stream if bool((dt_ns > 0).all()) else _fold_reference
-    fold(emap, timeline, plan_raw, dt_ns, dt_s, const_arr, label_name,
-         _name_of_value, fold_proxies, idle_name, name_of)
-    # Time breakdown (Table 3a), in the accumulator's finish order:
-    # sorted devices, then per-name totals in first-closed order — the
-    # same per-device name→ns accumulation the streaming trackers keep,
-    # computed here from the segment columns (int sums, exact).
-    # Single devices, fused: one grouping sort over every device's
-    # segments (device-major), int span sums (exact, order-free), and
-    # a replay in global first-occurrence order — which is exactly
-    # device order then per-device name first-occurrence order, the
-    # accumulator's finish order.
-    dev_comp: list[str] = []
-    dev_vals: list[int] = []
-    dev_spans: list[np.ndarray] = []
-    dev_rows: list[np.ndarray] = []
-    for res_id in timeline.single_device_ids():
-        single = timeline.single_columns(res_id)
-        if single is None or not len(single):
-            continue
-        d = len(dev_comp)
-        dev_comp.append(component_names.get(res_id, f"res{res_id}"))
-        if fold_proxies:
-            dev_vals.extend(
-                b if b is not None else label
-                for label, b in zip(single.labels, single.bound))
-        else:
-            dev_vals.extend(single.labels)
-        dev_spans.append(single.t1 - single.t0)
-        dev_rows.append(np.full(len(single.labels), d, dtype=np.int64))
-    if dev_comp:
-        vals_arr = np.asarray(dev_vals, dtype=np.int64)
-        spans_arr = np.concatenate(dev_spans)
-        rows_arr = np.concatenate(dev_rows)
-        uvals, uinv = np.unique(vals_arr, return_inverse=True)
-        unames = [_name_of_value(value) for value in uvals.tolist()]
-        group_key = rows_arr * len(uvals) + uinv
-        order = np.argsort(group_key, kind="stable")
-        sorted_key = group_key[order]
-        first = np.empty(len(sorted_key), dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-        group_starts = np.nonzero(first)[0]
-        group_first = order[group_starts]
-        group_total = np.add.reduceat(spans_arr[order], group_starts)
-        group_dev = rows_arr[group_first].tolist()
-        group_val = uinv[group_first].tolist()
-        totals = group_total.tolist()
-        time_ns = emap.time_ns
-        for g in np.argsort(group_first, kind="stable").tolist():
-            key = (dev_comp[group_dev[g]], unames[group_val[g]])
-            time_ns[key] = time_ns.get(key, 0) + totals[g]
-    for res_id in timeline.multi_device_ids():
-        multi = timeline.multi_columns(res_id)
-        if multi is None or not len(multi):
-            continue
-        component = component_names.get(res_id, f"res{res_id}")
-        sets = timeline.label_sets
-        spans = (multi.t1 - multi.t0).tolist()
-        per_name = {}
-        for set_id, span in zip(multi.set_ids, spans):
-            labels = sets[set_id]
-            if not labels:
-                per_name[idle_name] = per_name.get(idle_name, 0) + span
-                continue
-            split = span // len(labels)
-            for label in labels:
-                name = name_of(label)
-                per_name[name] = per_name.get(name, 0) + split
-        for name, total_ns in per_name.items():
-            emap.add_time(component, name, total_ns)
+    name_of_value = _label_namer(registry, {})
+    _, code, values, n_codes, key_of = _contribution_stream(
+        timeline, {}, _column_power(regression), component_names,
+        regression.const_power_w, name_of_value, fold_proxies, idle_name,
+        registry.name_of)
+    emap = EnergyMap()
+    emap.reconstructed_energy_j = _charge_stream(
+        emap.energy_j, 0.0, code, values, n_codes, key_of)
+    time_single: dict[int, dict[str, int]] = {}
+    time_multi: dict[int, dict[str, int]] = {}
+    (busy,) = _busy_time(
+        timeline, [len(timeline.columns) + 1], time_single, time_multi,
+        name_of_value, registry.name_of, idle_name, fold_proxies)
+    for per_name, name, dt_ns in busy:
+        per_name[name] = per_name.get(name, 0) + dt_ns
+    emap.time_ns = _fold_time(time_single, time_multi, component_names)
     emap.span_ns = int(timeline.interval_t1[n_intervals - 1]) \
         - int(timeline.interval_t0[0])
     emap.metered_energy_j = (
@@ -2148,13 +1883,14 @@ def stream_energy_map(
     multi_res_ids: Optional[Iterable[int]] = None,
     backend: Optional[str] = None,
 ) -> EnergyMap:
-    """One-pass log → timeline → accounting: feed decoded entries (any
-    iterable, e.g. :func:`repro.core.logger.iter_entries`) straight into
-    an :class:`EnergyAccumulator` and return the finished map.
+    """Log → timeline → accounting over decoded entries (any iterable,
+    e.g. :func:`repro.core.logger.iter_entries`), in time order.
 
     ``backend`` (or ``$REPRO_ANALYSIS_BACKEND``) selects the analysis
-    implementation; ``"columnar"`` routes the same inputs through
-    :func:`columnar_energy_map`, bit-identical by contract.
+    implementation: ``"columnar"`` (the default) routes the entries
+    through :func:`columnar_energy_map`, ``"streaming"`` feeds them one
+    by one into an :class:`EnergyAccumulator`; the maps are
+    bit-identical by contract.
     """
     if resolve_analysis_backend(backend) == "columnar":
         return columnar_energy_map(

@@ -56,7 +56,7 @@ from repro.core.logger import (
     TYPE_BOOT,
     TYPE_POWERSTATE,
 )
-from repro.errors import RegressionError
+from repro.errors import LoggerError, RegressionError
 
 
 @dataclass(slots=True)
@@ -620,15 +620,16 @@ class _SingleColumns:
 
     ``t0``/``t1`` are sorted, non-overlapping int64 arrays (zero-length
     segments were never emitted); ``labels`` holds the painted 16-bit
-    encodings and ``bound`` the bind-resolved encoding (or ``None``) per
-    segment — the columnar form of :class:`ActivitySegment`.
+    encodings and ``bound`` the bind-resolved encoding (``-1`` where no
+    bind resolved the segment), both int64 arrays — the columnar form
+    of :class:`ActivitySegment`.
     ``close_row`` is the row whose record closed each segment (see
     :meth:`ColumnarTimeline._segments_single`).
     """
 
     __slots__ = ("t0", "t1", "labels", "bound", "close_row")
 
-    def __init__(self, t0, t1, labels, bound, close_row=None) -> None:
+    def __init__(self, t0, t1, labels, bound, close_row) -> None:
         self.t0 = t0
         self.t1 = t1
         self.labels = labels
@@ -637,6 +638,14 @@ class _SingleColumns:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    def label_values(self, fold_proxies: bool) -> np.ndarray:
+        """The encoding each segment is charged to: its bound label where
+        a bind resolved one and ``fold_proxies`` asks for it, else its
+        painted label."""
+        if not fold_proxies:
+            return self.labels
+        return np.where(self.bound >= 0, self.bound, self.labels)
 
 
 class _MultiColumns:
@@ -728,9 +737,12 @@ class ColumnarTimeline:
       *same* interned objects per distinct set, so downstream iteration
       order matches the streaming path's.
 
-    Entries must be in log order.  Devices may be declared up front
-    (always the case on node paths); otherwise they are inferred over
-    the whole log like :class:`TimelineBuilder` does.
+    Entries must be in log order, which is time order: a record
+    stamped earlier than the one before it (in batch mode, also the
+    carry's last record) raises :class:`~repro.errors.LoggerError`, so
+    every interval the fold divides is strictly positive.  Devices may
+    be declared up front (always the case on node paths); otherwise they
+    are inferred over the whole log like :class:`TimelineBuilder` does.
 
     With a ``carry`` the columns are one batch of a longer stream (see
     :meth:`_build_batch`): the batch continues the spans the carry holds
@@ -747,6 +759,14 @@ class ColumnarTimeline:
         carry: Optional[TimelineCarry] = None,
         final: bool = True,
     ) -> None:
+        times = columns.time_ns
+        last_time = carry.last_time if carry is not None else None
+        if len(times) and (
+                (last_time is not None and int(times[0]) < last_time)
+                or bool((times[1:] < times[:-1]).any())):
+            raise LoggerError(
+                "log time goes backwards: the columnar timeline needs "
+                "its records in time order")
         self.columns = columns
         self.label_sets: list[frozenset[ActivityLabel]] = []
         self._set_intern: dict[tuple[int, ...], int] = {}
@@ -991,9 +1011,9 @@ class ColumnarTimeline:
             if alive.any():
                 carry.single_done[res_id] = (t0[alive], t1[alive],
                                              values[alive])
-        labels = values.tolist()
-        return _SingleColumns(t0=t0, t1=t1, labels=labels,
-                              bound=[None] * len(labels), close_row=ends)
+        return _SingleColumns(t0=t0, t1=t1, labels=values,
+                              bound=np.full(len(values), -1, dtype=np.int64),
+                              close_row=ends)
 
     def _build_single(self, res_id: int, pos: np.ndarray) -> _SingleColumns:
         """One device's change/bind rows → segment columns, with the
@@ -1008,10 +1028,12 @@ class ColumnarTimeline:
         times = columns.time_ns[pos].tolist()
         labels = columns.value[pos].tolist()
         binds = bind_rows.tolist()
+        rows = pos.tolist()
         t0s: list[int] = []
         t1s: list[int] = []
         seg_labels: list[int] = []
-        bound: list[Optional[int]] = []
+        bound: list[int] = []
+        close_rows: list[int] = []
         unresolved: dict[int, list[int]] = {}
         open_label: Optional[int] = None
         open_t0 = 0
@@ -1024,7 +1046,8 @@ class ColumnarTimeline:
                 t0s.append(open_t0)
                 t1s.append(t)
                 seg_labels.append(open_label)
-                bound.append(None)
+                bound.append(-1)
+                close_rows.append(rows[k])
                 unresolved.setdefault(open_label, []).append(index)
             if binds[k] and previous_label is not None:
                 pending = unresolved.pop(previous_label, [])
@@ -1038,12 +1061,14 @@ class ColumnarTimeline:
             t0s.append(open_t0)
             t1s.append(self.end_time_ns)
             seg_labels.append(open_label)
-            bound.append(None)
+            bound.append(-1)
+            close_rows.append(len(columns))
         return _SingleColumns(
             t0=np.array(t0s, dtype=np.int64),
             t1=np.array(t1s, dtype=np.int64),
-            labels=seg_labels,
-            bound=bound,
+            labels=np.array(seg_labels, dtype=np.int64),
+            bound=np.array(bound, dtype=np.int64),
+            close_row=np.array(close_rows, dtype=np.int64),
         )
 
     def _intern_set(self, values) -> int:
@@ -1155,12 +1180,12 @@ class ColumnarTimeline:
         segments = []
         for t0, t1, label, bound in zip(
                 device.t0.tolist(), device.t1.tolist(),
-                device.labels, device.bound):
+                device.labels.tolist(), device.bound.tolist()):
             segments.append(ActivitySegment(
                 res_id=res_id, t0_ns=t0, t1_ns=t1,
                 label=ActivityLabel.decode(label),
                 bound_to=(ActivityLabel.decode(bound)
-                          if bound is not None else None),
+                          if bound >= 0 else None),
             ))
         return segments
 

@@ -41,6 +41,16 @@ _TRUE_STRINGS = frozenset(("1", "true", "yes", "on"))
 _FALSE_STRINGS = frozenset(("0", "false", "no", "off"))
 
 
+def env_switch(name: str, default: bool) -> bool:
+    """A ``REPRO_*`` on/off environment switch: unset or empty gives
+    ``default``, ``0``/``off``/``no``/``false`` (any case) turn it off,
+    anything else turns it on."""
+    value = os.environ.get(name, "").strip().lower()
+    if not value:
+        return default
+    return value not in _FALSE_STRINGS
+
+
 @dataclass
 class ExperimentResult:
     """What an experiment produces: rendered text plus raw data."""
@@ -273,8 +283,6 @@ def run_experiment(
 #: force a cold construction per run, the reference behaviour).
 WARM_START_ENV_VAR = "REPRO_WARM_START"
 
-_WARM_DISABLED = frozenset(("0", "off", "no", "false"))
-
 #: Constructed blink worlds, keyed by configuration signature.  A sweep
 #: worker revisits the same handful of configurations (one per override
 #: combo), so a small LRU holds the working set; each world's log buffer
@@ -286,8 +294,7 @@ _BLINK_WORLDS_MAX = 8
 
 def warm_start_enabled() -> bool:
     """Whether run_blink may reuse (reset) a cached world."""
-    value = os.environ.get(WARM_START_ENV_VAR, "1").strip().lower()
-    return value not in _WARM_DISABLED
+    return env_switch(WARM_START_ENV_VAR, default=True)
 
 
 def clear_warm_worlds() -> None:

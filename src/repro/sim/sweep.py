@@ -72,7 +72,7 @@ from repro.core.accounting import BACKEND_ENV_VAR, resolve_analysis_backend
 from repro.core.report import format_table
 from repro.errors import SweepError
 from repro.experiments.common import (
-    blink_batch_plan, experiment_params, run_experiment,
+    blink_batch_plan, env_switch, experiment_params, run_experiment,
 )
 from repro.sim import faultinject
 from repro.sim.shardstore import ShardStore
@@ -380,9 +380,10 @@ def code_fingerprint() -> str:
     return _code_fingerprint_cache
 
 
-#: With this env var truthy, every store (not just the first per run)
-#: re-parses its JSON payload to prove the round-trip is lossless — the
-#: debug mode of the identity check below.
+#: With this env switch on (``1``; ``0``/``off``/``no``/``false`` or
+#: unset is off), every store (not just the first per run) re-parses its
+#: JSON payload to prove the round-trip is lossless — the debug mode of
+#: the identity check below.
 CACHE_VERIFY_ENV_VAR = "REPRO_CACHE_VERIFY"
 
 
@@ -477,7 +478,7 @@ class SweepCache:
         except (TypeError, ValueError):
             return False  # non-JSON payload: run it fresh every time
         if not SweepCache._roundtrip_verified \
-                or os.environ.get(CACHE_VERIFY_ENV_VAR):
+                or env_switch(CACHE_VERIFY_ENV_VAR, default=False):
             if json.loads(text) != payload:
                 # Lossy round-trip would break hit/miss identity.
                 return False

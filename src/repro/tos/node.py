@@ -525,8 +525,9 @@ class QuantoNode:
         """The full 'where have the joules gone' answer for this node.
 
         ``backend`` (default: ``$REPRO_ANALYSIS_BACKEND``, else
-        streaming) picks the analysis implementation; both produce
-        bit-identical maps.
+        columnar, :data:`~repro.core.accounting.DEFAULT_ANALYSIS_BACKEND`)
+        picks the analysis implementation; both produce bit-identical
+        maps.
         """
         backend = resolve_analysis_backend(backend)
         if backend == "columnar":

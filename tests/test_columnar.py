@@ -47,8 +47,12 @@ from repro.core.regression import (
     group_intervals,
     solve_grouped,
 )
-from repro.core.timeline import ColumnarTimeline, TimelineBuilder
-from repro.errors import RegressionError
+from repro.core.timeline import (
+    ColumnarTimeline,
+    TimelineBuilder,
+    TimelineCarry,
+)
+from repro.errors import LoggerError, RegressionError
 
 # Entry types, inlined for terse generator code.
 POWER, CHANGE, BIND, ADD, REMOVE, BOOT = 1, 2, 3, 4, 5, 6
@@ -189,9 +193,42 @@ def test_columnar_reconstruction_matches_builder(seed):
         decode_columns(raw), end_time_ns=end_us * 1000,
         single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
     assert columnar.power_intervals() == builder.power_intervals()
+    # The fold's share arithmetic needs every interval strictly positive.
+    assert (columnar.interval_t1 > columnar.interval_t0).all()
     for rid in SINGLE_IDS:
         assert columnar.activity_segments(rid) \
             == builder.activity_segments(rid)
+
+
+def test_backwards_time_is_refused(monkeypatch):
+    """Time order is the invariant the one columnar fold rests on: a
+    record stamped before its predecessor raises, in whole-log mode, in
+    batch mode against the carry's last record, and through
+    ``stream_energy_map`` on the default backend."""
+    raw, end_us = _random_log(random.Random(5), n_entries=60)
+    entries = decode_log(raw)
+    k = next(i for i in range(len(entries) - 1)
+             if entries[i].time_ns < entries[i + 1].time_ns)
+    swapped = list(entries)
+    swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+    devices = dict(single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
+    with pytest.raises(LoggerError, match="backwards"):
+        ColumnarTimeline(LogColumns.from_entries(swapped), **devices)
+    # Batch mode: each batch is in order, but the second starts before
+    # the first one's last record.
+    columns = LogColumns.from_entries(entries)
+    half = len(columns) // 2
+    carry = TimelineCarry()
+    ColumnarTimeline(columns[half:], carry=carry, final=False, **devices)
+    with pytest.raises(LoggerError, match="backwards"):
+        ColumnarTimeline(columns[:half], carry=carry, final=False,
+                         **devices)
+    monkeypatch.delenv("REPRO_ANALYSIS_BACKEND", raising=False)
+    with pytest.raises(LoggerError, match="backwards"):
+        stream_energy_map(
+            swapped, _regression_for_test(), ActivityRegistry(),
+            {0: "CPU", 1: "Radio", 2: "Flash", 9: "TimerB"}, 1e-6,
+            end_time_ns=end_us * 1000, **devices)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -6,6 +6,8 @@ from repro.cli import main
 from repro.errors import SweepError
 from repro.sim import sweep as sweep_mod
 from repro.sim.sweep import (
+    CACHE_VERIFY_ENV_VAR,
+    PointResult,
     SweepCache,
     SweepPoint,
     code_fingerprint,
@@ -217,3 +219,27 @@ def test_unwritable_cache_dir_does_not_kill_the_sweep(tmp_path):
     rerun = run_sweep("table3", [0], OVERRIDES, jobs=1, cache_dir=bogus)
     assert (rerun.cache_hits, rerun.simulated) == (0, 1)
     assert rerun.digest() == result.digest()
+
+
+@pytest.mark.parametrize("setting, stored", [
+    ("1", False), ("0", True), ("off", True), (None, True),
+])
+def test_cache_verify_switch(tmp_path, monkeypatch, setting, stored):
+    """$REPRO_CACHE_VERIFY on re-proves every store's JSON round trip,
+    so a lossy payload (a tuple comes back a list) is refused even
+    after the once-per-process canary passed; off or unset, only the
+    canary checks."""
+    if setting is None:
+        monkeypatch.delenv(CACHE_VERIFY_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(CACHE_VERIFY_ENV_VAR, setting)
+    monkeypatch.setattr(SweepCache, "_roundtrip_verified", False)
+    point_a, point_b = expand_grid("table3", [0, 1])
+    cache = SweepCache(tmp_path)
+    assert cache.store(PointResult(point=point_a, data={"pair": [1, 2]},
+                                   comparisons=[], digest="a", wall_s=0.0))
+    assert SweepCache._roundtrip_verified
+    lossy = PointResult(point=point_b, data={"pair": (1, 2)},
+                        comparisons=[], digest="b", wall_s=0.0)
+    assert cache.store(lossy) is stored
+    assert cache.has(point_b) is stored
