@@ -7,26 +7,21 @@ Commands:
   (e.g. ``table3``, ``fig13``, ``ext_deployment``) and print its rendered
   result;
 * ``sweep <id> [--seeds N] [--jobs J] [--batch K] [--set k=v1,v2 ...]
-  [--cache-dir D] [--shard i/N]`` — run an experiment campaign over many
-  seeds (and
+  [--cache-dir D]`` — run an experiment campaign over many seeds (and
   optionally a parameter grid) on a worker pool, folding results into
   streaming aggregates; with a cache directory, already-simulated points
-  are reused and only new grid points run; with ``--shard i/N``, run
-  only the i-th deterministic slice of the grid (one machine of an
-  N-machine campaign);
-* ``merge-sweeps <id> --cache-dir A [--cache-dir B ...]`` — fold shard
-  runs' cached stores back into the full campaign result, byte-identical
-  to an unsharded run over the same grid; with ``--manifest M`` the
-  spec comes from a campaign manifest instead of re-typed flags and
-  ``--strict`` additionally verifies the manifest's pinned digests;
-* ``campaign plan|run|resume|status <manifest>`` — the fault-tolerant
-  campaign orchestrator (:mod:`repro.sim.campaign`): ``plan`` writes a
-  schema-versioned manifest, ``run`` dispatches shard workers with
-  retries/straggler backups and folds results incrementally, ``resume``
-  (the same operation by a friendlier name) verifies stored points and
-  schedules only the remainder, ``status`` reports coverage without
-  simulating (``campaign worker`` is the internal per-shard entry the
-  runner spawns);
+  are reused and only new grid points run;
+* ``campaign plan|run|resume|status|worker|merge <manifest>`` — the
+  fault-tolerant campaign orchestrator (:mod:`repro.sim.campaign`):
+  ``plan`` writes a schema-versioned manifest, ``run`` dispatches shard
+  workers with retries/straggler backups and folds results
+  incrementally, ``resume`` (the same operation by a friendlier name)
+  verifies stored points and schedules only the remainder, ``status``
+  reports coverage without simulating, ``worker --shard i/N`` runs one
+  shard (the per-machine step of a multi-machine campaign, and what
+  ``run`` spawns), and ``merge [--cache-dir D ...] [--strict]`` folds
+  the manifest's store plus other machines' cache dirs into the full
+  result, byte-identical to an unsharded run;
 * ``blink [--seconds N] [--seed N] [--dump]`` — run Blink and print the
   full energy map (optionally the raw log dump);
 * ``validate [--seed N]`` — run Blink and lint its log;
@@ -97,7 +92,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
 
-    from repro.sim.sweep import parse_shard, run_sweep
+    from repro.sim.sweep import run_sweep
 
     if args.id not in EXPERIMENT_IDS:
         print(f"unknown experiment {args.id!r}; try: python -m repro list",
@@ -112,7 +107,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.batch is not None and args.batch < 1:
         print("--batch must be at least 1", file=sys.stderr)
         return 2
-    shard = parse_shard(args.shard) if args.shard else None
     overrides = _parse_set_args(args.set, multi_valued=True)
     seeds = range(args.seed_base, args.seed_base + args.seeds)
     cache_dir = args.cache_dir
@@ -122,38 +116,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache_dir = None
     result = run_sweep(args.id, seeds, overrides, jobs=args.jobs,
                        cache_dir=cache_dir, backend=args.backend,
-                       shard=shard, batch=args.batch)
-    print(result.render())
-    return 0
-
-
-def _cmd_merge_sweeps(args: argparse.Namespace) -> int:
-    from repro.sim.sweep import merge_sweeps
-
-    if args.manifest is not None:
-        from repro.sim.campaign import merge_campaign
-
-        result = merge_campaign(
-            args.manifest, extra_cache_dirs=args.cache_dir or (),
-            jobs=args.jobs, strict=args.strict, backend=args.backend)
-        print(result.render())
-        return 0
-    if args.id is None or not args.cache_dir:
-        print("merge-sweeps needs either --manifest M or "
-              "<id> --cache-dir DIR", file=sys.stderr)
-        return 2
-    if args.id not in EXPERIMENT_IDS:
-        print(f"unknown experiment {args.id!r}; try: python -m repro list",
-              file=sys.stderr)
-        return 2
-    if args.seeds < 1:
-        print("--seeds must be at least 1", file=sys.stderr)
-        return 2
-    overrides = _parse_set_args(args.set, multi_valued=True)
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    result = merge_sweeps(args.id, seeds, overrides,
-                          cache_dirs=args.cache_dir, jobs=args.jobs,
-                          strict=args.strict, backend=args.backend)
+                       batch=args.batch)
     print(result.render())
     return 0
 
@@ -191,10 +154,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(campaign.campaign_status(args.manifest).render())
         return 0
     if args.campaign_cmd == "worker":
-        from repro.sim.sweep import parse_shard
-
-        index, count = parse_shard(args.shard)
+        index, count = campaign.parse_shard(args.shard)
         return campaign.run_worker(args.manifest, index, count)
+    if args.campaign_cmd == "merge":
+        result = campaign.merge_campaign(
+            args.manifest, extra_cache_dirs=args.cache_dir or (),
+            strict=args.strict)
+        print(result.render())
+        return 0
     raise AssertionError(args.campaign_cmd)  # pragma: no cover
 
 
@@ -369,41 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-cache", action="store_true",
                          help="disable the result cache even if "
                               "REPRO_SWEEP_CACHE is set")
-    p_sweep.add_argument("--shard", metavar="i/N", default=None,
-                         help="run only shard i of an N-way deterministic "
-                              "grid partition (0-based; machine i of an "
-                              "N-machine campaign — merge the cache dirs "
-                              "afterwards with merge-sweeps)")
     p_sweep.add_argument("--backend", **backend_kwargs)
-
-    p_merge = sub.add_parser(
-        "merge-sweeps",
-        help="fold sharded sweep caches into the full campaign result")
-    p_merge.add_argument("id", nargs="?", default=None,
-                         help="experiment id (omit with --manifest)")
-    p_merge.add_argument("--manifest", metavar="FILE", default=None,
-                         help="take the campaign spec (experiment, seeds, "
-                              "grid, primary cache dir) from a campaign "
-                              "manifest; --strict then also verifies the "
-                              "manifest's pinned per-point digests")
-    p_merge.add_argument("--seeds", type=int, default=8,
-                         help="number of seeds of the campaign grid")
-    p_merge.add_argument("--seed-base", type=int, default=0)
-    p_merge.add_argument("--set", action="append", metavar="KEY=V1[,V2...]",
-                         help="the campaign's parameter grid (must match "
-                              "what the shard runs used)")
-    p_merge.add_argument("--cache-dir", metavar="DIR", action="append",
-                         help="a shard run's cache directory (repeatable; "
-                              "points load from the first dir that has "
-                              "them; with --manifest these are extras "
-                              "after the manifest's own cache dir)")
-    p_merge.add_argument("--jobs", type=int, default=1,
-                         help="workers for simulating uncovered points "
-                              "(non-strict mode only)")
-    p_merge.add_argument("--strict", action="store_true",
-                         help="fail if any grid point is missing from the "
-                              "shard stores instead of simulating it")
-    p_merge.add_argument("--backend", **backend_kwargs)
 
     p_campaign = sub.add_parser(
         "campaign",
@@ -452,12 +385,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("manifest", help="campaign manifest file")
 
     p_cworker = campaign_sub.add_parser(
-        "worker", help="run one shard of a campaign (spawned by the "
-                       "runner; usable manually for debugging)")
+        "worker", help="run one shard of a campaign into the manifest's "
+                       "cache dir (one machine of a multi-machine "
+                       "campaign; also what `run` spawns)")
     p_cworker.add_argument("manifest", help="campaign manifest file")
     p_cworker.add_argument("--shard", metavar="i/N", required=True,
                            help="shard index / shard count (must match "
                                 "the manifest)")
+
+    p_cmerge = campaign_sub.add_parser(
+        "merge", help="fold the campaign's stores into the full result")
+    p_cmerge.add_argument("manifest", help="campaign manifest file")
+    p_cmerge.add_argument("--cache-dir", metavar="DIR", action="append",
+                          help="another machine's cache dir, read after "
+                               "the manifest's own (repeatable)")
+    p_cmerge.add_argument("--strict", action="store_true",
+                          help="fail on any grid point missing from the "
+                               "stores, and verify the manifest's pinned "
+                               "digests, instead of simulating the gap")
 
     p_blink = sub.add_parser("blink", help="run Blink and print the map")
     p_blink.add_argument("--seconds", type=int, default=48)
@@ -514,7 +459,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "list": _cmd_list,
         "experiment": _cmd_experiment,
         "sweep": _cmd_sweep,
-        "merge-sweeps": _cmd_merge_sweeps,
         "campaign": _cmd_campaign,
         "blink": _cmd_blink,
         "validate": _cmd_validate,

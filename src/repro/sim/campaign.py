@@ -30,6 +30,13 @@ process campaign** a durable, resumable object:
   byte-identical), and each folded point's digest is appended to a
   crash-safe ledger next to the manifest.
 
+* One merge path — :func:`merge_campaign` (``campaign merge``) folds
+  the manifest's store, plus any other machines' cache dirs, in
+  canonical grid order.  Multi-machine use: ``campaign plan`` once,
+  copy the manifest to each machine, run ``campaign worker <manifest>
+  --shard i/N`` on machine ``i``, then ``campaign merge <manifest>
+  --cache-dir <other machines' dirs> --strict`` anywhere.
+
 * First-class resume — ``run()`` **is** resume.  On entry the runner
   scans the cache, verifies every stored point (parse + digest check
   against the manifest's expected digests and the ledger), and
@@ -64,13 +71,13 @@ from repro.sim.sweep import (
     SweepCache,
     SweepPoint,
     SweepResult,
+    _analysis_backend,
     _iter_points_batched,
+    _run_sweep_inner,
     code_fingerprint,
     detect_jobs,
     expand_grid,
-    merge_sweeps,
     resolve_batch,
-    shard_points,
 )
 
 #: Bump when the manifest layout changes incompatibly.  Loading a newer
@@ -251,6 +258,47 @@ class CampaignManifest:
             else _default_workers(self.shards)
 
 
+def parse_shard(spec: str) -> tuple[int, int]:
+    """Parse an ``i/N`` shard spec (``0/4`` … ``3/4``) into (index, count).
+
+    Zero-based: shard ``i`` of ``N`` owns the grid points whose canonical
+    index ≡ i (mod N).
+    """
+    index_str, sep, count_str = spec.partition("/")
+    try:
+        if not sep:
+            raise ValueError(spec)
+        index, count = int(index_str), int(count_str)
+    except ValueError:
+        raise CampaignError(
+            f"bad shard spec {spec!r}; expected i/N, e.g. 0/4") from None
+    if count < 1 or not 0 <= index < count:
+        raise CampaignError(
+            f"bad shard spec {spec!r}: need 0 <= i < N, got i={index} N={count}")
+    return index, count
+
+
+def shard_points(
+    points: Sequence[SweepPoint], index: int, count: int,
+) -> list[SweepPoint]:
+    """Shard ``index`` of ``count``'s slice of the canonical grid.
+
+    Round-robin over the canonical (seed-major) grid order: point ``k``
+    belongs to shard ``k mod count``.  The partition is a pure function
+    of the grid — every point lands in exactly one shard, shards of one
+    campaign never overlap, and their union is the grid — so N machines
+    can each run ``campaign worker --shard i/N`` on copies of one
+    manifest with no coordination, and :func:`merge_campaign` folds the
+    stores back into the exact unsharded result.  Round-robin (rather
+    than contiguous blocks) balances seed-correlated cost gradients
+    across shards.
+    """
+    if count < 1 or not 0 <= index < count:
+        raise CampaignError(
+            f"bad shard: need 0 <= i < N, got i={index} N={count}")
+    return list(points[index::count])
+
+
 def _field(raw: Mapping[str, Any], path: Path, name: str, kind: type) -> Any:
     value = raw.get(name)
     if not isinstance(value, kind):
@@ -386,8 +434,10 @@ def run_worker(
     (same parse-and-digest check the runner uses, so a corrupt record
     is re-simulated, not trusted), and simulates the rest through the
     batched executor, appending each result to the shared shard store
-    as it lands.  Exits nonzero if any append fails — a shard that
-    cannot persist its work must look dead to the runner, not done.
+    as it lands, under the manifest's analysis backend.  Exits nonzero
+    if any append fails — a shard that cannot persist its work must
+    look dead to the runner, not done.  On a machine of its own, the
+    worker is the whole per-machine step of a multi-machine campaign.
 
     Fault-injection sites (:mod:`repro.sim.faultinject`): ``pre-run``
     before the first point, ``pre-store`` before every append,
@@ -410,15 +460,17 @@ def run_worker(
         ) is None
     ]
     stored = 0
-    for result in _iter_points_batched(missing, resolve_batch(manifest.batch)):
-        faultinject.fire("pre-store", selector=shard_index)
-        if not cache.store(result):
-            raise CampaignError(
-                f"shard {shard_index}: store append failed for "
-                f"[{result.point.describe()}]")
-        stored += 1
-        if stored == 1:
-            faultinject.fire("mid-shard", selector=shard_index)
+    with _analysis_backend(manifest.backend):
+        for result in _iter_points_batched(
+                missing, resolve_batch(manifest.batch)):
+            faultinject.fire("pre-store", selector=shard_index)
+            if not cache.store(result):
+                raise CampaignError(
+                    f"shard {shard_index}: store append failed for "
+                    f"[{result.point.describe()}]")
+            stored += 1
+            if stored == 1:
+                faultinject.fire("mid-shard", selector=shard_index)
     return 0
 
 
@@ -635,7 +687,7 @@ class CampaignRunner:
             comparisons=aggregator.comparisons(),
             cache_dir=str(manifest.resolved_cache_dir()),
             cache_hits=len(initially_valid),
-            grid_points=len(grid),
+            backend=manifest.backend,
             batch=resolve_batch(manifest.batch),
         )
         digest = result.digest()
@@ -860,36 +912,75 @@ def campaign_status(
 # -- merge -------------------------------------------------------------------
 
 
+class _UnionCache:
+    """Read-through union of several machines' stores: loads probe the
+    dirs in the order given (first hit wins), stores go to the first —
+    so a non-strict merge leaves the primary store covering the grid."""
+
+    def __init__(self, caches: Sequence[SweepCache]) -> None:
+        self.caches = list(caches)
+
+    def has(self, point: SweepPoint) -> bool:
+        return any(cache.has(point) for cache in self.caches)
+
+    def load(self, point: SweepPoint) -> Optional[PointResult]:
+        for cache in self.caches:
+            result = cache.load(point)
+            if result is not None:
+                return result
+        return None
+
+    def store(self, result: PointResult) -> bool:
+        return self.caches[0].store(result)
+
+
 def merge_campaign(
     manifest: Union[CampaignManifest, str, Path],
     extra_cache_dirs: Sequence[Union[str, Path]] = (),
-    jobs: int = 1,
     strict: bool = False,
-    backend: Optional[str] = None,
 ) -> SweepResult:
-    """:func:`repro.sim.sweep.merge_sweeps` driven by a manifest.
+    """Fold a campaign's stores into the unsharded result (the
+    ``campaign merge`` CLI).
 
-    The spec (experiment, seeds, overrides) comes from the manifest
-    instead of re-typed flags, the manifest's cache dir is always the
-    primary store, and with ``strict`` the merge additionally verifies
-    every folded digest — and the combined sweep digest — against the
-    digests the manifest pinned at completion.  A strict merge over a
-    lost shard fails naming the gap; a strict merge over silently
-    altered bytes fails naming the first drifted point.
+    Every grid point's payload — wherever it lives among the manifest's
+    cache dir (always the primary) and ``extra_cache_dirs`` — folds
+    through the same Welford aggregation **in canonical grid order**.
+    The fold order and the per-point bytes are exactly those of an
+    unsharded run, so the aggregates, per-point digests and sweep digest
+    are byte-identical to running the whole campaign on one machine, and
+    to merging the same stores in any directory order.
+
+    Points no store covers are simulated here with the manifest's
+    workers, batch and backend, and written back to the primary store.
+    With ``strict`` missing coverage raises instead, naming the gap, and
+    every folded digest — and the combined sweep digest — must match the
+    digests the manifest pinned at completion: a strict merge over
+    silently altered bytes fails naming the first drifted point.
     """
     if not isinstance(manifest, CampaignManifest):
         manifest = CampaignManifest.load(manifest)
-    dirs: list[Union[str, Path]] = [manifest.resolved_cache_dir()]
-    dirs.extend(extra_cache_dirs)
-    result = merge_sweeps(
-        manifest.experiment, manifest.seeds, manifest.overrides,
-        cache_dirs=dirs, jobs=jobs, strict=strict,
-        backend=backend if backend is not None else manifest.backend,
-    )
+    dirs = [manifest.resolved_cache_dir(), *extra_cache_dirs]
+    union = _UnionCache([SweepCache(directory) for directory in dirs])
+    if strict:
+        grid = manifest.grid()
+        missing = [point for point in grid if not union.has(point)]
+        if missing:
+            shown = ", ".join(point.describe() for point in missing[:5])
+            more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
+            raise CampaignError(
+                f"strict merge: {len(missing)} of {len(grid)} grid points "
+                f"missing from the shard stores: {shown}{more}")
+    with _analysis_backend(manifest.backend) as backend:
+        result = _run_sweep_inner(
+            manifest.experiment, manifest.seeds, manifest.overrides,
+            jobs=manifest.effective_workers(), batch=manifest.batch,
+            cache_dir=" + ".join(str(directory) for directory in dirs),
+            cache=union,
+        )
+    result.backend = backend
     if strict and manifest.expected:
-        cache = SweepCache(dirs[0])
         for summary in result.points:
-            key = cache.point_key(summary.point)
+            key = union.caches[0].point_key(summary.point)
             pinned = manifest.expected.get(key)
             if pinned is not None and pinned != summary.digest:
                 raise CampaignError(

@@ -36,9 +36,9 @@ Properties the sweep pipeline relies on:
   lock (``flock`` on POSIX, ``msvcrt.locking`` on Windows); loads don't
   lock (records are immutable once complete).  On platforms with
   neither primitive the store is strictly single-writer — see the
-  fallback note at ``_lock``.  Multi-machine campaigns give each shard
-  run its own cache root and merge the stores afterwards
-  (:func:`repro.sim.sweep.merge_sweeps`).
+  fallback note at ``_lock``.  Multi-machine campaigns give each
+  machine its own cache root and merge the stores afterwards
+  (:func:`repro.sim.campaign.merge_campaign`).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
         # store degrades to SINGLE-WRITER — concurrent appends can
         # interleave torn records mid-shard, which the torn-tail scan
         # does not repair.  Give each writer its own cache root and
-        # merge afterwards (repro.sim.sweep.merge_sweeps).
+        # merge afterwards (repro.sim.campaign.merge_campaign).
         def _lock(fileobj) -> None:
             pass
 

@@ -31,12 +31,11 @@ file, and a whole campaign's cache travels as two files.  A point folded
 from cache is byte-identical to the freshly simulated one (the per-point
 digests in the report let anyone re-verify).
 
-Campaigns shard across machines with zero coordination:
-``run_sweep(..., shard=(i, N))`` (CLI ``--shard i/N``) runs the i-th
-deterministic slice of the canonical grid into its own cache dir, and
-:func:`merge_sweeps` (CLI ``merge-sweeps``) folds any collection of
-shard stores back in canonical grid order — byte-identical, digest for
-digest, to the unsharded run.
+Splitting a grid across machines is the campaign orchestrator's job
+(:mod:`repro.sim.campaign`): each machine runs ``campaign worker`` for
+its shard of one manifest, and ``campaign merge`` folds the stores back
+in canonical grid order — byte-identical, digest for digest, to the
+unsharded run.
 
 Determinism is the design center, not an afterthought:
 
@@ -62,6 +61,7 @@ import math
 import multiprocessing
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -266,8 +266,6 @@ class SweepResult:
     cache_dir: Optional[str] = None
     cache_hits: int = 0
     backend: Optional[str] = None  # analysis backend, when explicitly set
-    shard: Optional[tuple[int, int]] = None  # (index, count) when sharded
-    grid_points: Optional[int] = None  # full grid size (for shard headers)
     batch: int = 1  # worlds per in-process batch (1 = unbatched)
 
     @property
@@ -303,15 +301,9 @@ class SweepResult:
         mode = f"parallel x{self.jobs}" if self.jobs > 1 else "serial"
         header = [
             f"== sweep: {self.exp_id} over {len(self.points)} points ==",
-            f"-- mode: {mode}; wall {self.wall_s:.2f} s "
+            f"-- mode: {mode}, batch {self.batch}; wall {self.wall_s:.2f} s "
             f"(serial estimate {self.serial_wall_s:.2f} s)",
         ]
-        if self.shard is not None:
-            index, count = self.shard
-            total = self.grid_points if self.grid_points is not None else "?"
-            header.append(
-                f"-- shard: {index}/{count} "
-                f"({len(self.points)} of {total} grid points)")
         if self.backend is not None:
             header.append(f"-- analysis backend: {self.backend}")
         if self.cache_dir is not None:
@@ -490,45 +482,6 @@ class SweepCache:
 # -- grid -----------------------------------------------------------------
 
 
-def parse_shard(spec: str) -> tuple[int, int]:
-    """Parse an ``i/N`` shard spec (``0/4`` … ``3/4``) into (index, count).
-
-    Zero-based: shard ``i`` of ``N`` owns the grid points whose canonical
-    index ≡ i (mod N).
-    """
-    index_str, sep, count_str = spec.partition("/")
-    try:
-        if not sep:
-            raise ValueError(spec)
-        index, count = int(index_str), int(count_str)
-    except ValueError:
-        raise SweepError(
-            f"bad shard spec {spec!r}; expected i/N, e.g. 0/4") from None
-    if count < 1 or not 0 <= index < count:
-        raise SweepError(
-            f"bad shard spec {spec!r}: need 0 <= i < N, got i={index} N={count}")
-    return index, count
-
-
-def shard_points(
-    points: Sequence[SweepPoint], index: int, count: int,
-) -> list[SweepPoint]:
-    """Shard ``index`` of ``count``'s slice of the canonical grid.
-
-    Round-robin over the canonical (seed-major) grid order: point ``k``
-    belongs to shard ``k mod count``.  The partition is a pure function
-    of the grid — every point lands in exactly one shard, shards of one
-    campaign never overlap, and their union is the grid — so N machines
-    can each run ``--shard i/N`` against the same spec with no
-    coordination and :func:`merge_sweeps` can fold the stores back into
-    the exact unsharded result.  Round-robin (rather than contiguous
-    blocks) balances seed-correlated cost gradients across shards.
-    """
-    if count < 1 or not 0 <= index < count:
-        raise SweepError(f"bad shard: need 0 <= i < N, got i={index} N={count}")
-    return list(points[index::count])
-
-
 def expand_grid(
     exp_id: str,
     seeds: Iterable[int],
@@ -674,11 +627,8 @@ def _iter_points_guarded(
     budget, and only then aborts the sweep with its ``describe()``."""
     position = 0
     while position < len(points):
-        remaining = points[position:]
-        iterator = (_iter_points_batched(remaining, batch) if batch > 1
-                    else map(run_point, remaining))
         try:
-            for result in iterator:
+            for result in _iter_points_batched(points[position:], batch):
                 position += 1
                 yield result
         except Exception as exc:  # noqa: BLE001 - the retry boundary
@@ -687,22 +637,6 @@ def _iter_points_guarded(
                 point, f"{type(exc).__name__}: {exc}",
                 traceback.format_exc())
             position += 1
-
-
-def _run_point_indexed(
-    item: tuple[int, SweepPoint],
-) -> tuple[int, Union[PointResult, PointFailure]]:
-    """Pool worker wrapper: tag each result with its grid index so the
-    parent can re-order ``imap_unordered`` output deterministically.
-    Exceptions become :class:`PointFailure` payloads — a worker must
-    never abort the shared stream."""
-    index, point = item
-    try:
-        return index, run_point(point)
-    except Exception as exc:  # noqa: BLE001 - serialized for the parent
-        return index, PointFailure(
-            point=point, error=f"{type(exc).__name__}: {exc}",
-            worker_traceback=traceback.format_exc())
 
 
 #: Default worlds-per-batch for the in-process executor.  K=8 amortizes
@@ -758,9 +692,10 @@ def _batch_plans(
 def _iter_points_batched(
     points: Sequence[SweepPoint], k: int,
 ) -> Iterator[PointResult]:
-    """The in-process batched executor: run the points in order, with
-    each chunk head announcing its chunk's seeds so ``run_blink``
-    simulates the whole chunk as one interleaved batch."""
+    """The in-process executor: run the points in order, with each chunk
+    head announcing its chunk's seeds so ``run_blink`` simulates the
+    whole chunk as one interleaved batch (K=1 plans no batches, so this
+    is ``map(run_point, points)``)."""
     plans = _batch_plans(points, k)
     for point, plan in zip(points, plans):
         if plan is not None:
@@ -773,11 +708,14 @@ def _iter_points_batched(
 def _run_chunk_batched(
     item: tuple[list[tuple[int, SweepPoint]], int],
 ) -> list[tuple[int, Union[PointResult, PointFailure]]]:
-    """Pool worker wrapper for batched dispatch: a worker receives a
-    whole chunk of index-tagged points and batches within it, so the
-    K-world amortization survives fan-out.  A point that raises becomes
-    a :class:`PointFailure` in place; the rest of the chunk still runs
-    (batch siblings of a failed head fall back to their serial path)."""
+    """The pool worker function: a worker receives a whole chunk of
+    index-tagged points and batches within it, so the K-world
+    amortization survives fan-out, and the grid index on each result
+    lets the parent re-order ``imap_unordered`` output.  A point that
+    raises becomes a :class:`PointFailure` in place — a worker must
+    never abort the shared stream — and the rest of the chunk still
+    runs (batch siblings of a failed head fall back to their serial
+    path)."""
     pairs, k = item
     points = [point for _, point in pairs]
     plans = _batch_plans(points, k)
@@ -842,8 +780,7 @@ def _robust_pool_stream(
     """
     done: set[int] = set()
 
-    def deliver(item):
-        pairs = item if isinstance(item, list) else [item]
+    def deliver(pairs):
         for index, payload in pairs:
             if isinstance(payload, PointFailure):
                 payload = _retry_failed_point(
@@ -851,28 +788,20 @@ def _robust_pool_stream(
             done.add(index)
             yield index, payload
 
+    # Whole chunks travel to the workers so each can run its K-world
+    # batches; the flattened index-tagged stream feeds the re-ordering
+    # buffer.
+    indexed = list(enumerate(misses))
+    chunks = [(indexed[start:start + chunksize], batch)
+              for start in range(0, len(indexed), chunksize)]
     with context.Pool(processes=jobs, initializer=initializer,
                       initargs=initargs or ()) as pool:
-        if batch > 1:
-            # Batched dispatch ships whole chunks so each worker can
-            # run its K-world batches; the flattened index-tagged
-            # stream feeds the same re-ordering buffer.
-            indexed = list(enumerate(misses))
-            chunks = [
-                (indexed[start:start + chunksize], batch)
-                for start in range(0, len(indexed), chunksize)
-            ]
-            unordered = pool.imap_unordered(
-                _run_chunk_batched, chunks, chunksize=1)
-            expected = len(chunks)
-        else:
-            unordered = pool.imap_unordered(
-                _run_point_indexed, enumerate(misses), chunksize=chunksize)
-            expected = len(misses)
+        unordered = pool.imap_unordered(
+            _run_chunk_batched, chunks, chunksize=1)
         baseline = _pool_pids(pool)
         received = 0
         broken = False
-        while received < expected:
+        while received < len(chunks):
             try:
                 item = unordered.next(timeout=_POOL_POLL_S)
             except StopIteration:
@@ -967,7 +896,6 @@ def run_sweep(
     start_method: Optional[str] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     backend: Optional[str] = None,
-    shard: Optional[tuple[int, int]] = None,
     batch: Optional[int] = None,
 ) -> SweepResult:
     """Run a campaign and aggregate it, streaming.
@@ -983,11 +911,6 @@ def run_sweep(
     digest-keyed packed store and only the rest are dispatched; fresh
     results are stored back for the next campaign.
 
-    ``shard=(i, N)`` runs only shard ``i``'s deterministic slice of the
-    grid (see :func:`shard_points`) — the multi-machine campaign
-    building block: give every machine the same spec plus its own shard
-    index and cache dir, then fold the stores with :func:`merge_sweeps`.
-
     ``backend`` selects the analysis backend for every point: it is
     exported as ``$REPRO_ANALYSIS_BACKEND`` for the duration of the
     campaign (child processes inherit the parent environment under
@@ -999,24 +922,33 @@ def run_sweep(
     backend; a cached sweep folds the same bytes whichever backend
     produced them.
     """
-    if backend is not None:
-        backend = resolve_analysis_backend(backend)
-        previous_env = os.environ.get(BACKEND_ENV_VAR)
-        os.environ[BACKEND_ENV_VAR] = backend
-    try:
+    with _analysis_backend(backend) as backend:
         result = _run_sweep_inner(
             exp_id, seeds, overrides, jobs=jobs,
-            start_method=start_method, cache_dir=cache_dir, shard=shard,
-            batch=batch,
+            start_method=start_method, cache_dir=cache_dir, batch=batch,
         )
-    finally:
-        if backend is not None:
-            if previous_env is None:
-                del os.environ[BACKEND_ENV_VAR]
-            else:
-                os.environ[BACKEND_ENV_VAR] = previous_env
     result.backend = backend
     return result
+
+
+@contextmanager
+def _analysis_backend(backend: Optional[str]) -> Iterator[Optional[str]]:
+    """Export ``backend`` (validated) as ``$REPRO_ANALYSIS_BACKEND`` for
+    the block and restore the previous value afterwards; yields the
+    resolved name.  ``None`` leaves the environment alone."""
+    if backend is None:
+        yield None
+        return
+    backend = resolve_analysis_backend(backend)
+    previous = os.environ.get(BACKEND_ENV_VAR)
+    os.environ[BACKEND_ENV_VAR] = backend
+    try:
+        yield backend
+    finally:
+        if previous is None:
+            del os.environ[BACKEND_ENV_VAR]
+        else:
+            os.environ[BACKEND_ENV_VAR] = previous
 
 
 def detect_jobs() -> int:
@@ -1042,13 +974,14 @@ def _run_sweep_inner(
     jobs: int = 1,
     start_method: Optional[str] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    shard: Optional[tuple[int, int]] = None,
     cache: Optional["SweepCache"] = None,
     batch: Optional[int] = None,
 ) -> SweepResult:
+    """:func:`run_sweep` minus the backend export.  ``cache`` overrides
+    the store built from ``cache_dir`` (which then only labels the
+    header) — how a campaign merge folds a union of several stores."""
     batch = resolve_batch(batch)
-    grid = expand_grid(exp_id, seeds, overrides)
-    points = grid if shard is None else shard_points(grid, *shard)
+    points = expand_grid(exp_id, seeds, overrides)
     start = time.perf_counter()
     if cache is None and cache_dir is not None:
         cache = SweepCache(cache_dir)
@@ -1077,8 +1010,6 @@ def _run_sweep_inner(
 
     if jobs == 1:
         fresh = _iter_points_guarded(misses, batch)
-        for result in _merge_in_grid_order(points, hits, cache, fresh):
-            fold(result)
     else:
         context = multiprocessing.get_context(
             start_method or DEFAULT_START_METHOD
@@ -1104,8 +1035,8 @@ def _run_sweep_inner(
         unordered = _robust_pool_stream(
             context, misses, jobs, batch, chunksize, initializer, initargs)
         fresh = _in_grid_index_order(unordered, len(misses))
-        for result in _merge_in_grid_order(points, hits, cache, fresh):
-            fold(result)
+    for result in _merge_in_grid_order(points, hits, cache, fresh):
+        fold(result)
     wall_s = time.perf_counter() - start
     return SweepResult(
         exp_id=exp_id, points=summaries, jobs=jobs, wall_s=wall_s,
@@ -1113,94 +1044,8 @@ def _run_sweep_inner(
         comparisons=aggregator.comparisons(),
         cache_dir=str(cache_dir) if cache_dir is not None else None,
         cache_hits=sum(1 for s in summaries if s.from_cache),
-        shard=shard,
-        grid_points=len(grid),
         batch=batch,
     )
-
-
-# -- multi-machine merge ----------------------------------------------------
-
-
-class _UnionCache:
-    """Read-through union of several shard stores: loads probe the dirs
-    in the order given (first hit wins), stores go to the first — so a
-    non-strict merge leaves the primary store covering the whole grid."""
-
-    def __init__(self, caches: Sequence[SweepCache]) -> None:
-        self.caches = list(caches)
-
-    def has(self, point: SweepPoint) -> bool:
-        return any(cache.has(point) for cache in self.caches)
-
-    def load(self, point: SweepPoint) -> Optional[PointResult]:
-        for cache in self.caches:
-            result = cache.load(point)
-            if result is not None:
-                return result
-        return None
-
-    def store(self, result: PointResult) -> bool:
-        return self.caches[0].store(result)
-
-
-def merge_sweeps(
-    exp_id: str,
-    seeds: Iterable[int],
-    overrides: Optional[Mapping[str, Sequence[str]]] = None,
-    cache_dirs: Sequence[Union[str, Path]] = (),
-    jobs: int = 1,
-    strict: bool = False,
-    backend: Optional[str] = None,
-) -> SweepResult:
-    """Fold N shard runs' stores into the unsharded campaign result.
-
-    Re-expands the canonical grid for the spec and folds every point's
-    cached payload — wherever it lives among ``cache_dirs`` — through
-    the same Welford aggregation, **in canonical grid order**.  Because
-    the fold order and the per-point bytes are exactly those of an
-    unsharded run, the merged aggregates, per-point digests, and sweep
-    digest are byte-identical to running the whole campaign on one
-    machine (and to merging the same stores in any directory order —
-    a point's payload is the same bytes in whichever store holds it).
-
-    Points no store covers are simulated here (and written back to the
-    first store) unless ``strict`` is set, in which case missing
-    coverage raises :class:`SweepError` naming the gap — the mode for a
-    merge host that must not silently absorb a lost shard.
-    """
-    if not cache_dirs:
-        raise SweepError("merge needs at least one cache directory")
-    seeds = list(seeds)
-    union = _UnionCache([SweepCache(directory) for directory in cache_dirs])
-    if strict:
-        grid = expand_grid(exp_id, seeds, overrides)
-        missing = [p for p in grid if not union.has(p)]
-        if missing:
-            shown = ", ".join(p.describe() for p in missing[:5])
-            more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
-            raise SweepError(
-                f"strict merge: {len(missing)} of {len(grid)} grid points "
-                f"missing from the shard stores: {shown}{more}"
-            )
-    label = " + ".join(str(directory) for directory in cache_dirs)
-    if backend is not None:
-        backend = resolve_analysis_backend(backend)
-        previous_env = os.environ.get(BACKEND_ENV_VAR)
-        os.environ[BACKEND_ENV_VAR] = backend
-    try:
-        result = _run_sweep_inner(
-            exp_id, seeds, overrides, jobs=jobs, cache_dir=label,
-            cache=union,
-        )
-    finally:
-        if backend is not None:
-            if previous_env is None:
-                del os.environ[BACKEND_ENV_VAR]
-            else:
-                os.environ[BACKEND_ENV_VAR] = previous_env
-    result.backend = backend
-    return result
 
 
 # -- aggregation ----------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.accounting import BACKEND_ENV_VAR
 from repro.errors import CampaignError, SweepError
 from repro.sim import faultinject
 from repro.sim.campaign import (
@@ -163,6 +164,22 @@ def test_strict_manifest_merge_verifies_pins(tmp_path, golden_digest):
     manifest.path.write_text(json.dumps(doc))
     with pytest.raises(CampaignError, match="does not match"):
         merge_campaign(manifest.path, strict=True)
+
+
+def test_worker_applies_manifest_backend(tmp_path, monkeypatch):
+    """``campaign plan --backend streaming`` reaches the worker: with
+    the env var unset, no point runs the columnar fold, and the
+    worker leaves the environment as it found it."""
+    from repro.tos import node
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("columnar backend ran")
+
+    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    monkeypatch.setattr(node, "columnar_energy_map", refuse)
+    manifest = plan(tmp_path, shards=1, workers=1, backend="streaming")
+    assert run_worker(manifest.path, 0, 1) == 0
+    assert BACKEND_ENV_VAR not in os.environ
 
 
 # -- injected worker faults --------------------------------------------------
@@ -320,21 +337,23 @@ def test_runner_and_worker_sigkilled_then_resumed(tmp_path, golden_digest):
 # -- the in-pool retry satellite (run_sweep itself) --------------------------
 
 
+@pytest.mark.parametrize("batch", [1, 8])
 def test_run_sweep_retries_worker_exception(tmp_path, monkeypatch,
-                                            golden_digest):
+                                            golden_digest, batch):
     """A worker-side exception on one point no longer aborts the sweep:
     the parent retries the point in-process on a fresh world."""
     arm(monkeypatch, tmp_path, "raise@point", select=2)
-    result = run_sweep(EXP, SEEDS, OVERRIDES, jobs=2)
+    result = run_sweep(EXP, SEEDS, OVERRIDES, jobs=2, batch=batch)
     assert result.digest() == golden_digest
 
 
+@pytest.mark.parametrize("batch", [1, 8])
 def test_run_sweep_survives_worker_death(tmp_path, monkeypatch,
-                                         golden_digest):
+                                         golden_digest, batch):
     """SIGKILL of a pool worker mid-point: the pid-set watchdog notices,
     the pool is torn down, and the lost points re-run in-process."""
     arm(monkeypatch, tmp_path, "crash@point", select=1)
-    result = run_sweep(EXP, SEEDS, OVERRIDES, jobs=2)
+    result = run_sweep(EXP, SEEDS, OVERRIDES, jobs=2, batch=batch)
     assert result.digest() == golden_digest
 
 

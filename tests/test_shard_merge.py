@@ -1,29 +1,34 @@
 """Shard partitioning and the shard/merge determinism contract.
 
-The multi-machine campaign story: N machines each run
-``sweep <id> --shard i/N --cache-dir <own dir>`` against one spec, then
-``merge-sweeps`` folds the stores.  Gated here:
+The multi-machine campaign story: plan one manifest, copy it to N
+machines, run ``campaign worker <manifest> --shard i/N`` on machine
+``i``, then ``campaign merge <manifest> --cache-dir <other dirs>``
+folds the stores.  Gated here:
 
 * the partition is exact — every grid point lands in exactly one shard,
   shards never overlap, their union is the grid;
 * the merged result is **byte-identical** to the unsharded run — same
   aggregates, same per-point digests, same sweep digest;
-* merging the same stores in any directory order gives the same bytes;
+* merging from either machine's copy of the manifest gives the same
+  bytes;
 * strict mode refuses a merge with missing coverage instead of quietly
   simulating the gap.
 """
+
+import shutil
 
 import pytest
 
 from repro.cli import main
 from repro.errors import SweepError
-from repro.sim.sweep import (
-    expand_grid,
-    merge_sweeps,
+from repro.sim.campaign import (
+    merge_campaign,
     parse_shard,
-    run_sweep,
+    plan_campaign,
+    run_worker,
     shard_points,
 )
+from repro.sim.sweep import expand_grid, run_sweep
 from repro.units import seconds
 
 SHORT = str(seconds(8))
@@ -58,27 +63,35 @@ def test_parse_shard_specs():
             parse_shard(bad)
 
 
-def test_bad_shard_rejected_by_runner():
-    with pytest.raises(SweepError):
-        run_sweep("table3", [0], OVERRIDES, shard=(2, 2))
-
-
 # -- merge ------------------------------------------------------------------
 
 
+def machines(tmp_path, seeds, shards, run=None):
+    """Plan one manifest, copy it into one dir per machine, and run
+    ``run_worker`` for machine i's shard in dir i (every shard unless
+    ``run`` names which).  Returns the per-machine manifest paths."""
+    plan_campaign("table3", seeds, OVERRIDES, shards=shards,
+                  out_path=tmp_path / "camp.json")
+    paths = []
+    for index in range(shards):
+        directory = tmp_path / f"m{index}"
+        directory.mkdir()
+        path = directory / "camp.json"
+        shutil.copy(tmp_path / "camp.json", path)
+        paths.append(path)
+    for index in (range(shards) if run is None else run):
+        assert run_worker(paths[index], index, shards) == 0
+    return paths
+
+
 def test_sharded_then_merged_is_byte_identical_to_unsharded(tmp_path):
-    """The acceptance criterion: shard the grid over two stores, merge,
-    and compare everything against the single-machine run."""
+    """The acceptance criterion: shard the grid over two machines'
+    stores, merge, and compare everything against the single-machine
+    run."""
     unsharded = run_sweep("table3", range(4), OVERRIDES, jobs=1)
-    dirs = [tmp_path / "m0", tmp_path / "m1"]
-    for index, directory in enumerate(dirs):
-        shard = run_sweep("table3", range(4), OVERRIDES, jobs=1,
-                          cache_dir=directory, shard=(index, 2))
-        assert len(shard.points) == 2
-        assert shard.shard == (index, 2)
-        assert shard.grid_points == 4
-    merged = merge_sweeps("table3", range(4), OVERRIDES, cache_dirs=dirs,
-                          strict=True)
+    m0, m1 = machines(tmp_path, range(4), 2)
+    merged = merge_campaign(m0, extra_cache_dirs=[m1.parent / "cache"],
+                            strict=True)
     assert merged.digest() == unsharded.digest()
     assert merged.metrics == unsharded.metrics
     assert merged.comparisons == unsharded.comparisons
@@ -88,14 +101,11 @@ def test_sharded_then_merged_is_byte_identical_to_unsharded(tmp_path):
 
 
 def test_merge_is_order_independent(tmp_path):
-    dirs = [tmp_path / "m0", tmp_path / "m1", tmp_path / "m2"]
-    for index, directory in enumerate(dirs):
-        run_sweep("table3", range(3), OVERRIDES, jobs=1,
-                  cache_dir=directory, shard=(index, 3))
-    forward = merge_sweeps("table3", range(3), OVERRIDES,
-                           cache_dirs=dirs, strict=True)
-    backward = merge_sweeps("table3", range(3), OVERRIDES,
-                            cache_dirs=list(reversed(dirs)), strict=True)
+    m0, m1 = machines(tmp_path, range(3), 2)
+    forward = merge_campaign(m0, extra_cache_dirs=[m1.parent / "cache"],
+                             strict=True)
+    backward = merge_campaign(m1, extra_cache_dirs=[m0.parent / "cache"],
+                              strict=True)
     assert forward.digest() == backward.digest()
     assert forward.metrics == backward.metrics
     assert forward.render().splitlines()[0] == \
@@ -103,36 +113,21 @@ def test_merge_is_order_independent(tmp_path):
 
 
 def test_strict_merge_refuses_missing_coverage(tmp_path):
-    run_sweep("table3", range(4), OVERRIDES, jobs=1,
-              cache_dir=tmp_path / "m0", shard=(0, 2))
+    m0, _m1 = machines(tmp_path, range(4), 2, run=[0])
     # Shard 1/2 never ran: strict merge must name the gap.
     with pytest.raises(SweepError) as excinfo:
-        merge_sweeps("table3", range(4), OVERRIDES,
-                     cache_dirs=[tmp_path / "m0"], strict=True)
+        merge_campaign(m0, strict=True)
     assert "missing" in str(excinfo.value)
 
 
 def test_lenient_merge_simulates_the_gap_and_backfills(tmp_path):
-    run_sweep("table3", range(2), OVERRIDES, jobs=1,
-              cache_dir=tmp_path / "m0", shard=(0, 2))
-    merged = merge_sweeps("table3", range(2), OVERRIDES,
-                          cache_dirs=[tmp_path / "m0"])
+    m0, _m1 = machines(tmp_path, range(2), 2, run=[0])
+    merged = merge_campaign(m0)
     assert (merged.cache_hits, merged.simulated) == (1, 1)
     assert merged.digest() == run_sweep("table3", range(2), OVERRIDES).digest()
     # The simulated point was written back: a re-merge is all hits.
-    again = merge_sweeps("table3", range(2), OVERRIDES,
-                         cache_dirs=[tmp_path / "m0"], strict=True)
+    again = merge_campaign(m0, strict=True)
     assert (again.cache_hits, again.simulated) == (2, 0)
-
-
-def test_merge_needs_at_least_one_dir():
-    with pytest.raises(SweepError):
-        merge_sweeps("table3", [0], OVERRIDES, cache_dirs=[])
-
-
-def test_shard_header_renders_slice(tmp_path):
-    result = run_sweep("table3", range(4), OVERRIDES, jobs=1, shard=(1, 2))
-    assert "-- shard: 1/2 (2 of 4 grid points)" in result.render()
 
 
 # -- CLI --------------------------------------------------------------------
@@ -140,18 +135,22 @@ def test_shard_header_renders_slice(tmp_path):
 
 def test_cli_shard_and_merge_roundtrip(tmp_path, capsys):
     spec = ["table3", "--seeds", "2", "--set", f"duration_ns={SHORT}"]
-    assert main(["sweep", *spec]) == 0
+    assert main(["sweep", *spec, "--no-cache"]) == 0
     want = capsys.readouterr().out
+    assert main(["campaign", "plan", str(tmp_path / "camp.json"), *spec,
+                 "--shards", "2"]) == 0
     for index in range(2):
         directory = tmp_path / f"m{index}"
-        assert main(["sweep", *spec, "--shard", f"{index}/2",
-                     "--cache-dir", str(directory)]) == 0
-        out = capsys.readouterr().out
-        assert f"-- shard: {index}/2 (1 of 2 grid points)" in out
-    assert main(["merge-sweeps", *spec, "--strict",
-                 "--cache-dir", str(tmp_path / "m0"),
-                 "--cache-dir", str(tmp_path / "m1")]) == 0
+        directory.mkdir()
+        shutil.copy(tmp_path / "camp.json", directory / "camp.json")
+        assert main(["campaign", "worker", str(directory / "camp.json"),
+                     "--shard", f"{index}/2"]) == 0
+    capsys.readouterr()
+    assert main(["campaign", "merge", str(tmp_path / "m0" / "camp.json"),
+                 "--strict", "--cache-dir", str(tmp_path / "m1" / "cache")]) \
+        == 0
     merged = capsys.readouterr().out
+    assert "-- cache: 2 reused, 0 simulated" in merged
 
     def digest_line(text):
         return next(line for line in text.splitlines()
@@ -160,6 +159,8 @@ def test_cli_shard_and_merge_roundtrip(tmp_path, capsys):
     assert digest_line(merged) == digest_line(want)
 
 
-def test_cli_bad_shard_spec_fails_cleanly(capsys):
-    assert main(["sweep", "table3", "--seeds", "1", "--shard", "9"]) == 2
+def test_cli_bad_shard_spec_fails_cleanly(tmp_path, capsys):
+    plan_campaign("table3", [0], OVERRIDES, out_path=tmp_path / "camp.json")
+    assert main(["campaign", "worker", str(tmp_path / "camp.json"),
+                 "--shard", "9"]) == 2
     assert "shard" in capsys.readouterr().err

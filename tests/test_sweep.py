@@ -263,8 +263,10 @@ def test_run_sweep_honours_batch(monkeypatch):
     grid = {"duration_ns": [str(seconds(4))]}
     serial = run_sweep("table3", range(2), grid, batch=1)
     assert serial.batch == 1
+    assert "-- mode: serial, batch 1;" in serial.render()
     assert built == []
     batched = run_sweep("table3", range(2), grid, batch=2)
     assert batched.batch == 2
+    assert "-- mode: serial, batch 2;" in batched.render()
     assert built == [2]
     assert batched.digest() == serial.digest()

@@ -13,7 +13,7 @@ The scripted version of the orchestrator's acceptance criterion:
    stored points from cache (no re-simulation) and finish the rest;
 6. assert the resumed digest is byte-identical to the golden serial one,
    then re-verify via ``repro campaign status`` and a strict
-   manifest-driven ``merge-sweeps``.
+   ``repro campaign merge``.
 
 Run from the repo root: ``PYTHONPATH=src python tools/campaign_chaos.py``.
 """
@@ -129,8 +129,8 @@ def main() -> int:
     if proc.returncode != 0 or "complete" not in proc.stdout:
         print("FAIL: status does not report completion", file=sys.stderr)
         return 1
-    proc = run_cli(["merge-sweeps", "--manifest", str(manifest.path),
-                    "--strict"], clean_env())
+    proc = run_cli(["campaign", "merge", str(manifest.path), "--strict"],
+                   clean_env())
     merged = re.search(r"sweep digest: (\w+)", proc.stdout)
     if proc.returncode != 0 or merged is None or merged.group(1) != golden:
         print(proc.stdout)
