@@ -10,6 +10,18 @@ known journal offset.  Restart = load the newest valid checkpoint,
 replay the journal's payload tail through the same decode→window path;
 the result is bit-identical to an uninterrupted run.
 
+Checkpoints are written off the event loop.  The server takes the
+snapshot on the loop and hands it to its one :class:`CheckpointWriter`
+thread, which pickles, writes, fsyncs and renames it in submission
+order while decode, accounting and queries carry on (``fsync`` releases
+the GIL).  Journal appends stay on the loop and flushed, so an ack
+still means "journaled".  A write still in flight when the process dies
+is harmless: the previous checkpoint stays in place, and restore replays
+the journal from it to the same state.  :meth:`NodeJournal.create`
+removes a stale checkpoint, so the server calls it only once every
+write still pending for that node has landed; otherwise a late write of
+the previous stream could be restored into the new one.
+
 Torn tails are expected, not fatal: a SIGKILL mid-append leaves a short
 or CRC-failing record at the end of the journal, and the scan simply
 stops at the last whole record — exactly how ``ShardStore._scan_shard``
@@ -23,6 +35,7 @@ State-dir layout, one node per journal::
     state-dir/
       node-7.waj          # WAL: magic, hello record, chunk records
       node-7.ckpt         # newest checkpoint (atomic replace)
+      node-7.ckpt.tmp     # only while a write is in flight (or died)
       node-7.quarantine   # only if quarantined: the error, journal kept
 
 Record framing: ``kind u8 | length u32 | crc32 u32`` then payload.
@@ -37,12 +50,16 @@ import os
 import pickle
 import re
 import struct
+import threading
 import zlib
+from collections import Counter, deque
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import ServeError
+from repro.sim.faultinject import fire
 
 JOURNAL_MAGIC = b"QWAJ\x01\x00\x00\x00"
 CHECKPOINT_MAGIC = b"QCKP\x01\x00\x00\x00"
@@ -202,8 +219,10 @@ class NodeJournal:
     # -- checkpoints ---------------------------------------------------------
 
     def write_checkpoint(self, state: dict) -> None:
-        """Atomically replace the node's checkpoint (tmp + ``os.replace``
-        — a crash mid-write leaves the previous checkpoint intact)."""
+        """Atomically replace the node's checkpoint (tmp + fsync +
+        ``os.replace`` — a crash mid-write leaves the previous checkpoint
+        intact).  The server runs this on its :class:`CheckpointWriter`
+        thread, never on the event loop."""
         payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         tmp = self.checkpoint_path.with_suffix(".ckpt.tmp")
         with open(tmp, "wb") as handle:
@@ -213,6 +232,7 @@ class NodeJournal:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
+        fire("serve-checkpoint-write", self.node_id)
         os.replace(tmp, self.checkpoint_path)
 
     def load_checkpoint(self) -> Optional[dict]:
@@ -278,3 +298,108 @@ class NodeJournal:
             at = payload_at + length
             contents.valid_end = at
         return contents
+
+
+@dataclass
+class _WriteJob:
+    """One queued checkpoint (``journal`` set) or drain marker (not)."""
+
+    journal: Optional[NodeJournal]
+    state: Optional[dict]
+    done: Callable[[Optional[dict], Optional[BaseException]], None]
+
+
+class CheckpointWriter:
+    """The one background thread that lands a server's checkpoints.
+
+    Jobs run in submission order, one at a time, through
+    :meth:`NodeJournal.write_checkpoint`.  At most one job per node waits
+    unstarted: a newer snapshot of that node replaces the waiting one's
+    state in place.  The thread starts with the first job and exits on
+    :meth:`stop`; it is a daemon, so a server that is never closed does
+    not hold the process open (an unlanded write is then a crash mid-
+    write, which the checkpoint format already survives).
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._jobs: deque = deque()
+        self._waiting: dict[int, _WriteJob] = {}  # node id -> unstarted
+        self._pending: Counter = Counter()        # node id -> not landed
+        self._thread: Optional[threading.Thread] = None
+
+    def submit(self, journal: NodeJournal, state: dict,
+               done: Callable[[dict, Optional[BaseException]], None]
+               ) -> bool:
+        """Queue ``state`` for ``journal``.  ``done(state, error)`` runs
+        on the writer thread once the write landed (``error`` None) or
+        raised.  Returns False when the node's waiting job took the new
+        state (and ``done``) instead of a new job being queued."""
+        with self._cond:
+            job = self._waiting.get(journal.node_id)
+            if job is not None:
+                job.state, job.done = state, done
+                return False
+            job = _WriteJob(journal, state, done)
+            self._waiting[journal.node_id] = job
+            self._pending[journal.node_id] += 1
+            self._enqueue(job)
+        return True
+
+    def pending(self, node_id: int) -> int:
+        """Jobs of ``node_id`` not yet landed (queued or in flight)."""
+        with self._cond:
+            return self._pending[node_id]
+
+    def drained(self) -> Future:
+        """A future that resolves once every job submitted so far has
+        landed or failed."""
+        future: Future = Future()
+
+        def resolve(_state, _error) -> None:
+            # A waiter may have given up (cancelled); never raise here.
+            if future.set_running_or_notify_cancel():
+                future.set_result(None)
+
+        with self._cond:
+            self._enqueue(_WriteJob(None, None, resolve))
+        return future
+
+    def stop(self) -> None:
+        """Let the thread finish the queue, then wait for it to exit."""
+        with self._cond:
+            thread, self._thread = self._thread, None
+            if thread is None:
+                return
+            self._jobs.append(None)
+            self._cond.notify()
+        thread.join()
+
+    def _enqueue(self, job: _WriteJob) -> None:
+        self._jobs.append(job)
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name="checkpoint-writer", daemon=True)
+            self._thread.start()
+        self._cond.notify()
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while not self._jobs:
+                    self._cond.wait()
+                job = self._jobs.popleft()
+                if job is None:
+                    return
+                journal = job.journal
+                if journal is not None:
+                    del self._waiting[journal.node_id]
+            error = None
+            if journal is not None:
+                try:
+                    journal.write_checkpoint(job.state)
+                except Exception as exc:
+                    error = exc
+                with self._cond:
+                    self._pending[journal.node_id] -= 1
+            job.done(job.state, error)

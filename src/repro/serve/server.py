@@ -18,12 +18,33 @@ of finished nodes keeps only their folded maps.
 **Durability** (``state_dir``): every raw chunk is appended to the
 node's write-ahead journal (:mod:`repro.serve.journal`) *before* it
 enters the decoder, and checkpoints snapshot the decoder + accumulator
-atomically every ``checkpoint_bytes`` of stream.  A restarted server
-restores each journal — newest checkpoint, then replay of the journal
-tail through the same decode→window path — and resumes sessions
-bit-identical to an uninterrupted run.  Clients speaking the resume
-handshake (hello ``"ack": true``) learn the server's journaled offset
-on connect and replay idempotently from there.
+every ``checkpoint_bytes`` of stream.  A restarted server restores each
+journal — newest checkpoint, then replay of the journal tail through
+the same decode→window path — and resumes sessions bit-identical to an
+uninterrupted run.  Clients speaking the resume handshake (hello
+``"ack": true``) learn the server's journaled offset on connect and
+replay idempotently from there.
+
+**What runs where.**  The loop journals each chunk (written and
+flushed, so an ack means "journaled"), takes each checkpoint's snapshot
+(``NodeSession.checkpoint_state``) and keeps the cadence.  The server's
+one :class:`~repro.serve.journal.CheckpointWriter` thread, started by
+the first checkpoint, does the rest in submission order: pickle, tmp
+write, fsync, ``os.replace``.  At most one snapshot per node waits
+unstarted; a newer one replaces it.  A failed write is re-raised at
+the session's next checkpoint hand-off or at its end, failing the
+stream as an inline write would; once the final reply is sent, a
+failure is only counted.  The final reply waits only on the journal's
+completion record; the final checkpoint is taken after it is sent.
+If the process dies before that write lands, restore finds the
+completion record, replays from the previous checkpoint and reaches
+the same map.  A
+re-streamed node's journal is recreated (and its stale checkpoint
+removed) only after every write still pending for it has landed.
+:meth:`IngestServer.shutdown` and :meth:`IngestServer.close` return
+once pending writes have landed.  ``stats`` and ``nodes`` report the
+checkpoint lag: bytes past the newest landed checkpoint, pending
+writes and failed writes.
 
 **Degradation**: a stream whose *content* breaks decode/accounting
 quarantines that one node — journal preserved for postmortem, session
@@ -42,7 +63,7 @@ from typing import Optional
 from repro.core.accounting import WindowedAccumulator
 from repro.core.logger import ENTRY_SIZE, WireDecoder
 from repro.errors import ReproError, ServeError
-from repro.serve.journal import NodeJournal
+from repro.serve.journal import CheckpointWriter, NodeJournal
 from repro.serve.protocol import (
     INGEST_VERB,
     LINE_LIMIT,
@@ -118,7 +139,11 @@ class NodeSession:
         self.journal = journal
         self.attached = False       # a live connection is streaming now
         self.resumable = False      # client speaks the ack handshake
-        self.checkpointed_bytes = 0
+        self.checkpointed_bytes = 0     # stream offset of the last hand-off
+        self.durable_bytes = 0          # ... of the newest landed checkpoint
+        self.pending_writes = 0
+        self.failed_writes = 0
+        self.write_error: Optional[BaseException] = None
         self.last_ack_bytes = 0
 
     def ingest(self, chunk: bytes) -> None:
@@ -196,6 +221,7 @@ class NodeSession:
                 session.accumulator = accumulator
                 start = state["journal_offset"]
         session.bytes_received = start
+        session.durable_bytes = start
         session.resumable = True
         # One batch: a columnar fold pays its fixed cost once.
         session.ingest(b"".join(contents.replay(start)))
@@ -220,7 +246,18 @@ class NodeSession:
             "attached": self.attached,
             "resumable": self.resumable,
             "journaled": self.journal is not None,
+            "checkpoint_lag_bytes": self.checkpoint_lag_bytes,
+            "checkpoint_pending": self.pending_writes,
+            "checkpoint_failed": self.failed_writes,
         }
+
+    @property
+    def checkpoint_lag_bytes(self) -> int:
+        """Stream bytes past the newest checkpoint on disk (0 for a
+        session without a journal)."""
+        if self.journal is None:
+            return 0
+        return self.bytes_received - self.durable_bytes
 
     def breakdown(self) -> dict:
         """The node's current attribution: the folded map once done,
@@ -264,6 +301,8 @@ class IngestServer:
         self.sessions: dict[int, NodeSession] = {}
         self.completed = 0
         self.restored = 0
+        self.failed_writes = 0
+        self._writer: Optional[CheckpointWriter] = None
         self._servers: list[asyncio.base_events.Server] = []
         self._done_event = asyncio.Event()
         self._shutdown = asyncio.Event()
@@ -300,12 +339,54 @@ class IngestServer:
 
     def _checkpoint(self, session: NodeSession,
                     complete: bool = False) -> None:
+        """Snapshot ``session`` and hand the write to the checkpoint
+        writer.  Raises the session's unreported write failure first."""
         if session.journal is None:
             return
+        self._raise_write_error(session)
         fire("serve-checkpoint", session.node_id)
-        session.journal.write_checkpoint(
-            session.checkpoint_state(complete))
+        loop = asyncio.get_running_loop()
+
+        def done(state: dict, error: Optional[BaseException]) -> None:
+            try:
+                loop.call_soon_threadsafe(
+                    self._landed, session, state, error)
+            except RuntimeError:
+                pass  # the loop is closed: nobody is left to tell
+
+        if self._writer is None:
+            self._writer = CheckpointWriter()
+        if self._writer.submit(session.journal,
+                               session.checkpoint_state(complete), done):
+            session.pending_writes += 1
         session.checkpointed_bytes = session.bytes_received
+
+    def _landed(self, session: NodeSession, state: dict,
+                error: Optional[BaseException]) -> None:
+        """On the loop: the writer finished one of ``session``'s jobs."""
+        session.pending_writes -= 1
+        if error is None:
+            session.durable_bytes = state["journal_offset"]
+            return
+        session.failed_writes += 1
+        self.failed_writes += 1
+        if session.write_error is None:
+            session.write_error = error
+
+    @staticmethod
+    def _raise_write_error(session: NodeSession) -> None:
+        error, session.write_error = session.write_error, None
+        if error is not None:
+            raise error
+
+    async def _writes_landed(self, node_id: Optional[int] = None) -> None:
+        """Wait until every checkpoint write pending (for ``node_id``,
+        or for any node) has landed or failed."""
+        writer = self._writer
+        if writer is None or (node_id is not None
+                              and not writer.pending(node_id)):
+            return
+        await asyncio.wrap_future(writer.drained())
 
     def _suspend(self, session: NodeSession) -> None:
         """Park a resumable stream whose connection went away: the
@@ -319,12 +400,14 @@ class IngestServer:
             pass  # the journal itself still covers the bytes
 
     def _finalize(self, session: NodeSession) -> None:
-        """Completion durability: final checkpoint (finished
-        accumulator) + the journal's complete record."""
+        """Fold the stream's end and append the journal's complete
+        record, all the final reply waits on.  An unreported checkpoint
+        write failure fails the stream before anything is folded."""
+        self._raise_write_error(session)
+        session.finish()
         if session.journal is None:
             return
         try:
-            self._checkpoint(session, complete=True)
             session.journal.mark_complete({
                 "entries": session.decoder.entries_decoded,
                 "windows": session.accumulator.windows_emitted,
@@ -415,12 +498,19 @@ class IngestServer:
                     self._checkpoint(session)
                 except OSError:
                     pass
+        await self._writes_landed()
 
     async def close(self) -> None:
+        """Drop the listeners, land every pending checkpoint, stop the
+        writer thread and close the journals."""
         for server in self._servers:
             server.close()
             await server.wait_closed()
         self._servers.clear()
+        await self._writes_landed()
+        if self._writer is not None:
+            self._writer.stop()
+            self._writer = None
         for session in self.sessions.values():
             if session.journal is not None:
                 session.journal.close()
@@ -488,6 +578,11 @@ class IngestServer:
         was already written."""
         node_id = int(hello["node_id"])
         want_ack = bool(hello.get("ack"))
+        # A fresh journal's create() removes the node's checkpoint; a
+        # write of it still pending would land after and be restored
+        # into the new stream.  Waiting first also keeps every check
+        # below free of a later await.
+        await self._writes_landed(node_id)
         existing = self.sessions.get(node_id)
         if want_ack and existing is not None:
             if existing.state == "quarantined":
@@ -627,13 +722,12 @@ class IngestServer:
                     eof_clean = True
                 if not eof_clean:
                     raise ServeError("connection lost mid-stream")
-                session.finish()
                 self._finalize(session)
                 session.attached = False
                 reply = session.final_reply()
                 if stopped:
                     reply["shutdown"] = True
-            except ReproError as exc:
+            except (ReproError, OSError) as exc:
                 session.fail(str(exc))
                 session.attached = False
                 reply = {"ok": False, "node_id": session.node_id,
@@ -641,6 +735,14 @@ class IngestServer:
         self.completed += 1
         self._done_event.set()
         writer.write(encode_json_line(reply))
+        if session.state == "done":
+            # Only now the finished accumulator's checkpoint: until it
+            # lands, a restart finds the complete record and replays
+            # from the previous checkpoint to the same map.
+            try:
+                self._checkpoint(session, complete=True)
+            except OSError:
+                pass  # a restart replays the journal
         await writer.drain()
 
     async def _consume(self, session: NodeSession, queue: asyncio.Queue,
@@ -733,6 +835,11 @@ class IngestServer:
                 "bytes": sum(s.bytes_received
                              for s in self.sessions.values()),
                 "entry_size": ENTRY_SIZE,
+                "checkpoint_lag_bytes": sum(
+                    s.checkpoint_lag_bytes for s in self.sessions.values()),
+                "checkpoint_pending": sum(
+                    s.pending_writes for s in self.sessions.values()),
+                "checkpoint_failed": self.failed_writes,
             }
         raise ServeError(
             f"unknown query cmd {command!r}; "

@@ -31,22 +31,27 @@ EIO``), ``sleep`` (straggler).
 Sites are just strings agreed between injector and code; the ones wired
 up today:
 
-====================  =====================================================
-``pre-run``             campaign worker, before simulating any point
-``mid-shard``           campaign worker, right after its first point is
-                        stored
-``pre-store``           campaign worker, before each shard-store append
-``point``               :func:`repro.sim.sweep.run_point`, before the
-                        simulation
-``serve-journal``       ingest server consumer, before each write-ahead
-                        journal append (selector: node id) — ``crash``
-                        here is the SIGKILL-mid-stream the serve chaos
-                        job recovers from
-``serve-checkpoint``    ingest server, before each checkpoint write
-                        (selector: node id)
-``serve-restore``       ingest server restart, before each journaled
-                        node's restore (selector: node id)
-====================  =====================================================
+==========================  ===============================================
+``pre-run``                 campaign worker, before simulating any point
+``mid-shard``               campaign worker, right after its first point is
+                            stored
+``pre-store``               campaign worker, before each shard-store append
+``point``                   :func:`repro.sim.sweep.run_point`, before the
+                            simulation
+``serve-journal``           ingest server consumer, before each write-ahead
+                            journal append (selector: node id) — ``crash``
+                            here is the SIGKILL-mid-stream the serve chaos
+                            job recovers from
+``serve-checkpoint``        ingest server event loop, before each
+                            checkpoint snapshot is handed to the writer
+                            (selector: node id)
+``serve-checkpoint-write``  ingest server checkpoint writer thread, after
+                            the tmp file's fsync and before ``os.replace``
+                            (selector: node id) — ``crash`` here is a kill
+                            with a background write in flight
+``serve-restore``           ingest server restart, before each journaled
+                            node's restore (selector: node id)
+==========================  ===============================================
 
 Two refinements make chaos deterministic instead of merely chaotic:
 

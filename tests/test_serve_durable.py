@@ -6,17 +6,21 @@ warning restarts into the exact per-node state it held — and a client
 speaking the resume handshake replays only the tail, ending with a map
 **byte-identical** to the uninterrupted offline ``build_energy_map``.
 Also covered: torn/corrupt journal tails, corrupt-checkpoint fallback
-to full replay, graceful-shutdown suspend, quarantine isolation of one
-malformed stream, overload shedding, the typed sync-wrapper errors, and
-the ``--expect-nodes`` exit code.
+to full replay, the background checkpoint writer (ordering, failures,
+lag counters, draining), graceful-shutdown suspend, quarantine
+isolation of one malformed stream, overload shedding, the typed
+sync-wrapper errors, and the ``--expect-nodes`` exit code.
 """
 
 import asyncio
+import errno
 import json
 import os
 import pickle
 import socket
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -35,7 +39,7 @@ from repro.serve import (
     stream_node_sync,
     stream_raw,
 )
-from repro.serve.journal import JOURNAL_MAGIC
+from repro.serve.journal import JOURNAL_MAGIC, CheckpointWriter
 from repro.serve.protocol import (
     INGEST_VERB,
     decode_json_line,
@@ -218,6 +222,90 @@ def test_checkpoint_round_trip_and_corruption(tmp_path):
     assert journal.load_checkpoint() is None
 
 
+def test_checkpoint_writer_keeps_order_under_contention():
+    """More submitting threads than cores and a tiny switch interval:
+    per node, checkpoints land in submission order, the newest snapshot
+    is the last one written, and every queued job reports exactly once
+    — a lost update to the writer's queue or counters breaks one of
+    these."""
+    nodes, offsets = 8, 400
+
+    class FakeJournal:
+        def __init__(self, node_id):
+            self.node_id = node_id
+            self.written = []
+
+        def write_checkpoint(self, state):
+            time.sleep(0)  # yield the GIL, as fsync does
+            self.written.append(state["journal_offset"])
+
+    writer = CheckpointWriter()
+    journals = [FakeJournal(node) for node in range(nodes)]
+    queued = [0] * nodes
+    landed = [[] for _ in range(nodes)]
+
+    def submit_all(node):  # one thread per node, as one loop per server
+        def done(state, error):
+            landed[node].append((state["journal_offset"], error))
+
+        for offset in range(1, offsets + 1):
+            if writer.submit(journals[node], {"journal_offset": offset},
+                             done):
+                queued[node] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=submit_all, args=(node,))
+                   for node in range(nodes)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        writer.drained().result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        writer.stop()
+    for node, journal in enumerate(journals):
+        assert journal.written == sorted(set(journal.written))
+        assert journal.written[-1] == offsets
+        assert landed[node] == [(offset, None) for offset in journal.written]
+        assert len(landed[node]) == queued[node]
+        assert writer.pending(node) == 0
+
+
+def test_cancelled_drain_wait_leaves_the_writer_running():
+    """A waiter that gives up on :meth:`CheckpointWriter.drained` (a
+    handler cancelled mid-wait) must not take the writer thread down
+    with it: later writes still land."""
+    release = threading.Event()
+
+    class GatedJournal:
+        node_id = 1
+
+        def __init__(self):
+            self.written = []
+
+        def write_checkpoint(self, state):
+            release.wait(timeout=10)
+            self.written.append(state["journal_offset"])
+
+    journal = GatedJournal()
+    writer = CheckpointWriter()
+    try:
+        writer.submit(journal, {"journal_offset": 1}, lambda s, e: None)
+        abandoned = writer.drained()
+        assert abandoned.cancel()
+        release.set()
+        writer.submit(journal, {"journal_offset": 2}, lambda s, e: None)
+        writer.drained().result(timeout=10)
+    finally:
+        release.set()
+        writer.stop()
+    assert journal.written == [1, 2]
+
+
 # -- mid-stream snapshots ----------------------------------------------------
 
 
@@ -392,6 +480,8 @@ def test_restored_completed_stream_redelivers(tmp_path, blink, offline):
         await server_b.start_unix(sock_path)
         try:
             again = await stream_raw(sock_path, hello, raw, retries=0)
+            # Restoring and redelivering write nothing: no writer thread.
+            assert server_b._writer is None
         finally:
             await server_b.close()
         return first, again
@@ -444,6 +534,262 @@ def test_graceful_shutdown_suspends_resumable_stream(tmp_path, blink,
     reply = asyncio.run(scenario())
     assert reply["ok"] and reply["client"]["resumed_from"] == prefix
     assert_maps_identical(final_map(reply), offline)
+
+
+# -- the background checkpoint writer ----------------------------------------
+
+
+def _slow_checkpoints(monkeypatch, delay_s):
+    """Make every checkpoint write take ``delay_s`` longer: the shape of
+    a slow disk answering the writer thread's fsync."""
+    real = NodeJournal.write_checkpoint
+
+    def slow(self, state):
+        time.sleep(delay_s)
+        real(self, state)
+
+    monkeypatch.setattr(NodeJournal, "write_checkpoint", slow)
+
+
+def _failing_checkpoints(monkeypatch, when):
+    """Make checkpoint writes whose state satisfies ``when`` raise."""
+    real = NodeJournal.write_checkpoint
+
+    def failing(self, state):
+        if when(state):
+            raise OSError(errno.EIO, "injected checkpoint write failure")
+        real(self, state)
+
+    monkeypatch.setattr(NodeJournal, "write_checkpoint", failing)
+
+
+def _crash(server):
+    """In-process SIGKILL: handlers and listeners stop existing; no
+    suspend, no parting checkpoint, no reply, no drain."""
+
+    async def crash():
+        for task in list(server._handlers):
+            task.cancel()
+        await asyncio.gather(*server._handlers, return_exceptions=True)
+        for listener in server._servers:
+            listener.close()
+            await listener.wait_closed()
+
+    return crash()
+
+
+async def _until(predicate, timeout_s=10.0):
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, \
+            "condition never held"
+        await asyncio.sleep(0.01)
+
+
+def test_stale_checkpoint_is_never_restored(tmp_path, blink, offline,
+                                            monkeypatch):
+    """A node re-streamed while its previous stream's final checkpoint
+    is still being written: the journal is recreated (and the stale
+    checkpoint removed) only after that write lands.  Were the removal
+    not ordered behind it, the late write would land beside the new
+    journal, and a crash past its offset would restore the previous
+    stream's accumulator into this one."""
+    _slow_checkpoints(monkeypatch, 0.3)
+    state_dir = str(tmp_path / "state")
+    sock_path = str(tmp_path / "ingest.sock")
+    # Its own world (node 9), streamed under node 1's id.
+    short, _app, _sim = run_blink(seed=5, duration_ns=seconds(2), node_id=9)
+    short_hello = dict(hello_for_node(short, stride_ns=int(seconds(1))),
+                       node_id=1)
+    short_raw = bytes(short.logger.raw_bytes())
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+    cut = 900  # past the short stream's final offset, mid-entry
+    assert len(short_raw) < cut < len(raw)
+
+    async def scenario():
+        # No cadence checkpoints: only the short stream's final one.
+        server_a = IngestServer(state_dir=state_dir,
+                                checkpoint_bytes=1 << 30)
+        await server_a.start_unix(sock_path)
+        first = await stream_raw(sock_path, short_hello, short_raw,
+                                 retries=0)
+        assert first["ok"]
+        finished = server_a.sessions[1]
+        assert finished.pending_writes == 1  # final write still landing
+
+        # Re-stream node 1 at once (the legacy hello starts afresh).
+        reader, writer = await asyncio.open_unix_connection(sock_path)
+        writer.write(INGEST_VERB.encode() + b" " + encode_json_line(hello))
+        writer.write(raw[:cut])
+        await writer.drain()
+        await _until(lambda: server_a.sessions[1] is not finished
+                     and server_a.sessions[1].bytes_received == cut
+                     and not server_a._writer.pending(1))
+        await _crash(server_a)
+        writer.close()
+
+        server_b = IngestServer(state_dir=state_dir)
+        session = server_b.sessions[1]
+        assert session.state == "suspended", session.error
+        assert session.bytes_received == cut
+        await server_b.start_unix(sock_path)
+        try:
+            reply = await stream_raw(sock_path, hello, raw, retries=0)
+        finally:
+            await server_b.close()
+            await server_a.close()  # the dead server's files and thread
+        return reply
+
+    reply = asyncio.run(scenario())
+    assert reply["client"]["resumed_from"] == cut
+    assert_maps_identical(final_map(reply), offline)
+
+
+@pytest.mark.parametrize("surfaces_at", ["handoff", "finalize"])
+def test_failed_mid_stream_write_fails_the_stream(tmp_path, blink,
+                                                  monkeypatch, surfaces_at):
+    """A mid-stream checkpoint write that raises on the writer thread
+    fails the stream, as an inline write did: at the session's next
+    checkpoint hand-off, or at its end when no hand-off follows."""
+    _failing_checkpoints(monkeypatch, lambda state: not state["complete"])
+    sock_path = str(tmp_path / "ingest.sock")
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+    # "finalize": one cadence checkpoint, in the stream's last chunk.
+    cadence = 256 if surfaces_at == "handoff" else len(raw) - 50
+
+    async def paced(_sent, _total):
+        await asyncio.sleep(0.02)  # the failure reaches the loop
+
+    async def scenario():
+        server = IngestServer(state_dir=str(tmp_path / "state"),
+                              checkpoint_bytes=cadence)
+        await server.start_unix(sock_path)
+        try:
+            # Mid-stream the server stops reading and the client sees
+            # the connection drop; at the end it gets the error reply.
+            with pytest.raises(ServeError):
+                await stream_raw(sock_path, hello, raw, chunk_size=97,
+                                 on_chunk=paced, retries=0)
+        finally:
+            await server.close()
+        return server
+
+    server = asyncio.run(scenario())
+    session = server.sessions[1]
+    assert session.state == "error"
+    assert "injected checkpoint write failure" in session.error
+    assert session.final_map is None  # nothing was folded
+    stats = server._answer({"cmd": "stats"})
+    assert stats["checkpoint_failed"] == session.failed_writes >= 1
+    if surfaces_at == "handoff":
+        assert session.bytes_received < len(raw)  # stopped mid-stream
+    else:
+        assert session.failed_writes == 1
+        assert session.bytes_received == len(raw)
+
+
+def test_failed_final_write_is_counted(tmp_path, blink, offline,
+                                       monkeypatch):
+    """The final reply does not wait on the final checkpoint, so its
+    failure cannot fail the stream: it is counted, and a restart
+    replays the journal past the completion record to the same map."""
+    _failing_checkpoints(monkeypatch, lambda state: state["complete"])
+    state_dir = str(tmp_path / "state")
+    sock_path = str(tmp_path / "ingest.sock")
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+
+    async def scenario():
+        # No cadence checkpoints: the final one is the only write.
+        server = IngestServer(state_dir=state_dir,
+                              checkpoint_bytes=1 << 30)
+        await server.start_unix(sock_path)
+        try:
+            reply = await stream_raw(sock_path, hello, raw, retries=0)
+        finally:
+            await server.close()
+        return server, reply
+
+    server, reply = asyncio.run(scenario())
+    assert_maps_identical(final_map(reply), offline)
+    (node,) = server._answer({"cmd": "nodes"})["nodes"]
+    assert node["state"] == "done"
+    assert node["checkpoint_failed"] == 1
+    assert node["checkpoint_pending"] == 0
+    assert node["checkpoint_lag_bytes"] == len(raw)  # nothing landed
+    assert server._answer({"cmd": "stats"})["checkpoint_failed"] == 1
+
+    restored = IngestServer(state_dir=state_dir)
+    assert restored.sessions[1].state == "done"
+    assert_maps_identical(restored.sessions[1].final_map, offline)
+    restored.sessions[1].journal.close()
+
+
+def test_checkpoint_lag_reads_zero_after_a_clean_stream(tmp_path, blink,
+                                                        monkeypatch):
+    """``stats`` and ``nodes`` report bytes past the newest landed
+    checkpoint, pending writes and failed writes; after a clean stream
+    and a drained writer all three are 0.  ``close`` drains: the final
+    checkpoint is on disk when it returns, however slow the disk."""
+    _slow_checkpoints(monkeypatch, 0.05)
+    state_dir = str(tmp_path / "state")
+    sock_path = str(tmp_path / "ingest.sock")
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+
+    async def scenario():
+        server = IngestServer(state_dir=state_dir, checkpoint_bytes=256)
+        await server.start_unix(sock_path)
+        try:
+            reply = await stream_raw(sock_path, hello, raw, retries=0)
+            assert reply["ok"]
+        finally:
+            await server.close()
+        return server
+
+    server = asyncio.run(scenario())
+    stats = server._answer({"cmd": "stats"})
+    (node,) = server._answer({"cmd": "nodes"})["nodes"]
+    for view in (stats, node):
+        assert view["checkpoint_lag_bytes"] == 0
+        assert view["checkpoint_pending"] == 0
+        assert view["checkpoint_failed"] == 0
+    ckpt = NodeJournal(state_dir, 1).load_checkpoint()
+    assert ckpt["complete"] and ckpt["journal_offset"] == len(raw)
+    assert server._writer is None  # close stopped the thread
+
+
+def test_shutdown_lands_parting_checkpoints(tmp_path, blink, monkeypatch):
+    """``shutdown`` returns only once its parting checkpoints are on
+    disk, so a restart resumes exactly where the stream was parked."""
+    _slow_checkpoints(monkeypatch, 0.2)
+    state_dir = str(tmp_path / "state")
+    sock_path = str(tmp_path / "ingest.sock")
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+    prefix = 1207  # mid-frame: the stream is parked, not finished
+
+    async def scenario():
+        server = IngestServer(state_dir=state_dir)
+        await server.start_unix(sock_path)
+        reader, writer, _ = await _ack_hello_prefix(
+            sock_path, hello, raw[:prefix])
+        await _until(lambda: server.sessions[1].bytes_received == prefix)
+        await server.shutdown()
+        offset = NodeJournal(state_dir, 1).load_checkpoint()[
+            "journal_offset"]
+        await server.close()
+        writer.close()
+        return server, offset
+
+    server, offset = asyncio.run(scenario())
+    session = server.sessions[1]
+    assert session.state == "suspended"
+    assert offset == session.bytes_received == prefix
+    assert NodeJournal(state_dir, 1).load_checkpoint()[
+        "journal_offset"] == session.bytes_received
 
 
 # -- degradation: quarantine and shedding ------------------------------------

@@ -13,10 +13,16 @@ The scenario, at the runner level (real processes, real sockets):
    session from checkpoint + journal tail, and the client's
    reconnect-with-resume rides through the bounce — replaying only the
    bytes past the server's acked offset;
-5. the final folded map must equal the offline ``build_energy_map``
+5. that server runs under ``REPRO_FAULT=crash@serve-checkpoint-write``
+   with a fire-once fuse: its checkpoint writer thread SIGKILLs the
+   process with the next checkpoint fsynced to its tmp file but not yet
+   renamed into place — a crash with a background write in flight;
+6. a third server restores again (from the previous checkpoint and the
+   journal) and the client resumes once more;
+7. the final folded map must equal the offline ``build_energy_map``
    **byte for byte** (float bits and dict insertion order), the client
-   must have actually resumed (offset > 0, >= 1 reconnect), and the
-   restarted server must exit 0 under ``--expect-nodes 1``.
+   must have actually resumed (offset > 0, >= 2 reconnects), and the
+   last server must exit 0 under ``--expect-nodes 1``.
 
 Also measured: the restart-to-listening recovery time of the second
 server (its in-process cousin is ``serve_recovery_ms`` in
@@ -36,6 +42,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -85,8 +92,10 @@ def check_identical(served, offline):
     return problems
 
 
-def launch_server(sock: str, state_dir: str) -> subprocess.Popen:
+def launch_server(sock: str, state_dir: str,
+                  fault_env: Optional[dict] = None) -> subprocess.Popen:
     env = dict(os.environ)
+    env.update(fault_env or {})
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
@@ -161,8 +170,12 @@ async def main() -> int:
     assert server.returncode == -signal.SIGKILL
 
     # Restart on the same state dir; the client's backoff rides through.
+    # This server dies in its checkpoint writer, mid-write.
+    fuse = os.path.join(tmp, "write-fuse")
     t_restart = time.perf_counter()
-    server2 = launch_server(sock, state_dir)
+    server2 = launch_server(sock, state_dir, {
+        "REPRO_FAULT": "crash@serve-checkpoint-write",
+        "REPRO_FAULT_FUSE": fuse})
     lines = await wait_for_line(server2, "listening on")
     recovery_ms = (time.perf_counter() - t_restart) * 1e3
     if not any("restored 1 node sessions" in line for line in lines):
@@ -171,6 +184,24 @@ async def main() -> int:
         return 1
     print(f"restart-to-listening: {recovery_ms:.1f} ms "
           "(includes interpreter start)", flush=True)
+    rc2 = await asyncio.wait_for(asyncio.get_running_loop().run_in_executor(
+        None, server2.wait), timeout=60.0)
+    in_flight = Path(state_dir) / "node-1.ckpt.tmp"
+    print(f"server died in its checkpoint writer (rc={rc2}) with "
+          f"{in_flight.name} {'left' if in_flight.exists() else 'missing'}",
+          flush=True)
+    if rc2 != -signal.SIGKILL or not os.path.exists(fuse) \
+            or not in_flight.exists():
+        print("FAIL: the kill inside the checkpoint write never happened",
+              flush=True)
+        return 1
+
+    server3 = launch_server(sock, state_dir)
+    lines = await wait_for_line(server3, "listening on")
+    if not any("restored 1 node sessions" in line for line in lines):
+        print("FAIL: second restart did not report a restored session",
+              flush=True)
+        return 1
 
     reply = await asyncio.wait_for(client, timeout=120.0)
     stats = reply["client"]
@@ -182,8 +213,9 @@ async def main() -> int:
     failures = []
     if not reply.get("ok"):
         failures.append(f"final reply not ok: {reply}")
-    if stats["reconnects"] < 1:
-        failures.append("client never reconnected — the kill missed")
+    if stats["reconnects"] < 2:
+        failures.append(f"client reconnected {stats['reconnects']} "
+                        "times, want >= 2 — a kill missed")
     if not 0 < stats["resumed_from"] < total:
         failures.append(
             f"resume offset {stats['resumed_from']} not mid-stream "
@@ -195,8 +227,8 @@ async def main() -> int:
 
     # --expect-nodes 1: the restarted server exits 0 on its own.
     rc = await asyncio.get_running_loop().run_in_executor(
-        None, server2.wait)
-    out = server2.stdout.read()
+        None, server3.wait)
+    out = server3.stdout.read()
     if out:
         print(f"  server: {out.rstrip()}", flush=True)
     if rc != 0:
@@ -206,8 +238,8 @@ async def main() -> int:
         for failure in failures:
             print(f"FAIL: {failure}", flush=True)
         return 1
-    print("serve chaos smoke: SIGKILL + restart + resume "
-          "byte-identical — ok", flush=True)
+    print("serve chaos smoke: SIGKILL mid-stream and mid-checkpoint-"
+          "write, restart + resume byte-identical — ok", flush=True)
     return 0
 
 
