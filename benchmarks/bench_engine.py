@@ -184,7 +184,8 @@ def bench_analysis(rounds: int = 20) -> dict:
     entry_count = len(raw) // 12
 
     def run_streaming():
-        return stream_energy_map(iter_entries(raw), *args, **kwargs)
+        return stream_energy_map(iter_entries(raw), *args,
+                                 backend="streaming", **kwargs)
 
     def run_columnar():
         return columnar_energy_map(raw, *args, **kwargs)

@@ -53,7 +53,7 @@ from repro.core.regression import (
     SinkColumn,
     solve_breakdown,
 )
-from repro.core.timeline import TimelineBuilder, TimelineStream
+from repro.core.timeline import TimelineStream
 from repro.core.accounting import (
     EnergyAccumulator,
     EnergyMap,
@@ -88,7 +88,6 @@ __all__ = [
     "SinkColumn",
     "RegressionResult",
     "solve_breakdown",
-    "TimelineBuilder",
     "TimelineStream",
     "EnergyMap",
     "build_energy_map",

@@ -31,7 +31,6 @@ from repro.core.timeline import (
     ActivitySegment,
     MultiActivitySegment,
     PowerInterval,
-    TimelineBuilder,
     TimelineStream,
 )
 from repro.core.accounting import (
@@ -57,7 +56,6 @@ __all__ = [
     "SinkColumn",
     "RegressionResult",
     "solve_breakdown",
-    "TimelineBuilder",
     "TimelineStream",
     "PowerInterval",
     "ActivitySegment",

@@ -35,9 +35,12 @@ order alike:
   segments, so it records cover ops and resolves names at
   :meth:`EnergyAccumulator.finish`, in interval order.
 
-:func:`build_energy_map` runs a
-:class:`~repro.core.timeline.TimelineBuilder`'s (sorted) entries through
-the selected backend.
+:func:`build_energy_map` prices a
+:class:`~repro.core.timeline.ColumnarTimeline` (what
+:meth:`~repro.tos.node.QuantoNode.timeline` returns) on the selected
+backend: columnar folds its columns directly, streaming re-feeds its
+rows (:attr:`~repro.core.timeline.ColumnarTimeline.entries`) through an
+:class:`EnergyAccumulator`.
 
 The map also carries the metered total so callers can verify that the
 reconstruction matches the measurement (the paper reports 0.004 % for
@@ -68,7 +71,6 @@ from repro.core.timeline import (
     ColumnarTimeline,
     MultiActivitySegment,
     PowerInterval,
-    TimelineBuilder,
     TimelineCarry,
     TimelineStream,
 )
@@ -1910,7 +1912,7 @@ def stream_energy_map(
 
 
 def build_energy_map(
-    timeline: TimelineBuilder,
+    timeline: ColumnarTimeline,
     regression: RegressionResult,
     registry: ActivityRegistry,
     component_names: dict[int, str],
@@ -1919,16 +1921,22 @@ def build_energy_map(
     idle_name: str = "Idle",
     backend: Optional[str] = None,
 ) -> EnergyMap:
-    """Merge power intervals, regression, and activity segments — the
-    batch wrapper: re-feeds the builder's (already sorted) entries
-    through the selected backend with the builder's fully-inferred
-    device sets, so batch and stream (and columnar) are one
-    implementation.
+    """Merge power intervals, regression, and activity segments for one
+    captured timeline on the selected backend: columnar folds the
+    timeline itself; streaming re-feeds its rows, with its device sets
+    and end time, through an :class:`EnergyAccumulator` — an
+    independent reconstruction of the same snapshot.
 
     ``component_names`` maps res_id to the display name of each device.
     Devices present in the power layout but absent from the activity log
     are charged to ``(untracked)``.
     """
+    if resolve_analysis_backend(backend) == "columnar":
+        return columnar_energy_map(
+            timeline, regression, registry, component_names,
+            energy_per_pulse_j,
+            fold_proxies=fold_proxies, idle_name=idle_name,
+        )
     return stream_energy_map(
         timeline.entries,
         regression,
@@ -1940,5 +1948,5 @@ def build_energy_map(
         end_time_ns=timeline.end_time_ns,
         single_res_ids=timeline.single_device_ids(),
         multi_res_ids=timeline.multi_device_ids(),
-        backend=backend,
+        backend="streaming",
     )

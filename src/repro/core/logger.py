@@ -666,8 +666,8 @@ class LogColumns:
     @classmethod
     def from_entries(cls, entries: Iterable[LogEntry]) -> "LogColumns":
         """Columns from already-decoded entries (the compat path used
-        when a caller holds a :class:`LogEntry` list, e.g. a
-        TimelineBuilder, rather than packed bytes)."""
+        when a caller holds a :class:`LogEntry` list, e.g. a hand-built
+        test log, rather than packed bytes)."""
         entries = list(entries)
         return cls(
             type=np.array([e.type for e in entries], dtype=np.uint8),

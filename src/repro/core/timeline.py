@@ -11,19 +11,21 @@ activity changes across all devices.  This module rebuilds:
   ``bind`` events resolved so a proxy segment knows which real activity
   absorbed it.
 
-Two entry points share one reconstruction core:
+Two independent reconstructions produce the same spans:
 
-* :class:`TimelineStream` — the streaming visitor.  Feed it decoded
-  entries in log order and it emits each :class:`PowerInterval`,
+* :class:`ColumnarTimeline` — the whole log as column arrays, rebuilt
+  with vectorized passes over :class:`~repro.core.logger.LogColumns`.
+  It is the one timeline type every caller holds
+  (:meth:`repro.tos.node.QuantoNode.timeline` returns it) and the input
+  of the columnar analysis backend.
+* :class:`TimelineStream` — the streaming visitor, the reference the
+  columnar path is tested against.  Feed it decoded entries in log
+  order and it emits each :class:`PowerInterval`,
   :class:`ActivitySegment`, and :class:`MultiActivitySegment` through a
   callback *the moment it closes*.  Its working state is the set of
   currently-open spans (one per device plus one power interval), so a
   log of any length can be folded into an energy map without the entry
   list, interval list, or segment lists ever being materialized.
-* :class:`TimelineBuilder` — the batch view, now a thin wrapper that
-  runs the same trackers over a stored entry list and collects their
-  emissions into lists.  Output is identical to the streaming path by
-  construction.
 
 One semantic caveat is inherent to the paper's bind model: a proxy
 segment's ``bound_to`` may be assigned *after* the segment closed (a
@@ -41,6 +43,7 @@ res_ids exist, what their state values are named) — never ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -125,8 +128,8 @@ class MultiActivitySegment:
 #
 # Each tracker owns one kind of open span and pushes closed spans to an
 # ``emit`` callback.  They are the single source of truth for the
-# reconstruction semantics; both TimelineStream and TimelineBuilder are
-# wiring around them.
+# streaming reconstruction's semantics; TimelineStream is wiring
+# around them.
 
 
 class _IntervalTracker:
@@ -434,13 +437,13 @@ class TimelineStream:
     timestamps a node records are monotone).
 
     Devices may be declared up front (``single_res_ids`` /
-    ``multi_res_ids``) or inferred from entry types exactly as the batch
-    builder infers them.  ``peak_open_items`` tracks the high-water mark
-    of open state (open interval + open segments + unresolved bind
-    candidates), maintained by O(1) deltas at each span open/close so
-    the instrumentation costs nothing on the per-entry path: with
-    ``track_binds=False`` it is O(devices), independent of log length —
-    the bounded-memory contract the tests pin down.
+    ``multi_res_ids``) or inferred from entry types as they arrive.
+    ``peak_open_items`` tracks the high-water mark of open state (open
+    interval + open segments + unresolved bind candidates), maintained
+    by O(1) deltas at each span open/close so the instrumentation costs
+    nothing on the per-entry path: with ``track_binds=False`` it is
+    O(devices), independent of log length — the bounded-memory contract
+    the tests pin down.
     """
 
     def __init__(
@@ -504,8 +507,8 @@ class TimelineStream:
         self.intervals.note_record(time_ns, entry.icount)
         if entry_type == TYPE_ACT_CHANGE or entry_type == TYPE_ACT_BIND:
             res_id = entry.res_id
-            # Same inference as the batch builder: a change/bind marks a
-            # single-activity device unless the id is already multi.
+            # A change/bind marks a single-activity device unless the id
+            # is already multi.
             if res_id not in self._multi_ids:
                 tracker = self._singles.get(res_id)
                 if tracker is None:
@@ -532,7 +535,7 @@ class TimelineStream:
 
     def finish(self, end_time_ns: Optional[int] = None) -> None:
         """Close every open span.  ``end_time_ns`` defaults to the last
-        entry's time (the batch builder's default)."""
+        entry's time."""
         if end_time_ns is None:
             end_time_ns = self._last_entry_time_ns if self._saw_any else 0
         self.intervals.finish()
@@ -720,7 +723,8 @@ class ColumnarTimeline:
     """The whole reconstruction as column arrays: power intervals and
     activity segments rebuilt from :class:`~repro.core.logger.LogColumns`
     without materializing a single :class:`LogEntry`,
-    :class:`PowerInterval`, or segment object.
+    :class:`PowerInterval`, or segment object (the views below build
+    them on request).
 
     Semantics mirror the streaming trackers entry-for-entry (the
     backend-equivalence tests pin the outputs bit-for-bit):
@@ -742,7 +746,7 @@ class ColumnarTimeline:
     carry's last record) raises :class:`~repro.errors.LoggerError`, so
     every interval the fold divides is strictly positive.  Devices may
     be declared up front (always the case on node paths); otherwise they
-    are inferred over the whole log like :class:`TimelineBuilder` does.
+    are inferred over the whole log with the stream's in-order rule.
 
     With a ``carry`` the columns are one batch of a longer stream (see
     :meth:`_build_batch`): the batch continues the spans the carry holds
@@ -786,8 +790,8 @@ class ColumnarTimeline:
         is_multi_entry = (types == TYPE_ACT_ADD) | (types == TYPE_ACT_REMOVE)
         self._single_ids = set(single_res_ids or [])
         self._multi_ids = set(multi_res_ids or [])
-        # Whole-log device inference, replicating the batch builder's
-        # in-order rule: add/remove marks a device multi; change/bind
+        # Whole-log device inference, replicating the stream's in-order
+        # rule: add/remove marks a device multi; change/bind
         # marks it single only if it was not yet multi at that point —
         # i.e. its first change precedes its first add/remove.
         single_pos = np.nonzero(is_single_entry)[0]
@@ -1150,6 +1154,22 @@ class ColumnarTimeline:
 
     # -- views --------------------------------------------------------------
 
+    @cached_property
+    def entries(self) -> list[LogEntry]:
+        """The rows as :class:`LogEntry` objects (``seq`` = row index),
+        built once on first use — the input of the streaming reference,
+        which reconstructs this snapshot independently."""
+        columns = self.columns
+        return [
+            LogEntry(type=entry_type, res_id=res_id, time_us=time_us,
+                     icount=icount, value=value, seq=seq)
+            for seq, (entry_type, res_id, time_us, icount, value)
+            in enumerate(zip(
+                columns.type.tolist(), columns.res_id.tolist(),
+                (columns.time_ns // 1000).tolist(),
+                columns.icount.tolist(), columns.value.tolist()))
+        ]
+
     def single_device_ids(self) -> list[int]:
         return sorted(self._single_ids)
 
@@ -1239,126 +1259,3 @@ class ColumnarTimeline:
             energies.tolist(),
         )
 
-
-class TimelineBuilder:
-    """The batch view of one node's log: a thin wrapper that runs the
-    streaming trackers over a stored entry list and returns their
-    emissions as lists.  Kept for callers that want random access
-    (per-device lane rendering, windowed figures); the reconstruction
-    semantics live in the trackers above."""
-
-    def __init__(
-        self,
-        entries: list[LogEntry],
-        end_time_ns: Optional[int] = None,
-        single_res_ids: Optional[Iterable[int]] = None,
-        multi_res_ids: Optional[Iterable[int]] = None,
-    ) -> None:
-        # Decoded logs arrive already in (time_us, seq) order — the
-        # logger writes monotone timestamps and the decoder numbers
-        # entries sequentially — so check (copy-free) before paying for
-        # a keyed sort.
-        presorted = True
-        for i in range(1, len(entries)):
-            prev, cur = entries[i - 1], entries[i]
-            if prev.time_us > cur.time_us or (
-                    prev.time_us == cur.time_us and prev.seq > cur.seq):
-                presorted = False
-                break
-        if presorted:
-            self.entries = list(entries)
-        else:
-            self.entries = sorted(entries, key=lambda e: (e.time_us, e.seq))
-        if end_time_ns is None and self.entries:
-            end_time_ns = self.entries[-1].time_ns
-        self.end_time_ns = end_time_ns or 0
-        self._single_ids = set(single_res_ids or [])
-        self._multi_ids = set(multi_res_ids or [])
-        # One pass: infer undeclared devices from entry types.  The
-        # per-device entry index (for activity_segments rebuilds) is
-        # deferred until someone asks — the common accounting path never
-        # touches it.
-        for entry in self.entries:
-            if entry.type in (TYPE_ACT_CHANGE, TYPE_ACT_BIND):
-                if entry.res_id not in self._multi_ids:
-                    self._single_ids.add(entry.res_id)
-            elif entry.type in (TYPE_ACT_ADD, TYPE_ACT_REMOVE):
-                self._multi_ids.add(entry.res_id)
-        self._by_res_cache: Optional[dict[int, list[LogEntry]]] = None
-        self._intervals_cache: Optional[list[PowerInterval]] = None
-
-    @property
-    def _by_res(self) -> dict[int, list[LogEntry]]:
-        """Per-device entry index, built on first use (the log
-        interleaves all devices, so this turns per-device rebuilds from
-        O(devices x entries) into O(entries))."""
-        if self._by_res_cache is None:
-            by_res: dict[int, list[LogEntry]] = {}
-            for entry in self.entries:
-                by_res.setdefault(entry.res_id, []).append(entry)
-            self._by_res_cache = by_res
-        return self._by_res_cache
-
-    # -- power intervals ----------------------------------------------------
-
-    def power_intervals(self) -> list[PowerInterval]:
-        """Spans of constant power state, with their pulse deltas.
-
-        Computed once and cached (the intervals are immutable): the
-        regression and the accounting both walk them.
-        """
-        if self._intervals_cache is None:
-            intervals: list[PowerInterval] = []
-            tracker = _IntervalTracker(intervals.append)
-            feed = tracker.feed
-            for entry in self.entries:
-                # Only power entries move the interval state; the final
-                # watermark (the last record of *any* type) is applied
-                # once below instead of per entry.
-                if entry.type == TYPE_POWERSTATE or entry.type == TYPE_BOOT:
-                    feed(entry)
-            if self.entries:
-                last = self.entries[-1]
-                tracker.note_record(last.time_ns, last.icount)
-            tracker.finish()
-            self._intervals_cache = intervals
-        return self._intervals_cache
-
-    # -- single-activity segments --------------------------------------------
-
-    def activity_segments(
-        self,
-        res_id: int,
-        bind_horizon_ns: Optional[int] = None,
-    ) -> list[ActivitySegment]:
-        """The painted-activity history of one single-activity device,
-        with bind events resolved onto the segments they absorb (see
-        :class:`_SingleTracker` for the bind semantics)."""
-        if res_id in self._multi_ids:
-            raise RegressionError(
-                f"res_id {res_id} is a multi-activity device"
-            )
-        segments: list[ActivitySegment] = []
-        tracker = _SingleTracker(
-            res_id, segments.append, bind_horizon_ns=bind_horizon_ns)
-        for entry in self._by_res.get(res_id, ()):
-            tracker.feed(entry)
-        tracker.finish(self.end_time_ns)
-        return segments
-
-    # -- multi-activity segments ----------------------------------------------
-
-    def multi_activity_segments(self, res_id: int) -> list[MultiActivitySegment]:
-        """The activity-set history of one multi-activity device."""
-        segments: list[MultiActivitySegment] = []
-        tracker = _MultiTracker(res_id, segments.append)
-        for entry in self._by_res.get(res_id, ()):
-            tracker.feed(entry)
-        tracker.finish(self.end_time_ns)
-        return segments
-
-    def single_device_ids(self) -> list[int]:
-        return sorted(self._single_ids)
-
-    def multi_device_ids(self) -> list[int]:
-        return sorted(self._multi_ids)

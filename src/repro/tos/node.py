@@ -35,9 +35,9 @@ from typing import Callable, Optional
 
 from repro.core.accounting import (
     EnergyMap,
-    build_energy_map,
     columnar_energy_map,
     resolve_analysis_backend,
+    stream_energy_map,
 )
 from repro.core.activity import (
     MultiActivityDevice,
@@ -60,7 +60,7 @@ from repro.core.regression import (
     solve_breakdown,
     solve_grouped,
 )
-from repro.core.timeline import ColumnarTimeline, TimelineBuilder
+from repro.core.timeline import ColumnarTimeline, TimelineStream
 from repro.hw.platform import HydrowatchPlatform, PlatformConfig
 from repro.net.channel import RadioChannel
 from repro.sim.engine import Simulator
@@ -262,9 +262,9 @@ class QuantoNode:
 
         self._booted = False
         self._log_end_mark_ns = -1
-        # Memoized columnar reconstruction, keyed by (record count,
-        # end time): regression + accounting reuse one decode.
-        self._columnar_cache: Optional[tuple[int, int, ColumnarTimeline]] = \
+        # Memoized timeline, keyed by (record count, end time):
+        # regression + accounting reuse one decode.
+        self._timeline_cache: Optional[tuple[int, int, ColumnarTimeline]] = \
             None
         # Warm-start snapshot: the registration/observer state as of the
         # end of construction, so reset() can drop anything attached or
@@ -327,7 +327,7 @@ class QuantoNode:
             self.counters.reset()
         self._booted = False
         self._log_end_mark_ns = -1
-        self._columnar_cache = None
+        self._timeline_cache = None
 
     # -- boot ------------------------------------------------------------
 
@@ -396,45 +396,18 @@ class QuantoNode:
         self.sim.run(until=self.sim.now + _ms(1))
 
     def timeline(self, end_time_ns: Optional[int] = None,
-                 finalize: bool = True) -> TimelineBuilder:
-        if finalize and self._booted:
-            self.mark_log_end()
-        return TimelineBuilder(
-            self.entries(),
-            end_time_ns=end_time_ns if end_time_ns is not None else self.sim.now,
-            single_res_ids=[d.res_id for d in self._single_devices()],
-            multi_res_ids=[RES_TIMERB],
-        )
-
-    @staticmethod
-    def _columnar_from_builder(timeline: TimelineBuilder) -> ColumnarTimeline:
-        """Columnar view of an explicitly captured batch timeline: built
-        from the builder's own entry list (not the live log), so a
-        timeline captured before the log grew analyzes exactly what the
-        streaming path would analyze for the same call."""
-        from repro.core.logger import LogColumns
-
-        return ColumnarTimeline(
-            LogColumns.from_entries(timeline.entries),
-            end_time_ns=timeline.end_time_ns,
-            single_res_ids=timeline.single_device_ids(),
-            multi_res_ids=timeline.multi_device_ids(),
-        )
-
-    def columnar_timeline(
-        self, end_time_ns: Optional[int] = None,
-        finalize: bool = True,
-    ) -> ColumnarTimeline:
-        """The columnar reconstruction of this node's log: one
-        ``np.frombuffer`` decode off the logger's raw bytes, intervals
-        and segments as column arrays, no per-entry objects.  Memoized
-        per (record count, end time) so the regression and the energy
-        map share one decode."""
+                 finalize: bool = True) -> ColumnarTimeline:
+        """The reconstruction of this node's log: one ``np.frombuffer``
+        decode off the logger's raw bytes, intervals and segments as
+        column arrays, no per-entry objects.  Memoized per (record
+        count, end time) so the regression and the energy map share one
+        decode; a timeline taken earlier stays a snapshot of its own
+        rows as the log grows."""
         if finalize and self._booted:
             self.mark_log_end()
         end = end_time_ns if end_time_ns is not None else self.sim.now
         count = self.logger.records_written
-        cached = self._columnar_cache
+        cached = self._timeline_cache
         if cached is not None and cached[0] == count and cached[1] == end:
             return cached[2]
         timeline = ColumnarTimeline(
@@ -443,31 +416,48 @@ class QuantoNode:
             single_res_ids=[d.res_id for d in self._single_devices()],
             multi_res_ids=[RES_TIMERB],
         )
-        self._columnar_cache = (count, end, timeline)
+        self._timeline_cache = (count, end, timeline)
         return timeline
+
+    def _reference_log(
+        self, timeline: Optional[ColumnarTimeline],
+    ) -> tuple[list, dict]:
+        """The streaming reference's input: ``(entries, stream kwargs)``
+        of the passed snapshot, else of the live log decoded entry by
+        entry — never through a :class:`ColumnarTimeline`, so the
+        reference reconstructs independently of the columnar path."""
+        if timeline is not None:
+            return timeline.entries, dict(
+                end_time_ns=timeline.end_time_ns,
+                single_res_ids=timeline.single_device_ids(),
+                multi_res_ids=timeline.multi_device_ids())
+        if self._booted:
+            self.mark_log_end()
+        return self.entries(), dict(
+            end_time_ns=self.sim.now,
+            single_res_ids=[d.res_id for d in self._single_devices()],
+            multi_res_ids=[RES_TIMERB])
 
     def layout(self):
         return layout_from_tracker(self.tracker)
 
     def regression(
         self,
-        timeline: Optional[TimelineBuilder] = None,
+        timeline: Optional[ColumnarTimeline] = None,
         weighting: str = "sqrt_et",
         strict: bool = False,
         backend: Optional[str] = None,
     ) -> RegressionResult:
-        """Run the Section 2.5 breakdown on this node's log.
+        """Run the Section 2.5 breakdown on this node's log, or on the
+        passed ``timeline`` snapshot (its rows, not the live log).
 
         With the columnar backend the grouped ``(E_j, t_j)`` inputs come
-        straight off the interval columns (no ``PowerInterval`` objects).
-        A passed ``timeline`` is honored as the snapshot to analyze —
-        its captured entries, not the live log — exactly like the
-        streaming path.
+        straight off the interval columns (no ``PowerInterval`` objects);
+        the streaming backend rebuilds the intervals entry by entry
+        through a :class:`TimelineStream`.
         """
         if resolve_analysis_backend(backend) == "columnar":
-            columnar = (self._columnar_from_builder(timeline)
-                        if timeline is not None
-                        else self.columnar_timeline())
+            columnar = timeline if timeline is not None else self.timeline()
             return solve_grouped(
                 *columnar.grouped_inputs(
                     self.platform.icount.nominal_energy_per_pulse_j),
@@ -476,9 +466,15 @@ class QuantoNode:
                 weighting=weighting,
                 strict=strict,
             )
-        tl = timeline if timeline is not None else self.timeline()
+        entries, _ = self._reference_log(timeline)
+        return self._reference_regression(entries, weighting, strict)
+
+    def _reference_regression(self, entries, weighting: str,
+                              strict: bool) -> RegressionResult:
+        intervals: list = []
+        TimelineStream(on_interval=intervals.append).feed_all(entries)
         return solve_breakdown(
-            tl.power_intervals(),
+            intervals,
             self.layout(),
             self.platform.icount.nominal_energy_per_pulse_j,
             self.platform.rail.voltage,
@@ -496,11 +492,11 @@ class QuantoNode:
         per-point analysis path experiments should use.
 
         On the columnar backend (the default) both consumers read the
-        memoized :meth:`columnar_timeline` — one ``np.frombuffer`` decode
-        for the whole analysis, no per-entry objects.  On the streaming
-        backend one :class:`TimelineBuilder` is built and passed to both,
-        so neither path ever decodes the log twice.  Output is
-        bit-identical either way (the backend contract).
+        memoized :meth:`timeline` — one ``np.frombuffer`` decode for the
+        whole analysis, no per-entry objects.  On the streaming backend
+        the log is decoded to entries once and both consumers replay
+        them.  Output is bit-identical either way (the backend
+        contract).
         """
         if resolve_analysis_backend(backend) == "columnar":
             regression = self.regression(weighting=weighting,
@@ -508,51 +504,51 @@ class QuantoNode:
             return regression, self.energy_map(
                 regression=regression, fold_proxies=fold_proxies,
                 backend="columnar")
-        timeline = self.timeline()
-        regression = self.regression(timeline, weighting=weighting,
-                                     backend="streaming")
-        return regression, self.energy_map(
-            timeline, regression, fold_proxies=fold_proxies,
-            backend="streaming")
+        log = self._reference_log(None)
+        regression = self._reference_regression(log[0], weighting, False)
+        return regression, self._reference_map(log, regression,
+                                                fold_proxies)
 
     def energy_map(
         self,
-        timeline: Optional[TimelineBuilder] = None,
+        timeline: Optional[ColumnarTimeline] = None,
         regression: Optional[RegressionResult] = None,
         fold_proxies: bool = False,
         backend: Optional[str] = None,
     ) -> EnergyMap:
-        """The full 'where have the joules gone' answer for this node.
+        """The full 'where have the joules gone' answer for this node,
+        or for the passed ``timeline`` snapshot.
 
         ``backend`` (default: ``$REPRO_ANALYSIS_BACKEND``, else
         columnar, :data:`~repro.core.accounting.DEFAULT_ANALYSIS_BACKEND`)
         picks the analysis implementation; both produce bit-identical
         maps.
         """
-        backend = resolve_analysis_backend(backend)
-        if backend == "columnar":
-            if timeline is not None:
-                # Analyze the captured snapshot, like the batch wrapper.
-                columnar = self._columnar_from_builder(timeline)
-                reg = regression if regression is not None \
-                    else self.regression(timeline, backend=backend)
-            else:
-                columnar = self.columnar_timeline()
-                reg = regression if regression is not None \
-                    else self.regression(backend=backend)
+        if resolve_analysis_backend(backend) == "columnar":
+            columnar = timeline if timeline is not None else self.timeline()
+            reg = regression if regression is not None \
+                else self.regression(columnar, backend="columnar")
             return columnar_energy_map(
                 columnar, reg, self.registry, COMPONENT_NAMES,
                 self.platform.icount.nominal_energy_per_pulse_j,
                 fold_proxies=fold_proxies,
                 idle_name=self.registry.name_of(self.idle),
             )
-        tl = timeline if timeline is not None else self.timeline()
-        reg = regression if regression is not None else self.regression(tl)
-        return build_energy_map(
-            tl, reg, self.registry, COMPONENT_NAMES,
+        log = self._reference_log(timeline)
+        reg = regression if regression is not None \
+            else self._reference_regression(log[0], "sqrt_et", False)
+        return self._reference_map(log, reg, fold_proxies)
+
+    def _reference_map(self, log: tuple[list, dict],
+                       regression: RegressionResult,
+                       fold_proxies: bool) -> EnergyMap:
+        entries, stream_kwargs = log
+        return stream_energy_map(
+            entries, regression, self.registry, COMPONENT_NAMES,
             self.platform.icount.nominal_energy_per_pulse_j,
             fold_proxies=fold_proxies,
             idle_name=self.registry.name_of(self.idle),
+            backend="streaming", **stream_kwargs,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

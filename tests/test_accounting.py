@@ -17,10 +17,11 @@ from repro.core.logger import (
     TYPE_ACT_REMOVE,
     TYPE_BOOT,
     TYPE_POWERSTATE,
+    LogColumns,
     decode_log,
 )
 from repro.core.regression import SinkColumn, solve_breakdown
-from repro.core.timeline import TimelineBuilder
+from repro.core.timeline import ColumnarTimeline
 from repro.errors import RegressionError
 from repro.units import ms
 
@@ -29,7 +30,8 @@ QUANTUM = 8.33e-6
 
 def _timeline(rows, end_ms, **kwargs):
     raw = b"".join(ENTRY_STRUCT.pack(*row) for row in rows)
-    return TimelineBuilder(decode_log(raw), end_time_ns=ms(end_ms), **kwargs)
+    return ColumnarTimeline(LogColumns.from_entries(decode_log(raw)),
+                            end_time_ns=ms(end_ms), **kwargs)
 
 
 def _pulses(power_w, dt_ms):

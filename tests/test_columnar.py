@@ -9,7 +9,7 @@ Three layers of equivalence pin the backend down:
 * **Cover** — on randomized logs, the ``searchsorted`` interval cover
   must match the cursor-based streaming cover span-for-span (same
   segments, same overlaps, same order), and the columnar interval /
-  segment reconstruction must equal the batch builder's objects.
+  segment reconstruction must equal what ``TimelineStream`` emits.
 * **Attribution** — the full columnar energy map must be bit-identical
   (float bits and dict insertion order) to the streaming accumulator on
   randomized logs with randomized analysis windows — including windows
@@ -49,8 +49,8 @@ from repro.core.regression import (
 )
 from repro.core.timeline import (
     ColumnarTimeline,
-    TimelineBuilder,
     TimelineCarry,
+    TimelineStream,
 )
 from repro.errors import LoggerError, RegressionError
 
@@ -174,30 +174,42 @@ def test_log_columns_from_entries_roundtrip():
     reference = decode_columns(raw)
     assert columns.time_ns.tolist() == reference.time_ns.tolist()
     assert columns.icount.tolist() == reference.icount.tolist()
+    # ...and back: the timeline's rows are the decoded entries, seq and
+    # time_us included.
+    assert ColumnarTimeline(reference).entries == entries
 
 
 # -- reconstruction ---------------------------------------------------------
 
 
+def _streamed(raw, end_us):
+    """The streaming trackers' reconstruction of a random log: emitted
+    intervals, and segments grouped per device in emission order."""
+    intervals, segments = [], []
+    TimelineStream(
+        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID],
+        on_interval=intervals.append, on_segment=segments.append,
+    ).feed_all(iter_entries(raw), end_us * 1000)
+    by_device = {rid: [seg for seg in segments if seg.res_id == rid]
+                 for rid in SINGLE_IDS}
+    return intervals, by_device
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_columnar_reconstruction_matches_builder(seed):
+def test_columnar_reconstruction_matches_streaming(seed):
     """Intervals (times, pulses, state vectors) and per-device segments
-    (spans, labels, bind resolution) equal the batch builder's."""
+    (spans, labels, bind resolution) equal the streaming trackers'."""
     rng = random.Random(seed)
     raw, end_us = _random_log(rng)
-    entries = decode_log(raw)
-    builder = TimelineBuilder(
-        entries, end_time_ns=end_us * 1000,
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
+    intervals, segments = _streamed(raw, end_us)
     columnar = ColumnarTimeline(
         decode_columns(raw), end_time_ns=end_us * 1000,
         single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
-    assert columnar.power_intervals() == builder.power_intervals()
+    assert columnar.power_intervals() == intervals
     # The fold's share arithmetic needs every interval strictly positive.
     assert (columnar.interval_t1 > columnar.interval_t0).all()
     for rid in SINGLE_IDS:
-        assert columnar.activity_segments(rid) \
-            == builder.activity_segments(rid)
+        assert columnar.activity_segments(rid) == segments[rid]
 
 
 def test_backwards_time_is_refused(monkeypatch):
@@ -237,18 +249,14 @@ def test_ragged_cover_matches_cursor_cover(seed):
     exactly: same segments, same overlaps, same order, per interval."""
     rng = random.Random(100 + seed)
     raw, end_us = _random_log(rng)
-    entries = decode_log(raw)
-    builder = TimelineBuilder(
-        entries, end_time_ns=end_us * 1000,
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
+    intervals, by_device = _streamed(raw, end_us)
     columnar = ColumnarTimeline(
         decode_columns(raw), end_time_ns=end_us * 1000,
         single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
-    intervals = builder.power_intervals()
     window_t0 = np.array([iv.t0_ns for iv in intervals], dtype=np.int64)
     window_t1 = np.array([iv.t1_ns for iv in intervals], dtype=np.int64)
     for rid in SINGLE_IDS:
-        segments = builder.activity_segments(rid)
+        segments = by_device[rid]
         device = columnar.single_columns(rid)
         offsets, seg_rows, overlaps = _ragged_cover(
             window_t0, window_t1, device.t0, device.t1)
@@ -291,7 +299,8 @@ def test_randomized_maps_bit_identical(seed, fold):
         single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID],
     )
     reference = stream_energy_map(
-        iter_entries(raw), regression, registry, names, 1e-6, **kwargs)
+        iter_entries(raw), regression, registry, names, 1e-6,
+        backend="streaming", **kwargs)
     candidate = columnar_energy_map(
         raw, regression, registry, names, 1e-6, **kwargs)
     _maps_equal(reference, candidate)
@@ -384,7 +393,7 @@ def test_device_turning_multi_mid_log_matches_streaming():
                       end_time_ns=400_000)
         reference = stream_energy_map(
             iter_entries(raw), regression, registry, {rid: "Dev"}, 1e-6,
-            **kwargs)
+            backend="streaming", **kwargs)
         candidate = columnar_energy_map(
             raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
         _maps_equal(reference, candidate)
@@ -394,7 +403,7 @@ def test_device_turning_multi_mid_log_matches_streaming():
                   single_res_ids=[rid], multi_res_ids=[rid])
     reference = stream_energy_map(
         iter_entries(raw), regression, registry, {rid: "Dev"}, 1e-6,
-        **kwargs)
+        backend="streaming", **kwargs)
     candidate = columnar_energy_map(
         raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
     _maps_equal(reference, candidate)
@@ -417,6 +426,65 @@ def test_stale_timeline_snapshot_matches_streaming():
     assert ref_reg.power_w == cand_reg.power_w
     assert ref_reg.group_time_ns == cand_reg.group_time_ns
     assert ref_reg.group_energy_j == cand_reg.group_energy_j
+
+
+@pytest.mark.parametrize("stale", [False, True])
+def test_node_backend_knob_selects_one_implementation(monkeypatch, stale):
+    """``backend=`` on the node's regression / energy_map / breakdown
+    runs exactly the implementation it names: streaming builds no
+    ColumnarTimeline (the reference stays independent of the columnar
+    reconstruction), columnar runs no EnergyAccumulator, and the maps
+    are byte-identical.  A stale snapshot analyzes only its own rows."""
+    from repro.core.accounting import EnergyAccumulator
+    from repro.experiments.common import run_blink
+    from repro.units import seconds
+
+    node, _app, sim = run_blink(seed=6, duration_ns=seconds(2))
+    snapshot = node.timeline() if stale else None
+    if stale:
+        sim.run(until=sim.now + seconds(2))  # the log keeps growing
+    calls = {}
+    build, feed_all = ColumnarTimeline.__init__, EnergyAccumulator.feed_all
+
+    def spy_build(self, *args, **kwargs):
+        calls["timelines"] += 1
+        build(self, *args, **kwargs)
+
+    def spy_feed_all(self, *args, **kwargs):
+        calls["accumulators"] += 1
+        return feed_all(self, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnarTimeline, "__init__", spy_build)
+    monkeypatch.setattr(EnergyAccumulator, "feed_all", spy_feed_all)
+
+    def analyze(backend):
+        calls.update(timelines=0, accumulators=0)
+        regression = node.regression(snapshot, backend=backend)
+        maps = [node.energy_map(snapshot, backend=backend),
+                node.energy_map(snapshot, regression, fold_proxies=True,
+                                backend=backend)]
+        if not stale:
+            maps.append(node.breakdown(backend=backend)[1])
+        return regression, maps, dict(calls)
+
+    # Streaming first, so no memoized timeline can hide a build.
+    ref_reg, ref_maps, ref_calls = analyze("streaming")
+    cand_reg, cand_maps, cand_calls = analyze("columnar")
+    assert ref_calls["timelines"] == 0
+    assert ref_calls["accumulators"] == len(ref_maps)
+    assert cand_calls["accumulators"] == 0
+    # The regression and every map share one memoized reconstruction
+    # (none at all when a snapshot is passed).
+    assert cand_calls["timelines"] == (0 if stale else 1)
+    assert ref_reg.power_w == cand_reg.power_w
+    assert ref_reg.group_time_ns == cand_reg.group_time_ns
+    assert ref_reg.group_energy_j == cand_reg.group_energy_j
+    for reference, candidate in zip(ref_maps, cand_maps):
+        _maps_equal(reference, candidate)
+    if stale:
+        span = int(snapshot.interval_t1[-1]) - int(snapshot.interval_t0[0])
+        assert ref_maps[0].span_ns == cand_maps[0].span_ns == span
+        assert node.energy_map(backend="columnar").span_ns > span
 
 
 # -- selection --------------------------------------------------------------

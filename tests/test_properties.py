@@ -15,11 +15,12 @@ from repro.core.logger import (
     TYPE_ACT_CHANGE,
     TYPE_BOOT,
     TYPE_POWERSTATE,
+    LogColumns,
     decode_log,
 )
 from repro.core.regression import SinkColumn, solve_breakdown
 from repro.core.accounting import build_energy_map
-from repro.core.timeline import TimelineBuilder
+from repro.core.timeline import ColumnarTimeline
 
 QUANTUM = 8.33e-6
 
@@ -43,8 +44,9 @@ def test_activity_segments_tile_time(steps):
                                       value & 0xFFFF))
     end_ns = (t + 500) * 1000
     entries = decode_log(b"".join(rows))
-    builder = TimelineBuilder(entries, end_time_ns=end_ns)
-    segments = builder.activity_segments(0)
+    timeline = ColumnarTimeline(LogColumns.from_entries(entries),
+                                end_time_ns=end_ns)
+    segments = timeline.activity_segments(0)
     if not segments:
         return
     assert segments[0].t0_ns == entries[0].time_ns
@@ -83,13 +85,14 @@ def test_energy_map_conserves_energy(schedule, led_power, const_power):
                 TYPE_POWERSTATE, 1, t_us, int(pulses), new_state))
             state = new_state
     entries = decode_log(b"".join(rows))
-    builder = TimelineBuilder(entries, end_time_ns=t_us * 1000)
-    intervals = builder.power_intervals()
+    timeline = ColumnarTimeline(LogColumns.from_entries(entries),
+                                end_time_ns=t_us * 1000)
+    intervals = timeline.power_intervals()
     if not intervals:
         return
     layout = [SinkColumn(1, 1, "LED0")]
     regression = solve_breakdown(intervals, layout, QUANTUM, 3.0)
-    emap = build_energy_map(builder, regression, registry, {1: "LED0"},
+    emap = build_energy_map(timeline, regression, registry, {1: "LED0"},
                             QUANTUM)
     replayed = sum(
         regression.power_of_states(iv.states) * iv.dt_ns * 1e-9
@@ -143,10 +146,14 @@ def test_multi_device_time_split_sums_to_presence(values):
             present.add(value)
     end_ns = (t + 100) * 1000
     entries = decode_log(b"".join(rows))
-    builder = TimelineBuilder(entries, end_time_ns=end_ns)
-    segments = builder.multi_activity_segments(9)
-    covered = sum(s.dt_ns for s in segments)
+    timeline = ColumnarTimeline(LogColumns.from_entries(entries),
+                                end_time_ns=end_ns)
+    spans = timeline.multi_columns(9)
+    segments = [(t1 - t0, timeline.label_sets[set_id])
+                for t0, t1, set_id in zip(spans.t0.tolist(),
+                                          spans.t1.tolist(), spans.set_ids)]
+    covered = sum(dt for dt, _labels in segments)
     split_total = sum(
-        s.dt_ns // len(s.labels) * len(s.labels)
-        for s in segments if s.labels)
+        dt // len(labels) * len(labels)
+        for dt, labels in segments if labels)
     assert split_total <= covered

@@ -279,6 +279,7 @@ def test_cancelled_drain_wait_leaves_the_writer_running():
     """A waiter that gives up on :meth:`CheckpointWriter.drained` (a
     handler cancelled mid-wait) must not take the writer thread down
     with it: later writes still land."""
+    started = threading.Event()
     release = threading.Event()
 
     class GatedJournal:
@@ -288,6 +289,7 @@ def test_cancelled_drain_wait_leaves_the_writer_running():
             self.written = []
 
         def write_checkpoint(self, state):
+            started.set()
             release.wait(timeout=10)
             self.written.append(state["journal_offset"])
 
@@ -295,6 +297,9 @@ def test_cancelled_drain_wait_leaves_the_writer_running():
     writer = CheckpointWriter()
     try:
         writer.submit(journal, {"journal_offset": 1}, lambda s, e: None)
+        # Write 1 must be in flight: a still-waiting job would take the
+        # second submit's state in place (the writer's coalescing).
+        assert started.wait(timeout=10)
         abandoned = writer.drained()
         assert abandoned.cancel()
         release.set()

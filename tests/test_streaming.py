@@ -24,7 +24,7 @@ from repro.core.accounting import (
 )
 from repro.core.logger import ENTRY_STRUCT, decode_log, iter_entries
 from repro.core.regression import RegressionResult
-from repro.core.timeline import TimelineBuilder, TimelineStream
+from repro.core.timeline import TimelineStream
 from repro.experiments.common import run_blink
 from repro.tos.network import Network
 from repro.tos.node import COMPONENT_NAMES, RES_TIMERB, NodeConfig
@@ -123,7 +123,8 @@ def test_collection_network_streams_identically(backend):
 
 
 def test_timeline_stream_matches_builder_on_blink():
-    """The stream's emitted intervals/segments equal the batch lists."""
+    """The stream's emitted intervals/segments equal the ones the node's
+    (columnar) timeline builds for the whole log."""
     node, _app, _sim = run_blink(seed=2, duration_ns=seconds(4))
     timeline = node.timeline()
     intervals, segments, multis = [], [], []
@@ -148,11 +149,13 @@ def test_timeline_stream_matches_builder_on_blink():
 
     assert sorted(map(seg_key, segments)) == \
         sorted(map(seg_key, batch_segments))
-    batch_multis = [
-        (m.res_id, m.t0_ns, m.t1_ns, m.labels)
-        for res_id in timeline.multi_device_ids()
-        for m in timeline.multi_activity_segments(res_id)
-    ]
+    batch_multis = []
+    for res_id in timeline.multi_device_ids():
+        spans = timeline.multi_columns(res_id)
+        batch_multis += [
+            (res_id, t0, t1, timeline.label_sets[set_id])
+            for t0, t1, set_id in zip(
+                spans.t0.tolist(), spans.t1.tolist(), spans.set_ids)]
     assert sorted((m.res_id, m.t0_ns, m.t1_ns, m.labels) for m in multis) \
         == sorted(batch_multis)
 

@@ -49,12 +49,12 @@ def boundary_ends(timeline):
             ends.add(segment.t0_ns)
             ends.add(segment.t1_ns)
     for res_id in timeline.multi_device_ids():
-        for segment in timeline.multi_activity_segments(res_id):
-            ends.add(segment.t0_ns)
-            ends.add(segment.t1_ns)
+        spans = timeline.multi_columns(res_id)
+        ends.update(spans.t0.tolist())
+        ends.update(spans.t1.tolist())
     for interval in timeline.power_intervals():
         ends.add(interval.t1_ns)
-    last_entry_ns = timeline.entries[-1].time_ns
+    last_entry_ns = int(timeline.columns.time_ns[-1])
     ends |= {last_entry_ns, last_entry_ns + 1,
              last_entry_ns + int(seconds(1))}
     return sorted(end for end in ends if end > 0)
@@ -84,7 +84,7 @@ def test_window_past_the_log_matches_last_entry_extension(blink):
     deferred tail replay covers it, and both backends still agree (the
     map keeps growing only in time, not in metered pulses)."""
     node, timeline, regression, raw = blink
-    last_entry_ns = timeline.entries[-1].time_ns
+    last_entry_ns = int(timeline.columns.time_ns[-1])
     far = last_entry_ns + int(seconds(30))
     streaming = map_at(node, regression, raw, far, False, "streaming")
     columnar = map_at(node, regression, raw, far, False, "columnar")

@@ -13,9 +13,10 @@ from repro.core.logger import (
     TYPE_ACT_REMOVE,
     TYPE_BOOT,
     TYPE_POWERSTATE,
+    LogColumns,
     decode_log,
 )
-from repro.core.timeline import TimelineBuilder
+from repro.core.timeline import ColumnarTimeline
 
 RED = ActivityLabel(1, 1).encode()
 BLUE = ActivityLabel(1, 2).encode()
@@ -30,6 +31,11 @@ def _entries(*rows):
     return decode_log(raw)
 
 
+def _timeline(entries, end_time_ns):
+    return ColumnarTimeline(LogColumns.from_entries(entries),
+                            end_time_ns=end_time_ns)
+
+
 def test_power_intervals_basic():
     entries = _entries(
         (TYPE_BOOT, 0, 0, 0, 0),
@@ -37,8 +43,8 @@ def test_power_intervals_basic():
         (TYPE_POWERSTATE, 1, 100, 10, 1),   # LED on at 100 us
         (TYPE_POWERSTATE, 1, 300, 40, 0),   # LED off at 300 us
     )
-    builder = TimelineBuilder(entries, end_time_ns=400_000)
-    intervals = builder.power_intervals()
+    timeline = _timeline(entries, 400_000)
+    intervals = timeline.power_intervals()
     # Two measured intervals; time past the last record (300..400 us) is
     # unobservable energy-wise and is not fabricated.
     assert len(intervals) == 2
@@ -55,8 +61,8 @@ def test_power_interval_energy():
         (TYPE_BOOT, 0, 0, 0, 0),
         (TYPE_POWERSTATE, 0, 100, 12, 1),
     )
-    builder = TimelineBuilder(entries, end_time_ns=200_000)
-    interval = builder.power_intervals()[0]
+    timeline = _timeline(entries, 200_000)
+    interval = timeline.power_intervals()[0]
     assert interval.energy_j(8.33e-6) == pytest.approx(12 * 8.33e-6)
     assert interval.state_of(0) == 0
     assert interval.state_of(99) is None
@@ -70,8 +76,8 @@ def test_simultaneous_changes_fold_into_one_boundary():
         (TYPE_POWERSTATE, 1, 100, 5, 1),  # same microsecond
         (TYPE_POWERSTATE, 0, 200, 9, 0),
     )
-    builder = TimelineBuilder(entries, end_time_ns=300_000)
-    intervals = builder.power_intervals()
+    timeline = _timeline(entries, 300_000)
+    intervals = timeline.power_intervals()
     # [0,100) both off; [100,200) both on (one boundary, not two).
     assert len(intervals) == 2
     assert dict(intervals[1].states) == {0: 1, 1: 1}
@@ -83,8 +89,8 @@ def test_activity_segments_basic():
         (TYPE_ACT_CHANGE, 0, 100, 0, BLUE),
         (TYPE_ACT_CHANGE, 0, 250, 0, RED),
     )
-    builder = TimelineBuilder(entries, end_time_ns=400_000)
-    segments = builder.activity_segments(0)
+    timeline = _timeline(entries, 400_000)
+    segments = timeline.activity_segments(0)
     assert [(s.t0_ns, s.t1_ns, s.label.encode()) for s in segments] == [
         (0, 100_000, RED),
         (100_000, 250_000, BLUE),
@@ -98,8 +104,8 @@ def test_bind_marks_proxy_segment():
         (TYPE_ACT_BIND, 0, 100, 0, REMOTE),
         (TYPE_ACT_CHANGE, 0, 200, 0, RED),
     )
-    builder = TimelineBuilder(entries, end_time_ns=300_000)
-    segments = builder.activity_segments(0)
+    timeline = _timeline(entries, 300_000)
+    segments = timeline.activity_segments(0)
     proxy_seg = segments[0]
     assert proxy_seg.label.encode() == PROXY
     assert proxy_seg.bound_to is not None
@@ -118,8 +124,8 @@ def test_bind_resolves_all_unresolved_proxy_segments():
         (TYPE_ACT_CHANGE, 0, 100, 0, PROXY),   # proxy again
         (TYPE_ACT_BIND, 0, 150, 0, REMOTE),    # decode: bind proxy
     )
-    builder = TimelineBuilder(entries, end_time_ns=200_000)
-    segments = builder.activity_segments(0)
+    timeline = _timeline(entries, 200_000)
+    segments = timeline.activity_segments(0)
     proxy_segments = [s for s in segments if s.label.encode() == PROXY]
     assert len(proxy_segments) == 2
     assert all(s.effective_label.encode() == REMOTE for s in proxy_segments)
@@ -132,8 +138,8 @@ def test_bind_chains_resolve_transitively():
         (TYPE_ACT_BIND, 0, 50, 0, PROXY),     # bound to pxy_RX
         (TYPE_ACT_BIND, 0, 100, 0, REMOTE),   # pxy_RX bound to 4:...
     )
-    builder = TimelineBuilder(entries, end_time_ns=150_000)
-    segments = builder.activity_segments(0)
+    timeline = _timeline(entries, 150_000)
+    segments = timeline.activity_segments(0)
     uart_seg = segments[0]
     assert uart_seg.label.encode() == PROXY2
     assert uart_seg.effective_label.encode() == REMOTE
@@ -145,9 +151,12 @@ def test_multi_activity_segments():
         (TYPE_ACT_ADD, 9, 100, 0, BLUE),
         (TYPE_ACT_REMOVE, 9, 200, 0, RED),
     )
-    builder = TimelineBuilder(entries, end_time_ns=300_000)
-    segments = builder.multi_activity_segments(9)
-    sets = [frozenset(l.encode() for l in s.labels) for s in segments]
+    timeline = _timeline(entries, 300_000)
+    spans = timeline.multi_columns(9)
+    assert spans.t0.tolist() == [0, 100_000, 200_000]
+    assert spans.t1.tolist() == [100_000, 200_000, 300_000]
+    sets = [frozenset(l.encode() for l in timeline.label_sets[set_id])
+            for set_id in spans.set_ids]
     assert sets == [
         frozenset({RED}),
         frozenset({RED, BLUE}),
@@ -160,13 +169,13 @@ def test_device_kind_inference():
         (TYPE_ACT_CHANGE, 0, 0, 0, RED),
         (TYPE_ACT_ADD, 9, 0, 0, RED),
     )
-    builder = TimelineBuilder(entries, end_time_ns=100_000)
-    assert builder.single_device_ids() == [0]
-    assert builder.multi_device_ids() == [9]
+    timeline = _timeline(entries, 100_000)
+    assert timeline.single_device_ids() == [0]
+    assert timeline.multi_device_ids() == [9]
 
 
 def test_empty_log():
-    builder = TimelineBuilder([], end_time_ns=0)
-    assert builder.power_intervals() == []
-    assert builder.activity_segments(0) == []
-    assert builder.multi_activity_segments(9) == []
+    timeline = _timeline([], 0)
+    assert timeline.power_intervals() == []
+    assert timeline.activity_segments(0) == []
+    assert timeline.multi_columns(9) is None
