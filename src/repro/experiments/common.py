@@ -330,8 +330,8 @@ def _blink_world_key(node_id: int, node_kwargs: dict) -> Optional[tuple]:
 # -- batched execution ------------------------------------------------------
 
 #: The announced batch plan: the seeds of the points about to run, in
-#: order.  Set by :func:`blink_batch_plan` (the sweep's batched executor
-#: and :func:`run_batch` use it); consulted by :func:`run_blink`.
+#: order.  Set by :func:`blink_batch_plan` (the sweep executor uses it);
+#: consulted by :func:`run_blink`.
 _BATCH_PLAN: Optional[tuple[int, ...]] = None
 
 #: Configs already batch-simulated under the current plan (so a second
@@ -509,35 +509,6 @@ def run_blink(
     node.boot(app.start)
     sim.run(until=duration_ns)
     return node, app, sim
-
-
-def run_batch(
-    exp_id: str,
-    seeds: Iterable[int],
-    overrides: Optional[dict[str, Any]] = None,
-    k: int = 8,
-) -> list[ExperimentResult]:
-    """Run one experiment over many seeds, K worlds per batch.
-
-    Seeds are chunked into groups of ``k``; within a chunk, experiments
-    that route through :func:`run_blink` simulate all their worlds
-    interleaved on one shared calendar queue and analyze their logs off
-    one fused decode.  Results are bit-identical to per-seed
-    :func:`run_experiment` calls (``tests/test_batched.py`` gates every
-    experiment's digests at several K) — batching only changes wall
-    time.  Experiments that never enter the blink path just run
-    serially, so ``run_batch`` is safe for any experiment id.
-    """
-    seeds = [int(seed) for seed in seeds]
-    k = max(1, int(k))
-    results = []
-    for start in range(0, len(seeds), k):
-        chunk = seeds[start:start + k]
-        with blink_batch_plan(chunk):
-            for seed in chunk:
-                results.append(
-                    run_experiment(exp_id, seed=seed, overrides=overrides))
-    return results
 
 
 def lanes_for(

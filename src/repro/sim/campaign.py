@@ -65,6 +65,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 from repro.errors import CampaignError
 from repro.sim import faultinject
 from repro.sim.sweep import (
+    PointFailure,
     PointResult,
     PointSummary,
     SweepAggregator,
@@ -72,7 +73,7 @@ from repro.sim.sweep import (
     SweepPoint,
     SweepResult,
     _analysis_backend,
-    _iter_points_batched,
+    _iter_chunk,
     _run_sweep_inner,
     code_fingerprint,
     detect_jobs,
@@ -435,9 +436,10 @@ def run_worker(
     is re-simulated, not trusted), and simulates the rest through the
     batched executor, appending each result to the shared shard store
     as it lands, under the manifest's analysis backend.  Exits nonzero
-    if any append fails — a shard that cannot persist its work must
-    look dead to the runner, not done.  On a machine of its own, the
-    worker is the whole per-machine step of a multi-machine campaign.
+    if any point fails or any append fails — a shard that cannot
+    finish and persist its work must look dead to the runner, not
+    done.  On a machine of its own, the worker is the whole
+    per-machine step of a multi-machine campaign.
 
     Fault-injection sites (:mod:`repro.sim.faultinject`): ``pre-run``
     before the first point, ``pre-store`` before every append,
@@ -461,8 +463,12 @@ def run_worker(
     ]
     stored = 0
     with _analysis_backend(manifest.backend):
-        for result in _iter_points_batched(
-                missing, resolve_batch(manifest.batch)):
+        for result in _iter_chunk(missing, resolve_batch(manifest.batch)):
+            if isinstance(result, PointFailure):
+                raise CampaignError(
+                    f"shard {shard_index}: grid point "
+                    f"[{result.point.describe()}] failed ({result.error})"
+                    f"\n{result.worker_traceback}")
             faultinject.fire("pre-store", selector=shard_index)
             if not cache.store(result):
                 raise CampaignError(

@@ -64,23 +64,18 @@ Two refinements make chaos deterministic instead of merely chaotic:
   matching selector (the shard index in campaign workers, the seed in
   ``run_point``), so a fault targets one shard or one grid point.
 
-Also here: the reusable I/O-fault and torn-tail tools the shard-store
-tests and the campaign fuzz tests share — :func:`io_faults` wraps
-``builtins.open`` so reads/writes of one path fail with ``EIO`` after a
-budget, and :func:`tear_tail` truncates a file mid-record the way a
-crashed writer does.
+Also here: :func:`tear_tail`, which the campaign and journal tests use
+to truncate a file mid-record the way a crashed writer does.
 """
 
 from __future__ import annotations
 
-import builtins
 import errno
 import os
 import signal
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import CampaignError
 
@@ -198,7 +193,7 @@ def _execute(spec: FaultSpec, site: str) -> None:
         time.sleep(float(spec.arg or 1.0))
 
 
-# -- reusable I/O fault tools ------------------------------------------------
+# -- torn-tail tool ----------------------------------------------------------
 
 
 def tear_tail(path, drop: int = 7) -> None:
@@ -207,66 +202,3 @@ def tear_tail(path, drop: int = 7) -> None:
     size = os.path.getsize(path)
     with open(path, "r+b") as fileobj:
         fileobj.truncate(max(0, size - drop))
-
-
-class _BudgetedFile:
-    """A real file object whose reads/writes draw from shared budgets and
-    then fail with ``EIO`` — the shape of a transient NFS hiccup."""
-
-    def __init__(self, fileobj, state):
-        self._file = fileobj
-        self._state = state
-
-    def read(self, *args):
-        state = self._state
-        if state["armed"]:
-            if state["reads"] is not None:
-                if state["reads"] <= 0:
-                    raise OSError(errno.EIO, "injected read fault")
-                state["reads"] -= 1
-        return self._file.read(*args)
-
-    def write(self, *args):
-        state = self._state
-        if state["armed"]:
-            if state["writes"] is not None:
-                if state["writes"] <= 0:
-                    raise OSError(errno.EIO, "injected write fault")
-                state["writes"] -= 1
-        return self._file.write(*args)
-
-    def __getattr__(self, name):
-        return getattr(self._file, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return self._file.__exit__(*exc)
-
-
-@contextmanager
-def io_faults(path, reads: Optional[int] = None,
-              writes: Optional[int] = None) -> Iterator[dict]:
-    """Within the context, binary opens of ``path`` return files whose
-    reads (after ``reads`` successes) and/or writes (after ``writes``)
-    raise ``EIO``.  Budgets are shared across every open of the path —
-    one injector models one flaky device, however many descriptors touch
-    it.  Yields the mutable budget state; set ``state["armed"] = False``
-    to heal the device mid-test.
-    """
-    real_open = builtins.open
-    state = {"path": str(path), "reads": reads, "writes": writes,
-             "armed": True}
-
-    def faulty_open(file, mode="r", *args, **kwargs):
-        fileobj = real_open(file, mode, *args, **kwargs)
-        if state["armed"] and str(file) == state["path"] and "b" in mode:
-            return _BudgetedFile(fileobj, state)
-        return fileobj
-
-    builtins.open = faulty_open
-    try:
-        yield state
-    finally:
-        builtins.open = real_open

@@ -27,7 +27,10 @@ Properties the sweep pipeline relies on:
 * **Append-only, last write wins** — re-storing a key appends a new
   record; both the in-memory index and a rebuild scan keep the latest
   offset.  Nothing is ever rewritten in place, so a reader can never
-  observe a half-updated record.
+  observe a half-updated record.  Superseded records stay in the file:
+  nothing reclaims them.  A key is only re-stored when a corrupt record
+  is re-simulated or a retried or backup campaign worker repeats a
+  point, so the dead weight is bounded by the campaign retry budget.
 * **Torn-tail tolerant** — a crash mid-append leaves a truncated last
   record; scans stop at the first malformed header, so the store
   recovers to its last complete record (exactly the old per-file
@@ -46,7 +49,6 @@ from __future__ import annotations
 import io
 import os
 import struct
-import time
 import zlib
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -327,97 +329,3 @@ class ShardStore:
         if self._index is not None:
             self._index[key] = (payload_at, len(payload), flags)
         return True
-
-    # -- compaction ------------------------------------------------------
-
-    def dead_bytes(self) -> tuple[int, int]:
-        """``(dead, total)`` bytes of the shard file: ``dead`` is
-        everything a compaction would drop — superseded last-write-wins
-        frames plus any torn tail."""
-        try:
-            total = self.shard_path.stat().st_size
-        except OSError:
-            return 0, 0
-        live = len(SHARD_MAGIC) + sum(
-            RECORD_HEADER.size + length
-            for _, length, _ in self._entries().values())
-        return max(0, total - live), total
-
-    def compact(self) -> bool:
-        """Rewrite the shard keeping only the live record per key.
-
-        Superseded last-write-wins frames and a torn tail are dropped;
-        surviving records keep their exact payload bytes (and their
-        compression flag), in shard offset order, so every load after a
-        compaction returns the same bytes it did before.  The rewrite is
-        atomic — payloads stream into ``<shard>.tmp<pid>``, which is
-        fsynced and renamed over the shard — and the index is
-        regenerated from the new layout.  Returns False (shard
-        untouched) on any I/O trouble or when a read fault leaves the
-        scan partial: compacting from partial knowledge would silently
-        drop live records.
-
-        Compaction is an *owner* operation: run it only with no
-        concurrent writers (the campaign runner compacts after its
-        workers exit).  A writer holding an open append handle across
-        the rename would append to the orphaned old inode.
-        """
-        entries, _end, complete = self._scan_shard(0)
-        if not complete:
-            return False
-        rows = sorted(entries.items(), key=lambda item: item[1][0])
-        tmp = self.shard_path.with_name(
-            self.shard_path.name + f".tmp{os.getpid()}")
-        rebuilt: dict[bytes, tuple[int, int, int]] = {}
-        try:
-            with open(self.shard_path, "rb") as old, open(tmp, "wb") as out:
-                out.write(SHARD_MAGIC)
-                position = len(SHARD_MAGIC)
-                for key, (offset, length, flags) in rows:
-                    old.seek(offset)
-                    payload = old.read(length)
-                    if len(payload) != length:
-                        raise OSError(
-                            "shard shrank mid-compaction (concurrent writer?)")
-                    out.write(RECORD_HEADER.pack(key, flags, length))
-                    out.write(payload)
-                    rebuilt[key] = (position + RECORD_HEADER.size,
-                                    length, flags)
-                    position += RECORD_HEADER.size + length
-                out.flush()
-                os.fsync(out.fileno())
-            os.replace(tmp, self.shard_path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        self._close_reader()
-        self._index = rebuilt
-        self._write_index(rebuilt)
-        return True
-
-    def maybe_compact(self, min_dead_bytes: int = 1 << 20,
-                      min_dead_fraction: float = 0.25,
-                      min_age_s: float = 0.0) -> bool:
-        """Compact only past the thresholds — the hook a long-lived
-        campaign cache calls after every session so dead weight never
-        accumulates unboundedly, without rewriting a healthy store on
-        each run.  ``min_age_s`` skips shards modified more recently
-        than that (a store another process may still be appending to);
-        the size gates require at least ``min_dead_bytes`` of dead
-        weight *and* that it be at least ``min_dead_fraction`` of the
-        file.  Returns True only if a compaction ran and succeeded."""
-        try:
-            stat = self.shard_path.stat()
-        except OSError:
-            return False
-        if min_age_s > 0 and time.time() - stat.st_mtime < min_age_s:
-            return False
-        dead, total = self.dead_bytes()
-        if dead < max(1, min_dead_bytes):
-            return False
-        if total <= 0 or dead / total < min_dead_fraction:
-            return False
-        return self.compact()

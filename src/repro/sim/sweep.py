@@ -1,7 +1,7 @@
 """Fleet-scale sweep runner: many seeds, many parameter points, one report.
 
 A *sweep* executes one experiment over a grid of (seed, parameter-override)
-points — serially or on a ``multiprocessing`` worker pool — and reduces the
+points — serially or on a worker process pool — and reduces the
 per-point results into a single :class:`SweepResult`:
 
 * mean / stddev / 95 % CI for every numeric quantity the experiment
@@ -43,10 +43,10 @@ Determinism is the design center, not an afterthought:
   share no state, inherit no RNG, and each run derives every random
   stream from its own seed (see :mod:`repro.sim.rng`);
 * results are folded in grid order regardless of which worker finished
-  first (``imap`` preserves dispatch order), so serial and parallel
-  execution are verifiably byte-identical — same per-point digests, same
-  aggregates (``tests/test_determinism.py`` proves it; the CI smoke
-  sweep re-checks on every push).
+  first (the pool's futures are read in submission order), so serial
+  and parallel execution are verifiably byte-identical — same
+  per-point digests, same aggregates (``tests/test_determinism.py``
+  proves it; the CI smoke sweep re-checks on every push).
 
 Grid points run via :func:`repro.experiments.run_experiment`, so override
 validation and type coercion happen once, up front, before any worker is
@@ -58,15 +58,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import time
-from contextlib import contextmanager
+import traceback
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
-
-import traceback
 
 from repro.core.accounting import BACKEND_ENV_VAR, resolve_analysis_backend
 from repro.core.report import format_table
@@ -76,14 +74,6 @@ from repro.experiments.common import (
 )
 from repro.sim import faultinject
 from repro.sim.shardstore import ShardStore
-
-#: Start method for worker processes.  ``fork`` is preferred: workers
-#: inherit the warm interpreter (no re-import cost) and since every
-#: experiment seeds itself from its point, inherited state cannot leak
-#: into results.  Platforms without ``fork`` fall back to ``spawn``.
-DEFAULT_START_METHOD = (
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-)
 
 #: Bump when the cached payload layout changes; old entries then miss.
 CACHE_FORMAT = 1
@@ -550,39 +540,26 @@ def run_point(point: SweepPoint) -> PointResult:
 
 @dataclass(frozen=True)
 class PointFailure:
-    """What a pool worker sends back instead of raising: the failed
-    point plus the formatted worker-side traceback.  Raising inside a
-    worker would abort the whole ``imap`` stream mid-campaign; this
-    travels as an ordinary result so the parent can retry the one point
-    in-process and keep every other worker's output."""
+    """What :func:`_iter_chunk` yields instead of raising: the failed
+    point plus the formatted traceback.  A raise inside a pool worker
+    would throw away the rest of its chunk; this travels as an ordinary
+    result, so the parent retries the one point in-process and keeps
+    every other point's output."""
 
     point: SweepPoint
     error: str
     worker_traceback: str = ""
 
 
-#: In-process retry budget for a point whose worker failed (exception or
-#: death).  Override with ``$REPRO_SWEEP_POINT_RETRIES``.
+#: In-process retry budget for a point that failed (exception or worker
+#: death).
 DEFAULT_POINT_RETRIES = 2
-
-POINT_RETRIES_ENV_VAR = "REPRO_SWEEP_POINT_RETRIES"
-
-
-def _point_retries() -> int:
-    raw = os.environ.get(POINT_RETRIES_ENV_VAR, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise SweepError(
-                f"${POINT_RETRIES_ENV_VAR} must be an integer, got {raw!r}")
-    return DEFAULT_POINT_RETRIES
 
 
 def _run_point_fresh(point: SweepPoint) -> PointResult:
     """One retry attempt with every world cache dropped and warm start
-    disabled: a point that failed in a worker must not inherit whatever
-    half-mutated world state the failure may have left behind."""
+    disabled: a point that failed must not inherit whatever half-mutated
+    world state the failure may have left behind."""
     from repro.experiments.common import (
         WARM_START_ENV_VAR, clear_batch_worlds, clear_warm_worlds,
     )
@@ -600,43 +577,26 @@ def _run_point_fresh(point: SweepPoint) -> PointResult:
             os.environ[WARM_START_ENV_VAR] = previous
 
 
-def _retry_failed_point(point: SweepPoint, first_error: str,
-                        worker_traceback: str = "") -> PointResult:
-    """Re-run a failed point in-process (fresh world each attempt); after
-    the retry budget, raise naming the point and every error seen."""
-    errors = [first_error]
-    for _attempt in range(_point_retries()):
+def _settle(outcome: Union[PointResult, PointFailure]) -> PointResult:
+    """Pass a result through; re-run a failed point in-process (fresh
+    world each attempt) and, after the retry budget, raise naming the
+    point and every error seen."""
+    if not isinstance(outcome, PointFailure):
+        return outcome
+    point = outcome.point
+    errors = [outcome.error]
+    for _attempt in range(DEFAULT_POINT_RETRIES):
         try:
             return _run_point_fresh(point)
         except Exception as exc:  # noqa: BLE001 - the retry boundary
             errors.append(f"{type(exc).__name__}: {exc}")
     detail = "; then ".join(errors)
-    trace = f"\nworker traceback:\n{worker_traceback}" \
-        if worker_traceback else ""
+    trace = f"\nworker traceback:\n{outcome.worker_traceback}" \
+        if outcome.worker_traceback else ""
     raise SweepError(
         f"grid point [{point.describe()}] of {point.exp_id} failed "
         f"{len(errors)} times ({detail}){trace}"
     )
-
-
-def _iter_points_guarded(
-    points: Sequence[SweepPoint], batch: int,
-) -> Iterator[PointResult]:
-    """The in-process executor with the same retry contract as the pool:
-    a point that raises is re-run on a fresh world up to the retry
-    budget, and only then aborts the sweep with its ``describe()``."""
-    position = 0
-    while position < len(points):
-        try:
-            for result in _iter_points_batched(points[position:], batch):
-                position += 1
-                yield result
-        except Exception as exc:  # noqa: BLE001 - the retry boundary
-            point = points[position]
-            yield _retry_failed_point(
-                point, f"{type(exc).__name__}: {exc}",
-                traceback.format_exc())
-            position += 1
 
 
 #: Default worlds-per-batch for the in-process executor.  K=8 amortizes
@@ -689,150 +649,92 @@ def _batch_plans(
     return plans
 
 
-def _iter_points_batched(
+def _iter_chunk(
     points: Sequence[SweepPoint], k: int,
-) -> Iterator[PointResult]:
-    """The in-process executor: run the points in order, with each chunk
+) -> Iterator[Union[PointResult, PointFailure]]:
+    """The one place grid points run — in-process, in pool workers and
+    in campaign workers alike.  Points run in order, with each chunk
     head announcing its chunk's seeds so ``run_blink`` simulates the
-    whole chunk as one interleaved batch (K=1 plans no batches, so this
-    is ``map(run_point, points)``)."""
-    plans = _batch_plans(points, k)
-    for point, plan in zip(points, plans):
-        if plan is not None:
-            with blink_batch_plan(plan):
-                yield run_point(point)
-        else:
-            yield run_point(point)
-
-
-def _run_chunk_batched(
-    item: tuple[list[tuple[int, SweepPoint]], int],
-) -> list[tuple[int, Union[PointResult, PointFailure]]]:
-    """The pool worker function: a worker receives a whole chunk of
-    index-tagged points and batches within it, so the K-world
-    amortization survives fan-out, and the grid index on each result
-    lets the parent re-order ``imap_unordered`` output.  A point that
-    raises becomes a :class:`PointFailure` in place — a worker must
-    never abort the shared stream — and the rest of the chunk still
-    runs (batch siblings of a failed head fall back to their serial
-    path)."""
-    pairs, k = item
-    points = [point for _, point in pairs]
-    plans = _batch_plans(points, k)
-    out: list[tuple[int, Union[PointResult, PointFailure]]] = []
-    for (index, point), plan in zip(pairs, plans):
+    whole chunk as one interleaved batch (K=1 plans no batches).  A
+    point that raises becomes a :class:`PointFailure` in place and the
+    rest still run (batch siblings of a failed head fall back to their
+    serial path)."""
+    for point, plan in zip(points, _batch_plans(points, k)):
         try:
-            if plan is not None:
-                with blink_batch_plan(plan):
-                    out.append((index, run_point(point)))
+            if plan is None:
+                outcome = run_point(point)
             else:
-                out.append((index, run_point(point)))
-        except Exception as exc:  # noqa: BLE001 - serialized for the parent
-            out.append((index, PointFailure(
+                with blink_batch_plan(plan):
+                    outcome = run_point(point)
+        except Exception as exc:  # noqa: BLE001 - settled by the caller
+            outcome = PointFailure(
                 point=point, error=f"{type(exc).__name__}: {exc}",
-                worker_traceback=traceback.format_exc())))
-    return out
+                worker_traceback=traceback.format_exc())
+        yield outcome
 
 
-#: How long to block on the pool's result stream before checking the
-#: workers' health.  Purely a liveness knob: results arriving faster are
-#: delivered immediately; the poll only bounds how long a dead worker
-#: can go unnoticed.
-_POOL_POLL_S = 0.1
+def _run_chunk(
+    points: Sequence[SweepPoint], k: int,
+) -> list[Union[PointResult, PointFailure]]:
+    """The pool worker function (module-level so it pickles)."""
+    return list(_iter_chunk(points, k))
 
 
-def _pool_pids(pool) -> Optional[frozenset]:
-    """The pool's current worker pids, or None where the stdlib hides
-    them.  ``Pool`` transparently *replaces* a dead worker (so its exit
-    is invisible afterwards) but the task the worker held is lost
-    forever — the pid set changing is the one observable symptom."""
-    procs = getattr(pool, "_pool", None)
-    if procs is None:  # pragma: no cover - stdlib internals moved
-        return None
-    try:
-        return frozenset(proc.pid for proc in procs)
-    except Exception:  # pragma: no cover - stdlib internals moved
-        return None
-
-
-def _robust_pool_stream(
-    context,
+def _iter_pool(
     misses: Sequence[SweepPoint],
     jobs: int,
     batch: int,
-    chunksize: int,
-    initializer,
-    initargs,
-) -> Iterator[tuple[int, PointResult]]:
-    """Yield ``(grid index, result)`` for every miss off a worker pool,
-    surviving both worker-side exceptions and worker death.
+    fingerprint: Optional[str],
+) -> Iterator[Union[PointResult, PointFailure]]:
+    """Run the misses on a ``jobs``-wide process pool and yield their
+    outcomes in grid order.
 
-    Exceptions arrive as :class:`PointFailure` payloads and are retried
-    in-process on a fresh world (see :func:`_retry_failed_point`).
-    Death — SIGKILL, OOM, a segfaulting extension — is nastier: the
-    stdlib pool silently replaces the process, and the task it was
-    holding never produces a result, so a plain ``for`` over ``imap``
-    blocks forever.  This stream polls with a timeout, watches the
-    worker pid set, and on a change stops trusting the pool: it scoops
-    whatever results are already queued, terminates the pool, and runs
-    every point still missing in-process.  Either way the caller sees
-    exactly one result per miss.
+    Whole chunks travel to the workers so each can run its K-world
+    batches.  Every chunk is submitted up front and the futures are
+    read in submission order: workers never wait for the parent, and
+    the fold stays in grid order with no re-order buffer.  A worker
+    that dies (SIGKILL, OOM, a segfaulting extension) breaks the pool;
+    every chunk not yet returned then comes back as
+    :class:`PointFailure` rows, which :func:`_settle` re-runs
+    in-process.  Closing the generator (the sweep finished or aborted)
+    cancels the chunks still queued.
     """
-    done: set[int] = set()
+    import multiprocessing
+    from concurrent.futures.process import (
+        BrokenProcessPool, ProcessPoolExecutor,
+    )
 
-    def deliver(pairs):
-        for index, payload in pairs:
-            if isinstance(payload, PointFailure):
-                payload = _retry_failed_point(
-                    payload.point, payload.error, payload.worker_traceback)
-            done.add(index)
-            yield index, payload
-
-    # Whole chunks travel to the workers so each can run its K-world
-    # batches; the flattened index-tagged stream feeds the re-ordering
-    # buffer.
-    indexed = list(enumerate(misses))
-    chunks = [(indexed[start:start + chunksize], batch)
-              for start in range(0, len(indexed), chunksize)]
-    with context.Pool(processes=jobs, initializer=initializer,
-                      initargs=initargs or ()) as pool:
-        unordered = pool.imap_unordered(
-            _run_chunk_batched, chunks, chunksize=1)
-        baseline = _pool_pids(pool)
-        received = 0
-        broken = False
-        while received < len(chunks):
+    # ``fork`` where the platform has it: workers inherit the warm
+    # interpreter (no re-import cost), and since every experiment seeds
+    # itself from its point, inherited state cannot leak into results.
+    context = multiprocessing.get_context(
+        "fork" if hasattr(os, "fork") else "spawn")
+    # ~jobs*4 chunks in total (about 4 per worker) amortize the IPC
+    # round-trips and keep the tail balanced when point durations are
+    # uneven (long seeds, heavy override combos).
+    size = max(1, len(misses) // (jobs * 4))
+    chunks = [misses[start:start + size]
+              for start in range(0, len(misses), size)]
+    # The source-tree fingerprint is computed once, in the parent,
+    # before the fork: workers inherit it (fork) or get it from the
+    # initializer (spawn) instead of each hashing the whole tree on
+    # their first cache store.
+    pool = ProcessPoolExecutor(
+        max_workers=jobs, mp_context=context,
+        initializer=_seed_worker_fingerprint if fingerprint else None,
+        initargs=(fingerprint,))
+    try:
+        futures = [pool.submit(_run_chunk, chunk, batch) for chunk in chunks]
+        for chunk, future in zip(chunks, futures):
             try:
-                item = unordered.next(timeout=_POOL_POLL_S)
-            except StopIteration:
-                break
-            except multiprocessing.TimeoutError:
-                current = _pool_pids(pool)
-                if baseline is not None and current is not None \
-                        and current != baseline:
-                    broken = True
-                    break
-                continue
-            received += 1
-            yield from deliver(item)
-        if broken:
-            # Scoop results that landed before the death was noticed so
-            # only truly lost points re-run; one quiet poll ends the
-            # scoop (anything a live worker finishes after that is
-            # merely recomputed in-process — wasteful, never wrong).
-            while True:
-                try:
-                    item = unordered.next(timeout=_POOL_POLL_S)
-                except (StopIteration, multiprocessing.TimeoutError):
-                    break
-                yield from deliver(item)
-    # The pool is torn down; whatever never arrived runs here, on fresh
-    # in-process worlds, with the same capped retry budget.
-    for index in range(len(misses)):
-        if index not in done:
-            yield index, _retry_failed_point(
-                misses[index],
-                "pool worker died before returning this point")
+                outcomes = future.result()
+            except BrokenProcessPool:
+                died = "pool worker died before returning this point"
+                outcomes = [PointFailure(point=point, error=died)
+                            for point in chunk]
+            yield from outcomes
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _seed_worker_fingerprint(fingerprint: str) -> None:
@@ -843,31 +745,6 @@ def _seed_worker_fingerprint(fingerprint: str) -> None:
     _code_fingerprint_cache = fingerprint
 
 
-def _in_grid_index_order(
-    unordered: Iterator[tuple[int, PointResult]],
-    total: int,
-) -> Iterator[PointResult]:
-    """Re-order index-tagged results into grid order.
-
-    ``imap_unordered`` hands results back the moment any worker finishes
-    — no head-of-line blocking, which is what makes chunked dispatch
-    cheap — and this buffer restores the deterministic fold order.  The
-    buffer holds only results that arrived ahead of their turn (bounded
-    by how far the fastest worker runs ahead, at most the grid)."""
-    buffered: dict[int, PointResult] = {}
-    next_index = 0
-    for index, result in unordered:
-        buffered[index] = result
-        while next_index in buffered:
-            yield buffered.pop(next_index)
-            next_index += 1
-    if next_index != total or buffered:  # pragma: no cover - pool bug guard
-        raise SweepError(
-            f"worker pool returned {next_index}+{len(buffered)} results "
-            f"for {total} dispatched points"
-        )
-
-
 def _merge_in_grid_order(
     points: Sequence[SweepPoint],
     hits: Sequence[bool],
@@ -875,15 +752,17 @@ def _merge_in_grid_order(
     fresh: Iterator[PointResult],
 ) -> Iterator[PointResult]:
     """Interleave cached and freshly simulated results back into grid
-    order (``fresh`` yields misses in their dispatch order, which is the
-    grid order of the misses).  Cached payloads load lazily, one at a
-    time, so a warm rerun never holds more than the point being folded;
-    an entry that probed present but fails to parse (corrupt file) is
-    simulated inline — a slow point, never a lost campaign."""
+    order (``fresh`` yields misses in their grid order).  Cached
+    payloads load lazily, one at a time, so a warm rerun never holds
+    more than the point being folded; an entry that probed present but
+    fails to parse (corrupt file) is simulated inline — a slow point,
+    never a lost campaign."""
     for index, point in enumerate(points):
         if hits[index]:
             result = cache.load(point)
-            yield result if result is not None else run_point(point)
+            if result is None:
+                result = _settle(next(_iter_chunk([point], 1)))
+            yield result
         else:
             yield next(fresh)
 
@@ -893,7 +772,6 @@ def run_sweep(
     seeds: Iterable[int],
     overrides: Optional[Mapping[str, Sequence[str]]] = None,
     jobs: int = 1,
-    start_method: Optional[str] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     backend: Optional[str] = None,
     batch: Optional[int] = None,
@@ -905,7 +783,10 @@ def run_sweep(
     usable CPU count (the scheduling affinity mask where the platform
     exposes one, so a containerized run sized to 2 cores gets 2 workers,
     not the host's 64).  Either way the per-point payloads are identical
-    and are folded in grid order — the pool only changes wall time.
+    and are folded in grid order — the pool only changes wall time.  A
+    point that raises, or whose pool worker dies, is re-run in-process
+    on a fresh world up to ``DEFAULT_POINT_RETRIES`` times before a
+    :class:`SweepError` names it.
 
     With ``cache_dir`` set, previously simulated points load from the
     digest-keyed packed store and only the rest are dispatched; fresh
@@ -924,8 +805,8 @@ def run_sweep(
     """
     with _analysis_backend(backend) as backend:
         result = _run_sweep_inner(
-            exp_id, seeds, overrides, jobs=jobs,
-            start_method=start_method, cache_dir=cache_dir, batch=batch,
+            exp_id, seeds, overrides, jobs=jobs, cache_dir=cache_dir,
+            batch=batch,
         )
     result.backend = backend
     return result
@@ -972,7 +853,6 @@ def _run_sweep_inner(
     seeds: Iterable[int],
     overrides: Optional[Mapping[str, Sequence[str]]] = None,
     jobs: int = 1,
-    start_method: Optional[str] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     cache: Optional["SweepCache"] = None,
     batch: Optional[int] = None,
@@ -1009,34 +889,15 @@ def _run_sweep_inner(
         ))
 
     if jobs == 1:
-        fresh = _iter_points_guarded(misses, batch)
+        outcomes = _iter_chunk(misses, batch)
     else:
-        context = multiprocessing.get_context(
-            start_method or DEFAULT_START_METHOD
-        )
-        # The source-tree fingerprint is computed once, here in the
-        # parent, *before* the fork — workers inherit it (fork) or get
-        # it via the initializer (spawn) instead of each hashing the
-        # whole tree on their first cache store.
-        initializer = initargs = None
-        if cache is not None:
-            initializer = _seed_worker_fingerprint
-            initargs = (code_fingerprint(),)
-        # Chunked dispatch over one persistent pool: simulation points
-        # are a few milliseconds each, so per-point IPC dominated the
-        # old chunksize=1 dispatch (the 0.8x "speedup" of PR 2's bench).
-        # Chunks amortize the round-trips, imap_unordered removes
-        # head-of-line blocking between chunks, and the grid-index
-        # re-ordering buffer restores the deterministic fold order.
-        # ~jobs*4 chunks in total (about 4 per worker) keeps the tail
-        # balanced when point durations are uneven (long seeds, heavy
-        # override combos).
-        chunksize = max(1, len(misses) // (jobs * 4))
-        unordered = _robust_pool_stream(
-            context, misses, jobs, batch, chunksize, initializer, initargs)
-        fresh = _in_grid_index_order(unordered, len(misses))
-    for result in _merge_in_grid_order(points, hits, cache, fresh):
-        fold(result)
+        outcomes = _iter_pool(
+            misses, jobs, batch,
+            code_fingerprint() if cache is not None else None)
+    with closing(outcomes):
+        fresh = map(_settle, outcomes)
+        for result in _merge_in_grid_order(points, hits, cache, fresh):
+            fold(result)
     wall_s = time.perf_counter() - start
     return SweepResult(
         exp_id=exp_id, points=summaries, jobs=jobs, wall_s=wall_s,

@@ -14,6 +14,12 @@ from repro.tos.node import NodeConfig, QuantoNode
 from repro.units import seconds
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a multi-seed or long-simulation test; still "
+        "part of tier 1 (deselect with -m 'not slow')")
+
+
 @pytest.fixture()
 def sim():
     return Simulator()

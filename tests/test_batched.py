@@ -6,8 +6,9 @@ batching is *invisible* in the results: every world's log, analysis, and
 rendered output is byte-identical to the same seed run serially.  These
 tests gate that contract at three levels:
 
-* every experiment's rendered digests under :func:`run_batch` at several
-  K against per-seed :func:`run_experiment` (the end-to-end gate);
+* every experiment's per-point digests from a batched
+  :func:`~repro.sim.sweep.run_sweep` at several K against per-seed
+  :func:`run_experiment` (the end-to-end gate);
 * the fused decode against per-world solo decode on adversarial inputs
   (ragged world lengths, u32 wraparound straddling world boundaries);
 * the BatchSimulator itself: interleaving equivalence, attach/detach
@@ -30,7 +31,8 @@ from repro.core.logger import (
     decode_batch_records,
 )
 from repro.errors import SimulationError
-from repro.experiments.common import EXPERIMENT_IDS, run_batch, run_experiment
+from repro.experiments.common import EXPERIMENT_IDS, run_experiment
+from repro.sim import sweep as sweep_module
 from repro.sim.batch import WORLD_SEQ_STRIDE, BatchSimulator
 from repro.sim.engine import Simulator
 
@@ -58,23 +60,32 @@ def serial_digests():
     return get
 
 
+def _batched_digests(monkeypatch, exp_id, seeds, k):
+    """Per-point digests of an in-process sweep at ``batch=k``, with the
+    retry budget at 0 so a batched point that raises fails the test
+    instead of being re-run unbatched."""
+    monkeypatch.setattr(sweep_module, "DEFAULT_POINT_RETRIES", 0)
+    result = sweep_module.run_sweep(exp_id, seeds, batch=k)
+    return [point.digest for point in result.points]
+
+
 @pytest.mark.parametrize("k", [1, 2, 7])
 @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
-def test_run_batch_matches_serial(exp_id, k, serial_digests):
-    """run_batch(K) reproduces every per-seed serial digest exactly —
-    for every experiment, including the ones that never enter the
-    batched blink path (they must pass through unchanged)."""
-    results = run_batch(exp_id, SEEDS, k=k)
-    assert [_digest(r) for r in results] == serial_digests(exp_id)
+def test_run_batch_matches_serial(exp_id, k, serial_digests, monkeypatch):
+    """A sweep batched K worlds at a time reproduces every per-seed
+    serial digest exactly — for every experiment, including the ones
+    that never enter the batched blink path (they must pass through
+    unchanged)."""
+    assert _batched_digests(monkeypatch, exp_id, SEEDS, k) \
+        == serial_digests(exp_id)
 
 
-def test_full_width_batch_matches_serial():
+def test_full_width_batch_matches_serial(monkeypatch):
     """A full K=7 chunk of 7 worlds on the blink path (table3), so the
     shared queue actually interleaves seven worlds at once."""
     seeds = range(7)
     serial = [_digest(run_experiment("table3", seed=s)) for s in seeds]
-    batched = [_digest(r) for r in run_batch("table3", seeds, k=7)]
-    assert batched == serial
+    assert _batched_digests(monkeypatch, "table3", seeds, 7) == serial
 
 
 # -- fused decode vs solo decode ------------------------------------------

@@ -25,6 +25,7 @@ import pytest
 from repro.core.accounting import BACKEND_ENV_VAR
 from repro.errors import CampaignError, SweepError
 from repro.sim import faultinject
+from repro.sim import sweep as sweep_module
 from repro.sim.campaign import (
     CampaignManifest,
     campaign_status,
@@ -350,8 +351,9 @@ def test_run_sweep_retries_worker_exception(tmp_path, monkeypatch,
 @pytest.mark.parametrize("batch", [1, 8])
 def test_run_sweep_survives_worker_death(tmp_path, monkeypatch,
                                          golden_digest, batch):
-    """SIGKILL of a pool worker mid-point: the pid-set watchdog notices,
-    the pool is torn down, and the lost points re-run in-process."""
+    """SIGKILL of a pool worker mid-point breaks the pool: every chunk
+    not yet returned comes back as failures, and the lost points re-run
+    in-process."""
     arm(monkeypatch, tmp_path, "crash@point", select=1)
     result = run_sweep(EXP, SEEDS, OVERRIDES, jobs=2, batch=batch)
     assert result.digest() == golden_digest
@@ -362,9 +364,22 @@ def test_run_sweep_persistent_failure_names_the_point(monkeypatch):
     the point's describe() and the attempt count."""
     monkeypatch.setenv(faultinject.ENV_VAR, "raise@point")
     monkeypatch.setenv(faultinject.SELECT_ENV_VAR, "2")
-    monkeypatch.setenv("REPRO_SWEEP_POINT_RETRIES", "1")
+    monkeypatch.setattr(sweep_module, "DEFAULT_POINT_RETRIES", 1)
     with pytest.raises(SweepError, match=r"seed=2.*failed 2 times"):
         run_sweep(EXP, SEEDS, OVERRIDES, jobs=1)
+
+
+def test_run_sweep_persistent_failure_in_the_pool_names_the_point(
+        monkeypatch):
+    """The pool path's twin: the worker's failure and the parent's
+    in-process retry both fail, and the error names the point and
+    carries the worker-side traceback."""
+    monkeypatch.setenv(faultinject.ENV_VAR, "raise@point")
+    monkeypatch.setenv(faultinject.SELECT_ENV_VAR, "2")
+    monkeypatch.setattr(sweep_module, "DEFAULT_POINT_RETRIES", 1)
+    with pytest.raises(SweepError, match=r"(?s)seed=2.*failed 2 times"
+                       r".*worker traceback:.*injected fault at point"):
+        run_sweep(EXP, SEEDS, OVERRIDES, jobs=2)
 
 
 # -- fault-plan parsing ------------------------------------------------------

@@ -11,6 +11,7 @@ partial index, and the next clean load sees everything again.
 
 import builtins
 import hashlib
+import random
 
 import pytest
 
@@ -177,111 +178,22 @@ def test_torn_tail_recovery_is_unchanged(tmp_path):
     assert recovered.index_path.exists()  # definitive scans still heal
 
 
-def test_compact_drops_superseded_frames(tmp_path):
-    """Last-write-wins leaves dead frames behind; compact() rewrites
-    the shard keeping only the live record per key, byte-identical
-    loads before and after."""
-    store = ShardStore(tmp_path / "exp.shard")
-    assert store.store(key_for(0), b"first-version" * 40)
-    assert store.store(key_for(1), b"other" * 40)
-    assert store.store(key_for(0), b"second-version" * 40)  # supersedes
-    before = {n: store.load(key_for(n)) for n in range(2)}
-    dead, total = store.dead_bytes()
-    assert dead > 0
-    assert store.compact()
-    assert store.shard_path.stat().st_size == total - dead
-    assert store.dead_bytes()[0] == 0
-    assert store.load(key_for(0)) == before[0] == b"second-version" * 40
-    assert store.load(key_for(1)) == before[1]
-    # A fresh reader (rebuilt index) agrees.
-    fresh = ShardStore(store.shard_path)
-    assert fresh.keys() == {key_for(0), key_for(1)}
-    assert fresh.load(key_for(0)) == before[0]
-
-
-def test_compact_preserves_compression_flags(tmp_path):
-    """Compaction must copy payload bytes *and* their compression flag:
-    a zlib frame re-labelled raw (or vice versa) would garble loads."""
+def test_payloads_round_trip_raw_zlib_and_superseded(tmp_path):
+    """Loads return the exact bytes stored, whether the record went in
+    zlib-compressed or raw, and the last write of a key wins — in the
+    writer's index and in a fresh reader's rebuild scan alike."""
     store = ShardStore(tmp_path / "exp.shard")
     compressible = b"A" * 4096  # stored zlib'd
-    import os as _os
-
-    incompressible = _os.urandom(4096)  # stored raw
+    incompressible = random.Random(0).randbytes(4096)  # stored raw
     assert store.store(key_for(0), compressible)
     assert store.store(key_for(1), incompressible)
-    assert store.store(key_for(2), b"x")  # make a third frame, then kill it
-    assert store.store(key_for(2), b"y" * 100)
-    assert store.compact()
-    assert store.load(key_for(0)) == compressible
-    assert store.load(key_for(1)) == incompressible
-    assert store.load(key_for(2)) == b"y" * 100
-
-
-def test_compact_drops_torn_tail(tmp_path):
-    """A torn tail is definitively dead weight: compaction drops it and
-    the surviving records still load."""
-    store = filled_store(tmp_path, count=3)
-    raw = store.shard_path.read_bytes()
-    store.shard_path.write_bytes(raw[:-7])
+    assert store.store(key_for(2), b"first-version" * 40)
+    assert store.store(key_for(2), b"second-version" * 40)  # supersedes
     store.index_path.unlink()
-    recovered = ShardStore(store.shard_path)
-    assert recovered.compact()
-    assert recovered.keys() == {key_for(0), key_for(1)}
-    assert ShardStore(store.shard_path).keys() == {key_for(0), key_for(1)}
-
-
-def test_compact_aborts_cleanly_on_write_fault(tmp_path):
-    """An injected write fault while streaming into the .tmp file must
-    leave the original shard untouched (atomic replace never ran)."""
-    import os as _os
-
-    from repro.sim.faultinject import io_faults
-
-    store = filled_store(tmp_path, count=4)
-    assert store.store(key_for(0), b"superseded" * 30)  # create dead weight
-    original = store.shard_path.read_bytes()
-    tmp_name = store.shard_path.with_name(
-        store.shard_path.name + f".tmp{_os.getpid()}")
-    with io_faults(tmp_name, writes=1):
-        assert not store.compact()
-    assert store.shard_path.read_bytes() == original
-    assert not tmp_name.exists()
-    healthy = ShardStore(store.shard_path)
-    assert healthy.load(key_for(0)) == b"superseded" * 30
-
-
-def test_compact_refuses_partial_scan(tmp_path, faults):
-    """A read fault mid-scan means the record set is incomplete;
-    compacting from it would drop live records, so it must refuse."""
-    store = filled_store(tmp_path, count=5)
-    store.index_path.unlink()
-    faults.arm(store.shard_path, 3)
-    faulted = ShardStore(store.shard_path)
-    assert not faulted.compact()
-    faults.disarm()
-    assert ShardStore(store.shard_path).keys() \
-        == {key_for(n) for n in range(5)}
-
-
-def test_maybe_compact_thresholds_and_age_gate(tmp_path):
-    store = ShardStore(tmp_path / "exp.shard")
-    assert store.store(key_for(0), b"v1" * 100)
-    assert store.store(key_for(0), b"v2" * 100)
-    dead, total = store.dead_bytes()
-    assert dead > 0
-    # Default thresholds (1 MiB of dead weight) are far away: no-op.
-    assert not store.maybe_compact()
-    # Age gate: a freshly written shard may still have a writer.
-    assert not store.maybe_compact(min_dead_bytes=1,
-                                   min_dead_fraction=0.0,
-                                   min_age_s=3600)
-    # Fraction gate alone can refuse too.
-    assert not store.maybe_compact(min_dead_bytes=1,
-                                   min_dead_fraction=0.99)
-    # Past every gate: compacts.
-    assert store.maybe_compact(min_dead_bytes=1,
-                               min_dead_fraction=0.25)
-    assert store.dead_bytes()[0] == 0
+    for reader in (store, ShardStore(store.shard_path)):
+        assert reader.load(key_for(0)) == compressible
+        assert reader.load(key_for(1)) == incompressible
+        assert reader.load(key_for(2)) == b"second-version" * 40
 
 
 def test_refresh_sees_other_writers_appends(tmp_path):

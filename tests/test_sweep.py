@@ -1,5 +1,6 @@
 """The fleet/sweep subsystem: grid expansion, execution, aggregation, CLI."""
 
+import inspect
 import math
 
 import pytest
@@ -211,21 +212,6 @@ def test_cli_experiment_unknown_override(capsys):
 # -- parallel executor plumbing -------------------------------------------
 
 
-def test_in_grid_index_order_restores_any_arrival_order():
-    from repro.sim.sweep import _in_grid_index_order
-
-    arrivals = [(3, "d"), (0, "a"), (2, "c"), (1, "b"), (4, "e")]
-    assert list(_in_grid_index_order(iter(arrivals), 5)) == \
-        ["a", "b", "c", "d", "e"]
-
-
-def test_in_grid_index_order_detects_missing_results():
-    from repro.sim.sweep import _in_grid_index_order
-
-    with pytest.raises(SweepError):
-        list(_in_grid_index_order(iter([(0, "a"), (2, "c")]), 3))
-
-
 def test_seed_worker_fingerprint_prevents_rehash(monkeypatch):
     """The pool initializer installs the parent's fingerprint, so a
     worker-side code_fingerprint() is a cache hit, not a tree hash."""
@@ -237,9 +223,9 @@ def test_seed_worker_fingerprint_prevents_rehash(monkeypatch):
 
 
 def test_parallel_sweep_chunked_path_matches_serial_on_64_points():
-    """The chunked imap_unordered executor must stay byte-identical to
-    the serial reference on a grid large enough to exercise chunking
-    (chunksize > 1) and out-of-order arrival."""
+    """The chunked pool executor must stay byte-identical to the serial
+    reference on a grid large enough to exercise chunking (chunksize >
+    1) and chunks finishing out of order."""
     overrides = {"duration_ns": [SHORT], "device_variation": ["0.02"]}
     serial = run_sweep("table3", range(8), overrides, jobs=1)
     parallel = run_sweep("table3", range(8), overrides, jobs=2)
@@ -270,3 +256,108 @@ def test_run_sweep_honours_batch(monkeypatch):
     assert "-- mode: serial, batch 2;" in batched.render()
     assert built == [2]
     assert batched.digest() == serial.digest()
+
+
+# -- knob conformance -----------------------------------------------------
+
+
+def _spy(monkeypatch, owner, name, record):
+    """Wrap ``owner.name`` so every call appends ``record(*args)`` to
+    the returned list before running the original."""
+    seen = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        seen.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+def _drained(seen):
+    taken = list(seen)
+    seen.clear()
+    return taken
+
+
+def _observe_pools(monkeypatch):
+    from concurrent.futures import process
+
+    seen = _spy(monkeypatch, process.ProcessPoolExecutor, "__init__",
+                lambda self, max_workers=None, **_: max_workers)
+    return lambda runs: _drained(seen)
+
+
+def _observe_cache_hits(monkeypatch):
+    return lambda runs: [run.cache_hits for run in runs]
+
+
+def _observe_point_backend(monkeypatch):
+    import repro.sim.sweep as sweep_mod
+    from repro.core.accounting import resolve_analysis_backend
+
+    seen = _spy(monkeypatch, sweep_mod, "run_point",
+                lambda point: resolve_analysis_backend(None))
+    return lambda runs: set(_drained(seen))
+
+
+def _observe_batch_worlds(monkeypatch):
+    from repro.sim import batch as batch_module
+
+    seen = _spy(monkeypatch, batch_module.BatchSimulator, "__init__",
+                lambda self, sims: len(sims))
+    return lambda runs: _drained(seen)
+
+
+def _other_backend(tmp_path):
+    from repro.core.accounting import resolve_analysis_backend
+
+    ambient = resolve_analysis_backend(None)
+    return "streaming" if ambient == "columnar" else "columnar"
+
+
+#: One row per ``run_sweep`` keyword: the name, a baseline value, the
+#: value under test, the header line fragment that value must render,
+#: and an observer of the behaviour it must change.
+KNOBS = [
+    ("jobs", 1, lambda tmp_path: 2,
+     lambda value: f"-- mode: parallel x{value},", _observe_pools),
+    ("cache_dir", None, lambda tmp_path: str(tmp_path / "cache"),
+     lambda value: f"simulated ({value})", _observe_cache_hits),
+    ("backend", None, _other_backend,
+     lambda value: f"-- analysis backend: {value}", _observe_point_backend),
+    ("batch", 1, lambda tmp_path: 2,
+     lambda value: f", batch {value};", _observe_batch_worlds),
+]
+
+
+@pytest.mark.parametrize("name,baseline,make_value,header,observe", KNOBS,
+                         ids=[row[0] for row in KNOBS])
+def test_run_sweep_knob_conformance(name, baseline, make_value, header,
+                                    observe, monkeypatch, tmp_path):
+    """Every knob shows in the report header and changes what runs:
+    each configuration is swept twice (so a cache can hit) and the
+    observer must see a difference against the baseline value."""
+    value = make_value(tmp_path)
+    observed = observe(monkeypatch)
+    grid = {"duration_ns": [str(seconds(4))]}
+
+    def sweep_twice(setting):
+        runs = [run_sweep("table3", range(2), grid, **{name: setting})
+                for _ in range(2)]
+        return runs, observed(runs)
+
+    base_runs, base_seen = sweep_twice(baseline)
+    runs, seen = sweep_twice(value)
+    assert header(value) in runs[0].render()
+    assert header(value) not in base_runs[0].render()
+    assert seen != base_seen, (name, seen)
+    assert runs[1].digest() == base_runs[1].digest()
+
+
+def test_run_sweep_signature_is_the_knob_table():
+    """A new ``run_sweep`` keyword needs a row in KNOBS."""
+    params = list(inspect.signature(run_sweep).parameters)
+    assert params == ["exp_id", "seeds", "overrides",
+                      *[row[0] for row in KNOBS]]
