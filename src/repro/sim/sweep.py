@@ -61,10 +61,11 @@ import math
 import os
 import time
 import traceback
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 from repro.core.accounting import BACKEND_ENV_VAR, resolve_analysis_backend
 from repro.core.report import format_table
@@ -161,44 +162,52 @@ class ComparisonStats:
 class RunningStat:
     """Welford's online mean/variance plus min/max — O(1) state per
     metric, numerically stable, and deterministic for a fixed fold
-    order (the runner always folds in grid order)."""
+    order (the runner always folds in grid order).  The update itself
+    is inlined in :func:`_welford`, the only writer."""
 
-    __slots__ = ("n", "mean", "_m2", "min", "max")
+    __slots__ = ("n", "mean", "m2", "min", "max")
 
     def __init__(self) -> None:
         self.n = 0
         self.mean = 0.0
-        self._m2 = 0.0
+        self.m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
-
-    def add(self, value: float) -> None:
-        self.n += 1
-        delta = value - self.mean
-        self.mean += delta / self.n
-        self._m2 += delta * (value - self.mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
 
     @property
     def stddev(self) -> float:
         if self.n <= 1:
             return 0.0
-        return math.sqrt(self._m2 / (self.n - 1))
-
-    @property
-    def ci95(self) -> float:
-        if self.n <= 1:
-            return 0.0
-        return 1.96 * self.stddev / math.sqrt(self.n)
+        return math.sqrt(self.m2 / (self.n - 1))
 
     def stats(self, name: str) -> MetricStats:
+        stddev = self.stddev
+        ci95 = 1.96 * stddev / math.sqrt(self.n) if self.n > 1 else 0.0
         return MetricStats(
-            name=name, n=self.n, mean=self.mean, stddev=self.stddev,
-            ci95=self.ci95, min=self.min, max=self.max,
+            name=name, n=self.n, mean=self.mean, stddev=stddev,
+            ci95=ci95, min=self.min, max=self.max,
         )
+
+
+def _welford(
+    stats: dict[str, RunningStat], pairs: Iterable[tuple[str, float]],
+) -> None:
+    """Add each ``(name, value)`` to its running stat (created on first
+    sight).  Welford's update is inlined — a method call per leaf costs
+    as much as the arithmetic: n, delta, mean, m2, then min and max,
+    the same float operations in the same order for every value."""
+    for name, value in pairs:
+        stat = stats.get(name)
+        if stat is None:
+            stat = stats[name] = RunningStat()
+        stat.n = n = stat.n + 1
+        delta = value - stat.mean
+        stat.mean = mean = stat.mean + delta / n
+        stat.m2 += delta * (value - mean)
+        if value < stat.min:
+            stat.min = value
+        if value > stat.max:
+            stat.max = value
 
 
 class SweepAggregator:
@@ -210,37 +219,28 @@ class SweepAggregator:
 
     def __init__(self) -> None:
         self._metrics: dict[str, RunningStat] = {}
-        self._comparison_order: list[str] = []
         self._comparison_paper: dict[str, float] = {}
         self._comparisons: dict[str, RunningStat] = {}
 
     def fold(self, result: PointResult) -> None:
-        for name, value in numeric_leaves(result.data).items():
-            stat = self._metrics.get(name)
-            if stat is None:
-                stat = self._metrics[name] = RunningStat()
-            stat.add(value)
+        _welford(self._metrics, numeric_leaves(result.data).items())
+        pairs = []
         for name, paper, value in result.comparisons:
-            stat = self._comparisons.get(name)
-            if stat is None:
-                stat = self._comparisons[name] = RunningStat()
-                self._comparison_order.append(name)
-                self._comparison_paper[name] = paper
-            stat.add(value)
+            self._comparison_paper.setdefault(name, paper)
+            pairs.append((name, value))
+        _welford(self._comparisons, pairs)
 
     def metrics(self) -> list[MetricStats]:
         return [self._metrics[name].stats(name)
                 for name in sorted(self._metrics)]
 
     def comparisons(self) -> list[ComparisonStats]:
-        stats = []
-        for name in self._comparison_order:
-            stat = self._comparisons[name]
-            stats.append(ComparisonStats(
-                name=name, paper=self._comparison_paper[name],
-                mean=stat.mean, stddev=stat.stddev,
-            ))
-        return stats
+        """In the order the experiment first reported them."""
+        return [
+            ComparisonStats(name=name, paper=self._comparison_paper[name],
+                            mean=stat.mean, stddev=stat.stddev)
+            for name, stat in self._comparisons.items()
+        ]
 
 
 @dataclass
@@ -362,6 +362,19 @@ def code_fingerprint() -> str:
     return _code_fingerprint_cache
 
 
+def _derive_point_key(fingerprint: str, point: SweepPoint) -> bytes:
+    """sha256 of the point's identity under one source tree: cache
+    format, ``fingerprint``, exp_id, seed and overrides.  The identity
+    is JSON-encoded so delimiter characters inside override values can
+    never collide two distinct points."""
+    identity = json.dumps(
+        [CACHE_FORMAT, fingerprint, point.exp_id, point.seed,
+         [[key, value] for key, value in point.overrides]],
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(identity.encode("utf-8")).digest()
+
+
 #: With this env switch on (``1``; ``0``/``off``/``no``/``false`` or
 #: unset is off), every store (not just the first per run) re-parses its
 #: JSON payload to prove the round-trip is lossless — the debug mode of
@@ -392,16 +405,10 @@ class SweepCache:
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self._stores: dict[str, ShardStore] = {}
+        self._keys: dict[tuple[str, SweepPoint], bytes] = {}
 
     def point_key(self, point: SweepPoint) -> str:
-        # JSON-encode the identity so delimiter characters inside
-        # override values can never collide two distinct points.
-        identity = json.dumps(
-            [CACHE_FORMAT, code_fingerprint(), point.exp_id, point.seed,
-             [[key, value] for key, value in point.overrides]],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(identity.encode("utf-8")).hexdigest()
+        return self._raw_key(point).hex()
 
     def _store_for(self, exp_id: str) -> ShardStore:
         store = self._stores.get(exp_id)
@@ -411,7 +418,13 @@ class SweepCache:
         return store
 
     def _raw_key(self, point: SweepPoint) -> bytes:
-        return bytes.fromhex(self.point_key(point))
+        """The point's 32-byte shard key, derived once per source tree
+        and reused by :meth:`has`, :meth:`load` and :meth:`store`."""
+        identity = (code_fingerprint(), point)
+        key = self._keys.get(identity)
+        if key is None:
+            key = self._keys[identity] = _derive_point_key(*identity)
+        return key
 
     def refresh(self) -> None:
         """Drop cached index state so the next probe re-reads disk —
@@ -912,39 +925,37 @@ def _run_sweep_inner(
 # -- aggregation ----------------------------------------------------------
 
 
-def numeric_leaves(data: Mapping[str, Any], prefix: str = "") -> dict[str, float]:
+def numeric_leaves(data: Mapping[str, Any]) -> dict[str, float]:
     """Flatten nested dicts of numbers into dotted-path leaves.
 
-    Non-numeric leaves (strings, arrays, objects) are skipped — they are
-    per-run artifacts, not fleet statistics.
+    Non-numeric leaves (strings, arrays, objects) and bools are skipped
+    — they are per-run artifacts, not fleet statistics.  One iterative
+    depth-first pass: exact ``float``/``int``/``dict`` are recognised by
+    type, anything else falls back to ``isinstance``.  Leaves come out
+    in depth-first order; a dotted name that occurs twice (``"a.b"``
+    beside ``{"a": {"b": ...}}``) keeps its first position and its last
+    value.
     """
     leaves: dict[str, float] = {}
-    for key, value in data.items():
-        path = f"{prefix}{key}"
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            leaves[path] = float(value)
-        elif isinstance(value, Mapping):
-            leaves.update(numeric_leaves(value, prefix=f"{path}."))
+    stack = [("", iter(data.items()))]
+    while stack:
+        prefix, items = stack[-1]
+        for key, value in items:
+            kind = type(value)
+            if kind is float:
+                leaves[f"{prefix}{key}"] = value
+            elif kind is dict:
+                stack.append((f"{prefix}{key}.", iter(value.items())))
+                break
+            elif kind is int:
+                leaves[f"{prefix}{key}"] = float(value)
+            elif kind is bool:
+                continue
+            elif isinstance(value, (int, float)):
+                leaves[f"{prefix}{key}"] = float(value)
+            elif isinstance(value, Mapping):
+                stack.append((f"{prefix}{key}.", iter(value.items())))
+                break
+        else:
+            stack.pop()
     return leaves
-
-
-def aggregate_metrics(results: Sequence[PointResult]) -> list[MetricStats]:
-    """Mean/stddev/CI for every numeric leaf present in any point (the
-    batch wrapper over :class:`SweepAggregator`)."""
-    aggregator = SweepAggregator()
-    for result in results:
-        aggregator.fold(result)
-    return aggregator.metrics()
-
-
-def aggregate_comparisons(
-    results: Sequence[PointResult],
-) -> list[ComparisonStats]:
-    """Fleet means of the paper-vs-measured comparisons, in the order the
-    experiment reports them."""
-    aggregator = SweepAggregator()
-    for result in results:
-        aggregator.fold(result)
-    return aggregator.comparisons()

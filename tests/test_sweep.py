@@ -2,7 +2,11 @@
 
 import inspect
 import math
+import random
+import types
+from typing import Mapping
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -10,9 +14,8 @@ from repro.errors import SweepError
 from repro.sim.sweep import (
     MetricStats,
     PointResult,
+    SweepAggregator,
     SweepPoint,
-    aggregate_comparisons,
-    aggregate_metrics,
     expand_grid,
     numeric_leaves,
     run_sweep,
@@ -81,10 +84,17 @@ def test_numeric_leaves_flatten_and_skip_non_numeric():
     assert leaves == {"a": 1.0, "b.c": 2.5}
 
 
+def _fold(points):
+    aggregator = SweepAggregator()
+    for point in points:
+        aggregator.fold(point)
+    return aggregator
+
+
 def test_aggregate_metrics_mean_stddev_ci():
     points = [_synthetic_point(s, v, v * 2)
               for s, v in enumerate((4.0, 6.0, 8.0))]
-    stats = {m.name: m for m in aggregate_metrics(points)}
+    stats = {m.name: m for m in _fold(points).metrics()}
     scalar = stats["scalar"]
     assert scalar.n == 3
     assert scalar.mean == pytest.approx(6.0)
@@ -96,7 +106,7 @@ def test_aggregate_metrics_mean_stddev_ci():
 
 
 def test_aggregate_single_point_has_zero_spread():
-    stats = aggregate_metrics([_synthetic_point(0, 5.0, 1.0)])
+    stats = _fold([_synthetic_point(0, 5.0, 1.0)]).metrics()
     by_name = {m.name: m for m in stats}
     assert by_name["scalar"].stddev == 0.0
     assert by_name["scalar"].ci95 == 0.0
@@ -104,12 +114,148 @@ def test_aggregate_single_point_has_zero_spread():
 
 def test_aggregate_comparisons_keeps_experiment_order():
     points = [_synthetic_point(s, v, 0.0) for s, v in enumerate((9.0, 11.0))]
-    comps = aggregate_comparisons(points)
+    comps = _fold(points).comparisons()
     assert len(comps) == 1
     assert comps[0].name == "metric (mJ)"
     assert comps[0].paper == 10.0
     assert comps[0].mean == pytest.approx(10.0)
     assert comps[0].stddev == pytest.approx(math.sqrt(2.0))
+
+
+# The differential oracle: the recursive flatten and the per-value
+# Welford method the aggregator used before both were inlined.  The
+# aggregator must reproduce them bit for bit.
+
+
+def _oracle_leaves(data, prefix=""):
+    leaves = {}
+    for key, value in data.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, bool):
+            continue
+        if isinstance(value, (int, float)):
+            leaves[path] = float(value)
+        elif isinstance(value, Mapping):
+            leaves.update(_oracle_leaves(value, prefix=f"{path}."))
+    return leaves
+
+
+class _OracleStat:
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def add(self, value):
+        self.n += 1
+        delta = value - self.mean
+        self.mean += delta / self.n
+        self._m2 += delta * (value - self.mean)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    @property
+    def stddev(self):
+        if self.n <= 1:
+            return 0.0
+        return math.sqrt(self._m2 / (self.n - 1))
+
+    @property
+    def ci95(self):
+        if self.n <= 1:
+            return 0.0
+        return 1.96 * self.stddev / math.sqrt(self.n)
+
+
+def _random_number(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-10**6, 10**6)
+    if kind == 1:
+        return rng.randint(2**53, 2**62)  # loses bits as a float
+    if kind == 2:
+        return np.float64(rng.gauss(0.0, 1e3))
+    if kind == 3:
+        return -0.0
+    return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 9)
+
+
+def _random_payload(rng, depth=0):
+    data = {}
+    for index in rng.sample(range(12), rng.randint(3, 12)):
+        key = f"k{index}"
+        roll = rng.random()
+        if roll < 0.45 or depth >= 3:
+            data[key] = _random_number(rng)
+        elif roll < 0.55:
+            data[key] = rng.random() < 0.5  # bool: skipped
+        elif roll < 0.62:
+            data[key] = rng.choice(["text", [1.0, 2.0], None])  # skipped
+        elif roll < 0.70:
+            data[key] = types.MappingProxyType(_random_payload(rng, depth + 1))
+        else:
+            data[key] = _random_payload(rng, depth + 1)
+    # A key that is a number in some points and a dict in others.
+    data["mixed"] = (_random_number(rng) if rng.random() < 0.5
+                     else {"inner": _random_number(rng)})
+    # A dotted key colliding with a nested path, in either order.
+    if rng.random() < 0.5:
+        collide = [("a.b", _random_number(rng)),
+                   ("a", {"b": _random_number(rng), "c": 1.5})]
+        rng.shuffle(collide)
+        data.update(collide)
+    return data
+
+
+def test_aggregator_matches_recursive_oracle_bit_for_bit():
+    rng = random.Random(20081208)
+    names = [f"c{index}" for index in range(6)]
+    points = []
+    for seed in range(200):
+        comparisons = [(name, float(index + 1), _random_number(rng))
+                       for index, name in enumerate(names)
+                       if rng.random() < 0.7]
+        rng.shuffle(comparisons)
+        points.append(PointResult(
+            point=SweepPoint("table3", seed), data=_random_payload(rng),
+            comparisons=comparisons, digest="0" * 64, wall_s=0.0))
+
+    metrics: dict[str, _OracleStat] = {}
+    comparisons: dict[str, tuple[float, _OracleStat]] = {}
+    for point in points:
+        leaves = _oracle_leaves(point.data)
+        # Same leaves, same order, same values (last duplicate wins).
+        flat = numeric_leaves(point.data)
+        assert list(flat) == list(leaves)
+        assert [v.hex() for v in flat.values()] == \
+            [v.hex() for v in leaves.values()]
+        for name, value in leaves.items():
+            metrics.setdefault(name, _OracleStat()).add(value)
+        for name, paper, value in point.comparisons:
+            comparisons.setdefault(name, (paper, _OracleStat()))[1].add(value)
+
+    aggregator = _fold(points)
+    got = aggregator.metrics()
+    assert [stats.name for stats in got] == sorted(metrics)
+    assert "a.b" in metrics and "mixed.inner" in metrics
+    for stats in got:
+        want = metrics[stats.name]
+        assert stats.n == want.n
+        assert [stats.mean.hex(), stats.stddev.hex(), stats.ci95.hex(),
+                stats.min.hex(), stats.max.hex()] == \
+            [want.mean.hex(), want.stddev.hex(), want.ci95.hex(),
+             want.min.hex(), want.max.hex()], stats.name
+    got_comparisons = aggregator.comparisons()
+    assert [comp.name for comp in got_comparisons] == list(comparisons)
+    for comp in got_comparisons:
+        paper, want = comparisons[comp.name]
+        assert comp.paper == paper
+        assert [comp.mean.hex(), comp.stddev.hex()] == \
+            [want.mean.hex(), want.stddev.hex()], comp.name
 
 
 # -- execution ------------------------------------------------------------

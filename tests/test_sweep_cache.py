@@ -122,6 +122,29 @@ def test_point_key_binds_to_source_fingerprint(monkeypatch):
     assert cache.point_key(SweepPoint("table3", 8, point.overrides)) != key_a
 
 
+def test_each_point_key_is_derived_once_per_campaign(tmp_path, monkeypatch):
+    derive = sweep_mod._derive_point_key
+    calls: list[SweepPoint] = []
+
+    def counting(fingerprint, point):
+        calls.append(point)
+        return derive(fingerprint, point)
+
+    monkeypatch.setattr(sweep_mod, "_derive_point_key", counting)
+    points = expand_grid("table3", range(3), OVERRIDES)
+    # Cold: has() probes, store() writes — one derivation per point.
+    cold = run_sweep("table3", range(3), OVERRIDES, jobs=1,
+                     cache_dir=tmp_path)
+    assert calls == points
+    # Fully cached: has() and load() share each point's key.
+    calls.clear()
+    warm = run_sweep("table3", range(3), OVERRIDES, jobs=1,
+                     cache_dir=tmp_path)
+    assert (warm.cache_hits, warm.simulated) == (3, 0)
+    assert calls == points
+    assert warm.digest() == cold.digest()
+
+
 def test_code_fingerprint_is_cached_and_hexdigest():
     first = code_fingerprint()
     assert first == code_fingerprint()
