@@ -3,9 +3,9 @@
 Durability contract: every raw wire chunk is appended here — framed
 length + CRC — **before** it enters the decoder, so the journal is
 always at or ahead of the in-memory accounting state.  A checkpoint
-(written atomically, tmp + ``os.replace``, the shard-store idiom)
-snapshots the :class:`~repro.core.logger.WireDecoder` unwrap state and
-the pickled :class:`~repro.core.accounting.WindowedAccumulator` at a
+(written atomically: tmp + ``os.replace``) snapshots the
+:class:`~repro.core.logger.WireDecoder` unwrap state and the pickled
+:class:`~repro.core.accounting.WindowedAccumulator` at a
 known journal offset.  Restart = load the newest valid checkpoint,
 replay the journal's payload tail through the same decode→window path;
 the result is bit-identical to an uninterrupted run.
@@ -24,10 +24,10 @@ the previous stream could be restored into the new one.
 
 Torn tails are expected, not fatal: a SIGKILL mid-append leaves a short
 or CRC-failing record at the end of the journal, and the scan simply
-stops at the last whole record — exactly how ``ShardStore._scan_shard``
-treats a crashed writer.  Reopening for append truncates the torn bytes
-first so new records land on a clean boundary.  A corrupt checkpoint is
-discarded (full-journal replay covers it); only a corrupt journal
+stops at the last whole record.  Reopening for append truncates the
+torn bytes first so new records land on a clean boundary (the sweep
+cache's ``ShardStore`` appends by the same rule).  A corrupt checkpoint
+is discarded (full-journal replay covers it); only a corrupt journal
 *header* makes a node unrecoverable.
 
 State-dir layout, one node per journal::

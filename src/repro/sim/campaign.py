@@ -92,6 +92,11 @@ MANIFEST_KIND = "repro-campaign"
 #: this many deadlines to finish before the campaign gives up on it.
 _HARD_DEADLINE_FACTOR = 5
 
+#: A shard's n-th failed attempt is re-dispatched after
+#: BACKOFF_S * 2**(n - 1) seconds, capped at BACKOFF_CAP_S.
+BACKOFF_S = 0.25
+BACKOFF_CAP_S = 30.0
+
 
 def _default_workers(shards: int) -> int:
     return max(1, min(shards, detect_jobs()))
@@ -124,8 +129,6 @@ class CampaignManifest:
     backend: Optional[str] = None
     deadline_s: Optional[float] = None  # straggler threshold per shard
     max_retries: int = 3  # re-dispatches per shard beyond the first
-    backoff_s: float = 0.25
-    backoff_cap_s: float = 30.0
     cache_dir: str = "cache"
     fingerprint: Optional[str] = None
     expected: dict[str, str] = field(default_factory=dict)
@@ -147,8 +150,6 @@ class CampaignManifest:
             "backend": self.backend,
             "deadline_s": self.deadline_s,
             "max_retries": self.max_retries,
-            "backoff_s": self.backoff_s,
-            "backoff_cap_s": self.backoff_cap_s,
             "cache_dir": self.cache_dir,
             "fingerprint": self.fingerprint,
             "expected": dict(self.expected),
@@ -210,8 +211,6 @@ class CampaignManifest:
             deadline_s=(None if raw.get("deadline_s") is None
                         else float(raw["deadline_s"])),
             max_retries=int(raw.get("max_retries", 3)),
-            backoff_s=float(raw.get("backoff_s", 0.25)),
-            backoff_cap_s=float(raw.get("backoff_cap_s", 30.0)),
             cache_dir=str(raw.get("cache_dir", "cache")),
             fingerprint=raw.get("fingerprint"),
             expected={
@@ -321,8 +320,6 @@ def plan_campaign(
     backend: Optional[str] = None,
     deadline_s: Optional[float] = None,
     max_retries: int = 3,
-    backoff_s: float = 0.25,
-    backoff_cap_s: float = 30.0,
     cache_dir: str = "cache",
 ) -> CampaignManifest:
     """Validate a campaign spec (grid expansion fails fast on a bad
@@ -338,8 +335,6 @@ def plan_campaign(
         backend=backend,
         deadline_s=deadline_s,
         max_retries=max_retries,
-        backoff_s=backoff_s,
-        backoff_cap_s=backoff_cap_s,
         cache_dir=cache_dir,
     )
     grid = manifest.grid()  # validation side effect
@@ -578,10 +573,6 @@ class CampaignRunner:
         except Exception:  # pragma: no cover - unkillable child
             pass
 
-    def _backoff(self, failures: int) -> float:
-        base = self.manifest.backoff_s * (2 ** max(0, failures - 1))
-        return min(self.manifest.backoff_cap_s, base)
-
     # -- the run loop --------------------------------------------------
 
     def run(self) -> SweepResult:
@@ -770,7 +761,8 @@ class CampaignRunner:
                         # All workers for this incomplete shard are
                         # gone: that's a failed attempt.
                         state.failures = state.launches
-                        delay = self._backoff(state.failures)
+                        delay = min(BACKOFF_CAP_S,
+                                    BACKOFF_S * 2 ** (state.failures - 1))
                         state.next_eligible = now + delay
                         if state.launches >= max_launches:
                             self._abort(state)
@@ -968,8 +960,10 @@ def merge_campaign(
     dirs = [manifest.resolved_cache_dir(), *extra_cache_dirs]
     union = _UnionCache([SweepCache(directory) for directory in dirs])
     if strict:
+        # Coverage is a record that loads and parses: one that is framed
+        # but garbled would otherwise be re-simulated by the fold.
         grid = manifest.grid()
-        missing = [point for point in grid if not union.has(point)]
+        missing = [point for point in grid if union.load(point) is None]
         if missing:
             shown = ", ".join(point.describe() for point in missing[:5])
             more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""

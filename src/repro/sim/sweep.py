@@ -25,9 +25,9 @@ sweep simulates nothing, a grid extension simulates only the new points,
 and *any* source change invalidates every prior entry automatically.
 Physically the cache is one packed append-only **shard store** per
 experiment (:mod:`repro.sim.shardstore`): struct-framed, optionally
-zlib-compressed JSON payloads behind an index file, so a warm rerun
-folds points with one seek+read each instead of an open/parse/close per
-file, and a whole campaign's cache travels as two files.  A point folded
+zlib-compressed JSON payloads in one self-indexing file, so a warm
+rerun folds points with one seek+read each instead of an open/parse/close
+per file, and each experiment's cache travels as one file.  A point folded
 from cache is byte-identical to the freshly simulated one (the per-point
 digests in the report let anyone re-verify).
 
@@ -386,8 +386,8 @@ class SweepCache:
     """Digest-keyed per-point result store under one directory.
 
     Layout: one packed :class:`~repro.sim.shardstore.ShardStore` per
-    experiment — ``<root>/<exp_id>.shard`` plus its ``.idx`` accelerator
-    — holding JSON point payloads under the same 32-byte keys as ever
+    experiment — the single file ``<root>/<exp_id>.shard`` — holding
+    JSON point payloads under the same 32-byte keys as ever
     (format version, code fingerprint, exp_id, seed, overrides all
     hashed in, so any source edit still auto-invalidates).  The cache is
     strictly best-effort: loads tolerate missing or torn records and
@@ -427,9 +427,9 @@ class SweepCache:
         return key
 
     def refresh(self) -> None:
-        """Drop cached index state so the next probe re-reads disk —
-        how the campaign runner observes points its worker processes
-        appended after this object last looked."""
+        """Make the next probe scan each store's new records — how the
+        campaign runner observes points its worker processes appended
+        after this object last looked."""
         for store in self._stores.values():
             store.refresh()
 

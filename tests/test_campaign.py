@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.accounting import BACKEND_ENV_VAR
 from repro.errors import CampaignError, SweepError
+from repro.sim import campaign as campaign_module
 from repro.sim import faultinject
 from repro.sim import sweep as sweep_module
 from repro.sim.campaign import (
@@ -81,6 +82,19 @@ def test_manifest_round_trip(tmp_path):
     # campaign directory can be moved and resumed in place.
     assert loaded.resolved_cache_dir() == tmp_path / "cache"
     assert len(loaded.grid()) == GRID_POINTS
+
+
+def test_manifest_ignores_retired_backoff_keys(tmp_path):
+    """Manifests written before the retry backoff became a module
+    constant still carry backoff_s/backoff_cap_s: they load, and the
+    keys are dropped on the next save."""
+    manifest = plan(tmp_path)
+    doc = json.loads(manifest.path.read_text())
+    doc.update(backoff_s=0.05, backoff_cap_s=0.1)
+    manifest.path.write_text(json.dumps(doc))
+    loaded = CampaignManifest.load(manifest.path)
+    assert loaded.to_json() == manifest.to_json()
+    assert "backoff_s" not in loaded.to_json()
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -228,8 +242,9 @@ def test_worker_clean_exit_without_coverage_is_retried(
 def test_exhausted_retries_abort_with_shard_named(tmp_path, monkeypatch):
     """With no fuse the fault fires every dispatch; after the retry
     budget the campaign aborts naming the shard and the logs."""
-    manifest = plan(tmp_path, max_retries=1, backoff_s=0.05,
-                    backoff_cap_s=0.1)
+    monkeypatch.setattr(campaign_module, "BACKOFF_S", 0.05)
+    monkeypatch.setattr(campaign_module, "BACKOFF_CAP_S", 0.1)
+    manifest = plan(tmp_path, max_retries=1)
     monkeypatch.setenv(faultinject.ENV_VAR, "exit@pre-run:7")
     with pytest.raises(CampaignError, match=r"shard \d .*logs"):
         run_campaign(manifest)
@@ -247,7 +262,6 @@ def test_torn_tail_then_resume(tmp_path, golden_digest):
     cache_dir = manifest.resolved_cache_dir()
     shard_file = cache_dir / f"{EXP}.shard"
     faultinject.tear_tail(shard_file, drop=9)
-    (cache_dir / f"{EXP}.idx").unlink()  # force the recovery scan
     resumed = run_campaign(manifest.path)
     assert resumed.digest() == golden_digest
     assert resumed.simulated >= 1

@@ -12,7 +12,8 @@ folds the stores.  Gated here:
 * merging from either machine's copy of the manifest gives the same
   bytes;
 * strict mode refuses a merge with missing coverage instead of quietly
-  simulating the gap.
+  simulating the gap — and a record that is framed but does not parse
+  is missing coverage too.
 """
 
 import shutil
@@ -20,7 +21,8 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.errors import SweepError
+from repro.errors import CampaignError, SweepError
+from repro.sim import sweep as sweep_mod
 from repro.sim.campaign import (
     merge_campaign,
     parse_shard,
@@ -28,6 +30,7 @@ from repro.sim.campaign import (
     run_worker,
     shard_points,
 )
+from repro.sim.shardstore import RECORD_HEADER, SHARD_MAGIC
 from repro.sim.sweep import expand_grid, run_sweep
 from repro.units import seconds
 
@@ -118,6 +121,32 @@ def test_strict_merge_refuses_missing_coverage(tmp_path):
     with pytest.raises(SweepError) as excinfo:
         merge_campaign(m0, strict=True)
     assert "missing" in str(excinfo.value)
+
+
+def test_strict_merge_refuses_a_garbled_record(tmp_path, monkeypatch):
+    """A record whose frame is intact but whose zlib payload is not is
+    a gap, not coverage: strict merge names the point and simulates
+    nothing."""
+    (m0,) = machines(tmp_path, range(2), 1)
+    shard = m0.parent / "cache" / "table3.shard"
+    blob = bytearray(shard.read_bytes())
+    payload_at = len(SHARD_MAGIC) + RECORD_HEADER.size
+    _key, _flags, length = RECORD_HEADER.unpack_from(blob, len(SHARD_MAGIC))
+    blob[payload_at + length // 2] ^= 0xFF
+    shard.write_bytes(bytes(blob))
+    simulated = []
+    real_iter_chunk = sweep_mod._iter_chunk
+
+    def spy(points, k):
+        simulated.extend(points)
+        return real_iter_chunk(points, k)
+
+    monkeypatch.setattr(sweep_mod, "_iter_chunk", spy)
+    first = expand_grid("table3", range(2), OVERRIDES)[0]
+    with pytest.raises(CampaignError, match=r"1 of 2 grid points") as excinfo:
+        merge_campaign(m0, strict=True)
+    assert first.describe() in str(excinfo.value)
+    assert simulated == []
 
 
 def test_lenient_merge_simulates_the_gap_and_backfills(tmp_path):

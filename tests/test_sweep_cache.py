@@ -61,8 +61,6 @@ def test_corrupt_cache_entry_misses_and_reruns(tmp_path):
     (shard,) = list(tmp_path.rglob("*.shard"))
     blob = shard.read_bytes()
     shard.write_bytes(blob[:-10])  # tear the record mid-payload
-    (index,) = list(tmp_path.rglob("*.idx"))
-    index.unlink()  # stale accelerator: force the recovery scan
     result = run_sweep("table3", [0], OVERRIDES, jobs=1, cache_dir=tmp_path)
     assert (result.cache_hits, result.simulated) == (0, 1)
     # The rerun appended a complete record (last write wins).
@@ -75,37 +73,16 @@ def test_garbled_shard_magic_is_a_full_miss(tmp_path):
     run_sweep("table3", [0], OVERRIDES, jobs=1, cache_dir=tmp_path)
     (shard,) = list(tmp_path.rglob("*.shard"))
     shard.write_bytes(b"not a shard store" + shard.read_bytes())
-    (index,) = list(tmp_path.rglob("*.idx"))
-    index.unlink()
     result = run_sweep("table3", [0], OVERRIDES, jobs=1, cache_dir=tmp_path)
     assert (result.cache_hits, result.simulated) == (0, 1)
 
 
-def test_missing_index_is_rebuilt_from_the_shard(tmp_path):
-    """The .idx file is purely derived: deleting it costs one recovery
-    scan, never a cache miss."""
+def test_cache_dir_holds_one_file_per_experiment(tmp_path):
+    """The shard is the whole store: no side index, one file per
+    experiment however many points and reruns it holds."""
     run_sweep("table3", range(2), OVERRIDES, jobs=1, cache_dir=tmp_path)
-    (index,) = list(tmp_path.rglob("*.idx"))
-    index.unlink()
-    result = run_sweep("table3", range(2), OVERRIDES, jobs=1,
-                       cache_dir=tmp_path)
-    assert (result.cache_hits, result.simulated) == (2, 0)
-    assert index.is_file()  # rewritten by the recovery scan
-
-
-def test_stale_index_after_external_append_scans_the_tail(tmp_path):
-    """An index that covers only a prefix of the shard (writer crashed
-    between the payload and index appends) is topped up by scanning the
-    tail, not discarded."""
-    run_sweep("table3", range(2), OVERRIDES, jobs=1, cache_dir=tmp_path)
-    (index,) = list(tmp_path.rglob("*.idx"))
-    from repro.sim.shardstore import INDEX_MAGIC, INDEX_ROW
-
-    blob = index.read_bytes()
-    index.write_bytes(blob[: len(INDEX_MAGIC) + INDEX_ROW.size])
-    result = run_sweep("table3", range(2), OVERRIDES, jobs=1,
-                       cache_dir=tmp_path)
-    assert (result.cache_hits, result.simulated) == (2, 0)
+    run_sweep("table3", range(3), OVERRIDES, jobs=1, cache_dir=tmp_path)
+    assert [path.name for path in tmp_path.iterdir()] == ["table3.shard"]
 
 
 def test_point_key_binds_to_source_fingerprint(monkeypatch):
