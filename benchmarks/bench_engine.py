@@ -20,6 +20,9 @@ have a machine-readable baseline:
 * ``serve_recovery_ms`` — wall time for the durable ingest path to
   rebuild one node session from its checkpoint + journal-tail replay
   (a half-log tail, the post-SIGKILL shape).  Recorded, not gated;
+* ``serve_checkpoint_bytes`` — the size of that mid-stream checkpoint
+  file: a deterministic count, so checkpoint format bloat shows.
+  Recorded, not gated;
 * ``sweep_points_per_sec_serial`` — end-to-end table3 points per second
   on the 64-point reference grid with batching off (``batch=1``): the
   strict one-world-at-a-time reference;
@@ -303,6 +306,7 @@ def bench_serve_recovery(rounds: int = 5) -> dict:
                 journal.write_checkpoint(live.checkpoint_state())
                 live.checkpointed_bytes = live.bytes_received
         journal.close()
+        checkpoint_bytes = journal.checkpoint_path.stat().st_size
 
         restored = NodeSession.restore(root, node.node_id, retain=64)
         restored.journal.close()
@@ -322,6 +326,7 @@ def bench_serve_recovery(rounds: int = 5) -> dict:
         "serve_recovery_ms": round(median, 2),
         "serve_recovery_ms_spread": round(spread, 3),
         "serve_recovery_log_bytes": len(raw),
+        "serve_checkpoint_bytes": checkpoint_bytes,
     }
 
 
@@ -571,6 +576,7 @@ def test_engine_bench_smoke():
     assert windowed["windowed_entries_per_sec"] > 0
     recovery = bench_serve_recovery(rounds=1)
     assert recovery["serve_recovery_ms"] > 0
+    assert recovery["serve_checkpoint_bytes"] > 0
     assert src_loc() > 0
 
 

@@ -49,10 +49,13 @@ Blink).
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from itertools import islice
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -828,11 +831,23 @@ class WindowedAccumulator:
     the stride containing its start, so strides partition the intervals
     without splitting any (splitting would change the float-add order
     and break the fold contract).  When the interval starts cross a
-    stride boundary the open window closes: a :class:`WindowSnapshot` is
-    appended to :attr:`windows` (a deque bounded by ``retain``) and
-    passed to ``on_window`` if given.  :meth:`finish` closes the last,
-    partial window; its snapshot absorbs the deferred tail re-cover and
-    carries the finished map's exact state.
+    stride boundary the open window closes: its row is kept (the newest
+    ``retain`` rows are) and its :class:`WindowSnapshot` is passed to
+    ``on_window`` if given.  :meth:`finish` closes the last, partial
+    window; its snapshot absorbs the deferred tail re-cover and carries
+    the finished map's exact state.
+
+    Retained windows are stored columnar, not as snapshot objects: the
+    energy keys form one append-only table (``map.energy_j`` only ever
+    gains keys), so a window's cumulative energy is a prefix length and
+    one float64 row; its busy time is a row of interned key ids plus an
+    int64 row (the breakdown's key order is not a prefix).  The deltas
+    are recomputed from consecutive rows — the oldest retained window's
+    from the row before it, which is kept for that — so a
+    :class:`WindowSnapshot` is built only when read (:attr:`windows`,
+    :meth:`recent`, :meth:`sliding`, ``on_window``), field for field
+    and bit for bit what the close would have built.  The same rows are
+    what :meth:`snapshot` writes and :meth:`load_snapshot` reads back.
 
     Decoded rows arrive through :meth:`feed_columns` (or the per-entry
     :meth:`feed` / :meth:`feed_all` adapters) and fold in batches of at
@@ -864,7 +879,7 @@ class WindowedAccumulator:
       streaming trackers do.
 
     Memory stays bounded by the open spans, one buffered batch and
-    ``retain`` snapshots of the (component, activity) key set —
+    ``retain`` rows over the (component, activity) key set —
     independent of log length.
 
     Windowing requires eager charging, so proxy folding (inherently
@@ -932,13 +947,22 @@ class WindowedAccumulator:
         self._pending_rows = 0
         self._pending_entries: list = []
         self._finished = False
-        self._windows: deque[WindowSnapshot] = deque(maxlen=retain)
+        # Closed windows as stored rows (see _WindowRow), the newest
+        # ``retain`` of them; ``_base`` is the row just before the oldest
+        # kept one (None before window 0), whose cumulative sums the
+        # oldest kept window's deltas are taken against.
+        self._windows: deque[_WindowRow] = deque(maxlen=retain)
+        self._base: Optional[_WindowRow] = None
         self._windows_emitted = 0
         self._window_origin = origin_ns
         self._window_index: Optional[int] = None
-        self._prev_energy: dict[tuple[str, str], float] = {}
-        self._prev_time: dict[tuple[str, str], int] = {}
         self._prev_intervals = 0
+        # Key tables the rows index: the energy keys in ``map.energy_j``
+        # order (append-only, so a row's keys are a prefix), and every
+        # busy-time key ever closed, interned.
+        self._energy_keys: list[tuple[str, str]] = []
+        self._time_keys: list[tuple[str, str]] = []
+        self._time_ids: dict[tuple[str, str], int] = {}
 
     # -- feeding -------------------------------------------------------------
 
@@ -1145,46 +1169,88 @@ class WindowedAccumulator:
 
     def _close_window(self, final: bool) -> None:
         index = self._window_index
-        cumulative_energy = dict(self.map.energy_j)
+        energy_j = self.map.energy_j
+        self._sync_energy_keys()
         cumulative_time = _fold_time(
             self._time_single, self._time_multi, self.component_names)
-        delta_energy: dict[tuple[str, str], float] = {}
-        previous = self._prev_energy
-        for key, value in cumulative_energy.items():
-            delta = value - previous.get(key, 0.0)
-            if delta != 0.0:
-                delta_energy[key] = delta
-        delta_time: dict[tuple[str, str], int] = {}
-        previous_t = self._prev_time
-        for key, value in cumulative_time.items():
-            delta = value - previous_t.get(key, 0)
-            if delta:
-                delta_time[key] = delta
+        time_ids = self._time_ids
+        for key in cumulative_time:
+            if key not in time_ids:
+                time_ids[key] = len(self._time_keys)
+                self._time_keys.append(key)
         t0_ns = self._window_origin + index * self.stride_ns
-        t1_ns = (self._last_interval_t1_ns if final
-                 else t0_ns + self.stride_ns)
-        snapshot = WindowSnapshot(
+        row = _WindowRow(
             index=index,
             t0_ns=t0_ns,
-            t1_ns=t1_ns,
+            t1_ns=(self._last_interval_t1_ns if final
+                   else t0_ns + self.stride_ns),
             intervals=self._intervals_seen - self._prev_intervals,
-            energy_j=delta_energy,
-            time_ns=delta_time,
-            cumulative_energy_j=cumulative_energy,
-            cumulative_time_ns=cumulative_time,
-            reconstructed_energy_j=self.map.reconstructed_energy_j,
-            metered_energy_j=self._pulses_total * self.energy_per_pulse_j,
             span_ns=self._last_interval_t1_ns - self._span_t0_ns,
             final=final,
+            reconstructed_energy_j=self.map.reconstructed_energy_j,
+            metered_energy_j=self._pulses_total * self.energy_per_pulse_j,
+            energy=np.fromiter(energy_j.values(), dtype=np.float64,
+                               count=len(energy_j)),
+            time_ids=np.fromiter(map(time_ids.__getitem__, cumulative_time),
+                                 dtype=np.int32, count=len(cumulative_time)),
+            time_ns=np.fromiter(cumulative_time.values(), dtype=np.int64,
+                                count=len(cumulative_time)),
         )
-        self._prev_energy = cumulative_energy
-        self._prev_time = cumulative_time
+        previous = self._windows[-1] if self._windows else self._base
         self._prev_intervals = self._intervals_seen
         self._window_index = index + 1
-        self._windows.append(snapshot)
+        windows = self._windows
+        if len(windows) == windows.maxlen:
+            self._base = windows[0] if windows else row
+        windows.append(row)
         self._windows_emitted += 1
         if self.on_window is not None:
-            self.on_window(snapshot)
+            self.on_window(self._snapshot_of(row, previous))
+
+    def _sync_energy_keys(self) -> None:
+        """Append the energy keys charged since the last sync."""
+        keys = self._energy_keys
+        if len(self.map.energy_j) > len(keys):
+            keys.extend(islice(self.map.energy_j, len(keys), None))
+
+    def _snapshot_of(self, row: "_WindowRow",
+                     previous: Optional["_WindowRow"]) -> WindowSnapshot:
+        """Build ``row``'s :class:`WindowSnapshot`; ``previous`` is the
+        window before it (None for window 0).  The deltas are the
+        subtractions the close used to make, in the same order: each
+        key's cumulative value minus its previous one (0 for a key new
+        this window), zero deltas omitted."""
+        energy_keys = self._energy_keys
+        delta = row.energy.copy()
+        if previous is not None:
+            delta[:len(previous.energy)] -= previous.energy
+        moved = np.flatnonzero(delta).tolist()
+        time_keys = self._time_keys
+        ids = row.time_ids.tolist()
+        values = row.time_ns.tolist()
+        before = {} if previous is None else dict(
+            zip(previous.time_ids.tolist(), previous.time_ns.tolist()))
+        delta_time: dict[tuple[str, str], int] = {}
+        for key_id, value in zip(ids, values):
+            change = value - before.get(key_id, 0)
+            if change:
+                delta_time[time_keys[key_id]] = change
+        return WindowSnapshot(
+            index=row.index,
+            t0_ns=row.t0_ns,
+            t1_ns=row.t1_ns,
+            intervals=row.intervals,
+            energy_j=dict(zip([energy_keys[k] for k in moved],
+                              delta[moved].tolist())),
+            time_ns=delta_time,
+            cumulative_energy_j=dict(zip(energy_keys, row.energy.tolist())),
+            cumulative_time_ns=dict(zip([time_keys[k] for k in ids],
+                                        values)),
+            reconstructed_energy_j=row.reconstructed_energy_j,
+            metered_energy_j=row.metered_energy_j,
+            span_ns=row.span_ns,
+            final=row.final,
+        )
 
     def finish(self) -> EnergyMap:
         """Fold what is buffered, close every open span, charge the tail
@@ -1209,12 +1275,27 @@ class WindowedAccumulator:
             self._close_window(final=True)
         return self.map
 
+    def recent(self, count: Optional[int] = None) -> list[WindowSnapshot]:
+        """The newest ``count`` retained windows (every retained one when
+        None), oldest first, built from their stored rows: a window's
+        snapshot objects exist only while a caller holds them."""
+        if count is not None and count < 0:
+            raise WindowingError(f"window count must be >= 0, got {count}")
+        self._flush()
+        rows = list(self._windows)
+        first = 0 if count is None else max(len(rows) - count, 0)
+        previous = rows[first - 1] if first else self._base
+        snapshots = []
+        for row in rows[first:]:
+            snapshots.append(self._snapshot_of(row, previous))
+            previous = row
+        return snapshots
+
     @property
-    def windows(self) -> deque:
+    def windows(self) -> list[WindowSnapshot]:
         """Closed windows, oldest first, bounded by ``retain`` (None
         retains everything — batch-replay use only)."""
-        self._flush()
-        return self._windows
+        return self.recent()
 
     @property
     def windows_emitted(self) -> int:
@@ -1226,44 +1307,100 @@ class WindowedAccumulator:
     # -- durability ---------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """The accumulator's complete mid-stream state as one opaque
-        blob (pickle), buffered rows folded first.  Everything the fold
+        """The accumulator's complete mid-stream state as bytes, buffered
+        rows folded first: a JSON header and the raw little-endian arrays
+        it refers to by position (window rows, carried segment columns,
+        tail rows; see :func:`_pack_state`).  Everything the fold
         contract depends on rides along — the carried spans, the tail
-        rows, cumulative per-key float sums, window origin/index, the
-        retained snapshot deque — so :meth:`restore` of this blob, fed
-        the remaining rows, produces windows and a final map
+        rows, the per-key running sums, the window clock, the retained
+        window rows and the row before them — so :meth:`load_snapshot`
+        of it, fed the remaining rows, produces windows and a final map
         **bit-identical** to an uninterrupted accumulator (the
         crash-safety contract the ingest server's checkpoints lean on).
+        Nothing in it is executable on load.
 
-        ``on_window`` is deliberately not captured (server callbacks
-        close over sockets); reattach one via :meth:`restore`.
+        What the constructor takes (regression, registry, component
+        names, stride, idle name, end time, origin, retention,
+        ``on_window``) is not captured, nor what :meth:`finish` derives
+        from the rest: :meth:`load_snapshot` loads into an accumulator
+        built with the same arguments.
         """
-        import pickle
-
         self._flush()
-        on_window = self.on_window
-        self.on_window = None
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        finally:
-            self.on_window = on_window
+        self._sync_energy_keys()
+        arrays: list[np.ndarray] = []
 
-    @classmethod
-    def restore(cls, blob: bytes, on_window=None) -> "WindowedAccumulator":
-        """Rebuild an accumulator from a :meth:`snapshot` blob."""
-        import pickle
+        def put(array: np.ndarray) -> int:
+            arrays.append(array)
+            return len(arrays) - 1
 
+        emap = self.map
+        kept = list(self._windows)
+        if self._base is not None:
+            kept.insert(0, self._base)
+        tail = None
+        if self._tail is not None:
+            carry, parts, charged = self._tail
+            rows = LogColumns.concat(parts)
+            tail = [_carry_state(carry, put),
+                    [put(rows.type), put(rows.res_id), put(rows.time_ns),
+                     put(rows.icount), put(rows.value)], charged]
+        state = {
+            "devices": [sorted(self._single_ids), sorted(self._multi_ids)],
+            "carry": _carry_state(self._carry, put),
+            "energy_keys": list(self._energy_keys),
+            "energy": put(np.fromiter(emap.energy_j.values(),
+                                      dtype=np.float64,
+                                      count=len(emap.energy_j))),
+            "reconstructed": emap.reconstructed_energy_j,
+            "busy": [[[res_id, list(per_name.items())]
+                      for res_id, per_name in per_device.items()]
+                     for per_device in (self._time_single,
+                                        self._time_multi)],
+            "counters": [self._intervals_seen, self._pulses_total,
+                         self._span_t0_ns, self._last_interval_t1_ns,
+                         self._prev_intervals, self._windows_emitted],
+            "clock": [self._window_origin, self._window_index],
+            "finished": self._finished,
+            "tail": tail,
+            "time_keys": list(self._time_keys),
+            "windows": [self._base is not None, [
+                put(np.array([(r.index, r.t0_ns, r.t1_ns, r.intervals,
+                               r.span_ns, r.final, len(r.energy),
+                               len(r.time_ids)) for r in kept],
+                             dtype=np.int64).reshape(-1)),
+                put(np.array([(r.reconstructed_energy_j, r.metered_energy_j)
+                              for r in kept], dtype=np.float64).reshape(-1)),
+                put(_concat([r.energy for r in kept], np.float64)),
+                put(_concat([r.time_ids for r in kept], np.int32)),
+                put(_concat([r.time_ns for r in kept], np.int64)),
+            ]],
+        }
+        return _pack_state(state, arrays)
+
+    def load_snapshot(self, blob: bytes) -> None:
+        """Load a :meth:`snapshot` into this accumulator, freshly built
+        with the snapshotted one's constructor arguments (its
+        ``retain`` may differ: the newest rows are kept).  Raises
+        :class:`WindowingError` on a snapshot that does not hold
+        together, leaving this accumulator untouched."""
         try:
-            accumulator = pickle.loads(blob)
-        except Exception as exc:
+            loaded = _load_state(*_unpack_state(blob), self._windows.maxlen)
+        except WindowingError:
+            raise
+        except (AttributeError, KeyError, IndexError, TypeError,
+                ValueError, struct.error) as exc:
             raise WindowingError(
-                f"bad WindowedAccumulator snapshot: {exc}") from exc
-        if not isinstance(accumulator, cls):
-            raise WindowingError(
-                f"bad WindowedAccumulator snapshot: unpickled "
-                f"{type(accumulator).__name__}")
-        accumulator.on_window = on_window
-        return accumulator
+                f"bad WindowedAccumulator snapshot: {exc!r}") from exc
+        for name, value in loaded.items():
+            setattr(self, name, value)
+        if self._finished:
+            # What finish() derives from the state above.
+            self.map.time_ns = _fold_time(
+                self._time_single, self._time_multi, self.component_names)
+            self.map.span_ns = self._last_interval_t1_ns - self._span_t0_ns
+            self.map.metered_energy_j = (
+                self._pulses_total * self.energy_per_pulse_j
+            )
 
     # -- live views ---------------------------------------------------------
 
@@ -1296,13 +1433,12 @@ class WindowedAccumulator:
                 f"of the stride {self.stride_ns}"
             )
         count = width_ns // self.stride_ns
-        if count > len(self.windows) and self.windows_emitted \
-                > len(self.windows):
+        recent = self.recent(count)
+        if count > len(recent) and self._windows_emitted > len(recent):
             raise WindowingError(
                 f"sliding window of {count} strides outruns retention "
-                f"({len(self.windows)} snapshots kept)"
+                f"({len(recent)} snapshots kept)"
             )
-        recent = list(self.windows)[-count:]
         energy_j: dict[tuple[str, str], float] = {}
         time_ns: dict[tuple[str, str], int] = {}
         intervals = 0
@@ -1320,6 +1456,223 @@ class WindowedAccumulator:
             "energy_j": energy_j,
             "time_ns": time_ns,
         }
+
+
+class _WindowRow(NamedTuple):
+    """One closed window as a :class:`WindowedAccumulator` keeps it: the
+    scalars of its :class:`WindowSnapshot` plus its cumulative sums as
+    rows.  ``energy`` holds the running energy of the accumulator's
+    first ``len(energy)`` energy keys (keys are only ever appended, so
+    the window's keys are a prefix); ``time_ids``/``time_ns`` hold the
+    busy-time breakdown as interned key ids and ns, in its dict order.
+    The deltas are rebuilt from consecutive rows when read."""
+
+    index: int
+    t0_ns: int
+    t1_ns: int
+    intervals: int
+    span_ns: int
+    final: bool
+    reconstructed_energy_j: float
+    metered_energy_j: float
+    energy: np.ndarray
+    time_ids: np.ndarray
+    time_ns: np.ndarray
+
+
+def _concat(parts: list, dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+def _carry_state(carry: TimelineCarry, put) -> list:
+    """A :class:`TimelineCarry` as JSON-able lists, its single devices'
+    closed-segment columns stored through ``put`` (label sets sorted:
+    the fold interns them by sorted value, so order is not state)."""
+    return [
+        list(carry.states.items()),
+        [carry.span_t0, carry.span_pulses, carry.last_time,
+         carry.last_icount],
+        [[res_id, t0, label]
+         for res_id, (t0, label) in carry.single_open.items()],
+        [[res_id, t0, sorted(labels)]
+         for res_id, (t0, labels) in carry.multi_open.items()],
+        [[res_id, put(t0s), put(t1s), put(labels)]
+         for res_id, (t0s, t1s, labels) in carry.single_done.items()],
+        [[res_id, list(t0s), list(t1s), [sorted(s) for s in sets]]
+         for res_id, (t0s, t1s, sets) in carry.multi_done.items()],
+    ]
+
+
+def _load_carry(state: list, array) -> TimelineCarry:
+    states, (span_t0, span_pulses, last_time, last_icount), single_open, \
+        multi_open, single_done, multi_done = state
+    return TimelineCarry(
+        states={int(res_id): int(value) for res_id, value in states},
+        span_t0=_int_or_none(span_t0), span_pulses=int(span_pulses),
+        last_time=_int_or_none(last_time), last_icount=int(last_icount),
+        single_open={int(res_id): (int(t0), int(label))
+                     for res_id, t0, label in single_open},
+        multi_open={int(res_id): (int(t0), frozenset(labels))
+                    for res_id, t0, labels in multi_open},
+        single_done={int(res_id): (array(t0s), array(t1s), array(labels))
+                     for res_id, t0s, t1s, labels in single_done},
+        multi_done={int(res_id): (list(t0s), list(t1s),
+                                  [frozenset(s) for s in sets])
+                    for res_id, t0s, t1s, sets in multi_done},
+    )
+
+
+def _int_or_none(value) -> Optional[int]:
+    return None if value is None else int(value)
+
+
+#: A snapshot's JSON header length (u32); the header is padded so the
+#: arrays after it start 8-byte aligned, and each array is padded to 8
+#: bytes, so decoded arrays are aligned views of the snapshot's bytes.
+_STATE_HEADER = struct.Struct("<I")
+_ALIGN = 8
+
+#: The only array types a snapshot may hold.
+_STATE_DTYPES = frozenset(
+    np.dtype(name).str for name in ("u1", "i4", "i8", "f8"))
+
+
+def _pack_state(state: dict, arrays: Sequence[np.ndarray]) -> bytes:
+    """``state`` (JSON-able; refers to ``arrays`` by position) with the
+    arrays' table (dtype, length) under ``"arrays"``, as JSON, then
+    each array's raw bytes."""
+    state = dict(state, arrays=[[array.dtype.str, array.size]
+                                for array in arrays])
+    text = json.dumps(state, separators=(",", ":")).encode("utf-8")
+    text += b" " * (-(_STATE_HEADER.size + len(text)) % _ALIGN)
+    parts = [_STATE_HEADER.pack(len(text)), text]
+    for array in arrays:
+        data = array.tobytes()
+        parts.append(data)
+        parts.append(bytes(-len(data) % _ALIGN))
+    return b"".join(parts)
+
+
+def _unpack_state(blob: bytes) -> tuple[dict, list[np.ndarray]]:
+    """The state dict and arrays of a :func:`_pack_state` blob (arrays
+    are read-only views of ``blob``).  Raises :class:`WindowingError`
+    when the array table disagrees with the bytes after the header."""
+    (length,) = _STATE_HEADER.unpack_from(blob)
+    at = _STATE_HEADER.size + length
+    state = json.loads(blob[_STATE_HEADER.size:at])
+    arrays = []
+    for dtype, count in state.pop("arrays"):
+        if dtype not in _STATE_DTYPES or type(count) is not int \
+                or count < 0:
+            raise WindowingError("bad WindowedAccumulator snapshot: "
+                                 f"array {dtype!r} x {count!r}")
+        arrays.append(np.frombuffer(blob, dtype=dtype, count=count,
+                                    offset=at))
+        nbytes = arrays[-1].nbytes
+        at += nbytes + (-nbytes % _ALIGN)
+    if at != len(blob):
+        raise WindowingError(
+            f"bad WindowedAccumulator snapshot: its array table covers "
+            f"{at} of {len(blob)} bytes")
+    return state, arrays
+
+
+def _load_state(state: dict, arrays: Sequence[np.ndarray],
+                retain: Optional[int]) -> dict:
+    """Decode :meth:`WindowedAccumulator.snapshot` output into the
+    attribute values :meth:`~WindowedAccumulator.load_snapshot` sets,
+    checking that the arrays and the counts naming them agree."""
+    def array(ref) -> np.ndarray:
+        if type(ref) is not int:
+            raise WindowingError(
+                f"bad WindowedAccumulator snapshot: array ref {ref!r}")
+        return arrays[ref]
+
+    energy_keys = [(str(c), str(a)) for c, a in state["energy_keys"]]
+    energy = array(state["energy"])
+    if len(energy) != len(energy_keys):
+        raise WindowingError(
+            f"bad WindowedAccumulator snapshot: {len(energy)} energy sums "
+            f"for {len(energy_keys)} keys")
+    emap = EnergyMap(energy_j=dict(zip(energy_keys, energy.tolist())),
+                     reconstructed_energy_j=float(state["reconstructed"]))
+    time_single, time_multi = (
+        {int(res_id): {str(name): int(ns) for name, ns in per_name}
+         for res_id, per_name in per_device}
+        for per_device in state["busy"])
+    intervals_seen, pulses_total, span_t0_ns, last_t1_ns, prev_intervals, \
+        emitted = (int(value) for value in state["counters"])
+    origin, index = state["clock"]
+    tail = state["tail"]
+    if tail is not None:
+        carry, refs, charged = tail
+        columns = [array(ref) for ref in refs]
+        if len({len(column) for column in columns}) != 1:
+            raise WindowingError("bad WindowedAccumulator snapshot: tail "
+                                 "columns of unequal length")
+        tail = (_load_carry(carry, array), [LogColumns(*columns)],
+                int(charged))
+    time_keys = [(str(c), str(n)) for c, n in state["time_keys"]]
+    has_base, refs = state["windows"]
+    ints, floats, energies, time_ids, time_values = map(array, refs)
+    count = len(ints) // 8
+    if len(ints) != 8 * count or len(floats) != 2 * count:
+        raise WindowingError(
+            "bad WindowedAccumulator snapshot: window table sizes "
+            f"{len(ints)} and {len(floats)} disagree")
+    table = ints.reshape(count, 8)
+    prefix = table[:, 6]
+    if int(prefix.sum()) != len(energies) \
+            or int(table[:, 7].sum()) != len(time_ids) \
+            or len(time_ids) != len(time_values) \
+            or (count and int(prefix[-1]) > len(energy_keys)) \
+            or bool((np.diff(prefix) < 0).any()) \
+            or (len(time_ids) and not 0 <= int(time_ids.min())
+                <= int(time_ids.max()) < len(time_keys)):
+        raise WindowingError(
+            "bad WindowedAccumulator snapshot: window rows disagree with "
+            "their counts or key tables")
+    rows = []
+    at_e = at_t = 0
+    for (row_index, t0_ns, t1_ns, intervals, row_span, final, n_energy,
+         n_time), (row_reconstructed, row_metered) in zip(
+            table.tolist(), floats.reshape(count, 2).tolist()):
+        rows.append(_WindowRow(
+            row_index, t0_ns, t1_ns, intervals, row_span, bool(final),
+            row_reconstructed, row_metered,
+            energies[at_e:at_e + n_energy],
+            time_ids[at_t:at_t + n_time],
+            time_values[at_t:at_t + n_time]))
+        at_e += n_energy
+        at_t += n_time
+    base = rows.pop(0) if has_base and rows else None
+    windows: deque[_WindowRow] = deque(rows, maxlen=retain)
+    if len(rows) > len(windows):
+        base = rows[-len(windows) - 1]
+    single_ids, multi_ids = state["devices"]
+    return {
+        "_single_ids": {int(res_id) for res_id in single_ids},
+        "_multi_ids": {int(res_id) for res_id in multi_ids},
+        "_carry": _load_carry(state["carry"], array),
+        "map": emap,
+        "_time_single": time_single,
+        "_time_multi": time_multi,
+        "_intervals_seen": intervals_seen,
+        "_pulses_total": pulses_total,
+        "_span_t0_ns": span_t0_ns,
+        "_last_interval_t1_ns": last_t1_ns,
+        "_prev_intervals": prev_intervals,
+        "_windows_emitted": emitted,
+        "_window_origin": _int_or_none(origin),
+        "_window_index": _int_or_none(index),
+        "_finished": bool(state["finished"]),
+        "_tail": tail,
+        "_windows": windows,
+        "_base": base,
+        "_energy_keys": energy_keys,
+        "_time_keys": time_keys,
+        "_time_ids": {key: key_id for key_id, key in enumerate(time_keys)},
+    }
 
 
 # -- columnar backend -------------------------------------------------------

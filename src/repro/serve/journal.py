@@ -3,19 +3,26 @@
 Durability contract: every raw wire chunk is appended here — framed
 length + CRC — **before** it enters the decoder, so the journal is
 always at or ahead of the in-memory accounting state.  A checkpoint
-(written atomically: tmp + ``os.replace``) snapshots the
-:class:`~repro.core.logger.WireDecoder` unwrap state and the pickled
-:class:`~repro.core.accounting.WindowedAccumulator` at a
-known journal offset.  Restart = load the newest valid checkpoint,
-replay the journal's payload tail through the same decode→window path;
-the result is bit-identical to an uninterrupted run.
+(written atomically: tmp + ``os.replace``) holds the
+:class:`~repro.core.logger.WireDecoder` unwrap state and the
+:class:`~repro.core.accounting.WindowedAccumulator` state at a known
+journal offset.  Restart = load the newest valid checkpoint, replay the
+journal's payload tail through the same decode→window path; the result
+is bit-identical to an uninterrupted run.
 
-Checkpoints are written off the event loop.  The server takes the
-snapshot on the loop and hands it to its one :class:`CheckpointWriter`
-thread, which pickles, writes, fsyncs and renames it in submission
-order while decode, accounting and queries carry on (``fsync`` releases
-the GIL).  Journal appends stay on the loop and flushed, so an ack
-still means "journaled".  A write still in flight when the process dies
+A checkpoint is data, never code (schema 3, :func:`encode_checkpoint`):
+magic, payload length and CRC, then a small JSON header (journal
+offset, completion flag, decoder snapshot) and the accumulator's own
+snapshot, itself a JSON header plus raw little-endian arrays.
+Checkpoints of older schemas (pickles) are recognized by their magic
+and never decoded.
+
+Checkpoints are written off the event loop.  The server encodes the
+checkpoint on the loop (one consistent cut of the stream) and hands the
+bytes to its one :class:`CheckpointWriter` thread, which frames, writes,
+fsyncs and renames them in submission order while decode, accounting
+and queries carry on (``fsync`` releases the GIL).  Journal appends
+stay on the loop and flushed, so an ack still means "journaled".  A write still in flight when the process dies
 is harmless: the previous checkpoint stays in place, and restore replays
 the journal from it to the same state.  :meth:`NodeJournal.create`
 removes a stale checkpoint, so the server calls it only once every
@@ -47,7 +54,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import re
 import struct
 import threading
@@ -62,7 +68,21 @@ from repro.errors import ServeError
 from repro.sim.faultinject import fire
 
 JOURNAL_MAGIC = b"QWAJ\x01\x00\x00\x00"
-CHECKPOINT_MAGIC = b"QCKP\x01\x00\x00\x00"
+
+#: Checkpoint layout version, carried in the magic.  Schema 3 is JSON
+#: headers plus raw little-endian arrays: nothing in it is executable on
+#: load.  A checkpoint of any other schema (1 and 2 were pickles) is
+#: recognized by its magic and never decoded; restore replays the full
+#: journal instead.
+CHECKPOINT_SCHEMA = 3
+CHECKPOINT_MAGIC = b"QCKP" + bytes((CHECKPOINT_SCHEMA, 0, 0, 0))
+
+#: After the magic: payload length (u32), payload crc32 (u32).
+_CHECKPOINT_FRAME = struct.Struct("<II")
+
+#: Payload: JSON header length (u32), the header, then the accumulator
+#: snapshot's bytes.
+_HEADER_LENGTH = struct.Struct("<I")
 
 #: Record header: kind (u8), payload length (u32), payload crc32 (u32).
 RECORD_HEADER = struct.Struct("<BII")
@@ -219,43 +239,32 @@ class NodeJournal:
     # -- checkpoints ---------------------------------------------------------
 
     def write_checkpoint(self, state: dict) -> None:
-        """Atomically replace the node's checkpoint (tmp + fsync +
-        ``os.replace`` — a crash mid-write leaves the previous checkpoint
-        intact).  The server runs this on its :class:`CheckpointWriter`
-        thread, never on the event loop."""
-        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        """Atomically replace the node's checkpoint with
+        ``state["payload"]`` (an :func:`encode_checkpoint` payload):
+        magic, length and CRC framing, tmp write, fsync, ``os.replace``
+        — a crash mid-write leaves the previous checkpoint intact.  The
+        server runs this on its :class:`CheckpointWriter` thread, never
+        on the event loop; the payload was encoded on the loop."""
         tmp = self.checkpoint_path.with_suffix(".ckpt.tmp")
         with open(tmp, "wb") as handle:
-            handle.write(CHECKPOINT_MAGIC)
-            handle.write(struct.pack("<II", len(payload),
-                                     zlib.crc32(payload)))
-            handle.write(payload)
+            handle.write(frame_checkpoint(state["payload"]))
             handle.flush()
             os.fsync(handle.fileno())
         fire("serve-checkpoint-write", self.node_id)
         os.replace(tmp, self.checkpoint_path)
 
     def load_checkpoint(self) -> Optional[dict]:
-        """The newest checkpoint, or None if absent/corrupt (a corrupt
-        checkpoint is not an error — full-journal replay covers it)."""
+        """The newest checkpoint (see :func:`decode_checkpoint`), or
+        None if absent, of another schema or corrupt — not an error:
+        full-journal replay covers it."""
         try:
             blob = self.checkpoint_path.read_bytes()
-        except FileNotFoundError:
-            return None
         except OSError:
             return None
-        header = len(CHECKPOINT_MAGIC) + 8
-        if len(blob) < header or not blob.startswith(CHECKPOINT_MAGIC):
-            return None
-        length, crc = struct.unpack_from("<II", blob, len(CHECKPOINT_MAGIC))
-        payload = blob[header:header + length]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return None
         try:
-            state = pickle.loads(payload)
-        except Exception:
+            return decode_checkpoint(blob)
+        except ServeError:
             return None
-        return state if isinstance(state, dict) else None
 
     # -- reading ------------------------------------------------------------
 
@@ -269,25 +278,30 @@ class NodeJournal:
             return None
         if not blob.startswith(JOURNAL_MAGIC):
             return None
-        contents = JournalContents(valid_end=len(JOURNAL_MAGIC))
-        at = len(JOURNAL_MAGIC)
+        contents = JournalContents()
+        chunks = contents.chunks
+        unpack, crc32 = RECORD_HEADER.unpack_from, zlib.crc32
+        header = RECORD_HEADER.size
+        at = len(JOURNAL_MAGIC)  # end of the last whole record
         size = len(blob)
-        while at + RECORD_HEADER.size <= size:
-            kind, length, crc = RECORD_HEADER.unpack_from(blob, at)
-            payload_at = at + RECORD_HEADER.size
-            if payload_at + length > size:
+        payload_bytes = 0
+        while at + header <= size:
+            kind, length, crc = unpack(blob, at)
+            start = at + header
+            end = start + length
+            if end > size:
                 break  # torn tail: header landed, payload did not
-            payload = blob[payload_at:payload_at + length]
-            if zlib.crc32(payload) != crc:
+            payload = blob[start:end]
+            if crc32(payload) != crc:
                 break  # corrupt record: stop at the last good one
-            if kind == KIND_HELLO:
+            if kind == KIND_CHUNK:
+                chunks.append(payload)
+                payload_bytes += length
+            elif kind == KIND_HELLO:
                 try:
                     contents.hello = json.loads(payload)
                 except ValueError:
                     break
-            elif kind == KIND_CHUNK:
-                contents.chunks.append(payload)
-                contents.payload_bytes += length
             elif kind == KIND_COMPLETE:
                 try:
                     contents.complete = json.loads(payload)
@@ -295,9 +309,52 @@ class NodeJournal:
                     break
             else:
                 break  # unknown record kind: treat as corruption
-            at = payload_at + length
-            contents.valid_end = at
+            at = end
+        contents.valid_end = at
+        contents.payload_bytes = payload_bytes
         return contents
+
+
+def encode_checkpoint(header: dict, accumulator: bytes) -> bytes:
+    """A checkpoint payload: the JSON ``header`` (journal offset,
+    completion flag, decoder snapshot), then ``accumulator``, a
+    :meth:`~repro.core.accounting.WindowedAccumulator.snapshot`.
+    :meth:`NodeJournal.write_checkpoint` frames it."""
+    text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join((_HEADER_LENGTH.pack(len(text)), text, accumulator))
+
+
+def frame_checkpoint(payload: bytes) -> bytes:
+    """The checkpoint file's bytes: magic, payload length and CRC, then
+    the payload."""
+    return b"".join((CHECKPOINT_MAGIC, _CHECKPOINT_FRAME.pack(
+        len(payload), zlib.crc32(payload)), payload))
+
+
+def decode_checkpoint(blob: bytes) -> dict:
+    """Decode a whole checkpoint file: the header dict with the
+    accumulator snapshot's bytes under ``"accumulator"`` (decoded by
+    :meth:`~repro.core.accounting.WindowedAccumulator.load_snapshot`).
+    Raises :class:`ServeError` on another schema's magic (an old
+    checkpoint is never decoded), a failed length or CRC check, or a
+    malformed header."""
+    if not blob.startswith(CHECKPOINT_MAGIC):
+        raise ServeError(f"not a schema-{CHECKPOINT_SCHEMA} checkpoint "
+                         f"(magic {bytes(blob[:8])!r})")
+    at = len(CHECKPOINT_MAGIC) + _CHECKPOINT_FRAME.size
+    if len(blob) < at:
+        raise ServeError("checkpoint frame is torn")
+    length, crc = _CHECKPOINT_FRAME.unpack_from(blob, len(CHECKPOINT_MAGIC))
+    if at + length != len(blob) or zlib.crc32(memoryview(blob)[at:]) != crc:
+        raise ServeError("checkpoint payload fails its length/CRC check")
+    try:
+        (text_length,) = _HEADER_LENGTH.unpack_from(blob, at)
+        at += _HEADER_LENGTH.size
+        header = json.loads(blob[at:at + text_length])
+        header["accumulator"] = blob[at + text_length:]
+    except (struct.error, ValueError, TypeError) as exc:
+        raise ServeError(f"checkpoint header is malformed: {exc!r}") from exc
+    return header
 
 
 @dataclass

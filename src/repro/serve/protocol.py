@@ -14,8 +14,9 @@ A connection opens with exactly one ASCII line that names its role:
   folded energy map, then closes.
 * ``QUERY <json>\\n`` — a control query.  The server answers with one
   JSON line and closes.  Commands: ``nodes`` (session states),
-  ``breakdown`` (live or final per-node map), ``windows`` (recent
-  window snapshots), ``stats`` (server totals).
+  ``breakdown`` (live or final per-node map), ``windows`` (the newest
+  ``last`` window snapshots, a non-negative int, default 8), ``stats``
+  (server totals).
 
 **Resume extension** (the durable-ingest handshake): a hello carrying
 ``"ack": true`` opts into acked offsets.  The server answers the hello

@@ -12,7 +12,7 @@ backpressure end to end, no unbounded buffering anywhere.
 
 ``QUERY`` connections read the same sessions for live breakdowns; both
 run on the loop, so no locks.  Memory per node is the accumulator's
-open spans plus the retained window deque — a server holding thousands
+open spans plus its retained window rows — a server holding thousands
 of finished nodes keeps only their folded maps.
 
 **Durability** (``state_dir``): every raw chunk is appended to the
@@ -25,11 +25,17 @@ uninterrupted run.  Clients speaking the resume handshake (hello
 ``"ack": true``) learn the server's journaled offset on connect and
 replay idempotently from there.
 
+Checkpoints are schema 3 (:mod:`repro.serve.journal`): JSON headers
+and raw arrays, nothing executable.  They leave out what the hello
+already supplies, so :meth:`NodeSession.restore` builds the session
+from the hello once and loads the decoder and accumulator state into
+it.
+
 **What runs where.**  The loop journals each chunk (written and
-flushed, so an ack means "journaled"), takes each checkpoint's snapshot
+flushed, so an ack means "journaled"), encodes each checkpoint
 (``NodeSession.checkpoint_state``) and keeps the cadence.  The server's
 one :class:`~repro.serve.journal.CheckpointWriter` thread, started by
-the first checkpoint, does the rest in submission order: pickle, tmp
+the first checkpoint, does the rest in submission order: framing, tmp
 write, fsync, ``os.replace``.  At most one snapshot per node waits
 unstarted; a newer one replaces it.  A failed write is re-raised at
 the session's next checkpoint hand-off or at its end, failing the
@@ -63,7 +69,11 @@ from typing import Optional
 from repro.core.accounting import WindowedAccumulator
 from repro.core.logger import ENTRY_SIZE, WireDecoder
 from repro.errors import ReproError, ServeError
-from repro.serve.journal import CheckpointWriter, NodeJournal
+from repro.serve.journal import (
+    CheckpointWriter,
+    NodeJournal,
+    encode_checkpoint,
+)
 from repro.serve.protocol import (
     INGEST_VERB,
     LINE_LIMIT,
@@ -88,12 +98,6 @@ CHECKPOINT_BYTES = 1 << 16
 
 #: Default ack cadence for resume-capable clients.
 ACK_BYTES = 1 << 14
-
-#: Checkpoint layout version.  Schema 2 pickles the columnar
-#: :class:`WindowedAccumulator`; restore ignores any other schema (an
-#: older pickle would load as the new class and fail mid-ingest) and
-#: replays the full journal instead.
-CHECKPOINT_SCHEMA = 2
 
 #: End-of-stream sentinel on a session's chunk queue.
 _EOF = None
@@ -170,14 +174,31 @@ class NodeSession:
             self.journal.quarantine(message)
 
     def checkpoint_state(self, complete: bool = False) -> dict:
-        return {
-            "schema": CHECKPOINT_SCHEMA,
-            "node_id": self.node_id,
+        """The session's checkpoint, encoded now (on the loop, so it is
+        one consistent cut of the stream): the schema-3 ``payload`` for
+        :meth:`NodeJournal.write_checkpoint`, plus the offset and
+        completion flag the writer's callers read."""
+        header = {
             "journal_offset": self.bytes_received,
-            "decoder": self.decoder.snapshot(),
-            "accumulator": self.accumulator.snapshot(),
             "complete": complete,
+            "decoder": self.decoder.snapshot(),
         }
+        return {
+            "journal_offset": self.bytes_received,
+            "complete": complete,
+            "payload": encode_checkpoint(header,
+                                         self.accumulator.snapshot()),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Resume this freshly built session from a decoded checkpoint
+        (:meth:`NodeJournal.load_checkpoint`).  Raises a
+        :class:`ReproError` on a snapshot that does not hold together,
+        leaving the session as it was."""
+        decoder = WireDecoder.from_snapshot(state.get("decoder"))
+        self.accumulator.load_snapshot(state.get("accumulator"))
+        self.decoder = decoder
+        self.bytes_received = state["journal_offset"]
 
     def final_reply(self) -> dict:
         return {
@@ -207,18 +228,14 @@ class NodeSession:
             return session
         start = 0
         state = journal.load_checkpoint()
-        if (state is not None and state.get("schema") == CHECKPOINT_SCHEMA
+        if (state is not None
                 and isinstance(state.get("journal_offset"), int)
                 and 0 <= state["journal_offset"] <= contents.payload_bytes):
             try:
-                decoder = WireDecoder.from_snapshot(state["decoder"])
-                accumulator = WindowedAccumulator.restore(
-                    state["accumulator"])
+                session.load_state(state)
             except ReproError:
                 pass  # corrupt snapshot: full-journal replay covers it
             else:
-                session.decoder = decoder
-                session.accumulator = accumulator
                 start = state["journal_offset"]
         session.bytes_received = start
         session.durable_bytes = start
@@ -813,8 +830,12 @@ class IngestServer:
             return reply
         if command == "windows":
             session = self._session_for(query)
-            last = int(query.get("last", 8))
-            recent = list(session.accumulator.windows)[-last:]
+            last = query.get("last", 8)
+            if type(last) is not int or last < 0:
+                raise ServeError(
+                    f"windows 'last' must be a non-negative integer, "
+                    f"got {last!r}")
+            recent = session.accumulator.recent(last)
             return {
                 "ok": True,
                 "node_id": session.node_id,

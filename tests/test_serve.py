@@ -146,6 +146,38 @@ def test_queries_mid_stream_and_after(sock):
     assert_maps_identical(final_map(reply), offline)
 
 
+def test_windows_verb_takes_only_a_non_negative_count(sock):
+    """``last`` is how many of the newest windows to return: 0 returns
+    none, and anything but a non-negative int (a negative count, a
+    string, a bool) is a query error, not a slice of the wrong windows
+    or a dropped connection."""
+    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
+
+    async def client(server):
+        reply = await stream_node(sock, node, stride_ns=int(seconds(0.25)))
+        replies = {}
+        for last in (0, 1, 3, -3, "x", True, 2.0, None):
+            replies[repr(last)] = await query(
+                sock, {"cmd": "windows", "node_id": 1, "last": last})
+        replies["default"] = await query(
+            sock, {"cmd": "windows", "node_id": 1})
+        everything = server.sessions[1].accumulator.windows
+        return reply, replies, everything
+
+    reply, replies, everything = serve_and(sock, client)
+    assert reply["windows"] > 8
+    assert replies["0"] == dict(replies["0"], ok=True, windows=[])
+    for last in (1, 3, 8):
+        key = "default" if last == 8 else repr(last)
+        got = replies[key]["windows"]
+        assert [w["index"] for w in got] \
+            == [s.index for s in everything[-last:]]
+    assert replies["3"]["windows"][-1]["final"]
+    for bad in ("-3", "'x'", "True", "2.0", "None"):
+        assert replies[bad]["ok"] is False, bad
+        assert "non-negative integer" in replies[bad]["error"]
+
+
 # -- protocol errors ---------------------------------------------------------
 
 

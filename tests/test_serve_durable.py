@@ -18,16 +18,18 @@ import json
 import os
 import pickle
 import socket
+import struct
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
 
-from repro.core.accounting import WindowedAccumulator, build_energy_map
+from repro.core.accounting import build_energy_map
 from repro.core.logger import WireDecoder
-from repro.errors import ServeError
+from repro.errors import ServeError, WindowingError
 from repro.experiments.common import run_blink
 from repro.serve import (
     IngestServer,
@@ -39,7 +41,14 @@ from repro.serve import (
     stream_node_sync,
     stream_raw,
 )
-from repro.serve.journal import JOURNAL_MAGIC, CheckpointWriter
+from repro.serve.journal import (
+    CHECKPOINT_MAGIC,
+    JOURNAL_MAGIC,
+    CheckpointWriter,
+    decode_checkpoint,
+    encode_checkpoint,
+    frame_checkpoint,
+)
 from repro.serve.protocol import (
     INGEST_VERB,
     decode_json_line,
@@ -210,13 +219,17 @@ def test_scan_dir_finds_node_journals(tmp_path):
 
 def test_checkpoint_round_trip_and_corruption(tmp_path):
     journal = NodeJournal(tmp_path, 1)
-    state = {"schema": 1, "journal_offset": 42, "blob": b"\x00\x01"}
+    header = {"journal_offset": 42, "complete": False, "note": [1.5, None]}
+    accumulator = bytes(range(7))
     assert journal.load_checkpoint() is None  # absent
-    journal.write_checkpoint(state)
-    assert journal.load_checkpoint() == state
-    blob = bytearray(journal.checkpoint_path.read_bytes())
-    blob[-1] ^= 0xFF
-    journal.checkpoint_path.write_bytes(bytes(blob))
+    journal.write_checkpoint({"journal_offset": 42, "payload":
+                              encode_checkpoint(header, accumulator)})
+    blob = journal.checkpoint_path.read_bytes()
+    assert blob.startswith(CHECKPOINT_MAGIC)
+    assert journal.load_checkpoint() == dict(header, accumulator=accumulator)
+    corrupt = bytearray(blob)
+    corrupt[-1] ^= 0xFF
+    journal.checkpoint_path.write_bytes(bytes(corrupt))
     assert journal.load_checkpoint() is None  # CRC fail -> discard
     journal.checkpoint_path.write_bytes(b"garbage")
     assert journal.load_checkpoint() is None
@@ -315,20 +328,18 @@ def test_cancelled_drain_wait_leaves_the_writer_running():
 
 
 def test_mid_stream_checkpoint_restores_bit_identical(blink, offline):
-    """The checkpoint payload (decoder snapshot + pickled accumulator),
-    round-tripped through bytes at arbitrary cut points, resumes to the
-    exact offline map — float bits and key order."""
+    """The checkpoint file's bytes (decoder snapshot + accumulator
+    state), decoded at arbitrary cut points, resume to the exact
+    offline map — float bits and key order."""
     hello = hello_for_node(blink, stride_ns=int(seconds(1)))
     raw = bytes(blink.logger.raw_bytes())
     for cut in (0, 5, 600, len(raw) // 2 + 7, len(raw) - 1):
         session = NodeSession(hello, retain=64)
         session.ingest(raw[:cut])
-        state = pickle.loads(pickle.dumps(session.checkpoint_state()))
+        state = decode_checkpoint(frame_checkpoint(
+            session.checkpoint_state()["payload"]))
         resumed = NodeSession(hello, retain=64)
-        resumed.decoder = WireDecoder.from_snapshot(state["decoder"])
-        resumed.accumulator = WindowedAccumulator.restore(
-            state["accumulator"])
-        resumed.bytes_received = state["journal_offset"]
+        resumed.load_state(state)
         resumed.ingest(raw[cut:])
         assert_maps_identical(resumed.finish(), offline)
         assert resumed.bytes_received == len(raw)
@@ -353,43 +364,126 @@ def test_restore_from_journal_without_checkpoint(tmp_path, blink, offline):
     session.journal.close()
 
 
-def test_schema_1_checkpoint_is_ignored(tmp_path, blink, offline):
-    """A checkpoint written before the columnar accumulator (schema 1:
-    a pickled per-entry accumulator under the same class name) must not
-    load as the new class: restore ignores it and replays the whole
-    journal, to the same map byte for byte."""
-    from repro.core.accounting import EnergyAccumulator
-    from repro.core.logger import iter_entries
+class _Tripwire:
+    """Unpickling this creates ``path``: proof a pickle was executed."""
 
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (Path.touch, (Path(self.path),))
+
+
+def test_schema_1_checkpoint_is_ignored(tmp_path, blink, offline):
+    """A checkpoint of an older schema (1 and 2 were pickles) is
+    recognized by its magic and never decoded: restore replays the whole
+    journal to the same map byte for byte, and the next checkpoint it
+    writes is schema 3.  The old payloads here are pickles that would
+    create a marker file if anything unpickled them."""
     hello = hello_for_node(blink, stride_ns=int(seconds(1)))
     raw = bytes(blink.logger.raw_bytes())
     cut = 600
-    journal = NodeJournal(tmp_path, 1)
-    journal.create(hello)
-    journal.append_chunk(raw[:cut])
-    timeline = blink.timeline()
-    old = EnergyAccumulator(
-        blink.regression(timeline), blink.registry, COMPONENT_NAMES,
-        blink.platform.icount.nominal_energy_per_pulse_j,
-        idle_name=blink.registry.name_of(blink.idle),
-        end_time_ns=timeline.end_time_ns)
-    decoder = WireDecoder()
-    for entry in decoder.feed(raw[:cut]):
-        old.feed(entry)
-    old.__class__ = WindowedAccumulator  # how the old pickle names it
-    journal.write_checkpoint({
-        "schema": 1, "node_id": 1, "journal_offset": cut,
-        "decoder": decoder.snapshot(), "accumulator": pickle.dumps(old),
-        "complete": False})
-    journal.close()
+    armed = tmp_path / "armed"
+    pickle.loads(pickle.dumps(_Tripwire(armed)))
+    assert armed.exists()  # the trap works when a pickle is loaded
+    marker = tmp_path / "executed"
+    for schema in (1, 2):
+        state_dir = tmp_path / f"schema-{schema}"
+        journal = NodeJournal(state_dir, 1)
+        journal.create(hello)
+        journal.append_chunk(raw[:cut])
+        journal.close()
+        decoder = WireDecoder()
+        decoder.feed(raw[:cut])
+        payload = pickle.dumps({
+            "schema": schema, "node_id": 1, "journal_offset": cut,
+            "decoder": decoder.snapshot(),
+            "accumulator": _Tripwire(marker), "complete": False})
+        journal.checkpoint_path.write_bytes(
+            b"QCKP" + bytes((schema, 0, 0, 0))
+            + struct.pack("<II", len(payload), zlib.crc32(payload))
+            + payload)
 
-    session = NodeSession.restore(tmp_path, 1, retain=64)
-    assert session.state == "suspended"
-    assert session.bytes_received == cut
-    session.ingest(raw[cut:])
-    assert_maps_identical(session.finish(), offline)
-    assert session.checkpoint_state()["schema"] == 2
-    session.journal.close()
+        session = NodeSession.restore(state_dir, 1, retain=64)
+        assert not marker.exists()
+        assert session.state == "suspended"
+        assert session.durable_bytes == 0  # the full journal replayed
+        assert session.bytes_received == cut
+        journal.write_checkpoint(session.checkpoint_state())
+        assert journal.checkpoint_path.read_bytes().startswith(
+            CHECKPOINT_MAGIC)
+        assert journal.load_checkpoint()["journal_offset"] == cut
+        session.ingest(raw[cut:])
+        assert_maps_identical(session.finish(), offline)
+        session.journal.close()
+        again = NodeSession.restore(state_dir, 1, retain=64)
+        assert again.durable_bytes == cut  # the schema-3 one loaded
+        again.ingest(raw[cut:])
+        assert_maps_identical(again.finish(), offline)
+        again.journal.close()
+    assert not marker.exists()
+
+
+def test_corrupt_checkpoints_raise_and_fall_back_to_replay(tmp_path, blink,
+                                                          offline):
+    """CRC-clean checkpoints whose accumulator snapshot does not hold
+    together — a truncated array section, an array table whose lengths
+    disagree with the bytes after it, window rows that disagree with
+    their counts — raise WindowingError when loaded, a wrong magic
+    raises ServeError when decoded, and restore falls back to replaying
+    the whole journal, to the same map."""
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    raw = bytes(blink.logger.raw_bytes())
+    cut = len(raw) // 2
+    session = NodeSession(hello, retain=64)
+    session.ingest(raw[:cut])
+    intact = decode_checkpoint(frame_checkpoint(
+        session.checkpoint_state()["payload"]))
+    snapshot = intact.pop("accumulator")
+    text_end = 4 + struct.unpack_from("<I", snapshot)[0]
+    state = json.loads(snapshot[4:text_end])
+
+    def accumulator(**changes) -> bytes:
+        text = json.dumps(dict(state, **changes)).encode()
+        text += b" " * (-(4 + len(text)) % 8)
+        payload = encode_checkpoint(intact, struct.pack("<I", len(text))
+                                    + text + snapshot[text_end:])
+        return frame_checkpoint(payload)
+
+    arrays = state["arrays"]
+    windows = state["windows"]
+    cases = {
+        "truncated section": frame_checkpoint(encode_checkpoint(
+            intact, snapshot[:-8])),
+        "longer table": accumulator(arrays=[
+            [arrays[0][0], arrays[0][1] + 64]] + arrays[1:]),
+        "shorter table": accumulator(arrays=arrays[:-1]),
+        "trailing bytes": frame_checkpoint(encode_checkpoint(
+            intact, snapshot + bytes(8))),
+        "rows disagree": accumulator(windows=[
+            windows[0], list(reversed(windows[1]))]),
+        "wrong magic": b"QCKP\x09\x00\x00\x00" + frame_checkpoint(
+            encode_checkpoint(intact, snapshot))[8:],
+    }
+    NodeSession(hello, retain=64).load_state(decode_checkpoint(
+        accumulator()))  # the intact one loads
+    for name, blob in cases.items():
+        with pytest.raises(ServeError if name == "wrong magic"
+                           else WindowingError):
+            NodeSession(hello, retain=64).load_state(
+                decode_checkpoint(blob))
+        state_dir = tmp_path / name.replace(" ", "-")
+        journal = NodeJournal(state_dir, 1)
+        journal.create(hello)
+        journal.append_chunk(raw[:cut])
+        journal.close()
+        journal.checkpoint_path.write_bytes(blob)
+        restored = NodeSession.restore(state_dir, 1, retain=64)
+        assert restored.durable_bytes == 0, name  # full replay
+        assert restored.bytes_received == cut
+        restored.ingest(raw[cut:])
+        assert_maps_identical(restored.finish(), offline)
+        restored.journal.close()
 
 
 # -- crash, restart, resume --------------------------------------------------

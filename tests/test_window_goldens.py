@@ -20,15 +20,15 @@ the same final map.
 
 import dataclasses
 import hashlib
-import pickle
 
 import pytest
 
 from repro.core import accounting
 from repro.core.accounting import WindowedAccumulator, fold_windows
-from repro.core.logger import WireDecoder, iter_entries
+from repro.core.logger import iter_entries
 from repro.experiments.common import run_blink
 from repro.serve import NodeSession, hello_for_node
+from repro.serve.journal import decode_checkpoint, frame_checkpoint
 from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
 from repro.units import ms, seconds
 
@@ -167,12 +167,10 @@ def ingest_split(hello, raw, chunk, checkpoint_at=None):
         at += len(piece)
         if checkpoint_at is not None and at >= checkpoint_at:
             checkpoint_at = None
-            state = pickle.loads(pickle.dumps(session.checkpoint_state()))
+            state = decode_checkpoint(frame_checkpoint(
+                session.checkpoint_state()["payload"]))
             session = NodeSession(hello, retain=None)
-            session.decoder = WireDecoder.from_snapshot(state["decoder"])
-            session.accumulator = WindowedAccumulator.restore(
-                state["accumulator"])
-            session.bytes_received = state["journal_offset"]
+            session.load_state(state)
     final = session.finish()
     return list(session.accumulator.windows), final
 
@@ -251,3 +249,91 @@ def test_undeclared_device_charged_untracked_until_it_appears(
     assert list(served.time_ns) == list(reference.time_ns)
     assert served.time_ns == reference.time_ns
     assert served.reconstructed_energy_j == reference.reconstructed_energy_j
+
+
+# -- checkpoint round trip ---------------------------------------------------
+
+
+def exact(value):
+    """``value`` with every float as ``float.hex`` and every dict as its
+    item list, so equality means same bits and same key order."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(exact(key), exact(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [exact(item) for item in value]
+    return value
+
+
+def exact_window(snapshot):
+    return [(f.name, exact(getattr(snapshot, f.name)))
+            for f in dataclasses.fields(snapshot)]
+
+
+def exact_map(emap):
+    return [(f.name, exact(getattr(emap, f.name)))
+            for f in dataclasses.fields(emap)]
+
+
+@pytest.mark.parametrize("retain", [3, None])
+@pytest.mark.parametrize("workload", ["blink", "collection"])
+def test_checkpoint_round_trip_is_bit_identical(workload, retain, blink,
+                                                collection):
+    """Checkpoint at every 96-byte cadence point, round-trip the bytes,
+    restore into a fresh session and feed the rest: every window the
+    resumed run emits or retains, and its final map, equal the
+    uninterrupted run's — float bits and key order.  The cadence points
+    cover an open multi-activity span, retention evictions (with
+    ``retain=3``) and, on the collection node, the ``end_time_ns``
+    tail."""
+    if workload == "blink":
+        node, end = blink, analysis_end(blink)
+    else:
+        node, end = collection, analysis_end(collection, OVERSHOOT_NS)
+    hello = dict(hello_for_node(node, stride_ns=int(seconds(1))),
+                 end_time_ns=end)
+    raw = bytes(node.logger.raw_bytes())
+    cadence = 96
+
+    def run(session, data, emitted):
+        session.accumulator.on_window = emitted.append
+        for at in range(0, len(data), cadence):
+            session.ingest(data[at:at + cadence])
+
+    reference: list = []
+    whole = NodeSession(hello, retain=retain)
+    run(whole, raw, reference)
+    final = exact_map(whole.finish())
+    reference = [exact_window(s) for s in reference]
+    retained = [exact_window(s) for s in whole.accumulator.windows]
+    # Retention keeps the newest windows exactly as they were emitted.
+    assert retained == reference[-len(retained):]
+
+    seen = {"tail": False, "multi_open": False, "evicted": False}
+    for cut in range(cadence, len(raw), cadence):
+        emitted: list = []
+        session = NodeSession(hello, retain=retain)
+        run(session, raw[:cut], emitted)
+        accumulator = session.accumulator
+        before = [exact_window(s) for s in accumulator.windows]
+        blob = frame_checkpoint(session.checkpoint_state()["payload"])
+        seen["tail"] |= accumulator._tail is not None
+        seen["multi_open"] |= bool(accumulator._carry.multi_open)
+        seen["evicted"] |= accumulator._base is not None
+
+        resumed = NodeSession(hello, retain=retain)
+        resumed.load_state(decode_checkpoint(blob))
+        assert resumed.bytes_received == cut
+        assert [exact_window(s) for s in resumed.accumulator.windows] \
+            == before, cut
+        assert resumed.accumulator.windows_emitted \
+            == accumulator.windows_emitted
+        run(resumed, raw[cut:], emitted)
+        assert exact_map(resumed.finish()) == final, cut
+        assert [exact_window(s) for s in emitted] == reference, cut
+        assert [exact_window(s) for s in resumed.accumulator.windows] \
+            == retained, cut
+    assert seen["multi_open"] == (workload == "blink")
+    assert seen["evicted"] == (retain is not None)
+    assert seen["tail"] == (workload == "collection")

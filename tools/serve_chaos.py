@@ -24,6 +24,10 @@ The scenario, at the runner level (real processes, real sockets):
    must have actually resumed (offset > 0, >= 2 reconnects), and the
    last server must exit 0 under ``--expect-nodes 1``.
 
+After each restart every ``node-*.ckpt`` in the state dir must carry
+the schema-3 checkpoint magic, so the SIGKILL/restart path is shown to
+write and read the current (non-executable) format.
+
 Also measured: the restart-to-listening recovery time of the second
 server (its in-process cousin is ``serve_recovery_ms`` in
 ``benchmarks/bench_engine.py``).
@@ -49,6 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core.accounting import build_energy_map  # noqa: E402
 from repro.experiments.common import run_blink  # noqa: E402
 from repro.serve import final_map, stream_node  # noqa: E402
+from repro.serve.journal import CHECKPOINT_MAGIC  # noqa: E402
 from repro.tos.node import COMPONENT_NAMES  # noqa: E402
 from repro.units import seconds  # noqa: E402
 
@@ -129,6 +134,17 @@ async def wait_for_line(proc: subprocess.Popen, needle: str,
             return lines
 
 
+def stale_checkpoints(state_dir: str) -> list[str]:
+    """Problems with the state dir's checkpoint files: none at all, or
+    one without the schema-3 magic."""
+    paths = sorted(Path(state_dir).glob("node-*.ckpt"))
+    if not paths:
+        return ["no checkpoint file in the state dir"]
+    return [f"{path.name} does not start with the schema-3 magic"
+            for path in paths
+            if not path.read_bytes().startswith(CHECKPOINT_MAGIC)]
+
+
 async def main() -> int:
     node, _app, _sim = run_blink(seed=3, duration_ns=seconds(128))
     offline = offline_map(node)
@@ -184,6 +200,9 @@ async def main() -> int:
         return 1
     print(f"restart-to-listening: {recovery_ms:.1f} ms "
           "(includes interpreter start)", flush=True)
+    for problem in stale_checkpoints(state_dir):
+        print(f"FAIL: after the first restart, {problem}", flush=True)
+        return 1
     rc2 = await asyncio.wait_for(asyncio.get_running_loop().run_in_executor(
         None, server2.wait), timeout=60.0)
     in_flight = Path(state_dir) / "node-1.ckpt.tmp"
@@ -201,6 +220,9 @@ async def main() -> int:
     if not any("restored 1 node sessions" in line for line in lines):
         print("FAIL: second restart did not report a restored session",
               flush=True)
+        return 1
+    for problem in stale_checkpoints(state_dir):
+        print(f"FAIL: after the second restart, {problem}", flush=True)
         return 1
 
     reply = await asyncio.wait_for(client, timeout=120.0)
