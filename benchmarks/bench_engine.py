@@ -8,8 +8,9 @@ have a machine-readable baseline:
   synthetic workload (bursty same-instant events, far-future timer arms,
   cancellations);
 * ``analysis_entries_per_sec`` — decode → cover → attribute throughput
-  of the offline analysis over a real Blink log, **per backend**
-  (``streaming`` vs ``columnar``), plus ``analysis_speedup_columnar``;
+  of the offline analysis over a real Blink log, for the columnar
+  product path and the streaming reference, plus
+  ``analysis_speedup_columnar``;
   the two maps are asserted bit-identical before any speedup is
   reported;
 * ``windowed_entries_per_sec`` — live-path throughput
@@ -176,19 +177,19 @@ def _analysis_workload():
 
 
 def bench_analysis(rounds: int = 20) -> dict:
-    """Decode → cover → attribute entries/s, per analysis backend.
+    """Decode → cover → attribute entries/s: the columnar product path
+    against the streaming reference.
 
     Each round starts from the packed log bytes (decode included) and
     runs to a finished :class:`EnergyMap` — the whole reconstruction a
-    sweep point pays per log.  The backends' maps are asserted equal
+    sweep point pays per log.  The two maps are asserted equal
     before any speedup is published.
     """
     raw, args, kwargs = _analysis_workload()
     entry_count = len(raw) // 12
 
     def run_streaming():
-        return stream_energy_map(iter_entries(raw), *args,
-                                 backend="streaming", **kwargs)
+        return stream_energy_map(iter_entries(raw), *args, **kwargs)
 
     def run_columnar():
         return columnar_energy_map(raw, *args, **kwargs)
@@ -197,7 +198,8 @@ def bench_analysis(rounds: int = 20) -> dict:
     candidate = run_columnar()
     assert list(reference.energy_j) == list(candidate.energy_j) \
         and reference.energy_j == candidate.energy_j, \
-        "columnar backend diverged from streaming — fix before benchmarking"
+        "columnar map diverged from the streaming reference — fix " \
+        "before benchmarking"
 
     throughputs: dict[str, list[float]] = {"streaming": [], "columnar": []}
     for _ in range(REPEATS):
@@ -565,7 +567,7 @@ def main(argv: list[str]) -> int:
 
 def test_engine_bench_smoke():
     """Tier-1 smoke: the benchmark machinery runs and its numbers are
-    sane (positive throughputs, backend-identical maps)."""
+    sane (positive throughputs, reference-identical maps)."""
     events_per_sec = bench_engine_events(total=2_000)
     assert events_per_sec > 0
     analysis = bench_analysis(rounds=2)

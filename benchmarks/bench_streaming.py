@@ -6,7 +6,7 @@ The same 48-second Blink log is priced twice with the same regression:
   log, intervals and segments as column arrays) folded by
   ``columnar_energy_map``;
 * **streaming** — a single pass: ``iter_entries`` feeding
-  ``stream_energy_map`` on the streaming backend, nothing materialized
+  ``stream_energy_map`` (the streaming reference), nothing materialized
   but open spans.
 
 The two maps are asserted identical (the refactor's contract), the
@@ -25,7 +25,9 @@ from pathlib import Path
 
 from repro.core.accounting import columnar_energy_map, stream_energy_map
 from repro.core.logger import ENTRY_SIZE, iter_entries
+from repro.core.regression import solve_breakdown
 from repro.core.report import format_table
+from repro.core.timeline import TimelineStream
 from repro.experiments.common import run_blink
 from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
 from repro.units import seconds
@@ -57,7 +59,11 @@ def bench_streaming() -> str:
     # the warm-up fold (first-call imports and numpy set-up) leave the
     # node's memoized timeline unbuilt, so the batch region pays for its
     # own decode and reconstruction.
-    regression = node.regression(backend="streaming")
+    intervals: list = []
+    TimelineStream(on_interval=intervals.append).feed_all(iter_entries(raw))
+    regression = solve_breakdown(
+        intervals, node.layout(), energy_per_pulse,
+        node.platform.rail.voltage, weighting="sqrt_et")
     columnar_energy_map(
         raw, regression, node.registry, COMPONENT_NAMES, energy_per_pulse,
         idle_name=idle_name, end_time_ns=end_time_ns,
@@ -73,8 +79,7 @@ def bench_streaming() -> str:
             iter_entries(raw), regression, node.registry, COMPONENT_NAMES,
             energy_per_pulse, idle_name=idle_name,
             end_time_ns=end_time_ns,
-            single_res_ids=single_ids, multi_res_ids=[RES_TIMERB],
-            backend="streaming")
+            single_res_ids=single_ids, multi_res_ids=[RES_TIMERB])
 
     batch_map, batch_wall, batch_peak = _measure(batch)
     stream_map, stream_wall, stream_peak = _measure(streaming)

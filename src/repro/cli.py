@@ -42,15 +42,6 @@ from repro.errors import ExperimentParameterError, ServeError, SweepError
 from repro.experiments import EXPERIMENT_IDS, load_experiment, run_experiment
 
 
-def _apply_backend(backend):
-    """Export the selected analysis backend for everything the command
-    runs (experiments resolve ``$REPRO_ANALYSIS_BACKEND`` internally)."""
-    if backend is not None:
-        import os
-
-        os.environ["REPRO_ANALYSIS_BACKEND"] = backend
-
-
 def _parse_set_args(pairs, multi_valued: bool):
     """Turn repeated ``--set key=value[,value...]`` flags into a dict."""
     overrides = {}
@@ -83,7 +74,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     overrides = _parse_set_args(args.set, multi_valued=False)
-    _apply_backend(args.backend)
     result = run_experiment(args.id, seed=args.seed, overrides=overrides)
     print(result.render())
     return 0
@@ -115,8 +105,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.no_cache:
         cache_dir = None
     result = run_sweep(args.id, seeds, overrides, jobs=args.jobs,
-                       cache_dir=cache_dir, backend=args.backend,
-                       batch=args.batch)
+                       cache_dir=cache_dir, batch=args.batch)
     print(result.render())
     return 0
 
@@ -137,7 +126,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         manifest = campaign.plan_campaign(
             args.id, seeds, overrides, out_path=args.manifest,
             shards=args.shards, workers=args.jobs, batch=args.batch,
-            backend=args.backend, deadline_s=args.deadline,
+            deadline_s=args.deadline,
             max_retries=args.max_retries, cache_dir=args.cache_dir)
         print(f"wrote manifest {manifest.path}: "
               f"{len(manifest.grid())} grid points, "
@@ -174,7 +163,6 @@ def _cmd_blink(args: argparse.Namespace) -> int:
     from repro.tos.node import COMPONENT_NAMES, NodeConfig, QuantoNode
     from repro.units import seconds, to_mj
 
-    _apply_backend(args.backend)
     sim = Simulator()
     node = QuantoNode(sim, NodeConfig(node_id=1),
                       rng_factory=RngFactory(args.seed))
@@ -296,18 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments")
 
-    backend_kwargs = dict(
-        choices=("streaming", "columnar"), default=None,
-        help="analysis backend for the log->energy reconstruction "
-             "(default: $REPRO_ANALYSIS_BACKEND if set, else columnar; "
-             "backends are bit-identical, columnar is faster)")
-
     p_exp = sub.add_parser("experiment", help="run one experiment")
     p_exp.add_argument("id")
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a sweepable parameter (repeatable)")
-    p_exp.add_argument("--backend", **backend_kwargs)
 
     p_sweep = sub.add_parser(
         "sweep", help="run an experiment over many seeds on a worker pool")
@@ -336,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-cache", action="store_true",
                          help="disable the result cache even if "
                               "REPRO_SWEEP_CACHE is set")
-    p_sweep.add_argument("--backend", **backend_kwargs)
 
     p_campaign = sub.add_parser(
         "campaign",
@@ -364,16 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "worker (default: REPRO_SWEEP_BATCH or 8)")
     p_cplan.add_argument("--deadline", type=float, default=None,
                          metavar="SECONDS",
-                         help="per-shard straggler deadline: a worker "
-                              "running longer gets a speculative backup "
-                              "dispatched against it (default: none)")
+                         help="per-shard straggler deadline (> 0): a "
+                              "worker running longer gets a speculative "
+                              "backup dispatched against it (default: "
+                              "none)")
     p_cplan.add_argument("--max-retries", type=int, default=3,
                          help="re-dispatches per shard beyond the first "
                               "attempt (default 3)")
     p_cplan.add_argument("--cache-dir", metavar="DIR", default="cache",
                          help="shard store directory, relative to the "
                               "manifest's directory (default 'cache')")
-    p_cplan.add_argument("--backend", **backend_kwargs)
 
     for name, help_text in (
         ("run", "run a campaign manifest to completion"),
@@ -410,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_blink.add_argument("--dump", action="store_true",
                          help="print the raw log instead of the map")
     p_blink.add_argument("--dump-limit", type=int, default=60)
-    p_blink.add_argument("--backend", **backend_kwargs)
 
     p_val = sub.add_parser("validate", help="lint a Blink run's log")
     p_val.add_argument("--seed", type=int, default=0)
@@ -424,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "prints it)")
     p_serve.add_argument("--retain", type=int, default=64,
                          help="window snapshots kept per node for the "
-                              "windows query (default 64)")
+                              "windows query (at least 0; default 64)")
     p_serve.add_argument("--queue-depth", type=int, default=32,
                          help="chunks buffered per node stream before "
                               "backpressure (default 32)")
@@ -446,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default 65536)")
     p_serve.add_argument("--max-streams", type=int, default=None,
                          metavar="N",
-                         help="shed new node streams past N concurrent "
-                              "ones with a retryable NACK (default: "
-                              "unlimited)")
+                         help="shed new node streams past N >= 1 "
+                              "concurrent ones with a retryable NACK "
+                              "(default: unlimited)")
     return parser
 
 

@@ -16,10 +16,10 @@ into per-(component, activity) time and energy totals.  Policies:
   activities present (the paper's stated default policy; a proportional
   hook exists for experimentation).
 
-Two backends produce the same :class:`EnergyMap`, float bits and dict
-order alike:
+Two implementations produce the same :class:`EnergyMap`, float bits
+and dict order alike:
 
-* **columnar** (the default) rebuilds the log as column arrays
+* **columnar** (the product path) rebuilds the log as column arrays
   (:class:`~repro.core.timeline.ColumnarTimeline`) and folds them in one
   vectorized pass: :func:`_contribution_stream` orders every interval's
   charges as the reference would make them, :func:`_charge_stream` adds
@@ -28,18 +28,19 @@ order alike:
   log at once) and :class:`WindowedAccumulator` (live ingest, batch by
   batch) share that one fold.  Input must be in time order;
   ``ColumnarTimeline`` refuses a log whose time goes backwards.
-* **streaming** (:class:`EnergyAccumulator`) is the reference the tests
-  compare against: entry by entry it closes intervals and segments and
-  charges each interval the moment it closes.  With
+* **streaming** (:class:`EnergyAccumulator`,
+  :func:`stream_energy_map`) is the reference the tests, tools and
+  benchmarks call by name: entry by entry it closes intervals and
+  segments and charges each interval the moment it closes.  With
   ``fold_proxies=True`` a bind can reattribute arbitrarily old proxy
   segments, so it records cover ops and resolves names at
   :meth:`EnergyAccumulator.finish`, in interval order.
 
 :func:`build_energy_map` prices a
 :class:`~repro.core.timeline.ColumnarTimeline` (what
-:meth:`~repro.tos.node.QuantoNode.timeline` returns) on the selected
-backend: columnar folds its columns directly, streaming re-feeds its
-rows (:attr:`~repro.core.timeline.ColumnarTimeline.entries`) through an
+:meth:`~repro.tos.node.QuantoNode.timeline` returns): columnar folds its
+columns directly, ``backend="streaming"`` re-feeds its rows
+(:attr:`~repro.core.timeline.ColumnarTimeline.entries`) through an
 :class:`EnergyAccumulator`.
 
 The map also carries the metered total so callers can verify that the
@@ -50,7 +51,6 @@ Blink).
 from __future__ import annotations
 
 import json
-import os
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -87,30 +87,22 @@ UNTRACKED_KEY = "(untracked)"
 #: The (component, activity) pair the constant draw is charged to.
 _CONST_PAIR = (CONST_KEY, CONST_KEY)
 
-#: The selectable log→energy analysis implementations.  Both produce
-#: bit-identical :class:`EnergyMap`s (float bits and dict order) on any
-#: log — the backend-parametrized golden-digest suite enforces it.
+#: The log→energy analysis implementations :func:`build_energy_map`
+#: accepts by name.  Both produce bit-identical :class:`EnergyMap`s
+#: (float bits and dict order) on any log — the golden-digest suite
+#: enforces it against the streaming reference.
 ANALYSIS_BACKENDS = ("streaming", "columnar")
 
-#: Environment variable consulted when no explicit backend is passed.
-BACKEND_ENV_VAR = "REPRO_ANALYSIS_BACKEND"
-
-#: The default when neither an argument nor the environment selects one.
-#: Columnar: ~1.5x the reconstruction throughput of the streaming
-#: reference on the 554-entry benchmark log (growing with log size as
-#: the vectorized decode/cover amortizes) at bit-identical output (the
-#: contract above) — real money at sweep scale, where every grid point
-#: pays one full reconstruction.  The streaming implementation remains
-#: the reference; select it with ``REPRO_ANALYSIS_BACKEND=streaming``
-#: (CI runs the whole tier-1 suite on both).
+#: The product path: bit-identical to the streaming reference and faster
+#: (``analysis_speedup_columnar`` in ``results/BENCH_engine.json``).
 DEFAULT_ANALYSIS_BACKEND = "columnar"
 
 
 def resolve_analysis_backend(backend: Optional[str] = None) -> str:
-    """Pick the analysis backend: explicit argument, else
-    ``$REPRO_ANALYSIS_BACKEND``, else the columnar default."""
+    """Validate an analysis implementation's name; ``None`` is the
+    columnar default."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_ANALYSIS_BACKEND
+        return DEFAULT_ANALYSIS_BACKEND
     if backend not in ANALYSIS_BACKENDS:
         known = ", ".join(ANALYSIS_BACKENDS)
         raise AnalysisBackendError(
@@ -2174,9 +2166,9 @@ def columnar_energy_map(
     charges exactly as the streaming accumulator makes them (interval
     order, then state-vector column order, then activity-name
     first-occurrence order) and :func:`_charge_stream` adds them up, so
-    the map is bit-identical to the streaming backend's (float bits
-    *and* dict insertion order) — the contract the backend-parametrized
-    golden tests enforce.  The busy time is :func:`_busy_time` with the
+    the map is bit-identical to the streaming reference's (float bits
+    *and* dict insertion order) — the contract the golden tests'
+    reference leg enforces.  The busy time is :func:`_busy_time` with the
     whole log as one chunk.  This is the same fold the
     :class:`WindowedAccumulator` runs batch by batch.
     """
@@ -2236,25 +2228,13 @@ def stream_energy_map(
     end_time_ns: Optional[int] = None,
     single_res_ids: Optional[Iterable[int]] = None,
     multi_res_ids: Optional[Iterable[int]] = None,
-    backend: Optional[str] = None,
 ) -> EnergyMap:
-    """Log → timeline → accounting over decoded entries (any iterable,
-    e.g. :func:`repro.core.logger.iter_entries`), in time order.
-
-    ``backend`` (or ``$REPRO_ANALYSIS_BACKEND``) selects the analysis
-    implementation: ``"columnar"`` (the default) routes the entries
-    through :func:`columnar_energy_map`, ``"streaming"`` feeds them one
-    by one into an :class:`EnergyAccumulator`; the maps are
-    bit-identical by contract.
+    """The streaming reference: log → timeline → accounting over
+    decoded entries (any iterable, e.g.
+    :func:`repro.core.logger.iter_entries`), in time order, fed one by
+    one into an :class:`EnergyAccumulator`.  Bit-identical to
+    :func:`columnar_energy_map` on the same inputs, by contract.
     """
-    if resolve_analysis_backend(backend) == "columnar":
-        return columnar_energy_map(
-            entries, regression, registry, component_names,
-            energy_per_pulse_j,
-            fold_proxies=fold_proxies, idle_name=idle_name,
-            end_time_ns=end_time_ns,
-            single_res_ids=single_res_ids, multi_res_ids=multi_res_ids,
-        )
     accumulator = EnergyAccumulator(
         regression, registry, component_names, energy_per_pulse_j,
         fold_proxies=fold_proxies, idle_name=idle_name,
@@ -2275,10 +2255,11 @@ def build_energy_map(
     backend: Optional[str] = None,
 ) -> EnergyMap:
     """Merge power intervals, regression, and activity segments for one
-    captured timeline on the selected backend: columnar folds the
-    timeline itself; streaming re-feeds its rows, with its device sets
-    and end time, through an :class:`EnergyAccumulator` — an
-    independent reconstruction of the same snapshot.
+    captured timeline: columnar (the default) folds the timeline itself;
+    ``backend="streaming"`` runs the reference, re-feeding its rows,
+    with its device sets and end time, through an
+    :class:`EnergyAccumulator` — an independent reconstruction of the
+    same snapshot.
 
     ``component_names`` maps res_id to the display name of each device.
     Devices present in the power layout but absent from the activity log
@@ -2301,5 +2282,4 @@ def build_energy_map(
         end_time_ns=timeline.end_time_ns,
         single_res_ids=timeline.single_device_ids(),
         multi_res_ids=timeline.multi_device_ids(),
-        backend="streaming",
     )

@@ -47,8 +47,9 @@ class NetworkError(ReproError):
 
 
 class AnalysisBackendError(ReproError):
-    """Raised when an unknown analysis backend is requested (via the
-    ``backend=`` argument, ``--backend``, or ``REPRO_ANALYSIS_BACKEND``)."""
+    """Raised when :func:`~repro.core.accounting.build_energy_map` is
+    asked for an analysis implementation other than ``"columnar"`` (the
+    product path) or ``"streaming"`` (the reference)."""
 
 
 class ExperimentParameterError(ReproError):

@@ -309,6 +309,10 @@ class IngestServer:
             raise ServeError("queue depth must be at least 1")
         if checkpoint_bytes < 1:
             raise ServeError("checkpoint cadence must be at least 1 byte")
+        if retain < 0:
+            raise ServeError("window retention must be at least 0")
+        if max_streams is not None and max_streams < 1:
+            raise ServeError("stream cap must be at least 1")
         self.retain = retain
         self.queue_depth = queue_depth
         self.state_dir = state_dir

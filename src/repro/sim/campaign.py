@@ -72,7 +72,6 @@ from repro.sim.sweep import (
     SweepCache,
     SweepPoint,
     SweepResult,
-    _analysis_backend,
     _iter_chunk,
     _run_sweep_inner,
     code_fingerprint,
@@ -126,7 +125,6 @@ class CampaignManifest:
     shards: int = 1
     workers: int = 0  # 0 = auto: min(shards, detected CPUs)
     batch: Optional[int] = None
-    backend: Optional[str] = None
     deadline_s: Optional[float] = None  # straggler threshold per shard
     max_retries: int = 3  # re-dispatches per shard beyond the first
     cache_dir: str = "cache"
@@ -147,7 +145,6 @@ class CampaignManifest:
             "shards": self.shards,
             "workers": self.workers,
             "batch": self.batch,
-            "backend": self.backend,
             "deadline_s": self.deadline_s,
             "max_retries": self.max_retries,
             "cache_dir": self.cache_dir,
@@ -207,7 +204,6 @@ class CampaignManifest:
             workers=int(raw.get("workers", 0)),
             batch=(None if raw.get("batch") is None
                    else int(raw["batch"])),
-            backend=raw.get("backend"),
             deadline_s=(None if raw.get("deadline_s") is None
                         else float(raw["deadline_s"])),
             max_retries=int(raw.get("max_retries", 3)),
@@ -219,21 +215,26 @@ class CampaignManifest:
             expected_sweep_digest=raw.get("expected_sweep_digest"),
             path=path,
         )
-        if not manifest.seeds:
-            raise CampaignError(f"manifest {path}: 'seeds' is empty")
-        if manifest.shards < 1:
-            raise CampaignError(
-                f"manifest {path}: shards must be >= 1, "
-                f"got {manifest.shards}")
-        if manifest.workers < 0:
-            raise CampaignError(
-                f"manifest {path}: workers must be >= 0, "
-                f"got {manifest.workers}")
-        if manifest.max_retries < 0:
-            raise CampaignError(
-                f"manifest {path}: max_retries must be >= 0, "
-                f"got {manifest.max_retries}")
+        manifest.validate()
         return manifest
+
+    def validate(self) -> None:
+        """Reject values a campaign cannot run with — one check for
+        :func:`plan_campaign` and :meth:`load`, so a plan never writes
+        a manifest that the runner then refuses."""
+        problem = None
+        if not self.seeds:
+            problem = "'seeds' is empty"
+        elif self.shards < 1:
+            problem = f"shards must be >= 1, got {self.shards}"
+        elif self.workers < 0:
+            problem = f"workers must be >= 0, got {self.workers}"
+        elif self.max_retries < 0:
+            problem = f"max_retries must be >= 0, got {self.max_retries}"
+        elif self.deadline_s is not None and not self.deadline_s > 0:
+            problem = f"deadline_s must be > 0, got {self.deadline_s}"
+        if problem is not None:
+            raise CampaignError(f"manifest {self.path}: {problem}")
 
     # -- derived views ------------------------------------------------------
 
@@ -317,7 +318,6 @@ def plan_campaign(
     shards: int = 1,
     workers: int = 0,
     batch: Optional[int] = None,
-    backend: Optional[str] = None,
     deadline_s: Optional[float] = None,
     max_retries: int = 3,
     cache_dir: str = "cache",
@@ -332,11 +332,12 @@ def plan_campaign(
         shards=shards,
         workers=workers,
         batch=batch,
-        backend=backend,
         deadline_s=deadline_s,
         max_retries=max_retries,
         cache_dir=cache_dir,
+        path=Path(out_path),
     )
+    manifest.validate()
     grid = manifest.grid()  # validation side effect
     if manifest.shards > len(grid):
         raise CampaignError(
@@ -430,11 +431,10 @@ def run_worker(
     (same parse-and-digest check the runner uses, so a corrupt record
     is re-simulated, not trusted), and simulates the rest through the
     batched executor, appending each result to the shared shard store
-    as it lands, under the manifest's analysis backend.  Exits nonzero
-    if any point fails or any append fails — a shard that cannot
-    finish and persist its work must look dead to the runner, not
-    done.  On a machine of its own, the worker is the whole
-    per-machine step of a multi-machine campaign.
+    as it lands.  Exits nonzero if any point fails or any append fails
+    — a shard that cannot finish and persist its work must look dead
+    to the runner, not done.  On a machine of its own, the worker is
+    the whole per-machine step of a multi-machine campaign.
 
     Fault-injection sites (:mod:`repro.sim.faultinject`): ``pre-run``
     before the first point, ``pre-store`` before every append,
@@ -457,21 +457,20 @@ def run_worker(
         ) is None
     ]
     stored = 0
-    with _analysis_backend(manifest.backend):
-        for result in _iter_chunk(missing, resolve_batch(manifest.batch)):
-            if isinstance(result, PointFailure):
-                raise CampaignError(
-                    f"shard {shard_index}: grid point "
-                    f"[{result.point.describe()}] failed ({result.error})"
-                    f"\n{result.worker_traceback}")
-            faultinject.fire("pre-store", selector=shard_index)
-            if not cache.store(result):
-                raise CampaignError(
-                    f"shard {shard_index}: store append failed for "
-                    f"[{result.point.describe()}]")
-            stored += 1
-            if stored == 1:
-                faultinject.fire("mid-shard", selector=shard_index)
+    for result in _iter_chunk(missing, resolve_batch(manifest.batch)):
+        if isinstance(result, PointFailure):
+            raise CampaignError(
+                f"shard {shard_index}: grid point "
+                f"[{result.point.describe()}] failed ({result.error})"
+                f"\n{result.worker_traceback}")
+        faultinject.fire("pre-store", selector=shard_index)
+        if not cache.store(result):
+            raise CampaignError(
+                f"shard {shard_index}: store append failed for "
+                f"[{result.point.describe()}]")
+        stored += 1
+        if stored == 1:
+            faultinject.fire("mid-shard", selector=shard_index)
     return 0
 
 
@@ -684,7 +683,6 @@ class CampaignRunner:
             comparisons=aggregator.comparisons(),
             cache_dir=str(manifest.resolved_cache_dir()),
             cache_hits=len(initially_valid),
-            backend=manifest.backend,
             batch=resolve_batch(manifest.batch),
         )
         digest = result.digest()
@@ -949,7 +947,7 @@ def merge_campaign(
     to merging the same stores in any directory order.
 
     Points no store covers are simulated here with the manifest's
-    workers, batch and backend, and written back to the primary store.
+    workers and batch, and written back to the primary store.
     With ``strict`` missing coverage raises instead, naming the gap, and
     every folded digest — and the combined sweep digest — must match the
     digests the manifest pinned at completion: a strict merge over
@@ -970,14 +968,12 @@ def merge_campaign(
             raise CampaignError(
                 f"strict merge: {len(missing)} of {len(grid)} grid points "
                 f"missing from the shard stores: {shown}{more}")
-    with _analysis_backend(manifest.backend) as backend:
-        result = _run_sweep_inner(
-            manifest.experiment, manifest.seeds, manifest.overrides,
-            jobs=manifest.effective_workers(), batch=manifest.batch,
-            cache_dir=" + ".join(str(directory) for directory in dirs),
-            cache=union,
-        )
-    result.backend = backend
+    result = _run_sweep_inner(
+        manifest.experiment, manifest.seeds, manifest.overrides,
+        jobs=manifest.effective_workers(), batch=manifest.batch,
+        cache_dir=" + ".join(str(directory) for directory in dirs),
+        cache=union,
+    )
     if strict and manifest.expected:
         for summary in result.points:
             key = union.caches[0].point_key(summary.point)

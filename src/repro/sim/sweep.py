@@ -62,12 +62,11 @@ import os
 import time
 import traceback
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.core.accounting import BACKEND_ENV_VAR, resolve_analysis_backend
 from repro.core.report import format_table
 from repro.errors import SweepError
 from repro.experiments.common import (
@@ -255,7 +254,7 @@ class SweepResult:
     comparisons: list[ComparisonStats] = field(default_factory=list)
     cache_dir: Optional[str] = None
     cache_hits: int = 0
-    backend: Optional[str] = None  # analysis backend, when explicitly set
+    backend: Optional[str] = None  # never set; read by ledgerbench/sweeps.py
     batch: int = 1  # worlds per in-process batch (1 = unbatched)
 
     @property
@@ -294,8 +293,6 @@ class SweepResult:
             f"-- mode: {mode}, batch {self.batch}; wall {self.wall_s:.2f} s "
             f"(serial estimate {self.serial_wall_s:.2f} s)",
         ]
-        if self.backend is not None:
-            header.append(f"-- analysis backend: {self.backend}")
         if self.cache_dir is not None:
             header.append(
                 f"-- cache: {self.cache_hits} reused, "
@@ -786,7 +783,6 @@ def run_sweep(
     overrides: Optional[Mapping[str, Sequence[str]]] = None,
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    backend: Optional[str] = None,
     batch: Optional[int] = None,
 ) -> SweepResult:
     """Run a campaign and aggregate it, streaming.
@@ -804,45 +800,11 @@ def run_sweep(
     With ``cache_dir`` set, previously simulated points load from the
     digest-keyed packed store and only the rest are dispatched; fresh
     results are stored back for the next campaign.
-
-    ``backend`` selects the analysis backend for every point: it is
-    exported as ``$REPRO_ANALYSIS_BACKEND`` for the duration of the
-    campaign (child processes inherit the parent environment under
-    every start method) and restored afterwards.  The channel is
-    process-global, so concurrent sweeps with *different* explicit
-    backends from threads of one process are unsupported — though by
-    the bit-identity contract their results could not differ anyway.
-    Per-point digests — and therefore cache keys — do not depend on the
-    backend; a cached sweep folds the same bytes whichever backend
-    produced them.
     """
-    with _analysis_backend(backend) as backend:
-        result = _run_sweep_inner(
-            exp_id, seeds, overrides, jobs=jobs, cache_dir=cache_dir,
-            batch=batch,
-        )
-    result.backend = backend
-    return result
-
-
-@contextmanager
-def _analysis_backend(backend: Optional[str]) -> Iterator[Optional[str]]:
-    """Export ``backend`` (validated) as ``$REPRO_ANALYSIS_BACKEND`` for
-    the block and restore the previous value afterwards; yields the
-    resolved name.  ``None`` leaves the environment alone."""
-    if backend is None:
-        yield None
-        return
-    backend = resolve_analysis_backend(backend)
-    previous = os.environ.get(BACKEND_ENV_VAR)
-    os.environ[BACKEND_ENV_VAR] = backend
-    try:
-        yield backend
-    finally:
-        if previous is None:
-            del os.environ[BACKEND_ENV_VAR]
-        else:
-            os.environ[BACKEND_ENV_VAR] = previous
+    return _run_sweep_inner(
+        exp_id, seeds, overrides, jobs=jobs, cache_dir=cache_dir,
+        batch=batch,
+    )
 
 
 def detect_jobs() -> int:
@@ -870,9 +832,9 @@ def _run_sweep_inner(
     cache: Optional["SweepCache"] = None,
     batch: Optional[int] = None,
 ) -> SweepResult:
-    """:func:`run_sweep` minus the backend export.  ``cache`` overrides
-    the store built from ``cache_dir`` (which then only labels the
-    header) — how a campaign merge folds a union of several stores."""
+    """:func:`run_sweep` with one more input: ``cache`` overrides the
+    store built from ``cache_dir`` (which then only labels the header) —
+    how a campaign merge folds a union of several stores."""
     batch = resolve_batch(batch)
     points = expand_grid(exp_id, seeds, overrides)
     start = time.perf_counter()

@@ -36,8 +36,6 @@ from typing import Callable, Optional
 from repro.core.accounting import (
     EnergyMap,
     columnar_energy_map,
-    resolve_analysis_backend,
-    stream_energy_map,
 )
 from repro.core.activity import (
     MultiActivityDevice,
@@ -57,10 +55,9 @@ from repro.core.powerstate import PowerStateTracker
 from repro.core.regression import (
     RegressionResult,
     layout_from_tracker,
-    solve_breakdown,
     solve_grouped,
 )
-from repro.core.timeline import ColumnarTimeline, TimelineStream
+from repro.core.timeline import ColumnarTimeline
 from repro.hw.platform import HydrowatchPlatform, PlatformConfig
 from repro.net.channel import RadioChannel
 from repro.sim.engine import Simulator
@@ -419,25 +416,6 @@ class QuantoNode:
         self._timeline_cache = (count, end, timeline)
         return timeline
 
-    def _reference_log(
-        self, timeline: Optional[ColumnarTimeline],
-    ) -> tuple[list, dict]:
-        """The streaming reference's input: ``(entries, stream kwargs)``
-        of the passed snapshot, else of the live log decoded entry by
-        entry — never through a :class:`ColumnarTimeline`, so the
-        reference reconstructs independently of the columnar path."""
-        if timeline is not None:
-            return timeline.entries, dict(
-                end_time_ns=timeline.end_time_ns,
-                single_res_ids=timeline.single_device_ids(),
-                multi_res_ids=timeline.multi_device_ids())
-        if self._booted:
-            self.mark_log_end()
-        return self.entries(), dict(
-            end_time_ns=self.sim.now,
-            single_res_ids=[d.res_id for d in self._single_devices()],
-            multi_res_ids=[RES_TIMERB])
-
     def layout(self):
         return layout_from_tracker(self.tracker)
 
@@ -446,37 +424,17 @@ class QuantoNode:
         timeline: Optional[ColumnarTimeline] = None,
         weighting: str = "sqrt_et",
         strict: bool = False,
-        backend: Optional[str] = None,
     ) -> RegressionResult:
         """Run the Section 2.5 breakdown on this node's log, or on the
-        passed ``timeline`` snapshot (its rows, not the live log).
-
-        With the columnar backend the grouped ``(E_j, t_j)`` inputs come
-        straight off the interval columns (no ``PowerInterval`` objects);
-        the streaming backend rebuilds the intervals entry by entry
-        through a :class:`TimelineStream`.
+        passed ``timeline`` snapshot (its rows, not the live log).  The
+        grouped ``(E_j, t_j)`` inputs come straight off the interval
+        columns (no ``PowerInterval`` objects).
         """
-        if resolve_analysis_backend(backend) == "columnar":
-            columnar = timeline if timeline is not None else self.timeline()
-            return solve_grouped(
-                *columnar.grouped_inputs(
-                    self.platform.icount.nominal_energy_per_pulse_j),
-                self.layout(),
-                self.platform.rail.voltage,
-                weighting=weighting,
-                strict=strict,
-            )
-        entries, _ = self._reference_log(timeline)
-        return self._reference_regression(entries, weighting, strict)
-
-    def _reference_regression(self, entries, weighting: str,
-                              strict: bool) -> RegressionResult:
-        intervals: list = []
-        TimelineStream(on_interval=intervals.append).feed_all(entries)
-        return solve_breakdown(
-            intervals,
+        columnar = timeline if timeline is not None else self.timeline()
+        return solve_grouped(
+            *columnar.grouped_inputs(
+                self.platform.icount.nominal_energy_per_pulse_j),
             self.layout(),
-            self.platform.icount.nominal_energy_per_pulse_j,
             self.platform.rail.voltage,
             weighting=weighting,
             strict=strict,
@@ -486,69 +444,32 @@ class QuantoNode:
         self,
         fold_proxies: bool = False,
         weighting: str = "sqrt_et",
-        backend: Optional[str] = None,
     ) -> tuple[RegressionResult, EnergyMap]:
         """Regression + energy map off one shared reconstruction — the
-        per-point analysis path experiments should use.
-
-        On the columnar backend (the default) both consumers read the
-        memoized :meth:`timeline` — one ``np.frombuffer`` decode for the
-        whole analysis, no per-entry objects.  On the streaming backend
-        the log is decoded to entries once and both consumers replay
-        them.  Output is bit-identical either way (the backend
-        contract).
+        per-point analysis path experiments should use.  Both consumers
+        read the memoized :meth:`timeline`: one ``np.frombuffer`` decode
+        for the whole analysis, no per-entry objects.
         """
-        if resolve_analysis_backend(backend) == "columnar":
-            regression = self.regression(weighting=weighting,
-                                         backend="columnar")
-            return regression, self.energy_map(
-                regression=regression, fold_proxies=fold_proxies,
-                backend="columnar")
-        log = self._reference_log(None)
-        regression = self._reference_regression(log[0], weighting, False)
-        return regression, self._reference_map(log, regression,
-                                                fold_proxies)
+        regression = self.regression(weighting=weighting)
+        return regression, self.energy_map(
+            regression=regression, fold_proxies=fold_proxies)
 
     def energy_map(
         self,
         timeline: Optional[ColumnarTimeline] = None,
         regression: Optional[RegressionResult] = None,
         fold_proxies: bool = False,
-        backend: Optional[str] = None,
     ) -> EnergyMap:
         """The full 'where have the joules gone' answer for this node,
-        or for the passed ``timeline`` snapshot.
-
-        ``backend`` (default: ``$REPRO_ANALYSIS_BACKEND``, else
-        columnar, :data:`~repro.core.accounting.DEFAULT_ANALYSIS_BACKEND`)
-        picks the analysis implementation; both produce bit-identical
-        maps.
-        """
-        if resolve_analysis_backend(backend) == "columnar":
-            columnar = timeline if timeline is not None else self.timeline()
-            reg = regression if regression is not None \
-                else self.regression(columnar, backend="columnar")
-            return columnar_energy_map(
-                columnar, reg, self.registry, COMPONENT_NAMES,
-                self.platform.icount.nominal_energy_per_pulse_j,
-                fold_proxies=fold_proxies,
-                idle_name=self.registry.name_of(self.idle),
-            )
-        log = self._reference_log(timeline)
+        or for the passed ``timeline`` snapshot."""
+        columnar = timeline if timeline is not None else self.timeline()
         reg = regression if regression is not None \
-            else self._reference_regression(log[0], "sqrt_et", False)
-        return self._reference_map(log, reg, fold_proxies)
-
-    def _reference_map(self, log: tuple[list, dict],
-                       regression: RegressionResult,
-                       fold_proxies: bool) -> EnergyMap:
-        entries, stream_kwargs = log
-        return stream_energy_map(
-            entries, regression, self.registry, COMPONENT_NAMES,
+            else self.regression(columnar)
+        return columnar_energy_map(
+            columnar, reg, self.registry, COMPONENT_NAMES,
             self.platform.icount.nominal_energy_per_pulse_j,
             fold_proxies=fold_proxies,
             idle_name=self.registry.name_of(self.idle),
-            backend="streaming", **stream_kwargs,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

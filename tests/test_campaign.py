@@ -22,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.accounting import BACKEND_ENV_VAR
 from repro.errors import CampaignError, SweepError
 from repro.sim import campaign as campaign_module
 from repro.sim import faultinject
@@ -86,15 +85,21 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_ignores_retired_backoff_keys(tmp_path):
     """Manifests written before the retry backoff became a module
-    constant still carry backoff_s/backoff_cap_s: they load, and the
-    keys are dropped on the next save."""
+    constant still carry backoff_s/backoff_cap_s, and ones written
+    before the analysis backend left the product carry ``backend``:
+    they load, and the keys are dropped on the next save."""
     manifest = plan(tmp_path)
-    doc = json.loads(manifest.path.read_text())
-    doc.update(backoff_s=0.05, backoff_cap_s=0.1)
-    manifest.path.write_text(json.dumps(doc))
-    loaded = CampaignManifest.load(manifest.path)
-    assert loaded.to_json() == manifest.to_json()
-    assert "backoff_s" not in loaded.to_json()
+    planned = manifest.to_json()
+    for retired in (dict(backoff_s=0.05, backoff_cap_s=0.1),
+                    dict(backend="streaming"), dict(backend="columnar")):
+        doc = json.loads(manifest.path.read_text())
+        doc.update(retired)
+        manifest.path.write_text(json.dumps(doc))
+        loaded = CampaignManifest.load(manifest.path)
+        assert loaded.to_json() == planned
+        loaded.save()
+        saved = json.loads(manifest.path.read_text())
+        assert not set(retired) & set(saved), retired
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -108,6 +113,28 @@ def test_manifest_validation_rejects(tmp_path, mutate, message):
     manifest = plan(tmp_path)
     doc = json.loads(manifest.path.read_text())
     mutate(doc)
+    manifest.path.write_text(json.dumps(doc))
+    with pytest.raises(CampaignError, match=message):
+        CampaignManifest.load(manifest.path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("shards", 0, "shards must be >= 1"),
+    ("workers", -1, "workers must be >= 0"),
+    ("max_retries", -2, "max_retries must be >= 0"),
+    ("deadline_s", 0.0, "deadline_s must be > 0"),
+    ("deadline_s", -1.5, "deadline_s must be > 0"),
+])
+def test_plan_and_load_share_one_validator(tmp_path, field, value, message):
+    """``plan_campaign`` refuses what ``CampaignManifest.load`` refuses
+    (and writes nothing), and load refuses the same value in a manifest
+    edited by hand."""
+    with pytest.raises(CampaignError, match=message):
+        plan(tmp_path, **{field: value})
+    assert not (tmp_path / "camp.json").exists()
+    manifest = plan(tmp_path)
+    doc = json.loads(manifest.path.read_text())
+    doc[field] = value
     manifest.path.write_text(json.dumps(doc))
     with pytest.raises(CampaignError, match=message):
         CampaignManifest.load(manifest.path)
@@ -179,22 +206,6 @@ def test_strict_manifest_merge_verifies_pins(tmp_path, golden_digest):
     manifest.path.write_text(json.dumps(doc))
     with pytest.raises(CampaignError, match="does not match"):
         merge_campaign(manifest.path, strict=True)
-
-
-def test_worker_applies_manifest_backend(tmp_path, monkeypatch):
-    """``campaign plan --backend streaming`` reaches the worker: with
-    the env var unset, no point runs the columnar fold, and the
-    worker leaves the environment as it found it."""
-    from repro.tos import node
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("columnar backend ran")
-
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    monkeypatch.setattr(node, "columnar_energy_map", refuse)
-    manifest = plan(tmp_path, shards=1, workers=1, backend="streaming")
-    assert run_worker(manifest.path, 0, 1) == 0
-    assert BACKEND_ENV_VAR not in os.environ
 
 
 # -- injected worker faults --------------------------------------------------

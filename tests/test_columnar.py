@@ -16,12 +16,14 @@ Three layers of equivalence pin the backend down:
   the log overshoots (the tail-replay path) — in both proxy-fold modes.
 
 The experiment-level contract (columnar ≡ streaming on every
-experiment) lives in the backend-parametrized ``test_golden_digests``.
+experiment) lives in ``test_golden_digests``, whose reference leg runs
+the streaming oracle (``tests/oracle.py``).
 """
 
 import random
 
 import numpy as np
+import oracle
 import pytest
 
 from repro.core.accounting import (
@@ -115,17 +117,6 @@ def _regression_for_test():
     )
 
 
-def _maps_equal(reference, candidate):
-    assert list(reference.energy_j) == list(candidate.energy_j)
-    assert reference.energy_j == candidate.energy_j
-    assert list(reference.time_ns) == list(candidate.time_ns)
-    assert reference.time_ns == candidate.time_ns
-    assert reference.metered_energy_j == candidate.metered_energy_j
-    assert reference.reconstructed_energy_j \
-        == candidate.reconstructed_energy_j
-    assert reference.span_ns == candidate.span_ns
-
-
 # -- decode -----------------------------------------------------------------
 
 
@@ -212,11 +203,11 @@ def test_columnar_reconstruction_matches_streaming(seed):
         assert columnar.activity_segments(rid) == segments[rid]
 
 
-def test_backwards_time_is_refused(monkeypatch):
+def test_backwards_time_is_refused():
     """Time order is the invariant the one columnar fold rests on: a
     record stamped before its predecessor raises, in whole-log mode, in
     batch mode against the carry's last record, and through
-    ``stream_energy_map`` on the default backend."""
+    ``columnar_energy_map`` on decoded entries."""
     raw, end_us = _random_log(random.Random(5), n_entries=60)
     entries = decode_log(raw)
     k = next(i for i in range(len(entries) - 1)
@@ -235,9 +226,8 @@ def test_backwards_time_is_refused(monkeypatch):
     with pytest.raises(LoggerError, match="backwards"):
         ColumnarTimeline(columns[:half], carry=carry, final=False,
                          **devices)
-    monkeypatch.delenv("REPRO_ANALYSIS_BACKEND", raising=False)
     with pytest.raises(LoggerError, match="backwards"):
-        stream_energy_map(
+        columnar_energy_map(
             swapped, _regression_for_test(), ActivityRegistry(),
             {0: "CPU", 1: "Radio", 2: "Flash", 9: "TimerB"}, 1e-6,
             end_time_ns=end_us * 1000, **devices)
@@ -299,11 +289,10 @@ def test_randomized_maps_bit_identical(seed, fold):
         single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID],
     )
     reference = stream_energy_map(
-        iter_entries(raw), regression, registry, names, 1e-6,
-        backend="streaming", **kwargs)
+        iter_entries(raw), regression, registry, names, 1e-6, **kwargs)
     candidate = columnar_energy_map(
         raw, regression, registry, names, 1e-6, **kwargs)
-    _maps_equal(reference, candidate)
+    oracle.assert_same_map(reference, candidate)
 
 
 def test_grouped_inputs_match_group_intervals():
@@ -326,17 +315,17 @@ def test_grouped_inputs_match_group_intervals():
 
 def test_node_backend_api_is_bit_identical():
     """The node-level entry points (regression + energy map) agree
-    across backends, and the columnar regression is the same solved
-    object contents as the interval-fed one."""
+    with the streaming oracle, and the columnar regression is the same
+    solved object contents as the interval-fed one."""
     from repro.experiments.common import run_blink
     from repro.units import seconds
 
     node, _app, _sim = run_blink(seed=5, duration_ns=seconds(4))
-    reference_map = node.energy_map(backend="streaming")
-    columnar_map = node.energy_map(backend="columnar")
-    _maps_equal(reference_map, columnar_map)
-    reference = node.regression(backend="streaming")
-    candidate = node.regression(backend="columnar")
+    reference_map = oracle.energy_map(node)
+    columnar_map = node.energy_map()
+    oracle.assert_same_map(reference_map, columnar_map)
+    reference = oracle.regression(node)
+    candidate = node.regression()
     assert reference.power_w == candidate.power_w
     assert reference.const_power_w == candidate.const_power_w
     assert reference.group_states == candidate.group_states
@@ -345,8 +334,8 @@ def test_node_backend_api_is_bit_identical():
     assert (reference.y == candidate.y).all()
     assert (reference.y_hat == candidate.y_hat).all()
     # Fold mode through the node API too.
-    _maps_equal(node.energy_map(fold_proxies=True, backend="streaming"),
-                node.energy_map(fold_proxies=True, backend="columnar"))
+    oracle.assert_same_map(oracle.energy_map(node, fold_proxies=True),
+                node.energy_map(fold_proxies=True))
 
 
 def test_solve_grouped_equals_solve_breakdown():
@@ -393,36 +382,37 @@ def test_device_turning_multi_mid_log_matches_streaming():
                       end_time_ns=400_000)
         reference = stream_energy_map(
             iter_entries(raw), regression, registry, {rid: "Dev"}, 1e-6,
-            backend="streaming", **kwargs)
+            **kwargs)
         candidate = columnar_energy_map(
             raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
-        _maps_equal(reference, candidate)
+        oracle.assert_same_map(reference, candidate)
     # Declared both single and multi: the stream keeps an (unfed) single
     # tracker, so covers resolve as single-with-no-segments — all idle.
     kwargs = dict(fold_proxies=False, idle_name="Idle", end_time_ns=400_000,
                   single_res_ids=[rid], multi_res_ids=[rid])
     reference = stream_energy_map(
         iter_entries(raw), regression, registry, {rid: "Dev"}, 1e-6,
-        backend="streaming", **kwargs)
+        **kwargs)
     candidate = columnar_energy_map(
         raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
-    _maps_equal(reference, candidate)
+    oracle.assert_same_map(reference, candidate)
 
 
 def test_stale_timeline_snapshot_matches_streaming():
     """A timeline captured before the log grows must analyze its
-    captured entries on both backends — not the live log."""
+    captured entries on the product path and the oracle alike — not
+    the live log."""
     from repro.experiments.common import run_blink
     from repro.units import seconds
 
     node, _app, sim = run_blink(seed=4, duration_ns=seconds(2))
     stale = node.timeline()
     sim.run(until=sim.now + seconds(2))  # the log keeps growing
-    reference = node.energy_map(stale, backend="streaming")
-    candidate = node.energy_map(stale, backend="columnar")
-    _maps_equal(reference, candidate)
-    ref_reg = node.regression(stale, backend="streaming")
-    cand_reg = node.regression(stale, backend="columnar")
+    reference = oracle.energy_map(node, stale)
+    candidate = node.energy_map(stale)
+    oracle.assert_same_map(reference, candidate)
+    ref_reg = oracle.regression(node, stale)
+    cand_reg = node.regression(stale)
     assert ref_reg.power_w == cand_reg.power_w
     assert ref_reg.group_time_ns == cand_reg.group_time_ns
     assert ref_reg.group_energy_j == cand_reg.group_energy_j
@@ -430,13 +420,15 @@ def test_stale_timeline_snapshot_matches_streaming():
 
 @pytest.mark.parametrize("stale", [False, True])
 def test_node_backend_knob_selects_one_implementation(monkeypatch, stale):
-    """``backend=`` on the node's regression / energy_map / breakdown
-    runs exactly the implementation it names: streaming builds no
+    """The node's regression / energy_map / breakdown and the oracle's
+    run exactly one implementation each: the oracle builds no
     ColumnarTimeline (the reference stays independent of the columnar
-    reconstruction), columnar runs no EnergyAccumulator, and the maps
-    are byte-identical.  A stale snapshot analyzes only its own rows."""
+    reconstruction), the product runs no EnergyAccumulator, and the
+    maps are byte-identical.  A stale snapshot analyzes only its own
+    rows."""
     from repro.core.accounting import EnergyAccumulator
     from repro.experiments.common import run_blink
+    from repro.tos.node import QuantoNode
     from repro.units import seconds
 
     node, _app, sim = run_blink(seed=6, duration_ns=seconds(2))
@@ -457,19 +449,19 @@ def test_node_backend_knob_selects_one_implementation(monkeypatch, stale):
     monkeypatch.setattr(ColumnarTimeline, "__init__", spy_build)
     monkeypatch.setattr(EnergyAccumulator, "feed_all", spy_feed_all)
 
-    def analyze(backend):
+    def analyze(impl):
         calls.update(timelines=0, accumulators=0)
-        regression = node.regression(snapshot, backend=backend)
-        maps = [node.energy_map(snapshot, backend=backend),
-                node.energy_map(snapshot, regression, fold_proxies=True,
-                                backend=backend)]
+        regression = impl.regression(node, snapshot)
+        maps = [impl.energy_map(node, snapshot),
+                impl.energy_map(node, snapshot, regression,
+                                fold_proxies=True)]
         if not stale:
-            maps.append(node.breakdown(backend=backend)[1])
+            maps.append(impl.breakdown(node)[1])
         return regression, maps, dict(calls)
 
-    # Streaming first, so no memoized timeline can hide a build.
-    ref_reg, ref_maps, ref_calls = analyze("streaming")
-    cand_reg, cand_maps, cand_calls = analyze("columnar")
+    # The oracle first, so no memoized timeline can hide a build.
+    ref_reg, ref_maps, ref_calls = analyze(oracle)
+    cand_reg, cand_maps, cand_calls = analyze(QuantoNode)
     assert ref_calls["timelines"] == 0
     assert ref_calls["accumulators"] == len(ref_maps)
     assert cand_calls["accumulators"] == 0
@@ -480,51 +472,64 @@ def test_node_backend_knob_selects_one_implementation(monkeypatch, stale):
     assert ref_reg.group_time_ns == cand_reg.group_time_ns
     assert ref_reg.group_energy_j == cand_reg.group_energy_j
     for reference, candidate in zip(ref_maps, cand_maps):
-        _maps_equal(reference, candidate)
+        oracle.assert_same_map(reference, candidate)
     if stale:
         span = int(snapshot.interval_t1[-1]) - int(snapshot.interval_t0[0])
         assert ref_maps[0].span_ns == cand_maps[0].span_ns == span
-        assert node.energy_map(backend="columnar").span_ns > span
+        assert node.energy_map().span_ns > span
+
+
+def test_oracle_check_names_the_first_differing_cell():
+    """A map that differs in one cell's last bit fails naming that cell
+    and both values' ``float.hex``."""
+    from repro.experiments.common import run_blink
+    from repro.units import seconds
+
+    node, _app, _sim = run_blink(seed=6, duration_ns=seconds(2))
+    reference = oracle.energy_map(node)
+    product = node.energy_map()
+    oracle.assert_same_map(reference, product)
+    key = list(product.energy_j)[1]
+    bumped = np.nextafter(product.energy_j[key], np.inf)
+    product.energy_j[key] = float(bumped)
+    with pytest.raises(AssertionError) as info:
+        oracle.assert_same_map(reference, product)
+    assert str(key) in str(info.value)
+    assert float.hex(float(bumped)) in str(info.value)
+    assert float.hex(reference.energy_j[key]) in str(info.value)
 
 
 # -- selection --------------------------------------------------------------
 
 
 def test_backend_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_ANALYSIS_BACKEND", raising=False)
-    # Columnar is the default since the sweep-throughput overhaul (PR 5);
-    # bit-identity makes the default invisible to every result.
+    # Columnar is the product path; bit-identity makes it invisible to
+    # every result.  The environment no longer selects anything.
+    monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "streaming")
     assert resolve_analysis_backend() == "columnar"
     assert resolve_analysis_backend("columnar") == "columnar"
-    monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "columnar")
-    assert resolve_analysis_backend() == "columnar"
     assert resolve_analysis_backend("streaming") == "streaming"
     with pytest.raises(AnalysisBackendError):
         resolve_analysis_backend("vectorized")
-    monkeypatch.setenv("REPRO_ANALYSIS_BACKEND", "bogus")
-    with pytest.raises(AnalysisBackendError):
-        resolve_analysis_backend()
     assert set(ANALYSIS_BACKENDS) == {"streaming", "columnar"}
 
 
-def test_sweep_backend_digests_match(tmp_path):
-    """A sweep run under the columnar backend reports byte-identical
-    per-point digests (the backend cannot leak into results), and the
-    environment variable is restored afterwards."""
-    import os
-
+def test_sweep_backend_digests_match(monkeypatch):
+    """A sweep whose every point runs the streaming oracle reports
+    byte-identical per-point digests to the product sweep (the
+    implementation cannot leak into results), and the header names no
+    analysis backend."""
     from repro.sim.sweep import run_sweep
 
     overrides = {"duration_ns": ["2000000000"]}
-    ambient = os.environ.get("REPRO_ANALYSIS_BACKEND")
+    candidate = run_sweep("table3", [0, 1], overrides)
+    oracle.install(monkeypatch)
     reference = run_sweep("table3", [0, 1], overrides)
-    candidate = run_sweep("table3", [0, 1], overrides, backend="columnar")
-    # The explicit backend is exported only for the sweep's duration;
-    # whatever was set before (e.g. a CI matrix leg) is restored.
-    assert os.environ.get("REPRO_ANALYSIS_BACKEND") == ambient
+    assert [p.digest for p in reference.points] \
+        == [p.digest for p in candidate.points]
     assert reference.digest() == candidate.digest()
-    assert candidate.backend == "columnar"
-    assert "analysis backend: columnar" in candidate.render()
+    assert candidate.backend is None
+    assert "analysis backend" not in candidate.render()
 
 
 def test_columnar_errors_match_streaming():

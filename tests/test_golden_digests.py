@@ -29,9 +29,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import oracle
 import pytest
 
-from repro.core.accounting import ANALYSIS_BACKENDS, BACKEND_ENV_VAR
+from repro.core.accounting import ANALYSIS_BACKENDS
 from repro.experiments.common import EXPERIMENT_IDS, run_experiment
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
@@ -45,11 +46,15 @@ def test_golden_file_covers_every_experiment():
 @pytest.mark.parametrize("backend", ANALYSIS_BACKENDS)
 @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
 def test_experiment_digest_matches_golden(exp_id, backend, monkeypatch):
-    """Every experiment, on every analysis backend, must reproduce the
-    pre-optimization digest — one golden value per experiment, shared by
-    all backends, is the whole determinism contract: columnar ≡
-    streaming, float bits and dict order, on every experiment."""
-    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+    """Every experiment, on the product path and on the streaming
+    reference, must reproduce the pre-optimization digest — one golden
+    value per experiment, shared by both, is the whole determinism
+    contract: columnar ≡ streaming, float bits and dict order, on every
+    experiment.  The ``streaming`` leg routes every node's analysis
+    through the tests-side oracle, which also checks each map it makes
+    against the product map cell by cell."""
+    if backend == "streaming":
+        oracle.install(monkeypatch)
     rendered = run_experiment(exp_id, seed=0).render()
     digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
     assert digest == GOLDEN[exp_id], (

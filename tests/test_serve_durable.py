@@ -992,6 +992,25 @@ def test_overload_sheds_with_retryable_nack(tmp_path, blink, blink2,
     assert_maps_identical(final_map(reply1), offline)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("retain", -1, "retention must be at least 0"),
+    ("max_streams", 0, "stream cap must be at least 1"),
+    ("max_streams", -3, "stream cap must be at least 1"),
+])
+def test_server_rejects_limits_that_break_every_stream(flag, value, message,
+                                                       capsys):
+    """A negative retention would kill every ingest in ``deque(maxlen=)``
+    and a zero stream cap would shed every node: both are refused at
+    construction, and ``repro serve`` exits 2 naming the limit."""
+    from repro.cli import main
+
+    with pytest.raises(ServeError, match=message):
+        IngestServer(**{flag: value})
+    option = "--" + flag.replace("_", "-")
+    assert main(["serve", option, str(value)]) == 2
+    assert message in capsys.readouterr().err
+
+
 # -- typed sync-wrapper errors -----------------------------------------------
 
 

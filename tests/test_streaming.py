@@ -17,11 +17,8 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.accounting import (
-    EnergyAccumulator,
-    build_energy_map,
-    stream_energy_map,
-)
+import oracle
+from repro.core.accounting import EnergyAccumulator, build_energy_map
 from repro.core.logger import ENTRY_STRUCT, decode_log, iter_entries
 from repro.core.regression import RegressionResult
 from repro.core.timeline import TimelineStream
@@ -31,28 +28,15 @@ from repro.tos.node import COMPONENT_NAMES, RES_TIMERB, NodeConfig
 from repro.units import ms, seconds
 
 
-def _maps_equal(batch, stream):
-    """Exact equality, including the key insertion order the renderers
-    see when they iterate the dicts."""
-    assert list(batch.energy_j) == list(stream.energy_j)
-    assert batch.energy_j == stream.energy_j
-    assert list(batch.time_ns) == list(stream.time_ns)
-    assert batch.time_ns == stream.time_ns
-    assert batch.metered_energy_j == stream.metered_energy_j
-    assert batch.reconstructed_energy_j == stream.reconstructed_energy_j
-    assert batch.span_ns == stream.span_ns
-
-
-#: Every analysis backend must reproduce the batch reference exactly;
-#: the tests below are parametrized over all of them ("streaming" feeds
-#: the accumulator, "columnar" routes the same inputs through the
-#: column pipeline).
-from repro.core.accounting import ANALYSIS_BACKENDS as BACKENDS
+#: Both analysis implementations must reproduce the batch reference
+#: exactly from the same decoded entries: "streaming" feeds the
+#: accumulator, "columnar" routes them through the column pipeline.
+BACKENDS = tuple(oracle.ANALYZE)
 
 
 def _stream_map_for(node, timeline, regression, fold_proxies,
                     backend="streaming"):
-    return stream_energy_map(
+    return oracle.ANALYZE[backend](
         iter_entries(node.logger.raw_bytes()),
         regression,
         node.registry,
@@ -63,7 +47,6 @@ def _stream_map_for(node, timeline, regression, fold_proxies,
         end_time_ns=timeline.end_time_ns,
         single_res_ids=[d.res_id for d in node._single_devices()],
         multi_res_ids=[RES_TIMERB],
-        backend=backend,
     )
 
 
@@ -80,7 +63,7 @@ def _assert_node_streams_identically(node, backend="streaming"):
         )
         stream = _stream_map_for(node, timeline, regression, fold,
                                  backend=backend)
-        _maps_equal(batch, stream)
+        oracle.assert_same_map(batch, stream)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

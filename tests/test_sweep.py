@@ -439,28 +439,12 @@ def _observe_cache_hits(monkeypatch):
     return lambda runs: [run.cache_hits for run in runs]
 
 
-def _observe_point_backend(monkeypatch):
-    import repro.sim.sweep as sweep_mod
-    from repro.core.accounting import resolve_analysis_backend
-
-    seen = _spy(monkeypatch, sweep_mod, "run_point",
-                lambda point: resolve_analysis_backend(None))
-    return lambda runs: set(_drained(seen))
-
-
 def _observe_batch_worlds(monkeypatch):
     from repro.sim import batch as batch_module
 
     seen = _spy(monkeypatch, batch_module.BatchSimulator, "__init__",
                 lambda self, sims: len(sims))
     return lambda runs: _drained(seen)
-
-
-def _other_backend(tmp_path):
-    from repro.core.accounting import resolve_analysis_backend
-
-    ambient = resolve_analysis_backend(None)
-    return "streaming" if ambient == "columnar" else "columnar"
 
 
 #: One row per ``run_sweep`` keyword: the name, a baseline value, the
@@ -471,11 +455,22 @@ KNOBS = [
      lambda value: f"-- mode: parallel x{value},", _observe_pools),
     ("cache_dir", None, lambda tmp_path: str(tmp_path / "cache"),
      lambda value: f"simulated ({value})", _observe_cache_hits),
-    ("backend", None, _other_backend,
-     lambda value: f"-- analysis backend: {value}", _observe_point_backend),
     ("batch", 1, lambda tmp_path: 2,
      lambda value: f", batch {value};", _observe_batch_worlds),
 ]
+
+
+#: Every environment variable the product reads, each a ``REPRO_*``
+#: literal under ``src/repro``.
+ENV_KNOBS = {
+    "REPRO_SWEEP_CACHE",  # sweep --cache-dir default
+    "REPRO_SWEEP_BATCH",  # run_sweep(batch=) default
+    "REPRO_WARM_START",  # reuse worlds across points
+    "REPRO_CACHE_VERIFY",  # round-trip every cache store, not just one
+    "REPRO_FAULT",  # fault injection: which site, which fault
+    "REPRO_FAULT_FUSE",  # fire an injected fault exactly once
+    "REPRO_FAULT_SELECT",  # fire only for one selector
+}
 
 
 @pytest.mark.parametrize("name,baseline,make_value,header,observe", KNOBS,
@@ -507,3 +502,18 @@ def test_run_sweep_signature_is_the_knob_table():
     params = list(inspect.signature(run_sweep).parameters)
     assert params == ["exp_id", "seeds", "overrides",
                       *[row[0] for row in KNOBS]]
+
+
+def test_env_knobs_are_the_declared_table():
+    """A new environment knob needs a row in ENV_KNOBS, and a removed
+    one must leave no literal behind."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    found = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        found.update(re.findall(r"REPRO_[A-Z_]+",
+                                path.read_text(encoding="utf-8")))
+    assert found == ENV_KNOBS

@@ -12,7 +12,7 @@ here for the adversarial ones, in both proxy-fold modes.
 
 import pytest
 
-from repro.core.accounting import stream_energy_map
+from oracle import ANALYZE
 from repro.core.logger import iter_entries
 from repro.experiments.common import run_blink
 from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
@@ -28,7 +28,7 @@ def blink():
 
 
 def map_at(node, regression, raw, end_time_ns, fold, backend):
-    return stream_energy_map(
+    return ANALYZE[backend](
         iter_entries(raw), regression, node.registry, COMPONENT_NAMES,
         node.platform.icount.nominal_energy_per_pulse_j,
         fold_proxies=fold,
@@ -36,7 +36,6 @@ def map_at(node, regression, raw, end_time_ns, fold, backend):
         end_time_ns=end_time_ns,
         single_res_ids=[d.res_id for d in node._single_devices()],
         multi_res_ids=[RES_TIMERB],
-        backend=backend,
     )
 
 
