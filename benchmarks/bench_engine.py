@@ -13,6 +13,11 @@ have a machine-readable baseline:
   ``analysis_speedup_columnar``;
   the two maps are asserted bit-identical before any speedup is
   reported;
+* ``network_analysis_entries_per_sec`` — timeline build plus fold over
+  every node log of one 6-node ``ext_collection`` star point, in the
+  fused multi-log pass ``QuantoNode.breakdown_all`` runs (one
+  ``ColumnarTimeline`` of all logs, one ``columnar_energy_map``); its
+  maps are asserted bit-identical to the per-node path first;
 * ``windowed_entries_per_sec`` — live-path throughput
   (``NodeSession.ingest`` on 1021-byte chunks: columnar decode and the
   batched windowed fold at a 1 s stride), the per-node cost of the
@@ -47,10 +52,10 @@ spread ``(max - min) / median`` recorded alongside — a single-shot
 number on a busy host is measurement noise (the pre-PR-4 baseline
 reported a 1.195x "parallel speedup" on a 1-CPU container).
 
-``--check`` compares fresh serial/batched throughput, columnar-analysis
-and live-ingest (windowed) measurements against the committed baseline
-and exits nonzero if any regressed by more than the tolerance (default
-25 %, the CI gate).  ``--check-parallel`` runs only the sweep grid and
+``--check`` compares fresh serial/batched throughput, columnar-analysis,
+network-analysis and live-ingest (windowed) measurements against the
+committed baseline and exits nonzero if any regressed by more than the
+tolerance (default 25 %, the CI gate).  ``--check-parallel`` runs only the sweep grid and
 gates the ``--jobs 2`` speedup against the multi-core floor — the
 taskset-pinned CI leg that proves the pool actually scales when cores
 exist.
@@ -192,7 +197,13 @@ def bench_analysis(rounds: int = 20) -> dict:
         return stream_energy_map(iter_entries(raw), *args, **kwargs)
 
     def run_columnar():
-        return columnar_energy_map(raw, *args, **kwargs)
+        regression, registry, names, per_pulse = args
+        columnar_kwargs = dict(kwargs)
+        idle_names = [columnar_kwargs.pop("idle_name")]
+        (emap,) = columnar_energy_map(
+            raw, [regression], registry, names, [per_pulse],
+            idle_names=idle_names, **columnar_kwargs)
+        return emap
 
     reference = run_streaming()
     candidate = run_columnar()
@@ -221,6 +232,91 @@ def bench_analysis(rounds: int = 20) -> dict:
         "analysis_speedup_columnar": round(
             medians["columnar"] / medians["streaming"], 3),
         "log_entry_count": entry_count,
+    }
+
+
+def _network_workload():
+    """The node logs of one 6-node ``ext_collection`` star point (seed
+    5, 30 s), each closed right after its own log-end mark, with the
+    per-log inputs of the fold."""
+    from repro.apps.collection import build_star_topology
+    from repro.tos.network import Network
+    from repro.tos.node import NodeConfig, QuantoNode
+
+    node_ids = list(range(10, 16))
+    network = Network(seed=5)
+    for node_id in node_ids:
+        network.add_node(NodeConfig(node_id=node_id, mac="csma"))
+    apps = build_star_topology(network, node_ids, root_id=node_ids[0],
+                               sample_period_ns=seconds(4))
+    network.boot_all({nid: app.start for nid, app in apps.items()})
+    network.run(seconds(30))
+    nodes = [network.node(node_id) for node_id in node_ids]
+    analyses = QuantoNode.breakdown_all(nodes)
+    timelines = [analysis.timeline for analysis in analyses]
+    return nodes, timelines, [analysis.regression for analysis in analyses]
+
+
+def bench_network_analysis(rounds: int = 20) -> dict:
+    """Timeline build + fold entries/s over every log of a network point:
+    one ``ColumnarTimeline`` of all six logs and one
+    ``columnar_energy_map`` into six maps, regressions given.  The maps
+    are asserted bit-identical to the per-node path (one timeline and
+    one fold per log) before anything is timed."""
+    from repro.core.timeline import ColumnarTimeline
+    from repro.tos.node import COMPONENT_NAMES
+
+    nodes, timelines, regressions = _network_workload()
+    registry = nodes[0].registry
+    devices = dict(
+        end_time_ns=[t.end_time_ns for t in timelines],
+        single_res_ids=[t.single_device_ids() for t in timelines],
+        multi_res_ids=[t.multi_device_ids() for t in timelines])
+    pulse_j = [node.platform.icount.nominal_energy_per_pulse_j
+               for node in nodes]
+    idle_names = [registry.name_of(node.idle) for node in nodes]
+    entry_count = sum(len(t.columns) for t in timelines)
+
+    def run_fused():
+        fused = ColumnarTimeline([t.columns for t in timelines], **devices)
+        return columnar_energy_map(
+            fused, regressions, registry, COMPONENT_NAMES, pulse_j,
+            fold_proxies=True, idle_names=idle_names)
+
+    def run_per_node():
+        return [
+            columnar_energy_map(
+                ColumnarTimeline(
+                    t.columns, end_time_ns=t.end_time_ns,
+                    single_res_ids=t.single_device_ids(),
+                    multi_res_ids=t.multi_device_ids()),
+                [regression], registry, COMPONENT_NAMES, [per_pulse],
+                fold_proxies=True, idle_names=[idle])[0]
+            for t, regression, per_pulse, idle in zip(
+                timelines, regressions, pulse_j, idle_names)]
+
+    def bits(emap):
+        return ([(key, value.hex()) for key, value in emap.energy_j.items()],
+                list(emap.time_ns.items()), emap.span_ns,
+                emap.metered_energy_j.hex(),
+                emap.reconstructed_energy_j.hex())
+
+    assert [bits(m) for m in run_fused()] \
+        == [bits(m) for m in run_per_node()], \
+        "fused network maps diverged from the per-node path — fix " \
+        "before benchmarking"
+    samples: list[float] = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _round in range(rounds):
+            run_fused()
+        wall = time.perf_counter() - start
+        samples.append(entry_count * rounds / wall)
+    median, spread = _median_spread(samples)
+    return {
+        "network_analysis_entries_per_sec": round(median),
+        "network_analysis_entries_per_sec_spread": round(spread, 3),
+        "network_log_entry_count": entry_count,
     }
 
 
@@ -380,6 +476,7 @@ def run_benchmarks() -> dict:
     events_median, events_spread = _median_spread(
         [bench_engine_events() for _ in range(REPEATS)])
     analysis = bench_analysis()
+    network = bench_network_analysis()
     windowed = bench_windowed()
     recovery = bench_serve_recovery()
     points_samples: list[float] = []
@@ -423,6 +520,7 @@ def run_benchmarks() -> dict:
         "src_loc": src_loc(),
     }
     numbers.update(analysis)
+    numbers.update(network)
     numbers.update(windowed)
     numbers.update(recovery)
     return numbers
@@ -430,7 +528,8 @@ def run_benchmarks() -> dict:
 
 def check_against_baseline(numbers: dict) -> list[str]:
     """The regression gate: serial table3 throughput, columnar
-    analysis throughput and live-ingest throughput must stay within
+    analysis throughput (one log, and a network point's logs fused) and
+    live-ingest throughput must stay within
     tolerance of the committed baseline; the determinism digest must
     match it exactly when the grid definition is unchanged."""
     failures: list[str] = []
@@ -475,6 +574,17 @@ def check_against_baseline(numbers: dict) -> list[str]:
                 f"columnar analysis throughput regressed: "
                 f"{measured:.0f} entries/s < {floor:.0f} (baseline "
                 f"{baseline_analysis['columnar']:.0f} - {tolerance:.0%})"
+            )
+    if "network_analysis_entries_per_sec" in baseline:
+        floor = baseline["network_analysis_entries_per_sec"] \
+            * (1.0 - tolerance)
+        measured = numbers["network_analysis_entries_per_sec"]
+        if measured < floor:
+            failures.append(
+                f"network (multi-log) analysis throughput regressed: "
+                f"{measured:.0f} entries/s < {floor:.0f} (baseline "
+                f"{baseline['network_analysis_entries_per_sec']:.0f} - "
+                f"{tolerance:.0%})"
             )
     if "windowed_entries_per_sec" in baseline:
         floor = baseline["windowed_entries_per_sec"] * (1.0 - tolerance)
@@ -574,6 +684,8 @@ def test_engine_bench_smoke():
     assert analysis["log_entry_count"] > 0
     assert analysis["analysis_entries_per_sec"]["streaming"] > 0
     assert analysis["analysis_entries_per_sec"]["columnar"] > 0
+    network = bench_network_analysis(rounds=2)
+    assert network["network_analysis_entries_per_sec"] > 0
     windowed = bench_windowed(rounds=2)
     assert windowed["windowed_entries_per_sec"] > 0
     recovery = bench_serve_recovery(rounds=1)

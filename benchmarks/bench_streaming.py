@@ -65,14 +65,15 @@ def bench_streaming() -> str:
         intervals, node.layout(), energy_per_pulse,
         node.platform.rail.voltage, weighting="sqrt_et")
     columnar_energy_map(
-        raw, regression, node.registry, COMPONENT_NAMES, energy_per_pulse,
-        idle_name=idle_name, end_time_ns=end_time_ns,
+        raw, [regression], node.registry, COMPONENT_NAMES, [energy_per_pulse],
+        idle_names=[idle_name], end_time_ns=end_time_ns,
         single_res_ids=single_ids, multi_res_ids=[RES_TIMERB])
 
     def batch():
-        return columnar_energy_map(
-            node.timeline(), regression, node.registry, COMPONENT_NAMES,
-            energy_per_pulse, idle_name=idle_name)
+        (emap,) = columnar_energy_map(
+            node.timeline(), [regression], node.registry, COMPONENT_NAMES,
+            [energy_per_pulse], idle_names=[idle_name])
+        return emap
 
     def streaming():
         return stream_energy_map(

@@ -24,9 +24,10 @@ and dict order alike:
   vectorized pass: :func:`_contribution_stream` orders every interval's
   charges as the reference would make them, :func:`_charge_stream` adds
   them up, and :func:`_busy_time` + :func:`_fold_time` give the
-  per-device busy time.  :func:`columnar_energy_map` (offline, the whole
-  log at once) and :class:`WindowedAccumulator` (live ingest, batch by
-  batch) share that one fold.  Input must be in time order;
+  per-device busy time.  :func:`columnar_energy_map` (offline, whole
+  logs at once — one, or all of a network's in one pass) and
+  :class:`WindowedAccumulator` (live ingest, batch by batch) share that
+  one fold.  Input must be in time order;
   ``ColumnarTimeline`` refuses a log whose time goes backwards.
 * **streaming** (:class:`EnergyAccumulator`,
   :func:`stream_energy_map`) is the reference the tests, tools and
@@ -70,6 +71,7 @@ from repro.core.logger import (
 )
 from repro.core.regression import RegressionResult, SinkColumn
 from repro.core.timeline import (
+    _RES_SPACE,
     ActivitySegment,
     ColumnarTimeline,
     MultiActivitySegment,
@@ -1038,22 +1040,24 @@ class WindowedAccumulator:
 
     # -- the batch fold -------------------------------------------------------
 
-    def _contributions(self, timeline: ColumnarTimeline):
+    def _segment_names(self, timeline: ColumnarTimeline):
+        return _segment_names(
+            timeline, False, _label_namer(self.registry, self._value_names))
+
+    def _contributions(self, timeline: ColumnarTimeline, segment_names):
         """The batch's ordered contribution stream (see
         :func:`_contribution_stream`)."""
         return _contribution_stream(
-            timeline, self._plans, self._column_power, self.component_names,
-            self._const_power_w,
-            _label_namer(self.registry, self._value_names), False,
-            self.idle_name, self.registry.name_of)
+            timeline, [self._plans], [self._column_power],
+            self.component_names, [self._const_power_w], segment_names,
+            [self.idle_name], self.registry.name_of)
 
     def _charge(self, stream, lo: int, hi: int) -> None:
         """Charge stream rows ``[lo, hi)`` onto the running sums."""
         if hi > lo:
-            _, code, values, n_codes, key_of = stream
-            self.map.reconstructed_energy_j = _charge_stream(
-                self.map.energy_j, self.map.reconstructed_energy_j,
-                code[lo:hi], values[lo:hi], n_codes, key_of)
+            _, log, code, values, n_codes, key_of = stream
+            _charge_stream([self.map], log[lo:hi], code[lo:hi],
+                           values[lo:hi], n_codes, key_of)
 
     def _fold_batch(self, columns: LogColumns, final: bool = False) -> None:
         """Fold one batch: reconstruct it against the carry, charge its
@@ -1087,7 +1091,9 @@ class WindowedAccumulator:
             if first < n_intervals:
                 charge = first
                 self._tail = (saved, [columns], first)
-        stream = self._contributions(timeline) if charge else None
+        segment_names = self._segment_names(timeline)
+        stream = self._contributions(timeline, segment_names) \
+            if charge else None
         cum_pulses = np.zeros(n_intervals + 1, dtype=np.int64)
         np.cumsum(timeline.interval_pulses, out=cum_pulses[1:])
         seen, pulses = self._intervals_seen, self._pulses_total
@@ -1109,9 +1115,8 @@ class WindowedAccumulator:
         emit_rows = timeline.interval_row
         busy = _busy_time(
             timeline, [int(emit_rows[i]) for i in closes] + [n + 1],
-            self._time_single, self._time_multi,
-            _label_namer(self.registry, self._value_names),
-            self.registry.name_of, self.idle_name, False)
+            [self._time_single], [self._time_multi], segment_names,
+            self.registry.name_of, [self.idle_name])
         charged = 0
 
         def advance(chunk: int, upto: int) -> None:
@@ -1153,9 +1158,9 @@ class WindowedAccumulator:
             LogColumns.concat(parts), end_time_ns=self.end_time_ns,
             single_res_ids=self._single_ids, multi_res_ids=self._multi_ids,
             carry=carry, final=True)
-        stream = self._contributions(timeline)
+        stream = self._contributions(timeline, self._segment_names(timeline))
         start = int(np.searchsorted(stream[0], charged, side="left"))
-        self._charge(stream, start, len(stream[1]))
+        self._charge(stream, start, len(stream[0]))
 
     # -- the stride clock ---------------------------------------------------
 
@@ -1697,10 +1702,12 @@ def _ragged_cover(window_t0, window_t1, seg_t0, seg_t1):
     return offsets, seg_rows, overlaps
 
 
-def _charge_stream(energy_j, recon, code, values, n_codes, key_of):
-    """Add an ordered contribution stream to running sums: the per-key
-    dict ``energy_j`` (keys new to it inserted in first-occurrence
-    stream order) and the reconstructed total ``recon``, returned.
+def _charge_stream(maps, log, code, values, n_codes, key_of) -> None:
+    """Add an ordered contribution stream to running sums: row ``r``
+    goes to ``maps[log[r]]`` — its per-key dict ``energy_j`` (keys new
+    to it inserted in first-occurrence stream order) and its
+    reconstructed total.  ``code`` carries the log too (``key_of(code)``
+    is ``(log, key)``), so one pass serves every log.
 
     ``np.bincount`` accumulates each bin's weights strictly in array
     order, starting from ``0.0`` — the ``energy_j.get(key, 0.0) + x``
@@ -1708,79 +1715,82 @@ def _charge_stream(energy_j, recon, code, values, n_codes, key_of):
     as the first weight of its bin (``0.0 + prior`` is exact, and a sum
     begun at ``0.0`` is never ``-0.0``), so the adds continue in the
     same IEEE-754 order whether the stream is a whole log or one window
-    of a live batch.  Codes live in a small dense range (components x
-    names), so first-occurrence order comes from a reversed fancy
-    assignment (last write wins == first occurrence), no sort needed.
+    of a live batch.  Codes live in a small dense range (logs x
+    components x names), so first-occurrence order comes from a
+    reversed fancy assignment (last write wins == first occurrence), no
+    sort needed.
     """
     n_rows = len(code)
     first_row = np.full(n_codes, -1, dtype=np.int64)
     first_row[code[::-1]] = np.arange(n_rows - 1, -1, -1, dtype=np.int64)
     present = np.nonzero(first_row >= 0)[0]
     ordered = present[np.argsort(first_row[present], kind="stable")]
+    energies = [emap.energy_j for emap in maps]
     keys = [key_of(c) for c in ordered.tolist()]
-    prior = np.array([energy_j.get(key, 0.0) for key in keys],
-                     dtype=np.float64)
-    totals = np.bincount(np.concatenate((ordered, code)),
-                         weights=np.concatenate((prior, values)),
-                         minlength=n_codes)
-    for key, total in zip(keys, totals[ordered].tolist()):
-        energy_j[key] = total
-    return float(np.bincount(
-        np.zeros(n_rows + 1, dtype=np.intp),
-        weights=np.concatenate(([recon], values)), minlength=1)[0])
+    prior = [energies[k].get(key, 0.0) for k, key in keys]
+    # One bincount for both sums: the key codes, then one bin per map
+    # (past n_codes) for its reconstructed total, each bin's prior first.
+    n_maps = len(maps)
+    totals = np.bincount(
+        np.concatenate((ordered, code, np.arange(n_codes, n_codes + n_maps),
+                        log + n_codes)),
+        weights=np.concatenate((
+            prior, values, [emap.reconstructed_energy_j for emap in maps],
+            values)),
+        minlength=n_codes + n_maps)
+    for (k, key), total in zip(keys, totals[ordered].tolist()):
+        energies[k][key] = total
+    for emap, total in zip(maps, totals[n_codes:].tolist()):
+        emap.reconstructed_energy_j = total
 
 
-def _value_codes(values: np.ndarray, code_of) -> np.ndarray:
-    """``code_of`` applied to every value of an int array holding few
-    distinct ones: called once per distinct value, in sorted order, then
-    spread by table lookup (a handful of labels name hundreds of
-    segments)."""
-    unique = np.unique(values)
-    table = np.fromiter((code_of(value) for value in unique.tolist()),
-                        dtype=np.int64, count=len(unique))
-    return table[np.searchsorted(unique, values)]
+def _segment_names(timeline, fold_proxies, name_of_value):
+    """Each single-device segment's activity name, as codes into a name
+    list: the label it is charged to (its bound label with
+    ``fold_proxies``, else its painted one) named once per distinct
+    label, since a handful of labels name hundreds of segments.  The
+    cover and the busy time share them."""
+    values = timeline.single_segments.label_values(fold_proxies)
+    labels = np.unique(values)
+    name_ids: dict[str, int] = {}
+    table = np.array([name_ids.setdefault(name_of_value(value), len(name_ids))
+                      for value in labels.tolist()], dtype=np.int64)
+    return table[np.searchsorted(labels, values)], list(name_ids)
 
 
-def _busy_time(timeline, bounds, time_single, time_multi, name_of_value,
-               name_of, idle_name, fold_proxies) -> list[list[tuple]]:
+def _busy_time(timeline, bounds, time_single, time_multi, segment_names,
+               name_of, idle_names) -> list[list[tuple]]:
     """The busy time (Table 3a) a timeline's segments add, cut into
-    chunks by closing row (chunk k: closed before row ``bounds[k]`` and
-    not before ``bounds[k-1]``) as ``(per-name sums, name, ns)`` adds in
-    close order per device — the streaming trackers' name→ns
-    accumulation.  The per-name dicts live in ``time_single`` /
-    ``time_multi`` (``res_id -> {name: ns}``, created as devices first
-    add time); a single device's segments count under their bound label
-    with ``fold_proxies``, else their painted one.  Segments an earlier
-    batch timed (row -1) or still open (row past the last bound) add
-    nothing; a whole log is one chunk past its last row.  See
-    :func:`_fold_time` for the breakdown itself."""
+    chunks by closing row (chunk k: closed before row ``bounds[k]`` of
+    its log and not before ``bounds[k-1]``) as ``(per-name sums, name,
+    ns)`` adds in close order per device — the streaming trackers'
+    name→ns accumulation.  The per-name dicts live in ``time_single[k]``
+    / ``time_multi[k]`` for log ``k`` (``res_id -> {name: ns}``, created
+    as devices first add time); a single device's segments count under
+    their names from :func:`_segment_names`.  Segments an earlier batch
+    timed (row -1) or still open (row past the
+    last bound) add nothing; whole logs are one chunk past their last
+    rows.  See :func:`_fold_time` for the breakdown itself."""
     chunks: list[list[tuple]] = [[] for _ in bounds]
     cuts = np.asarray(bounds, dtype=np.int64)
-    # Single devices, fused: one grouping over every device's fresh
-    # segments keyed by (chunk, device, name); float sums of int spans
-    # (exact while a device's busy time stays below 2**53 ns, ~104
-    # days), replayed per chunk in first-closed order.
-    devices = timeline.single_device_ids()
-    singles = [timeline.single_columns(res_id) for res_id in devices]
-    close_row = np.concatenate(
-        [s.close_row for s in singles] or [np.empty(0, dtype=np.int64)])
-    chunk = np.searchsorted(cuts, close_row, side="right")
-    fresh = np.nonzero((close_row >= 0) & (chunk < len(bounds)))[0]
+    # Single devices of every log, fused: one grouping over the fresh
+    # segments keyed by (chunk, (log, device) group, name); float sums
+    # of int spans (exact while a device's busy time stays below 2**53
+    # ns, ~104 days), replayed per chunk in first-closed order.
+    singles = timeline.single_segments
+    groups = timeline.single_keys.tolist()
+    chunk = np.searchsorted(cuts, singles.close_row, side="right")
+    fresh = np.nonzero((singles.close_row >= 0)
+                       & (chunk < len(bounds)))[0]
     if len(fresh):
-        device = np.repeat(np.arange(len(devices)),
-                           [len(s) for s in singles])[fresh]
-        spans = (np.concatenate([s.t1 for s in singles])
-                 - np.concatenate([s.t0 for s in singles]))[fresh]
-        name_ids: dict[str, int] = {}
-        value_name = _value_codes(
-            np.concatenate([s.label_values(fold_proxies)
-                            for s in singles])[fresh],
-            lambda value: name_ids.setdefault(name_of_value(value),
-                                              len(name_ids)))
-        names = list(name_ids)
+        group = np.repeat(np.arange(len(groups)),
+                          np.diff(timeline.single_bounds))[fresh]
+        spans = (singles.t1 - singles.t0)[fresh]
+        codes, names = segment_names
+        value_name = codes[fresh]
         n_names = len(names)
-        span = len(devices) * n_names
-        key = chunk[fresh] * span + device * n_names + value_name
+        span = len(groups) * n_names
+        key = chunk[fresh] * span + group * n_names + value_name
         n_keys = len(bounds) * span
         first = np.full(n_keys, -1, dtype=np.int64)
         first[key[::-1]] = np.arange(len(key) - 1, -1, -1, dtype=np.int64)
@@ -1789,24 +1799,28 @@ def _busy_time(timeline, bounds, time_single, time_multi, name_of_value,
         present = present[np.lexsort((first[present], present // span))]
         for k, total in zip(present.tolist(), sums[present].tolist()):
             chunk_k, rest = divmod(k, span)
-            device_k, name = divmod(rest, n_names)
-            per_name = time_single.setdefault(devices[device_k], {})
+            group_k, name = divmod(rest, n_names)
+            log, res_id = divmod(groups[group_k], _RES_SPACE)
+            per_name = time_single[log].setdefault(res_id, {})
             chunks[chunk_k].append((per_name, names[name], int(total)))
     sets = timeline.label_sets
-    for res_id in timeline.multi_device_ids():
-        multi = timeline.multi_columns(res_id)
+    multis = timeline.multi_segments
+    offsets = timeline.multi_bounds.tolist()
+    for g, group_key in enumerate(timeline.multi_keys.tolist()):
+        multi = multis[offsets[g]:offsets[g + 1]]
         chunk = np.searchsorted(cuts, multi.close_row, side="right")
         fresh = np.nonzero((multi.close_row >= 0)
                            & (chunk < len(bounds)))[0]
         if not len(fresh):
             continue
-        per_name = time_multi.setdefault(res_id, {})
+        log, res_id = divmod(group_key, _RES_SPACE)
+        per_name = time_multi[log].setdefault(res_id, {})
         spans = (multi.t1 - multi.t0)[fresh].tolist()
         for k, chunk_k, dt_ns in zip(fresh.tolist(),
                                      chunk[fresh].tolist(), spans):
             labels = sets[multi.set_ids[k]]
             if not labels:
-                chunks[chunk_k].append((per_name, idle_name, dt_ns))
+                chunks[chunk_k].append((per_name, idle_names[log], dt_ns))
                 continue
             split = dt_ns // len(labels)
             for label in labels:
@@ -1830,18 +1844,96 @@ def _fold_time(time_single, time_multi,
     return cumulative
 
 
-def _contribution_stream(timeline, plans, column_power, component_names,
-                         const_power_w, name_of_value, fold_proxies,
-                         idle_name, name_of):
-    """The ordered fold, vectorized and fused: every charged device's
-    per-interval work is flattened into ONE cover query and ONE
-    grouping sort (charges separated by a per-charge time offset larger
-    than any timestamp), producing a single
-    ``(interval, plan-position, within-charge-rank)``-keyed contribution
-    stream in reference order, for :func:`_charge_stream` to add up.
+def _single_cover(timeline, intervals, groups, dt_ns, idle_ids, seg_names):
+    """How (charge, interval) rows of single-tracked charges divide among
+    activity names: row ``r`` is interval ``intervals[r]`` on (log,
+    device) group ``groups[r]`` of ``timeline.single_segments``, whose
+    segments carry name ids ``seg_names``.  One fused cover and one
+    grouping sort serve every row.
 
-    ``plans`` caches each state vector's charge plan (:func:`_plan_of`)
-    across calls; ``const_power_w`` is the regression's baseline draw.
+    Returns ``(row, rank, name, share)`` per (row, name) group: ``rank``
+    orders a row's groups as the reference charges them (the first
+    covering segment of each name, in time order), ``share`` is the int
+    ns covered.  A row's uncovered remainder joins its group named
+    ``idle_ids[r]`` if it has one, else is appended, ranked last.
+    """
+    # Shift each (log, device) group into its own disjoint time band so
+    # one sorted segment array (and one bisection pair) covers them all;
+    # overlaps are time differences, unaffected by the shift.
+    segments = timeline.single_segments
+    span_ns = 1 + max(int(segments.t1.max(initial=0)),
+                      int(timeline.interval_t1.max(initial=0)))
+    bounds = timeline.single_bounds
+    shift = np.repeat(
+        np.arange(len(timeline.single_keys), dtype=np.int64) * span_ns,
+        bounds[1:] - bounds[:-1])
+    row_shift = groups * span_ns
+    offsets, seg_rows, overlaps = _ragged_cover(
+        timeline.interval_t0[intervals] + row_shift,
+        timeline.interval_t1[intervals] + row_shift,
+        segments.t0 + shift, segments.t1 + shift)
+    n_rows = len(intervals)
+    pair_row = np.repeat(np.arange(n_rows, dtype=np.int64),
+                         offsets[1:] - offsets[:-1])
+    if len(pair_row):
+        # Group cover rows by (row, name): a stable sort on a composite
+        # key; first-occurrence positions give the dict insertion rank,
+        # int sums the per-name shares (exact).
+        pair_name = seg_names[seg_rows]
+        group_key = pair_row * (int(seg_names.max()) + 1) + pair_name
+        order = np.argsort(group_key, kind="stable")
+        sorted_key = group_key[order]
+        first = np.empty(len(sorted_key), dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+        group_starts = np.nonzero(first)[0]
+        rank = order[group_starts]
+        share = np.add.reduceat(overlaps[order], group_starts)
+        row = pair_row[rank]
+        name = pair_name[rank]
+        covered = np.bincount(
+            pair_row, weights=overlaps, minlength=n_rows).astype(np.int64)
+    else:
+        rank, share, row, name = (np.empty(0, dtype=np.int64)
+                                  for _ in range(4))
+        covered = np.zeros(n_rows, dtype=np.int64)
+    idle_ns = dt_ns - covered
+    has_idle = idle_ns > 0
+    if has_idle.any():
+        idle_group = np.full(n_rows, -1, dtype=np.int64)
+        idle_named = np.nonzero(name == idle_ids[row])[0]
+        idle_group[row[idle_named]] = idle_named
+        merge = np.nonzero(has_idle & (idle_group >= 0))[0]
+        if len(merge):
+            share[idle_group[merge]] += idle_ns[merge]
+        new = np.nonzero(has_idle & (idle_group < 0))[0]
+        if len(new):
+            row = np.concatenate((row, new))
+            name = np.concatenate((name, idle_ids[new]))
+            share = np.concatenate((share, idle_ns[new]))
+            # Ranked after every named group of its row: ranks are
+            # cover-pair indices, all below len(pair_row).
+            rank = np.concatenate((
+                rank, np.full(len(new), len(pair_row), dtype=np.int64)))
+    return row, rank, name, share
+
+
+def _contribution_stream(timeline, plans, column_power, component_names,
+                         const_power_w, segment_names, idle_names, name_of):
+    """The ordered fold of every log of ``timeline``, vectorized and
+    fused: every charged (log, device)'s per-interval work is flattened
+    into ONE cover query and ONE grouping sort (each (log, device) group
+    in its own time band, shifted past every other's), producing a
+    single ``(interval, plan-position, within-charge-rank)``-keyed
+    contribution stream in reference order, for :func:`_charge_stream`
+    to add up.  Intervals are log-major, so each log's rows are one
+    contiguous run of the stream.
+
+    Per log ``k``: ``plans[k]`` caches each state vector's charge plan
+    (:func:`_plan_of`) across calls, ``column_power[k]`` and
+    ``const_power_w[k]`` come from its regression, and ``idle_names[k]``
+    names its idle activity.  ``segment_names`` names the single-device
+    segments (:func:`_segment_names`).
 
     Bit-identity with the streaming accumulator rests on these facts,
     each pinned by the backend-equivalence fuzz tests:
@@ -1860,23 +1952,37 @@ def _contribution_stream(timeline, plans, column_power, component_names,
       :func:`_charge_stream`), and keys are inserted in first-occurrence
       stream order, preserving dict order.
 
-    Returns ``(interval, code, value, n_codes, key_of)``: per stream row
-    (in order) its interval index, key code and joules, plus the code
-    range and the code → ``(component, activity)`` mapping.
+    Returns ``(interval, log, code, value, n_codes, key_of)``: per
+    stream row (in order) its interval index, log, key code and joules,
+    plus the code range and the code → ``(log, (component, activity))``
+    mapping.
     """
     vectors = timeline.vectors
+    n_vec = len(vectors)
+    interval_log = timeline.interval_log
+    # One charge plan per (log, state vector) pair present.
+    pair = interval_log * n_vec + timeline.interval_vec
+    seen = np.zeros(timeline.n_logs * n_vec, dtype=bool)
+    seen[pair] = True
+    pairs = np.nonzero(seen)[0]
+    pair_index = np.cumsum(seen) - 1
     plan_raw = []
-    for vector in vectors:
-        plan = plans.get(vector)
+    pair_log = []
+    for pair_code in pairs.tolist():
+        log, vec_id = divmod(pair_code, n_vec)
+        vector = vectors[vec_id]
+        plan = plans[log].get(vector)
         if plan is None:
-            plan = plans[vector] = _plan_of(
-                vector, column_power, component_names)
+            plan = plans[log][vector] = _plan_of(
+                vector, column_power[log], component_names)
         plan_raw.append(plan)
+        pair_log.append(log)
+    pair_log = np.array(pair_log, dtype=np.int64)
+    interval_pair = pair_index[pair]
     dt_ns = timeline.interval_t1 - timeline.interval_t0
     dt_s = dt_ns * 1e-9
-    const_arr = const_power_w * dt_s
-    n_vec = len(vectors)
-    interval_vec = timeline.interval_vec
+    const_arr = np.asarray(const_power_w, dtype=np.float64)[interval_log] \
+        * dt_s
     n_intervals = len(dt_ns)
     names: list = [None]          # id 0: the regression constant
     name_ids: dict[str, int] = {}
@@ -1898,56 +2004,54 @@ def _contribution_stream(timeline, plans, column_power, component_names,
             comps.append(component)
         return cid
 
-    value_nid: dict[int, int] = {}
-
-    def nid_of_value(value: int) -> int:
-        nid = value_nid.get(value)
-        if nid is None:
-            nid = value_nid[value] = intern_name(name_of_value(value))
-        return nid
-
-    idle_id = intern_name(idle_name)
+    idle_ids = np.array([intern_name(name) for name in idle_names],
+                        dtype=np.int64)
     untracked_id = intern_name(UNTRACKED_KEY)
     charged_ids = sorted({r for plan in plan_raw for r, _, _ in plan})
     charge_index = {rid: c for c, rid in enumerate(charged_ids)}
     n_charges = len(charged_ids)
-    KIND_SINGLE, KIND_MULTI, KIND_UNTRACKED = 0, 1, 2
-    kind_arr = np.empty(n_charges, dtype=np.int64)
-    charge_cols: list = [None] * n_charges
-    for c, rid in enumerate(charged_ids):
-        single = timeline.single_columns(rid)
-        if single is not None:
-            kind_arr[c] = KIND_SINGLE
-            charge_cols[c] = single
-            continue
-        multi = timeline.multi_columns(rid)
-        if multi is not None:
-            kind_arr[c] = KIND_MULTI
-            charge_cols[c] = multi
-        else:
-            kind_arr[c] = KIND_UNTRACKED
-    # Per-(charge, vector) tables off the plans: a charge's power draw,
-    # display component, and position within each vector's plan.
-    has_mat = np.zeros((n_charges, n_vec), dtype=bool)
-    power_mat = np.zeros((n_charges, n_vec), dtype=np.float64)
-    comp_mat = np.zeros((n_charges, n_vec), dtype=np.int64)
-    pos_mat = np.zeros((n_charges, n_vec), dtype=np.int64)
-    for vec_id, plan in enumerate(plan_raw):
-        for pos, (rid, component, power_w) in enumerate(plan):
-            c = charge_index[rid]
-            has_mat[c, vec_id] = True
-            power_mat[c, vec_id] = power_w
-            comp_mat[c, vec_id] = intern_comp(component)
-            pos_mat[c, vec_id] = pos
+    # Per-(charge, plan) tables: how the pair's log tracks the charged
+    # device — the index of its (log, device) group among the single
+    # devices, else among the multi ones, else -1 (untracked) — and the
+    # charge's power draw, display component, and position within each
+    # (log, vector) pair's plan.
+    charge_keys = (pair_log * _RES_SPACE
+                   + np.array(charged_ids, dtype=np.int64)[:, None])
+
+    def group_of(keys):
+        index = np.full(timeline.n_logs * _RES_SPACE, -1, dtype=np.int64)
+        index[keys] = np.arange(len(keys))
+        return index[charge_keys]
+
+    single_mat = group_of(timeline.single_keys)
+    multi_mat = np.where(single_mat < 0, group_of(timeline.multi_keys), -1)
+    has_mat = np.zeros((n_charges, len(plan_raw)), dtype=bool)
+    power_mat = np.zeros((n_charges, len(plan_raw)), dtype=np.float64)
+    comp_mat = np.zeros((n_charges, len(plan_raw)), dtype=np.int64)
+    pos_mat = np.zeros((n_charges, len(plan_raw)), dtype=np.int64)
+    cells = [(charge_index[rid], pair_id, power_w, intern_comp(component),
+              pos)
+             for pair_id, plan in enumerate(plan_raw)
+             for pos, (rid, component, power_w) in enumerate(plan)]
+    if cells:
+        charge, pair_id, power_w, component, pos = zip(*cells)
+        has_mat[charge, pair_id] = True
+        power_mat[charge, pair_id] = power_w
+        comp_mat[charge, pair_id] = component
+        pos_mat[charge, pair_id] = pos
     # Flatten to one (charge, interval) row list, charge-major: every
     # interval in which each charge carries a power column.
-    c_idx, i_idx = np.nonzero(has_mat[:, interval_vec])
-    vecs_f = interval_vec[i_idx]
-    joules_f = power_mat[c_idx, vecs_f] * dt_s[i_idx]
-    comp_f = comp_mat[c_idx, vecs_f]
-    pos_f = pos_mat[c_idx, vecs_f]
-    dt_f = dt_ns[i_idx]
-    kind_f = kind_arr[c_idx]
+    c_idx, i_idx = np.nonzero(has_mat[:, interval_pair])
+    pairs_f = interval_pair[i_idx]
+    single_f = single_mat[c_idx, pairs_f]
+    multi_f = multi_mat[c_idx, pairs_f]
+
+    def flat_rows(rows):
+        """Interval, plan position, component and joules of flat rows."""
+        c, pair_id, i = c_idx[rows], pairs_f[rows], i_idx[rows]
+        return (i, pos_mat[c, pair_id], comp_mat[c, pair_id],
+                power_mat[c, pair_id] * dt_s[i])
+
     # Stream columns: interval row, plan position (-1: const), rank
     # within the charge, component id, name id, joules.
     stream_i = [np.arange(n_intervals, dtype=np.int64)]
@@ -1957,138 +2061,62 @@ def _contribution_stream(timeline, plans, column_power, component_names,
     stream_n = [np.zeros(n_intervals, dtype=np.int64)]
     stream_v = [const_arr]
     # -- single-tracked charges: ONE fused cover + grouping ----------------
-    single_rows = np.nonzero(kind_f == KIND_SINGLE)[0]
+    single_rows = np.nonzero(single_f >= 0)[0]
     if len(single_rows):
-        # Shift each charge into its own disjoint time band so one
-        # sorted segment array (and one bisection pair) covers them
-        # all; overlaps are time differences, unaffected by the shift.
-        span_ns = int(timeline.end_time_ns) + 1
-        if n_intervals:
-            span_ns = max(span_ns, int(timeline.interval_t1[-1]) + 1)
-        seg_t0_parts = []
-        seg_t1_parts = []
-        seg_val_parts: list = []
-        for c in range(n_charges):
-            if kind_arr[c] != KIND_SINGLE:
-                continue
-            single = charge_cols[c]
-            shift = c * span_ns
-            seg_t0_parts.append(single.t0 + shift)
-            seg_t1_parts.append(single.t1 + shift)
-            seg_val_parts.append(single.label_values(fold_proxies))
-        seg_t0_all = np.concatenate(seg_t0_parts)
-        seg_t1_all = np.concatenate(seg_t1_parts)
-        seg_name_ids = _value_codes(
-            np.concatenate(seg_val_parts), nid_of_value)
-        shift_f = c_idx[single_rows] * span_ns
-        offsets, seg_rows, overlaps = _ragged_cover(
-            timeline.interval_t0[i_idx[single_rows]] + shift_f,
-            timeline.interval_t1[i_idx[single_rows]] + shift_f,
-            seg_t0_all, seg_t1_all)
-        n_srows = len(single_rows)
-        pair_row = np.repeat(
-            np.arange(n_srows, dtype=np.int64), np.diff(offsets))
-        if len(pair_row):
-            # Group cover rows by (flat row, name): a stable sort on a
-            # composite key; first-occurrence positions give the dict
-            # insertion rank, int sums the per-name shares (exact).
-            pair_name = seg_name_ids[seg_rows]
-            group_key = pair_row * (len(names) + 1) + pair_name
-            order = np.argsort(group_key, kind="stable")
-            sorted_key = group_key[order]
-            first = np.empty(len(sorted_key), dtype=bool)
-            first[0] = True
-            np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-            group_starts = np.nonzero(first)[0]
-            group_first = order[group_starts]
-            group_share = np.add.reduceat(overlaps[order], group_starts)
-            group_row = pair_row[group_first]
-            group_name = pair_name[group_first]
-            covered = np.bincount(
-                pair_row, weights=overlaps,
-                minlength=n_srows).astype(np.int64)
-        else:
-            group_first = np.empty(0, dtype=np.int64)
-            group_share = np.empty(0, dtype=np.int64)
-            group_row = np.empty(0, dtype=np.int64)
-            group_name = np.empty(0, dtype=np.int64)
-            covered = np.zeros(n_srows, dtype=np.int64)
-        dt_s_rows = dt_f[single_rows]
-        idle_ns = dt_s_rows - covered
-        has_idle = idle_ns > 0
-        if has_idle.any():
-            # The remainder merges into an existing idle-named group
-            # (keeping its rank) or appends last.
-            idle_gidx = np.full(n_srows, -1, dtype=np.int64)
-            idle_groups = np.nonzero(group_name == idle_id)[0]
-            idle_gidx[group_row[idle_groups]] = idle_groups
-            merge_rows = np.nonzero(has_idle & (idle_gidx >= 0))[0]
-            if len(merge_rows):
-                group_share[idle_gidx[merge_rows]] += idle_ns[merge_rows]
-            new_rows = np.nonzero(has_idle & (idle_gidx < 0))[0]
-            if len(new_rows):
-                group_row = np.concatenate((group_row, new_rows))
-                group_name = np.concatenate((
-                    group_name,
-                    np.full(len(new_rows), idle_id, dtype=np.int64)))
-                group_share = np.concatenate((
-                    group_share, idle_ns[new_rows]))
-                # Rank the appended remainder after every named cover
-                # group of its interval: group_first holds pair-array
-                # indices, all strictly below len(pair_row).
-                group_first = np.concatenate((
-                    group_first,
-                    np.full(len(new_rows), len(pair_row),
-                            dtype=np.int64)))
-        if len(group_row):
-            flat = single_rows[group_row]
-            stream_i.append(i_idx[flat])
-            stream_p.append(pos_f[flat])
-            stream_q.append(group_first)
-            stream_c.append(comp_f[flat])
-            stream_n.append(group_name)
-            stream_v.append(
-                joules_f[flat] * (group_share / dt_f[flat]))
+        codes, seg_names = segment_names
+        seg_names = np.array([intern_name(name) for name in seg_names],
+                             dtype=np.int64)[codes]
+        i, pos, comp, joules = flat_rows(single_rows)
+        row, rank, name, share = _single_cover(
+            timeline, i, single_f[single_rows], dt_ns[i],
+            idle_ids[pair_log[pairs_f[single_rows]]], seg_names)
+        i = i[row]
+        stream_i.append(i)
+        stream_p.append(pos[row])
+        stream_q.append(rank)
+        stream_c.append(comp[row])
+        stream_n.append(name)
+        stream_v.append(joules[row] * (share / dt_ns[i]))
     # -- untracked charges: one contribution per row -----------------------
-    untracked_rows = np.nonzero(kind_f == KIND_UNTRACKED)[0]
+    untracked_rows = np.nonzero((single_f < 0) & (multi_f < 0))[0]
     if len(untracked_rows):
-        stream_i.append(i_idx[untracked_rows])
-        stream_p.append(pos_f[untracked_rows])
-        stream_q.append(np.zeros(len(untracked_rows), dtype=np.int64))
-        stream_c.append(comp_f[untracked_rows])
-        stream_n.append(np.full(len(untracked_rows), untracked_id,
-                                dtype=np.int64))
-        stream_v.append(joules_f[untracked_rows])
-    # -- multi charges: the scalar share helper, per charge (rare) ---------
-    if (kind_f == KIND_MULTI).any():
+        i, pos, comp, joules = flat_rows(untracked_rows)
+        stream_i.append(i)
+        stream_p.append(pos)
+        stream_q.append(np.zeros(len(i), dtype=np.int64))
+        stream_c.append(comp)
+        stream_n.append(np.full(len(i), untracked_id, dtype=np.int64))
+        stream_v.append(joules)
+    # -- multi charges: the scalar share helper, per group (rare) ----------
+    multi_rows = np.nonzero(multi_f >= 0)[0]
+    if len(multi_rows):
         sets = timeline.label_sets
-        for c in range(n_charges):
-            if kind_arr[c] != KIND_MULTI:
-                continue
-            rows = np.nonzero(c_idx == c)[0]
-            if not len(rows):
-                continue
-            multi = charge_cols[c]
+        bounds = timeline.multi_bounds
+        for g in np.unique(multi_f[multi_rows]).tolist():
+            i, pos, comp, joules = flat_rows(
+                multi_rows[multi_f[multi_rows] == g])
+            multi = timeline.multi_segments[bounds[g]:bounds[g + 1]]
+            idle_name = idle_names[int(timeline.multi_keys[g])
+                                   // _RES_SPACE]
             offsets, seg_rows, overlaps = _ragged_cover(
-                timeline.interval_t0[i_idx[rows]],
-                timeline.interval_t1[i_idx[rows]],
+                timeline.interval_t0[i], timeline.interval_t1[i],
                 multi.t0, multi.t1)
-            seg_sets = [sets[s] for s in multi.set_ids]
+            seg_sets = [sets[s] for s in multi.set_ids.tolist()]
             offs = offsets.tolist()
             srows = seg_rows.tolist()
             over = overlaps.tolist()
-            dt_list = dt_f[rows].tolist()
-            joules_list = joules_f[rows].tolist()
-            i_list = i_idx[rows].tolist()
-            p_list = pos_f[rows].tolist()
-            c_list = comp_f[rows].tolist()
+            dt_list = dt_ns[i].tolist()
+            joules_list = joules.tolist()
+            i_list = i.tolist()
+            p_list = pos.tolist()
+            c_list = comp.tolist()
             mi: list[int] = []
             mp: list[int] = []
             mq: list[int] = []
             mc: list[int] = []
             mn: list[int] = []
             mv: list[float] = []
-            for r in range(len(rows)):
+            for r in range(len(i_list)):
                 start, stop = offs[r], offs[r + 1]
                 shares = _multi_shares(
                     ((seg_sets[srows[k]], over[k])
@@ -2118,21 +2146,34 @@ def _contribution_stream(timeline, plans, column_power, component_names,
     # argsort keeps lexsort's tie order (both stable on the original
     # positions).  p is shifted by one so the const sentinel (-1) maps
     # into [0, p_base) — an affine encoding is order-preserving only
-    # over non-negative digits.
+    # over non-negative digits.  Intervals are log-major, so the log is
+    # the leading key.
     p_base = int(p_all.max()) + 2 if len(p_all) else 2
     q_base = int(q_all.max()) + 1 if len(q_all) else 1
     order = np.argsort(
         (i_all * p_base + (p_all + 1)) * q_base + q_all, kind="stable")
     span = len(names) + 1
-    code = (np.concatenate(stream_c) * span
-            + np.concatenate(stream_n))[order]
+    per_log = len(comps) * span
+    i_all = i_all[order]
+    log_all = interval_log[i_all]
+    code = log_all * per_log + (np.concatenate(stream_c) * span
+                                + np.concatenate(stream_n))[order]
     values = np.concatenate(stream_v)[order]
 
-    def key_of(c: int) -> tuple[str, str]:
-        cid, nid = divmod(c, span)
-        return _CONST_PAIR if cid == 0 else (comps[cid], names[nid])
+    keys: dict[int, tuple[int, tuple[str, str]]] = {}
 
-    return i_all[order], code, values, len(comps) * span, key_of
+    def key_of(c: int) -> tuple[int, tuple[str, str]]:
+        # Memoized: a live batch charges the same codes window after
+        # window.
+        key = keys.get(c)
+        if key is None:
+            log, rest = divmod(c, per_log)
+            cid, nid = divmod(rest, span)
+            key = keys[c] = (log, _CONST_PAIR if cid == 0
+                             else (comps[cid], names[nid]))
+        return key
+
+    return i_all, log_all, code, values, timeline.n_logs * per_log, key_of
 
 
 ColumnarSource = Union[bytes, bytearray, memoryview, LogColumns,
@@ -2141,25 +2182,30 @@ ColumnarSource = Union[bytes, bytearray, memoryview, LogColumns,
 
 def columnar_energy_map(
     source: ColumnarSource,
-    regression: RegressionResult,
+    regressions: Sequence[RegressionResult],
     registry: ActivityRegistry,
     component_names: dict[int, str],
-    energy_per_pulse_j: float,
+    energies_per_pulse_j: Sequence[float],
     *,
     fold_proxies: bool = False,
-    idle_name: str = "Idle",
+    idle_names: Optional[Sequence[str]] = None,
     end_time_ns: Optional[int] = None,
     single_res_ids: Optional[Iterable[int]] = None,
     multi_res_ids: Optional[Iterable[int]] = None,
-) -> EnergyMap:
+) -> list[EnergyMap]:
     """The columnar backend: the whole log → energy pipeline on column
-    arrays.
+    arrays, one map per log of ``source``.
 
     ``source`` may be packed log bytes (decoded in one
     ``np.frombuffer`` shot), :class:`~repro.core.logger.LogColumns`, a
     prebuilt :class:`~repro.core.timeline.ColumnarTimeline` (whose own
-    ``end_time_ns``/device sets then apply), or an iterable of decoded
-    entries (the compat path).
+    end times/device sets then apply), or an iterable of decoded entries
+    (the compat path); all but a timeline are one log.
+
+    ``regressions``, ``energies_per_pulse_j`` and ``idle_names``
+    (default ``"Idle"``) hold one value per log: a timeline of K logs
+    (all priced with one ``registry``) folds in one pass into K maps,
+    each bit-identical to folding that log on its own.
 
     Decode, reconstruction, cover, the energy products and the ordered
     fold are all vectorized: :func:`_contribution_stream` orders the
@@ -2168,8 +2214,8 @@ def columnar_energy_map(
     first-occurrence order) and :func:`_charge_stream` adds them up, so
     the map is bit-identical to the streaming reference's (float bits
     *and* dict insertion order) — the contract the golden tests'
-    reference leg enforces.  The busy time is :func:`_busy_time` with the
-    whole log as one chunk.  This is the same fold the
+    reference leg enforces.  The busy time is :func:`_busy_time` with
+    each whole log as one chunk.  This is the same fold the
     :class:`WindowedAccumulator` runs batch by batch.
     """
     if isinstance(source, ColumnarTimeline):
@@ -2185,35 +2231,51 @@ def columnar_energy_map(
             columns, end_time_ns=end_time_ns,
             single_res_ids=single_res_ids, multi_res_ids=multi_res_ids,
         )
-    n_intervals = len(timeline.interval_t0)
-    if not n_intervals:
+    regressions = list(regressions)
+    pulse_j = list(energies_per_pulse_j)
+    idle_names = ["Idle"] * timeline.n_logs if idle_names is None \
+        else list(idle_names)
+    if not (len(regressions) == len(pulse_j) == len(idle_names)
+            == timeline.n_logs):
+        raise ValueError(
+            f"a timeline of {timeline.n_logs} logs needs a regression, "
+            f"an energy per pulse and an idle name per log")
+    first, stop = timeline.interval_bounds[:-1], timeline.interval_bounds[1:]
+    if (stop == first).any():
         raise RegressionError("no power intervals to account")
-    if regression is None:
+    if not regressions:
+        return []
+    if any(reg is None for reg in regressions):
         raise RegressionError(
             "accounting needs a regression once power intervals exist"
         )
-    name_of_value = _label_namer(registry, {})
-    _, code, values, n_codes, key_of = _contribution_stream(
-        timeline, {}, _column_power(regression), component_names,
-        regression.const_power_w, name_of_value, fold_proxies, idle_name,
-        registry.name_of)
-    emap = EnergyMap()
-    emap.reconstructed_energy_j = _charge_stream(
-        emap.energy_j, 0.0, code, values, n_codes, key_of)
-    time_single: dict[int, dict[str, int]] = {}
-    time_multi: dict[int, dict[str, int]] = {}
+    segment_names = _segment_names(timeline, fold_proxies,
+                                   _label_namer(registry, {}))
+    _, log, code, values, n_codes, key_of = _contribution_stream(
+        timeline, [{} for _ in regressions],
+        [_column_power(reg) for reg in regressions], component_names,
+        [reg.const_power_w for reg in regressions], segment_names,
+        idle_names, registry.name_of)
+    maps = [EnergyMap() for _ in regressions]
+    _charge_stream(maps, log, code, values, n_codes, key_of)
+    time_single: list[dict[int, dict[str, int]]] = [{} for _ in maps]
+    time_multi: list[dict[int, dict[str, int]]] = [{} for _ in maps]
+    # Closing rows are per log, so one bound past every row takes each
+    # whole log as one chunk.
     (busy,) = _busy_time(
         timeline, [len(timeline.columns) + 1], time_single, time_multi,
-        name_of_value, registry.name_of, idle_name, fold_proxies)
+        segment_names, registry.name_of, idle_names)
     for per_name, name, dt_ns in busy:
         per_name[name] = per_name.get(name, 0) + dt_ns
-    emap.time_ns = _fold_time(time_single, time_multi, component_names)
-    emap.span_ns = int(timeline.interval_t1[n_intervals - 1]) \
-        - int(timeline.interval_t0[0])
-    emap.metered_energy_j = (
-        int(timeline.interval_pulses.sum()) * energy_per_pulse_j
-    )
-    return emap
+    spans = (timeline.interval_t1[stop - 1]
+             - timeline.interval_t0[first]).tolist()
+    pulses = np.add.reduceat(timeline.interval_pulses, first).tolist()
+    for k, emap in enumerate(maps):
+        emap.time_ns = _fold_time(time_single[k], time_multi[k],
+                                  component_names)
+        emap.span_ns = spans[k]
+        emap.metered_energy_j = pulses[k] * pulse_j[k]
+    return maps
 
 
 def stream_energy_map(
@@ -2266,11 +2328,12 @@ def build_energy_map(
     are charged to ``(untracked)``.
     """
     if resolve_analysis_backend(backend) == "columnar":
-        return columnar_energy_map(
-            timeline, regression, registry, component_names,
-            energy_per_pulse_j,
-            fold_proxies=fold_proxies, idle_name=idle_name,
+        (emap,) = columnar_energy_map(
+            timeline, [regression], registry, component_names,
+            [energy_per_pulse_j],
+            fold_proxies=fold_proxies, idle_names=[idle_name],
         )
+        return emap
     return stream_energy_map(
         timeline.entries,
         regression,

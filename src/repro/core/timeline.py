@@ -13,8 +13,9 @@ activity changes across all devices.  This module rebuilds:
 
 Two independent reconstructions produce the same spans:
 
-* :class:`ColumnarTimeline` — the whole log as column arrays, rebuilt
-  with vectorized passes over :class:`~repro.core.logger.LogColumns`.
+* :class:`ColumnarTimeline` — whole logs as column arrays, rebuilt
+  with vectorized passes over :class:`~repro.core.logger.LogColumns`,
+  one log or many (a network's) in the same passes.
   It is the one timeline type every caller holds
   (:meth:`repro.tos.node.QuantoNode.timeline` returns it) and the input
   of the columnar analysis backend.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -618,16 +619,38 @@ class TimelineCarry:
         return t1 > self.span_t0
 
 
-class _SingleColumns:
-    """One single-activity device's segments as parallel columns.
+class _Segments:
+    """Parallel segment columns (the ``__slots__`` of a subclass, in
+    constructor order); slicing slices every column."""
 
-    ``t0``/``t1`` are sorted, non-overlapping int64 arrays (zero-length
-    segments were never emitted); ``labels`` holds the painted 16-bit
-    encodings and ``bound`` the bind-resolved encoding (``-1`` where no
-    bind resolved the segment), both int64 arrays — the columnar form
-    of :class:`ActivitySegment`.
-    ``close_row`` is the row whose record closed each segment (see
-    :meth:`ColumnarTimeline._segments_single`).
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.t0)
+
+    def __getitem__(self, rows: slice):
+        return type(self)(*(getattr(self, name)[rows]
+                            for name in self.__slots__))
+
+    @classmethod
+    def concat(cls, parts: list):
+        return cls(*(_concat([getattr(part, name) for part in parts])
+                     for name in cls.__slots__))
+
+
+class _SingleColumns(_Segments):
+    """Single-activity segments as parallel columns: one device's, or
+    every (log, device) group's back to back (see
+    :attr:`ColumnarTimeline.single_segments`).
+
+    Per device, ``t0``/``t1`` are sorted, non-overlapping int64 arrays
+    (zero-length segments were never emitted); ``labels`` holds the
+    painted 16-bit encodings and ``bound`` the bind-resolved encoding
+    (``-1`` where no bind resolved the segment), both int64 arrays — the
+    columnar form of :class:`ActivitySegment`.
+    ``close_row`` is the row of its log whose record closed each segment
+    (the log's length for one closed at the end; see
+    :meth:`ColumnarTimeline._build_logs` for batch mode).
     """
 
     __slots__ = ("t0", "t1", "labels", "bound", "close_row")
@@ -639,9 +662,6 @@ class _SingleColumns:
         self.bound = bound
         self.close_row = close_row
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def label_values(self, fold_proxies: bool) -> np.ndarray:
         """The encoding each segment is charged to: its bound label where
         a bind resolved one and ``fold_proxies`` asks for it, else its
@@ -651,10 +671,10 @@ class _SingleColumns:
         return np.where(self.bound >= 0, self.bound, self.labels)
 
 
-class _MultiColumns:
-    """One multi-activity device's segments as parallel columns;
-    ``set_ids`` indexes :attr:`ColumnarTimeline.label_sets` and
-    ``close_row`` is as for :class:`_SingleColumns`."""
+class _MultiColumns(_Segments):
+    """Multi-activity segments as parallel columns; ``set_ids`` indexes
+    :attr:`ColumnarTimeline.label_sets` and ``close_row`` is as for
+    :class:`_SingleColumns`."""
 
     __slots__ = ("t0", "t1", "set_ids", "close_row")
 
@@ -664,8 +684,32 @@ class _MultiColumns:
         self.set_ids = set_ids
         self.close_row = close_row
 
-    def __len__(self) -> int:
-        return len(self.set_ids)
+
+def _concat(parts: list) -> np.ndarray:
+    return np.concatenate(parts) if parts \
+        else np.empty(0, dtype=np.int64)
+
+
+def _offsets(counts) -> np.ndarray:
+    """Group sizes → the ``len + 1`` row offsets that delimit them."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal ``keys`` begins (a bool mask)."""
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return starts
+
+
+#: Logs record ``res_id`` in one byte, so a (log, device) group keys as
+#: ``log * _RES_SPACE + res_id`` — sorted keys are log-major.
+_RES_SPACE = 256
+
+#: Activity labels are 16-bit encodings.
+_LABEL_SPACE = 1 << 16
 
 
 def _odd_multipliers(count: int) -> np.ndarray:
@@ -711,23 +755,136 @@ def _intern_vectors(value_matrix: np.ndarray, sink_ids: list[int]):
     remap = np.empty(len(first_idx), dtype=np.intp)
     remap[rank] = np.arange(len(first_idx), dtype=np.intp)
     vectors = [
-        tuple((rid, value)
-              for rid, value in zip(sink_ids, matrix[row].tolist())
+        tuple((rid, value) for rid, value in zip(sink_ids, row)
               if value != -1)
-        for row in first_idx[rank].tolist()
+        for row in matrix[first_idx[rank]].tolist()
     ]
     return vectors, remap[inverse]
 
 
-class ColumnarTimeline:
-    """The whole reconstruction as column arrays: power intervals and
-    activity segments rebuilt from :class:`~repro.core.logger.LogColumns`
-    without materializing a single :class:`LogEntry`,
-    :class:`PowerInterval`, or segment object (the views below build
-    them on request).
+def _group_ends(starts: np.ndarray) -> np.ndarray:
+    """Rows grouped with ``starts`` marking where each group begins →
+    which rows end their group (a bool mask)."""
+    ends = np.empty(len(starts), dtype=bool)
+    ends[:-1] = starts[1:]
+    ends[-1:] = True
+    return ends
 
-    Semantics mirror the streaming trackers entry-for-entry (the
-    backend-equivalence tests pin the outputs bit-for-bit):
+
+def _spans_to_next(times, group, log, local_row, log_end, close_rows):
+    """Rows sorted by group, each opening a span: to the next row of its
+    group, the group's last one to its log's end time.  Returns each
+    span's end, the row of its log that closes it (``close_rows`` of
+    its log for the last one), and which rows begin their group."""
+    starts = _run_starts(group)
+    last = _group_ends(starts)
+    t1 = np.empty(len(times), dtype=np.int64)
+    t1[:-1] = times[1:]
+    t1[last] = log_end[log[last]]
+    close = np.empty(len(times), dtype=np.int64)
+    close[:-1] = local_row[1:]
+    close[last] = close_rows[log[last]]
+    return t1, close, starts
+
+
+def _lead_groups(lead: list, columns: list) -> list:
+    """Parallel columns, group first, of rows that go ahead of every row
+    of their group in ``columns`` (grouped the same way): the merge, by
+    one stable sort on the group."""
+    merged = [np.concatenate((np.asarray(head, dtype=np.int64), column))
+              for head, column in zip(lead, columns)]
+    order = np.argsort(merged[0], kind="stable")
+    return [column[order] for column in merged]
+
+
+def _still_overlapping(segments: list, carry: TimelineCarry, n: int):
+    """``(group, rows)`` of the closed segments (closing row before the
+    batch's end ``n``) that reach into the power span left open, so
+    overlap the interval it becomes: a batch hands them on."""
+    group, close = segments[0], segments[-1]
+    alive = np.nonzero((close < n) & carry.overlaps_open_span(segments[2]))[0]
+    for g in np.unique(group[alive]).tolist():
+        yield g, alive[group[alive] == g]
+
+
+def _resolve_binds(group, labels, is_bind, starts) -> np.ndarray:
+    """Bind resolution over grouped change/bind rows, as array code:
+    each row's bound label, ``-1`` where no bind resolved it.
+
+    As in :class:`_SingleTracker`, a bind from L to M (a bind row's
+    previous label is the one before it in its group; a device's first
+    row has none) re-attributes every unresolved segment of L to M, and
+    those then follow M's fate.  So a segment enters its chain at the
+    first bind at or after its closing row that rebinds from its label,
+    a bind's successor is the next one rebinding from its new label, and
+    pointer jumping finds each chain's last bind, whose new label is the
+    resolution."""
+    n = len(labels)
+    previous = np.empty(n, dtype=np.int64)
+    previous[1:] = labels[:-1]
+    previous[starts] = -1
+    binds = np.nonzero(is_bind & (previous >= 0))[0]
+    if not len(binds):
+        return np.full(n, -1, dtype=np.int64)
+    # Binds sorted by (group, label rebound from, position).
+    bind_key = (group[binds] * _LABEL_SPACE + previous[binds]) * n + binds
+    by_key = np.argsort(bind_key)
+    sorted_key = bind_key[by_key]
+
+    def next_bind(chain, after):
+        """The first bind past position ``after`` rebinding from
+        ``chain`` (= group * _LABEL_SPACE + label), as an index into
+        ``binds``; -1 if none."""
+        query = chain * n + after
+        at = np.minimum(np.searchsorted(sorted_key, query, side="right"),
+                        len(sorted_key) - 1)
+        found = sorted_key[at]
+        return np.where((found > query) & (found // n == chain),
+                        by_key[at], -1)
+
+    last = next_bind(group[binds] * _LABEL_SPACE + labels[binds], binds)
+    last[last < 0] = np.nonzero(last < 0)[0]
+    while True:
+        jumped = last[last]
+        if np.array_equal(jumped, last):
+            break
+        last = jumped
+    entry = next_bind(group * _LABEL_SPACE + labels,
+                      np.arange(n, dtype=np.int64))
+    return np.where(entry >= 0, labels[binds[last[entry]]], -1)
+
+
+def _log_groups(keys, offsets, segments, index: int):
+    """Log ``index``'s share of a fused timeline's (log, device) groups:
+    its keys as plain ``res_id``\\ s, offsets from 0, and segments."""
+    lo, hi = np.searchsorted(keys, (index * _RES_SPACE,
+                                    (index + 1) * _RES_SPACE))
+    offsets = offsets[lo:hi + 1]
+    return (keys[lo:hi] - index * _RES_SPACE, offsets - offsets[0],
+            segments[int(offsets[0]):int(offsets[-1])])
+
+
+class ColumnarTimeline:
+    """The whole reconstruction of one or more logs as column arrays:
+    power intervals and activity segments rebuilt from
+    :class:`~repro.core.logger.LogColumns` without materializing a
+    single :class:`LogEntry`, :class:`PowerInterval`, or segment object
+    (the views below build them on request).
+
+    ``columns`` is one log, or a sequence of K logs (the nodes of one
+    network, say) with ``end_time_ns`` and the device sets then given
+    per log.  Either way it is one pass per stage over all rows: the
+    logs' columns are concatenated, intervals are kept log-major
+    (``interval_log``, ``interval_bounds``), and activity rows are
+    grouped by (log, device) with one stable sort.  :meth:`log` hands
+    out one log's share as a one-log timeline, which is what the
+    per-log consumers read (regression inputs, per-device views, lanes);
+    :func:`repro.core.accounting.columnar_energy_map` folds all K logs
+    at once.  ``log_end_ns`` holds each log's end time (``end_time_ns``
+    is the latest).
+
+    Semantics per log mirror the streaming trackers entry-for-entry
+    (the backend-equivalence tests pin the outputs bit-for-bit):
 
     * intervals close at each power-state boundary and finally at the
       last record of *any* type; state vectors are interned tuples in
@@ -736,344 +893,467 @@ class ColumnarTimeline:
       zero-length spans dropped and the trailing span closed at
       ``end_time_ns``; bind events resolve every unresolved segment of
       the label they rebind, transitively, like :class:`_SingleTracker`
-      with an unbounded horizon;
+      with an unbounded horizon — as array code: each bind's successor
+      is the next bind rebinding from its new label, chains resolve by
+      pointer jumping, and a segment enters its chain at the first bind
+      at or after its closing row that rebinds from its label;
     * multi-device spans carry interned ``frozenset`` label sets — the
       *same* interned objects per distinct set, so downstream iteration
       order matches the streaming path's.
 
     Entries must be in log order, which is time order: a record
-    stamped earlier than the one before it (in batch mode, also the
-    carry's last record) raises :class:`~repro.errors.LoggerError`, so
-    every interval the fold divides is strictly positive.  Devices may
-    be declared up front (always the case on node paths); otherwise they
-    are inferred over the whole log with the stream's in-order rule.
+    stamped earlier than the one before it in its log (in batch mode,
+    also the carry's last record) raises
+    :class:`~repro.errors.LoggerError`, so every interval the fold
+    divides is strictly positive.  Devices may be declared up front
+    (always the case on node paths); otherwise they are inferred over
+    the whole log with the stream's in-order rule.
 
     With a ``carry`` the columns are one batch of a longer stream (see
-    :meth:`_build_batch`): the batch continues the spans the carry holds
+    :meth:`_build_logs`): the batch continues the spans the carry holds
     open and, unless ``final``, hands back the spans still open at its
     end instead of closing them.
     """
 
     def __init__(
         self,
-        columns: LogColumns,
-        end_time_ns: Optional[int] = None,
-        single_res_ids: Optional[Iterable[int]] = None,
-        multi_res_ids: Optional[Iterable[int]] = None,
+        columns: Union[LogColumns, Sequence[LogColumns]],
+        end_time_ns: Union[int, Sequence[Optional[int]], None] = None,
+        single_res_ids: Optional[Iterable] = None,
+        multi_res_ids: Optional[Iterable] = None,
         carry: Optional[TimelineCarry] = None,
         final: bool = True,
     ) -> None:
-        times = columns.time_ns
+        if isinstance(columns, LogColumns):
+            logs = [columns]
+            ends, singles, multis = [end_time_ns], [single_res_ids], \
+                [multi_res_ids]
+        else:
+            logs = list(columns)
+            unset = [None] * len(logs)
+            ends = unset if end_time_ns is None else list(end_time_ns)
+            singles = unset if single_res_ids is None \
+                else list(single_res_ids)
+            multis = unset if multi_res_ids is None else list(multi_res_ids)
+            if not len(logs) == len(ends) == len(singles) == len(multis):
+                raise ValueError(
+                    "a multi-log timeline needs one end time and one "
+                    "device set per log")
+        lengths = [len(log) for log in logs]
+        bounds = _offsets(lengths)
+        joined = logs[0] if len(logs) == 1 else LogColumns.concat(logs) \
+            if logs else LogColumns.from_entries(())
+        times = joined.time_ns
+        # Rows stamped earlier than the row before them; a log may
+        # start before the one ahead of it ends.
+        backwards = np.nonzero(times[1:] < times[:-1])[0] + 1
         last_time = carry.last_time if carry is not None else None
-        if len(times) and (
-                (last_time is not None and int(times[0]) < last_time)
-                or bool((times[1:] < times[:-1]).any())):
+        if (len(times) and last_time is not None
+                and int(times[0]) < last_time) \
+                or (len(backwards) and not np.isin(backwards, bounds).all()):
             raise LoggerError(
                 "log time goes backwards: the columnar timeline needs "
                 "its records in time order")
-        self.columns = columns
+        self.columns = joined
+        self.n_logs = len(logs)
+        self.log_bounds = bounds
         self.label_sets: list[frozenset[ActivityLabel]] = []
         self._set_intern: dict[tuple[int, ...], int] = {}
         self._set_values: list[frozenset[int]] = []
-        if carry is not None:
-            self._build_batch(carry, end_time_ns, set(single_res_ids or []),
-                              set(multi_res_ids or []), final)
-            return
-        n = len(columns)
-        if end_time_ns is None:
-            end_time_ns = int(columns.time_ns[-1]) if n else 0
-        self.end_time_ns = end_time_ns
-        types = columns.type
-        res = columns.res_id
-        is_single_entry = (types == TYPE_ACT_CHANGE) \
-            | (types == TYPE_ACT_BIND)
-        is_multi_entry = (types == TYPE_ACT_ADD) | (types == TYPE_ACT_REMOVE)
-        self._single_ids = set(single_res_ids or [])
-        self._multi_ids = set(multi_res_ids or [])
-        # Whole-log device inference, replicating the stream's in-order
-        # rule: add/remove marks a device multi; change/bind
-        # marks it single only if it was not yet multi at that point —
-        # i.e. its first change precedes its first add/remove.
-        single_pos = np.nonzero(is_single_entry)[0]
-        multi_pos = np.nonzero(is_multi_entry)[0]
-        first_multi: dict[int, int] = {rid: -1 for rid in self._multi_ids}
-        if len(multi_pos):
-            rids, firsts = np.unique(res[multi_pos], return_index=True)
-            for rid, first in zip(rids.tolist(), firsts.tolist()):
-                pos = int(multi_pos[first])
-                if rid not in first_multi:
-                    first_multi[rid] = pos
-                self._multi_ids.add(rid)
-        if len(single_pos):
-            rids, firsts = np.unique(res[single_pos], return_index=True)
-            for rid, first in zip(rids.tolist(), firsts.tolist()):
-                bound = first_multi.get(rid)
-                if bound is None or int(single_pos[first]) < bound:
-                    self._single_ids.add(rid)
-        self._build_intervals(TimelineCarry(), final=True)
-        self._singles: dict[int, _SingleColumns] = {}
-        for rid in sorted(self._single_ids):
-            mask = is_single_entry & (res == rid)
-            rows = np.nonzero(mask)[0]
-            # The streaming feed drops a change/bind the moment its
-            # res_id is known to be multi, so rows at or past the
-            # device's first add/remove (or all rows, when it was
-            # declared multi up front: bound -1) never reach the
-            # single tracker.
-            bound = first_multi.get(rid)
-            if bound is not None:
-                rows = rows[rows < bound]
-            self._singles[rid] = self._build_single(rid, rows)
-        self._multis: dict[int, _MultiColumns] = {}
-        for rid in sorted(self._multi_ids):
-            mask = is_multi_entry & (res == rid)
-            self._multis[rid] = self._segments_multi(
-                rid, np.nonzero(mask)[0], TimelineCarry(),
-                self.end_time_ns, final=True)
+        if carry is not None and self.n_logs != 1:
+            raise ValueError("batch mode continues one log")
+        self._log_columns = logs
+        self._build_logs(np.asarray(lengths, dtype=np.int64), ends,
+                         singles, multis, carry, final)
 
     # -- construction -------------------------------------------------------
 
-    def _build_batch(self, carry: TimelineCarry,
-                     end_time_ns: Optional[int], single_ids: set[int],
-                     multi_ids: set[int], final: bool) -> None:
-        """Batch mode: these rows continue the stream ``carry``
-        describes, with exactly the streaming trackers' semantics.
+    def _build_logs(self, log_len: np.ndarray, ends: list, singles: list,
+                    multis: list, carry: Optional[TimelineCarry],
+                    final: bool) -> None:
+        """Every log at once, one pass per stage.
 
-        Devices are the given sets — no inference: a caller that meets
-        a new device splits its batch there.  A device in both sets is
-        covered as single, and its change/bind rows are dropped (the
-        stream stops feeding its single tracker once it turns multi).
-        Unless ``final``, the power span and every activity span still
-        open at the batch's end go back into ``carry``; for covering,
-        an open activity span is clamped at the batch's last record (no
-        interval of the batch ends later).  ``final`` closes them as the
+        With a ``carry`` the one log is a batch of a longer stream, with
+        exactly the streaming trackers' semantics: the batch continues
+        the power span and activity spans the carry holds open and,
+        unless ``final``, hands back the spans still open at its end.
+        Devices are then the given sets — no inference: a caller that
+        meets a new device splits its batch there.  An open activity
+        span is clamped at the batch's last record for covering (no
+        interval of the batch ends later); ``final`` closes spans as the
         stream's finish does: the trailing interval at the last record,
         activity spans at ``end_time_ns`` (default: the last record).
-
-        Batch mode also records each interval's emitting row
-        (``interval_row``; ``n`` for the trailing interval) and each
-        segment's closing row (``close_row``: ``-1`` for a segment an
-        earlier batch closed, ``n`` when closed at finish, ``n + 1``
-        while still open).
+        A batch's closing rows are ``-1`` for a segment an earlier batch
+        closed, its length when closed at finish and one more while
+        still open.
         """
         columns = self.columns
-        self._build_intervals(carry, final)
-        last_time = carry.last_time if carry.last_time is not None else 0
-        close_ns = end_time_ns if final and end_time_ns is not None \
-            else last_time
-        # Read by the fold only to separate devices' time bands, so it
-        # must bound every segment and interval time of the batch.
-        self.end_time_ns = max(close_ns, last_time)
-        self._single_ids = single_ids
-        self._multi_ids = multi_ids
+        count = self.n_logs
+        times = columns.time_ns
+        row_log = np.repeat(np.arange(count, dtype=np.int64), log_len)
+        # The row closing each log's last spans: its length, one more
+        # for a batch's spans left open.
+        close_rows = log_len
+        if carry is None:
+            log_end = np.zeros(count, dtype=np.int64)
+            filled = log_len > 0
+            log_end[filled] = times[self.log_bounds[1:][filled] - 1]
+            for k, end in enumerate(ends):
+                if end is not None:
+                    log_end[k] = end
+            self.end_time_ns = ends[0] if count == 1 and ends[0] is not None \
+                else int(log_end.max(initial=0))
+        else:
+            n = len(columns)
+            if n:
+                carry.last_time = int(times[n - 1])
+                carry.last_icount = int(columns.icount[n - 1])
+            last_time = carry.last_time if carry.last_time is not None else 0
+            close_ns = ends[0] if final and ends[0] is not None \
+                else last_time
+            log_end = np.array([close_ns], dtype=np.int64)
+            # Read by the fold only to separate devices' time bands, so
+            # it must bound every segment and interval time of the batch.
+            self.end_time_ns = max(close_ns, last_time)
+            if not final:
+                close_rows = log_len + 1
+        self.log_end_ns = log_end
         types = columns.type
-        res = columns.res_id
-        rows = np.nonzero((types == TYPE_ACT_CHANGE)
-                          | (types == TYPE_ACT_BIND))[0]
-        rows_res = res[rows]
-        self._singles = {}
-        for rid in sorted(single_ids):
-            pos = rows[:0] if rid in multi_ids else rows[rows_res == rid]
-            self._singles[rid] = self._segments_single(
-                rid, pos, carry, close_ns, final)
-        rows = np.nonzero((types == TYPE_ACT_ADD)
-                          | (types == TYPE_ACT_REMOVE))[0]
-        rows_res = res[rows]
-        self._multis = {}
-        for rid in sorted(multi_ids):
-            self._multis[rid] = self._segments_multi(
-                rid, rows[rows_res == rid], carry, close_ns, final)
+        key = row_log * _RES_SPACE + columns.res_id
+        single_rows = np.nonzero((types == TYPE_ACT_CHANGE)
+                                 | (types == TYPE_ACT_BIND))[0]
+        multi_rows = np.nonzero((types == TYPE_ACT_ADD)
+                                | (types == TYPE_ACT_REMOVE))[0]
+        # Devices per log: the declared ones (a declared res_id outside
+        # the one byte a log records never matches a record), plus, for
+        # whole logs, the stream's in-order inference — add/remove marks
+        # a device multi; change/bind marks it single only if its first
+        # change precedes its first add/remove.  The stream drops a
+        # change/bind the moment its device is known to be multi, so
+        # rows at or past that first add/remove (all rows, when declared
+        # multi up front: -1) never reach the single tracker; a device
+        # declared both ways is covered as single with no segments.
+        is_single = np.zeros(count * _RES_SPACE, dtype=bool)
+        is_multi = np.zeros(count * _RES_SPACE, dtype=bool)
+        first_multi = np.full(count * _RES_SPACE, np.iinfo(np.int64).max,
+                              dtype=np.int64)
+        for k in range(count):
+            is_single[[k * _RES_SPACE + rid for rid in singles[k] or ()
+                       if 0 <= rid < _RES_SPACE]] = True
+            declared = [k * _RES_SPACE + rid for rid in multis[k] or ()
+                        if 0 <= rid < _RES_SPACE]
+            is_multi[declared] = True
+            first_multi[declared] = -1
+        if carry is None:
+            devices, firsts = np.unique(key[multi_rows], return_index=True)
+            inferred = ~is_multi[devices]
+            first_multi[devices[inferred]] = multi_rows[firsts[inferred]]
+            is_multi[devices] = True
+            devices, firsts = np.unique(key[single_rows], return_index=True)
+            is_single[devices[single_rows[firsts]
+                              < first_multi[devices]]] = True
+        device = key[single_rows]
+        single_rows = single_rows[is_single[device]
+                                  & (single_rows < first_multi[device])]
+        multi_rows = multi_rows[is_multi[key[multi_rows]]]
+        self._build_intervals(row_log, log_len, carry, final)
+        self._build_singles(key, single_rows, np.nonzero(is_single)[0],
+                            row_log, close_rows, carry, final)
+        self._build_multis(key, multi_rows, np.nonzero(is_multi)[0],
+                           row_log, close_rows, carry, final)
 
-    def _build_intervals(self, carry: TimelineCarry, final: bool) -> None:
-        """Power entries → interval columns, continuing ``carry``'s open
-        span and state vector (a fresh carry for a whole log).
+    def _build_intervals(self, row_log: np.ndarray, log_len: np.ndarray,
+                         carry: Optional[TimelineCarry], final: bool) -> None:
+        """Power entries → interval columns for every log, log-major.
 
-        Equivalent to replaying :class:`_IntervalTracker` entry by
-        entry:
+        Per log, equivalent to replaying :class:`_IntervalTracker` entry
+        by entry:
 
-        * the span opens at the first power/boot entry; every *non-boot*
-          power entry at a time strictly later than the open span emits
-          a boundary (same-time entries merge, boots never emit) —
-          computed as a first-of-each-distinct-time mask;
+        * the span opens at the log's first power/boot entry (a batch
+          continues the span ``carry`` holds open); every *non-boot*
+          power entry strictly later than the one before it (the first
+          compared with the opening) is a boundary — same-time entries
+          merge, boots never emit;
         * pulses are the iCount deltas between consecutive boundaries;
-        * the state vector at each boundary is the last value every sink
-          set *before* the emitting entry (else its carried value) — a
-          per-sink ``searchsorted`` forward fill — with equal rows
-          interned (:func:`_intern_vectors`);
-        * ``final`` closes the trailing span at the last record of any
-          type, with the post-log state vector and non-negative clamped
-          pulses; otherwise the span stays open in ``carry``.
+        * the trailing interval is one more boundary: a virtual entry at
+          the log's last record of any type, after its last power entry,
+          with clamped non-negative pulses and the post-log state — a
+          batch that is not ``final`` leaves its span open in ``carry``
+          instead;
+        * the state vector at each boundary is each sink's last value
+          set before it *in the same log* (else its carried value) — a
+          per-sink ``searchsorted`` forward fill that ignores writes of
+          other logs — with equal rows interned
+          (:func:`_intern_vectors`).
         """
         columns = self.columns
-        n = len(columns)
-        if n:
-            carry.last_time = int(columns.time_ns[n - 1])
-            carry.last_icount = int(columns.icount[n - 1])
+        count = self.n_logs
         types = columns.type
         p_pos = np.nonzero(
             (types == TYPE_POWERSTATE) | (types == TYPE_BOOT))[0]
-        span_t0, span_ic = carry.span_t0, carry.span_pulses
-        t0s = t1s = pulses = rows = np.empty(0, dtype=np.int64)
-        sink_ids = sorted(carry.states)
-        before = np.empty((0, len(sink_ids)), dtype=np.int64)
-        post = [carry.states[rid] for rid in sink_ids]
-        if len(p_pos):
-            p_types = types[p_pos]
-            p_time = columns.time_ns[p_pos]
-            p_ic = columns.icount[p_pos]
-            p_res = columns.res_id[p_pos]
-            p_val = columns.value[p_pos]
-            if span_t0 is None:
-                span_t0, span_ic = int(p_time[0]), int(p_ic[0])
-            candidates = np.nonzero(p_types != TYPE_BOOT)[0]
-            cand_times = p_time[candidates]
-            previous = np.empty_like(cand_times)
-            if len(candidates):
-                previous[0] = span_t0
-                previous[1:] = cand_times[:-1]
-            emit = candidates[cand_times > previous]
-            if len(emit):
-                b_time = p_time[emit]
-                b_ic = p_ic[emit]
-                t0s = np.concatenate(([span_t0], b_time[:-1]))
-                t1s = b_time
-                pulses = b_ic - np.concatenate(([span_ic], b_ic[:-1]))
-                rows = p_pos[emit]
-                span_t0, span_ic = int(b_time[-1]), int(b_ic[-1])
-            sink_ids = sorted(set(sink_ids).union(np.unique(p_res).tolist()))
-            queries = np.concatenate((emit, [len(p_pos)]))
-            matrix = np.empty((len(queries), len(sink_ids)), dtype=np.int64)
-            for column_index, rid in enumerate(sink_ids):
-                matrix[:, column_index] = carry.states.get(rid, -1)
-                writes = np.nonzero(p_res == rid)[0]
-                if len(writes):
-                    fill = np.searchsorted(writes, queries, side="left") - 1
-                    seen = fill >= 0
-                    matrix[seen, column_index] = p_val[writes[fill[seen]]]
-            before = matrix[:-1]
-            post = matrix[-1].tolist()
-        carry.states = {rid: value for rid, value in zip(sink_ids, post)
-                        if value != -1}
-        if final:
-            if span_t0 is not None and carry.last_time is not None \
-                    and carry.last_time > span_t0:
-                t0s = np.append(t0s, span_t0)
-                t1s = np.append(t1s, carry.last_time)
-                pulses = np.append(
-                    pulses, max(carry.last_icount - span_ic, 0))
-                rows = np.append(rows, n)
-                before = np.vstack((before, [post]))
-            span_t0 = None
-        carry.span_t0, carry.span_pulses = span_t0, span_ic
-        self.vectors, self.interval_vec = _intern_vectors(before, sink_ids)
-        self.interval_t0 = t0s
-        self.interval_t1 = t1s
-        self.interval_pulses = pulses
-        self.interval_row = rows
-
-    def _segments_single(self, res_id: int, pos: np.ndarray,
-                         carry: TimelineCarry, close_ns: int,
-                         final: bool) -> _SingleColumns:
-        """One device's change/bind rows → segment columns by painted
-        label (a bind repaints like a change), after the closed segments
-        ``carry`` still holds and continuing the segment it holds open:
-        each segment spans one record to the next, the last one to
-        ``close_ns``, zero-length spans dropped.  Unless ``final`` the
-        last segment stays open in ``carry``, with the closed ones that
-        reach into the open power span."""
-        columns = self.columns
-        n = len(columns)
-        times = columns.time_ns[pos]
-        values = columns.value[pos]
-        ends = pos
-        opened = carry.single_open.get(res_id)
-        if opened is not None:
-            times = np.concatenate(([opened[0]], times))
-            values = np.concatenate(([opened[1]], values))
+        pos_log = row_log[p_pos]
+        opener = carry is not None and carry.span_t0 is not None
+        per_log = np.bincount(pos_log, minlength=count) + opener
+        closes = (per_log > 0) & (carry is None or final)
+        # Per log: [the carried opening] + its power entries + [the
+        # virtual closing entry].
+        offsets = _offsets(per_log + closes)
+        total = int(offsets[-1])
+        p_log = np.repeat(np.arange(count, dtype=np.int64),
+                          offsets[1:] - offsets[:-1])
+        p_time = np.empty(total, dtype=np.int64)
+        p_ic = np.empty(total, dtype=np.int64)
+        p_res = np.full(total, -1, dtype=np.int64)
+        p_val = np.zeros(total, dtype=np.int64)
+        p_row = np.empty(total, dtype=np.int64)
+        real = np.ones(total, dtype=bool)
+        if opener:
+            real[0] = False
+            p_time[0], p_ic[0] = carry.span_t0, carry.span_pulses
+        closing = np.nonzero(closes)[0]
+        ends = offsets[closing + 1] - 1
+        real[ends] = False
+        p_time[real] = columns.time_ns[p_pos]
+        p_ic[real] = columns.icount[p_pos]
+        p_res[real] = columns.res_id[p_pos]
+        p_val[real] = columns.value[p_pos]
+        p_row[real] = p_pos - self.log_bounds[pos_log]
+        if carry is None:
+            last = self.log_bounds[closing + 1] - 1
+            p_time[ends] = columns.time_ns[last]
+            p_ic[ends] = columns.icount[last]
         else:
-            ends = pos[1:]
-        t0 = t1 = values[:0]
-        if len(times):
-            if final:
-                carry.single_open.pop(res_id, None)
-            else:
-                carry.single_open[res_id] = (int(times[-1]),
-                                             int(values[-1]))
-            t1 = np.concatenate((times[1:], [close_ns]))
-            ends = np.concatenate((ends, [n if final else n + 1]))
-            keep = t1 > times
-            t0, t1, values, ends = times[keep], t1[keep], values[keep], \
-                ends[keep]
-        done = carry.single_done.pop(res_id, None)
-        if done is not None:
-            t0 = np.concatenate((done[0], t0))
-            t1 = np.concatenate((done[1], t1))
-            values = np.concatenate((done[2], values))
-            ends = np.concatenate((np.full(len(done[0]), -1), ends))
-        if not final:
-            alive = (ends < n) & carry.overlaps_open_span(t1)
-            if alive.any():
-                carry.single_done[res_id] = (t0[alive], t1[alive],
-                                             values[alive])
-        return _SingleColumns(t0=t0, t1=t1, labels=values,
-                              bound=np.full(len(values), -1, dtype=np.int64),
-                              close_row=ends)
+            p_time[ends] = carry.last_time
+            p_ic[ends] = carry.last_icount
+        # The log's length emits its closing interval.
+        p_row[ends] = log_len[closing]
+        candidate = ~real
+        candidate[real] = types[p_pos] != TYPE_BOOT
+        if opener:
+            candidate[0] = False
+        candidates = np.nonzero(candidate)[0]
+        opening = offsets[:-1]
+        previous = np.empty(len(candidates), dtype=np.int64)
+        previous[1:] = p_time[candidates[:-1]]
+        opens = _run_starts(p_log[candidates])
+        previous[opens] = p_time[opening[p_log[candidates[opens]]]]
+        emit = candidates[p_time[candidates] > previous]
+        interval_log = p_log[emit]
+        # Each boundary closes the interval since the boundary before it
+        # in its log, the first one since the span opened.
+        start = np.empty(len(emit), dtype=np.intp)
+        start[1:] = emit[:-1]
+        opens = _run_starts(interval_log)
+        start[opens] = opening[interval_log[opens]]
+        pulses = p_ic[emit] - p_ic[start]
+        virtual = ~real[emit]
+        pulses[virtual] = np.maximum(pulses[virtual], 0)
+        self.interval_t0 = p_time[start]
+        self.interval_t1 = p_time[emit]
+        self.interval_pulses = pulses
+        self.interval_row = p_row[emit]
+        self.interval_log = interval_log
+        self.interval_bounds = np.searchsorted(interval_log,
+                                               np.arange(count + 1))
+        states = carry.states if carry is not None else {}
+        written = np.nonzero(p_res >= 0)[0]
+        # Sinks are one-byte res_ids: a presence table numbers them.
+        column = np.zeros(_RES_SPACE, dtype=np.int64)
+        column[p_res[written]] = 1
+        column[list(states)] = 1
+        sinks = np.nonzero(column)[0]
+        np.cumsum(column, out=column)
+        defaults = np.array([states.get(rid, -1) for rid in sinks.tolist()],
+                            dtype=np.int64)
+        # Writes sorted by (sink, position) as one key: a sink's last
+        # write before position q is the one just below sink * width +
+        # q, and it counts only within q's log.
+        width = total + 1
+        write_column = column[p_res[written]] - 1
+        order = np.argsort(write_column, kind="stable")
+        write_column = write_column[order]
+        write_at = written[order]
+        write_key = write_column * width + write_at
+        sink_column = np.arange(len(sinks), dtype=np.int64)
+        positions, logs = emit, interval_log
+        if carry is not None:
+            # One more row: the state after the batch, carried on.
+            positions = np.append(emit, total)
+            logs = np.append(interval_log, 0)
+        if len(write_key):
+            at = np.maximum(np.searchsorted(
+                write_key, sink_column * width + positions[:, None]) - 1, 0)
+            source = write_at[at]
+            seen = (write_column[at] == sink_column) \
+                & (source < positions[:, None]) \
+                & (p_log[source] == logs[:, None])
+            matrix = np.where(seen, p_val[source], defaults)
+        else:
+            matrix = np.tile(defaults, (len(positions), 1))
+        if carry is not None:
+            carry.states = {rid: value for rid, value
+                            in zip(sinks.tolist(), matrix[-1].tolist())
+                            if value != -1}
+            matrix = matrix[:-1]
+        self.vectors, self.interval_vec = _intern_vectors(matrix,
+                                                          sinks.tolist())
+        if carry is not None:
+            if total:
+                # The span stays open from the last real boundary.
+                boundaries = emit[real[emit]]
+                held = boundaries[-1] if len(boundaries) else 0
+                carry.span_t0 = None if final else int(p_time[held])
+                carry.span_pulses = int(p_ic[held])
 
-    def _build_single(self, res_id: int, pos: np.ndarray) -> _SingleColumns:
-        """One device's change/bind rows → segment columns, with the
-        :class:`_SingleTracker` bind semantics (pop every unresolved
-        segment of the rebound label; chain transitively)."""
+    def _build_singles(self, key, rows, groups, row_log, close_rows, carry,
+                       final) -> None:
+        """Change/bind rows of every single device of every log →
+        :attr:`single_segments`, one stable sort grouping them by (log,
+        device) in row order.
+
+        Each row opens a segment painted with its label, running to the
+        group's next row (the last one to its log's end time); zero-length
+        ones are dropped.  Whole logs resolve binds (see
+        :func:`_resolve_binds`).  A batch resolves none (a later batch's
+        bind could still reach back): each device's rows follow the
+        segment ``carry`` holds open, behind the closed segments it still
+        holds.
+        """
         columns = self.columns
-        bind_rows = columns.type[pos] == TYPE_ACT_BIND
-        if not bind_rows.any():
-            # No binds: the painted-label segments are the whole answer.
-            return self._segments_single(res_id, pos, TimelineCarry(),
-                                         self.end_time_ns, final=True)
-        times = columns.time_ns[pos].tolist()
-        labels = columns.value[pos].tolist()
-        binds = bind_rows.tolist()
-        rows = pos.tolist()
-        t0s: list[int] = []
-        t1s: list[int] = []
-        seg_labels: list[int] = []
-        bound: list[int] = []
-        close_rows: list[int] = []
-        unresolved: dict[int, list[int]] = {}
-        open_label: Optional[int] = None
-        open_t0 = 0
-        for k in range(len(times)):
-            t = times[k]
-            new_label = labels[k]
-            previous_label = open_label
-            if open_label is not None and t > open_t0:
-                index = len(seg_labels)
-                t0s.append(open_t0)
-                t1s.append(t)
-                seg_labels.append(open_label)
-                bound.append(-1)
-                close_rows.append(rows[k])
-                unresolved.setdefault(open_label, []).append(index)
-            if binds[k] and previous_label is not None:
-                pending = unresolved.pop(previous_label, [])
-                if pending:
-                    for index in pending:
-                        bound[index] = new_label
-                    unresolved.setdefault(new_label, []).extend(pending)
-            open_label = new_label
-            open_t0 = t
-        if open_label is not None and self.end_time_ns > open_t0:
-            t0s.append(open_t0)
-            t1s.append(self.end_time_ns)
-            seg_labels.append(open_label)
-            bound.append(-1)
-            close_rows.append(len(columns))
-        return _SingleColumns(
-            t0=np.array(t0s, dtype=np.int64),
-            t1=np.array(t1s, dtype=np.int64),
-            labels=np.array(seg_labels, dtype=np.int64),
-            bound=np.array(bound, dtype=np.int64),
-            close_row=np.array(close_rows, dtype=np.int64),
-        )
+        rows = rows[np.argsort(key[rows], kind="stable")]
+        group = np.searchsorted(groups, key[rows])
+        log = row_log[rows]
+        times = columns.time_ns[rows]
+        labels = columns.value[rows]
+        local = rows - self.log_bounds[log]
+        rid_of = groups.tolist()
+        if carry is not None and carry.single_open:
+            opened = [(g, *carry.single_open[rid])
+                      for g, rid in enumerate(rid_of)
+                      if rid in carry.single_open]
+            group, times, labels, local = _lead_groups(
+                [np.array(part, dtype=np.int64) for part in zip(*opened)]
+                + [np.full(len(opened), -1, dtype=np.int64)],
+                [group, times, labels, local])
+            log = np.zeros(len(group), dtype=np.int64)
+        t1, close, starts = _spans_to_next(
+            times, group, log, local, self.log_end_ns, close_rows)
+        if carry is None:
+            bound = _resolve_binds(
+                group, labels, columns.type[rows] == TYPE_ACT_BIND, starts)
+        else:
+            bound = np.full(len(times), -1, dtype=np.int64)
+            for g, time_ns, label in zip(
+                    *(column[_group_ends(starts)].tolist()
+                      for column in (group, times, labels))):
+                if final:
+                    carry.single_open.pop(rid_of[g], None)
+                else:
+                    carry.single_open[rid_of[g]] = (time_ns, label)
+        keep = np.nonzero(t1 > times)[0]
+        segments = [group[keep], times[keep], t1[keep], labels[keep],
+                    bound[keep], close[keep]]
+        if carry is not None:
+            done = []
+            for g, rid in enumerate(rid_of):
+                if rid in carry.single_done:
+                    t0s, t1s, painted = carry.single_done.pop(rid)
+                    # Closed by an earlier batch: unbound, closing row -1.
+                    unset = np.full(len(t0s), -1, dtype=np.int64)
+                    done.append((np.full(len(t0s), g, dtype=np.int64), t0s,
+                                 t1s, painted, unset, unset))
+            if done:
+                segments = _lead_groups(
+                    [np.concatenate(parts) for parts in zip(*done)],
+                    segments)
+            if not final:
+                for g, held in _still_overlapping(segments, carry,
+                                                  len(columns)):
+                    carry.single_done[rid_of[g]] = tuple(
+                        column[held] for column in segments[1:4])
+        self.single_keys = groups
+        self.single_bounds = np.searchsorted(segments[0],
+                                             np.arange(len(groups) + 1))
+        self.single_segments = _SingleColumns(*segments[1:])
+
+    def _build_multis(self, key, rows, groups, row_log, close_rows, carry,
+                      final) -> None:
+        """Add/remove rows of every multi device of every log →
+        :attr:`multi_segments`, grouped like :meth:`_build_singles`:
+        each row opens a span carrying the label set after it (the set
+        :class:`_MultiTracker` snapshots when the next row arrives), the
+        group's last one to its log's end time; zero-length spans are
+        dropped.  A batch's rows follow the span ``carry`` holds open,
+        behind the closed spans it still holds.  Multi devices log a few
+        add/removes per second, so after the grouping sort this is one
+        python scan over the rows, each distinct set interned once."""
+        columns = self.columns
+        rows = rows[np.argsort(key[rows], kind="stable")]
+        rid_of = groups.tolist()
+        # (group, time, row of its log, add: True / remove: False /
+        # carried opening: None, label)
+        entries = list(zip(
+            np.searchsorted(groups, key[rows]).tolist(),
+            columns.time_ns[rows].tolist(),
+            (rows - self.log_bounds[row_log[rows]]).tolist(),
+            (columns.type[rows] == TYPE_ACT_ADD).tolist(),
+            columns.value[rows].tolist()))
+        opened: dict[int, frozenset[int]] = {}
+        openings = []
+        done = []
+        if carry is not None:
+            for g, rid in enumerate(rid_of):
+                if rid in carry.multi_open:
+                    start, labels = carry.multi_open[rid]
+                    opened[g] = labels
+                    openings.append((g, start, -1, None, -1))
+                if rid in carry.multi_done:
+                    for t0, t1, labels in zip(*carry.multi_done.pop(rid)):
+                        done.append((g, t0, t1, self._intern_set(labels),
+                                     -1))
+        if openings:
+            # A stable sort keeps each opening ahead of its group's rows.
+            entries = sorted(openings + entries, key=lambda entry: entry[0])
+        log_end = self.log_end_ns.tolist()
+        last_close = close_rows.tolist()
+        spans = []
+        current: set[int] = set()
+        for index, (g, t0, _, add, label) in enumerate(entries):
+            if not index or entries[index - 1][0] != g:
+                current = set(opened.get(g, ()))
+            if add:
+                current.add(label)
+            elif add is not None:
+                current.discard(label)
+            if index + 1 < len(entries) and entries[index + 1][0] == g:
+                t1, close = entries[index + 1][1:3]
+            else:
+                log = rid_of[g] // _RES_SPACE
+                t1, close = log_end[log], last_close[log]
+                if carry is not None:
+                    if final:
+                        carry.multi_open.pop(rid_of[g], None)
+                    else:
+                        carry.multi_open[rid_of[g]] = (t0,
+                                                       frozenset(current))
+            if t1 > t0:
+                spans.append((g, t0, t1, self._intern_set(current), close))
+        if done:
+            spans = sorted(done + spans, key=lambda span: span[0])
+        segments = [np.array(column, dtype=np.int64)
+                    for column in zip(*spans)] if spans \
+            else [np.empty(0, dtype=np.int64)] * 5
+        if carry is not None and not final:
+            sets = self._set_values
+            for g, held in _still_overlapping(segments, carry,
+                                              len(columns)):
+                carry.multi_done[rid_of[g]] = (
+                    segments[1][held].tolist(), segments[2][held].tolist(),
+                    [sets[s] for s in segments[3][held].tolist()])
+        self.multi_keys = groups
+        self.multi_bounds = np.searchsorted(segments[0],
+                                            np.arange(len(groups) + 1))
+        self.multi_segments = _MultiColumns(*segments[1:])
 
     def _intern_set(self, values) -> int:
         key = tuple(sorted(values))
@@ -1086,79 +1366,67 @@ class ColumnarTimeline:
             self._set_values.append(frozenset(key))
         return set_id
 
-    def _segments_multi(self, res_id: int, pos: np.ndarray,
-                        carry: TimelineCarry, close_ns: int,
-                        final: bool) -> _MultiColumns:
-        """One device's add/remove rows → label-set spans, mirroring
-        :class:`_MultiTracker` (snapshot emitted before each change) and
-        continuing the span ``carry`` holds open; the last span runs to
-        ``close_ns`` and, unless ``final``, stays open in ``carry``."""
-        columns = self.columns
-        n = len(columns)
-        times = columns.time_ns[pos].tolist()
-        labels = columns.value[pos].tolist()
-        adds = (columns.type[pos] == TYPE_ACT_ADD).tolist()
-        rows = pos.tolist()
-        t0s: list[int] = []
-        t1s: list[int] = []
-        set_ids: list[int] = []
-        close_rows: list[int] = []
-        done = carry.multi_done.pop(res_id, None)
-        if done is not None:
-            t0s.extend(done[0])
-            t1s.extend(done[1])
-            set_ids.extend(self._intern_set(values) for values in done[2])
-            close_rows.extend([-1] * len(done[0]))
-        opened = carry.multi_open.get(res_id)
-        started = opened is not None
-        start, current = (opened[0], set(opened[1])) if started \
-            else (0, set())
-        for k in range(len(times)):
-            t = times[k]
-            if started and t > start:
-                t0s.append(start)
-                t1s.append(t)
-                set_ids.append(self._intern_set(current))
-                close_rows.append(rows[k])
-            if adds[k]:
-                current.add(labels[k])
-            else:
-                current.discard(labels[k])
-            start = t
-            started = True
-        if started:
-            if close_ns > start:
-                t0s.append(start)
-                t1s.append(close_ns)
-                set_ids.append(self._intern_set(current))
-                close_rows.append(n if final else n + 1)
-            if final:
-                carry.multi_open.pop(res_id, None)
-            else:
-                carry.multi_open[res_id] = (start, frozenset(current))
-        columns = _MultiColumns(
-            t0=np.array(t0s, dtype=np.int64),
-            t1=np.array(t1s, dtype=np.int64),
-            set_ids=set_ids,
-            close_row=np.array(close_rows, dtype=np.int64),
-        )
-        if not final:
-            alive = np.nonzero((columns.close_row < n)
-                               & carry.overlaps_open_span(columns.t1))[0]
-            if len(alive):
-                sets = self._set_values
-                carry.multi_done[res_id] = (
-                    columns.t0[alive].tolist(), columns.t1[alive].tolist(),
-                    [sets[set_ids[k]] for k in alive.tolist()])
-        return columns
-
     # -- views --------------------------------------------------------------
+
+    def log(self, index: int) -> "ColumnarTimeline":
+        """Log ``index`` as a one-log timeline: slices of this one's
+        columns, sharing its interned state vectors and label sets — the
+        per-log consumers' input (a one-log timeline is its own)."""
+        if self.n_logs == 1:
+            return self
+        view = object.__new__(ColumnarTimeline)
+        view.columns = self._log_columns[index]
+        view._log_columns = [view.columns]
+        view.n_logs = 1
+        view.log_bounds = np.array([0, len(view.columns)], dtype=np.int64)
+        view.log_end_ns = self.log_end_ns[index:index + 1]
+        view.end_time_ns = int(self.log_end_ns[index])
+        view.label_sets = self.label_sets
+        view._set_intern = self._set_intern
+        view._set_values = self._set_values
+        view.vectors = self.vectors
+        lo, hi = self.interval_bounds[index:index + 2].tolist()
+        view.interval_t0 = self.interval_t0[lo:hi]
+        view.interval_t1 = self.interval_t1[lo:hi]
+        view.interval_pulses = self.interval_pulses[lo:hi]
+        view.interval_vec = self.interval_vec[lo:hi]
+        view.interval_row = self.interval_row[lo:hi]
+        view.interval_log = self.interval_log[lo:hi] - index
+        view.interval_bounds = np.array([0, hi - lo], dtype=np.int64)
+        view.single_keys, view.single_bounds, view.single_segments = \
+            _log_groups(self.single_keys, self.single_bounds,
+                        self.single_segments, index)
+        view.multi_keys, view.multi_bounds, view.multi_segments = \
+            _log_groups(self.multi_keys, self.multi_bounds,
+                        self.multi_segments, index)
+        return view
+
+    def _one_log(self) -> None:
+        if self.n_logs != 1:
+            raise ValueError(
+                f"a timeline of {self.n_logs} logs has no per-log view "
+                f"of its own; take log(k) first")
+
+    @cached_property
+    def _singles(self) -> dict[int, _SingleColumns]:
+        self._one_log()
+        offsets = self.single_bounds.tolist()
+        return {rid: self.single_segments[offsets[g]:offsets[g + 1]]
+                for g, rid in enumerate(self.single_keys.tolist())}
+
+    @cached_property
+    def _multis(self) -> dict[int, _MultiColumns]:
+        self._one_log()
+        offsets = self.multi_bounds.tolist()
+        return {rid: self.multi_segments[offsets[g]:offsets[g + 1]]
+                for g, rid in enumerate(self.multi_keys.tolist())}
 
     @cached_property
     def entries(self) -> list[LogEntry]:
         """The rows as :class:`LogEntry` objects (``seq`` = row index),
         built once on first use — the input of the streaming reference,
         which reconstructs this snapshot independently."""
+        self._one_log()
         columns = self.columns
         return [
             LogEntry(type=entry_type, res_id=res_id, time_us=time_us,
@@ -1171,10 +1439,10 @@ class ColumnarTimeline:
         ]
 
     def single_device_ids(self) -> list[int]:
-        return sorted(self._single_ids)
+        return list(self._singles)
 
     def multi_device_ids(self) -> list[int]:
-        return sorted(self._multi_ids)
+        return list(self._multis)
 
     def single_columns(self, res_id: int) -> Optional[_SingleColumns]:
         return self._singles.get(res_id)
@@ -1184,6 +1452,7 @@ class ColumnarTimeline:
 
     def power_intervals(self) -> list[PowerInterval]:
         """Materialize the interval columns as objects (tests, tools)."""
+        self._one_log()
         vectors = self.vectors
         return [
             PowerInterval(t0_ns=t0, t1_ns=t1, pulses=p, states=vectors[v])
@@ -1225,6 +1494,7 @@ class ColumnarTimeline:
         ``dict.get(key, 0.0) + x`` fold the scalar loop performs, so the
         per-group energy sums here are bit-identical to it (time sums
         are exact int64 arithmetic regardless)."""
+        self._one_log()
         dt = self.interval_t1 - self.interval_t0
         keep = dt >= min_interval_ns
         if not bool(keep.any()):

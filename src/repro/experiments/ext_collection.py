@@ -21,7 +21,7 @@ from repro.core.netmerge import NetworkMerger
 from repro.core.report import format_table
 from repro.experiments.common import ExperimentResult, network_sweep_data
 from repro.tos.network import Network
-from repro.tos.node import NodeConfig
+from repro.tos.node import NodeConfig, QuantoNode
 from repro.units import seconds, to_mj
 
 ROOT_ID = 10
@@ -71,11 +71,12 @@ def run(
     network.boot_all({nid: app.start for nid, app in apps.items()})
     network.run(duration_ns)
 
-    # Incremental merge: each node's map folds into the running report
-    # and is dropped — fleet-size analyses never hold every map at once.
+    # Every node's log is analysed in one fused pass (one timeline, one
+    # fold), and the maps merge into the network-wide report.
     merger = NetworkMerger()
-    for nid in node_ids:
-        merger.add(nid, network.node(nid).energy_map(fold_proxies=True))
+    for nid, analysis in zip(node_ids, QuantoNode.breakdown_all(
+            [network.node(nid) for nid in node_ids])):
+        merger.add(nid, analysis.energy_map)
     report = merger.report()
 
     rows = []

@@ -20,6 +20,7 @@ from repro.tos.mac import CsmaMac
 from repro.tos.network import Network
 from repro.tos.node import (
     NodeConfig,
+    QuantoNode,
     RES_CPU,
     RES_LED1,
     RES_LED2,
@@ -65,20 +66,20 @@ def run(seed: int = 0, duration_ns: int = seconds(4),
     # nodes, predecessor and successor coincide: the paper's node 4).
     peer_id = node_ids[-1]
     app1 = apps[node_ids[0]]
-    timeline = node1.timeline()
-    emap = node1.energy_map(timeline, fold_proxies=True)
-    by_act = emap.energy_by_activity()
+    # Every node's map in one fused pass; node 1's timeline snapshot
+    # also draws the lanes below.
+    analyses = QuantoNode.breakdown_all(
+        [network.node(node_id) for node_id in node_ids])
+    timeline = analyses[0].timeline
+    by_act = analyses[0].energy_map.energy_by_activity()
     remote_mj = to_mj(by_act.get(f"{peer_id}:BounceApp", 0.0))
     local_mj = to_mj(by_act.get("1:BounceApp", 0.0))
 
-    # Network-wide spread: fold every node's map (node 1's computed
-    # above) so a node-count sweep reports how each origin's cost
-    # distributes over the ring.
+    # Network-wide spread: fold every node's map so a node-count sweep
+    # reports how each origin's cost distributes over the ring.
     merger = NetworkMerger()
-    merger.add(node_ids[0], emap)
-    for node_id in node_ids[1:]:
-        merger.add(node_id,
-                   network.node(node_id).energy_map(fold_proxies=True))
+    for node_id, analysis in zip(node_ids, analyses):
+        merger.add(node_id, analysis.energy_map)
     report = merger.report()
 
     # (a) a 2-second window of node 1.

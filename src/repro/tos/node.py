@@ -31,7 +31,7 @@ res   device
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.core.accounting import (
     EnergyMap,
@@ -116,6 +116,15 @@ class NodeConfig:
 
     def __post_init__(self) -> None:
         self.platform.node_id = self.node_id
+
+
+class NodeBreakdown(NamedTuple):
+    """One node's share of :meth:`QuantoNode.breakdown_all`: its log's
+    timeline snapshot, regression and energy map."""
+
+    timeline: ColumnarTimeline
+    regression: RegressionResult
+    energy_map: EnergyMap
 
 
 class QuantoNode:
@@ -430,9 +439,14 @@ class QuantoNode:
         grouped ``(E_j, t_j)`` inputs come straight off the interval
         columns (no ``PowerInterval`` objects).
         """
-        columnar = timeline if timeline is not None else self.timeline()
+        return self._solve(
+            timeline if timeline is not None else self.timeline(),
+            weighting, strict)
+
+    def _solve(self, timeline: ColumnarTimeline, weighting: str = "sqrt_et",
+               strict: bool = False) -> RegressionResult:
         return solve_grouped(
-            *columnar.grouped_inputs(
+            *timeline.grouped_inputs(
                 self.platform.icount.nominal_energy_per_pulse_j),
             self.layout(),
             self.platform.rail.voltage,
@@ -465,12 +479,63 @@ class QuantoNode:
         columnar = timeline if timeline is not None else self.timeline()
         reg = regression if regression is not None \
             else self.regression(columnar)
-        return columnar_energy_map(
-            columnar, reg, self.registry, COMPONENT_NAMES,
-            self.platform.icount.nominal_energy_per_pulse_j,
+        (emap,) = columnar_energy_map(
+            columnar, [reg], self.registry, COMPONENT_NAMES,
+            [self.platform.icount.nominal_energy_per_pulse_j],
             fold_proxies=fold_proxies,
-            idle_name=self.registry.name_of(self.idle),
+            idle_names=[self.registry.name_of(self.idle)],
         )
+        return emap
+
+    @staticmethod
+    def breakdown_all(nodes: Sequence["QuantoNode"]) -> list[NodeBreakdown]:
+        """:meth:`breakdown` with proxy activities folded for several
+        nodes that share a simulator and an activity registry (a
+        :class:`~repro.tos.network.Network`'s), in one pass over all their
+        logs: one :class:`ColumnarTimeline` of every log, each node's
+        regression off its own log's view, and one fold into one map per
+        node.  Proxies are always folded: a network-wide view charges
+        each bound proxy to the activity it stood for.
+
+        Each node's log is closed and snapshotted right after its own
+        :meth:`mark_log_end`, in ``nodes`` order — so every node sees the
+        same log a loop of per-node :meth:`energy_map` calls would — and
+        only then fused.  The results equal that loop's bit for bit, and
+        each node's timeline memo holds its view.
+        """
+        nodes = list(nodes)
+        if not nodes:
+            return []
+        registry = nodes[0].registry
+        if any(node.registry is not registry for node in nodes):
+            raise ValueError(
+                "a fused analysis prices every log with one registry")
+        snapshots = []
+        for node in nodes:
+            if node._booted:
+                node.mark_log_end()
+            snapshots.append((node.logger.columns(), node.sim.now,
+                              node.logger.records_written))
+        timeline = ColumnarTimeline(
+            [columns for columns, _, _ in snapshots],
+            end_time_ns=[end for _, end, _ in snapshots],
+            single_res_ids=[[d.res_id for d in node._single_devices()]
+                            for node in nodes],
+            multi_res_ids=[[RES_TIMERB]] * len(nodes),
+        )
+        views = [timeline.log(k) for k in range(len(nodes))]
+        regressions = [node._solve(view) for node, view in zip(nodes, views)]
+        maps = columnar_energy_map(
+            timeline, regressions, registry, COMPONENT_NAMES,
+            [node.platform.icount.nominal_energy_per_pulse_j
+             for node in nodes],
+            fold_proxies=True,
+            idle_names=[registry.name_of(node.idle) for node in nodes],
+        )
+        for node, (_, end, count), view in zip(nodes, snapshots, views):
+            node._timeline_cache = (count, end, view)
+        return [NodeBreakdown(*parts)
+                for parts in zip(views, regressions, maps)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<QuantoNode {self.node_id} mac={self.config.mac}>"

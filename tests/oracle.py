@@ -13,22 +13,47 @@ independently of the columnar path.
 experiment runs on the reference, and every map call also runs the
 product method and fails on the first differing cell.  ``ANALYZE``
 names both map implementations for tests that run one log through each.
+
+:func:`recorded_maps` captures every map the node layer builds, and
+:func:`maps_digest` hashes their exact bits, so a golden digest pins
+the maps themselves, not only their rendered (rounded) figures.
 """
 
 from __future__ import annotations
 
+import hashlib
+from contextlib import contextmanager
+
+import repro.tos.node as node_module
 from repro.core.accounting import columnar_energy_map, stream_energy_map
 from repro.core.regression import solve_breakdown
 from repro.core.timeline import TimelineStream
-from repro.tos.node import COMPONENT_NAMES, RES_TIMERB, QuantoNode
+from repro.tos.node import (
+    COMPONENT_NAMES,
+    RES_TIMERB,
+    NodeBreakdown,
+    QuantoNode,
+)
+
+
+def columnar_map(entries, regression, registry, component_names,
+                 energy_per_pulse_j, *, idle_name="Idle", **kwargs):
+    """:func:`columnar_energy_map` of one log, called like
+    :func:`stream_energy_map`."""
+    (emap,) = columnar_energy_map(
+        entries, [regression], registry, component_names,
+        [energy_per_pulse_j], idle_names=[idle_name], **kwargs)
+    return emap
+
 
 #: Both map implementations, called with the same decoded entries:
 #: "streaming" is the reference, "columnar" the product path.
-ANALYZE = {"streaming": stream_energy_map, "columnar": columnar_energy_map}
+ANALYZE = {"streaming": stream_energy_map, "columnar": columnar_map}
 
 #: The product methods, captured before any :func:`install`.
 PRODUCT_REGRESSION = QuantoNode.regression
 PRODUCT_ENERGY_MAP = QuantoNode.energy_map
+PRODUCT_BREAKDOWN_ALL = QuantoNode.breakdown_all
 
 
 def reference_log(node, timeline=None) -> tuple[list, dict]:
@@ -93,6 +118,22 @@ def breakdown(node, fold_proxies=False, weighting="sqrt_et"):
     return reg, _map(node, log, reg, fold_proxies)
 
 
+def breakdown_all(nodes):
+    """:meth:`QuantoNode.breakdown_all` on the reference, checked: the
+    product call closes and snapshots each node's log, then the
+    reference analyses each snapshot on its own (its rows, device sets
+    and end time) and every product map must match its node's reference
+    map cell by cell."""
+    answers = []
+    for node, product in zip(nodes, PRODUCT_BREAKDOWN_ALL(nodes)):
+        log = reference_log(node, product.timeline)
+        reg = _solve(node, log[0])
+        reference = _map(node, log, reg, fold_proxies=True)
+        assert_same_map(reference, product.energy_map)
+        answers.append(NodeBreakdown(product.timeline, reg, reference))
+    return answers
+
+
 def assert_same_map(reference, product) -> None:
     """Bit-identity of two maps, float bits and dict order; a failure
     names the first differing ``(component, activity)`` cell with both
@@ -121,9 +162,10 @@ def assert_same_map(reference, product) -> None:
 
 
 def install(monkeypatch) -> None:
-    """Route every node's regression, energy map and breakdown through
-    the reference.  Each map call also computes the product map from
-    the same arguments and compares it cell by cell."""
+    """Route every node's regression, energy map and breakdown, and the
+    fused :meth:`QuantoNode.breakdown_all`, through the reference.  Each
+    map call also computes the product map from the same arguments (the
+    same snapshots) and compares it cell by cell."""
     def product_map(node, timeline, reg, fold_proxies):
         if reg is None:
             reg = PRODUCT_REGRESSION(node, timeline)
@@ -146,3 +188,43 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(QuantoNode, "regression", regression)
     monkeypatch.setattr(QuantoNode, "energy_map", checked_map)
     monkeypatch.setattr(QuantoNode, "breakdown", checked_breakdown)
+    monkeypatch.setattr(QuantoNode, "breakdown_all",
+                        staticmethod(breakdown_all))
+
+
+@contextmanager
+def recorded_maps():
+    """Collect every map the node layer's ``columnar_energy_map`` builds
+    while active, in build order (a fused call's maps in node order)."""
+    maps: list = []
+    product = node_module.columnar_energy_map
+
+    def recording(*args, **kwargs):
+        result = product(*args, **kwargs)
+        maps.extend(result)
+        return result
+
+    node_module.columnar_energy_map = recording
+    try:
+        yield maps
+    finally:
+        node_module.columnar_energy_map = product
+
+
+def maps_digest(maps) -> str:
+    """sha256 of a canonical dump of ``maps``: every energy cell as
+    ``float.hex`` and every time cell, in dict order, then the metered
+    and reconstructed totals and the span — a last-bit change anywhere
+    changes it."""
+    lines = []
+    for index, emap in enumerate(maps):
+        lines.append(f"map {index}")
+        lines.extend(f"E {key!r} {float.hex(value)}"
+                     for key, value in emap.energy_j.items())
+        lines.extend(f"T {key!r} {value}"
+                     for key, value in emap.time_ns.items())
+        lines.append(f"metered {float.hex(emap.metered_energy_j)}")
+        lines.append(
+            f"reconstructed {float.hex(emap.reconstructed_energy_j)}")
+        lines.append(f"span {emap.span_ns}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

@@ -227,7 +227,7 @@ def test_backwards_time_is_refused():
         ColumnarTimeline(columns[:half], carry=carry, final=False,
                          **devices)
     with pytest.raises(LoggerError, match="backwards"):
-        columnar_energy_map(
+        oracle.columnar_map(
             swapped, _regression_for_test(), ActivityRegistry(),
             {0: "CPU", 1: "Radio", 2: "Flash", 9: "TimerB"}, 1e-6,
             end_time_ns=end_us * 1000, **devices)
@@ -290,7 +290,7 @@ def test_randomized_maps_bit_identical(seed, fold):
     )
     reference = stream_energy_map(
         iter_entries(raw), regression, registry, names, 1e-6, **kwargs)
-    candidate = columnar_energy_map(
+    candidate = oracle.columnar_map(
         raw, regression, registry, names, 1e-6, **kwargs)
     oracle.assert_same_map(reference, candidate)
 
@@ -383,7 +383,7 @@ def test_device_turning_multi_mid_log_matches_streaming():
         reference = stream_energy_map(
             iter_entries(raw), regression, registry, {rid: "Dev"}, 1e-6,
             **kwargs)
-        candidate = columnar_energy_map(
+        candidate = oracle.columnar_map(
             raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
         oracle.assert_same_map(reference, candidate)
     # Declared both single and multi: the stream keeps an (unfed) single
@@ -393,7 +393,7 @@ def test_device_turning_multi_mid_log_matches_streaming():
     reference = stream_energy_map(
         iter_entries(raw), regression, registry, {rid: "Dev"}, 1e-6,
         **kwargs)
-    candidate = columnar_energy_map(
+    candidate = oracle.columnar_map(
         raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
     oracle.assert_same_map(reference, candidate)
 
@@ -535,10 +535,11 @@ def test_sweep_backend_digests_match(monkeypatch):
 def test_columnar_errors_match_streaming():
     registry = ActivityRegistry()
     with pytest.raises(RegressionError, match="no power intervals"):
-        columnar_energy_map(b"", _regression_for_test(), registry, {}, 1e-6)
+        columnar_energy_map(b"", [_regression_for_test()], registry, {},
+                            [1e-6])
     raw, _end = _random_log(random.Random(0), n_entries=20)
     with pytest.raises(RegressionError, match="needs a regression"):
-        columnar_energy_map(raw, None, registry, {}, 1e-6)
+        columnar_energy_map(raw, [None], registry, {}, [1e-6])
 
 
 # -- logdump iterables ------------------------------------------------------

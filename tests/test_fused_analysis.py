@@ -1,0 +1,366 @@
+"""Multi-log analysis: one timeline build and one fold over K logs.
+
+A :class:`ColumnarTimeline` of K logs must hand each log back exactly
+as a one-log build makes it, and one ``columnar_energy_map`` call over
+it must produce K maps bit-identical (``float.hex`` and dict order) to
+K separate folds.  The bind-chain resolution, now array code (successor
+binds plus pointer jumping), is fuzzed against the streaming
+``_SingleTracker`` on the cases that stress it.  ``QuantoNode.
+breakdown_all`` — the fused per-network entry point — must equal a loop
+of per-node analyses, and go through the node module's names once.
+"""
+
+import random
+
+import numpy as np
+import oracle
+import pytest
+
+import repro.tos.node as node_module
+from repro.core.accounting import columnar_energy_map, stream_energy_map
+from repro.core.labels import ActivityRegistry
+from repro.core.logger import LogColumns, LogEntry
+from repro.core.regression import RegressionResult, SinkColumn
+from repro.core.timeline import ColumnarTimeline, TimelineStream
+from repro.errors import LoggerError, RegressionError
+from repro.tos.network import Network
+from repro.tos.node import NodeConfig, QuantoNode
+from repro.units import seconds
+
+POWER, CHANGE, BIND, ADD, REMOVE, BOOT = 1, 2, 3, 4, 5, 6
+LABELS = (0x0101, 0x0102, 0x0103, 0x01C8)
+NAMES = {0: "CPU", 1: "Radio", 2: "Flash", 3: "LED", 9: "TimerB"}
+
+
+def _entries(rows) -> list[LogEntry]:
+    return [LogEntry(type=t, res_id=rid, time_us=time_us, icount=ic,
+                     value=v, seq=seq)
+            for seq, (t, rid, time_us, ic, v) in enumerate(rows)]
+
+
+def _columns(rows) -> LogColumns:
+    return LogColumns.from_entries(_entries(rows))
+
+
+# -- bind chains ------------------------------------------------------------
+
+
+def _assert_binds_match(rows, end_us, res_ids=(0,)):
+    streamed = []
+    TimelineStream(single_res_ids=res_ids, multi_res_ids=[],
+                   on_segment=streamed.append).feed_all(
+        _entries(rows), end_us * 1000)
+    timeline = ColumnarTimeline(_columns(rows), end_time_ns=end_us * 1000,
+                                single_res_ids=res_ids, multi_res_ids=[])
+    for rid in res_ids:
+        assert timeline.activity_segments(rid) \
+            == [s for s in streamed if s.res_id == rid], rid
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bind_chains_match_single_tracker(seed):
+    """Random change/bind streams over three labels, so chains cross
+    label changes and come back: self-binds (L→L), binds on a device's
+    first row, same-time records (zero-length spans), and a trailing
+    segment left open past the last record, or closed at it."""
+    rng = random.Random(seed)
+    labels = LABELS[:3]
+    rows, t = [], 0
+    for rid in (0, 1):
+        if rng.random() < 0.5:   # the device's first row is a bind
+            rows.append((BIND, rid, t, 0, rng.choice(labels)))
+    for _ in range(rng.randrange(1, 60)):
+        if rng.random() < 0.6:
+            t += rng.randrange(1, 50)
+        kind = BIND if rng.random() < 0.45 else CHANGE
+        rows.append((kind, rng.choice((0, 1)), t, 0, rng.choice(labels)))
+    end_us = t + rng.choice((0, 0, 17))
+    _assert_binds_match(rows, end_us, res_ids=(0, 1))
+
+
+@pytest.mark.parametrize("rows, end_us", [
+    # L→L self-bind resolves L's segments to L; a later L→M moves them.
+    ([(CHANGE, 0, 0, 0, 1), (BIND, 0, 5, 0, 1), (CHANGE, 0, 9, 0, 1),
+      (BIND, 0, 12, 0, 2)], 20),
+    # A bind on the device's first row has nothing to rebind.
+    ([(BIND, 0, 0, 0, 1), (CHANGE, 0, 3, 0, 2), (BIND, 0, 6, 0, 3)], 9),
+    # Out and back: 1→2, then 2→1, then 1→3 — the chain returns to 1.
+    ([(CHANGE, 0, 0, 0, 1), (BIND, 0, 2, 0, 2), (BIND, 0, 4, 0, 1),
+      (BIND, 0, 6, 0, 3)], 8),
+    # Same-time binds: zero-length spans never enter a chain.
+    ([(CHANGE, 0, 0, 0, 1), (BIND, 0, 4, 0, 2), (BIND, 0, 4, 0, 3),
+      (BIND, 0, 4, 0, 1)], 4),
+], ids=["self-bind", "first-row-bind", "out-and-back", "same-time"])
+def test_bind_chain_cases(rows, end_us):
+    _assert_binds_match(rows, end_us)
+
+
+# -- K logs fused -----------------------------------------------------------
+
+
+def _random_log(rng, singles, sinks, n_entries):
+    """A valid random log over the given single devices and power sinks,
+    plus TimerB add/removes; an empty ``sinks`` gives a log without a
+    single power interval."""
+    rows, t, ic = [], rng.randrange(10_000), rng.randrange(1000)
+    for rid in sinks:
+        rows.append((BOOT, rid, t, ic, 0))
+    for _ in range(n_entries):
+        if rng.random() < 0.7:
+            t += rng.randrange(1, 4000)
+        ic += rng.randrange(0, 50)
+        kind = rng.random()
+        if kind < 0.45 and sinks:
+            rows.append((POWER, rng.choice(sinks), t, ic, rng.randrange(2)))
+        elif kind < 0.75 and singles:
+            rows.append((CHANGE, rng.choice(singles), t, ic,
+                         rng.choice(LABELS)))
+        elif kind < 0.85 and singles:
+            rows.append((BIND, rng.choice(singles), t, ic,
+                         rng.choice(LABELS)))
+        elif kind < 0.95:
+            # Now and then a single device's add: it turns multi mid-log.
+            rows.append((ADD, rng.choice((9,) * 12 + tuple(singles)), t,
+                         ic, rng.choice(LABELS)))
+        else:
+            rows.append((REMOVE, 9, t, ic, rng.choice(LABELS)))
+    if sinks:   # at least one interval
+        t += 1
+        rows.append((POWER, sinks[0], t, ic, 1))
+    return _columns(rows), t * 1000
+
+
+def _regression(rng, sinks):
+    columns = [SinkColumn(res_id=rid, value=1, name=f"sink{rid}")
+               for rid in sinks]
+    return RegressionResult(
+        columns=columns,
+        power_w={c.name: rng.uniform(0.001, 0.02) for c in columns},
+        const_power_w=rng.uniform(0.0005, 0.002),
+        voltage=3.0,
+        y=np.zeros(1), y_hat=np.zeros(1), weights=np.ones(1),
+        group_states=[], group_time_ns=[], group_energy_j=[],
+    )
+
+
+def _random_logs(rng, count):
+    """``count`` logs with differing device sets: each declares its own
+    singles (or leaves them to inference) and declares the multi device
+    or infers it; with several logs, the first has no activity rows."""
+    logs = []
+    for k in range(count):
+        singles = sorted(rng.sample((0, 1, 3), rng.randrange(0, 4)))
+        sinks = sorted(rng.sample((0, 1, 2, 3), rng.randrange(1, 5)))
+        columns, end_ns = _random_log(rng, singles, sinks,
+                                      rng.randrange(0, 200))
+        if count > 1 and k == 0:
+            columns = columns[(columns.type == POWER)
+                              | (columns.type == BOOT)]
+        logs.append(dict(
+            columns=columns,
+            end_ns=max(0, end_ns + rng.choice((0, -500_000, 5_000_000))),
+            singles=singles if rng.random() < 0.7 else None,
+            multis=[9] if rng.random() < 0.5 else None,
+            regression=_regression(rng, sinks),
+            pulse_j=rng.choice((1e-6, 2.5e-6)),
+            idle=f"{k}:Idle",
+        ))
+    return logs
+
+
+def _fused(logs):
+    return ColumnarTimeline(
+        [log["columns"] for log in logs],
+        end_time_ns=[log["end_ns"] for log in logs],
+        single_res_ids=[log["singles"] for log in logs],
+        multi_res_ids=[log["multis"] for log in logs])
+
+
+def _single(log):
+    return ColumnarTimeline(log["columns"], end_time_ns=log["end_ns"],
+                            single_res_ids=log["singles"],
+                            multi_res_ids=log["multis"])
+
+
+def _assert_same_timeline(view, single):
+    assert view.end_time_ns == single.end_time_ns
+    assert view.power_intervals() == single.power_intervals()
+    assert view.interval_row.tolist() == single.interval_row.tolist()
+    assert view.single_device_ids() == single.single_device_ids()
+    assert view.multi_device_ids() == single.multi_device_ids()
+    for rid in single.single_device_ids():
+        got, want = view.single_columns(rid), single.single_columns(rid)
+        for name in got.__slots__:
+            assert getattr(got, name).tolist() \
+                == getattr(want, name).tolist(), (rid, name)
+    for rid in single.multi_device_ids():
+        got, want = view.multi_columns(rid), single.multi_columns(rid)
+        assert [view.label_sets[s] for s in got.set_ids] \
+            == [single.label_sets[s] for s in want.set_ids]
+        for name in ("t0", "t1", "close_row"):
+            assert getattr(got, name).tolist() \
+                == getattr(want, name).tolist(), (rid, name)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_fused_logs_match_single_builds(seed, count):
+    """Each log of a fused timeline equals its one-log build, and the
+    fused fold's maps equal K separate folds — and, where the single
+    devices are declared, the streaming reference — float bits and key
+    order."""
+    rng = random.Random(seed * 10 + count)
+    logs = _random_logs(rng, count)
+    fused = _fused(logs)
+    assert fused.n_logs == count
+    for k, log in enumerate(logs):
+        _assert_same_timeline(fused.log(k), _single(log))
+    registry = ActivityRegistry()
+    for fold in (False, True):
+        maps = columnar_energy_map(
+            fused, [log["regression"] for log in logs], registry, NAMES,
+            [log["pulse_j"] for log in logs], fold_proxies=fold,
+            idle_names=[log["idle"] for log in logs])
+        assert len(maps) == count
+        for log, fused_map in zip(logs, maps):
+            (alone,) = columnar_energy_map(
+                _single(log), [log["regression"]], registry, NAMES,
+                [log["pulse_j"]], fold_proxies=fold,
+                idle_names=[log["idle"]])
+            oracle.assert_same_map(alone, fused_map)
+            if log["singles"] is None:
+                # Inferred single devices: the stream only learns of one
+                # at its first record, so it charges the intervals
+                # before that as untracked, while a whole-log build
+                # knows the device from the start.
+                continue
+            reference = stream_energy_map(
+                _single(log).entries, log["regression"], registry, NAMES,
+                log["pulse_j"], fold_proxies=fold, idle_name=log["idle"],
+                end_time_ns=log["end_ns"], single_res_ids=log["singles"],
+                multi_res_ids=log["multis"])
+            oracle.assert_same_map(reference, fused_map)
+
+
+def test_log_without_power_intervals_raises_as_alone():
+    """A log with no power interval fails the fused fold with the error
+    its own fold raises."""
+    rng = random.Random(3)
+    logs = _random_logs(rng, 3)
+    logs[1]["columns"], _ = _random_log(rng, [0, 1], [], 40)
+    registry = ActivityRegistry()
+    with pytest.raises(RegressionError) as alone:
+        columnar_energy_map(_single(logs[1]), [logs[1]["regression"]],
+                            registry, NAMES, [1e-6])
+    with pytest.raises(RegressionError) as fused:
+        columnar_energy_map(
+            _fused(logs), [log["regression"] for log in logs], registry,
+            NAMES, [1e-6] * 3)
+    assert str(fused.value) == str(alone.value)
+
+
+def test_fused_timeline_checks_time_order_per_log():
+    """Each log must be in time order; a log may start before the one
+    ahead of it ends."""
+    early = _columns([(BOOT, 0, 0, 0, 0), (POWER, 0, 5, 1, 1)])
+    late = _columns([(BOOT, 0, 50, 0, 0), (POWER, 0, 60, 1, 1)])
+    ColumnarTimeline([late, early])
+    backwards = _columns([(BOOT, 0, 9, 0, 0), (POWER, 0, 5, 1, 1)])
+    with pytest.raises(LoggerError, match="backwards"):
+        ColumnarTimeline([early, backwards, late])
+
+
+def test_fused_timeline_refuses_per_device_views():
+    """Per-device accessors belong to one log: a fused timeline hands
+    them out through ``log(k)`` only."""
+    logs = _random_logs(random.Random(1), 2)
+    fused = _fused(logs)
+    with pytest.raises(ValueError, match="log"):
+        fused.single_device_ids()
+    with pytest.raises(ValueError, match="log"):
+        fused.grouped_inputs(1e-6)
+    assert fused.log(1).single_device_ids() \
+        == _single(logs[1]).single_device_ids()
+
+
+# -- the network entry point ------------------------------------------------
+
+
+def _collection(seed=5, nodes=(10, 11, 12, 13)):
+    from repro.apps.collection import build_star_topology
+
+    network = Network(seed=seed)
+    for node_id in nodes:
+        network.add_node(NodeConfig(node_id=node_id, mac="csma"))
+    apps = build_star_topology(network, list(nodes), root_id=nodes[0],
+                               sample_period_ns=seconds(2))
+    network.boot_all({nid: app.start for nid, app in apps.items()})
+    network.run(seconds(6))
+    return network, list(nodes)
+
+
+def test_breakdown_all_equals_per_node_loop():
+    """The fused entry point snapshots each node after its own log-end
+    mark, in order, exactly like a loop of per-node ``timeline()`` +
+    ``breakdown`` with proxies folded: same maps (bits and order), same
+    regressions, same timelines; each node's memo holds its view."""
+    network, ids = _collection()
+    looped = []
+    for nid in ids:
+        node = network.node(nid)
+        timeline = node.timeline()
+        regression = node.regression(timeline)
+        looped.append((timeline, regression, node.energy_map(
+            timeline, regression, fold_proxies=True)))
+    network, ids = _collection()
+    fused = QuantoNode.breakdown_all([network.node(nid) for nid in ids])
+    for nid, (timeline, regression, emap), got in zip(ids, looped, fused):
+        oracle.assert_same_map(emap, got.energy_map)
+        assert got.regression.power_w == regression.power_w
+        assert got.regression.const_power_w == regression.const_power_w
+        _assert_same_timeline(got.timeline, timeline)
+        assert network.node(nid)._timeline_cache[2] is got.timeline
+
+
+def test_breakdown_all_calls_each_layer_name_once_per_pass(monkeypatch):
+    """The tracer of the benchmark swaps the node module's
+    ``ColumnarTimeline``, ``solve_grouped`` and ``columnar_energy_map``
+    for plain functions: the fused path must still work through them,
+    building one timeline and one fold for all nodes and one regression
+    per node."""
+    calls = {"ColumnarTimeline": 0, "solve_grouped": 0,
+             "columnar_energy_map": 0}
+    for name in calls:
+        real = getattr(node_module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(node_module, name, counted)
+    network, ids = _collection(nodes=(10, 11, 12))
+    QuantoNode.breakdown_all([network.node(nid) for nid in ids])
+    assert calls == {"ColumnarTimeline": 1, "solve_grouped": 3,
+                     "columnar_energy_map": 1}
+
+
+def test_oracle_answers_the_fused_path(monkeypatch):
+    """Under the oracle, ``breakdown_all`` is answered by the streaming
+    reference, one snapshot per node, each checked against the fused
+    product map."""
+    import repro.core.accounting as accounting
+
+    oracle.install(monkeypatch)
+    streamed = []
+    real = oracle.stream_energy_map
+
+    def spy(*args, **kwargs):
+        streamed.append(kwargs["end_time_ns"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "stream_energy_map", spy)
+    network, ids = _collection(nodes=(10, 11, 12))
+    answers = QuantoNode.breakdown_all([network.node(nid) for nid in ids])
+    assert streamed == [a.timeline.end_time_ns for a in answers]
+    assert all(isinstance(a.energy_map, accounting.EnergyMap)
+               for a in answers)

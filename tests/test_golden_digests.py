@@ -37,10 +37,13 @@ from repro.experiments.common import EXPERIMENT_IDS, run_experiment
 
 GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text("utf-8"))
+GOLDEN_MAPS_PATH = Path(__file__).parent / "golden_map_digests.json"
+GOLDEN_MAPS = json.loads(GOLDEN_MAPS_PATH.read_text("utf-8"))
 
 
 def test_golden_file_covers_every_experiment():
     assert sorted(GOLDEN) == sorted(EXPERIMENT_IDS)
+    assert sorted(GOLDEN_MAPS) == sorted(EXPERIMENT_IDS)
 
 
 @pytest.mark.parametrize("backend", ANALYSIS_BACKENDS)
@@ -52,13 +55,24 @@ def test_experiment_digest_matches_golden(exp_id, backend, monkeypatch):
     contract: columnar ≡ streaming, float bits and dict order, on every
     experiment.  The ``streaming`` leg routes every node's analysis
     through the tests-side oracle, which also checks each map it makes
-    against the product map cell by cell."""
+    against the product map cell by cell.
+
+    Rendering rounds every figure, so both legs also pin the exact bits
+    of every map the experiment's nodes build (``float.hex`` of each
+    cell, in build order): a last-bit drift fails here even when the
+    rendered tables cannot show it."""
     if backend == "streaming":
         oracle.install(monkeypatch)
-    rendered = run_experiment(exp_id, seed=0).render()
+    with oracle.recorded_maps() as maps:
+        rendered = run_experiment(exp_id, seed=0).render()
     digest = hashlib.sha256(rendered.encode("utf-8")).hexdigest()
     assert digest == GOLDEN[exp_id], (
         f"{exp_id} [{backend}]: rendered output diverged from the "
         f"pre-optimization reference "
         f"(got {digest[:16]}, want {GOLDEN[exp_id][:16]})"
+    )
+    digest = oracle.maps_digest(maps)
+    assert digest == GOLDEN_MAPS[exp_id], (
+        f"{exp_id} [{backend}]: the bits of its {len(maps)} energy maps "
+        f"diverged (got {digest[:16]}, want {GOLDEN_MAPS[exp_id][:16]})"
     )
