@@ -73,7 +73,8 @@ import time
 from pathlib import Path
 
 from repro.core.accounting import columnar_energy_map, stream_energy_map
-from repro.core.logger import iter_entries
+from repro.core.logger import decode_columns, iter_entries
+from repro.core.timeline import ColumnarTimeline
 from repro.sim.engine import NEAR_WINDOW_NS, Simulator
 from repro.sim.sweep import run_sweep
 from repro.units import seconds
@@ -198,11 +199,14 @@ def bench_analysis(rounds: int = 20) -> dict:
 
     def run_columnar():
         regression, registry, names, per_pulse = args
-        columnar_kwargs = dict(kwargs)
-        idle_names = [columnar_kwargs.pop("idle_name")]
+        timeline = ColumnarTimeline(
+            decode_columns(bytes(raw)), end_time_ns=kwargs["end_time_ns"],
+            single_res_ids=kwargs["single_res_ids"],
+            multi_res_ids=kwargs["multi_res_ids"])
         (emap,) = columnar_energy_map(
-            raw, [regression], registry, names, [per_pulse],
-            idle_names=idle_names, **columnar_kwargs)
+            timeline, [regression], registry, names, [per_pulse],
+            fold_proxies=kwargs["fold_proxies"],
+            idle_names=[kwargs["idle_name"]])
         return emap
 
     reference = run_streaming()
@@ -263,7 +267,6 @@ def bench_network_analysis(rounds: int = 20) -> dict:
     ``columnar_energy_map`` into six maps, regressions given.  The maps
     are asserted bit-identical to the per-node path (one timeline and
     one fold per log) before anything is timed."""
-    from repro.core.timeline import ColumnarTimeline
     from repro.tos.node import COMPONENT_NAMES
 
     nodes, timelines, regressions = _network_workload()

@@ -24,12 +24,12 @@ import tracemalloc
 from pathlib import Path
 
 from repro.core.accounting import columnar_energy_map, stream_energy_map
-from repro.core.logger import ENTRY_SIZE, iter_entries
+from repro.core.logger import ENTRY_SIZE, decode_columns, iter_entries
 from repro.core.regression import solve_breakdown
 from repro.core.report import format_table
-from repro.core.timeline import TimelineStream
+from repro.core.timeline import ColumnarTimeline, TimelineStream
 from repro.experiments.common import run_blink
-from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
+from repro.tos.node import COMPONENT_NAMES
 from repro.units import seconds
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -52,7 +52,6 @@ def bench_streaming() -> str:
     node.mark_log_end()
     raw = node.logger.raw_bytes()
     end_time_ns = node.sim.now
-    single_ids = [device.res_id for device in node._single_devices()]
     idle_name = node.registry.name_of(node.idle)
     energy_per_pulse = node.platform.icount.nominal_energy_per_pulse_j
     # Shared input, outside both regions.  The streaming regression and
@@ -65,9 +64,12 @@ def bench_streaming() -> str:
         intervals, node.layout(), energy_per_pulse,
         node.platform.rail.voltage, weighting="sqrt_et")
     columnar_energy_map(
-        raw, [regression], node.registry, COMPONENT_NAMES, [energy_per_pulse],
-        idle_names=[idle_name], end_time_ns=end_time_ns,
-        single_res_ids=single_ids, multi_res_ids=[RES_TIMERB])
+        ColumnarTimeline(
+            decode_columns(bytes(raw)), end_time_ns=end_time_ns,
+            single_res_ids=node.single_res_ids,
+            multi_res_ids=node.multi_res_ids),
+        [regression], node.registry, COMPONENT_NAMES, [energy_per_pulse],
+        idle_names=[idle_name])
 
     def batch():
         (emap,) = columnar_energy_map(
@@ -79,8 +81,8 @@ def bench_streaming() -> str:
         return stream_energy_map(
             iter_entries(raw), regression, node.registry, COMPONENT_NAMES,
             energy_per_pulse, idle_name=idle_name,
-            end_time_ns=end_time_ns,
-            single_res_ids=single_ids, multi_res_ids=[RES_TIMERB])
+            end_time_ns=end_time_ns, single_res_ids=node.single_res_ids,
+            multi_res_ids=node.multi_res_ids)
 
     batch_map, batch_wall, batch_peak = _measure(batch)
     stream_map, stream_wall, stream_peak = _measure(streaming)

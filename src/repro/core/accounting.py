@@ -56,19 +56,12 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.core.labels import ActivityLabel, ActivityRegistry
-from repro.core.logger import (
-    TYPE_ACT_ADD,
-    TYPE_ACT_BIND,
-    TYPE_ACT_CHANGE,
-    TYPE_ACT_REMOVE,
-    LogColumns,
-    decode_columns,
-)
+from repro.core.logger import LogColumns
 from repro.core.regression import RegressionResult, SinkColumn
 from repro.core.timeline import (
     _RES_SPACE,
@@ -78,6 +71,8 @@ from repro.core.timeline import (
     PowerInterval,
     TimelineCarry,
     TimelineStream,
+    _check_declared,
+    _declared,
 )
 from repro.errors import AnalysisBackendError, RegressionError, WindowingError
 
@@ -299,12 +294,11 @@ class EnergyAccumulator:
     inherently retrospective).
 
     Declare the instrumented devices up front (``single_res_ids`` /
-    ``multi_res_ids``) when streaming a raw log: inference from entry
-    types works, but a device whose first activity record appears
-    mid-log would be charged ``(untracked)`` for earlier intervals,
-    where the batch path (which infers over the whole log) charges Idle.
-    Node logs declare their devices (`QuantoNode.timeline` does), so the
-    two paths agree byte-for-byte on every experiment.
+    ``multi_res_ids``), as every node does: the columnar paths take
+    declared devices only and refuse a record of any other.  This
+    reference alone still infers a device it was not told of, at its
+    first activity record, and charges the intervals before that record
+    ``(untracked)``.
 
     ``end_time_ns`` (the analysis window end) is taken at construction
     because it matters *during* the feed: a cover computed when an
@@ -867,10 +861,13 @@ class WindowedAccumulator:
       first weight (:func:`_charge_stream`), so the adds continue in the
       same IEEE-754 order;
     * windows close on the interval where the streaming path closes
-      them, with the energy, busy time and counters it had there;
-    * a batch splits where an undeclared device first appears, so
-      intervals emitted before that row charge it as untracked, as the
-      streaming trackers do.
+      them, with the energy, busy time and counters it had there.
+
+    Devices are the declared ``single_res_ids`` and ``multi_res_ids``
+    (an ingest hello carries the node's).  Feeding a record that names
+    any other device raises :class:`~repro.errors.LoggerError` and keeps
+    none of the fed rows, so a later fold (a query's, a checkpoint's)
+    never meets one.
 
     Memory stays bounded by the open spans, one buffered batch and
     ``retain`` rows over the (component, activity) key set —
@@ -892,9 +889,9 @@ class WindowedAccumulator:
         energy_per_pulse_j: float,
         *,
         stride_ns: int,
+        single_res_ids: Iterable[int],
+        multi_res_ids: Iterable[int],
         idle_name: str = "Idle",
-        single_res_ids: Optional[Iterable[int]] = None,
-        multi_res_ids: Optional[Iterable[int]] = None,
         end_time_ns: Optional[int] = None,
         origin_ns: Optional[int] = None,
         retain: Optional[int] = 64,
@@ -920,8 +917,10 @@ class WindowedAccumulator:
         # resolved once for the whole stream.
         self._plans: dict[tuple[tuple[int, int], ...], list] = {}
         self._value_names: dict[int, str] = {}
-        self._single_ids: set[int] = set(single_res_ids or ())
-        self._multi_ids: set[int] = set(multi_res_ids or ())
+        self._single_ids = sorted(set(single_res_ids))
+        self._multi_ids = sorted(set(multi_res_ids))
+        self._refused = _declared(tuple(self._single_ids),
+                                  tuple(self._multi_ids))[2]
         self._carry = TimelineCarry()
         self.map = EnergyMap()
         # Busy time per device: name -> ns, in first-closed order.
@@ -939,7 +938,6 @@ class WindowedAccumulator:
             tuple[TimelineCarry, list[LogColumns], int]] = None
         self._pending: list[LogColumns] = []
         self._pending_rows = 0
-        self._pending_entries: list = []
         self._finished = False
         # Closed windows as stored rows (see _WindowRow), the newest
         # ``retain`` of them; ``_base`` is the row just before the oldest
@@ -961,9 +959,11 @@ class WindowedAccumulator:
     # -- feeding -------------------------------------------------------------
 
     def feed_columns(self, columns: LogColumns) -> None:
-        """Take decoded rows, in log order."""
-        self._park_entries()
+        """Take decoded rows, in log order.  Raises
+        :class:`~repro.errors.LoggerError`, keeping none of them, on a
+        record of an undeclared device."""
         if len(columns):
+            _check_declared(columns.type, columns.res_id, self._refused)
             self._pending.append(columns)
             self._pending_rows += len(columns)
             if self._pending_rows >= MIN_BATCH_ENTRIES:
@@ -972,71 +972,22 @@ class WindowedAccumulator:
     def feed(self, entry) -> None:
         """Take one decoded :class:`~repro.core.logger.LogEntry` (an
         adapter onto the same batched fold)."""
-        self._pending_entries.append(entry)
-        if self._pending_rows + len(self._pending_entries) \
-                >= MIN_BATCH_ENTRIES:
-            self._flush()
+        self.feed_columns(LogColumns.from_entries((entry,)))
 
     def feed_all(self, entries: Iterable) -> EnergyMap:
         """Take a whole entry iterable, then :meth:`finish`."""
         self.feed_columns(LogColumns.from_entries(entries))
         return self.finish()
 
-    def _park_entries(self) -> None:
-        if self._pending_entries:
-            parked = LogColumns.from_entries(self._pending_entries)
-            self._pending_entries = []
-            self._pending.append(parked)
-            self._pending_rows += len(parked)
-
     def _flush(self) -> None:
         """Fold every buffered row now."""
-        self._park_entries()
         if not self._pending:
             return
         pending = self._pending
         self._pending = []
         self._pending_rows = 0
-        self._fold_rows(pending[0] if len(pending) == 1
-                        else LogColumns.concat(pending))
-
-    def _fold_rows(self, columns: LogColumns) -> None:
-        """Fold rows in batches within which the device sets are fixed:
-        split where a device not yet known first appears."""
-        while True:
-            found = self._first_new_device(columns)
-            if found is None:
-                self._fold_batch(columns)
-                return
-            row, res_id, multi = found
-            if row:
-                self._fold_batch(columns[:row])
-                columns = columns[row:]
-            (self._multi_ids if multi else self._single_ids).add(res_id)
-
-    def _first_new_device(self, columns: LogColumns):
-        """``(row, res_id, is_multi)`` of the first record that makes
-        the stream learn a device — a change/bind of a device neither
-        single nor multi yet, or an add/remove of one not yet multi —
-        or None."""
-        types = columns.type
-        res = columns.res_id
-        # Wire res_ids are one byte; a declared id outside that range
-        # never matches a record.
-        known = np.zeros(256, dtype=bool)
-        known[[r for r in self._multi_ids if 0 <= r < 256]] = True
-        multi = ((types == TYPE_ACT_ADD) | (types == TYPE_ACT_REMOVE)) \
-            & ~known[res]
-        known[[r for r in self._single_ids if 0 <= r < 256]] = True
-        single = ((types == TYPE_ACT_CHANGE) | (types == TYPE_ACT_BIND)) \
-            & ~known[res]
-        rows = [(int(np.argmax(mask)), is_multi)
-                for mask, is_multi in ((single, False), (multi, True))
-                if mask.any()]
-        if not rows:
-            return None
-        row, is_multi = min(rows)
-        return row, int(res[row]), is_multi
+        self._fold_batch(pending[0] if len(pending) == 1
+                         else LogColumns.concat(pending))
 
     # -- the batch fold -------------------------------------------------------
 
@@ -1320,7 +1271,8 @@ class WindowedAccumulator:
         names, stride, idle name, end time, origin, retention,
         ``on_window``) is not captured, nor what :meth:`finish` derives
         from the rest: :meth:`load_snapshot` loads into an accumulator
-        built with the same arguments.
+        built with the same arguments.  The declared device sets ride
+        along as a check: a snapshot taken under other sets is refused.
         """
         self._flush()
         self._sync_energy_keys()
@@ -1342,7 +1294,7 @@ class WindowedAccumulator:
                     [put(rows.type), put(rows.res_id), put(rows.time_ns),
                      put(rows.icount), put(rows.value)], charged]
         state = {
-            "devices": [sorted(self._single_ids), sorted(self._multi_ids)],
+            "devices": [self._single_ids, self._multi_ids],
             "carry": _carry_state(self._carry, put),
             "energy_keys": list(self._energy_keys),
             "energy": put(np.fromiter(emap.energy_j.values(),
@@ -1379,9 +1331,15 @@ class WindowedAccumulator:
         with the snapshotted one's constructor arguments (its
         ``retain`` may differ: the newest rows are kept).  Raises
         :class:`WindowingError` on a snapshot that does not hold
-        together, leaving this accumulator untouched."""
+        together or declares other devices, leaving this accumulator
+        untouched."""
         try:
-            loaded = _load_state(*_unpack_state(blob), self._windows.maxlen)
+            state, arrays = _unpack_state(blob)
+            if state["devices"] != [self._single_ids, self._multi_ids]:
+                raise WindowingError(
+                    "bad WindowedAccumulator snapshot: its device sets "
+                    f"{state['devices']} are not this accumulator's")
+            loaded = _load_state(state, arrays, self._windows.maxlen)
         except WindowingError:
             raise
         except (AttributeError, KeyError, IndexError, TypeError,
@@ -1646,10 +1604,7 @@ def _load_state(state: dict, arrays: Sequence[np.ndarray],
     windows: deque[_WindowRow] = deque(rows, maxlen=retain)
     if len(rows) > len(windows):
         base = rows[-len(windows) - 1]
-    single_ids, multi_ids = state["devices"]
     return {
-        "_single_ids": {int(res_id) for res_id in single_ids},
-        "_multi_ids": {int(res_id) for res_id in multi_ids},
         "_carry": _load_carry(state["carry"], array),
         "map": emap,
         "_time_single": time_single,
@@ -2176,12 +2131,8 @@ def _contribution_stream(timeline, plans, column_power, component_names,
     return i_all, log_all, code, values, timeline.n_logs * per_log, key_of
 
 
-ColumnarSource = Union[bytes, bytearray, memoryview, LogColumns,
-                       ColumnarTimeline, Iterable]
-
-
 def columnar_energy_map(
-    source: ColumnarSource,
+    timeline: ColumnarTimeline,
     regressions: Sequence[RegressionResult],
     registry: ActivityRegistry,
     component_names: dict[int, str],
@@ -2189,48 +2140,28 @@ def columnar_energy_map(
     *,
     fold_proxies: bool = False,
     idle_names: Optional[Sequence[str]] = None,
-    end_time_ns: Optional[int] = None,
-    single_res_ids: Optional[Iterable[int]] = None,
-    multi_res_ids: Optional[Iterable[int]] = None,
 ) -> list[EnergyMap]:
-    """The columnar backend: the whole log → energy pipeline on column
-    arrays, one map per log of ``source``.
-
-    ``source`` may be packed log bytes (decoded in one
-    ``np.frombuffer`` shot), :class:`~repro.core.logger.LogColumns`, a
-    prebuilt :class:`~repro.core.timeline.ColumnarTimeline` (whose own
-    end times/device sets then apply), or an iterable of decoded entries
-    (the compat path); all but a timeline are one log.
+    """The columnar backend: a built
+    :class:`~repro.core.timeline.ColumnarTimeline` → one energy map per
+    log, with the end times and declared devices the timeline was built
+    with.
 
     ``regressions``, ``energies_per_pulse_j`` and ``idle_names``
     (default ``"Idle"``) hold one value per log: a timeline of K logs
     (all priced with one ``registry``) folds in one pass into K maps,
     each bit-identical to folding that log on its own.
 
-    Decode, reconstruction, cover, the energy products and the ordered
-    fold are all vectorized: :func:`_contribution_stream` orders the
-    charges exactly as the streaming accumulator makes them (interval
-    order, then state-vector column order, then activity-name
-    first-occurrence order) and :func:`_charge_stream` adds them up, so
-    the map is bit-identical to the streaming reference's (float bits
-    *and* dict insertion order) — the contract the golden tests'
-    reference leg enforces.  The busy time is :func:`_busy_time` with
-    each whole log as one chunk.  This is the same fold the
-    :class:`WindowedAccumulator` runs batch by batch.
+    Cover, the energy products and the ordered fold are all vectorized:
+    :func:`_contribution_stream` orders the charges exactly as the
+    streaming accumulator makes them (interval order, then state-vector
+    column order, then activity-name first-occurrence order) and
+    :func:`_charge_stream` adds them up, so the map is bit-identical to
+    the streaming reference's (float bits *and* dict insertion order) —
+    the contract the golden tests' reference leg enforces.  The busy
+    time is :func:`_busy_time` with each whole log as one chunk.  This
+    is the same fold the :class:`WindowedAccumulator` runs batch by
+    batch.
     """
-    if isinstance(source, ColumnarTimeline):
-        timeline = source
-    else:
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            columns = decode_columns(bytes(source))
-        elif isinstance(source, LogColumns):
-            columns = source
-        else:
-            columns = LogColumns.from_entries(source)
-        timeline = ColumnarTimeline(
-            columns, end_time_ns=end_time_ns,
-            single_res_ids=single_res_ids, multi_res_ids=multi_res_ids,
-        )
     regressions = list(regressions)
     pulse_j = list(energies_per_pulse_j)
     idle_names = ["Idle"] * timeline.n_logs if idle_names is None \
@@ -2324,8 +2255,8 @@ def build_energy_map(
     same snapshot.
 
     ``component_names`` maps res_id to the display name of each device.
-    Devices present in the power layout but absent from the activity log
-    are charged to ``(untracked)``.
+    Devices present in the power layout but not declared activity
+    devices are charged to ``(untracked)``.
     """
     if resolve_analysis_backend(backend) == "columnar":
         (emap,) = columnar_energy_map(

@@ -44,7 +44,7 @@ res_ids exist, what their state values are named) — never ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -712,6 +712,39 @@ _RES_SPACE = 256
 _LABEL_SPACE = 1 << 16
 
 
+@lru_cache(maxsize=64)
+def _declared(single_res_ids: tuple, multi_res_ids: tuple
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One log's declared devices as read-only tables, built once per
+    device set: declared single and declared multi by res_id (one
+    outside the byte a log records never matches), and the records
+    refused by ``type << 8 | res_id`` — a change/bind of a device
+    declared neither way, an add/remove of one not declared multi."""
+    is_single, is_multi = (np.isin(np.arange(_RES_SPACE), list(ids))
+                           for ids in (single_res_ids, multi_res_ids))
+    refused = np.zeros((_RES_SPACE, _RES_SPACE), dtype=bool)
+    refused[[TYPE_ACT_CHANGE, TYPE_ACT_BIND]] = ~(is_single | is_multi)
+    refused[[TYPE_ACT_ADD, TYPE_ACT_REMOVE]] = ~is_multi
+    tables = (is_single, is_multi, refused.ravel())
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _check_declared(types: np.ndarray, res_ids: np.ndarray,
+                    refused: np.ndarray, log: int = 0) -> None:
+    """Raise :class:`~repro.errors.LoggerError` at the first of one
+    log's records that its ``refused`` table (see :func:`_declared`)
+    marks: one naming a device the log did not declare."""
+    bad = refused[(types.astype(np.intp) << 8) | res_ids]
+    if bad.any():
+        row = int(bad.argmax())
+        multi = types[row] in (TYPE_ACT_ADD, TYPE_ACT_REMOVE)
+        raise LoggerError(
+            f"log {log} names activity device {int(res_ids[row])}, "
+            f"which it did not declare {'multi' if multi else 'at all'}")
+
+
 def _odd_multipliers(count: int) -> np.ndarray:
     """``count`` fixed odd 64-bit multipliers (a 64-bit LCG walk)."""
     state, out = 0x5EED, []
@@ -905,9 +938,13 @@ class ColumnarTimeline:
     stamped earlier than the one before it in its log (in batch mode,
     also the carry's last record) raises
     :class:`~repro.errors.LoggerError`, so every interval the fold
-    divides is strictly positive.  Devices may be declared up front
-    (always the case on node paths); otherwise they are inferred over
-    the whole log with the stream's in-order rule.
+    divides is strictly positive.
+
+    Devices are declared (per log, for K logs), never inferred: a
+    change/bind naming a device declared neither way, or an add/remove
+    naming one not declared multi, raises
+    :class:`~repro.errors.LoggerError`; a change/bind of a device
+    declared multi is dropped, as the stream drops it.
 
     With a ``carry`` the columns are one batch of a longer stream (see
     :meth:`_build_logs`): the batch continues the spans the carry holds
@@ -918,9 +955,10 @@ class ColumnarTimeline:
     def __init__(
         self,
         columns: Union[LogColumns, Sequence[LogColumns]],
+        *,
+        single_res_ids: Iterable,
+        multi_res_ids: Iterable,
         end_time_ns: Union[int, Sequence[Optional[int]], None] = None,
-        single_res_ids: Optional[Iterable] = None,
-        multi_res_ids: Optional[Iterable] = None,
         carry: Optional[TimelineCarry] = None,
         final: bool = True,
     ) -> None:
@@ -930,11 +968,9 @@ class ColumnarTimeline:
                 [multi_res_ids]
         else:
             logs = list(columns)
-            unset = [None] * len(logs)
-            ends = unset if end_time_ns is None else list(end_time_ns)
-            singles = unset if single_res_ids is None \
-                else list(single_res_ids)
-            multis = unset if multi_res_ids is None else list(multi_res_ids)
+            ends = [None] * len(logs) if end_time_ns is None \
+                else list(end_time_ns)
+            singles, multis = list(single_res_ids), list(multi_res_ids)
             if not len(logs) == len(ends) == len(singles) == len(multis):
                 raise ValueError(
                     "a multi-log timeline needs one end time and one "
@@ -977,12 +1013,11 @@ class ColumnarTimeline:
         exactly the streaming trackers' semantics: the batch continues
         the power span and activity spans the carry holds open and,
         unless ``final``, hands back the spans still open at its end.
-        Devices are then the given sets — no inference: a caller that
-        meets a new device splits its batch there.  An open activity
-        span is clamped at the batch's last record for covering (no
-        interval of the batch ends later); ``final`` closes spans as the
-        stream's finish does: the trailing interval at the last record,
-        activity spans at ``end_time_ns`` (default: the last record).
+        An open activity span is clamped at the batch's last record for
+        covering (no interval of the batch ends later); ``final`` closes
+        spans as the stream's finish does: the trailing interval at the
+        last record, activity spans at ``end_time_ns`` (default: the
+        last record).
         A batch's closing rows are ``-1`` for a segment an earlier batch
         closed, its length when closed at finish and one more while
         still open.
@@ -991,6 +1026,21 @@ class ColumnarTimeline:
         count = self.n_logs
         times = columns.time_ns
         row_log = np.repeat(np.arange(count, dtype=np.int64), log_len)
+        types = columns.type
+        key = row_log * _RES_SPACE + columns.res_id
+        single_rows = np.nonzero((types == TYPE_ACT_CHANGE)
+                                 | (types == TYPE_ACT_BIND))[0]
+        multi_rows = np.nonzero((types == TYPE_ACT_ADD)
+                                | (types == TYPE_ACT_REMOVE))[0]
+        tables = [_declared(tuple(single), tuple(multi))
+                  for single, multi in zip(singles, multis)]
+        for k, (_, _, refused) in enumerate(tables):
+            rows = slice(self.log_bounds[k], self.log_bounds[k + 1])
+            _check_declared(types[rows], columns.res_id[rows], refused, k)
+        is_single, is_multi = (
+            np.concatenate([np.zeros(0, dtype=bool)]
+                           + [table[i] for table in tables]) for i in (0, 1))
+        single_rows = single_rows[~is_multi[key[single_rows]]]
         # The row closing each log's last spans: its length, one more
         # for a batch's spans left open.
         close_rows = log_len
@@ -1018,44 +1068,6 @@ class ColumnarTimeline:
             if not final:
                 close_rows = log_len + 1
         self.log_end_ns = log_end
-        types = columns.type
-        key = row_log * _RES_SPACE + columns.res_id
-        single_rows = np.nonzero((types == TYPE_ACT_CHANGE)
-                                 | (types == TYPE_ACT_BIND))[0]
-        multi_rows = np.nonzero((types == TYPE_ACT_ADD)
-                                | (types == TYPE_ACT_REMOVE))[0]
-        # Devices per log: the declared ones (a declared res_id outside
-        # the one byte a log records never matches a record), plus, for
-        # whole logs, the stream's in-order inference — add/remove marks
-        # a device multi; change/bind marks it single only if its first
-        # change precedes its first add/remove.  The stream drops a
-        # change/bind the moment its device is known to be multi, so
-        # rows at or past that first add/remove (all rows, when declared
-        # multi up front: -1) never reach the single tracker; a device
-        # declared both ways is covered as single with no segments.
-        is_single = np.zeros(count * _RES_SPACE, dtype=bool)
-        is_multi = np.zeros(count * _RES_SPACE, dtype=bool)
-        first_multi = np.full(count * _RES_SPACE, np.iinfo(np.int64).max,
-                              dtype=np.int64)
-        for k in range(count):
-            is_single[[k * _RES_SPACE + rid for rid in singles[k] or ()
-                       if 0 <= rid < _RES_SPACE]] = True
-            declared = [k * _RES_SPACE + rid for rid in multis[k] or ()
-                        if 0 <= rid < _RES_SPACE]
-            is_multi[declared] = True
-            first_multi[declared] = -1
-        if carry is None:
-            devices, firsts = np.unique(key[multi_rows], return_index=True)
-            inferred = ~is_multi[devices]
-            first_multi[devices[inferred]] = multi_rows[firsts[inferred]]
-            is_multi[devices] = True
-            devices, firsts = np.unique(key[single_rows], return_index=True)
-            is_single[devices[single_rows[firsts]
-                              < first_multi[devices]]] = True
-        device = key[single_rows]
-        single_rows = single_rows[is_single[device]
-                                  & (single_rows < first_multi[device])]
-        multi_rows = multi_rows[is_multi[key[multi_rows]]]
         self._build_intervals(row_log, log_len, carry, final)
         self._build_singles(key, single_rows, np.nonzero(is_single)[0],
                             row_log, close_rows, carry, final)

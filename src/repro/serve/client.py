@@ -68,7 +68,7 @@ def hello_for_node(node, *, stride_ns: int, timeline=None, regression=None,
                    origin_ns: Optional[int] = None) -> dict:
     """The ingest hello for a simulated node: capture its timeline and
     regression (if not provided) and pack the accounting inputs."""
-    from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
+    from repro.tos.node import COMPONENT_NAMES
 
     if timeline is None:
         timeline = node.timeline()
@@ -82,8 +82,8 @@ def hello_for_node(node, *, stride_ns: int, timeline=None, regression=None,
         energy_per_pulse_j=node.platform.icount.nominal_energy_per_pulse_j,
         idle_name=node.registry.name_of(node.idle),
         stride_ns=stride_ns,
-        single_res_ids=[d.res_id for d in node._single_devices()],
-        multi_res_ids=[RES_TIMERB],
+        single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids,
         end_time_ns=timeline.end_time_ns,
         origin_ns=origin_ns,
     )

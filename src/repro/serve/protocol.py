@@ -44,6 +44,7 @@ compare a served map against an offline one for bit-equality.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -203,12 +204,6 @@ def registry_from_wire(obj: dict) -> ActivityRegistry:
 
 # -- the ingest hello --------------------------------------------------------
 
-_HELLO_REQUIRED = (
-    "node_id", "registry", "component_names", "regression",
-    "energy_per_pulse_j", "idle_name", "stride_ns",
-)
-
-
 def make_hello(
     *,
     node_id: int,
@@ -218,8 +213,8 @@ def make_hello(
     energy_per_pulse_j: float,
     idle_name: str,
     stride_ns: int,
-    single_res_ids: Optional[Sequence[int]] = None,
-    multi_res_ids: Optional[Sequence[int]] = None,
+    single_res_ids: Sequence[int],
+    multi_res_ids: Sequence[int],
     end_time_ns: Optional[int] = None,
     origin_ns: Optional[int] = None,
 ) -> dict:
@@ -231,18 +226,78 @@ def make_hello(
         "energy_per_pulse_j": energy_per_pulse_j,
         "idle_name": idle_name,
         "stride_ns": stride_ns,
-        "single_res_ids": list(single_res_ids or ()),
-        "multi_res_ids": list(multi_res_ids or ()),
+        "single_res_ids": list(single_res_ids),
+        "multi_res_ids": list(multi_res_ids),
         "end_time_ns": end_time_ns,
         "origin_ns": origin_ns,
     }
 
 
+def _int(value, low=0) -> bool:
+    """A JSON integer (not true/false) of at least ``low``."""
+    return type(value) is int and value >= low
+
+
+def _number(value) -> bool:
+    return _int(value, -math.inf) \
+        or (type(value) is float and math.isfinite(value))
+
+
+def _names(obj) -> bool:
+    """An object of decimal-id keys and string values."""
+    return isinstance(obj, dict) and all(
+        key.isdecimal() and isinstance(name, str)
+        for key, name in obj.items())
+
+
+def _regression(obj) -> bool:
+    """Columns whose draws it carries, and the constant floor."""
+    power = obj.get("power_w") if isinstance(obj, dict) else None
+    return (isinstance(power, dict) and isinstance(obj.get("columns"), list)
+            and all(isinstance(column, list) and len(column) == 3
+                    and _int(column[0]) and _int(column[1])
+                    and isinstance(column[2], str) and column[2] in power
+                    for column in obj["columns"])
+            and all(_number(watts) for watts in power.values())
+            and _number(obj.get("const_power_w")))
+
+
+_IDS = (lambda v: isinstance(v, list) and all(_int(r) and r < 256 for r in v),
+        "a list of ints in 0..255")
+
+
+#: Each hello field's check and what it must be; a field whose check
+#: passes on null may be left out.
+_HELLO_FIELDS = {
+    "node_id": (_int, "an int >= 0"),
+    "stride_ns": (lambda v: _int(v, 1), "an int > 0"),
+    "energy_per_pulse_j": (lambda v: _number(v) and v > 0,
+                           "a finite number > 0"),
+    "end_time_ns": (lambda v: v is None or _int(v), "an int >= 0 or null"),
+    "origin_ns": (lambda v: v is None or _int(v), "an int >= 0 or null"),
+    "single_res_ids": _IDS,
+    "multi_res_ids": _IDS,
+    "component_names": (_names, "an object of res_id -> name"),
+    "registry": (_names, "an object of activity id -> name"),
+    "idle_name": (lambda v: isinstance(v, str), "a string"),
+    "regression": (_regression,
+                   "an object of columns, their power_w and const_power_w"),
+}
+
+
 def check_hello(hello: dict) -> dict:
-    """Validate an ingest hello's shape; returns it for chaining."""
+    """Validate an ingest hello — every field present, of its type and
+    in its range — so a bad one is refused before anything is
+    journaled.  Returns it for chaining."""
     if not isinstance(hello, dict):
         raise ServeError("ingest hello is not a JSON object")
-    missing = [key for key in _HELLO_REQUIRED if key not in hello]
+    missing = [key for key, (valid, _) in _HELLO_FIELDS.items()
+               if key not in hello and not valid(None)]
     if missing:
         raise ServeError(f"ingest hello missing {', '.join(missing)}")
+    for key, (valid, what) in _HELLO_FIELDS.items():
+        value = hello.get(key)
+        if not valid(value):
+            raise ServeError(
+                f"ingest hello {key} must be {what}, got {value!r:.80}")
     return hello

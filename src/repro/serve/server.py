@@ -96,7 +96,7 @@ READ_CHUNK = 1 << 16
 #: many journaled stream bytes (plus once at stream completion).
 CHECKPOINT_BYTES = 1 << 16
 
-#: Default ack cadence for resume-capable clients.
+#: Ack cadence for resume-capable clients.
 ACK_BYTES = 1 << 14
 
 #: End-of-stream sentinel on a session's chunk queue.
@@ -121,21 +121,26 @@ class NodeSession:
         check_hello(hello)
         self.hello = hello
         self.node_id = int(hello["node_id"])
-        self.registry = registry_from_wire(hello["registry"])
+        try:
+            self.registry = registry_from_wire(hello["registry"])
+            self.accumulator = WindowedAccumulator(
+                regression_from_wire(hello["regression"]),
+                self.registry,
+                {int(k): v for k, v in hello["component_names"].items()},
+                hello["energy_per_pulse_j"],
+                stride_ns=hello["stride_ns"],
+                idle_name=hello["idle_name"],
+                single_res_ids=hello["single_res_ids"],
+                multi_res_ids=hello["multi_res_ids"],
+                end_time_ns=hello.get("end_time_ns"),
+                origin_ns=hello.get("origin_ns"),
+                retain=retain,
+            )
+        except Exception as exc:
+            # One policy for every caller: a hello no session can be
+            # built from is a refused hello.
+            raise ServeError(f"bad ingest hello: {exc!r}") from exc
         self.decoder = WireDecoder()
-        self.accumulator = WindowedAccumulator(
-            regression_from_wire(hello["regression"]),
-            self.registry,
-            {int(k): v for k, v in hello["component_names"].items()},
-            hello["energy_per_pulse_j"],
-            stride_ns=hello["stride_ns"],
-            idle_name=hello["idle_name"],
-            single_res_ids=hello.get("single_res_ids") or None,
-            multi_res_ids=hello.get("multi_res_ids") or None,
-            end_time_ns=hello.get("end_time_ns"),
-            origin_ns=hello.get("origin_ns"),
-            retain=retain,
-        )
         self.state = "streaming"
         self.bytes_received = 0
         self.error: Optional[str] = None
@@ -303,7 +308,6 @@ class IngestServer:
 
     def __init__(self, *, retain: int = 64, queue_depth: int = 32,
                  state_dir=None, checkpoint_bytes: int = CHECKPOINT_BYTES,
-                 ack_bytes: int = ACK_BYTES,
                  max_streams: Optional[int] = None) -> None:
         if queue_depth < 1:
             raise ServeError("queue depth must be at least 1")
@@ -317,7 +321,6 @@ class IngestServer:
         self.queue_depth = queue_depth
         self.state_dir = state_dir
         self.checkpoint_bytes = checkpoint_bytes
-        self.ack_bytes = max(1, ack_bytes)
         self.max_streams = max_streams
         self.sessions: dict[int, NodeSession] = {}
         self.completed = 0
@@ -347,8 +350,11 @@ class IngestServer:
                 contents = journal.load()
                 if contents is None or contents.hello is None:
                     continue
-                session = NodeSession(contents.hello, retain=self.retain,
-                                      journal=journal)
+                try:
+                    session = NodeSession(contents.hello, retain=self.retain,
+                                          journal=journal)
+                except ServeError:
+                    continue  # no session fits its hello: unrecoverable
                 session.set_quarantined(f"restore failed: {exc}")
             if session is None:
                 continue
@@ -627,6 +633,8 @@ class IngestServer:
                 f"{self.max_streams}-stream cap",
                 retry=True, shed=True)
             return None, False
+        # A bad hello raises before anything is journaled: one
+        # ok-false reply.
         session = NodeSession(hello, retain=self.retain)
         if self.state_dir is not None:
             journal = NodeJournal(self.state_dir, node_id)
@@ -792,7 +800,7 @@ class IngestServer:
                     >= self.checkpoint_bytes):
                 self._checkpoint(session)
             if want_acks and (session.bytes_received
-                              - session.last_ack_bytes >= self.ack_bytes):
+                              - session.last_ack_bytes >= ACK_BYTES):
                 session.last_ack_bytes = session.bytes_received
                 writer.write(encode_json_line(
                     {"ack": session.bytes_received}))

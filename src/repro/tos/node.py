@@ -54,6 +54,7 @@ from repro.core.logger import QuantoLogger
 from repro.core.powerstate import PowerStateTracker
 from repro.core.regression import (
     RegressionResult,
+    SinkColumn,
     layout_from_tracker,
     solve_grouped,
 )
@@ -98,6 +99,11 @@ COMPONENT_NAMES = {
     RES_VREF: "VRef",
     RES_TIMERB: "TimerB",
 }
+
+#: Regression column layouts, one object per distinct layout: every node
+#: of a platform has the same one, and a sweep keeps hundreds of nodes
+#: alive at once, so a copy per node would cost about a megabyte.
+_LAYOUTS: dict[tuple[SinkColumn, ...], tuple[SinkColumn, ...]] = {}
 
 
 @dataclass
@@ -182,6 +188,14 @@ class QuantoNode:
         self.sensor_activity = SingleActivityDevice(
             "Sensor", RES_SENSOR, self.idle)
         self.timer_activity = MultiActivityDevice("TimerB", RES_TIMERB)
+        # The declared activity devices: every analysis of this node's
+        # log is told them, and none infers one.
+        self.single_res_ids = tuple(
+            device.res_id for device in self._single_devices())
+        self.multi_res_ids = (self.timer_activity.res_id,)
+        # The regression's column layout: the tracker's sinks are fixed.
+        layout = tuple(layout_from_tracker(self.tracker))
+        self._layout = _LAYOUTS.setdefault(layout, layout)
 
         self.logger = QuantoLogger(
             self.platform.mcu,
@@ -417,16 +431,15 @@ class QuantoNode:
         if cached is not None and cached[0] == count and cached[1] == end:
             return cached[2]
         timeline = ColumnarTimeline(
-            self.logger.columns(),
-            end_time_ns=end,
-            single_res_ids=[d.res_id for d in self._single_devices()],
-            multi_res_ids=[RES_TIMERB],
-        )
+            self.logger.columns(), end_time_ns=end,
+            single_res_ids=self.single_res_ids,
+            multi_res_ids=self.multi_res_ids)
         self._timeline_cache = (count, end, timeline)
         return timeline
 
-    def layout(self):
-        return layout_from_tracker(self.tracker)
+    def layout(self) -> tuple[SinkColumn, ...]:
+        """The regression's column layout, built once per node."""
+        return self._layout
 
     def regression(
         self,
@@ -519,9 +532,8 @@ class QuantoNode:
         timeline = ColumnarTimeline(
             [columns for columns, _, _ in snapshots],
             end_time_ns=[end for _, end, _ in snapshots],
-            single_res_ids=[[d.res_id for d in node._single_devices()]
-                            for node in nodes],
-            multi_res_ids=[[RES_TIMERB]] * len(nodes),
+            single_res_ids=[node.single_res_ids for node in nodes],
+            multi_res_ids=[node.multi_res_ids for node in nodes],
         )
         views = [timeline.log(k) for k in range(len(nodes))]
         regressions = [node._solve(view) for node, view in zip(nodes, views)]

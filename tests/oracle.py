@@ -6,8 +6,8 @@ the streaming reference instead — :class:`TimelineStream` plus
 :func:`solve_breakdown` for the regression, :func:`stream_energy_map`
 for the map — from the same inputs: a passed timeline snapshot's rows,
 device sets and end time, else the live log decoded entry by entry.
-They never build a ``ColumnarTimeline``, so the reference reconstructs
-independently of the columnar path.
+These never build a ``ColumnarTimeline``, so the reference
+reconstructs independently of the columnar path.
 
 :func:`install` swaps them in for the node's methods, so a whole
 experiment runs on the reference, and every map call also runs the
@@ -26,23 +26,24 @@ from contextlib import contextmanager
 
 import repro.tos.node as node_module
 from repro.core.accounting import columnar_energy_map, stream_energy_map
+from repro.core.logger import LogColumns
 from repro.core.regression import solve_breakdown
-from repro.core.timeline import TimelineStream
-from repro.tos.node import (
-    COMPONENT_NAMES,
-    RES_TIMERB,
-    NodeBreakdown,
-    QuantoNode,
-)
+from repro.core.timeline import ColumnarTimeline, TimelineStream
+from repro.tos.node import COMPONENT_NAMES, NodeBreakdown, QuantoNode
 
 
 def columnar_map(entries, regression, registry, component_names,
-                 energy_per_pulse_j, *, idle_name="Idle", **kwargs):
-    """:func:`columnar_energy_map` of one log, called like
-    :func:`stream_energy_map`."""
+                 energy_per_pulse_j, *, single_res_ids, multi_res_ids,
+                 end_time_ns=None, idle_name="Idle", fold_proxies=False):
+    """:func:`columnar_energy_map` of one log's decoded entries, called
+    like :func:`stream_energy_map` with declared devices."""
+    timeline = ColumnarTimeline(
+        LogColumns.from_entries(entries), end_time_ns=end_time_ns,
+        single_res_ids=single_res_ids, multi_res_ids=multi_res_ids)
     (emap,) = columnar_energy_map(
-        entries, [regression], registry, component_names,
-        [energy_per_pulse_j], idle_names=[idle_name], **kwargs)
+        timeline, [regression], registry, component_names,
+        [energy_per_pulse_j], fold_proxies=fold_proxies,
+        idle_names=[idle_name])
     return emap
 
 
@@ -67,9 +68,8 @@ def reference_log(node, timeline=None) -> tuple[list, dict]:
     if node._booted:
         node.mark_log_end()
     return node.entries(), dict(
-        end_time_ns=node.sim.now,
-        single_res_ids=[d.res_id for d in node._single_devices()],
-        multi_res_ids=[RES_TIMERB])
+        end_time_ns=node.sim.now, single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids)
 
 
 def _solve(node, entries, weighting="sqrt_et", strict=False):

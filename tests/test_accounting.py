@@ -28,10 +28,13 @@ from repro.units import ms
 QUANTUM = 8.33e-6
 
 
-def _timeline(rows, end_ms, **kwargs):
+def _timeline(rows, end_ms):
+    """The timeline of a log whose devices are single 0 and 1 and
+    multi 9."""
     raw = b"".join(ENTRY_STRUCT.pack(*row) for row in rows)
     return ColumnarTimeline(LogColumns.from_entries(decode_log(raw)),
-                            end_time_ns=ms(end_ms), **kwargs)
+                            end_time_ns=ms(end_ms), single_res_ids=[0, 1],
+                            multi_res_ids=[9])
 
 
 def _pulses(power_w, dt_ms):

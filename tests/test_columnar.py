@@ -167,7 +167,8 @@ def test_log_columns_from_entries_roundtrip():
     assert columns.icount.tolist() == reference.icount.tolist()
     # ...and back: the timeline's rows are the decoded entries, seq and
     # time_us included.
-    assert ColumnarTimeline(reference).entries == entries
+    assert ColumnarTimeline(reference, single_res_ids=SINGLE_IDS,
+                            multi_res_ids=[MULTI_ID]).entries == entries
 
 
 # -- reconstruction ---------------------------------------------------------
@@ -291,7 +292,7 @@ def test_randomized_maps_bit_identical(seed, fold):
     reference = stream_energy_map(
         iter_entries(raw), regression, registry, names, 1e-6, **kwargs)
     candidate = oracle.columnar_map(
-        raw, regression, registry, names, 1e-6, **kwargs)
+        decode_log(raw), regression, registry, names, 1e-6, **kwargs)
     oracle.assert_same_map(reference, candidate)
 
 
@@ -356,20 +357,24 @@ def test_solve_grouped_equals_solve_breakdown():
 
 
 def test_device_turning_multi_mid_log_matches_streaming():
-    """A device with change/bind records *and* later add/remove records:
-    the streaming feed drops change entries once the res_id is known
-    multi, and the columnar backend must reproduce that — including the
-    segment split and the add_time breakdown."""
+    """A device with change/bind records *and* later add/remove records.
+    Declared multi, its change/binds are dropped, as the stream drops
+    them; declared both ways, the stream keeps an (unfed) single
+    tracker, so covers resolve as single-with-no-segments — all idle.
+    Either way the columnar map equals the stream's, in both fold
+    modes.  Declared single only, its add is a record of an undeclared
+    multi device: the columnar timeline refuses it (the stream alone
+    would infer the device)."""
     rid = 5
     rows = [
         (BOOT, rid, 50, 0, 0),
         (POWER, rid, 80, 1, 1),
         (CHANGE, rid, 100, 2, 0x0111),
         (ADD, rid, 200, 3, 0x0122),
-        (CHANGE, rid, 300, 5, 0x0133),  # dropped by the stream: multi now
+        (CHANGE, rid, 300, 5, 0x0133),
         (POWER, rid, 400, 9, 0),
     ]
-    raw = b"".join(ENTRY_STRUCT.pack(*row) for row in rows)
+    entries = decode_log(b"".join(ENTRY_STRUCT.pack(*row) for row in rows))
     regression = RegressionResult(
         columns=[SinkColumn(res_id=rid, value=1, name="dev")],
         power_w={"dev": 0.004}, const_power_w=0.001, voltage=3.0,
@@ -377,25 +382,21 @@ def test_device_turning_multi_mid_log_matches_streaming():
         group_states=[], group_time_ns=[], group_energy_j=[],
     )
     registry = ActivityRegistry()
-    for fold in (False, True):
-        kwargs = dict(fold_proxies=fold, idle_name="Idle",
-                      end_time_ns=400_000)
-        reference = stream_energy_map(
-            iter_entries(raw), regression, registry, {rid: "Dev"}, 1e-6,
-            **kwargs)
-        candidate = oracle.columnar_map(
-            raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
-        oracle.assert_same_map(reference, candidate)
-    # Declared both single and multi: the stream keeps an (unfed) single
-    # tracker, so covers resolve as single-with-no-segments — all idle.
-    kwargs = dict(fold_proxies=False, idle_name="Idle", end_time_ns=400_000,
-                  single_res_ids=[rid], multi_res_ids=[rid])
-    reference = stream_energy_map(
-        iter_entries(raw), regression, registry, {rid: "Dev"}, 1e-6,
-        **kwargs)
-    candidate = oracle.columnar_map(
-        raw, regression, registry, {rid: "Dev"}, 1e-6, **kwargs)
-    oracle.assert_same_map(reference, candidate)
+    for singles in ([], [rid]):
+        for fold in (False, True):
+            kwargs = dict(fold_proxies=fold, idle_name="Idle",
+                          end_time_ns=400_000, single_res_ids=singles,
+                          multi_res_ids=[rid])
+            reference = stream_energy_map(
+                entries, regression, registry, {rid: "Dev"}, 1e-6,
+                **kwargs)
+            candidate = oracle.columnar_map(
+                entries, regression, registry, {rid: "Dev"}, 1e-6,
+                **kwargs)
+            oracle.assert_same_map(reference, candidate)
+    with pytest.raises(LoggerError, match="device 5"):
+        ColumnarTimeline(LogColumns.from_entries(entries),
+                         single_res_ids=[rid], multi_res_ids=[])
 
 
 def test_stale_timeline_snapshot_matches_streaming():
@@ -534,12 +535,15 @@ def test_sweep_backend_digests_match(monkeypatch):
 
 def test_columnar_errors_match_streaming():
     registry = ActivityRegistry()
+    devices = dict(single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
+    empty = ColumnarTimeline(decode_columns(b""), **devices)
     with pytest.raises(RegressionError, match="no power intervals"):
-        columnar_energy_map(b"", [_regression_for_test()], registry, {},
+        columnar_energy_map(empty, [_regression_for_test()], registry, {},
                             [1e-6])
     raw, _end = _random_log(random.Random(0), n_entries=20)
+    timeline = ColumnarTimeline(decode_columns(raw), **devices)
     with pytest.raises(RegressionError, match="needs a regression"):
-        columnar_energy_map(raw, [None], registry, {}, [1e-6])
+        columnar_energy_map(timeline, [None], registry, {}, [1e-6])
 
 
 # -- logdump iterables ------------------------------------------------------

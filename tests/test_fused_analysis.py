@@ -17,11 +17,20 @@ import oracle
 import pytest
 
 import repro.tos.node as node_module
-from repro.core.accounting import columnar_energy_map, stream_energy_map
+from repro.core import accounting
+from repro.core.accounting import (
+    WindowedAccumulator,
+    columnar_energy_map,
+    stream_energy_map,
+)
 from repro.core.labels import ActivityRegistry
 from repro.core.logger import LogColumns, LogEntry
 from repro.core.regression import RegressionResult, SinkColumn
-from repro.core.timeline import ColumnarTimeline, TimelineStream
+from repro.core.timeline import (
+    ColumnarTimeline,
+    TimelineCarry,
+    TimelineStream,
+)
 from repro.errors import LoggerError, RegressionError
 from repro.tos.network import Network
 from repro.tos.node import NodeConfig, QuantoNode
@@ -144,9 +153,11 @@ def _regression(rng, sinks):
 
 
 def _random_logs(rng, count):
-    """``count`` logs with differing device sets: each declares its own
-    singles (or leaves them to inference) and declares the multi device
-    or infers it; with several logs, the first has no activity rows."""
+    """``count`` logs with differing device sets, each declaring every
+    device it names: its singles (or all three, some never named), the
+    multi device 9, and any single device it adds to as multi too (kept
+    single as well, or not: either way its change/binds are dropped);
+    with several logs, the first has no activity rows."""
     logs = []
     for k in range(count):
         singles = sorted(rng.sample((0, 1, 3), rng.randrange(0, 4)))
@@ -156,11 +167,17 @@ def _random_logs(rng, count):
         if count > 1 and k == 0:
             columns = columns[(columns.type == POWER)
                               | (columns.type == BOOT)]
+        turned = sorted(set(columns.res_id[columns.type == ADD].tolist())
+                        - {9})
+        end_ns = max(0, end_ns + rng.choice((0, -500_000, 5_000_000)))
+        declared = singles if rng.random() < 0.7 else [0, 1, 3]
+        if rng.random() < 0.5:
+            declared = [rid for rid in declared if rid not in turned]
         logs.append(dict(
             columns=columns,
-            end_ns=max(0, end_ns + rng.choice((0, -500_000, 5_000_000))),
-            singles=singles if rng.random() < 0.7 else None,
-            multis=[9] if rng.random() < 0.5 else None,
+            end_ns=end_ns,
+            singles=declared,
+            multis=[9, *turned],
             regression=_regression(rng, sinks),
             pulse_j=rng.choice((1e-6, 2.5e-6)),
             idle=f"{k}:Idle",
@@ -180,6 +197,28 @@ def _single(log):
     return ColumnarTimeline(log["columns"], end_time_ns=log["end_ns"],
                             single_res_ids=log["singles"],
                             multi_res_ids=log["multis"])
+
+
+def _reference(log, registry, fold):
+    """The streaming reference's map of one log."""
+    return stream_energy_map(
+        _single(log).entries, log["regression"], registry, NAMES,
+        log["pulse_j"], fold_proxies=fold, idle_name=log["idle"],
+        end_time_ns=log["end_ns"], single_res_ids=log["singles"],
+        multi_res_ids=log["multis"])
+
+
+def _windowed(log, registry):
+    """The live fold's map of one log, fed 7 rows at a time."""
+    accumulator = WindowedAccumulator(
+        log["regression"], registry, NAMES, log["pulse_j"],
+        stride_ns=1_000_000, idle_name=log["idle"],
+        single_res_ids=log["singles"], multi_res_ids=log["multis"],
+        end_time_ns=log["end_ns"])
+    columns = log["columns"]
+    for at in range(0, len(columns), 7):
+        accumulator.feed_columns(columns[at:at + 7])
+    return accumulator.finish()
 
 
 def _assert_same_timeline(view, single):
@@ -204,11 +243,12 @@ def _assert_same_timeline(view, single):
 
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("count", [1, 2, 5])
-def test_fused_logs_match_single_builds(seed, count):
+def test_fused_logs_match_single_builds(seed, count, monkeypatch):
     """Each log of a fused timeline equals its one-log build, and the
-    fused fold's maps equal K separate folds — and, where the single
-    devices are declared, the streaming reference — float bits and key
-    order."""
+    fused fold's maps equal K separate folds, the streaming reference
+    and (without proxy folding) the windowed fold in small batches —
+    float bits and key order."""
+    monkeypatch.setattr(accounting, "MIN_BATCH_ENTRIES", 16)
     rng = random.Random(seed * 10 + count)
     logs = _random_logs(rng, count)
     fused = _fused(logs)
@@ -228,18 +268,50 @@ def test_fused_logs_match_single_builds(seed, count):
                 [log["pulse_j"]], fold_proxies=fold,
                 idle_names=[log["idle"]])
             oracle.assert_same_map(alone, fused_map)
-            if log["singles"] is None:
-                # Inferred single devices: the stream only learns of one
-                # at its first record, so it charges the intervals
-                # before that as untracked, while a whole-log build
-                # knows the device from the start.
-                continue
-            reference = stream_energy_map(
-                _single(log).entries, log["regression"], registry, NAMES,
-                log["pulse_j"], fold_proxies=fold, idle_name=log["idle"],
-                end_time_ns=log["end_ns"], single_res_ids=log["singles"],
-                multi_res_ids=log["multis"])
-            oracle.assert_same_map(reference, fused_map)
+            oracle.assert_same_map(_reference(log, registry, fold),
+                                   fused_map)
+            if not fold:
+                oracle.assert_same_map(_windowed(log, registry), fused_map)
+
+
+def test_once_disagreeing_log_folds_identically_when_declared():
+    """The seeded log on which whole-log device inference once charged
+    ``('LED', '4:Idle')`` what the stream split between it and
+    ``('LED', '(untracked)')``: declared, the offline fold, the live
+    fold and the reference give one map, bit for bit."""
+    log = _random_logs(random.Random(65), 5)[4]
+    assert 3 in log["singles"]
+    registry = ActivityRegistry()
+    (offline,) = columnar_energy_map(
+        _single(log), [log["regression"]], registry, NAMES,
+        [log["pulse_j"]], idle_names=[log["idle"]])
+    assert ("LED", "4:Idle") in offline.energy_j
+    assert ("LED", "(untracked)") not in offline.energy_j
+    oracle.assert_same_map(_reference(log, registry, False), offline)
+    oracle.assert_same_map(_windowed(log, registry), offline)
+
+
+@pytest.mark.parametrize("row", [
+    (CHANGE, 3, 20, 2, LABELS[0]),
+    (BIND, 3, 20, 2, LABELS[0]),
+    (ADD, 0, 20, 2, LABELS[0]),
+    (REMOVE, 3, 20, 2, LABELS[0]),
+], ids=["change", "bind", "add", "remove"])
+def test_undeclared_device_is_refused(row):
+    """A change/bind of a device declared neither way, or an add/remove
+    of one not declared multi, raises in a whole-log, a K-log and a
+    batch build: the product paths never infer a device."""
+    columns = _columns([(BOOT, 0, 0, 0, 0), (CHANGE, 0, 10, 1, LABELS[1]),
+                        row, (POWER, 0, 30, 3, 1)])
+    devices = dict(single_res_ids=[0], multi_res_ids=[9])
+    with pytest.raises(LoggerError, match="did not declare"):
+        ColumnarTimeline(columns, **devices)
+    with pytest.raises(LoggerError, match="log 1 names"):
+        ColumnarTimeline([columns[:2], columns], single_res_ids=[[0], [0]],
+                         multi_res_ids=[[9], [9]])
+    with pytest.raises(LoggerError, match="did not declare"):
+        ColumnarTimeline(columns, carry=TimelineCarry(), final=False,
+                         **devices)
 
 
 def test_log_without_power_intervals_raises_as_alone():
@@ -248,6 +320,7 @@ def test_log_without_power_intervals_raises_as_alone():
     rng = random.Random(3)
     logs = _random_logs(rng, 3)
     logs[1]["columns"], _ = _random_log(rng, [0, 1], [], 40)
+    logs[1].update(singles=[0, 1], multis=[0, 1, 9])
     registry = ActivityRegistry()
     with pytest.raises(RegressionError) as alone:
         columnar_energy_map(_single(logs[1]), [logs[1]["regression"]],
@@ -264,10 +337,12 @@ def test_fused_timeline_checks_time_order_per_log():
     ahead of it ends."""
     early = _columns([(BOOT, 0, 0, 0, 0), (POWER, 0, 5, 1, 1)])
     late = _columns([(BOOT, 0, 50, 0, 0), (POWER, 0, 60, 1, 1)])
-    ColumnarTimeline([late, early])
+    ColumnarTimeline([late, early], single_res_ids=[[]] * 2,
+                     multi_res_ids=[[]] * 2)
     backwards = _columns([(BOOT, 0, 9, 0, 0), (POWER, 0, 5, 1, 1)])
     with pytest.raises(LoggerError, match="backwards"):
-        ColumnarTimeline([early, backwards, late])
+        ColumnarTimeline([early, backwards, late], single_res_ids=[[]] * 3,
+                         multi_res_ids=[[]] * 3)
 
 
 def test_fused_timeline_refuses_per_device_views():
@@ -342,6 +417,22 @@ def test_breakdown_all_calls_each_layer_name_once_per_pass(monkeypatch):
     QuantoNode.breakdown_all([network.node(nid) for nid in ids])
     assert calls == {"ColumnarTimeline": 1, "solve_grouped": 3,
                      "columnar_energy_map": 1}
+
+
+def test_layout_built_once_per_node(monkeypatch):
+    """A node's power-state layout is fixed once it is built: a network
+    point builds one per node, however many regressions it solves."""
+    builds = []
+    real = node_module.layout_from_tracker
+    monkeypatch.setattr(node_module, "layout_from_tracker",
+                        lambda tracker: builds.append(tracker)
+                        or real(tracker))
+    network, ids = _collection(nodes=(10, 11, 12))
+    nodes = [network.node(nid) for nid in ids]
+    QuantoNode.breakdown_all(nodes)
+    for node in nodes:
+        node.regression()
+    assert builds == [node.tracker for node in nodes]
 
 
 def test_oracle_answers_the_fused_path(monkeypatch):

@@ -45,7 +45,8 @@ def test_activity_segments_tile_time(steps):
     end_ns = (t + 500) * 1000
     entries = decode_log(b"".join(rows))
     timeline = ColumnarTimeline(LogColumns.from_entries(entries),
-                                end_time_ns=end_ns)
+                                end_time_ns=end_ns, single_res_ids=[0],
+                                multi_res_ids=[])
     segments = timeline.activity_segments(0)
     if not segments:
         return
@@ -86,7 +87,8 @@ def test_energy_map_conserves_energy(schedule, led_power, const_power):
             state = new_state
     entries = decode_log(b"".join(rows))
     timeline = ColumnarTimeline(LogColumns.from_entries(entries),
-                                end_time_ns=t_us * 1000)
+                                end_time_ns=t_us * 1000, single_res_ids=[1],
+                                multi_res_ids=[])
     intervals = timeline.power_intervals()
     if not intervals:
         return
@@ -147,7 +149,8 @@ def test_multi_device_time_split_sums_to_presence(values):
     end_ns = (t + 100) * 1000
     entries = decode_log(b"".join(rows))
     timeline = ColumnarTimeline(LogColumns.from_entries(entries),
-                                end_time_ns=end_ns)
+                                end_time_ns=end_ns, single_res_ids=[],
+                                multi_res_ids=[9])
     spans = timeline.multi_columns(9)
     segments = [(t1 - t0, timeline.label_sets[set_id])
                 for t0, t1, set_id in zip(spans.t0.tolist(),

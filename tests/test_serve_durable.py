@@ -951,6 +951,201 @@ def test_quarantine_isolates_one_malformed_stream(tmp_path, blink, blink2,
     assert server_b.sessions[2].state == "quarantined"
 
 
+def test_undeclared_device_stream_is_quarantined(tmp_path, blink,
+                                                offline):
+    """A stream naming an activity device its hello did not declare is
+    malformed content: the node is quarantined with its journal kept,
+    and the server still serves the next node."""
+    from repro.tos.node import RES_LED0
+
+    state_dir = str(tmp_path / "state")
+    sock_path = str(tmp_path / "ingest.sock")
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    short = dict(hello, node_id=54, single_res_ids=[
+        rid for rid in hello["single_res_ids"] if rid != RES_LED0])
+    raw = bytes(blink.logger.raw_bytes())
+
+    async def scenario():
+        server = IngestServer(state_dir=state_dir)
+        await server.start_unix(sock_path)
+        try:
+            with pytest.raises(ServeError, match="did not declare"):
+                await stream_raw(sock_path, short, raw, retries=0)
+            good = await stream_raw(sock_path, hello, raw, retries=0)
+        finally:
+            await server.close()
+        return server, good
+
+    server, good = asyncio.run(scenario())
+    assert server.sessions[54].state == "quarantined"
+    assert (Path(state_dir) / "node-54.quarantine").exists()
+    journal_blob = (Path(state_dir) / "node-54.waj").read_bytes()
+    assert len(journal_blob) > len(JOURNAL_MAGIC) + len(raw)
+    assert_maps_identical(final_map(good), offline)
+
+
+@pytest.mark.parametrize("reader", ["checkpoint", "query"])
+def test_undeclared_device_quarantines_before_any_fold(tmp_path, blink,
+                                                       reader):
+    """The undeclared record is refused when its chunk is fed, not when
+    its batch is folded: checkpoints after every chunk, or ``nodes``
+    and ``breakdown`` queries between chunks, fold the buffered rows
+    mid-stream without failing, and the node ends quarantined — never
+    ``error``, never ``done``."""
+    from repro.serve.client import query
+    from repro.tos.node import RES_LED0
+
+    state_dir = str(tmp_path / "state")
+    sock_path = str(tmp_path / "ingest.sock")
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    short = dict(hello, node_id=54, single_res_ids=[
+        rid for rid in hello["single_res_ids"] if rid != RES_LED0])
+    raw = bytes(blink.logger.raw_bytes())
+    replies = []
+
+    async def paced(_sent, _total):
+        await asyncio.sleep(0.02)  # the server takes the chunk
+        if reader == "query":
+            for payload in ({"cmd": "nodes"},
+                            {"cmd": "breakdown", "node_id": 54}):
+                replies.append(await query(sock_path, payload))
+
+    async def scenario():
+        server = IngestServer(state_dir=state_dir, checkpoint_bytes=(
+            1 if reader == "checkpoint" else 1 << 20))
+        await server.start_unix(sock_path)
+        try:
+            with pytest.raises(ServeError):
+                await stream_raw(sock_path, short, raw, chunk_size=97,
+                                 on_chunk=paced, retries=0)
+        finally:
+            await server.close()
+        return server
+
+    server = asyncio.run(scenario())
+    session = server.sessions[54]
+    assert session.state == "quarantined"
+    assert "did not declare" in session.error
+    assert (Path(state_dir) / "node-54.quarantine").exists()
+    if reader == "query":
+        assert replies and all(reply["ok"] for reply in replies)
+        assert all(reply["state"] != "done" for reply in replies
+                   if "state" in reply)
+
+
+#: Bad hello fields: each is refused with one ok-false reply and
+#: nothing journaled.  A callable derives the bad value from the good.
+BAD_HELLO_FIELDS = [
+    ("node_id", "x"), ("node_id", -1), ("node_id", True),
+    ("stride_ns", "x"), ("stride_ns", 0), ("stride_ns", 1.5),
+    ("energy_per_pulse_j", "x"), ("energy_per_pulse_j", 0.0),
+    ("energy_per_pulse_j", float("inf")),
+    ("end_time_ns", "x"), ("origin_ns", 2.5),
+    ("single_res_ids", [300]), ("single_res_ids", None),
+    ("multi_res_ids", "9"), ("multi_res_ids", [-1]),
+    ("component_names", ["CPU"]), ("component_names", {"cpu": "CPU"}),
+    ("idle_name", 7), ("registry", {"1": 2}), ("regression", {}),
+    ("regression", lambda reg: dict(reg, power_w={})),
+    ("single_res_ids", KeyError),   # missing
+]
+
+
+def _refused(tmp_path, blink, hello, wrong):
+    """Send the ``wrong`` hello to a journaling server, then stream
+    ``hello``'s log: the replies to the wrong one, the state dir's
+    files right after it, and the good stream's final reply."""
+    state_dir = tmp_path / "state"
+    sock_path = str(tmp_path / "ingest.sock")
+    raw = bytes(blink.logger.raw_bytes())
+
+    async def scenario():
+        server = IngestServer(state_dir=str(state_dir))
+        await server.start_unix(sock_path)
+        try:
+            reader, writer = await asyncio.open_unix_connection(sock_path)
+            writer.write(INGEST_VERB.encode() + b" "
+                         + encode_json_line(wrong))
+            await writer.drain()
+            replies = (await asyncio.wait_for(reader.read(), 10)
+                       ).splitlines()
+            writer.close()
+            journaled = sorted(path.name for path in state_dir.glob("*"))
+            good = await stream_raw(sock_path, hello, raw, retries=0)
+        finally:
+            await server.close()
+        return replies, journaled, good
+
+    return asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("field, bad", BAD_HELLO_FIELDS,
+                         ids=[f"{field}-{i}" for i, (field, _)
+                              in enumerate(BAD_HELLO_FIELDS)])
+def test_malformed_hello_is_refused_before_journaling(tmp_path, blink,
+                                                      offline, field, bad):
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    wrong = dict(hello, node_id=54)
+    if bad is KeyError:
+        del wrong[field]
+    else:
+        wrong[field] = bad(hello[field]) if callable(bad) else bad
+    replies, journaled, good = _refused(tmp_path, blink, hello, wrong)
+    assert len(replies) == 1
+    reply = json.loads(replies[0])
+    assert reply["ok"] is False and field in reply["error"]
+    assert journaled == []
+    assert_maps_identical(final_map(good), offline)
+
+
+def test_journal_with_malformed_hello_does_not_stop_restore(tmp_path,
+                                                            blink, blink2):
+    """A journal whose hello no session can be built from (an older
+    server journaled it) is skipped like a headerless one; the other
+    nodes restore."""
+    state_dir = str(tmp_path / "state")
+    raw = bytes(blink2.logger.raw_bytes())
+    for node, bad in ((blink, {"energy_per_pulse_j": "x"}), (blink2, {})):
+        journal = NodeJournal(state_dir, node.node_id)
+        journal.create(dict(hello_for_node(node, stride_ns=int(seconds(1))),
+                            **bad))
+        journal.append_chunk(raw)
+        journal.close()
+    server = IngestServer(state_dir=state_dir)
+    assert sorted(server.sessions) == [2]
+    assert server.sessions[2].state == "suspended"
+
+
+def test_session_build_error_is_one_refusal(tmp_path, blink, offline,
+                                            monkeypatch):
+    """Whatever fails while a session is built from a hello that passes
+    :func:`check_hello`, the live client gets one ok-false reply with
+    nothing journaled, and a journal holding that hello is skipped on
+    restore instead of stopping the server."""
+    import repro.serve.server as server_module
+
+    hello = hello_for_node(blink, stride_ns=int(seconds(1)))
+    wrong = dict(hello, node_id=54, stride_ns=hello["stride_ns"] + 1)
+    real = server_module.WindowedAccumulator
+
+    def accumulator(*args, **kwargs):
+        if kwargs["stride_ns"] == wrong["stride_ns"]:
+            raise ValueError("synthetic build failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "WindowedAccumulator", accumulator)
+    replies, journaled, good = _refused(tmp_path, blink, hello, wrong)
+    assert [json.loads(line)["ok"] for line in replies] == [False]
+    assert "synthetic build failure" in replies[0].decode()
+    assert journaled == []
+    assert_maps_identical(final_map(good), offline)
+
+    state_dir = str(tmp_path / "restored")
+    journal = NodeJournal(state_dir, 54)
+    journal.create(wrong)
+    journal.close()
+    assert IngestServer(state_dir=state_dir).sessions == {}
+
+
 def test_overload_sheds_with_retryable_nack(tmp_path, blink, blink2,
                                             offline):
     """Past ``max_streams`` the server NACKs new nodes with an explicit

@@ -24,7 +24,7 @@ from repro.core.regression import RegressionResult
 from repro.core.timeline import TimelineStream
 from repro.experiments.common import run_blink
 from repro.tos.network import Network
-from repro.tos.node import COMPONENT_NAMES, RES_TIMERB, NodeConfig
+from repro.tos.node import COMPONENT_NAMES, NodeConfig
 from repro.units import ms, seconds
 
 
@@ -45,8 +45,8 @@ def _stream_map_for(node, timeline, regression, fold_proxies,
         fold_proxies=fold_proxies,
         idle_name=node.registry.name_of(node.idle),
         end_time_ns=timeline.end_time_ns,
-        single_res_ids=[d.res_id for d in node._single_devices()],
-        multi_res_ids=[RES_TIMERB],
+        single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids,
     )
 
 
@@ -112,8 +112,8 @@ def test_timeline_stream_matches_builder_on_blink():
     timeline = node.timeline()
     intervals, segments, multis = [], [], []
     stream = TimelineStream(
-        single_res_ids=[d.res_id for d in node._single_devices()],
-        multi_res_ids=[RES_TIMERB],
+        single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids,
         on_interval=intervals.append,
         on_segment=segments.append,
         on_multi_segment=multis.append,
@@ -220,8 +220,8 @@ def test_stream_peak_flat_on_real_blink_as_log_grows():
             node.platform.icount.nominal_energy_per_pulse_j,
             fold_proxies=False,
             idle_name=node.registry.name_of(node.idle),
-            single_res_ids=[d.res_id for d in node._single_devices()],
-            multi_res_ids=[RES_TIMERB],
+            single_res_ids=node.single_res_ids,
+            multi_res_ids=node.multi_res_ids,
             end_time_ns=timeline.end_time_ns,
         )
         accumulator.feed_all(iter_entries(node.logger.raw_bytes()))

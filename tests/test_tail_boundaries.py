@@ -15,7 +15,7 @@ import pytest
 from oracle import ANALYZE
 from repro.core.logger import iter_entries
 from repro.experiments.common import run_blink
-from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
+from repro.tos.node import COMPONENT_NAMES
 from repro.units import seconds
 
 
@@ -34,8 +34,8 @@ def map_at(node, regression, raw, end_time_ns, fold, backend):
         fold_proxies=fold,
         idle_name=node.registry.name_of(node.idle),
         end_time_ns=end_time_ns,
-        single_res_ids=[d.res_id for d in node._single_devices()],
-        multi_res_ids=[RES_TIMERB],
+        single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids,
     )
 
 

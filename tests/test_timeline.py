@@ -16,7 +16,8 @@ from repro.core.logger import (
     LogColumns,
     decode_log,
 )
-from repro.core.timeline import ColumnarTimeline
+from repro.core.timeline import ColumnarTimeline, TimelineStream
+from repro.errors import LoggerError
 
 RED = ActivityLabel(1, 1).encode()
 BLUE = ActivityLabel(1, 2).encode()
@@ -32,8 +33,10 @@ def _entries(*rows):
 
 
 def _timeline(entries, end_time_ns):
+    """The timeline of a log whose devices are single 0 and multi 9."""
     return ColumnarTimeline(LogColumns.from_entries(entries),
-                            end_time_ns=end_time_ns)
+                            end_time_ns=end_time_ns, single_res_ids=[0],
+                            multi_res_ids=[9])
 
 
 def test_power_intervals_basic():
@@ -165,17 +168,24 @@ def test_multi_activity_segments():
 
 
 def test_device_kind_inference():
+    """Only the streaming reference infers devices, from entry types:
+    a change marks a single device, an add a multi one.  The columnar
+    timeline refuses a record of a device it was not told of."""
     entries = _entries(
         (TYPE_ACT_CHANGE, 0, 0, 0, RED),
         (TYPE_ACT_ADD, 9, 0, 0, RED),
     )
-    timeline = _timeline(entries, 100_000)
-    assert timeline.single_device_ids() == [0]
-    assert timeline.multi_device_ids() == [9]
+    stream = TimelineStream()
+    stream.feed_all(entries, 100_000)
+    assert stream.single_device_ids() == [0]
+    assert stream.multi_device_ids() == [9]
+    with pytest.raises(LoggerError, match="device 9"):
+        ColumnarTimeline(LogColumns.from_entries(entries),
+                         single_res_ids=[0, 9], multi_res_ids=[])
 
 
 def test_empty_log():
     timeline = _timeline([], 0)
     assert timeline.power_intervals() == []
     assert timeline.activity_segments(0) == []
-    assert timeline.multi_columns(9) is None
+    assert len(timeline.multi_columns(9)) == 0

@@ -29,7 +29,7 @@ from repro.core.logger import iter_entries
 from repro.experiments.common import run_blink
 from repro.serve import NodeSession, hello_for_node
 from repro.serve.journal import decode_checkpoint, frame_checkpoint
-from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
+from repro.tos.node import COMPONENT_NAMES
 from repro.units import ms, seconds
 
 #: sha256 of the full window sequence, per workload.
@@ -75,8 +75,8 @@ def windowed_windows(node, stride_ns, end_time_ns):
         node.platform.icount.nominal_energy_per_pulse_j,
         stride_ns=stride_ns,
         idle_name=node.registry.name_of(node.idle),
-        single_res_ids=[d.res_id for d in node._single_devices()],
-        multi_res_ids=[RES_TIMERB],
+        single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids,
         end_time_ns=end_time_ns,
         retain=None,
     )
@@ -214,16 +214,20 @@ def test_every_split_gives_the_same_windows(workload, min_batch, blink,
 @pytest.mark.parametrize("min_batch", [1, 7, accounting.MIN_BATCH_ENTRIES])
 def test_undeclared_device_charged_untracked_until_it_appears(
         bounce, min_batch, monkeypatch):
-    """Without declared devices a device is learned at its first record:
-    intervals emitted before it charge it as untracked, exactly as the
-    per-entry streaming accumulator does, however the batches fall."""
+    """A log without the boot-time record of any device but the CPU, so
+    each other device is first named mid-log.  Undeclared, only the
+    streaming reference accounts it: it learns a device at its first
+    record and charges the intervals before that as untracked, while
+    the windowed fold refuses a record of a device it was not told of.
+    Declared, as node logs always are, the windowed fold equals the
+    reference bit for bit however the batches fall: both charge a
+    device's intervals before its first record to Idle."""
     from repro.core.accounting import EnergyAccumulator
     from repro.core.logger import TYPE_ACT_CHANGE
+    from repro.errors import LoggerError
 
     monkeypatch.setattr(accounting, "MIN_BATCH_ENTRIES", min_batch)
     node = bounce.node(1)
-    # Drop the boot-time record of every device but the CPU, so each is
-    # learned mid-log, at its first real activity change.
     seen: set[int] = set()
     kept = []
     for entry in iter_entries(node.logger.raw_bytes()):
@@ -237,18 +241,26 @@ def test_undeclared_device_charged_untracked_until_it_appears(
             node.platform.icount.nominal_energy_per_pulse_j)
     kwargs = dict(idle_name=node.registry.name_of(node.idle),
                   end_time_ns=timeline.end_time_ns)
+    inferred = EnergyAccumulator(*args, **kwargs).feed_all(kept)
+    assert ("Radio", "(untracked)") in inferred.energy_j
+    refused = WindowedAccumulator(
+        *args, stride_ns=int(ms(400)), single_res_ids=[0],
+        multi_res_ids=node.multi_res_ids, **kwargs)
+    with pytest.raises(LoggerError, match="did not declare"):
+        for entry in kept:
+            refused.feed(entry)
+        refused.finish()
+
+    kwargs.update(single_res_ids=node.single_res_ids,
+                  multi_res_ids=node.multi_res_ids)
     reference = EnergyAccumulator(*args, **kwargs).feed_all(kept)
-    assert ("Radio", "(untracked)") in reference.energy_j
+    assert ("Radio", "(untracked)") not in reference.energy_j
     accumulator = WindowedAccumulator(*args, stride_ns=int(ms(400)),
                                       **kwargs)
     for entry in kept:
         accumulator.feed(entry)
     served = accumulator.finish()
-    assert list(served.energy_j) == list(reference.energy_j)
-    assert served.energy_j == reference.energy_j
-    assert list(served.time_ns) == list(reference.time_ns)
-    assert served.time_ns == reference.time_ns
-    assert served.reconstructed_energy_j == reference.reconstructed_energy_j
+    assert exact_map(served) == exact_map(reference)
 
 
 # -- checkpoint round trip ---------------------------------------------------

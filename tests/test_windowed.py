@@ -21,7 +21,7 @@ from repro.core.accounting import (
 from repro.core.logger import iter_entries
 from repro.errors import WindowingError
 from repro.experiments.common import run_blink
-from repro.tos.node import COMPONENT_NAMES, RES_TIMERB
+from repro.tos.node import COMPONENT_NAMES
 from repro.units import ms, seconds
 
 
@@ -31,8 +31,8 @@ def windowed_for(node, timeline, regression, stride_ns, **kwargs):
         node.platform.icount.nominal_energy_per_pulse_j,
         stride_ns=stride_ns,
         idle_name=node.registry.name_of(node.idle),
-        single_res_ids=[d.res_id for d in node._single_devices()],
-        multi_res_ids=[RES_TIMERB],
+        single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids,
         end_time_ns=timeline.end_time_ns,
         **kwargs,
     )
@@ -204,3 +204,68 @@ def test_sliding_misuse_rejected():
         accumulator.sliding(int(seconds(1)) + 1)
     with pytest.raises(WindowingError, match="retention"):
         accumulator.sliding(int(seconds(5)))
+
+
+def test_snapshot_under_other_devices_is_refused():
+    """A snapshot records its declared device sets: an accumulator
+    declared otherwise refuses it and stays as it was (a restoring
+    server then replays the journal), one declared alike loads it."""
+    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
+    timeline = node.timeline()
+    regression = node.regression(timeline)
+    accumulator = windowed_for(node, timeline, regression, int(ms(100)))
+    accumulator.feed_columns(node.logger.columns()[:60])
+    blob = accumulator.snapshot()
+    other = WindowedAccumulator(
+        regression, node.registry, COMPONENT_NAMES,
+        node.platform.icount.nominal_energy_per_pulse_j,
+        stride_ns=int(ms(100)), single_res_ids=node.single_res_ids[1:],
+        multi_res_ids=node.multi_res_ids,
+        end_time_ns=timeline.end_time_ns)
+    with pytest.raises(WindowingError, match="device sets"):
+        other.load_snapshot(blob)
+    assert other.windows_emitted == 0
+    same = windowed_for(node, timeline, regression, int(ms(100)))
+    same.load_snapshot(blob)
+    assert same.windows_emitted == accumulator.windows_emitted > 0
+
+
+def test_refused_chunk_is_never_buffered():
+    """A record of an undeclared device raises when its chunk is fed —
+    well below a batch, before any fold — and the accumulator keeps
+    none of that chunk: a query or checkpoint folding the buffered rows
+    next does not fail, and the map is as if the chunk never came."""
+    from repro.core.logger import TYPE_ACT_CHANGE
+    from repro.errors import LoggerError
+    from repro.tos.node import RES_LED0
+
+    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
+    timeline = node.timeline()
+    regression = node.regression(timeline)
+    columns = node.logger.columns()
+    first_led = int(((columns.type == TYPE_ACT_CHANGE)
+                     & (columns.res_id == RES_LED0)).argmax())
+    assert first_led > 1
+
+    def without_led():
+        return WindowedAccumulator(
+            regression, node.registry, COMPONENT_NAMES,
+            node.platform.icount.nominal_energy_per_pulse_j,
+            stride_ns=int(ms(100)),
+            single_res_ids=[rid for rid in node.single_res_ids
+                            if rid != RES_LED0],
+            multi_res_ids=node.multi_res_ids,
+            end_time_ns=timeline.end_time_ns)
+
+    accumulator = without_led()
+    accumulator.feed_columns(columns[:first_led])
+    with pytest.raises(LoggerError, match="did not declare"):
+        accumulator.feed_columns(columns[first_led:first_led + 2])
+    assert accumulator.live_breakdown()["span_ns"] >= 0
+    accumulator.snapshot()
+    clean = without_led()
+    clean.feed_columns(columns[:first_led])
+    served, expected = accumulator.finish(), clean.finish()
+    assert list(served.energy_j.items()) == list(expected.energy_j.items())
+    assert list(served.time_ns.items()) == list(expected.time_ns.items())
+    assert served.reconstructed_energy_j == expected.reconstructed_energy_j

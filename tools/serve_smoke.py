@@ -8,7 +8,9 @@ packed log bytes → chunked socket stream → ``WireDecoder`` →
 the batch pipeline bit for bit (float bits AND dict insertion order).
 The two nodes stream concurrently with different strides and
 adversarial (prime) chunk sizes, and the query surface is exercised
-while one stream is still in flight.
+while one stream is still in flight.  Before them, a malformed hello
+must get one ``ok: false`` reply, and a stream naming an activity
+device its hello did not declare must quarantine its node.
 
 Run: ``PYTHONPATH=src python tools/serve_smoke.py``
 Exit status is nonzero on any divergence.
@@ -24,9 +26,23 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.accounting import build_energy_map  # noqa: E402
+from repro.errors import ServeError  # noqa: E402
 from repro.experiments.common import run_blink  # noqa: E402
-from repro.serve import IngestServer, final_map, query, stream_node  # noqa: E402
-from repro.tos.node import COMPONENT_NAMES  # noqa: E402
+from repro.serve import (  # noqa: E402
+    IngestServer,
+    final_map,
+    hello_for_node,
+    query,
+    stream_node,
+    stream_raw,
+)
+from repro.serve.client import open_connection  # noqa: E402
+from repro.serve.protocol import (  # noqa: E402
+    INGEST_VERB,
+    decode_json_line,
+    encode_json_line,
+)
+from repro.tos.node import COMPONENT_NAMES, RES_LED0  # noqa: E402
 from repro.units import seconds  # noqa: E402
 
 
@@ -66,6 +82,39 @@ def check_identical(label, served, offline):
           f"({served.reconstructed_energy_j * 1e3:.3f} mJ)")
 
 
+async def refused_hello(sock, hello) -> dict:
+    """Send one ingest hello and read the server's one reply."""
+    reader, writer = await open_connection(sock)
+    writer.write(INGEST_VERB.encode() + b" " + encode_json_line(hello))
+    await writer.drain()
+    reply = decode_json_line(await reader.readline(), "reply")
+    if await reader.read():
+        raise SystemExit("FAIL: a refused hello got more than one reply")
+    writer.close()
+    return reply
+
+
+async def bad_streams(sock, node) -> None:
+    """A malformed hello is refused; a stream with an undeclared device
+    record quarantines its node."""
+    hello = hello_for_node(node, stride_ns=int(seconds(1)))
+    reply = await refused_hello(sock, dict(hello, node_id=53,
+                                           stride_ns="x"))
+    if reply.get("ok") is not False or "stride_ns" not in reply["error"]:
+        raise SystemExit(f"FAIL: malformed hello not refused: {reply}")
+    print(f"ok [malformed hello]: {reply['error']}")
+    undeclared = dict(hello, node_id=54, single_res_ids=[
+        rid for rid in hello["single_res_ids"] if rid != RES_LED0])
+    try:
+        await stream_raw(sock, undeclared, bytes(node.logger.raw_bytes()),
+                         retries=0)
+    except ServeError as exc:
+        print(f"ok [undeclared device]: {exc}")
+    else:
+        raise SystemExit("FAIL: a stream with an undeclared device "
+                         "was accepted")
+
+
 async def main() -> None:
     # Distinct node_ids -> distinct warm-start worlds, so both nodes'
     # logs stay live side by side (same-config runs would reset one).
@@ -80,6 +129,7 @@ async def main() -> None:
         server = IngestServer()
         await server.start_unix(sock)
         try:
+            await bad_streams(sock, node_a)
             reply_a, reply_b = await asyncio.gather(
                 stream_node(sock, node_a, stride_ns=int(seconds(1)),
                             chunk_size=97),
@@ -98,10 +148,12 @@ async def main() -> None:
             raise SystemExit(f"FAIL: node {reply['node_id']} emitted "
                              f"{reply['windows']} windows — windowing "
                              "never engaged")
-    if stats["completed"] != 2 or len(listing["nodes"]) != 2:
+    states = {node["node_id"]: node["state"] for node in listing["nodes"]}
+    if stats["completed"] != 3 or states != {
+            1: "done", 2: "done", 54: "quarantined"}:
         raise SystemExit(f"FAIL: server saw {stats['completed']} "
-                         f"completed / {len(listing['nodes'])} nodes, "
-                         "expected 2/2")
+                         f"completed streams and node states {states}, "
+                         "expected 3 and nodes 1, 2 done, 54 quarantined")
     check_identical("node 1, stride 1s, chunk 97",
                     final_map(reply_a), offline_a)
     check_identical("node 2, stride 2s, chunk 1021",
