@@ -23,6 +23,12 @@ have a machine-readable baseline:
   batched windowed fold at a 1 s stride), the per-node cost of the
   ingest server; the served map is asserted bit-identical to the
   offline map first;
+* ``windowed_stream_entries_per_sec`` — the same live path on the
+  shape the ingest server sees under load: one ``serve-ingest``-shaped
+  collection node log (~12k entries, 1 s stride) fed in 37 KB reads,
+  each folded as its own batch and closing several windows, so both
+  the per-batch and the per-window cost of the fold show; the served
+  map is asserted bit-identical to the offline map first;
 * ``serve_recovery_ms`` — wall time for the durable ingest path to
   rebuild one node session from its checkpoint + journal-tail replay
   (a half-log tail, the post-SIGKILL shape).  Recorded, not gated;
@@ -53,7 +59,7 @@ number on a busy host is measurement noise (the pre-PR-4 baseline
 reported a 1.195x "parallel speedup" on a 1-CPU container).
 
 ``--check`` compares fresh serial/batched throughput, columnar-analysis,
-network-analysis and live-ingest (windowed) measurements against the
+network-analysis and both live-ingest (windowed) measurements against the
 committed baseline and exits nonzero if any regressed by more than the
 tolerance (default 25 %, the CI gate).  ``--check-parallel`` runs only the sweep grid and
 gates the ``--jobs 2`` speedup against the multi-core floor — the
@@ -376,6 +382,85 @@ def bench_windowed(rounds: int = 20) -> dict:
     }
 
 
+#: Bytes per read in :func:`bench_windowed_stream`: about what the
+#: ingest server's 64 KB socket reads return under the ``serve-ingest``
+#: load (a 1021-byte chunked client, a few reads per 140 KB stream).
+STREAM_READ_BYTES = 37 * 1024
+
+
+def _stream_workload():
+    """One node log shaped like the ``serve-ingest`` benchmark's: node
+    11 of a seeded 4-node collection line (30 s, 1 s samples, 2 %
+    device variation), closed right after its own log-end mark, with
+    its hello (1 s stride) and offline map."""
+    from repro.apps.collection import build_line_topology
+    from repro.core.accounting import build_energy_map
+    from repro.hw.platform import PlatformConfig
+    from repro.serve import hello_for_node
+    from repro.tos.network import Network
+    from repro.tos.node import COMPONENT_NAMES, NodeConfig
+
+    network = Network(seed=0)
+    node_ids = [10, 11, 12, 13]
+    for node_id in node_ids:
+        network.add_node(NodeConfig(
+            node_id=node_id, mac="csma",
+            platform=PlatformConfig(device_variation=0.02)))
+    apps = build_line_topology(network, node_ids, root_id=node_ids[0],
+                               sample_period_ns=seconds(1))
+    network.boot_all({nid: app.start for nid, app in apps.items()})
+    network.run(seconds(30))
+    node = network.node(11)
+    timeline = node.timeline()  # marks the log end
+    regression = node.regression(timeline)
+    hello = hello_for_node(node, stride_ns=int(seconds(1)),
+                           timeline=timeline, regression=regression)
+    offline = build_energy_map(
+        timeline, regression, node.registry, COMPONENT_NAMES,
+        node.platform.icount.nominal_energy_per_pulse_j,
+        idle_name=node.registry.name_of(node.idle))
+    return hello, bytes(node.logger.raw_bytes()), offline
+
+
+def bench_windowed_stream(rounds: int = 10) -> dict:
+    """Live-path throughput on a ``serve-ingest``-shaped stream:
+    :meth:`NodeSession.ingest` on :data:`STREAM_READ_BYTES` reads of
+    one ~12k-entry collection node log at a 1 s stride.  Each read
+    folds as one batch closing several windows, and the rest folds at
+    ``finish``.  The served map is asserted bit-identical to the
+    offline map before any number is published."""
+    from repro.serve import NodeSession
+
+    hello, raw, offline = _stream_workload()
+    entry_count = len(raw) // 12
+
+    def run_stream():
+        session = NodeSession(hello, retain=64)
+        for offset in range(0, len(raw), STREAM_READ_BYTES):
+            session.ingest(raw[offset:offset + STREAM_READ_BYTES])
+        return session.finish()
+
+    served = run_stream()
+    assert list(served.energy_j) == list(offline.energy_j) \
+        and served.energy_j == offline.energy_j \
+        and served.time_ns == offline.time_ns, \
+        "served map diverged from batch — fix before benchmarking"
+
+    samples: list[float] = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _round in range(rounds):
+            run_stream()
+        wall = time.perf_counter() - start
+        samples.append(entry_count * rounds / wall)
+    median, spread = _median_spread(samples)
+    return {
+        "windowed_stream_entries_per_sec": round(median),
+        "windowed_stream_entries_per_sec_spread": round(spread, 3),
+        "windowed_stream_entry_count": entry_count,
+    }
+
+
 def bench_serve_recovery(rounds: int = 5) -> dict:
     """Crash-recovery latency of the durable ingest path: wall time for
     :meth:`NodeSession.restore` to rebuild one node from its checkpoint
@@ -481,6 +566,7 @@ def run_benchmarks() -> dict:
     analysis = bench_analysis()
     network = bench_network_analysis()
     windowed = bench_windowed()
+    windowed.update(bench_windowed_stream())
     recovery = bench_serve_recovery()
     points_samples: list[float] = []
     batched_samples: list[float] = []
@@ -532,7 +618,8 @@ def run_benchmarks() -> dict:
 def check_against_baseline(numbers: dict) -> list[str]:
     """The regression gate: serial table3 throughput, columnar
     analysis throughput (one log, and a network point's logs fused) and
-    live-ingest throughput must stay within
+    live-ingest throughput (the Blink log in 1021-byte chunks, and a
+    serve-shaped stream in 37 KB reads) must stay within
     tolerance of the committed baseline; the determinism digest must
     match it exactly when the grid definition is unchanged."""
     failures: list[str] = []
@@ -597,6 +684,17 @@ def check_against_baseline(numbers: dict) -> list[str]:
                 f"live-ingest (windowed) throughput regressed: "
                 f"{measured:.0f} entries/s < {floor:.0f} (baseline "
                 f"{baseline['windowed_entries_per_sec']:.0f} - "
+                f"{tolerance:.0%})"
+            )
+    if "windowed_stream_entries_per_sec" in baseline:
+        floor = baseline["windowed_stream_entries_per_sec"] \
+            * (1.0 - tolerance)
+        measured = numbers["windowed_stream_entries_per_sec"]
+        if measured < floor:
+            failures.append(
+                f"live-ingest (serve-shaped stream) throughput regressed: "
+                f"{measured:.0f} entries/s < {floor:.0f} (baseline "
+                f"{baseline['windowed_stream_entries_per_sec']:.0f} - "
                 f"{tolerance:.0%})"
             )
     if baseline.get("sweep_grid_points") == numbers["sweep_grid_points"] \
@@ -691,6 +789,8 @@ def test_engine_bench_smoke():
     assert network["network_analysis_entries_per_sec"] > 0
     windowed = bench_windowed(rounds=2)
     assert windowed["windowed_entries_per_sec"] > 0
+    stream = bench_windowed_stream(rounds=1)
+    assert stream["windowed_stream_entries_per_sec"] > 0
     recovery = bench_serve_recovery(rounds=1)
     assert recovery["serve_recovery_ms"] > 0
     assert recovery["serve_checkpoint_bytes"] > 0

@@ -23,11 +23,13 @@ and dict order alike:
   (:class:`~repro.core.timeline.ColumnarTimeline`) and folds them in one
   vectorized pass: :func:`_contribution_stream` orders every interval's
   charges as the reference would make them, :func:`_charge_stream` adds
-  them up, and :func:`_busy_time` + :func:`_fold_time` give the
-  per-device busy time.  :func:`columnar_energy_map` (offline, whole
-  logs at once — one, or all of a network's in one pass) and
-  :class:`WindowedAccumulator` (live ingest, batch by batch) share that
-  one fold.  Input must be in time order;
+  them up (:func:`_charge_prefixes` also reads the sums at every window
+  close of a live batch), and :func:`_busy_time` + :func:`_add_busy` +
+  :func:`_fold_time` give the per-device busy time.
+  :func:`columnar_energy_map` (offline, whole logs at once — one, or all
+  of a network's in one pass) and :class:`WindowedAccumulator` (live
+  ingest, batch by batch) share that one fold.  Input must be in time
+  order;
   ``ColumnarTimeline`` refuses a log whose time goes backwards.
 * **streaming** (:class:`EnergyAccumulator`,
   :func:`stream_energy_map`) is the reference the tests, tools and
@@ -804,8 +806,8 @@ def fold_windows(snapshots: Sequence[WindowSnapshot]) -> EnergyMap:
 #: folds whatever is buffered first.
 MIN_BATCH_ENTRIES = 2048
 
-#: The empty batch :meth:`WindowedAccumulator.finish` folds to close the
-#: spans still open.
+#: The batch :meth:`WindowedAccumulator.finish` folds to close the spans
+#: still open when nothing is buffered.
 _NO_ROWS = LogColumns.from_entries(())
 
 
@@ -841,8 +843,9 @@ class WindowedAccumulator:
     :meth:`feed` / :meth:`feed_all` adapters) and fold in batches of at
     least :data:`MIN_BATCH_ENTRIES` rows, or of whatever is buffered
     when something reads the accumulator (:meth:`live_breakdown`,
-    :attr:`windows`, :attr:`windows_emitted`, :meth:`snapshot`,
-    :meth:`finish`).  A batch is one
+    :attr:`windows`, :attr:`windows_emitted`, :meth:`snapshot`); at
+    :meth:`finish` whatever is buffered is the stream's one final
+    batch.  A batch is one
     :class:`~repro.core.timeline.ColumnarTimeline` and one
     :func:`_contribution_stream`; between batches only O(devices) state
     carries over — the state vector and open power span, each device's
@@ -856,12 +859,20 @@ class WindowedAccumulator:
     * so do intervals ending past ``end_time_ns``, whose covers are
       complete only once the finished stream has closed every segment
       (see :class:`EnergyAccumulator`): the rows from their batch on are
-      kept and re-covered at :meth:`finish` (the tail re-cover);
+      kept and re-covered at :meth:`finish` (the tail re-cover) — unless
+      that batch is the final one, whose covers are complete, so it
+      charges them itself after its windows;
     * each key's prior running sum enters its ``bincount`` stream as the
       first weight (:func:`_charge_stream`), so the adds continue in the
       same IEEE-754 order;
-    * windows close on the interval where the streaming path closes
-      them, with the energy, busy time and counters it had there.
+    * a batch closes every window it crosses at once: each window's
+      cumulative energy is read off the batch's one contribution stream
+      at the interval that closes it (:func:`_charge_prefixes`), its
+      busy time off one int64 cumsum of the batch's busy-time chunks
+      (:meth:`_add_busy_time`), so windows close on the interval where
+      the streaming path closes them, with the energy, busy time and
+      counters it had there.  ``on_window`` runs once the batch is
+      folded.
 
     Devices are the declared ``single_res_ids`` and ``multi_res_ids``
     (an ingest hello carries the node's).  Feeding a record that names
@@ -979,15 +990,17 @@ class WindowedAccumulator:
         self.feed_columns(LogColumns.from_entries(entries))
         return self.finish()
 
-    def _flush(self) -> None:
-        """Fold every buffered row now."""
-        if not self._pending:
-            return
+    def _flush(self, final: bool = False) -> None:
+        """Fold every buffered row now; ``final`` folds them (however
+        few, even none) as the stream's last batch."""
         pending = self._pending
+        if not (pending or final):
+            return
         self._pending = []
         self._pending_rows = 0
-        self._fold_batch(pending[0] if len(pending) == 1
-                         else LogColumns.concat(pending))
+        if len(pending) > 1:
+            pending = [LogColumns.concat(pending)]
+        self._fold_batch(pending[0] if pending else _NO_ROWS, final)
 
     # -- the batch fold -------------------------------------------------------
 
@@ -1003,17 +1016,12 @@ class WindowedAccumulator:
             self.component_names, [self._const_power_w], segment_names,
             [self.idle_name], self.registry.name_of)
 
-    def _charge(self, stream, lo: int, hi: int) -> None:
-        """Charge stream rows ``[lo, hi)`` onto the running sums."""
-        if hi > lo:
-            _, log, code, values, n_codes, key_of = stream
-            _charge_stream([self.map], log[lo:hi], code[lo:hi],
-                           values[lo:hi], n_codes, key_of)
-
     def _fold_batch(self, columns: LogColumns, final: bool = False) -> None:
         """Fold one batch: reconstruct it against the carry, charge its
-        intervals (all but those waiting for the tail re-cover) and add
-        its closed segments' busy time, closing windows on the way."""
+        intervals (all but those waiting for the tail re-cover), add its
+        closed segments' busy time and close every window it crosses —
+        each with the state just before the interval that closes it,
+        read off the one contribution stream of the batch."""
         end = self.end_time_ns
         n = len(columns)
         saved = None
@@ -1030,27 +1038,25 @@ class WindowedAccumulator:
             raise RegressionError(
                 "accounting needs a regression once power intervals exist"
             )
-        # Intervals charged now; the rest wait for the tail re-cover.  A
-        # final batch's covers are already complete.
-        charge = n_intervals
+        # Intervals charged now, and those charged before the windows the
+        # batch closes: an interval ending past ``end_time_ns`` is charged
+        # at the stream's end.  A final batch's covers are complete, so it
+        # charges such intervals itself, after its windows; another waits
+        # for the tail re-cover.
+        charge = visible = n_intervals
         if self._tail is not None:
-            charge = 0
-            if not final:
+            charge = visible = 0
+            if n:
                 self._tail[1].append(columns)
-        elif saved is not None:
-            first = int(np.searchsorted(t1s, end, side="right"))
-            if first < n_intervals:
-                charge = first
-                self._tail = (saved, [columns], first)
+        elif end is not None and n_intervals and int(t1s[-1]) > end:
+            visible = int(np.searchsorted(t1s, end, side="right"))
+            if not final:
+                charge = visible
+                self._tail = (saved, [columns], visible)
         segment_names = self._segment_names(timeline)
-        stream = self._contributions(timeline, segment_names) \
-            if charge else None
-        cum_pulses = np.zeros(n_intervals + 1, dtype=np.int64)
-        np.cumsum(timeline.interval_pulses, out=cum_pulses[1:])
-        seen, pulses = self._intervals_seen, self._pulses_total
-        closes: list[int] = []
+        closes = np.empty(0, dtype=np.int64)
         if n_intervals:
-            if not seen:
+            if not self._intervals_seen:
                 self._span_t0_ns = int(t0s[0])
             if self._window_index is None:
                 if self._window_origin is None:
@@ -1059,44 +1065,144 @@ class WindowedAccumulator:
                     (int(t0s[0]) - self._window_origin) // self.stride_ns
             index = (t0s - self._window_origin) // self.stride_ns
             previous = np.concatenate(([self._window_index], index[:-1]))
-            closes = np.nonzero(index > previous)[0].tolist()
+            closes = np.nonzero(index > previous)[0]
         # Chunk k of busy time: the segments closed before the record
         # that emits the k-th window-closing interval (and after the
         # previous one's); the last chunk is the rest of the batch.
-        emit_rows = timeline.interval_row
-        busy = _busy_time(
-            timeline, [int(emit_rows[i]) for i in closes] + [n + 1],
-            [self._time_single], [self._time_multi], segment_names,
-            self.registry.name_of, [self.idle_name])
-        charged = 0
+        time_rows = self._add_busy_time(_busy_time(
+            timeline, [*timeline.interval_row[closes].tolist(), n + 1],
+            segment_names, self.registry.name_of, [self.idle_name]),
+            len(closes))
+        energy_rows, totals = self._charge_batch(
+            timeline, segment_names, np.minimum(closes, visible), charge)
+        if n_intervals:
+            seen, pulses = self._intervals_seen, self._pulses_total
+            cum_pulses = np.cumsum(timeline.interval_pulses)
+            # Interval starts are monotone (intervals tile), so strides
+            # close in order; a long interval can leave empty strides
+            # behind it, which still emit (zero-delta) windows so the
+            # window sequence is gap-free.
+            for j, (i, target) in enumerate(zip(
+                    closes.tolist(), index[closes].tolist())):
+                # The state just before interval i is emitted.
+                self._intervals_seen = seen + i
+                if i:
+                    self._pulses_total = pulses + int(cum_pulses[i - 1])
+                    self._last_interval_t1_ns = int(t1s[i - 1])
+                while self._window_index < target:
+                    self._close_window(energy_rows[j], totals[j],
+                                       *time_rows[j])
+            self._intervals_seen = seen + n_intervals
+            self._pulses_total = pulses + int(cum_pulses[-1])
+            self._last_interval_t1_ns = int(t1s[-1])
 
-        def advance(chunk: int, upto: int) -> None:
-            # The state just before interval `upto` is emitted: its
-            # predecessors charged, the chunk's segments timed, the
-            # counters caught up.
-            nonlocal charged
-            if stream is not None:
-                stop = int(np.searchsorted(stream[0], min(upto, charge),
-                                           side="left"))
-                self._charge(stream, charged, stop)
-                charged = stop
-            for per_name, name, dt_ns in busy[chunk]:
-                per_name[name] = per_name.get(name, 0) + dt_ns
-            self._intervals_seen = seen + upto
-            self._pulses_total = pulses + int(cum_pulses[upto])
-            if upto:
-                self._last_interval_t1_ns = int(t1s[upto - 1])
+    def _charge_batch(self, timeline: ColumnarTimeline, segment_names,
+                      closes: np.ndarray, charge: int) -> tuple[list, list]:
+        """Charge the batch's first ``charge`` intervals onto the running
+        sums; return the map's energy row (in key order) and its
+        reconstructed total as they stood just before each interval in
+        ``closes`` (none past ``charge``).  New keys join the map in
+        first-occurrence order, so a row's keys are a prefix of the
+        map's."""
+        energy_j = self.map.energy_j
+        before = np.fromiter(energy_j.values(), dtype=np.float64,
+                             count=len(energy_j))
+        if not charge:
+            return ([before] * len(closes),
+                    [self.map.reconstructed_energy_j] * len(closes))
+        stream_interval, _, code, values, n_codes, key_of = \
+            self._contributions(timeline, segment_names)
+        charged = int(np.searchsorted(stream_interval, charge, side="left"))
+        stops = np.searchsorted(stream_interval, closes, side="left")
+        keys, first, prefix, totals = _charge_prefixes(
+            self.map, code[:charged], values[:charged], n_codes, key_of,
+            stops)
+        self._sync_energy_keys()
+        if not len(closes):
+            return [], []
+        known = len(before)
+        position = {key: at for at, key in enumerate(self._energy_keys)}
+        columns = np.array([position[key] for key in keys], dtype=np.int64)
+        rows = np.empty((len(closes), len(energy_j)), dtype=np.float64)
+        rows[:, :known] = before
+        rows[:, columns] = prefix
+        # Keys new this batch take the map's last positions in the order
+        # the stream first charges them: a row holds those charged
+        # before its stop.
+        widths = known + np.searchsorted(first[columns >= known], stops)
+        return ([row[:width] for row, width in zip(rows, widths.tolist())],
+                totals.tolist())
 
-        # Interval starts are monotone (intervals tile), so strides close
-        # in order; a long interval can leave empty strides behind it,
-        # which still emit (zero-delta) snapshots so the window sequence
-        # is gap-free.
-        for chunk, i in enumerate(closes):
-            advance(chunk, i)
-            target = int(index[i])
-            while self._window_index < target:
-                self._close_window(final=False)
-        advance(len(closes), n_intervals)
+    def _add_busy_time(self, busy, n_rows: int) -> list[tuple]:
+        """Add the batch's busy time (:func:`_busy_time`'s pairs, in
+        ``n_rows + 1`` chunks) to the per-device sums; return the
+        breakdown (see :func:`_fold_time`) after each chunk but the
+        last, as interned key ids and ns.
+
+        Each (device, name) sum is a slot, laid out in the breakdown's
+        iteration order as it stands after the batch (sorted devices,
+        names in first-closed order).  A slot's value after chunk k is
+        its final value less the chunk adds after k (one int64
+        cumsum).  A row holds the slots present by then, each (component,
+        name) key once, at its first slot, with the sum of its slots;
+        that layout changes only where a slot new this batch joins, so
+        rows share it between such chunks."""
+        added = _add_busy(busy, [self._time_single], [self._time_multi])
+        if not n_rows:
+            return []
+        slot_of: dict[tuple[int, str], int] = {}
+        slot_keys: list[tuple[str, str]] = []
+        finals: list[int] = []
+        for per_device in (self._time_single, self._time_multi):
+            for res_id in sorted(per_device):
+                component = self.component_names.get(res_id, f"res{res_id}")
+                per_name = per_device[res_id]
+                for name, dt_ns in per_name.items():
+                    slot_of[id(per_name), name] = len(finals)
+                    slot_keys.append((component, name))
+                    finals.append(dt_ns)
+        pair_slot = [slot_of[id(per_name), name]
+                     for per_name, name, _ in added]
+        later = np.zeros((n_rows + 1, len(finals)), dtype=np.int64)
+        later[:, pair_slot] = busy[2]
+        # Adds after chunk k: the suffix sums of the chunk rows.
+        values = np.asarray(finals, dtype=np.int64) \
+            - np.cumsum(later[::-1], axis=0)[-2::-1]
+        # A slot new this batch is present from the chunk of its first
+        # add; the others were before.
+        born = [-1] * len(finals)
+        for (_, _, new), slot, chunk in zip(added, pair_slot, busy[1]):
+            if new:
+                born[slot] = chunk
+        starts = sorted({0, *(b for b in born if 0 < b < n_rows)})
+        rows: list[tuple] = []
+        for lo, hi in zip(starts, starts[1:] + [n_rows]):
+            present = [slot for slot, b in enumerate(born) if b <= lo]
+            ids, merge = self._time_layout([slot_keys[s] for s in present])
+            block = values[lo:hi, present]
+            if merge is not None:
+                block = block @ merge
+            rows += [(ids, row) for row in block]
+        return rows
+
+    def _time_layout(self, keys: list) -> tuple:
+        """A breakdown row's layout from its slots' keys: the interned
+        ids of the distinct keys in first-slot order (new keys interned
+        as rows first show them) and, when keys repeat (devices sharing
+        a component name), the 0/1 matrix summing slots into keys."""
+        time_ids = self._time_ids
+        merged = list(dict.fromkeys(keys))
+        for key in merged:
+            if key not in time_ids:
+                time_ids[key] = len(self._time_keys)
+                self._time_keys.append(key)
+        ids = np.array([time_ids[key] for key in merged], dtype=np.int32)
+        if len(merged) == len(keys):
+            return ids, None
+        merge = np.zeros((len(keys), len(merged)), dtype=np.int64)
+        column = {key: k for k, key in enumerate(merged)}
+        merge[np.arange(len(keys)), [column[key] for key in keys]] = 1
+        return ids, merge
 
     def _recover_tail(self) -> None:
         """Charge the intervals deferred past ``end_time_ns``: rebuild
@@ -1109,23 +1215,20 @@ class WindowedAccumulator:
             LogColumns.concat(parts), end_time_ns=self.end_time_ns,
             single_res_ids=self._single_ids, multi_res_ids=self._multi_ids,
             carry=carry, final=True)
-        stream = self._contributions(timeline, self._segment_names(timeline))
-        start = int(np.searchsorted(stream[0], charged, side="left"))
-        self._charge(stream, start, len(stream[0]))
+        stream_interval, log, code, values, n_codes, key_of = \
+            self._contributions(timeline, self._segment_names(timeline))
+        start = int(np.searchsorted(stream_interval, charged, side="left"))
+        _charge_stream([self.map], log[start:], code[start:],
+                       values[start:], n_codes, key_of)
 
     # -- the stride clock ---------------------------------------------------
 
-    def _close_window(self, final: bool) -> None:
+    def _close_window(self, energy: np.ndarray, reconstructed_energy_j:
+                      float, time_ids: np.ndarray, time_ns: np.ndarray,
+                      final: bool = False) -> None:
+        """Close the open window on the given cumulative state and the
+        counters as they stand."""
         index = self._window_index
-        energy_j = self.map.energy_j
-        self._sync_energy_keys()
-        cumulative_time = _fold_time(
-            self._time_single, self._time_multi, self.component_names)
-        time_ids = self._time_ids
-        for key in cumulative_time:
-            if key not in time_ids:
-                time_ids[key] = len(self._time_keys)
-                self._time_keys.append(key)
         t0_ns = self._window_origin + index * self.stride_ns
         row = _WindowRow(
             index=index,
@@ -1135,14 +1238,11 @@ class WindowedAccumulator:
             intervals=self._intervals_seen - self._prev_intervals,
             span_ns=self._last_interval_t1_ns - self._span_t0_ns,
             final=final,
-            reconstructed_energy_j=self.map.reconstructed_energy_j,
+            reconstructed_energy_j=reconstructed_energy_j,
             metered_energy_j=self._pulses_total * self.energy_per_pulse_j,
-            energy=np.fromiter(energy_j.values(), dtype=np.float64,
-                               count=len(energy_j)),
-            time_ids=np.fromiter(map(time_ids.__getitem__, cumulative_time),
-                                 dtype=np.int32, count=len(cumulative_time)),
-            time_ns=np.fromiter(cumulative_time.values(), dtype=np.int64,
-                                count=len(cumulative_time)),
+            energy=energy,
+            time_ids=time_ids,
+            time_ns=time_ns,
         )
         previous = self._windows[-1] if self._windows else self._base
         self._prev_intervals = self._intervals_seen
@@ -1206,22 +1306,28 @@ class WindowedAccumulator:
         the same map without re-charging."""
         if self._finished:
             return self.map
-        self._flush()
-        self._fold_batch(_NO_ROWS, final=True)
+        self._flush(final=True)
         if not self._intervals_seen:
             raise RegressionError("no power intervals to account")
         self._finished = True
         if self._tail is not None:
             self._recover_tail()
-        self.map.time_ns = _fold_time(
+        emap = self.map
+        emap.time_ns = _fold_time(
             self._time_single, self._time_multi, self.component_names)
-        self.map.span_ns = self._last_interval_t1_ns - self._span_t0_ns
-        self.map.metered_energy_j = (
-            self._pulses_total * self.energy_per_pulse_j
-        )
+        emap.span_ns = self._last_interval_t1_ns - self._span_t0_ns
+        emap.metered_energy_j = self._pulses_total * self.energy_per_pulse_j
         if self._window_index is not None:
-            self._close_window(final=True)
-        return self.map
+            self._sync_energy_keys()
+            self._close_window(
+                np.fromiter(emap.energy_j.values(), dtype=np.float64,
+                            count=len(emap.energy_j)),
+                emap.reconstructed_energy_j,
+                self._time_layout(list(emap.time_ns))[0],
+                np.fromiter(emap.time_ns.values(), dtype=np.int64,
+                            count=len(emap.time_ns)),
+                final=True)
+        return emap
 
     def recent(self, count: Optional[int] = None) -> list[WindowSnapshot]:
         """The newest ``count`` retained windows (every retained one when
@@ -1699,6 +1805,54 @@ def _charge_stream(maps, log, code, values, n_codes, key_of) -> None:
         emap.reconstructed_energy_j = total
 
 
+def _charge_prefixes(emap, code, values, n_codes, key_of, stops):
+    """Add a one-log contribution stream to ``emap``'s running sums,
+    exactly as :func:`_charge_stream` does, and read the sums as they
+    stood before each of the stream positions ``stops`` (non-decreasing):
+    the cumulative rows of every window a live batch closes.
+
+    The stream is cut at the stops, and each piece is one ``bincount``
+    over the codes with every code's running sum going in first (see
+    :func:`_charge_stream`): the chained adds of the reference, with the
+    code table, priors and key order resolved once for the whole
+    stream.  The reconstructed total is one ``np.add.accumulate`` over
+    ``[prior total, contributions]`` (accumulate is strictly
+    sequential).
+
+    Returns ``(keys, first, prefix, totals)``: the keys in
+    first-occurrence order (as new keys join the map), each key's first
+    stream row, each key's sum before each stop (``len(stops) x
+    len(keys)``) and the total before each stop.
+    """
+    n_rows = len(code)
+    first_row = np.full(n_codes, n_rows, dtype=np.int64)
+    first_row[code[::-1]] = np.arange(n_rows - 1, -1, -1, dtype=np.int64)
+    codes = np.nonzero(first_row < n_rows)[0]
+    codes = codes[np.argsort(first_row[codes], kind="stable")]
+    energy_j = emap.energy_j
+    keys = [key_of(c)[1] for c in codes.tolist()]
+    sums = np.zeros(n_codes)
+    sums[codes] = [energy_j.get(key, 0.0) for key in keys]
+    every_code = np.arange(n_codes)
+    bounds = [0, *stops.tolist(), n_rows]
+    prefix = np.empty((len(stops), len(codes)))
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if hi > lo:
+            sums = np.bincount(np.concatenate((every_code, code[lo:hi])),
+                               weights=np.concatenate((sums, values[lo:hi])),
+                               minlength=n_codes)
+        if j < len(stops):
+            prefix[j] = sums[codes]
+    totals = np.empty(n_rows + 1)
+    totals[0] = emap.reconstructed_energy_j
+    totals[1:] = values
+    totals = np.add.accumulate(totals)
+    for key, total in zip(keys, sums[codes].tolist()):
+        energy_j[key] = total
+    emap.reconstructed_energy_j = float(totals[-1])
+    return keys, first_row[codes], prefix, totals[stops]
+
+
 def _segment_names(timeline, fold_proxies, name_of_value):
     """Each single-device segment's activity name, as codes into a name
     list: the label it is charged to (its bound label with
@@ -1713,74 +1867,107 @@ def _segment_names(timeline, fold_proxies, name_of_value):
     return table[np.searchsorted(labels, values)], list(name_ids)
 
 
-def _busy_time(timeline, bounds, time_single, time_multi, segment_names,
-               name_of, idle_names) -> list[list[tuple]]:
+def _busy_time(timeline, bounds, segment_names, name_of, idle_names):
     """The busy time (Table 3a) a timeline's segments add, cut into
     chunks by closing row (chunk k: closed before row ``bounds[k]`` of
-    its log and not before ``bounds[k-1]``) as ``(per-name sums, name,
-    ns)`` adds in close order per device — the streaming trackers'
-    name→ns accumulation.  The per-name dicts live in ``time_single[k]``
-    / ``time_multi[k]`` for log ``k`` (``res_id -> {name: ns}``, created
-    as devices first add time); a single device's segments count under
-    their names from :func:`_segment_names`.  Segments an earlier batch
-    timed (row -1) or still open (row past the
-    last bound) add nothing; whole logs are one chunk past their last
-    rows.  See :func:`_fold_time` for the breakdown itself."""
-    chunks: list[list[tuple]] = [[] for _ in bounds]
+    its log and not before ``bounds[k-1]``), summed per (device, name)
+    pair — the streaming trackers' name→ns accumulation.  A single
+    device's segments count under their names from
+    :func:`_segment_names`.  Segments an earlier batch timed (row -1)
+    or still open (row past the last bound) add nothing; whole logs are
+    one chunk past their last rows.  :func:`_add_busy` adds the pairs
+    up and :func:`_fold_time` gives the breakdown.
+
+    Returns ``(pairs, born, sums)``: each pair ``(device, name)`` —
+    the device ``(log * _RES_SPACE + res_id) * 2``, plus one for a
+    multi device — in the order each device first adds to its names
+    (chunk by chunk, in close order), the chunk of each pair's first
+    add, and each pair's ns per chunk (``len(bounds) x pairs``)."""
     cuts = np.asarray(bounds, dtype=np.int64)
+    n_chunks = len(bounds)
+    pairs: list[tuple[int, str]] = []
+    born: list[int] = []
+    parts = [np.zeros((n_chunks, 0), dtype=np.int64)]
     # Single devices of every log, fused: one grouping over the fresh
     # segments keyed by (chunk, (log, device) group, name); float sums
     # of int spans (exact while a device's busy time stays below 2**53
-    # ns, ~104 days), replayed per chunk in first-closed order.
+    # ns, ~104 days).  A device's segments are in close order, so a
+    # pair's first segment orders its first add.
     singles = timeline.single_segments
-    groups = timeline.single_keys.tolist()
+    groups = timeline.single_keys
     chunk = np.searchsorted(cuts, singles.close_row, side="right")
-    fresh = np.nonzero((singles.close_row >= 0)
-                       & (chunk < len(bounds)))[0]
+    fresh = np.nonzero((singles.close_row >= 0) & (chunk < n_chunks))[0]
     if len(fresh):
-        group = np.repeat(np.arange(len(groups)),
-                          np.diff(timeline.single_bounds))[fresh]
-        spans = (singles.t1 - singles.t0)[fresh]
         codes, names = segment_names
-        value_name = codes[fresh]
-        n_names = len(names)
-        span = len(groups) * n_names
-        key = chunk[fresh] * span + group * n_names + value_name
-        n_keys = len(bounds) * span
-        first = np.full(n_keys, -1, dtype=np.int64)
-        first[key[::-1]] = np.arange(len(key) - 1, -1, -1, dtype=np.int64)
-        sums = np.bincount(key, weights=spans, minlength=n_keys)
-        present = np.nonzero(first >= 0)[0]
-        present = present[np.lexsort((first[present], present // span))]
-        for k, total in zip(present.tolist(), sums[present].tolist()):
-            chunk_k, rest = divmod(k, span)
-            group_k, name = divmod(rest, n_names)
-            log, res_id = divmod(groups[group_k], _RES_SPACE)
-            per_name = time_single[log].setdefault(res_id, {})
-            chunks[chunk_k].append((per_name, names[name], int(total)))
+        group = np.repeat(np.arange(len(groups)),
+                          timeline.single_bounds[1:]
+                          - timeline.single_bounds[:-1])[fresh]
+        pair = group * len(names) + codes[fresh]
+        n_pairs = len(groups) * len(names)
+        first = np.full(n_pairs, len(fresh), dtype=np.int64)
+        first[pair[::-1]] = np.arange(len(fresh) - 1, -1, -1,
+                                      dtype=np.int64)
+        present = np.nonzero(first < len(fresh))[0]
+        present = present[np.argsort(first[present], kind="stable")]
+        chunk = chunk[fresh]
+        sums = np.bincount(chunk * n_pairs + pair,
+                           weights=(singles.t1 - singles.t0)[fresh],
+                           minlength=n_chunks * n_pairs)
+        parts.append(sums.reshape(n_chunks, n_pairs)[:, present]
+                     .astype(np.int64))
+        pairs += [(int(groups[k // len(names)]) * 2, names[k % len(names)])
+                  for k in present.tolist()]
+        born += chunk[first[present]].tolist()
+    # Multi devices: a few add/removes per second, one python pass over
+    # their closed spans, each split among the labels it carries.
+    index: dict[tuple[int, str], int] = {}
+    adds: list[tuple[int, int, int]] = []
     sets = timeline.label_sets
     multis = timeline.multi_segments
     offsets = timeline.multi_bounds.tolist()
     for g, group_key in enumerate(timeline.multi_keys.tolist()):
         multi = multis[offsets[g]:offsets[g + 1]]
         chunk = np.searchsorted(cuts, multi.close_row, side="right")
-        fresh = np.nonzero((multi.close_row >= 0)
-                           & (chunk < len(bounds)))[0]
-        if not len(fresh):
-            continue
-        log, res_id = divmod(group_key, _RES_SPACE)
-        per_name = time_multi[log].setdefault(res_id, {})
+        fresh = np.nonzero((multi.close_row >= 0) & (chunk < n_chunks))[0]
+        device = group_key * 2 + 1
+        idle = [idle_names[group_key // _RES_SPACE]]
         spans = (multi.t1 - multi.t0)[fresh].tolist()
         for k, chunk_k, dt_ns in zip(fresh.tolist(),
                                      chunk[fresh].tolist(), spans):
             labels = sets[multi.set_ids[k]]
-            if not labels:
-                chunks[chunk_k].append((per_name, idle_names[log], dt_ns))
-                continue
-            split = dt_ns // len(labels)
-            for label in labels:
-                chunks[chunk_k].append((per_name, name_of(label), split))
-    return chunks
+            split = dt_ns // len(labels) if labels else dt_ns
+            for name in [name_of(label) for label in labels] or idle:
+                p = index.get((device, name))
+                if p is None:
+                    p = index[device, name] = len(index)
+                    pairs.append((device, name))
+                    born.append(chunk_k)
+                adds.append((chunk_k, p, split))
+    if index:
+        sums = np.zeros((n_chunks, len(index)), dtype=np.int64)
+        chunks, columns, ns = zip(*adds)
+        np.add.at(sums, (list(chunks), list(columns)), list(ns))
+        parts.append(sums)
+    return pairs, born, np.hstack(parts)
+
+
+def _add_busy(busy, time_single, time_multi) -> list[tuple]:
+    """Add :func:`_busy_time`'s pairs to the per-device ``name -> ns``
+    sums of each log (``time_single[k]`` / ``time_multi[k]`` for log
+    ``k``, ``res_id -> {name: ns}``, created as devices first add
+    time), in pair order — so a name new to its device joins its dict
+    where the streaming trackers insert it.  Returns each pair's
+    ``(per-name dict, name, new)``."""
+    pairs, _, sums = busy
+    added = []
+    for (device, name), total in zip(pairs, sums.sum(axis=0).tolist()):
+        group, multi = divmod(device, 2)
+        log, res_id = divmod(group, _RES_SPACE)
+        per_name = (time_multi if multi else time_single)[log] \
+            .setdefault(res_id, {})
+        added.append((per_name, name, name not in per_name))
+        per_name[name] = per_name.get(name, 0) + total
+    return added
 
 
 def _fold_time(time_single, time_multi,
@@ -2193,11 +2380,9 @@ def columnar_energy_map(
     time_multi: list[dict[int, dict[str, int]]] = [{} for _ in maps]
     # Closing rows are per log, so one bound past every row takes each
     # whole log as one chunk.
-    (busy,) = _busy_time(
-        timeline, [len(timeline.columns) + 1], time_single, time_multi,
-        segment_names, registry.name_of, idle_names)
-    for per_name, name, dt_ns in busy:
-        per_name[name] = per_name.get(name, 0) + dt_ns
+    _add_busy(_busy_time(timeline, [len(timeline.columns) + 1],
+                         segment_names, registry.name_of, idle_names),
+              time_single, time_multi)
     spans = (timeline.interval_t1[stop - 1]
              - timeline.interval_t0[first]).tolist()
     pulses = np.add.reduceat(timeline.interval_pulses, first).tolist()

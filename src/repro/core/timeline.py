@@ -772,8 +772,7 @@ def _intern_vectors(value_matrix: np.ndarray, sink_ids: list[int]):
         return [], np.empty(0, dtype=np.intp)
     matrix = np.ascontiguousarray(value_matrix)
     if matrix.shape[1]:
-        keys = (matrix.astype(np.uint64)
-                * _ROW_HASH[:matrix.shape[1]]).sum(axis=1)
+        keys = matrix.astype(np.uint64) @ _ROW_HASH[:matrix.shape[1]]
         _, first_idx, inverse = np.unique(
             keys, return_index=True, return_inverse=True)
         if not (matrix[first_idx][inverse] == matrix).all():
@@ -1177,29 +1176,20 @@ class ColumnarTimeline:
         np.cumsum(column, out=column)
         defaults = np.array([states.get(rid, -1) for rid in sinks.tolist()],
                             dtype=np.int64)
-        # Writes sorted by (sink, position) as one key: a sink's last
-        # write before position q is the one just below sink * width +
-        # q, and it counts only within q's log.
-        width = total + 1
-        write_column = column[p_res[written]] - 1
-        order = np.argsort(write_column, kind="stable")
-        write_column = write_column[order]
-        write_at = written[order]
-        write_key = write_column * width + write_at
-        sink_column = np.arange(len(sinks), dtype=np.int64)
+        # Each sink's last write before every position, as a running
+        # maximum of write positions along the sink's row (-1: none yet);
+        # a write counts only within its own log.
         positions, logs = emit, interval_log
         if carry is not None:
             # One more row: the state after the batch, carried on.
-            positions = np.append(emit, total)
-            logs = np.append(interval_log, 0)
-        if len(write_key):
-            at = np.maximum(np.searchsorted(
-                write_key, sink_column * width + positions[:, None]) - 1, 0)
-            source = write_at[at]
-            seen = (write_column[at] == sink_column) \
-                & (source < positions[:, None]) \
-                & (p_log[source] == logs[:, None])
-            matrix = np.where(seen, p_val[source], defaults)
+            positions = np.concatenate((emit, [total]))
+            logs = np.concatenate((interval_log, [0]))
+        if len(written):
+            last = np.full((len(sinks), total + 1), -1, dtype=np.int64)
+            last[column[p_res[written]] - 1, written + 1] = written
+            source = np.maximum.accumulate(last, axis=1)[:, positions]
+            matrix = np.where(source >= offsets[logs], p_val[source],
+                              defaults[:, None]).T
         else:
             matrix = np.tile(defaults, (len(positions), 1))
         if carry is not None:

@@ -428,8 +428,11 @@ class IngestServer:
 
     def _finalize(self, session: NodeSession) -> None:
         """Fold the stream's end and append the journal's complete
-        record, all the final reply waits on.  An unreported checkpoint
-        write failure fails the stream before anything is folded."""
+        record, all the final reply waits on.  A checkpoint write failure
+        already reported to the loop fails the stream before anything is
+        folded; a mid-stream write still in flight at the end of stream
+        is not waited for, so its failure is counted, not raised, as a
+        failed final write is."""
         self._raise_write_error(session)
         session.finish()
         if session.journal is None:

@@ -332,6 +332,90 @@ def test_log_without_power_intervals_raises_as_alone():
     assert str(fused.value) == str(alone.value)
 
 
+def _exact(value):
+    """``value`` with floats as ``float.hex`` and dicts as item lists."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(_exact(key), _exact(item)) for key, item in value.items()]
+    return value
+
+
+def _window_bits(snapshot):
+    return [(name, _exact(value)) for name, value in vars(snapshot).items()]
+
+
+def _split_fold(log, registry, names, stride_ns, retain, cuts, seen):
+    """The live fold of ``log`` fed in the chunks ``cuts`` delimit:
+    every emitted and retained window and the final map, as exact
+    bits.  Notes in ``seen`` the batch shapes the split produced."""
+    emitted = []
+    accumulator = WindowedAccumulator(
+        log["regression"], registry, names, log["pulse_j"],
+        stride_ns=stride_ns, idle_name=log["idle"],
+        single_res_ids=log["singles"], multi_res_ids=log["multis"],
+        end_time_ns=log["end_ns"], retain=retain, on_window=emitted.append)
+    columns = log["columns"]
+    for lo, hi in zip(cuts, cuts[1:]):
+        before = len(emitted)
+        accumulator.feed_columns(columns[lo:hi])
+        if accumulator._pending_rows:
+            continue  # not folded yet
+        times = columns.time_ns[lo:hi]
+        seen["no close"] |= len(emitted) == before
+        seen["empty windows"] |= any(
+            not snapshot.intervals for snapshot in emitted[before + 1:])
+        seen["tail mid-batch"] |= \
+            int(times[0]) <= log["end_ns"] < int(times[-1])
+    seen["rows join an open tail at finish"] |= \
+        accumulator._tail is not None and accumulator._pending_rows > 0
+    final = accumulator.finish()
+    seen["evicted"] |= len(accumulator.windows) < len(emitted)
+    return ([_window_bits(s) for s in emitted],
+            [_window_bits(s) for s in accumulator.windows],
+            [(name, _exact(value)) for name, value in vars(final).items()])
+
+
+@pytest.mark.parametrize("names", [
+    NAMES, {0: "CPU", 1: "CPU", 2: "Flash", 3: "CPU", 9: "CPU"}],
+    ids=["components", "shared-component"])
+def test_windowed_split_points_fold_identically(names, monkeypatch):
+    """Random batch boundaries against one-row batches (each closes at
+    most one window, so the chained per-window charge is the
+    reference): every window emitted and retained and the final map
+    are the same bits.  Strides shorter than an interval make one batch
+    emit empty windows, a retention below the window count evicts, an
+    end time inside a batch starts the tail re-cover mid-batch, rows
+    left buffered fold at finish (joining a tail already open), and
+    devices sharing a component name merge their busy time."""
+    seen = dict.fromkeys(
+        ("no close", "empty windows", "tail mid-batch", "evicted",
+         "rows join an open tail at finish"), False)
+    for seed in range(10):
+        rng = random.Random(1000 + seed)
+        for log in _random_logs(rng, 2):
+            n = len(log["columns"])
+            if rng.random() < 0.5:
+                # The analysis ends mid-log: a long tail re-cover.
+                log["end_ns"] = int(log["columns"].time_ns[
+                    rng.randrange(n)]) + rng.randrange(1000)
+            stride_ns = rng.choice((200_000, 1_500_000, 6_000_000)) \
+                + rng.randrange(100_000)
+            retain = rng.choice((1, 3, None))
+            cuts = [0, *sorted(rng.sample(range(1, n),
+                                          min(n - 1, rng.randrange(8)))), n]
+            registry = ActivityRegistry()
+            monkeypatch.setattr(accounting, "MIN_BATCH_ENTRIES", 1)
+            reference = _split_fold(log, registry, names, stride_ns,
+                                    retain, range(n + 1), dict(seen))
+            # Chunks fold once this many rows wait; the rest at finish.
+            monkeypatch.setattr(accounting, "MIN_BATCH_ENTRIES",
+                                rng.choice((1, 1, 24, n + 1)))
+            assert _split_fold(log, registry, names, stride_ns, retain,
+                               cuts, seen) == reference, seed
+    assert all(seen.values()), seen
+
+
 def test_fused_timeline_checks_time_order_per_log():
     """Each log must be in time order; a log may start before the one
     ahead of it ends."""

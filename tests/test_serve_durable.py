@@ -651,15 +651,19 @@ def _slow_checkpoints(monkeypatch, delay_s):
 
 
 def _failing_checkpoints(monkeypatch, when):
-    """Make checkpoint writes whose state satisfies ``when`` raise."""
+    """Make checkpoint writes whose state satisfies ``when`` raise; the
+    returned event is set as the first one raises."""
     real = NodeJournal.write_checkpoint
+    raised = threading.Event()
 
     def failing(self, state):
         if when(state):
+            raised.set()
             raise OSError(errno.EIO, "injected checkpoint write failure")
         real(self, state)
 
     monkeypatch.setattr(NodeJournal, "write_checkpoint", failing)
+    return raised
 
 
 def _crash(server):
@@ -750,18 +754,30 @@ def test_failed_mid_stream_write_fails_the_stream(tmp_path, blink,
                                                   monkeypatch, surfaces_at):
     """A mid-stream checkpoint write that raises on the writer thread
     fails the stream, as an inline write did: at the session's next
-    checkpoint hand-off, or at its end when no hand-off follows."""
-    _failing_checkpoints(monkeypatch, lambda state: not state["complete"])
+    checkpoint hand-off, or at its end when no hand-off follows.  The
+    client holds its next chunk (or the end of stream) until the failure
+    has reached the loop: a failure still in flight at the end of stream
+    is counted, not raised (see ``IngestServer._finalize``)."""
+    raised = _failing_checkpoints(monkeypatch,
+                                  lambda state: not state["complete"])
     sock_path = str(tmp_path / "ingest.sock")
     hello = hello_for_node(blink, stride_ns=int(seconds(1)))
     raw = bytes(blink.logger.raw_bytes())
     # "finalize": one cadence checkpoint, in the stream's last chunk.
     cadence = 256 if surfaces_at == "handoff" else len(raw) - 50
+    server = None
 
-    async def paced(_sent, _total):
-        await asyncio.sleep(0.02)  # the failure reaches the loop
+    async def paced(sent, _total):
+        if sent >= cadence and not server.failed_writes:
+            # The failing write is handed off: wait until it raised on
+            # the writer thread and its failure landed on the loop.
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, raised.wait, 10.0)
+            await _until(lambda: server.failed_writes)
+        await asyncio.sleep(0.02)  # the server reads one chunk at a time
 
     async def scenario():
+        nonlocal server
         server = IngestServer(state_dir=str(tmp_path / "state"),
                               checkpoint_bytes=cadence)
         await server.start_unix(sock_path)

@@ -8,7 +8,10 @@ packed log bytes → chunked socket stream → ``WireDecoder`` →
 the batch pipeline bit for bit (float bits AND dict insertion order).
 The two nodes stream concurrently with different strides and
 adversarial (prime) chunk sizes, and the query surface is exercised
-while one stream is still in flight.  Before them, a malformed hello
+while one stream is still in flight.  Once both are done, every window
+the server retains (the ``windows`` query) must equal, field for field
+and bit for bit, the window a local accumulator fed the whole log in
+one batch emits.  Before them, a malformed hello
 must get one ``ok: false`` reply, and a stream naming an activity
 device its hello did not declare must quarantine its node.
 
@@ -30,6 +33,7 @@ from repro.errors import ServeError  # noqa: E402
 from repro.experiments.common import run_blink  # noqa: E402
 from repro.serve import (  # noqa: E402
     IngestServer,
+    NodeSession,
     final_map,
     hello_for_node,
     query,
@@ -41,6 +45,7 @@ from repro.serve.protocol import (  # noqa: E402
     INGEST_VERB,
     decode_json_line,
     encode_json_line,
+    snapshot_to_wire,
 )
 from repro.tos.node import COMPONENT_NAMES, RES_LED0  # noqa: E402
 from repro.units import seconds  # noqa: E402
@@ -94,6 +99,30 @@ async def refused_hello(sock, hello) -> dict:
     return reply
 
 
+def check_windows(label, served, node, stride_ns, retain):
+    """The retained windows a ``windows`` query returned against one
+    batch of the whole log through a local accumulator: every field,
+    floats bit for bit (JSON carries them exactly)."""
+    local = NodeSession(hello_for_node(node, stride_ns=stride_ns),
+                        retain=retain)
+    local.ingest(bytes(node.logger.raw_bytes()))
+    local.finish()
+    expected = [decode_json_line(encode_json_line(snapshot_to_wire(s)),
+                                 "window")
+                for s in local.accumulator.windows]
+    windows = served["windows"]
+    if served["emitted"] != local.accumulator.windows_emitted \
+            or windows != expected:
+        first = next((k for k, (got, want) in enumerate(zip(windows,
+                                                            expected))
+                      if got != want), min(len(windows), len(expected)))
+        raise SystemExit(f"FAIL [{label}]: served windows diverged from "
+                         f"one local batch at window {first} "
+                         f"({len(windows)} served, {len(expected)} local)")
+    print(f"ok [{label}]: {len(windows)} retained windows identical to "
+          "one local batch")
+
+
 async def bad_streams(sock, node) -> None:
     """A malformed hello is refused; a stream with an undeclared device
     record quarantines its node."""
@@ -138,6 +167,10 @@ async def main() -> None:
             )
             listing = await query(sock, {"cmd": "nodes"})
             stats = await query(sock, {"cmd": "stats"})
+            served_a, served_b = [
+                await query(sock, {"cmd": "windows", "node_id": node_id,
+                                   "last": server.retain})
+                for node_id in (1, 2)]
         finally:
             await server.close()
 
@@ -158,6 +191,10 @@ async def main() -> None:
                     final_map(reply_a), offline_a)
     check_identical("node 2, stride 2s, chunk 1021",
                     final_map(reply_b), offline_b)
+    check_windows("node 1 windows", served_a, node_a, int(seconds(1)),
+                  server.retain)
+    check_windows("node 2 windows", served_b, node_b, int(seconds(2)),
+                  server.retain)
     print(f"ok: {reply_a['windows']} + {reply_b['windows']} windows, "
           f"{reply_a['entries'] + reply_b['entries']} entries streamed")
 
