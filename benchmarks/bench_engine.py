@@ -61,10 +61,14 @@ reported a 1.195x "parallel speedup" on a 1-CPU container).
 ``--check`` compares fresh serial/batched throughput, columnar-analysis,
 network-analysis and both live-ingest (windowed) measurements against the
 committed baseline and exits nonzero if any regressed by more than the
-tolerance (default 25 %, the CI gate).  ``--check-parallel`` runs only the sweep grid and
-gates the ``--jobs 2`` speedup against the multi-core floor — the
-taskset-pinned CI leg that proves the pool actually scales when cores
-exist.
+tolerance (default 25 %, the CI gate).  Each failed gate is printed with
+the host slowdown: ledgerbench's reference loop time
+(``ledgerbench/hostspeed.py``) over the reference host's, so a failure
+on a slowed host (slowdown well above 1) reads apart from one where the
+code moved (slowdown near 1).  ``--check-parallel`` runs only the sweep
+grid and gates the ``--jobs 2`` speedup against the multi-core floor —
+the taskset-pinned CI leg that proves the pool actually scales when
+cores exist.
 Runnable standalone (``PYTHONPATH=src python benchmarks/bench_engine.py
 [--check|--check-parallel]``) or via pytest.
 """
@@ -84,6 +88,9 @@ from repro.core.timeline import ColumnarTimeline
 from repro.sim.engine import NEAR_WINDOW_NS, Simulator
 from repro.sim.sweep import run_sweep
 from repro.units import seconds
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "ledgerbench"))
+from hostspeed import REFERENCE_MS, loop_s  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -134,6 +141,13 @@ def _median_spread(samples: list[float]) -> tuple[float, float]:
     median = statistics.median(samples)
     spread = (max(samples) - min(samples)) / median if median else 0.0
     return median, spread
+
+
+def host_slowdown(rounds: int = 5) -> float:
+    """How many times slower than the reference host this host runs
+    the reference loop now (median of ``rounds`` runs)."""
+    return statistics.median(loop_s() for _ in range(rounds)) * 1e3 \
+        / REFERENCE_MS
 
 
 def src_loc() -> int:
@@ -764,9 +778,11 @@ def main(argv: list[str]) -> int:
     print(json.dumps(numbers, indent=2))
     if "--check" in argv:
         failures = check_against_baseline(numbers)
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
         if failures:
+            slowdown = host_slowdown()
+            for failure in failures:
+                print(f"FAIL: {failure} [host slowdown {slowdown:.2f}x]",
+                      file=sys.stderr)
             return 1
         print("baseline check ok")
         return 0
@@ -795,6 +811,7 @@ def test_engine_bench_smoke():
     assert recovery["serve_recovery_ms"] > 0
     assert recovery["serve_checkpoint_bytes"] > 0
     assert src_loc() > 0
+    assert host_slowdown(rounds=1) > 0
 
 
 if __name__ == "__main__":

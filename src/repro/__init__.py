@@ -60,7 +60,6 @@ from repro.core.accounting import (
     WindowSnapshot,
     WindowedAccumulator,
     build_energy_map,
-    fold_windows,
     stream_energy_map,
 )
 from repro.core.counters import CounterAccountant
@@ -95,7 +94,6 @@ __all__ = [
     "EnergyAccumulator",
     "WindowedAccumulator",
     "WindowSnapshot",
-    "fold_windows",
     "CounterAccountant",
     "NetworkEnergyReport",
     "merge_energy_maps",

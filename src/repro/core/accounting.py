@@ -745,8 +745,8 @@ class WindowSnapshot:
     information-preserving for energy.  The cumulative dicts are
     therefore carried verbatim: they are the accumulator's own running
     sums (the identical IEEE-754 add sequence the batch path performs),
-    which is what makes :func:`fold_windows` byte-identical to
-    :func:`build_energy_map` instead of merely close.
+    so the last window's cumulative state is the finished map, bit for
+    bit, not merely close.
     """
 
     #: Stride index relative to the window origin (0-based).
@@ -774,30 +774,6 @@ class WindowSnapshot:
     final: bool = False
 
 
-def fold_windows(snapshots: Sequence[WindowSnapshot]) -> EnergyMap:
-    """Collapse an emitted window sequence back into one
-    :class:`EnergyMap`.
-
-    Because every snapshot carries the accumulator's exact cumulative
-    sums, the fold is simply the last window's cumulative state — no
-    re-adding of per-window deltas (which would change the float-add
-    order).  Folding the full sequence emitted by a finished
-    :class:`WindowedAccumulator` therefore reproduces
-    :func:`build_energy_map` bit-for-bit: same float bits, same dict
-    insertion order.
-    """
-    if not snapshots:
-        raise WindowingError("cannot fold an empty window sequence")
-    last = snapshots[-1]
-    return EnergyMap(
-        time_ns=dict(last.cumulative_time_ns),
-        energy_j=dict(last.cumulative_energy_j),
-        metered_energy_j=last.metered_energy_j,
-        reconstructed_energy_j=last.reconstructed_energy_j,
-        span_ns=last.span_ns,
-    )
-
-
 #: Rows a :class:`WindowedAccumulator` buffers before folding them as
 #: one columnar batch.  A batch fold costs about a millisecond of fixed
 #: numpy work however few rows it holds, so folding each ~1 KB network
@@ -821,9 +797,8 @@ class WindowedAccumulator:
     the stride containing its start, so strides partition the intervals
     without splitting any (splitting would change the float-add order
     and break the fold contract).  When the interval starts cross a
-    stride boundary the open window closes: its row is kept (the newest
-    ``retain`` rows are) and its :class:`WindowSnapshot` is passed to
-    ``on_window`` if given.  :meth:`finish` closes the last, partial
+    stride boundary the open window closes and its row is kept (the
+    newest ``retain`` rows are).  :meth:`finish` closes the last, partial
     window; its snapshot absorbs the deferred tail re-cover and carries
     the finished map's exact state.
 
@@ -835,13 +810,13 @@ class WindowedAccumulator:
     are recomputed from consecutive rows — the oldest retained window's
     from the row before it, which is kept for that — so a
     :class:`WindowSnapshot` is built only when read (:attr:`windows`,
-    :meth:`recent`, :meth:`sliding`, ``on_window``), field for field
-    and bit for bit what the close would have built.  The same rows are
-    what :meth:`snapshot` writes and :meth:`load_snapshot` reads back.
+    :meth:`recent`), field for field and bit for bit what the close
+    would have built.  The same rows are what :meth:`snapshot` writes
+    and :meth:`load_snapshot` reads back.
 
     Decoded rows arrive through :meth:`feed_columns` (or the per-entry
-    :meth:`feed` / :meth:`feed_all` adapters) and fold in batches of at
-    least :data:`MIN_BATCH_ENTRIES` rows, or of whatever is buffered
+    :meth:`feed` adapter) and fold in batches of at least
+    :data:`MIN_BATCH_ENTRIES` rows, or of whatever is buffered
     when something reads the accumulator (:meth:`live_breakdown`,
     :attr:`windows`, :attr:`windows_emitted`, :meth:`snapshot`); at
     :meth:`finish` whatever is buffered is the stream's one final
@@ -871,8 +846,7 @@ class WindowedAccumulator:
       busy time off one int64 cumsum of the batch's busy-time chunks
       (:meth:`_add_busy_time`), so windows close on the interval where
       the streaming path closes them, with the energy, busy time and
-      counters it had there.  ``on_window`` runs once the batch is
-      folded.
+      counters it had there.
 
     Devices are the declared ``single_res_ids`` and ``multi_res_ids``
     (an ingest hello carries the node's).  Feeding a record that names
@@ -887,9 +861,6 @@ class WindowedAccumulator:
     Windowing requires eager charging, so proxy folding (inherently
     retrospective — a bind can reattribute arbitrarily old segments) is
     not supported: segments charge their painted labels.
-
-    Sliding windows are views, not extra state: :meth:`sliding` merges
-    the last ``width/stride`` retained snapshots.
     """
 
     def __init__(
@@ -906,7 +877,6 @@ class WindowedAccumulator:
         end_time_ns: Optional[int] = None,
         origin_ns: Optional[int] = None,
         retain: Optional[int] = 64,
-        on_window=None,
     ) -> None:
         if stride_ns <= 0:
             raise WindowingError(
@@ -919,7 +889,6 @@ class WindowedAccumulator:
         self.idle_name = idle_name
         self.end_time_ns = end_time_ns
         self.stride_ns = int(stride_ns)
-        self.on_window = on_window
         self._column_power = _column_power(regression)
         self._const_power_w = (
             regression.const_power_w if regression is not None else 0.0
@@ -984,11 +953,6 @@ class WindowedAccumulator:
         """Take one decoded :class:`~repro.core.logger.LogEntry` (an
         adapter onto the same batched fold)."""
         self.feed_columns(LogColumns.from_entries((entry,)))
-
-    def feed_all(self, entries: Iterable) -> EnergyMap:
-        """Take a whole entry iterable, then :meth:`finish`."""
-        self.feed_columns(LogColumns.from_entries(entries))
-        return self.finish()
 
     def _flush(self, final: bool = False) -> None:
         """Fold every buffered row now; ``final`` folds them (however
@@ -1244,7 +1208,6 @@ class WindowedAccumulator:
             time_ids=time_ids,
             time_ns=time_ns,
         )
-        previous = self._windows[-1] if self._windows else self._base
         self._prev_intervals = self._intervals_seen
         self._window_index = index + 1
         windows = self._windows
@@ -1252,8 +1215,6 @@ class WindowedAccumulator:
             self._base = windows[0] if windows else row
         windows.append(row)
         self._windows_emitted += 1
-        if self.on_window is not None:
-            self.on_window(self._snapshot_of(row, previous))
 
     def _sync_energy_keys(self) -> None:
         """Append the energy keys charged since the last sync."""
@@ -1374,10 +1335,10 @@ class WindowedAccumulator:
         Nothing in it is executable on load.
 
         What the constructor takes (regression, registry, component
-        names, stride, idle name, end time, origin, retention,
-        ``on_window``) is not captured, nor what :meth:`finish` derives
-        from the rest: :meth:`load_snapshot` loads into an accumulator
-        built with the same arguments.  The declared device sets ride
+        names, stride, idle name, end time, origin, retention) is not
+        captured, nor what :meth:`finish` derives from the rest:
+        :meth:`load_snapshot` loads into an accumulator built with the
+        same arguments.  The declared device sets ride
         along as a check: a snapshot taken under other sets is refused.
         """
         self._flush()
@@ -1481,41 +1442,6 @@ class WindowedAccumulator:
             "span_ns": self._last_interval_t1_ns - self._span_t0_ns,
             "intervals": self._intervals_seen,
             "windows_emitted": self._windows_emitted,
-        }
-
-    def sliding(self, width_ns: int) -> dict:
-        """A sliding-window view: the merged deltas of the last
-        ``width_ns / stride_ns`` closed windows (display-quality floats;
-        the exactness contract lives in the cumulative sums).  Raises if
-        the width is not a stride multiple or outruns retention."""
-        if width_ns <= 0 or width_ns % self.stride_ns:
-            raise WindowingError(
-                f"sliding width {width_ns} is not a positive multiple "
-                f"of the stride {self.stride_ns}"
-            )
-        count = width_ns // self.stride_ns
-        recent = self.recent(count)
-        if count > len(recent) and self._windows_emitted > len(recent):
-            raise WindowingError(
-                f"sliding window of {count} strides outruns retention "
-                f"({len(recent)} snapshots kept)"
-            )
-        energy_j: dict[tuple[str, str], float] = {}
-        time_ns: dict[tuple[str, str], int] = {}
-        intervals = 0
-        for snapshot in recent:
-            intervals += snapshot.intervals
-            for key, value in snapshot.energy_j.items():
-                energy_j[key] = energy_j.get(key, 0.0) + value
-            for key, value in snapshot.time_ns.items():
-                time_ns[key] = time_ns.get(key, 0) + value
-        return {
-            "t0_ns": recent[0].t0_ns if recent else 0,
-            "t1_ns": recent[-1].t1_ns if recent else 0,
-            "windows": len(recent),
-            "intervals": intervals,
-            "energy_j": energy_j,
-            "time_ns": time_ns,
         }
 
 

@@ -556,9 +556,6 @@ class TimelineStream:
             + sum(t.open_count() for t in self._multis.values())
         )
 
-    def single_tracker(self, res_id: int) -> Optional[_SingleTracker]:
-        return self._singles.get(res_id)
-
     def multi_tracker(self, res_id: int) -> Optional[_MultiTracker]:
         return self._multis.get(res_id)
 

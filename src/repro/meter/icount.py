@@ -107,11 +107,6 @@ class ICountMeter:
 
         return draw
 
-    @property
-    def effective_energy_per_pulse_j(self) -> float:
-        """The true joules per counted pulse including gain error."""
-        return self._effective_j
-
     def reset(self) -> None:
         """Warm-start reset: rewind the monotone counter clamp.  The rng
         stream is re-seeded by the factory, and the calibration constants

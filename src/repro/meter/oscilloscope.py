@@ -145,9 +145,3 @@ class Oscilloscope:
             values.append(max(value, 0.0))
             t += sample_period_ns
         return times, values
-
-    def measure_energy(self, t0_ns: int, t1_ns: int) -> float:
-        """Energy over the window (J), with measurement noise applied."""
-        return self.measure_mean_current(t0_ns, t1_ns) * self.rail.voltage * to_s(
-            t1_ns - t0_ns
-        )

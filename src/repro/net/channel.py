@@ -155,7 +155,3 @@ class RadioChannel:
             if interferer.overlap(radio.freq_channel) > self.CCA_OVERLAP_THRESHOLD:
                 return True
         return False
-
-    def anyone_transmitting(self) -> bool:
-        """True while any 802.15.4 frame is in flight (for tests)."""
-        return bool(self._active_tx)

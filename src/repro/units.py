@@ -89,19 +89,9 @@ def uj(value: float) -> float:
     return value * 1e-6
 
 
-def mj(value: float) -> float:
-    """Millijoules to joules."""
-    return value * 1e-3
-
-
 def to_mj(joules: float) -> float:
     """Joules to millijoules."""
     return joules * 1e3
-
-
-def to_uj(joules: float) -> float:
-    """Joules to microjoules."""
-    return joules * 1e6
 
 
 # ---------------------------------------------------------------------------

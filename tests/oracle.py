@@ -11,8 +11,7 @@ reconstructs independently of the columnar path.
 
 :func:`install` swaps them in for the node's methods, so a whole
 experiment runs on the reference, and every map call also runs the
-product method and fails on the first differing cell.  ``ANALYZE``
-names both map implementations for tests that run one log through each.
+product method and fails on the first differing cell.
 
 :func:`recorded_maps` captures every map the node layer builds, and
 :func:`maps_digest` hashes their exact bits, so a golden digest pins
@@ -25,31 +24,11 @@ import hashlib
 from contextlib import contextmanager
 
 import repro.tos.node as node_module
-from repro.core.accounting import columnar_energy_map, stream_energy_map
-from repro.core.logger import LogColumns
+from repro.core.accounting import stream_energy_map
 from repro.core.regression import solve_breakdown
-from repro.core.timeline import ColumnarTimeline, TimelineStream
+from repro.core.timeline import TimelineStream
 from repro.tos.node import COMPONENT_NAMES, NodeBreakdown, QuantoNode
 
-
-def columnar_map(entries, regression, registry, component_names,
-                 energy_per_pulse_j, *, single_res_ids, multi_res_ids,
-                 end_time_ns=None, idle_name="Idle", fold_proxies=False):
-    """:func:`columnar_energy_map` of one log's decoded entries, called
-    like :func:`stream_energy_map` with declared devices."""
-    timeline = ColumnarTimeline(
-        LogColumns.from_entries(entries), end_time_ns=end_time_ns,
-        single_res_ids=single_res_ids, multi_res_ids=multi_res_ids)
-    (emap,) = columnar_energy_map(
-        timeline, [regression], registry, component_names,
-        [energy_per_pulse_j], fold_proxies=fold_proxies,
-        idle_names=[idle_name])
-    return emap
-
-
-#: Both map implementations, called with the same decoded entries:
-#: "streaming" is the reference, "columnar" the product path.
-ANALYZE = {"streaming": stream_energy_map, "columnar": columnar_map}
 
 #: The product methods, captured before any :func:`install`.
 PRODUCT_REGRESSION = QuantoNode.regression

@@ -1,31 +1,48 @@
 """The columnar analysis backend: decode, cover, and attribution.
 
-Three layers of equivalence pin the backend down:
+The columnar path is held to the streaming reference bit for bit by
+the differential harness (``tests/differential.py``, run over every
+path by ``tests/test_differential.py``); the tests here run its
+columnar check on logs of their own and pin the rest:
 
-* **Decode** — ``decode_columns`` (one ``np.frombuffer`` shot) must
-  agree field-for-field with the generator decoder, including 32-bit
-  time/iCount wrap-around, and ``QuantoLogger.columns()`` must produce
-  the same columns whether the packed-bytes cache is cold or warm.
-* **Cover** — on randomized logs, the ``searchsorted`` interval cover
-  must match the cursor-based streaming cover span-for-span (same
-  segments, same overlaps, same order), and the columnar interval /
-  segment reconstruction must equal what ``TimelineStream`` emits.
-* **Attribution** — the full columnar energy map must be bit-identical
-  (float bits and dict insertion order) to the streaming accumulator on
-  randomized logs with randomized analysis windows — including windows
-  the log overshoots (the tail-replay path) — in both proxy-fold modes.
+* **Decode** — ``decode_columns`` agrees field for field with the
+  entry decoder on generated logs, one moved to wrap u32 time
+  mid-log; ``QuantoLogger.columns()`` produces the same columns
+  whether the packed-bytes cache is cold or warm, and
+  ``LogColumns.from_entries`` round-trips.
+* **Cover** — the columnar interval, segment and multi-span
+  reconstruction equals what ``TimelineStream`` emits, and the
+  ``searchsorted`` interval cover matches the cursor-based streaming
+  cover span for span, on generated logs.
+* **Attribution** — the columnar map equals the streaming reference's
+  on generated logs in each proxy-fold mode, hand-built edge cases
+  (a device turning multi), the
+  node-level API against the oracle (stale snapshots included), error
+  parity, and the refusal of logs whose time goes backwards.
 
 The experiment-level contract (columnar ≡ streaming on every
 experiment) lives in ``test_golden_digests``, whose reference leg runs
 the streaming oracle (``tests/oracle.py``).
 """
 
-import random
+import dataclasses
 
 import numpy as np
 import oracle
 import pytest
 
+from differential import (
+    ADD,
+    BOOT,
+    CHANGE,
+    POWER,
+    U32,
+    Case,
+    adversarial_log,
+    check_columnar,
+    pack,
+    regression,
+)
 from repro.core.accounting import (
     _ragged_cover,
     _scan_cover,
@@ -33,22 +50,15 @@ from repro.core.accounting import (
     AnalysisBackendError,
     columnar_energy_map,
     resolve_analysis_backend,
-    stream_energy_map,
 )
 from repro.core.labels import ActivityRegistry
 from repro.core.logger import (
-    ENTRY_STRUCT,
     LogColumns,
     decode_columns,
     decode_log,
     iter_entries,
 )
-from repro.core.regression import (
-    RegressionResult,
-    SinkColumn,
-    group_intervals,
-    solve_grouped,
-)
+from repro.core.regression import group_intervals, solve_grouped
 from repro.core.timeline import (
     ColumnarTimeline,
     TimelineCarry,
@@ -56,85 +66,32 @@ from repro.core.timeline import (
 )
 from repro.errors import LoggerError, RegressionError
 
-# Entry types, inlined for terse generator code.
-POWER, CHANGE, BIND, ADD, REMOVE, BOOT = 1, 2, 3, 4, 5, 6
-
-SINGLE_IDS = (0, 1)
-POWER_ONLY_ID = 2  # has power states but no activity instrumentation
-MULTI_ID = 9
-LABELS = (0x0101, 0x0102, 0x0103, 0x01C8)  # third one binds onto others
-
-
-def _random_log(rng, n_entries=300, time_base_us=0):
-    """A synthetic but semantically valid log: monotone times, monotone
-    iCount, boots first, then a random mix of power toggles, activity
-    changes/binds, and multi add/removes — with same-time bursts and
-    immediate re-paints so zero-length segments and merged interval
-    boundaries occur."""
-    rows = []
-    t = time_base_us
-    ic = rng.randrange(1000)
-    for rid in (*SINGLE_IDS, POWER_ONLY_ID):
-        rows.append((BOOT, rid, t, ic, 0))
-    for _ in range(n_entries):
-        if rng.random() < 0.7:  # bursts: several entries at one time
-            t += rng.randrange(1, 4000)
-        ic += rng.randrange(0, 50)
-        kind = rng.random()
-        if kind < 0.45:
-            rows.append((POWER, rng.choice((*SINGLE_IDS, POWER_ONLY_ID)),
-                         t, ic, rng.randrange(2)))
-        elif kind < 0.75:
-            rows.append((CHANGE, rng.choice(SINGLE_IDS), t, ic,
-                         rng.choice(LABELS)))
-        elif kind < 0.85:
-            rows.append((BIND, rng.choice(SINGLE_IDS), t, ic,
-                         rng.choice(LABELS)))
-        elif kind < 0.95:
-            rows.append((ADD, MULTI_ID, t, ic, rng.choice(LABELS)))
-        else:
-            rows.append((REMOVE, MULTI_ID, t, ic, rng.choice(LABELS)))
-    raw = b"".join(
-        ENTRY_STRUCT.pack(entry_type, rid, time_us & 0xFFFFFFFF,
-                          pulses & 0xFFFFFFFF, value)
-        for entry_type, rid, time_us, pulses, value in rows
-    )
-    return raw, t
-
-
-def _regression_for_test():
-    columns = [
-        SinkColumn(res_id=rid, value=1, name=f"sink{rid}")
-        for rid in (*SINGLE_IDS, POWER_ONLY_ID)
-    ]
-    return RegressionResult(
-        columns=columns,
-        power_w={c.name: 0.003 * (c.res_id + 1) for c in columns},
-        const_power_w=0.0011,
-        voltage=3.0,
-        y=np.zeros(1), y_hat=np.zeros(1), weights=np.ones(1),
-        group_states=[], group_time_ns=[], group_energy_j=[],
-    )
-
 
 # -- decode -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("time_base_us", [0, (1 << 32) - 2_000])
+def rebased(case: Case, time_base_us: int) -> Case:
+    """``case`` with its log moved to start at ``time_base_us``."""
+    cols = case.columns
+    shift = time_base_us * 1000 - int(cols.time_ns[0])
+    raw = pack(zip(cols.type.tolist(), cols.res_id.tolist(),
+                   ((cols.time_ns + shift) // 1000).tolist(),
+                   cols.icount.tolist(), cols.value.tolist()))
+    return dataclasses.replace(
+        case, name=f"{case.name} from {time_base_us} us", raw=raw,
+        end_time_ns=case.end_time_ns + shift)
+
+
+@pytest.mark.parametrize("time_base_us", [0, U32 - 2_000])
 def test_decode_columns_matches_iter_entries(time_base_us):
-    """Field-for-field decode equivalence, including u32 wrap-around
-    (the second base starts just below the 32-bit boundary, so times
-    and iCounts wrap mid-log)."""
-    rng = random.Random(7)
-    raw, _end = _random_log(rng, time_base_us=time_base_us)
-    entries = decode_log(raw)
-    columns = decode_columns(raw)
-    assert len(columns) == len(entries)
-    assert columns.type.tolist() == [e.type for e in entries]
-    assert columns.res_id.tolist() == [e.res_id for e in entries]
-    assert columns.time_ns.tolist() == [e.time_ns for e in entries]
-    assert columns.icount.tolist() == [e.icount for e in entries]
-    assert columns.value.tolist() == [e.value for e in entries]
+    """Field-for-field decode equivalence, including u32 wrap-around:
+    the second base starts just below the 32-bit boundary, so times
+    wrap mid-log.  The harness's columnar check decodes first, then
+    reconstructs and folds the moved log."""
+    case = rebased(adversarial_log(7), time_base_us)
+    raw_time = (case.columns.time_ns // 1000) % U32
+    assert (np.diff(raw_time) < 0).any() == (time_base_us != 0)
+    check_columnar(case)
 
 
 def test_logger_columns_cold_and_warm():
@@ -158,64 +115,54 @@ def test_logger_columns_cold_and_warm():
 
 
 def test_log_columns_from_entries_roundtrip():
-    rng = random.Random(3)
-    raw, _end = _random_log(rng, n_entries=50)
-    entries = decode_log(raw)
+    case = adversarial_log(3)
+    entries = decode_log(case.raw)
     columns = LogColumns.from_entries(entries)
-    reference = decode_columns(raw)
+    reference = decode_columns(case.raw)
     assert columns.time_ns.tolist() == reference.time_ns.tolist()
     assert columns.icount.tolist() == reference.icount.tolist()
     # ...and back: the timeline's rows are the decoded entries, seq and
     # time_us included.
-    assert ColumnarTimeline(reference, single_res_ids=SINGLE_IDS,
-                            multi_res_ids=[MULTI_ID]).entries == entries
+    assert ColumnarTimeline(reference, single_res_ids=case.singles,
+                            multi_res_ids=case.multis).entries == entries
 
 
 # -- reconstruction ---------------------------------------------------------
 
 
-def _streamed(raw, end_us):
-    """The streaming trackers' reconstruction of a random log: emitted
-    intervals, and segments grouped per device in emission order."""
+def _streamed(case):
+    """The streaming trackers' reconstruction of a generated log:
+    emitted intervals, and segments grouped per device in emission
+    order."""
     intervals, segments = [], []
     TimelineStream(
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID],
+        single_res_ids=case.singles, multi_res_ids=case.multis,
         on_interval=intervals.append, on_segment=segments.append,
-    ).feed_all(iter_entries(raw), end_us * 1000)
+    ).feed_all(iter_entries(case.raw), case.end_time_ns)
     by_device = {rid: [seg for seg in segments if seg.res_id == rid]
-                 for rid in SINGLE_IDS}
+                 for rid in case.singles}
     return intervals, by_device
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_columnar_reconstruction_matches_streaming(seed):
-    """Intervals (times, pulses, state vectors) and per-device segments
-    (spans, labels, bind resolution) equal the streaming trackers'."""
-    rng = random.Random(seed)
-    raw, end_us = _random_log(rng)
-    intervals, segments = _streamed(raw, end_us)
-    columnar = ColumnarTimeline(
-        decode_columns(raw), end_time_ns=end_us * 1000,
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
-    assert columnar.power_intervals() == intervals
-    # The fold's share arithmetic needs every interval strictly positive.
-    assert (columnar.interval_t1 > columnar.interval_t0).all()
-    for rid in SINGLE_IDS:
-        assert columnar.activity_segments(rid) == segments[rid]
+    """Intervals (times, pulses, state vectors), per-device segments
+    (spans, labels, bind resolution) and multi-device spans equal the
+    streaming trackers'."""
+    check_columnar(adversarial_log(200 + seed), folds=())
 
 
 def test_backwards_time_is_refused():
     """Time order is the invariant the one columnar fold rests on: a
-    record stamped before its predecessor raises, in whole-log mode, in
-    batch mode against the carry's last record, and through
-    ``columnar_energy_map`` on decoded entries."""
-    raw, end_us = _random_log(random.Random(5), n_entries=60)
-    entries = decode_log(raw)
+    record stamped before its predecessor raises, in whole-log mode and
+    in batch mode against the carry's last record."""
+    case = adversarial_log(5)
+    entries = decode_log(case.raw)
     k = next(i for i in range(len(entries) - 1)
              if entries[i].time_ns < entries[i + 1].time_ns)
     swapped = list(entries)
     swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-    devices = dict(single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
+    devices = dict(single_res_ids=case.singles, multi_res_ids=case.multis)
     with pytest.raises(LoggerError, match="backwards"):
         ColumnarTimeline(LogColumns.from_entries(swapped), **devices)
     # Batch mode: each batch is in order, but the second starts before
@@ -227,26 +174,18 @@ def test_backwards_time_is_refused():
     with pytest.raises(LoggerError, match="backwards"):
         ColumnarTimeline(columns[:half], carry=carry, final=False,
                          **devices)
-    with pytest.raises(LoggerError, match="backwards"):
-        oracle.columnar_map(
-            swapped, _regression_for_test(), ActivityRegistry(),
-            {0: "CPU", 1: "Radio", 2: "Flash", 9: "TimerB"}, 1e-6,
-            end_time_ns=end_us * 1000, **devices)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_ragged_cover_matches_cursor_cover(seed):
     """The searchsorted cover must yield the cursor-based cover's spans
     exactly: same segments, same overlaps, same order, per interval."""
-    rng = random.Random(100 + seed)
-    raw, end_us = _random_log(rng)
-    intervals, by_device = _streamed(raw, end_us)
-    columnar = ColumnarTimeline(
-        decode_columns(raw), end_time_ns=end_us * 1000,
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
+    case = adversarial_log(100 + seed)
+    intervals, by_device = _streamed(case)
+    columnar = case.timeline()
     window_t0 = np.array([iv.t0_ns for iv in intervals], dtype=np.int64)
     window_t1 = np.array([iv.t1_ns for iv in intervals], dtype=np.int64)
-    for rid in SINGLE_IDS:
+    for rid in case.singles:
         segments = by_device[rid]
         device = columnar.single_columns(rid)
         offsets, seg_rows, overlaps = _ragged_cover(
@@ -273,35 +212,14 @@ def test_ragged_cover_matches_cursor_cover(seed):
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("fold", [False, True])
 def test_randomized_maps_bit_identical(seed, fold):
-    """Streaming and columnar maps are bit-identical on random logs with
-    random analysis windows — including windows shorter than the log
-    (records overshoot: the accumulator's tail-replay path) and longer
-    (trailing idle)."""
-    rng = random.Random(1000 + seed)
-    raw, end_us = _random_log(rng)
-    regression = _regression_for_test()
-    registry = ActivityRegistry()
-    names = {0: "CPU", 1: "Radio", 2: "Flash", 9: "TimerB"}
-    # Window: before, at, or past the last record.
-    end_time_ns = rng.choice((
-        end_us * 1000, (end_us - 500) * 1000, (end_us + 5_000) * 1000))
-    kwargs = dict(
-        fold_proxies=fold, idle_name="Idle", end_time_ns=end_time_ns,
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID],
-    )
-    reference = stream_energy_map(
-        iter_entries(raw), regression, registry, names, 1e-6, **kwargs)
-    candidate = oracle.columnar_map(
-        decode_log(raw), regression, registry, names, 1e-6, **kwargs)
-    oracle.assert_same_map(reference, candidate)
+    """Streaming and columnar maps are bit-identical on generated logs
+    whose analysis ends before the last record (the reference's
+    tail-replay path), at it, or past it (trailing idle)."""
+    check_columnar(adversarial_log(1000 + seed), folds=(fold,))
 
 
 def test_grouped_inputs_match_group_intervals():
-    rng = random.Random(42)
-    raw, end_us = _random_log(rng)
-    columnar = ColumnarTimeline(
-        decode_columns(raw), end_time_ns=end_us * 1000,
-        single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
+    columnar = adversarial_log(42).timeline()
     reference = group_intervals(columnar.power_intervals(), 1e-6)
     assert columnar.grouped_inputs(1e-6) == reference
     # The min-interval filter applies before grouping, like
@@ -366,37 +284,19 @@ def test_device_turning_multi_mid_log_matches_streaming():
     multi device: the columnar timeline refuses it (the stream alone
     would infer the device)."""
     rid = 5
-    rows = [
-        (BOOT, rid, 50, 0, 0),
-        (POWER, rid, 80, 1, 1),
-        (CHANGE, rid, 100, 2, 0x0111),
-        (ADD, rid, 200, 3, 0x0122),
-        (CHANGE, rid, 300, 5, 0x0133),
-        (POWER, rid, 400, 9, 0),
-    ]
-    entries = decode_log(b"".join(ENTRY_STRUCT.pack(*row) for row in rows))
-    regression = RegressionResult(
-        columns=[SinkColumn(res_id=rid, value=1, name="dev")],
-        power_w={"dev": 0.004}, const_power_w=0.001, voltage=3.0,
-        y=np.zeros(1), y_hat=np.zeros(1), weights=np.ones(1),
-        group_states=[], group_time_ns=[], group_energy_j=[],
-    )
-    registry = ActivityRegistry()
+    raw = pack([(BOOT, rid, 50, 0, 0), (POWER, rid, 80, 1, 1),
+                (CHANGE, rid, 100, 2, 0x0111), (ADD, rid, 200, 3, 0x0122),
+                (CHANGE, rid, 300, 5, 0x0133), (POWER, rid, 400, 9, 0)])
     for singles in ([], [rid]):
-        for fold in (False, True):
-            kwargs = dict(fold_proxies=fold, idle_name="Idle",
-                          end_time_ns=400_000, single_res_ids=singles,
-                          multi_res_ids=[rid])
-            reference = stream_energy_map(
-                entries, regression, registry, {rid: "Dev"}, 1e-6,
-                **kwargs)
-            candidate = oracle.columnar_map(
-                entries, regression, registry, {rid: "Dev"}, 1e-6,
-                **kwargs)
-            oracle.assert_same_map(reference, candidate)
+        check_columnar(Case(
+            name=f"log turning multi, singles {singles}", raw=raw,
+            end_time_ns=400_000, singles=singles, multis=[rid],
+            regression=regression({rid: 0.004}, 0.001), pulse_j=1e-6,
+            idle_name="Idle", names={rid: "Dev"},
+            registry=ActivityRegistry()))
     with pytest.raises(LoggerError, match="device 5"):
-        ColumnarTimeline(LogColumns.from_entries(entries),
-                         single_res_ids=[rid], multi_res_ids=[])
+        ColumnarTimeline(decode_columns(raw), single_res_ids=[rid],
+                         multi_res_ids=[])
 
 
 def test_stale_timeline_snapshot_matches_streaming():
@@ -535,13 +435,12 @@ def test_sweep_backend_digests_match(monkeypatch):
 
 def test_columnar_errors_match_streaming():
     registry = ActivityRegistry()
-    devices = dict(single_res_ids=SINGLE_IDS, multi_res_ids=[MULTI_ID])
+    case = adversarial_log(0)
+    devices = dict(single_res_ids=case.singles, multi_res_ids=case.multis)
     empty = ColumnarTimeline(decode_columns(b""), **devices)
     with pytest.raises(RegressionError, match="no power intervals"):
-        columnar_energy_map(empty, [_regression_for_test()], registry, {},
-                            [1e-6])
-    raw, _end = _random_log(random.Random(0), n_entries=20)
-    timeline = ColumnarTimeline(decode_columns(raw), **devices)
+        columnar_energy_map(empty, [case.regression], registry, {}, [1e-6])
+    timeline = ColumnarTimeline(case.columns, **devices)
     with pytest.raises(RegressionError, match="needs a regression"):
         columnar_energy_map(timeline, [None], registry, {}, [1e-6])
 
@@ -554,8 +453,9 @@ def test_dump_log_accepts_generator():
     renders the same text as the list path, counting past the limit."""
     from repro.toolkit.logdump import dump_log, export_log_csv
 
-    raw, _end = _random_log(random.Random(9), n_entries=40)
+    raw = adversarial_log(9).raw
     entries = decode_log(raw)
+    assert len(entries) > 10
     assert dump_log(iter_entries(raw)) == dump_log(entries)
     assert dump_log(iter_entries(raw), limit=10) \
         == dump_log(entries, limit=10)

@@ -1,146 +1,92 @@
 """The streaming pipeline: log -> TimelineStream -> EnergyAccumulator.
 
-Two contracts pin the refactor down:
+The streaming path is the reference every product path is held to bit
+for bit by the differential harness (``tests/differential.py``, run
+over every path by ``tests/test_differential.py``).  Pinned here:
 
-* **Byte-identity** — the streaming path produces an EnergyMap exactly
-  equal to the batch path (same float bits, same dict insertion order)
-  on real logs from every kind of workload: single-node Blink, the
-  cross-node Bounce with proxy binds, and multihop collection — in both
-  proxy-folding modes.
-* **Bounded memory** — with binds untracked (the ``fold_proxies=False``
+* **Byte-identity** — on real logs from every kind of workload
+  (single-node Blink, the cross-node Bounce with proxy binds, multihop
+  collection), the one-log entry point ``build_energy_map`` under each
+  analysis backend gives the streaming reference's map (same float
+  bits, same dict insertion order) in both proxy-folding modes, and the
+  harness's columnar check (decode, the stream's emitted intervals and
+  segments against the columnar build, both maps) passes;
+* ``iter_entries`` decodes lazily;
+* **bounded memory** — with binds untracked (the ``fold_proxies=False``
   accounting path), the stream's open state and the accumulator's
   pending-segment buffer stay flat as the log grows.
 """
 
-import struct
-
-import numpy as np
 import pytest
 
-import oracle
-from repro.core.accounting import EnergyAccumulator, build_energy_map
+import differential
+from differential import (
+    assert_same_map,
+    check_columnar,
+    node_case,
+    regression,
+)
+from repro.core.accounting import (
+    ANALYSIS_BACKENDS,
+    EnergyAccumulator,
+    build_energy_map,
+)
 from repro.core.logger import ENTRY_STRUCT, decode_log, iter_entries
-from repro.core.regression import RegressionResult
-from repro.core.timeline import TimelineStream
 from repro.experiments.common import run_blink
-from repro.tos.network import Network
-from repro.tos.node import COMPONENT_NAMES, NodeConfig
-from repro.units import ms, seconds
+from repro.tos.node import COMPONENT_NAMES
+from repro.units import seconds
 
 
-#: Both analysis implementations must reproduce the batch reference
-#: exactly from the same decoded entries: "streaming" feeds the
-#: accumulator, "columnar" routes them through the column pipeline.
-BACKENDS = tuple(oracle.ANALYZE)
+@pytest.fixture(scope="module")
+def blink():
+    return node_case("blink", differential.blink_node())
 
 
-def _stream_map_for(node, timeline, regression, fold_proxies,
-                    backend="streaming"):
-    return oracle.ANALYZE[backend](
-        iter_entries(node.logger.raw_bytes()),
-        regression,
-        node.registry,
-        COMPONENT_NAMES,
-        node.platform.icount.nominal_energy_per_pulse_j,
-        fold_proxies=fold_proxies,
-        idle_name=node.registry.name_of(node.idle),
-        end_time_ns=timeline.end_time_ns,
-        single_res_ids=node.single_res_ids,
-        multi_res_ids=node.multi_res_ids,
-    )
-
-
-def _assert_node_streams_identically(node, backend="streaming"):
-    timeline = node.timeline()
-    regression = node.regression(timeline)
+def assert_node_streams_identically(case, backend):
+    """``build_energy_map`` over ``case``'s timeline with ``backend``
+    gives the streaming reference's map in both proxy modes; on the
+    columnar backend the harness's whole columnar check runs too."""
+    timeline = case.timeline()
     for fold in (False, True):
-        batch = build_energy_map(
-            timeline, regression, node.registry, COMPONENT_NAMES,
-            node.platform.icount.nominal_energy_per_pulse_j,
-            fold_proxies=fold,
-            idle_name=node.registry.name_of(node.idle),
-            backend="streaming",
-        )
-        stream = _stream_map_for(node, timeline, regression, fold,
-                                 backend=backend)
-        oracle.assert_same_map(batch, stream)
+        emap = build_energy_map(
+            timeline, case.regression, case.registry, case.names,
+            case.pulse_j, fold_proxies=fold, idle_name=case.idle_name,
+            backend=backend)
+        assert_same_map(case, f"{backend} fold_proxies={fold}",
+                        case.oracle_map(fold), emap)
+    if backend == "columnar":
+        check_columnar(case)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_blink_streams_identically(backend):
-    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
-    _assert_node_streams_identically(node, backend)
+@pytest.mark.parametrize("backend", ANALYSIS_BACKENDS)
+def test_blink_streams_identically(blink, backend):
+    assert_node_streams_identically(blink, backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ANALYSIS_BACKENDS)
 def test_bounce_network_streams_identically(backend):
     """Cross-node Bounce exercises proxies, binds, and remote labels —
     the retrospective part of the fold path."""
-    from repro.apps.bounce import BounceApp
-
-    network = Network(seed=1)
-    network.add_node(NodeConfig(node_id=1, mac="csma"))
-    network.add_node(NodeConfig(node_id=4, mac="csma"))
-    app1 = BounceApp(peer_id=4, originate_delay_ns=ms(250))
-    app4 = BounceApp(peer_id=1, originate_delay_ns=ms(650))
-    network.boot_all({1: app1.start, 4: app4.start})
-    network.run(seconds(3))
+    network = differential.bounce_network()
     for node_id in (1, 4):
-        _assert_node_streams_identically(network.node(node_id), backend)
+        assert_node_streams_identically(
+            node_case(f"bounce-{node_id}", network.node(node_id)), backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ANALYSIS_BACKENDS)
 def test_collection_network_streams_identically(backend):
     """Multihop collection: forwarding queues, multi-activity timers."""
-    from repro.apps.collection import build_line_topology
-
-    network = Network(seed=5)
-    for node_id in (10, 11, 12):
-        network.add_node(NodeConfig(node_id=node_id, mac="csma"))
-    apps = build_line_topology(network, [10, 11, 12], root_id=10,
-                               sample_period_ns=seconds(4))
-    network.boot_all({nid: app.start for nid, app in apps.items()})
-    network.run(seconds(10))
-    for node_id in (10, 11, 12):
-        _assert_node_streams_identically(network.node(node_id), backend)
+    network = differential.collection_network()
+    for node_id in (11, 12, 13):
+        assert_node_streams_identically(
+            node_case(f"collection-{node_id}", network.node(node_id)),
+            backend)
 
 
-def test_timeline_stream_matches_builder_on_blink():
-    """The stream's emitted intervals/segments equal the ones the node's
-    (columnar) timeline builds for the whole log."""
-    node, _app, _sim = run_blink(seed=2, duration_ns=seconds(4))
-    timeline = node.timeline()
-    intervals, segments, multis = [], [], []
-    stream = TimelineStream(
-        single_res_ids=node.single_res_ids,
-        multi_res_ids=node.multi_res_ids,
-        on_interval=intervals.append,
-        on_segment=segments.append,
-        on_multi_segment=multis.append,
-    )
-    stream.feed_all(iter_entries(node.logger.raw_bytes()),
-                    timeline.end_time_ns)
-    assert intervals == timeline.power_intervals()
-    batch_segments = [
-        seg for res_id in timeline.single_device_ids()
-        for seg in timeline.activity_segments(res_id)
-    ]
-    # The stream interleaves devices by close time; compare as sets of
-    # value tuples (each segment appears exactly once on both sides).
-    def seg_key(seg):
-        return (seg.res_id, seg.t0_ns, seg.t1_ns, seg.label, seg.bound_to)
-
-    assert sorted(map(seg_key, segments)) == \
-        sorted(map(seg_key, batch_segments))
-    batch_multis = []
-    for res_id in timeline.multi_device_ids():
-        spans = timeline.multi_columns(res_id)
-        batch_multis += [
-            (res_id, t0, t1, timeline.label_sets[set_id])
-            for t0, t1, set_id in zip(
-                spans.t0.tolist(), spans.t1.tolist(), spans.set_ids)]
-    assert sorted((m.res_id, m.t0_ns, m.t1_ns, m.labels) for m in multis) \
-        == sorted(batch_multis)
+def test_timeline_stream_matches_builder_on_blink(blink):
+    """The stream's emitted intervals, segments and multi-device spans
+    equal the ones the columnar timeline builds for the whole log."""
+    check_columnar(blink, folds=())
 
 
 def test_iter_entries_is_lazy_and_equals_decode():
@@ -172,14 +118,6 @@ def _synthetic_log(n_cycles):
     return raw, t * 1000
 
 
-def _minimal_regression():
-    return RegressionResult(
-        columns=[], power_w={}, const_power_w=0.001, voltage=3.0,
-        y=np.zeros(1), y_hat=np.zeros(1), weights=np.ones(1),
-        group_states=[], group_time_ns=[], group_energy_j=[],
-    )
-
-
 @pytest.mark.parametrize("fold", [False])
 def test_stream_open_state_independent_of_log_length(fold):
     from repro.core.labels import ActivityRegistry
@@ -189,7 +127,7 @@ def test_stream_open_state_independent_of_log_length(fold):
     for n_cycles in (200, 800, 3200):
         raw, end_ns = _synthetic_log(n_cycles)
         accumulator = EnergyAccumulator(
-            _minimal_regression(), registry, {0: "CPU"}, 1e-6,
+            regression({}, 0.001), registry, {0: "CPU"}, 1e-6,
             fold_proxies=fold, single_res_ids=[0], end_time_ns=end_ns,
         )
         accumulator.feed_all(iter_entries(raw))

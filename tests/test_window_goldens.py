@@ -1,4 +1,4 @@
-"""Window-sequence goldens and the ingest split fuzz.
+"""Window-sequence goldens.
 
 Each golden is a sha256 over every :class:`WindowSnapshot` field of a
 windowed run (floats written by ``repr``, dicts in insertion order), so
@@ -11,24 +11,29 @@ captured from the per-entry streaming accumulator and pin:
 * a collection node whose records run 500 ms past its analysis end
   (``end_time_ns``), so the tail re-cover is part of the sequence.
 
-The split fuzz streams the same logs through :meth:`NodeSession.ingest`
-in 1-byte, prime-sized, 64 KB and whole-log chunks, with and without a
-checkpoint/restore midway, folding each chunk as its own batch or in
-batches of the default size: every split must give the same windows and
-the same final map.
+The split fuzz streams the Blink and collection logs through the
+differential harness's checkpoint path (``tests/differential.py``:
+:meth:`NodeSession.ingest` in 1-byte, 7-byte, 1021-byte, 64 KB and
+whole-log chunks, with and without a checkpoint/restore midway and
+near the end, folding each chunk as its own batch or in batches of the
+default size): every split gives the golden windows, the one-row-batch
+window sequence and the streaming reference's map.  The checkpoint
+round trip cuts at every 96-byte cadence point.  The harness's own runs
+(``tests/test_differential.py``) do the same on generated logs at
+random cuts.
 """
 
 import dataclasses
 import hashlib
 
+import oracle
 import pytest
 
+import differential
+from differential import Plan, check_checkpoint, chunk_cuts, node_case
 from repro.core import accounting
-from repro.core.accounting import WindowedAccumulator, fold_windows
+from repro.core.accounting import WindowedAccumulator
 from repro.core.logger import iter_entries
-from repro.experiments.common import run_blink
-from repro.serve import NodeSession, hello_for_node
-from repro.serve.journal import decode_checkpoint, frame_checkpoint
 from repro.tos.node import COMPONENT_NAMES
 from repro.units import ms, seconds
 
@@ -80,52 +85,26 @@ def windowed_windows(node, stride_ns, end_time_ns):
         end_time_ns=end_time_ns,
         retain=None,
     )
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    accumulator.feed_columns(node.logger.columns())
+    accumulator.finish()
     return list(accumulator.windows)
 
 
 @pytest.fixture(scope="module")
 def blink():
-    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
-    return node
+    return differential.blink_node()
 
 
 @pytest.fixture(scope="module")
 def bounce():
-    from repro.apps.bounce import BounceApp
-    from repro.tos.network import Network
-    from repro.tos.node import NodeConfig
-
-    network = Network(seed=1)
-    network.add_node(NodeConfig(node_id=1, mac="csma"))
-    network.add_node(NodeConfig(node_id=4, mac="csma"))
-    app1 = BounceApp(peer_id=4, originate_delay_ns=ms(250))
-    app4 = BounceApp(peer_id=1, originate_delay_ns=ms(650))
-    network.boot_all({1: app1.start, 4: app4.start})
-    network.run(seconds(3))
-    return network
+    return differential.bounce_network()
 
 
 @pytest.fixture(scope="module")
 def collection():
     """The root of a small multihop collection line, built the way the
     serve-ingest benchmark builds its nodes."""
-    from repro.apps.collection import build_line_topology
-    from repro.hw.platform import PlatformConfig
-    from repro.tos.network import Network
-    from repro.tos.node import NodeConfig
-
-    network = Network(seed=5)
-    node_ids = [11, 12, 13]
-    for node_id in node_ids:
-        network.add_node(NodeConfig(
-            node_id=node_id, mac="csma",
-            platform=PlatformConfig(device_variation=0.02)))
-    apps = build_line_topology(network, node_ids, root_id=11,
-                               sample_period_ns=seconds(1))
-    network.boot_all({nid: app.start for nid, app in apps.items()})
-    network.run(seconds(6))
-    return network.node(11)
+    return differential.collection_network().node(11)
 
 
 # -- goldens -----------------------------------------------------------------
@@ -155,60 +134,57 @@ def test_collection_window_golden_runs_past_end_time(collection):
 # -- split fuzz --------------------------------------------------------------
 
 
-def ingest_split(hello, raw, chunk, checkpoint_at=None):
-    """Stream ``raw`` through a session in ``chunk``-byte pieces; with
-    ``checkpoint_at``, round-trip the session through a checkpoint once
-    that many bytes have gone in.  Returns (windows, final map)."""
-    session = NodeSession(hello, retain=None)
-    at = 0
-    while at < len(raw):
-        piece = raw[at:at + chunk]
-        session.ingest(piece)
-        at += len(piece)
-        if checkpoint_at is not None and at >= checkpoint_at:
-            checkpoint_at = None
-            state = decode_checkpoint(frame_checkpoint(
-                session.checkpoint_state()["payload"]))
-            session = NodeSession(hello, retain=None)
-            session.load_state(state)
-    final = session.finish()
-    return list(session.accumulator.windows), final
+@pytest.fixture(scope="module")
+def cases(blink, collection):
+    """The Blink and collection logs as harness cases, with the golden
+    of their 1 s window sequence."""
+    return {
+        "blink": (node_case("blink", blink), GOLDEN["blink-1s"]),
+        "collection": (node_case("collection-11", collection, OVERSHOOT_NS),
+                       GOLDEN["collection-11"]),
+    }
 
 
 @pytest.mark.parametrize("min_batch", [1, accounting.MIN_BATCH_ENTRIES])
 @pytest.mark.parametrize("workload", ["blink", "collection"])
-def test_every_split_gives_the_same_windows(workload, min_batch, blink,
-                                            collection, monkeypatch):
-    monkeypatch.setattr(accounting, "MIN_BATCH_ENTRIES", min_batch)
-    if workload == "blink":
-        node, golden = blink, GOLDEN["blink-1s"]
-        end = analysis_end(node)
-    else:
-        node, golden = collection, GOLDEN["collection-11"]
-        end = analysis_end(node, OVERSHOOT_NS)
-    hello = dict(hello_for_node(node, stride_ns=int(seconds(1))),
-                 end_time_ns=end)
-    raw = bytes(node.logger.raw_bytes())
-    reference = None
+def test_every_split_gives_the_same_windows(workload, min_batch, cases):
+    case, golden = cases[workload]
+    size = len(case.raw)
     # Checkpoints midway and near the end, where the collection node's
     # intervals already wait for the tail re-cover.
-    for chunk in (1, 7, 1021, 1 << 16, len(raw)):
-        for checkpoint_at in (None, len(raw) // 2 + 5, len(raw) - 400):
-            windows, final = ingest_split(hello, raw, chunk, checkpoint_at)
+    for chunk in (1, 7, 1021, 1 << 16, size):
+        for checkpoint_at in (None, size // 2 + 5, size - 400):
+            windows = check_checkpoint(case, plan=Plan(
+                cuts=chunk_cuts(size, chunk), stride_ns=int(seconds(1)),
+                min_batch=min_batch, checkpoint_at=checkpoint_at))
             assert window_digest(windows) == golden, (chunk, checkpoint_at)
-            folded = fold_windows(windows)
-            assert list(final.energy_j) == list(folded.energy_j)
-            assert final.energy_j == folded.energy_j
-            assert final.time_ns == folded.time_ns
-            if reference is None:
-                reference = final
-            assert list(final.energy_j) == list(reference.energy_j)
-            assert final.energy_j == reference.energy_j
-            assert final.time_ns == reference.time_ns
-            assert final.reconstructed_energy_j \
-                == reference.reconstructed_energy_j
-            assert final.metered_energy_j == reference.metered_energy_j
-            assert final.span_ns == reference.span_ns
+
+
+@pytest.mark.parametrize("retain", [3, None])
+@pytest.mark.parametrize("workload", ["blink", "collection"])
+def test_checkpoint_round_trip_is_bit_identical(workload, retain, cases):
+    """Checkpoint at every 96-byte cadence point, round-trip the bytes,
+    restore into a fresh session and feed the rest: the windows it
+    retains before and after, and its final map, are the uninterrupted
+    one-row-batch run's — float bits and key order.  The cadence points
+    cover an open multi-activity span (on Blink), retention evictions
+    (with ``retain=3``) and, on the collection node, the
+    ``end_time_ns`` tail."""
+    case, _golden = cases[workload]
+    size, cadence = len(case.raw), 96
+    seen: set = set()
+    for cut in range(cadence, size, cadence):
+        check_checkpoint(case, seen, Plan(
+            cuts=chunk_cuts(size, cadence), stride_ns=int(seconds(1)),
+            retain=retain, checkpoint_at=cut))
+    expected = {"checkpoint carries an open multi span"} \
+        if workload == "blink" else {"checkpoint during the tail"}
+    if retain is not None:
+        expected.add("checkpoint after evictions")
+    assert seen == expected
+
+
+# -- undeclared devices ------------------------------------------------------
 
 
 @pytest.mark.parametrize("min_batch", [1, 7, accounting.MIN_BATCH_ENTRIES])
@@ -259,93 +235,4 @@ def test_undeclared_device_charged_untracked_until_it_appears(
                                       **kwargs)
     for entry in kept:
         accumulator.feed(entry)
-    served = accumulator.finish()
-    assert exact_map(served) == exact_map(reference)
-
-
-# -- checkpoint round trip ---------------------------------------------------
-
-
-def exact(value):
-    """``value`` with every float as ``float.hex`` and every dict as its
-    item list, so equality means same bits and same key order."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return [(exact(key), exact(item)) for key, item in value.items()]
-    if isinstance(value, (list, tuple)):
-        return [exact(item) for item in value]
-    return value
-
-
-def exact_window(snapshot):
-    return [(f.name, exact(getattr(snapshot, f.name)))
-            for f in dataclasses.fields(snapshot)]
-
-
-def exact_map(emap):
-    return [(f.name, exact(getattr(emap, f.name)))
-            for f in dataclasses.fields(emap)]
-
-
-@pytest.mark.parametrize("retain", [3, None])
-@pytest.mark.parametrize("workload", ["blink", "collection"])
-def test_checkpoint_round_trip_is_bit_identical(workload, retain, blink,
-                                                collection):
-    """Checkpoint at every 96-byte cadence point, round-trip the bytes,
-    restore into a fresh session and feed the rest: every window the
-    resumed run emits or retains, and its final map, equal the
-    uninterrupted run's — float bits and key order.  The cadence points
-    cover an open multi-activity span, retention evictions (with
-    ``retain=3``) and, on the collection node, the ``end_time_ns``
-    tail."""
-    if workload == "blink":
-        node, end = blink, analysis_end(blink)
-    else:
-        node, end = collection, analysis_end(collection, OVERSHOOT_NS)
-    hello = dict(hello_for_node(node, stride_ns=int(seconds(1))),
-                 end_time_ns=end)
-    raw = bytes(node.logger.raw_bytes())
-    cadence = 96
-
-    def run(session, data, emitted):
-        session.accumulator.on_window = emitted.append
-        for at in range(0, len(data), cadence):
-            session.ingest(data[at:at + cadence])
-
-    reference: list = []
-    whole = NodeSession(hello, retain=retain)
-    run(whole, raw, reference)
-    final = exact_map(whole.finish())
-    reference = [exact_window(s) for s in reference]
-    retained = [exact_window(s) for s in whole.accumulator.windows]
-    # Retention keeps the newest windows exactly as they were emitted.
-    assert retained == reference[-len(retained):]
-
-    seen = {"tail": False, "multi_open": False, "evicted": False}
-    for cut in range(cadence, len(raw), cadence):
-        emitted: list = []
-        session = NodeSession(hello, retain=retain)
-        run(session, raw[:cut], emitted)
-        accumulator = session.accumulator
-        before = [exact_window(s) for s in accumulator.windows]
-        blob = frame_checkpoint(session.checkpoint_state()["payload"])
-        seen["tail"] |= accumulator._tail is not None
-        seen["multi_open"] |= bool(accumulator._carry.multi_open)
-        seen["evicted"] |= accumulator._base is not None
-
-        resumed = NodeSession(hello, retain=retain)
-        resumed.load_state(decode_checkpoint(blob))
-        assert resumed.bytes_received == cut
-        assert [exact_window(s) for s in resumed.accumulator.windows] \
-            == before, cut
-        assert resumed.accumulator.windows_emitted \
-            == accumulator.windows_emitted
-        run(resumed, raw[cut:], emitted)
-        assert exact_map(resumed.finish()) == final, cut
-        assert [exact_window(s) for s in emitted] == reference, cut
-        assert [exact_window(s) for s in resumed.accumulator.windows] \
-            == retained, cut
-    assert seen["multi_open"] == (workload == "blink")
-    assert seen["evicted"] == (retain is not None)
-    assert seen["tail"] == (workload == "collection")
+    oracle.assert_same_map(reference, accumulator.finish())

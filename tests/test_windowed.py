@@ -1,22 +1,35 @@
 """Windowed (online) energy accounting.
 
 The contract that makes live windows trustworthy: the window sequence
-*folds* back to the batch :func:`build_energy_map` result bit-for-bit —
-same float bits, same dict insertion order — on every workload, under
-both analysis backends, for any stride.  Each snapshot carries the
-accumulator's exact cumulative sums (the same IEEE-754 add sequence the
-batch path performs), so :func:`fold_windows` is reconstruction, not
-re-summation.  Also pinned: bounded memory via the retention deque,
-gap-free window indices, the sliding view, and misuse errors.
+folds back to the batch result bit for bit — same float bits, same
+dict insertion order — on every workload, under both analysis
+backends, for any stride.  Each snapshot carries the accumulator's
+exact cumulative sums, so the last window *is* the finished map.
+Here the differential harness's live fold (``tests/differential.py``)
+runs on real Blink and Bounce logs at several strides: its final map
+must be the streaming reference's and the last window's, and equal the
+batch ``build_energy_map`` of each backend.  The harness's own runs
+(``tests/test_differential.py``) split and batch generated logs every
+way and show each option has an effect (retention keeping the newest
+windows included).  Also pinned: gap-free window indices
+and deltas that cover the run, the live breakdown mid-stream, and
+misuse errors (a bad stride, a snapshot or chunk naming other devices).
 """
 
 import pytest
 
+import differential
+from differential import (
+    Plan,
+    assert_same_map,
+    live_fold,
+    map_of_window,
+    node_case,
+)
 from repro.core.accounting import (
     ANALYSIS_BACKENDS as BACKENDS,
     WindowedAccumulator,
     build_energy_map,
-    fold_windows,
 )
 from repro.core.logger import iter_entries
 from repro.errors import WindowingError
@@ -38,58 +51,55 @@ def windowed_for(node, timeline, regression, stride_ns, **kwargs):
     )
 
 
-def assert_folds_to_batch(node, stride_ns, backend):
-    timeline = node.timeline()
-    regression = node.regression(timeline)
+def assert_folds_to_batch(case, stride_ns, backend):
+    """``case``'s log in one chunk through the harness's live fold at
+    ``stride_ns``: the final map is the streaming reference's and the
+    last window's cumulative map, and ``backend``'s batch map equals
+    it.  (The window sequences themselves are pinned by
+    ``test_window_goldens``.)  Returns the number of windows emitted."""
+    plan = Plan(cuts=[0, len(case.raw)], stride_ns=stride_ns)
+    windows, final, emitted = live_fold(
+        case, plan, plan.cuts, min_batch=plan.min_batch, retain=None)
+    assert_same_map(case, "windowed", case.oracle_map(False), final)
+    assert_same_map(case, "windowed last window", final,
+                    map_of_window(windows[-1]))
     batch = build_energy_map(
-        timeline, regression, node.registry, COMPONENT_NAMES,
-        node.platform.icount.nominal_energy_per_pulse_j,
-        fold_proxies=False,
-        idle_name=node.registry.name_of(node.idle),
-        backend=backend,
-    )
-    accumulator = windowed_for(node, timeline, regression, stride_ns,
-                               retain=None)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
-    folded = fold_windows(list(accumulator.windows))
-    assert list(folded.energy_j) == list(batch.energy_j)  # insertion order
-    assert folded.energy_j == batch.energy_j  # float bits
-    assert list(folded.time_ns) == list(batch.time_ns)
-    assert folded.time_ns == batch.time_ns
-    assert folded.metered_energy_j == batch.metered_energy_j
-    assert folded.reconstructed_energy_j == batch.reconstructed_energy_j
-    assert folded.span_ns == batch.span_ns
-    return accumulator
+        case.timeline(), case.regression, case.registry, case.names,
+        case.pulse_j, idle_name=case.idle_name, backend=backend)
+    assert_same_map(case, f"{backend} batch", batch, final)
+    return emitted
 
 
 # -- the fold contract -------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def blink():
+    return node_case("blink", differential.blink_node())
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("stride_s", [0.25, 1, 3, 100])
-def test_blink_windows_fold_to_batch(backend, stride_s):
-    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
-    accumulator = assert_folds_to_batch(node, int(seconds(stride_s)),
-                                        backend)
+def test_blink_windows_fold_to_batch(blink, backend, stride_s):
+    emitted = assert_folds_to_batch(blink, int(seconds(stride_s)), backend)
     if stride_s == 100:  # one giant window: everything is in the final
-        assert accumulator.windows_emitted == 1
+        assert emitted == 1
+
+
+@pytest.fixture(scope="module")
+def bounce():
+    network = differential.bounce_network()
+    return [node_case(f"bounce-{node_id}", network.node(node_id))
+            for node_id in (1, 4)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_network_windows_fold_to_batch(backend):
-    from repro.apps.bounce import BounceApp
-    from repro.tos.network import Network
-    from repro.tos.node import NodeConfig
+def test_network_windows_fold_to_batch(bounce, backend):
+    for case in bounce:
+        assert_folds_to_batch(case, int(ms(400)), backend)
 
-    network = Network(seed=1)
-    network.add_node(NodeConfig(node_id=1, mac="csma"))
-    network.add_node(NodeConfig(node_id=4, mac="csma"))
-    app1 = BounceApp(peer_id=4, originate_delay_ns=ms(250))
-    app4 = BounceApp(peer_id=1, originate_delay_ns=ms(650))
-    network.boot_all({1: app1.start, 4: app4.start})
-    network.run(seconds(3))
-    for node_id in (1, 4):
-        assert_folds_to_batch(network.node(node_id), int(ms(400)), backend)
+
+# -- the window sequence ------------------------------------------------------
 
 
 def test_windows_are_gap_free_and_deltas_cover_the_run():
@@ -98,7 +108,8 @@ def test_windows_are_gap_free_and_deltas_cover_the_run():
     regression = node.regression(timeline)
     accumulator = windowed_for(node, timeline, regression,
                                int(seconds(1)), retain=None)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
+    accumulator.feed_columns(node.logger.columns())
+    accumulator.finish()
     snapshots = list(accumulator.windows)
     assert [s.index for s in snapshots] == list(range(len(snapshots)))
     assert snapshots[-1].final and not any(s.final for s in snapshots[:-1])
@@ -111,32 +122,6 @@ def test_windows_are_gap_free_and_deltas_cover_the_run():
     total = sum(value for s in snapshots for value in s.energy_j.values())
     assert total == pytest.approx(
         accumulator.map.reconstructed_energy_j, rel=1e-9)
-
-
-def test_retention_bounds_snapshot_memory():
-    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
-    timeline = node.timeline()
-    regression = node.regression(timeline)
-    accumulator = windowed_for(node, timeline, regression, int(ms(100)),
-                               retain=4)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
-    assert len(accumulator.windows) == 4  # deque bound
-    assert accumulator.windows_emitted > 4  # ...but all were emitted
-    # The last retained window still carries the exact final state.
-    folded = fold_windows(list(accumulator.windows))
-    assert folded.energy_j == accumulator.map.energy_j
-
-
-def test_on_window_callback_sees_every_close():
-    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
-    timeline = node.timeline()
-    regression = node.regression(timeline)
-    seen = []
-    accumulator = windowed_for(node, timeline, regression,
-                               int(seconds(1)), on_window=seen.append)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
-    assert len(seen) == accumulator.windows_emitted
-    assert seen[-1].final
 
 
 def test_live_breakdown_tracks_the_stream():
@@ -158,25 +143,6 @@ def test_live_breakdown_tracks_the_stream():
     assert done["energy_j"] == accumulator.map.energy_j
 
 
-def test_sliding_view_merges_recent_strides():
-    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
-    timeline = node.timeline()
-    regression = node.regression(timeline)
-    accumulator = windowed_for(node, timeline, regression,
-                               int(seconds(1)), retain=None)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
-    view = accumulator.sliding(int(seconds(3)))
-    assert view["windows"] == 3
-    recent = list(accumulator.windows)[-3:]
-    assert view["t0_ns"] == recent[0].t0_ns
-    assert view["intervals"] == sum(s.intervals for s in recent)
-    merged = {}
-    for snapshot in recent:
-        for key, value in snapshot.energy_j.items():
-            merged[key] = merged.get(key, 0.0) + value
-    assert view["energy_j"] == merged
-
-
 # -- misuse ------------------------------------------------------------------
 
 
@@ -186,24 +152,6 @@ def test_bad_stride_rejected():
     regression = node.regression(timeline)
     with pytest.raises(WindowingError, match="stride"):
         windowed_for(node, timeline, regression, 0)
-
-
-def test_fold_of_nothing_rejected():
-    with pytest.raises(WindowingError, match="empty"):
-        fold_windows([])
-
-
-def test_sliding_misuse_rejected():
-    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
-    timeline = node.timeline()
-    regression = node.regression(timeline)
-    accumulator = windowed_for(node, timeline, regression,
-                               int(seconds(1)), retain=2)
-    accumulator.feed_all(iter_entries(node.logger.raw_bytes()))
-    with pytest.raises(WindowingError, match="multiple"):
-        accumulator.sliding(int(seconds(1)) + 1)
-    with pytest.raises(WindowingError, match="retention"):
-        accumulator.sliding(int(seconds(5)))
 
 
 def test_snapshot_under_other_devices_is_refused():

@@ -1,42 +1,43 @@
 """The incremental wire decoder: chunk boundaries must not matter.
 
 :class:`repro.core.logger.WireDecoder` is the network-facing decode
-path — the ingest server feeds it whatever chunks TCP delivers.  The
-contract fuzzed here: for ANY split of a packed log (mid-entry, one
-byte at a time, mid-u32-wrap), the reassembled entry stream is
-*identical* to the one-shot :func:`iter_entries` decode — same unwrap,
-same seq numbers — and the columns built from it match the vectorized
-:func:`decode_columns` output.
+path — the ingest server feeds it whatever chunks TCP delivers.  For
+ANY split of a packed log (mid-entry, one byte at a time, mid-u32-wrap)
+the reassembled entry stream must be *identical* to the one-shot
+:func:`iter_entries` decode — same unwrap, same seq numbers — and each
+piece's rows those of :func:`decode_columns` (the differential
+harness's :func:`decoded_pieces` checks them row by row).  Fuzzed here
+at random splits of real Blink and Bounce logs and of generated logs
+whose time or iCount wraps u32, with snapshot/restore at random cuts;
+also pinned: a wrap detected a feed after its watermark,
+snapshot/restore at every byte offset of a wrapping log, and the
+decoder's errors.  The harness's own runs
+(``tests/test_differential.py``) feed the same decoder into the live
+fold.
 """
 
 import random
 
-import numpy as np
 import pytest
 
+import differential
+from differential import (
+    adversarial_log,
+    blink_node,
+    decoded_pieces,
+    on_path,
+    wrap_rows,
+)
 from repro.core.logger import (
     ENTRY_SIZE,
     ENTRY_STRUCT,
     TYPE_POWERSTATE,
-    LogColumns,
     WireDecoder,
-    decode_columns,
     iter_entries,
 )
 from repro.errors import LoggerError
-from repro.experiments.common import run_blink
-from repro.units import seconds
 
 U32 = 1 << 32
-
-
-def random_chunks(raw, rng, max_chunk):
-    """Split ``raw`` at random offsets (most cuts land mid-entry)."""
-    offset = 0
-    while offset < len(raw):
-        step = rng.randint(1, max_chunk)
-        yield raw[offset:offset + step]
-        offset += step
 
 
 def feed_chunked(raw, chunks):
@@ -50,32 +51,47 @@ def feed_chunked(raw, chunks):
     return entries
 
 
-def assert_columns_equal(entries, raw):
-    """The reassembled stream feeds the columnar path identically."""
-    rebuilt = LogColumns.from_entries(entries)
-    oneshot = decode_columns(raw)
-    for field in ("type", "res_id", "time_ns", "icount", "value"):
-        assert np.array_equal(getattr(rebuilt, field),
-                              getattr(oneshot, field)), field
+def random_cuts(size, rng, max_chunk):
+    """Cuts of ``size`` bytes at random offsets (most land mid-entry)."""
+    cuts = [0]
+    while cuts[-1] < size:
+        cuts.append(min(size, cuts[-1] + rng.randint(1, max_chunk)))
+    return cuts
 
 
-# -- golden experiment logs --------------------------------------------------
+def assert_split_decodes(raw, cuts):
+    """Both decoder outputs at ``cuts``: the entries equal the one-shot
+    decode, and every piece's rows the one-shot columns'."""
+    pieces = [raw[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    assert feed_chunked(raw, pieces) == list(iter_entries(raw))
+    for _rows in decoded_pieces(raw, cuts):
+        pass
+
+
+# -- real logs ---------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def blink_raw():
-    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(8))
-    return bytes(node.logger.raw_bytes())
+    return bytes(blink_node().logger.raw_bytes())
 
 
 def test_chunked_equals_oneshot_on_blink(blink_raw):
-    reference = list(iter_entries(blink_raw))
     rng = random.Random(0xC0FFEE)
     for _trial in range(8):
-        entries = feed_chunked(blink_raw,
-                               random_chunks(blink_raw, rng, 37))
-        assert entries == reference
-    assert_columns_equal(reference, blink_raw)
+        assert_split_decodes(blink_raw,
+                             random_cuts(len(blink_raw), rng, 37))
+
+
+def test_network_log_random_splits():
+    """Cross-node logs (proxy binds, remote labels) through prime-sized
+    chunks: entry boundaries drift through every offset mod 12."""
+    network = differential.bounce_network()
+    for node_id in (1, 4):
+        raw = bytes(network.node(node_id).logger.raw_bytes())
+        for chunk_size in (7, 11, 13, 1021):
+            assert_split_decodes(
+                raw, differential.chunk_cuts(len(raw), chunk_size))
 
 
 def test_one_byte_at_a_time(blink_raw):
@@ -88,32 +104,6 @@ def test_one_byte_at_a_time(blink_raw):
 def test_single_chunk_is_the_degenerate_split(blink_raw):
     assert feed_chunked(blink_raw, [blink_raw]) \
         == list(iter_entries(blink_raw))
-
-
-def test_network_log_random_splits():
-    """Cross-node logs (proxy binds, remote labels) through prime-sized
-    chunks: entry boundaries drift through every offset mod 12."""
-    from repro.apps.bounce import BounceApp
-    from repro.tos.network import Network
-    from repro.tos.node import NodeConfig
-    from repro.units import ms
-
-    network = Network(seed=1)
-    network.add_node(NodeConfig(node_id=1, mac="csma"))
-    network.add_node(NodeConfig(node_id=4, mac="csma"))
-    app1 = BounceApp(peer_id=4, originate_delay_ns=ms(250))
-    app4 = BounceApp(peer_id=1, originate_delay_ns=ms(650))
-    network.boot_all({1: app1.start, 4: app4.start})
-    network.run(seconds(3))
-    for node_id in (1, 4):
-        raw = bytes(network.node(node_id).logger.raw_bytes())
-        reference = list(iter_entries(raw))
-        for chunk_size in (7, 11, 13, 1021):
-            entries = feed_chunked(
-                raw, (raw[i:i + chunk_size]
-                      for i in range(0, len(raw), chunk_size)))
-            assert entries == reference
-        assert_columns_equal(reference, raw)
 
 
 # -- u32 wrap state across feeds ---------------------------------------------
@@ -151,18 +141,21 @@ def test_wrap_state_carries_across_feeds():
     assert [(e.time_us, e.icount) for e in entries] == truth
 
 
-def test_wrap_fuzz_random_splits():
+@pytest.fixture(scope="module")
+def wrapping_logs():
+    """Twenty generated logs whose time, iCount or both wrap u32."""
+    cases = [case for case in map(adversarial_log, range(5000, 5100))
+             if wrap_rows(case.columns)][:20]
+    assert len(cases) == 20
+    return cases
+
+
+def test_wrap_fuzz_random_splits(wrapping_logs):
     rng = random.Random(31337)
-    for _trial in range(20):
-        truth, time_us, icount = [], 0, 0
-        for _ in range(40):
-            time_us += rng.randint(0, U32 // 3)
-            icount += rng.randint(0, U32 // 3)
-            truth.append((time_us, icount))
-        raw = pack_truth(truth)
-        entries = feed_chunked(raw, random_chunks(raw, rng, 17))
-        assert [(e.time_us, e.icount) for e in entries] == truth
-        assert entries == list(iter_entries(raw))
+    for case in wrapping_logs:
+        with on_path(case, "wire decoder"):
+            assert_split_decodes(case.raw,
+                                 random_cuts(len(case.raw), rng, 17))
 
 
 # -- snapshot / restore ------------------------------------------------------
@@ -206,29 +199,18 @@ def test_snapshot_restore_at_every_split_across_wraps():
         assert [(e.time_us, e.icount) for e in entries] == truth
 
 
-def test_snapshot_restore_fuzz_on_random_wrap_logs():
-    """Random wrap-heavy logs, random restore points, random chunking
-    after the restore — mirroring the chunk fuzz above."""
+def test_snapshot_restore_fuzz_on_random_wrap_logs(wrapping_logs):
+    """Wrapping logs, random restore points (the end included), random
+    chunking before and after the restore — mirroring the chunk fuzz
+    above."""
     rng = random.Random(0xD15C)
-    for _trial in range(10):
-        truth, time_us, icount = [], 0, 0
-        for _ in range(40):
-            time_us += rng.randint(0, U32 // 2)
-            icount += rng.randint(0, U32 // 2)
-            truth.append((time_us, icount))
-        raw = pack_truth(truth)
-        reference = list(iter_entries(raw))
-        for _restore in range(8):
-            cut = rng.randint(0, len(raw))
-            first = WireDecoder()
-            entries = []
-            for chunk in random_chunks(raw[:cut], rng, 17):
-                entries.extend(first.feed(chunk))
-            second = WireDecoder.from_snapshot(first.snapshot())
-            for chunk in random_chunks(raw[cut:], rng, 17):
-                entries.extend(second.feed(chunk))
-            second.finish()
-            assert entries == reference
+    for case in wrapping_logs[:10]:
+        size = len(case.raw)
+        for cut in [size, *(rng.randint(0, size) for _ in range(7))]:
+            cuts = sorted({*random_cuts(size, rng, 17), cut})
+            with on_path(case, f"wire decoder restored at byte {cut}"):
+                for _rows in decoded_pieces(case.raw, cuts, restore_at=cut):
+                    pass
 
 
 def test_snapshot_restore_on_blink(blink_raw):
