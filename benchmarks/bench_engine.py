@@ -7,12 +7,13 @@ have a machine-readable baseline:
 * ``engine_events_per_sec`` — raw calendar-queue throughput on a
   synthetic workload (bursty same-instant events, far-future timer arms,
   cancellations);
-* ``analysis_entries_per_sec`` — decode → cover → attribute throughput
-  of the offline analysis over a real Blink log, for the columnar
-  product path and the streaming reference, plus
-  ``analysis_speedup_columnar``;
-  the two maps are asserted bit-identical before any speedup is
-  reported;
+* ``analysis_entries_per_sec_columnar`` and ``_streaming`` — decode →
+  cover → attribute throughput of the offline analysis over a real
+  Blink log, for the columnar product path and the streaming reference,
+  with their ratio ``analysis_speedup_columnar``; the two maps are
+  asserted bit-identical before anything is timed.  The peak bytes each
+  path allocates (``analysis_peak_bytes_*``, tracemalloc) are measured
+  in a separate untimed pass;
 * ``network_analysis_entries_per_sec`` — timeline build plus fold over
   every node log of one 6-node ``ext_collection`` star point, in the
   fused multi-log pass ``QuantoNode.breakdown_all`` runs (one
@@ -29,48 +30,41 @@ have a machine-readable baseline:
   each folded as its own batch and closing several windows, so both
   the per-batch and the per-window cost of the fold show; the served
   map is asserted bit-identical to the offline map first;
-* ``serve_recovery_ms`` — wall time for the durable ingest path to
-  rebuild one node session from its checkpoint + journal-tail replay
-  (a half-log tail, the post-SIGKILL shape).  Recorded, not gated;
-* ``serve_checkpoint_bytes`` — the size of that mid-stream checkpoint
-  file: a deterministic count, so checkpoint format bloat shows.
-  Recorded, not gated;
+* ``serve_recovery_ms`` — time for the durable ingest path to rebuild
+  one node session from its checkpoint + journal-tail replay (a
+  half-log tail, the post-SIGKILL shape), and ``serve_checkpoint_bytes``,
+  the size of that checkpoint;
 * ``sweep_points_per_sec_serial`` — end-to-end table3 points per second
   on the 64-point reference grid with batching off (``batch=1``): the
   strict one-world-at-a-time reference;
 * ``batched_points_per_sec`` — the same grid through the default
   in-process executor (K worlds per batch on one shared event queue,
-  fused log decode); this is what a plain ``--jobs 1`` sweep now
-  delivers, and the headline number the regression gate watches;
+  fused log decode): what a plain ``--jobs 1`` sweep delivers;
 * ``sweep_points_per_sec_cached`` — the same grid folded entirely from
-  a warm packed shard store (cache-hit throughput; the marginal cost of
-  a fully cached campaign, also gated);
-* ``parallel_speedup_jobs2`` — wall-clock speedup of the same grid at
-  ``--jobs 2``.  Only meaningful with >= 2 usable cores: the JSON
-  records ``cpu_count``/``usable_cpus``, ``--check`` gates the speedup
-  (>= 1.5x) **only** on a multi-core host, and a single-core box
-  records the number without judging it.
+  a warm packed shard store (cache-hit throughput);
 * ``src_loc`` — lines in ``src/repro/**/*.py``: code size as a
-  tracked number.  Recorded, not gated.
+  tracked number.
 
-Every timing is the **median of 3** independent runs, with the relative
-spread ``(max - min) / median`` recorded alongside — a single-shot
-number on a busy host is measurement noise (the pre-PR-4 baseline
-reported a 1.195x "parallel speedup" on a 1-CPU container).
+Every row is timed by :func:`ref_seconds`: the median of
+:data:`SAMPLES` samples, each scaled by ``ledgerbench/hostspeed.py``'s
+reference loop timed just before and just after it, so a rate reads in
+units of a host that runs that loop in ``REFERENCE_MS``.  Shared hosts
+slow by up to 1.8x for minutes at a time; the loop slows with the rows
+beside it, so most of a slow period cancels out.  Not all of it: the
+numpy-heavy rows slow more than the pure-Python loop, and still move
+about ±10% between samples on a 2-vCPU shared host.
 
-``--check`` compares fresh serial/batched throughput, columnar-analysis,
-network-analysis and both live-ingest (windowed) measurements against the
-committed baseline and exits nonzero if any regressed by more than the
-tolerance (default 25 %, the CI gate).  Each failed gate is printed with
-the host slowdown: ledgerbench's reference loop time
-(``ledgerbench/hostspeed.py``) over the reference host's, so a failure
-on a slowed host (slowdown well above 1) reads apart from one where the
-code moved (slowdown near 1).  ``--check-parallel`` runs only the sweep
-grid and gates the ``--jobs 2`` speedup against the multi-core floor —
-the taskset-pinned CI leg that proves the pool actually scales when
-cores exist.
-Runnable standalone (``PYTHONPATH=src python benchmarks/bench_engine.py
-[--check|--check-parallel]``) or via pytest.
+``--check`` measures every row and checks each :data:`GATES` row
+against ``baseline × FLOOR`` from the committed baseline; a gated row
+missing from the baseline fails, as does a sweep digest that differs
+from the baseline's (a determinism break, not a slowdown).
+``--check-parallel`` runs only the pool gate: ``--jobs 2`` against the
+in-process executor on the 256-point :data:`PARALLEL_SEEDS` grid, at
+least :data:`PARALLEL_FLOOR` on a host with two or more usable cores.
+That gate is a ratio of two timings on one host, so its floor is
+absolute.  Runnable standalone (``PYTHONPATH=src python
+benchmarks/bench_engine.py [--check|--check-parallel]``);
+``tests/test_bench_gates.py`` drives the gates and a smoke run.
 """
 
 from __future__ import annotations
@@ -79,18 +73,20 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro.core.accounting import columnar_energy_map, stream_energy_map
 from repro.core.logger import decode_columns, iter_entries
 from repro.core.timeline import ColumnarTimeline
 from repro.sim.engine import NEAR_WINDOW_NS, Simulator
-from repro.sim.sweep import run_sweep
+from repro.sim.sweep import detect_jobs, resolve_batch, run_sweep
 from repro.units import seconds
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "ledgerbench"))
-from hostspeed import REFERENCE_MS, loop_s  # noqa: E402
+from hostspeed import REFERENCE_MS, loop_s, scaled_ms  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -98,7 +94,6 @@ BASELINE_PATH = RESULTS_DIR / "BENCH_engine.json"
 
 #: The reference sweep grid: 64 table3 points with the paper's noise
 #: sources on (full-length runs, so the campaign is realistic work).
-#: benchmarks/bench_sweep.py imports these — keep the grid defined once.
 SWEEP_SEEDS = range(64)
 SWEEP_OVERRIDES = {
     "duration_ns": [str(seconds(48))],
@@ -106,48 +101,59 @@ SWEEP_OVERRIDES = {
     "icount_jitter_pulses": ["1.0"],
 }
 
-#: Gated throughputs may regress by at most this factor before --check
-#: fails (the CI gate; override with REPRO_BENCH_TOLERANCE).
-DEFAULT_TOLERANCE = 0.25
+#: The pool gate's grid.  64 points run in well under a second, so pool
+#: start-up and the workers' first world builds dominate a jobs=2 run
+#: of them; on 256 points they are amortised.
+PARALLEL_SEEDS = range(256)
 
-#: Minimum --jobs 2 wall-clock speedup required on a host with >= 2
-#: usable cores (override with REPRO_BENCH_PARALLEL_FLOOR).  A 1-CPU
-#: host records the speedup without gating it — two workers sharing one
-#: core can only lose to the serial run.
-PARALLEL_SPEEDUP_FLOOR = 1.5
+#: Gated rows, each checked against ``baseline × FLOOR``.
+GATES = {
+    "sweep_points_per_sec_serial": "serial table3 sweep (batch=1)",
+    "batched_points_per_sec": "batched table3 sweep",
+    "sweep_points_per_sec_cached": "cache-hit sweep fold",
+    "analysis_entries_per_sec_columnar": "columnar analysis, one log",
+    "network_analysis_entries_per_sec":
+        "columnar analysis, a network point's logs fused",
+    "windowed_entries_per_sec": "live ingest, 1021-byte chunks",
+    "windowed_stream_entries_per_sec": "live ingest, serve-shaped stream",
+}
 
-#: Independent timing runs per metric; the median is reported.
-REPEATS = 3
+#: A gated row fails below this fraction of its baseline.
+FLOOR = 0.75
 
+#: Minimum --jobs 2 speedup over the in-process executor on
+#: :data:`PARALLEL_SEEDS`, with two usable cores.
+PARALLEL_FLOOR = 1.5
 
-def _usable_cpus() -> int:
-    """Cores this process may actually run on: the scheduling affinity
-    mask where the platform exposes one (so a taskset-pinned or
-    containerized run reports its real allowance), else cpu_count."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        try:
-            usable = len(affinity(0))
-            if usable > 0:
-                return usable
-        except OSError:  # pragma: no cover - platform quirk
-            pass
-    return os.cpu_count() or 1
-
-
-def _median_spread(samples: list[float]) -> tuple[float, float]:
-    """Median plus relative spread ``(max - min) / median`` — the
-    honest way to report a timing on a shared host."""
-    median = statistics.median(samples)
-    spread = (max(samples) - min(samples)) / median if median else 0.0
-    return median, spread
+#: Samples per timed row; the median is reported.
+SAMPLES = 5
 
 
-def host_slowdown(rounds: int = 5) -> float:
-    """How many times slower than the reference host this host runs
-    the reference loop now (median of ``rounds`` runs)."""
-    return statistics.median(loop_s() for _ in range(rounds)) * 1e3 \
-        / REFERENCE_MS
+def ref_seconds(fn, rounds: int = 1) -> float:
+    """Median seconds one ``fn()`` call takes on the reference host.
+
+    Each of :data:`SAMPLES` samples times ``rounds`` back-to-back calls
+    and is scaled by the hostspeed loop timed just before and just
+    after it (``hostspeed.scaled_ms``)."""
+    samples = []
+    for _ in range(SAMPLES):
+        before = loop_s()
+        start = time.perf_counter()
+        for _round in range(rounds):
+            fn()
+        wall = time.perf_counter() - start
+        samples.append(scaled_ms(wall / rounds, before, loop_s()) / 1e3)
+    return statistics.median(samples)
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes allocated (tracemalloc) while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def src_loc() -> int:
@@ -159,26 +165,29 @@ def src_loc() -> int:
 def bench_engine_events(total: int = 60_000) -> float:
     """Raw scheduler throughput: a synthetic mix of same-instant bursts,
     short hops, far-future arms, and cancellations."""
-    sim = Simulator()
-    fired = [0]
 
-    def hop(step: int) -> None:
-        fired[0] += 1
-        if fired[0] >= total:
-            return
-        # A burst at the same instant, a short hop, and a far arm whose
-        # predecessor gets cancelled — the regimes the calendar queue
-        # splits between buckets and the overflow heap.
-        sim.call_now(lambda: None)
-        doomed = sim.after(2 * NEAR_WINDOW_NS, lambda: None)
-        doomed.cancel()
-        sim.after(step % 997 + 1, hop, step + 1)
+    def run() -> Simulator:
+        sim = Simulator()
+        fired = [0]
 
-    sim.after(1, hop, 0)
-    start = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - start
-    return sim.events_executed / wall
+        def hop(step: int) -> None:
+            fired[0] += 1
+            if fired[0] >= total:
+                return
+            # A burst at the same instant, a short hop, and a far arm
+            # whose predecessor gets cancelled — the regimes the
+            # calendar queue splits between buckets and the overflow
+            # heap.
+            sim.call_now(lambda: None)
+            doomed = sim.after(2 * NEAR_WINDOW_NS, lambda: None)
+            doomed.cancel()
+            sim.after(step % 997 + 1, hop, step + 1)
+
+        sim.after(1, hop, 0)
+        sim.run()
+        return sim
+
+    return run().events_executed / ref_seconds(run)
 
 
 def _analysis_workload():
@@ -202,7 +211,7 @@ def _analysis_workload():
     return raw, args, kwargs
 
 
-def bench_analysis(rounds: int = 20) -> dict:
+def bench_analysis(rounds: int = 100) -> dict:
     """Decode → cover → attribute entries/s: the columnar product path
     against the streaming reference.
 
@@ -236,25 +245,14 @@ def bench_analysis(rounds: int = 20) -> dict:
         "columnar map diverged from the streaming reference — fix " \
         "before benchmarking"
 
-    throughputs: dict[str, list[float]] = {"streaming": [], "columnar": []}
-    for _ in range(REPEATS):
-        for name, fn in (("streaming", run_streaming),
-                         ("columnar", run_columnar)):
-            start = time.perf_counter()
-            for _round in range(rounds):
-                fn()
-            wall = time.perf_counter() - start
-            throughputs[name].append(entry_count * rounds / wall)
-    medians = {}
-    spreads = {}
-    for name, samples in throughputs.items():
-        medians[name], spreads[name] = _median_spread(samples)
+    streaming = entry_count / ref_seconds(run_streaming, rounds)
+    columnar = entry_count / ref_seconds(run_columnar, rounds)
     return {
-        "analysis_entries_per_sec": {k: round(v) for k, v in medians.items()},
-        "analysis_entries_per_sec_spread": {
-            k: round(v, 3) for k, v in spreads.items()},
-        "analysis_speedup_columnar": round(
-            medians["columnar"] / medians["streaming"], 3),
+        "analysis_entries_per_sec_columnar": round(columnar),
+        "analysis_entries_per_sec_streaming": round(streaming),
+        "analysis_speedup_columnar": round(columnar / streaming, 3),
+        "analysis_peak_bytes_columnar": peak_bytes(run_columnar),
+        "analysis_peak_bytes_streaming": peak_bytes(run_streaming),
         "log_entry_count": entry_count,
     }
 
@@ -328,22 +326,14 @@ def bench_network_analysis(rounds: int = 20) -> dict:
         == [bits(m) for m in run_per_node()], \
         "fused network maps diverged from the per-node path — fix " \
         "before benchmarking"
-    samples: list[float] = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _round in range(rounds):
-            run_fused()
-        wall = time.perf_counter() - start
-        samples.append(entry_count * rounds / wall)
-    median, spread = _median_spread(samples)
     return {
-        "network_analysis_entries_per_sec": round(median),
-        "network_analysis_entries_per_sec_spread": round(spread, 3),
+        "network_analysis_entries_per_sec":
+            round(entry_count / ref_seconds(run_fused, rounds)),
         "network_log_entry_count": entry_count,
     }
 
 
-def bench_windowed(rounds: int = 20) -> dict:
+def bench_windowed(rounds: int = 50) -> dict:
     """Live-path throughput: the per-node work the ingest server runs,
     :meth:`NodeSession.ingest` decoding each chunk into columns and
     folding them through the windowed accumulator at a 1 s stride.
@@ -380,18 +370,9 @@ def bench_windowed(rounds: int = 20) -> dict:
     assert list(served.energy_j) == list(reference.energy_j) \
         and served.energy_j == reference.energy_j, \
         "served map diverged from batch — fix before benchmarking"
-
-    samples: list[float] = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _round in range(rounds):
-            run_windowed()
-        wall = time.perf_counter() - start
-        samples.append(entry_count * rounds / wall)
-    median, spread = _median_spread(samples)
     return {
-        "windowed_entries_per_sec": round(median),
-        "windowed_entries_per_sec_spread": round(spread, 3),
+        "windowed_entries_per_sec":
+            round(entry_count / ref_seconds(run_windowed, rounds)),
         "windowed_stride_ns": stride_ns,
     }
 
@@ -436,7 +417,7 @@ def _stream_workload():
     return hello, bytes(node.logger.raw_bytes()), offline
 
 
-def bench_windowed_stream(rounds: int = 10) -> dict:
+def bench_windowed_stream(rounds: int = 20) -> dict:
     """Live-path throughput on a ``serve-ingest``-shaped stream:
     :meth:`NodeSession.ingest` on :data:`STREAM_READ_BYTES` reads of
     one ~12k-entry collection node log at a 1 s stride.  Each read
@@ -459,24 +440,15 @@ def bench_windowed_stream(rounds: int = 10) -> dict:
         and served.energy_j == offline.energy_j \
         and served.time_ns == offline.time_ns, \
         "served map diverged from batch — fix before benchmarking"
-
-    samples: list[float] = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _round in range(rounds):
-            run_stream()
-        wall = time.perf_counter() - start
-        samples.append(entry_count * rounds / wall)
-    median, spread = _median_spread(samples)
     return {
-        "windowed_stream_entries_per_sec": round(median),
-        "windowed_stream_entries_per_sec_spread": round(spread, 3),
+        "windowed_stream_entries_per_sec":
+            round(entry_count / ref_seconds(run_stream, rounds)),
         "windowed_stream_entry_count": entry_count,
     }
 
 
 def bench_serve_recovery(rounds: int = 5) -> dict:
-    """Crash-recovery latency of the durable ingest path: wall time for
+    """Crash-recovery latency of the durable ingest path: time for
     :meth:`NodeSession.restore` to rebuild one node from its checkpoint
     plus journal-tail replay — the in-process cousin of the serve chaos
     job's restart-to-listening measurement.  The state dir is prepared
@@ -484,8 +456,6 @@ def bench_serve_recovery(rounds: int = 5) -> dict:
     from roughly mid-stream, so every restore pays a real half-log
     replay.  The restored accounting is asserted bit-identical to the
     uninterrupted session before the number is reported."""
-    import tempfile
-
     from repro.experiments.common import run_blink
     from repro.serve import NodeJournal, NodeSession, hello_for_node
 
@@ -514,304 +484,147 @@ def bench_serve_recovery(rounds: int = 5) -> dict:
         assert restored.finish().energy_j == live.finish().energy_j, \
             "restored session diverged from live — fix before benchmarking"
 
-        samples: list[float] = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            for _round in range(rounds):
-                again = NodeSession.restore(root, node.node_id, retain=64)
-                again.journal.close()
-            samples.append((time.perf_counter() - start) / rounds * 1e3)
-    median, spread = _median_spread(samples)
+        def restore():
+            NodeSession.restore(root, node.node_id, retain=64).journal.close()
+
+        restore_s = ref_seconds(restore, rounds)
     return {
-        "serve_recovery_ms": round(median, 2),
-        "serve_recovery_ms_spread": round(spread, 3),
+        "serve_recovery_ms": round(restore_s * 1e3, 2),
         "serve_recovery_log_bytes": len(raw),
         "serve_checkpoint_bytes": checkpoint_bytes,
     }
 
 
-def bench_sweep_grid() -> tuple[float, float, float, str]:
-    """(serial, batched, jobs=2-speedup, digest) on the 64-point grid.
+def _sweep_rate(seeds, **options):
+    """Points/s of the table3 grid over ``seeds`` run with ``options``,
+    and the last run's :class:`SweepResult`; every sample must report
+    the same sweep digest."""
+    runs = []
+    per_run = ref_seconds(lambda: runs.append(
+        run_sweep("table3", seeds, SWEEP_OVERRIDES, **options)))
+    assert len({run.digest() for run in runs}) == 1, \
+        "sweep digest unstable across samples — determinism break"
+    return len(seeds) / per_run, runs[-1]
 
-    Serial forces ``batch=1`` (one world at a time — the strict
-    reference); batched is the default in-process executor (K worlds
-    per shared queue, fused decode); parallel is the jobs=2 pool over
-    the batched executor.  All three runs must report the same sweep
-    digest — batching and pooling change wall time only.
-    """
-    serial = run_sweep("table3", SWEEP_SEEDS, SWEEP_OVERRIDES,
-                       jobs=1, batch=1)
-    batched = run_sweep("table3", SWEEP_SEEDS, SWEEP_OVERRIDES, jobs=1)
-    parallel = run_sweep("table3", SWEEP_SEEDS, SWEEP_OVERRIDES, jobs=2)
-    assert serial.digest() == batched.digest(), \
+
+def bench_sweep_grid() -> dict:
+    """Serial (``batch=1``), batched (the default in-process executor)
+    and cache-hit points/s on the 64-point grid.  The three must report
+    the same sweep digest — batching and the cache change time only —
+    and the cached rerun must simulate nothing."""
+    serial, reference = _sweep_rate(SWEEP_SEEDS, jobs=1, batch=1)
+    batched, run = _sweep_rate(SWEEP_SEEDS, jobs=1)
+    assert run.digest() == reference.digest(), \
         "batched sweep diverged from serial reference"
-    assert serial.digest() == parallel.digest(), \
-        "parallel sweep diverged from serial reference"
-    speedup = batched.wall_s / parallel.wall_s if parallel.wall_s else 0.0
-    return (len(serial.points) / serial.wall_s,
-            len(batched.points) / batched.wall_s,
-            speedup, serial.digest())
-
-
-def bench_cached_sweep(reference_digest: str) -> float:
-    """Cache-hit points/sec: the 64-point grid folded from a warm packed
-    shard store (one populating run, then a fully cached rerun).  The
-    cached fold must reproduce the fresh run's sweep digest exactly —
-    that identity is asserted before the number is reported."""
-    import tempfile
-
     with tempfile.TemporaryDirectory(prefix="bench-sweep-cache-") as root:
-        populate = run_sweep("table3", SWEEP_SEEDS, SWEEP_OVERRIDES,
-                             jobs=1, cache_dir=root)
-        assert populate.digest() == reference_digest, \
-            "populating run diverged from the uncached reference"
-        cached = run_sweep("table3", SWEEP_SEEDS, SWEEP_OVERRIDES,
-                           jobs=1, cache_dir=root)
-        assert cached.cache_hits == len(cached.points), \
-            "cached rerun re-simulated points — cache keys unstable"
-        assert cached.digest() == reference_digest, \
-            "cached fold diverged from the fresh sweep"
-        return len(cached.points) / cached.wall_s
+        run_sweep("table3", SWEEP_SEEDS, SWEEP_OVERRIDES, jobs=1,
+                  cache_dir=root)
+        cached, run = _sweep_rate(SWEEP_SEEDS, jobs=1, cache_dir=root)
+    assert run.cache_hits == len(run.points), \
+        "cached rerun re-simulated points — cache keys unstable"
+    assert run.digest() == reference.digest(), \
+        "cached fold diverged from the fresh sweep"
+    return {
+        "sweep_points_per_sec_serial": round(serial, 2),
+        "batched_points_per_sec": round(batched, 2),
+        "batch_k": resolve_batch(None),
+        "batch_speedup": round(batched / serial, 3),
+        "sweep_points_per_sec_cached": round(cached, 2),
+        "sweep_grid_points": len(SWEEP_SEEDS),
+        "sweep_digest": reference.digest(),
+    }
+
+
+def bench_parallel() -> dict:
+    """``--jobs 2`` over the in-process executor on the
+    :data:`PARALLEL_SEEDS` grid, with equal sweep digests."""
+    batched, reference = _sweep_rate(PARALLEL_SEEDS, jobs=1)
+    pooled, run = _sweep_rate(PARALLEL_SEEDS, jobs=2)
+    assert run.digest() == reference.digest(), \
+        "parallel sweep diverged from the in-process run"
+    return {
+        "parallel_speedup_jobs2": round(pooled / batched, 3),
+        "parallel_grid_points": len(PARALLEL_SEEDS),
+        "usable_cpus": detect_jobs(),
+    }
 
 
 def run_benchmarks() -> dict:
-    events_median, events_spread = _median_spread(
-        [bench_engine_events() for _ in range(REPEATS)])
-    analysis = bench_analysis()
-    network = bench_network_analysis()
-    windowed = bench_windowed()
-    windowed.update(bench_windowed_stream())
-    recovery = bench_serve_recovery()
-    points_samples: list[float] = []
-    batched_samples: list[float] = []
-    speedup_samples: list[float] = []
-    digest = None
-    for _ in range(REPEATS):
-        points_per_sec, batched_per_sec, speedup, run_digest = \
-            bench_sweep_grid()
-        points_samples.append(points_per_sec)
-        batched_samples.append(batched_per_sec)
-        speedup_samples.append(speedup)
-        assert digest is None or digest == run_digest, \
-            "sweep digest unstable across repeats — determinism break"
-        digest = run_digest
-    points_median, points_spread = _median_spread(points_samples)
-    batched_median, batched_spread = _median_spread(batched_samples)
-    speedup_median, speedup_spread = _median_spread(speedup_samples)
-    cached_median, cached_spread = _median_spread(
-        [bench_cached_sweep(digest) for _ in range(REPEATS)])
-    from repro.sim.sweep import resolve_batch
     numbers = {
-        "timing": f"median of {REPEATS}",
-        "engine_events_per_sec": round(events_median),
-        "engine_events_per_sec_spread": round(events_spread, 3),
-        "sweep_points_per_sec_serial": round(points_median, 2),
-        "sweep_points_per_sec_serial_spread": round(points_spread, 3),
-        "batched_points_per_sec": round(batched_median, 2),
-        "batched_points_per_sec_spread": round(batched_spread, 3),
-        "batch_k": resolve_batch(None),
-        "batch_speedup": round(batched_median / points_median, 3)
-        if points_median else 0.0,
-        "sweep_points_per_sec_cached": round(cached_median, 2),
-        "sweep_points_per_sec_cached_spread": round(cached_spread, 3),
-        "sweep_grid_points": len(list(SWEEP_SEEDS)),
-        "parallel_speedup_jobs2": round(speedup_median, 3),
-        "parallel_speedup_jobs2_spread": round(speedup_spread, 3),
-        "sweep_digest": digest,
+        "timing": f"median of {SAMPLES} samples, scaled to a host that "
+                  f"runs the hostspeed loop in {REFERENCE_MS} ms",
+        "engine_events_per_sec": round(bench_engine_events()),
         "cpu_count": os.cpu_count(),
-        "usable_cpus": _usable_cpus(),
+        "usable_cpus": detect_jobs(),
         "src_loc": src_loc(),
     }
-    numbers.update(analysis)
-    numbers.update(network)
-    numbers.update(windowed)
-    numbers.update(recovery)
+    for bench in (bench_analysis, bench_network_analysis, bench_windowed,
+                  bench_windowed_stream, bench_serve_recovery,
+                  bench_sweep_grid):
+        numbers.update(bench())
     return numbers
 
 
-def check_against_baseline(numbers: dict) -> list[str]:
-    """The regression gate: serial table3 throughput, columnar
-    analysis throughput (one log, and a network point's logs fused) and
-    live-ingest throughput (the Blink log in 1021-byte chunks, and a
-    serve-shaped stream in 37 KB reads) must stay within
-    tolerance of the committed baseline; the determinism digest must
-    match it exactly when the grid definition is unchanged."""
-    failures: list[str] = []
-    if not BASELINE_PATH.is_file():
-        return [f"no committed baseline at {BASELINE_PATH}"]
-    baseline = json.loads(BASELINE_PATH.read_text("utf-8"))
-    tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE",
-                                     DEFAULT_TOLERANCE))
-    floor = baseline["sweep_points_per_sec_serial"] * (1.0 - tolerance)
-    measured = numbers["sweep_points_per_sec_serial"]
-    if measured < floor:
-        failures.append(
-            f"serial table3 throughput regressed: {measured:.2f} points/s "
-            f"< {floor:.2f} (baseline "
-            f"{baseline['sweep_points_per_sec_serial']:.2f} - {tolerance:.0%})"
-        )
-    if "batched_points_per_sec" in baseline:
-        floor = baseline["batched_points_per_sec"] * (1.0 - tolerance)
-        measured = numbers["batched_points_per_sec"]
-        if measured < floor:
-            failures.append(
-                f"batched sweep throughput regressed: {measured:.2f} "
-                f"points/s < {floor:.2f} (baseline "
-                f"{baseline['batched_points_per_sec']:.2f} - {tolerance:.0%})"
-            )
-    if "sweep_points_per_sec_cached" in baseline:
-        floor = baseline["sweep_points_per_sec_cached"] * (1.0 - tolerance)
-        measured = numbers["sweep_points_per_sec_cached"]
-        if measured < floor:
-            failures.append(
-                f"cache-hit fold throughput regressed: {measured:.2f} "
-                f"points/s < {floor:.2f} (baseline "
-                f"{baseline['sweep_points_per_sec_cached']:.2f} - "
-                f"{tolerance:.0%})"
-            )
-    baseline_analysis = baseline.get("analysis_entries_per_sec", {})
-    if "columnar" in baseline_analysis:
-        floor = baseline_analysis["columnar"] * (1.0 - tolerance)
-        measured = numbers["analysis_entries_per_sec"]["columnar"]
-        if measured < floor:
-            failures.append(
-                f"columnar analysis throughput regressed: "
-                f"{measured:.0f} entries/s < {floor:.0f} (baseline "
-                f"{baseline_analysis['columnar']:.0f} - {tolerance:.0%})"
-            )
-    if "network_analysis_entries_per_sec" in baseline:
-        floor = baseline["network_analysis_entries_per_sec"] \
-            * (1.0 - tolerance)
-        measured = numbers["network_analysis_entries_per_sec"]
-        if measured < floor:
-            failures.append(
-                f"network (multi-log) analysis throughput regressed: "
-                f"{measured:.0f} entries/s < {floor:.0f} (baseline "
-                f"{baseline['network_analysis_entries_per_sec']:.0f} - "
-                f"{tolerance:.0%})"
-            )
-    if "windowed_entries_per_sec" in baseline:
-        floor = baseline["windowed_entries_per_sec"] * (1.0 - tolerance)
-        measured = numbers["windowed_entries_per_sec"]
-        if measured < floor:
-            failures.append(
-                f"live-ingest (windowed) throughput regressed: "
-                f"{measured:.0f} entries/s < {floor:.0f} (baseline "
-                f"{baseline['windowed_entries_per_sec']:.0f} - "
-                f"{tolerance:.0%})"
-            )
-    if "windowed_stream_entries_per_sec" in baseline:
-        floor = baseline["windowed_stream_entries_per_sec"] \
-            * (1.0 - tolerance)
-        measured = numbers["windowed_stream_entries_per_sec"]
-        if measured < floor:
-            failures.append(
-                f"live-ingest (serve-shaped stream) throughput regressed: "
-                f"{measured:.0f} entries/s < {floor:.0f} (baseline "
-                f"{baseline['windowed_stream_entries_per_sec']:.0f} - "
-                f"{tolerance:.0%})"
-            )
-    if baseline.get("sweep_grid_points") == numbers["sweep_grid_points"] \
-            and baseline.get("sweep_digest") != numbers["sweep_digest"]:
-        failures.append(
-            "sweep digest diverged from the committed baseline grid — "
-            "determinism break, not a perf regression"
-        )
-    # The pool must actually scale where cores exist.  On a 1-CPU host
-    # the number is recorded but not judged (two workers on one core
-    # can only lose); the dedicated multi-core CI leg pins >= 2 cores
-    # so this branch is exercised there on every run.
-    if numbers.get("usable_cpus", 1) >= 2:
-        floor = float(os.environ.get("REPRO_BENCH_PARALLEL_FLOOR",
-                                     PARALLEL_SPEEDUP_FLOOR))
-        measured = numbers["parallel_speedup_jobs2"]
-        if measured < floor:
-            failures.append(
-                f"--jobs 2 speedup too low on a "
-                f"{numbers['usable_cpus']}-core host: {measured:.2f}x < "
-                f"{floor:.2f}x"
-            )
-    return failures
+def _gate_line(row: str, label: str, value: float, floor: float) -> str:
+    verdict = "ok  " if value >= floor else "FAIL"
+    return f"{verdict} {row} = {value:,.2f}, floor {floor:,.2f} — {label}"
 
 
-def check_parallel() -> int:
-    """The multi-core CI leg: run only the sweep grid and gate the
-    ``--jobs 2`` wall-clock speedup.  Requires >= 2 usable cores (pin
-    with ``taskset -c 0,1`` for a clean two-core statement); refuses to
-    pass vacuously on a single-core host."""
-    usable = _usable_cpus()
-    if usable < 2:
-        print(f"FAIL: --check-parallel needs >= 2 usable cores, "
-              f"have {usable} — run on a multi-core host or pin with "
-              f"taskset", file=sys.stderr)
-        return 1
-    floor = float(os.environ.get("REPRO_BENCH_PARALLEL_FLOOR",
-                                 PARALLEL_SPEEDUP_FLOOR))
-    speedups: list[float] = []
-    digest = None
-    for _ in range(REPEATS):
-        _points, _batched, speedup, run_digest = bench_sweep_grid()
-        speedups.append(speedup)
-        assert digest is None or digest == run_digest, \
-            "sweep digest unstable across repeats — determinism break"
-        digest = run_digest
-    median, spread = _median_spread(speedups)
-    print(json.dumps({
-        "parallel_speedup_jobs2": round(median, 3),
-        "parallel_speedup_jobs2_spread": round(spread, 3),
-        "usable_cpus": usable,
-        "sweep_digest": digest,
-    }, indent=2))
-    if median < floor:
-        print(f"FAIL: --jobs 2 speedup {median:.2f}x < {floor:.2f}x on "
-              f"a {usable}-core host", file=sys.stderr)
-        return 1
-    print(f"parallel check ok ({median:.2f}x >= {floor:.2f}x "
-          f"on {usable} cores)")
-    return 0
+def check_against_baseline(numbers: dict, baseline: dict) -> list[str]:
+    """The regression gate: one line per :data:`GATES` row, its value
+    next to its floor ``baseline × FLOOR``.  A line starts with
+    ``FAIL`` when the row is under its floor or missing from the
+    baseline; a sweep digest that differs from the baseline's adds one
+    more (a determinism break, not a slowdown)."""
+    lines = []
+    for row, label in GATES.items():
+        if row in baseline:
+            lines.append(_gate_line(row, label, numbers[row],
+                                    baseline[row] * FLOOR))
+        else:
+            lines.append(f"FAIL {row} is missing from the baseline — "
+                         f"{label}")
+    if numbers["sweep_digest"] != baseline.get("sweep_digest"):
+        lines.append("FAIL sweep_digest differs from the baseline's — "
+                     "determinism break, not a perf regression")
+    return lines
+
+
+def parallel_gate(speedup: float) -> str:
+    """The pool gate's line for a measured ``--jobs 2`` speedup."""
+    return _gate_line("parallel_speedup_jobs2",
+                      f"--jobs 2 over jobs=1, {len(PARALLEL_SEEDS)} points",
+                      speedup, PARALLEL_FLOOR)
 
 
 def main(argv: list[str]) -> int:
     if "--check-parallel" in argv:
-        return check_parallel()
-    numbers = run_benchmarks()
-    print(json.dumps(numbers, indent=2))
-    if "--check" in argv:
-        failures = check_against_baseline(numbers)
-        if failures:
-            slowdown = host_slowdown()
-            for failure in failures:
-                print(f"FAIL: {failure} [host slowdown {slowdown:.2f}x]",
-                      file=sys.stderr)
+        usable = detect_jobs()
+        if usable < 2:
+            print(f"FAIL: --check-parallel needs >= 2 usable cores, "
+                  f"have {usable} — run on a multi-core host or pin with "
+                  f"taskset", file=sys.stderr)
             return 1
-        print("baseline check ok")
+        numbers = bench_parallel()
+        lines = [parallel_gate(numbers["parallel_speedup_jobs2"])]
+    elif "--check" in argv:
+        numbers = run_benchmarks()
+        baseline = json.loads(BASELINE_PATH.read_text("utf-8")) \
+            if BASELINE_PATH.is_file() else {}
+        lines = check_against_baseline(numbers, baseline)
+    else:
+        numbers = run_benchmarks()
+        RESULTS_DIR.mkdir(exist_ok=True)
+        BASELINE_PATH.write_text(json.dumps(numbers, indent=2) + "\n",
+                                 "utf-8")
+        print(f"wrote {BASELINE_PATH}")
         return 0
-    RESULTS_DIR.mkdir(exist_ok=True)
-    BASELINE_PATH.write_text(json.dumps(numbers, indent=2) + "\n", "utf-8")
-    print(f"wrote {BASELINE_PATH}")
+    print(json.dumps(numbers, indent=2))
+    print("\n".join(lines))
+    if any(line.startswith("FAIL") for line in lines):
+        return 1
+    print("check ok")
     return 0
-
-
-def test_engine_bench_smoke():
-    """Tier-1 smoke: the benchmark machinery runs and its numbers are
-    sane (positive throughputs, reference-identical maps)."""
-    events_per_sec = bench_engine_events(total=2_000)
-    assert events_per_sec > 0
-    analysis = bench_analysis(rounds=2)
-    assert analysis["log_entry_count"] > 0
-    assert analysis["analysis_entries_per_sec"]["streaming"] > 0
-    assert analysis["analysis_entries_per_sec"]["columnar"] > 0
-    network = bench_network_analysis(rounds=2)
-    assert network["network_analysis_entries_per_sec"] > 0
-    windowed = bench_windowed(rounds=2)
-    assert windowed["windowed_entries_per_sec"] > 0
-    stream = bench_windowed_stream(rounds=1)
-    assert stream["windowed_stream_entries_per_sec"] > 0
-    recovery = bench_serve_recovery(rounds=1)
-    assert recovery["serve_recovery_ms"] > 0
-    assert recovery["serve_checkpoint_bytes"] > 0
-    assert src_loc() > 0
-    assert host_slowdown(rounds=1) > 0
 
 
 if __name__ == "__main__":
