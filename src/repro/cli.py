@@ -222,7 +222,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> int:
         server = IngestServer(retain=args.retain,
-                              queue_depth=args.queue_depth,
                               state_dir=args.state_dir,
                               checkpoint_bytes=args.checkpoint_bytes,
                               max_streams=args.max_streams)
@@ -235,17 +234,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(signum, server.request_shutdown)
             except NotImplementedError:  # pragma: no cover - non-unix
                 pass
-        for spec in args.listen or ["127.0.0.1:7117"]:
-            address = parse_address(spec)
-            if isinstance(address, str):
-                await server.start_unix(address)
-                print(f"listening on unix:{address}", flush=True)
-            else:
-                host, port = await server.start_tcp(*address)
-                # Echo the bound port: --listen :0 picks an ephemeral
-                # one, and scripts need to learn it.
-                print(f"listening on {host}:{port}", flush=True)
         try:
+            # A bad or unbindable address raises ServeError (exit 2);
+            # the listeners already started close on the way out.
+            for spec in args.listen or ["127.0.0.1:7117"]:
+                address = parse_address(spec)
+                if isinstance(address, str):
+                    await server.start_unix(address)
+                    print(f"listening on unix:{address}", flush=True)
+                else:
+                    host, port = await server.start_tcp(*address)
+                    # Echo the bound port: --listen :0 picks an ephemeral
+                    # one, and scripts need to learn it.
+                    print(f"listening on {host}:{port}", flush=True)
             await server.serve_forever(stop_after=args.expect_nodes)
         finally:
             await server.close()
@@ -404,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--retain", type=int, default=64,
                          help="window snapshots kept per node for the "
                               "windows query (at least 0; default 64)")
-    p_serve.add_argument("--queue-depth", type=int, default=32,
-                         help="chunks buffered per node stream before "
-                              "backpressure (default 32)")
     p_serve.add_argument("--expect-nodes", type=int, default=None,
                          metavar="N",
                          help="exit once N node streams have concluded; "

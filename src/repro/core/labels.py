@@ -82,10 +82,6 @@ class ActivityLabel:
         return label
 
     @property
-    def is_idle(self) -> bool:
-        return self.aid == IDLE_ID
-
-    @property
     def is_proxy(self) -> bool:
         return PROXY_BASE <= self.aid < PROXY_BASE + 15
 

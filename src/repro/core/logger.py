@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core.labels import ActivityLabel
-from repro.errors import HardwareError, LoggerError, LogOverflowError
+from repro.errors import HardwareError, LoggerError
 
 ENTRY_STRUCT = struct.Struct("<BBIIH")
 ENTRY_SIZE = ENTRY_STRUCT.size  # 12 bytes
@@ -156,7 +156,6 @@ class QuantoLogger:
         icount,
         mode: str = "ram",
         buffer_entries: int = DEFAULT_BUFFER_ENTRIES,
-        strict_overflow: bool = False,
         auto_dump: bool = False,
         scheduler=None,
         quanto_activity: Optional[ActivityLabel] = None,
@@ -171,7 +170,6 @@ class QuantoLogger:
         self.icount = icount
         self.mode = mode
         self.buffer_entries = int(buffer_entries)
-        self.strict_overflow = strict_overflow
         #: Paper §4.4 first approach: when the RAM buffer fills, stop
         #: logging, dump it to the serial port (a real blackout window —
         #: events during the dump are lost), then resume.
@@ -289,10 +287,6 @@ class QuantoLogger:
         meter._last_count = pulses
         pulses &= 0xFFFFFFFF
         if len(self._buffer) >= self.buffer_entries:
-            if self.strict_overflow:
-                raise LogOverflowError(
-                    f"log buffer full ({self.buffer_entries} entries)"
-                )
             if self.auto_dump:
                 self._start_dump()
                 self.records_dropped += 1  # lost in the blackout

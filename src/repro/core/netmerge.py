@@ -120,12 +120,3 @@ def merge_energy_maps(
     for node_id, energy_map in maps.items():
         merger.add(node_id, energy_map)
     return merger.report()
-
-
-def activities_by_origin(report: NetworkEnergyReport,
-                         origin: int) -> list[str]:
-    """Activity names originating at a node (rendered ``origin:Name``)."""
-    prefix = f"{origin}:"
-    return sorted(
-        name for name in report.by_activity if name.startswith(prefix)
-    )

@@ -139,5 +139,3 @@ class EnergyBudgetScheduler:
         self.releases += released
         return released
 
-    def pending_deferred(self) -> int:
-        return len(self._deferred)

@@ -29,10 +29,6 @@ class LoggerError(ReproError):
     """Raised by the Quanto logger (e.g. decoding a corrupt entry)."""
 
 
-class LogOverflowError(LoggerError):
-    """Raised when the fixed RAM log buffer overflows in ``strict`` mode."""
-
-
 class RegressionError(ReproError):
     """Raised when the energy-breakdown regression cannot be solved
     (e.g. no intervals, or a rank-deficient design matrix in strict mode)."""

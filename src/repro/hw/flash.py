@@ -97,10 +97,6 @@ class ExternalFlash:
 
         self.sim.after(WAKEUP_NS, ready)
 
-    def power_down(self) -> None:
-        self._require_idle()
-        self._apply(STATE_POWER_DOWN)
-
     # -- operations ----------------------------------------------------------
 
     def _check_page(self, page: int) -> None:

@@ -92,10 +92,6 @@ class PowerRail:
         except KeyError:
             raise PowerModelError(f"unknown sink {name!r}") from None
 
-    def sink_names(self) -> list[str]:
-        """All registered sink names, in registration order."""
-        return list(self._sinks)
-
     def add_observer(self, fn: Callable[[int, float], None]) -> None:
         """Subscribe to aggregate current steps: ``fn(t_ns, total_amps)``."""
         self._observers.append(fn)

@@ -253,13 +253,11 @@ class Radio:
 
         self.sim.after(OSC_DELAY_NS, stable)
 
-    def rx_on(self, on_ready: Optional[Callable[[], None]] = None) -> None:
+    def rx_on(self) -> None:
         """Strobe SRXON: calibrate then listen."""
         if self.state not in (STATE_IDLE, STATE_RX):
             raise HardwareError(f"rx_on in state {self.state}")
         if self.state == STATE_RX:
-            if on_ready:
-                self.sim.call_now(on_ready)
             return
         self._enter(STATE_RX_CALIB)
 
@@ -267,8 +265,6 @@ class Radio:
             self._enter(STATE_RX)
             if self.channel is not None:
                 self.channel.radio_started_listening(self)
-            if on_ready:
-                on_ready()
 
         self._pending = self.sim.after(CALIBRATION_NS, calibrated)
 

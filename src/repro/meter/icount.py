@@ -160,12 +160,6 @@ class ICountMeter:
         self._last_count = pulses
         return pulses
 
-    def pulses_to_joules(self, pulses: int) -> float:
-        """Convert a pulse delta to joules using the *nominal* calibration
-        constant — this is what the offline analysis does, so a gain error
-        propagates into the estimate exactly as on real hardware."""
-        return pulses * self.nominal_energy_per_pulse_j
-
     def frequency_for_current(self, amps: float) -> float:
         """Switch frequency (Hz) at a given load, from the paper's linear
         fit ``I_avg(mA) = 2.77 f(kHz) - 0.05`` — used to synthesize the

@@ -68,14 +68,6 @@ class ScopeTrace:
         """Energy over the window in joules, from the exact step trace."""
         return self.mean_current(t0_ns, t1_ns) * voltage * to_s(t1_ns - t0_ns)
 
-    def steps_in(self, t0_ns: int, t1_ns: int) -> list[tuple[int, float]]:
-        """The (time, level) steps inside a window."""
-        return [
-            (t, a)
-            for t, a in zip(self.times_ns, self.amps)
-            if t0_ns <= t < t1_ns
-        ]
-
 
 class Oscilloscope:
     """Records the rail's aggregate current and produces sampled views."""

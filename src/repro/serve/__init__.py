@@ -28,9 +28,7 @@ from repro.serve.client import (
     hello_for_node,
     open_connection,
     query,
-    query_sync,
     stream_node,
-    stream_node_sync,
     stream_raw,
 )
 from repro.serve.journal import NodeJournal
@@ -48,8 +46,6 @@ __all__ = [
     "open_connection",
     "parse_address",
     "query",
-    "query_sync",
     "stream_node",
-    "stream_node_sync",
     "stream_raw",
 ]

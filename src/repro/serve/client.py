@@ -4,8 +4,7 @@
 the hello from a :class:`~repro.tos.node.QuantoNode`, open the
 connection, push the packed log in transport-sized chunks, half-close,
 and hand back the server's final folded map.  :func:`query` opens a
-one-shot control connection.  Both have synchronous wrappers for
-scripts and the CLI.
+one-shot control connection.
 
 The chunking is deliberately adversarial by default (a prime chunk
 size, so entry boundaries drift through every offset): the server-side
@@ -27,7 +26,6 @@ failures that outlive the retry budget surface as a typed
 from __future__ import annotations
 
 import asyncio
-from typing import Optional
 
 from repro.errors import ServeError
 from repro.serve.protocol import (
@@ -64,8 +62,8 @@ async def open_connection(address: Address):
     return await asyncio.open_connection(host, port, limit=LINE_LIMIT)
 
 
-def hello_for_node(node, *, stride_ns: int, timeline=None, regression=None,
-                   origin_ns: Optional[int] = None) -> dict:
+def hello_for_node(node, *, stride_ns: int, timeline=None,
+                   regression=None) -> dict:
     """The ingest hello for a simulated node: capture its timeline and
     regression (if not provided) and pack the accounting inputs."""
     from repro.tos.node import COMPONENT_NAMES
@@ -85,7 +83,6 @@ def hello_for_node(node, *, stride_ns: int, timeline=None, regression=None,
         single_res_ids=node.single_res_ids,
         multi_res_ids=node.multi_res_ids,
         end_time_ns=timeline.end_time_ns,
-        origin_ns=origin_ns,
     )
 
 
@@ -236,31 +233,3 @@ def final_map(reply: dict):
     """The folded :class:`~repro.core.accounting.EnergyMap` out of an
     ingest reply."""
     return emap_from_wire(reply["energy_map"])
-
-
-def stream_node_sync(address: Address, node, *, stride_ns: int,
-                     chunk_size: int = DEFAULT_CHUNK, **kwargs) -> dict:
-    try:
-        return asyncio.run(stream_node(address, node, stride_ns=stride_ns,
-                                       chunk_size=chunk_size, **kwargs))
-    except ConnectionResetError as exc:
-        raise ServeError(
-            f"node {node.node_id}: connection reset by server: {exc}"
-        ) from exc
-    except (asyncio.IncompleteReadError, OSError) as exc:
-        # OSError covers the whole transport family: refused, missing
-        # socket path, broken pipe.  The caller gets one typed error.
-        raise ServeError(
-            f"node {node.node_id}: connection failed: {exc}") from exc
-
-
-def query_sync(address: Address, payload: dict) -> dict:
-    try:
-        return asyncio.run(query(address, payload))
-    except ConnectionResetError as exc:
-        raise ServeError(
-            f"query to {address!r}: connection reset by server: {exc}"
-        ) from exc
-    except (asyncio.IncompleteReadError, OSError) as exc:
-        raise ServeError(
-            f"query to {address!r}: connection failed: {exc}") from exc

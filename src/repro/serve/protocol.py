@@ -80,6 +80,8 @@ def parse_address(spec: str) -> Address:
         raise ServeError(
             f"bad address {spec!r}; expected unix:/path, host:port, or :port"
         )
+    if int(port) > 65535:
+        raise ServeError(f"bad address {spec!r}; port must be 0-65535")
     return (host or "127.0.0.1", int(port))
 
 

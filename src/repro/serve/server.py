@@ -92,6 +92,17 @@ from repro.sim.faultinject import fire
 #: Socket read size for ingest bodies.
 READ_CHUNK = 1 << 16
 
+#: Chunks buffered per node stream between the socket reader and the
+#: accounting consumer before the reader blocks (backpressure).  Reading
+#: and folding in one task instead measured worse query latency: each
+#: read coalesces more bytes, each fold runs longer, and queries wait
+#: behind it.
+QUEUE_DEPTH = 32
+
+#: How long a graceful shutdown waits for open connections to drain
+#: before cancelling them.
+SHUTDOWN_GRACE_S = 5.0
+
 #: Default checkpoint cadence: snapshot decoder+accumulator after this
 #: many journaled stream bytes (plus once at stream completion).
 CHECKPOINT_BYTES = 1 << 16
@@ -306,11 +317,9 @@ class IngestServer:
     ``state_dir`` every stream is journaled and checkpointed, and
     construction restores whatever a previous process left behind."""
 
-    def __init__(self, *, retain: int = 64, queue_depth: int = 32,
-                 state_dir=None, checkpoint_bytes: int = CHECKPOINT_BYTES,
+    def __init__(self, *, retain: int = 64, state_dir=None,
+                 checkpoint_bytes: int = CHECKPOINT_BYTES,
                  max_streams: Optional[int] = None) -> None:
-        if queue_depth < 1:
-            raise ServeError("queue depth must be at least 1")
         if checkpoint_bytes < 1:
             raise ServeError("checkpoint cadence must be at least 1 byte")
         if retain < 0:
@@ -318,7 +327,6 @@ class IngestServer:
         if max_streams is not None and max_streams < 1:
             raise ServeError("stream cap must be at least 1")
         self.retain = retain
-        self.queue_depth = queue_depth
         self.state_dir = state_dir
         self.checkpoint_bytes = checkpoint_bytes
         self.max_streams = max_streams
@@ -449,8 +457,12 @@ class IngestServer:
     # -- lifecycle ----------------------------------------------------------
 
     async def start_tcp(self, host: str, port: int) -> tuple[str, int]:
-        server = await asyncio.start_server(
-            self._handle, host, port, limit=LINE_LIMIT)
+        try:
+            server = await asyncio.start_server(
+                self._handle, host, port, limit=LINE_LIMIT)
+        except OSError as exc:
+            raise ServeError(f"cannot listen on {host}:{port}: {exc}") \
+                from exc
         self._servers.append(server)
         bound = server.sockets[0].getsockname()
         return bound[0], bound[1]
@@ -464,8 +476,12 @@ class IngestServer:
                 os.unlink(path)
         except (FileNotFoundError, OSError):
             pass
-        server = await asyncio.start_unix_server(
-            self._handle, path, limit=LINE_LIMIT)
+        try:
+            server = await asyncio.start_unix_server(
+                self._handle, path, limit=LINE_LIMIT)
+        except OSError as exc:
+            raise ServeError(f"cannot listen on unix:{path}: {exc}") \
+                from exc
         self._servers.append(server)
         return path
 
@@ -504,10 +520,10 @@ class IngestServer:
         it is checkpointed and told to reconnect."""
         self._shutdown.set()
 
-    async def shutdown(self, grace_s: float = 5.0) -> None:
-        """Stop accepting, then wait up to ``grace_s`` for the open
-        connection handlers to drain and reply; stragglers past the
-        grace period are cancelled.  Unconcluded journaled sessions get
+    async def shutdown(self) -> None:
+        """Stop accepting, then wait up to :data:`SHUTDOWN_GRACE_S` for
+        the open connection handlers to drain and reply; stragglers past
+        the grace period are cancelled.  Unconcluded journaled sessions get
         a parting checkpoint so the restart resumes exactly here."""
         self._shutdown.set()
         for server in self._servers:
@@ -517,7 +533,8 @@ class IngestServer:
         self._servers.clear()
         pending = {task for task in self._handlers if not task.done()}
         if pending:
-            _done, late = await asyncio.wait(pending, timeout=grace_s)
+            _done, late = await asyncio.wait(pending,
+                                             timeout=SHUTDOWN_GRACE_S)
             for task in late:
                 task.cancel()
             if late:
@@ -675,7 +692,7 @@ class IngestServer:
         session.attached = True
         session.state = "streaming"
         session.error = None
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
+        queue: asyncio.Queue = asyncio.Queue(maxsize=QUEUE_DEPTH)
         consumer = asyncio.ensure_future(
             self._consume(session, queue, writer, want_ack))
         eof_clean = False

@@ -103,8 +103,8 @@ class Simulator:
         self._running = False
         self._events_executed = 0
         # Set while attached to a BatchSimulator (the queue structures
-        # are then shared with the other attached worlds); run()/step()
-        # refuse to drive a shared queue with a single world's clock.
+        # are then shared with the other attached worlds); run()
+        # refuses to drive a shared queue with a single world's clock.
         self._batch = None
 
     # -- clock ---------------------------------------------------------
@@ -183,55 +183,7 @@ class Simulator:
                 bucket.append(event)
         self._horizon = horizon
 
-    def _peek(self) -> Optional[tuple[int, Event]]:
-        """The earliest live event, still queued — or None.  Dead events
-        and drained buckets are discarded on the way (the lazy half of
-        ``cancel``)."""
-        times = self._times
-        buckets = self._buckets
-        while True:
-            if times:
-                time_ns = times[0]
-                bucket = buckets[time_ns]
-                while bucket:
-                    event = bucket[0]
-                    if event.alive:
-                        return time_ns, event
-                    del bucket[0]
-                heappop(times)
-                del buckets[time_ns]
-                continue
-            if self._overflow:
-                self._advance_horizon()
-                continue
-            return None
-
-    def _pop(self, time_ns: int, event: Event) -> None:
-        """Remove the event :meth:`_peek` just returned (the bucket head)."""
-        bucket = self._buckets[time_ns]
-        del bucket[0]
-        if not bucket:
-            heappop(self._times)
-            del self._buckets[time_ns]
-        event._queued = False
-        self._live -= 1
-
     # -- execution -----------------------------------------------------
-
-    def step(self) -> bool:
-        """Run the next live event.  Returns False if the queue is empty."""
-        if self._batch is not None:
-            raise SimulationError(
-                "simulator is attached to a batch; run the batch instead")
-        head = self._peek()
-        if head is None:
-            return False
-        time_ns, event = head
-        self._pop(time_ns, event)
-        self._now = time_ns
-        self._events_executed += 1
-        event.fn(*event.args)
-        return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run events in order.
@@ -250,10 +202,8 @@ class Simulator:
         times = self._times
         buckets = self._buckets
         try:
-            # The _peek/_pop pair, fused: one bucket lookup per event
-            # instead of two, with dead events and drained buckets
-            # discarded in place (the semantics of the two methods are
-            # unchanged — step() still uses them directly).
+            # One bucket lookup per event, with dead events and drained
+            # buckets discarded in place (the lazy half of ``cancel``).
             while True:
                 if times:
                     time_ns = times[0]

@@ -70,7 +70,7 @@ from typing import Any, Optional, Union
 from repro.core.report import format_table
 from repro.errors import SweepError
 from repro.experiments.common import (
-    blink_batch_plan, env_switch, experiment_params, run_experiment,
+    blink_batch_plan, experiment_params, run_experiment,
 )
 from repro.sim import faultinject
 from repro.sim.shardstore import ShardStore
@@ -372,13 +372,6 @@ def _derive_point_key(fingerprint: str, point: SweepPoint) -> bytes:
     return hashlib.sha256(identity.encode("utf-8")).digest()
 
 
-#: With this env switch on (``1``; ``0``/``off``/``no``/``false`` or
-#: unset is off), every store (not just the first per run) re-parses its
-#: JSON payload to prove the round-trip is lossless — the debug mode of
-#: the identity check below.
-CACHE_VERIFY_ENV_VAR = "REPRO_CACHE_VERIFY"
-
-
 class SweepCache:
     """Digest-keyed per-point result store under one directory.
 
@@ -395,8 +388,7 @@ class SweepCache:
     run would have.  ``json.dumps``/``loads`` is lossless for the JSON
     types experiments report, so the expensive proof (re-parsing every
     payload on store — O(payload) per point) runs **once per process**
-    as a canary; set ``$REPRO_CACHE_VERIFY=1`` to check every store
-    while debugging an experiment that emits exotic payloads.
+    as a canary.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -469,8 +461,7 @@ class SweepCache:
             text = json.dumps(payload)
         except (TypeError, ValueError):
             return False  # non-JSON payload: run it fresh every time
-        if not SweepCache._roundtrip_verified \
-                or env_switch(CACHE_VERIFY_ENV_VAR, default=False):
+        if not SweepCache._roundtrip_verified:
             if json.loads(text) != payload:
                 # Lossy round-trip would break hit/miss identity.
                 return False

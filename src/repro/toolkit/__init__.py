@@ -1,14 +1,12 @@
 """Offline log tooling — the paper's "set of tools we wrote to parse and
-visualize the logs" (§4): human-readable dumps, CSV export, and a log
-linter that flags structural problems before analysis."""
+visualize the logs" (§4): human-readable dumps and a log linter that
+flags structural problems before analysis."""
 
-from repro.toolkit.logdump import dump_log, export_intervals_csv, export_log_csv
+from repro.toolkit.logdump import dump_log
 from repro.toolkit.validate import LogIssue, validate_log
 
 __all__ = [
     "dump_log",
-    "export_log_csv",
-    "export_intervals_csv",
     "validate_log",
     "LogIssue",
 ]

@@ -1,12 +1,10 @@
-"""Human-readable and CSV views of a Quanto log.
+"""A human-readable view of a Quanto log.
 
 ``dump_log`` renders decoded entries one per line with resolved resource
 and activity names — the first thing you reach for when a trace looks
-wrong.  The CSV exporters feed external tooling (spreadsheets, gnuplot,
-pandas) with both the raw event stream and the reconstructed
-constant-power intervals.
+wrong.
 
-The entry views consume any *iterable* of decoded entries and render
+It consumes any *iterable* of decoded entries and renders
 incrementally: feed them :func:`repro.core.logger.iter_entries` and a
 large log dumps without every entry object (or every rendered line's
 source) being live at once — only the rendered text accumulates.
@@ -14,7 +12,6 @@ source) being live at once — only the rendered text accumulates.
 
 from __future__ import annotations
 
-import io
 from typing import Iterable, Optional
 
 from repro.core.labels import ActivityLabel, ActivityRegistry
@@ -27,7 +24,6 @@ from repro.core.logger import (
     TYPE_BOOT,
     TYPE_POWERSTATE,
 )
-from repro.core.timeline import PowerInterval
 
 _ACTIVITY_TYPES = (TYPE_ACT_CHANGE, TYPE_ACT_BIND, TYPE_ACT_ADD,
                    TYPE_ACT_REMOVE)
@@ -68,52 +64,3 @@ def dump_log(
     if beyond:
         lines.append(f"... {beyond} more entries")
     return "\n".join(lines)
-
-
-def export_log_csv(
-    entries: Iterable[LogEntry],
-    registry: Optional[ActivityRegistry] = None,
-    component_names: Optional[dict[int, str]] = None,
-) -> str:
-    """The raw event stream as CSV (one row per entry)."""
-    names = component_names or {}
-    out = io.StringIO()
-    out.write("seq,time_us,icount,type,resource,value,value_name\n")
-    for entry in entries:
-        resource = names.get(entry.res_id, f"res{entry.res_id}")
-        if entry.type in _ACTIVITY_TYPES and registry is not None:
-            value_name = registry.name_of(ActivityLabel.decode(entry.value))
-        else:
-            value_name = ""
-        out.write(
-            f"{entry.seq},{entry.time_us},{entry.icount},"
-            f"{entry.type_name},{resource},{entry.value},{value_name}\n"
-        )
-    return out.getvalue()
-
-
-def export_intervals_csv(
-    intervals: list[PowerInterval],
-    energy_per_pulse_j: float,
-    component_names: Optional[dict[int, str]] = None,
-) -> str:
-    """The reconstructed constant-power intervals as CSV: one row per
-    interval with dt, energy, mean power, and the full state vector."""
-    names = component_names or {}
-    res_ids = sorted({rid for iv in intervals for rid, _ in iv.states})
-    header_states = ",".join(
-        names.get(rid, f"res{rid}") for rid in res_ids)
-    out = io.StringIO()
-    out.write(f"t0_us,t1_us,dt_us,pulses,energy_uj,power_mw,{header_states}\n")
-    for interval in intervals:
-        energy = interval.energy_j(energy_per_pulse_j)
-        power_mw = (energy / (interval.dt_ns * 1e-9) * 1e3
-                    if interval.dt_ns else 0.0)
-        states = dict(interval.states)
-        row_states = ",".join(str(states.get(rid, "")) for rid in res_ids)
-        out.write(
-            f"{interval.t0_ns // 1000},{interval.t1_ns // 1000},"
-            f"{interval.dt_ns // 1000},{interval.pulses},"
-            f"{energy * 1e6:.2f},{power_mw:.4f},{row_states}\n"
-        )
-    return out.getvalue()

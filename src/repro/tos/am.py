@@ -116,7 +116,6 @@ class ActiveMessageLayer:
         self.cpu_activity = cpu_activity
         self.mcu = mcu
         self._receivers: dict[int, Callable[[Frame], None]] = {}
-        self._default_receiver: Optional[Callable[[Frame], None]] = None
         self._seqno = 0
         self.sent = 0
         self.received = 0
@@ -155,9 +154,6 @@ class ActiveMessageLayer:
         """Register the handler for one AM type."""
         self._receivers[am_type] = fn
 
-    def set_default_receiver(self, fn: Callable[[Frame], None]) -> None:
-        self._default_receiver = fn
-
     def _on_frame(self, frame: Frame) -> None:
         """Called by the radio stack in task context, still under the
         reception proxy activity.  Decoding the hidden field terminates
@@ -168,6 +164,6 @@ class ActiveMessageLayer:
         remote = ActivityLabel.decode(frame.activity)
         self.cpu_activity.bind(remote)
         self.received += 1
-        receiver = self._receivers.get(frame.am_type, self._default_receiver)
+        receiver = self._receivers.get(frame.am_type)
         if receiver is not None:
             receiver(frame)

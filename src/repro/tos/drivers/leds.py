@@ -51,12 +51,6 @@ class LedsDriver:
         self.mcu.consume(PIN_CYCLES)
         self.bank.led(index).off()
 
-    def led_toggle(self, index: int) -> None:
-        if self.bank.led(index).is_on:
-            self.led_off(index)
-        else:
-            self.led_on(index)
-
     def paint(self, index: int, label: ActivityLabel | None = None) -> None:
         """Paint an LED's activity device — with the CPU's current
         activity by default (how applications color LED usage)."""

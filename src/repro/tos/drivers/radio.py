@@ -170,10 +170,6 @@ class RadioDriver:
         self.powerstate.set(PS_RX)
         self.radio.rx_on()
 
-    def rx_disable(self) -> None:
-        self.powerstate.set(PS_IDLE)
-        self.radio.rf_off()
-
     def stop(self) -> None:
         """Kill the regulator from any state."""
         self.powerstate.set(PS_OFF)

@@ -415,17 +415,17 @@ class QuantoNode:
             cycles=4, label="log-end-mark", activity=self.idle)
         self.sim.run(until=self.sim.now + _ms(1))
 
-    def timeline(self, end_time_ns: Optional[int] = None,
-                 finalize: bool = True) -> ColumnarTimeline:
-        """The reconstruction of this node's log: one ``np.frombuffer``
+    def timeline(self) -> ColumnarTimeline:
+        """The reconstruction of this node's log, closed by
+        :meth:`mark_log_end` and ending now: one ``np.frombuffer``
         decode off the logger's raw bytes, intervals and segments as
         column arrays, no per-entry objects.  Memoized per (record
         count, end time) so the regression and the energy map share one
         decode; a timeline taken earlier stays a snapshot of its own
         rows as the log grows."""
-        if finalize and self._booted:
+        if self._booted:
             self.mark_log_end()
-        end = end_time_ns if end_time_ns is not None else self.sim.now
+        end = self.sim.now
         count = self.logger.records_written
         cached = self._timeline_cache
         if cached is not None and cached[0] == count and cached[1] == end:
@@ -444,8 +444,6 @@ class QuantoNode:
     def regression(
         self,
         timeline: Optional[ColumnarTimeline] = None,
-        weighting: str = "sqrt_et",
-        strict: bool = False,
     ) -> RegressionResult:
         """Run the Section 2.5 breakdown on this node's log, or on the
         passed ``timeline`` snapshot (its rows, not the live log).  The
@@ -453,33 +451,24 @@ class QuantoNode:
         columns (no ``PowerInterval`` objects).
         """
         return self._solve(
-            timeline if timeline is not None else self.timeline(),
-            weighting, strict)
+            timeline if timeline is not None else self.timeline())
 
-    def _solve(self, timeline: ColumnarTimeline, weighting: str = "sqrt_et",
-               strict: bool = False) -> RegressionResult:
+    def _solve(self, timeline: ColumnarTimeline) -> RegressionResult:
         return solve_grouped(
             *timeline.grouped_inputs(
                 self.platform.icount.nominal_energy_per_pulse_j),
             self.layout(),
             self.platform.rail.voltage,
-            weighting=weighting,
-            strict=strict,
         )
 
-    def breakdown(
-        self,
-        fold_proxies: bool = False,
-        weighting: str = "sqrt_et",
-    ) -> tuple[RegressionResult, EnergyMap]:
+    def breakdown(self) -> tuple[RegressionResult, EnergyMap]:
         """Regression + energy map off one shared reconstruction — the
         per-point analysis path experiments should use.  Both consumers
         read the memoized :meth:`timeline`: one ``np.frombuffer`` decode
         for the whole analysis, no per-entry objects.
         """
-        regression = self.regression(weighting=weighting)
-        return regression, self.energy_map(
-            regression=regression, fold_proxies=fold_proxies)
+        regression = self.regression()
+        return regression, self.energy_map(regression=regression)
 
     def energy_map(
         self,

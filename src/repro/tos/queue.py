@@ -79,10 +79,3 @@ class ForwardingQueue(Generic[T]):
         self.cpu_activity.set(activity)
         self.dequeued += 1
         return item
-
-    def peek_activity(self) -> Optional[ActivityLabel]:
-        """The saved activity of the head item (for schedulers that want
-        to make activity-aware service decisions)."""
-        if not self._items:
-            return None
-        return self._items[0][1]

@@ -181,9 +181,6 @@ class VirtualTimerSystem:
             )
         self._rearm()
 
-    def active_timers(self) -> int:
-        return sum(1 for t in self._timers if t.running)
-
     def reset(self) -> None:
         """Warm-start reset: drop every logical timer and the dispatch
         tally.  The compare unit and its interrupt wiring survive (the

@@ -51,7 +51,7 @@ def reference_log(node, timeline=None) -> tuple[list, dict]:
         multi_res_ids=node.multi_res_ids)
 
 
-def _solve(node, entries, weighting="sqrt_et", strict=False):
+def _solve(node, entries):
     intervals: list = []
     TimelineStream(on_interval=intervals.append).feed_all(entries)
     return solve_breakdown(
@@ -59,8 +59,6 @@ def _solve(node, entries, weighting="sqrt_et", strict=False):
         node.layout(),
         node.platform.icount.nominal_energy_per_pulse_j,
         node.platform.rail.voltage,
-        weighting=weighting,
-        strict=strict,
     )
 
 
@@ -75,10 +73,10 @@ def _map(node, log, regression, fold_proxies):
     )
 
 
-def regression(node, timeline=None, weighting="sqrt_et", strict=False):
+def regression(node, timeline=None):
     """:meth:`QuantoNode.regression` on the reference."""
     entries, _ = reference_log(node, timeline)
-    return _solve(node, entries, weighting, strict)
+    return _solve(node, entries)
 
 
 def energy_map(node, timeline=None, regression=None, fold_proxies=False):
@@ -89,12 +87,12 @@ def energy_map(node, timeline=None, regression=None, fold_proxies=False):
     return _map(node, log, regression, fold_proxies)
 
 
-def breakdown(node, fold_proxies=False, weighting="sqrt_et"):
+def breakdown(node):
     """:meth:`QuantoNode.breakdown` on the reference: the log decodes
     once and both consumers replay it."""
     log = reference_log(node)
-    reg = _solve(node, log[0], weighting)
-    return reg, _map(node, log, reg, fold_proxies)
+    reg = _solve(node, log[0])
+    return reg, _map(node, log, reg, fold_proxies=False)
 
 
 def breakdown_all(nodes):
@@ -157,11 +155,10 @@ def install(monkeypatch) -> None:
             node, timeline, regression, fold_proxies))
         return reference
 
-    def checked_breakdown(node, fold_proxies=False, weighting="sqrt_et"):
-        reg, reference = breakdown(node, fold_proxies, weighting)
+    def checked_breakdown(node):
+        reg, reference = breakdown(node)
         assert_same_map(reference, product_map(
-            node, None, PRODUCT_REGRESSION(node, weighting=weighting),
-            fold_proxies))
+            node, None, PRODUCT_REGRESSION(node), False))
         return reg, reference
 
     monkeypatch.setattr(QuantoNode, "regression", regression)

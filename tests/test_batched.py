@@ -213,8 +213,6 @@ def test_attached_world_refuses_solo_drive():
     with pytest.raises(SimulationError):
         sim.run(until=100)
     with pytest.raises(SimulationError):
-        sim.step()
-    with pytest.raises(SimulationError):
         sim.reset()
     batch.detach()
     sim.run(until=100)  # detached world is a plain simulator again

@@ -7,7 +7,6 @@ from repro.core.counters import CounterAccountant
 from repro.core.labels import ActivityLabel
 from repro.core.netmerge import (
     NetworkMerger,
-    activities_by_origin,
     merge_energy_maps,
     origin_of,
 )
@@ -135,7 +134,6 @@ def test_remote_fraction_butterfly():
     report = merge_energy_maps(maps)
     # 5/6 of the flood's energy was spent away from its origin.
     assert report.remote_fraction("1:Flood", 1) == pytest.approx(5 / 6)
-    assert activities_by_origin(report, 1) == ["1:Flood"]
 
 
 def test_remote_fraction_zero_energy_activity_is_zero():
@@ -228,7 +226,6 @@ def test_budget_defers_over_budget_activity():
     sim.at(seconds(1), lambda: None)
     sim.run()
     assert budget.post(lambda: None, activity=RED) is False
-    assert budget.pending_deferred() == 1
     assert scheduler.posted == []
     # New epoch refills; the deferred task is released.
     assert budget.new_epoch() == 1

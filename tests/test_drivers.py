@@ -34,16 +34,6 @@ def test_leds_paint_copies_cpu_activity(node, sim):
     assert node.led_activities[1].get() == node.idle
 
 
-def test_led_toggle_driver(node, sim):
-    node.boot(lambda n: n.scheduler.post_function(
-        lambda: n.leds.led_toggle(2)))
-    sim.run(until=ms(5))
-    assert node.leds.is_on(2)
-    node.scheduler.post_function(lambda: node.leds.led_toggle(2))
-    sim.run(until=ms(10))
-    assert not node.leds.is_on(2)
-
-
 def test_flash_driver_write_read_roundtrip(node, sim):
     results = []
 

@@ -78,7 +78,7 @@ def test_regression_min_interval_filters_everything():
 def test_node_analysis_before_boot(node):
     """Analyzing an unbooted node: empty log, graceful failure modes."""
     assert node.entries() == []
-    timeline = node.timeline(finalize=False)
+    timeline = node.timeline()  # unbooted: nothing to close
     assert timeline.power_intervals() == []
     with pytest.raises(RegressionError):
         node.regression(timeline)

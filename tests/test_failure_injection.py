@@ -5,6 +5,7 @@ misbehaves; these tests push the failure paths the unit tests don't."""
 
 import pytest
 
+from repro.core.timeline import ColumnarTimeline
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.hw.platform import PlatformConfig
@@ -28,8 +29,12 @@ def test_log_overflow_mid_run_keeps_prefix_analyzable():
     assert node.logger.stopped_on_overflow
     assert node.logger.records_written == 100
     assert node.logger.records_dropped > 0
-    # The prefix still forms a valid, analyzable log.
-    timeline = node.timeline(finalize=False)
+    # The prefix still forms a valid, analyzable log, as it stands (no
+    # closing mark: the logger has stopped).
+    timeline = ColumnarTimeline(
+        node.logger.columns(), end_time_ns=sim.now,
+        single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids)
     intervals = timeline.power_intervals()
     assert intervals
     regression = node.regression(timeline)

@@ -80,13 +80,6 @@ def test_jitter_never_goes_backwards():
         last = value
 
 
-def test_pulses_to_joules_uses_nominal_constant():
-    sim, rail = _rail_with_load()
-    meter = ICountMeter(rail, gain_error=0.15)
-    assert meter.pulses_to_joules(1000) == pytest.approx(
-        1000 * DEFAULT_ENERGY_PER_PULSE_J)
-
-
 def test_frequency_matches_paper_fit():
     sim, rail = _rail_with_load()
     meter = ICountMeter(rail)

@@ -39,11 +39,9 @@ def test_out_of_range_rejected():
 
 
 def test_idle_and_proxy_predicates():
-    assert idle_label(3).is_idle
     assert not idle_label(3).is_proxy
     proxy = ActivityLabel(1, PROXY_IDS["pxy_RX"])
     assert proxy.is_proxy
-    assert not proxy.is_idle
     quanto = ActivityLabel(1, QUANTO_ID)
     assert not quanto.is_proxy  # Quanto's own activity is not a proxy
 

@@ -16,7 +16,7 @@ from repro.core.logger import (
     TYPE_POWERSTATE,
     decode_log,
 )
-from repro.errors import LoggerError, LogOverflowError
+from repro.errors import LoggerError
 from repro.hw.catalog import default_actual_profile
 from repro.hw.mcu import Mcu
 from repro.hw.power import PowerRail
@@ -98,18 +98,6 @@ def test_overflow_stops_logging():
     assert logger.records_written == 3
     assert logger.records_dropped == 2
     assert logger.stopped_on_overflow
-
-
-def test_overflow_strict_raises():
-    sim, mcu, logger = _stack(buffer_entries=1, strict_overflow=True)
-
-    def body():
-        logger.record(TYPE_POWERSTATE, 1, 1)
-        logger.record(TYPE_POWERSTATE, 1, 2)
-
-    mcu.post_task(body)
-    with pytest.raises(LogOverflowError):
-        sim.run()
 
 
 def test_disabled_logger_drops():

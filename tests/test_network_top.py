@@ -110,20 +110,20 @@ def test_am_explicit_activity_override():
     assert got[0].activity == sender.registry.label(1, "Override").encode()
 
 
-def test_am_default_receiver_and_dst_filtering():
+def test_am_dst_filtering():
     network = Network(seed=0)
     sender = network.add_node(NodeConfig(node_id=1, mac="csma"))
     receiver = network.add_node(NodeConfig(node_id=2, mac="csma"))
     bystander = network.add_node(NodeConfig(node_id=3, mac="csma"))
-    default_got = []
+    addressed_got = []
     bystander_got = []
 
     def recv_app(n):
-        n.am.set_default_receiver(default_got.append)  # no typed receiver
+        n.am.register_receiver(99, addressed_got.append)
         n.mac.start()
 
     def bystander_app(n):
-        n.am.set_default_receiver(bystander_got.append)
+        n.am.register_receiver(99, bystander_got.append)
         n.mac.start()
 
     def send_app(n):
@@ -133,8 +133,8 @@ def test_am_default_receiver_and_dst_filtering():
     bystander.boot(bystander_app)
     sender.boot(send_app)
     network.run(seconds(1))
-    # The addressed node's default receiver got it; the bystander's AM
-    # layer dropped it (wrong destination) even though its radio heard it.
-    assert len(default_got) == 1
+    # The addressed node's receiver got it; the bystander's AM layer
+    # dropped it (wrong destination) even though its radio heard it.
+    assert len(addressed_got) == 1
     assert bystander_got == []
     assert bystander.platform.radio.frames_received == 1

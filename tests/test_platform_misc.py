@@ -20,7 +20,7 @@ from repro.units import ms, seconds, ua
 def test_platform_registers_all_sinks():
     sim = Simulator()
     platform = HydrowatchPlatform(sim)
-    names = set(platform.rail.sink_names())
+    names = set(platform.rail._sinks)
     expected = {
         "Baseline", "CPU", "LED0", "LED1", "LED2", "RadioRegulator",
         "RadioControlPath", "RadioRxPath", "RadioTxPath", "ExternalFlash",

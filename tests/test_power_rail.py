@@ -106,7 +106,6 @@ def test_current_and_power_queries():
     b.set_current(ma(2))
     assert rail.current() == pytest.approx(ma(3))
     assert rail.power() == pytest.approx(0.009)
-    assert rail.sink_names() == ["a", "b"]
 
 
 @settings(max_examples=30, deadline=None)

@@ -51,7 +51,6 @@ def test_queue_drop_tail_when_full(node, sim):
 def test_queue_peek_and_empty(node, sim):
     queue = ForwardingQueue("q", node.cpu_activity, node.platform.mcu)
     assert queue.dequeue() is None
-    assert queue.peek_activity() is None
     red = node.activity("Red")
 
     def app(n):
@@ -60,7 +59,12 @@ def test_queue_peek_and_empty(node, sim):
 
     node.boot(lambda n: n.scheduler.post_function(lambda: app(node)))
     sim.run(until=ms(10))
-    assert queue.peek_activity() == red
+    assert node.cpu_activity.get() != red
+    got = []
+    node.scheduler.post_function(
+        lambda: got.append((queue.dequeue(), node.cpu_activity.get())))
+    sim.run(until=ms(20))
+    assert got == [("x", red)]  # the head restores its saved activity
 
 
 def test_queue_capacity_validation(node):

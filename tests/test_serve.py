@@ -269,9 +269,37 @@ def test_parse_address_forms():
     assert parse_address("unix:/tmp/x.sock") == "/tmp/x.sock"
     assert parse_address("127.0.0.1:7117") == ("127.0.0.1", 7117)
     assert parse_address(":0") == ("127.0.0.1", 0)
-    for bad in ("unix:", "nocolon", "host:port"):
+    for bad in ("unix:", "nocolon", "host:port", ":65536", ":99999"):
         with pytest.raises(ServeError):
             parse_address(bad)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("bogus", "bad address 'bogus'"),
+    (":99999", "port must be 0-65535"),
+    ("unix:/nonexistent-dir/x.sock",
+     "cannot listen on unix:/nonexistent-dir/x.sock"),
+], ids=["unparsable", "port-out-of-range", "unbindable-path"])
+def test_serve_refuses_an_address_it_cannot_bind(spec, message, tmp_path,
+                                                 capsys):
+    """An address that cannot be parsed or bound exits 2 with one
+    ``error:`` line naming it, and the listener already started for an
+    earlier ``--listen`` is closed on the way out."""
+    from repro.cli import main
+
+    first = str(tmp_path / "first.sock")
+    assert main(["serve", "--listen", f"unix:{first}",
+                 "--listen", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"listening on unix:{first}\n"
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and message in captured.err
+
+    async def connect():
+        await asyncio.open_unix_connection(first)
+
+    with pytest.raises(OSError):
+        asyncio.run(connect())
 
 
 # -- graceful shutdown -------------------------------------------------------
@@ -372,3 +400,75 @@ def test_cli_serve_sigterm_graceful_exit(tmp_path):
     assert proc.returncode == 0
     assert "shutdown: draining complete" in out
     assert "0 sessions" in out
+
+
+# -- backpressure ------------------------------------------------------------
+
+
+def test_slow_accounting_bounds_the_bytes_in_flight(sock, monkeypatch):
+    """A consumer slower than its sender backpressures the socket: the
+    bytes a client has written but the session has not ingested never
+    exceed the chunk queue, the stream reader's buffer and the kernel's
+    socket buffers, however long the stream runs."""
+    import socket
+    import threading
+
+    from repro.serve.protocol import INGEST_VERB, LINE_LIMIT, encode_json_line
+    from repro.serve.server import QUEUE_DEPTH, READ_CHUNK, NodeSession
+
+    class SlowQueue(asyncio.Queue):
+        """The consumer's side of the chunk queue, 1 ms per chunk; the
+        sleep yields, so the socket reader runs meanwhile."""
+
+        async def get(self):
+            await asyncio.sleep(0.001)
+            return await super().get()
+
+    def count_only(self, chunk):
+        self.bytes_received += len(chunk)
+
+    monkeypatch.setattr(asyncio, "Queue", SlowQueue)
+    monkeypatch.setattr(NodeSession, "ingest", count_only)
+    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(4))
+    hello = hello_for_node(node, stride_ns=int(seconds(1)))
+    total, piece = 24 << 20, bytes(READ_CHUNK)
+    backlog, kernel = [], []
+
+    def client(server):
+        with socket.socket(socket.AF_UNIX) as conn:
+            conn.settimeout(30)  # a stalled server fails, never hangs
+            kernel.extend(conn.getsockopt(socket.SOL_SOCKET, option)
+                          for option in (socket.SO_SNDBUF, socket.SO_RCVBUF))
+            conn.connect(sock)
+            conn.sendall(INGEST_VERB.encode() + b" " + encode_json_line(hello))
+            sent = 0
+            while sent < total:
+                conn.sendall(piece)
+                sent += len(piece)
+                session = server.sessions.get(node.node_id)
+                backlog.append(
+                    sent - (session.bytes_received if session else 0))
+            conn.shutdown(socket.SHUT_WR)
+            conn.recv(1 << 16)
+
+    async def main():
+        server = IngestServer()
+        await server.start_unix(sock)
+        thread = threading.Thread(target=client, args=(server,))
+        thread.start()
+        try:
+            while thread.is_alive():
+                await asyncio.sleep(0.01)
+        finally:
+            thread.join(timeout=30)
+            await server.close()
+        assert not thread.is_alive()
+
+    asyncio.run(main())
+    # Socket slack: both ends' kernel buffers plus the chunks held
+    # outside the queue (one being read, one being put, one ingesting).
+    slack = 2 * sum(kernel) + 3 * READ_CHUNK
+    bound = QUEUE_DEPTH * READ_CHUNK + 2 * LINE_LIMIT + slack
+    assert len(backlog) == total // READ_CHUNK
+    assert max(backlog) <= bound
+    assert max(backlog) > 8 * READ_CHUNK  # the consumer did fall behind

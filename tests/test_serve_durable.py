@@ -37,8 +37,7 @@ from repro.serve import (
     NodeSession,
     final_map,
     hello_for_node,
-    query_sync,
-    stream_node_sync,
+    stream_node,
     stream_raw,
 )
 from repro.serve.journal import (
@@ -1222,16 +1221,14 @@ def test_server_rejects_limits_that_break_every_stream(flag, value, message,
     assert message in capsys.readouterr().err
 
 
-# -- typed sync-wrapper errors -----------------------------------------------
+# -- typed client errors -----------------------------------------------------
 
 
-def test_sync_wrappers_surface_typed_errors(tmp_path, blink):
+def test_stream_to_a_missing_server_is_a_typed_error(tmp_path, blink):
     nowhere = str(tmp_path / "nowhere.sock")
     with pytest.raises(ServeError, match="node 1"):
-        stream_node_sync(nowhere, blink, stride_ns=int(seconds(1)),
-                         retries=0)
-    with pytest.raises(ServeError, match="connection failed"):
-        query_sync(nowhere, {"cmd": "stats"})
+        asyncio.run(stream_node(nowhere, blink, stride_ns=int(seconds(1)),
+                                retries=0))
 
 
 def test_connection_reset_becomes_serve_error_naming_the_node(tmp_path,
@@ -1253,8 +1250,8 @@ def test_connection_reset_becomes_serve_error_naming_the_node(tmp_path,
     thread.start()
     try:
         with pytest.raises(ServeError, match="node 1"):
-            stream_node_sync(path, blink, stride_ns=int(seconds(1)),
-                             retries=0)
+            asyncio.run(stream_node(path, blink, stride_ns=int(seconds(1)),
+                                    retries=0))
     finally:
         thread.join(timeout=5)
 

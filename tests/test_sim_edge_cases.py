@@ -109,17 +109,6 @@ def test_pending_counts_exclude_cancelled():
     assert keep.alive  # firing does not retroactively flag the handle
 
 
-def test_step_skips_dead_events():
-    sim = Simulator()
-    fired = []
-    dead = sim.at(10, fired.append, "dead")
-    sim.at(20, fired.append, "live")
-    dead.cancel()
-    assert sim.step()
-    assert fired == ["live"]
-    assert not sim.step()
-
-
 # -- scheduling from inside callbacks -------------------------------------
 
 

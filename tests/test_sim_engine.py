@@ -102,15 +102,17 @@ def test_reentrant_run_rejected():
         sim.run()
 
 
-def test_step_executes_one_event():
+def test_run_until_stops_at_the_bound():
     sim = Simulator()
     fired = []
     sim.at(10, fired.append, 1)
     sim.at(20, fired.append, 2)
-    assert sim.step()
+    sim.run(until=10)
     assert fired == [1]
-    assert sim.step()
-    assert not sim.step()
+    assert sim.now == 10 and sim.pending() == 1
+    sim.run(until=20)
+    assert fired == [1, 2]
+    assert sim.pending() == 0
 
 
 def test_events_executed_counter():
@@ -179,7 +181,7 @@ def test_cancel_after_fire_is_safe_and_keeps_pending_exact():
     event = sim.at(10, fired.append, 1)
     later = sim.at(20, fired.append, 2)
     assert sim.pending() == 2
-    assert sim.step()
+    sim.run(until=10)
     assert fired == [1]
     event.cancel()  # already fired: no-op, must not corrupt the count
     event.cancel()  # twice is fine too
@@ -188,7 +190,8 @@ def test_cancel_after_fire_is_safe_and_keeps_pending_exact():
     assert sim.pending() == 0
     later.cancel()  # double-cancel of a queued event counts once
     assert sim.pending() == 0
-    assert not sim.step()
+    sim.run()
+    assert fired == [1]
 
 
 def test_pending_counts_live_events_without_scanning():

@@ -466,7 +466,6 @@ ENV_KNOBS = {
     "REPRO_SWEEP_CACHE",  # sweep --cache-dir default
     "REPRO_SWEEP_BATCH",  # run_sweep(batch=) default
     "REPRO_WARM_START",  # reuse worlds across points
-    "REPRO_CACHE_VERIFY",  # round-trip every cache store, not just one
     "REPRO_FAULT",  # fault injection: which site, which fault
     "REPRO_FAULT_FUSE",  # fire an injected fault exactly once
     "REPRO_FAULT_SELECT",  # fire only for one selector

@@ -6,7 +6,6 @@ from repro.cli import main
 from repro.errors import SweepError
 from repro.sim import sweep as sweep_mod
 from repro.sim.sweep import (
-    CACHE_VERIFY_ENV_VAR,
     PointResult,
     SweepCache,
     SweepPoint,
@@ -221,25 +220,20 @@ def test_unwritable_cache_dir_does_not_kill_the_sweep(tmp_path):
     assert rerun.digest() == result.digest()
 
 
-@pytest.mark.parametrize("setting, stored", [
-    ("1", False), ("0", True), ("off", True), (None, True),
-])
-def test_cache_verify_switch(tmp_path, monkeypatch, setting, stored):
-    """$REPRO_CACHE_VERIFY on re-proves every store's JSON round trip,
-    so a lossy payload (a tuple comes back a list) is refused even
-    after the once-per-process canary passed; off or unset, only the
-    canary checks."""
-    if setting is None:
-        monkeypatch.delenv(CACHE_VERIFY_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(CACHE_VERIFY_ENV_VAR, setting)
+def test_cache_roundtrip_canary_runs_once_per_process(tmp_path,
+                                                     monkeypatch):
+    """The first store of a process proves its JSON round trip: a lossy
+    payload (a tuple comes back a list) is refused until a lossless one
+    passes; after that only the canary has checked."""
     monkeypatch.setattr(SweepCache, "_roundtrip_verified", False)
     point_a, point_b = expand_grid("table3", [0, 1])
     cache = SweepCache(tmp_path)
+    lossy = PointResult(point=point_b, data={"pair": (1, 2)},
+                        comparisons=[], digest="b", wall_s=0.0)
+    assert not cache.store(lossy)
+    assert not SweepCache._roundtrip_verified
     assert cache.store(PointResult(point=point_a, data={"pair": [1, 2]},
                                    comparisons=[], digest="a", wall_s=0.0))
     assert SweepCache._roundtrip_verified
-    lossy = PointResult(point=point_b, data={"pair": (1, 2)},
-                        comparisons=[], digest="b", wall_s=0.0)
-    assert cache.store(lossy) is stored
-    assert cache.has(point_b) is stored
+    assert cache.store(lossy)
+    assert cache.has(point_b)

@@ -1,13 +1,9 @@
-"""The offline log toolkit: dump, CSV export, validation."""
+"""The offline log toolkit: dump and validation."""
 
 import pytest
 
 from repro.core.logger import ENTRY_STRUCT, decode_log
-from repro.toolkit.logdump import (
-    dump_log,
-    export_intervals_csv,
-    export_log_csv,
-)
+from repro.toolkit.logdump import dump_log
 from repro.toolkit.validate import validate_log
 from repro.tos.node import COMPONENT_NAMES
 
@@ -26,28 +22,6 @@ def test_dump_log_without_registry():
     raw = ENTRY_STRUCT.pack(2, 0, 100, 5, 0x0101)
     text = dump_log(decode_log(raw))
     assert "1:1" in text  # raw label rendering
-
-
-def test_export_log_csv(blink_run):
-    sim, node, app = blink_run
-    csv = export_log_csv(node.entries(), node.registry, COMPONENT_NAMES)
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("seq,time_us,icount,type,resource")
-    assert len(lines) == len(node.entries()) + 1
-    assert any("1:Red" in line for line in lines)
-
-
-def test_export_intervals_csv(blink_run):
-    sim, node, app = blink_run
-    timeline = node.timeline()
-    intervals = timeline.power_intervals()
-    csv = export_intervals_csv(
-        intervals, node.platform.icount.nominal_energy_per_pulse_j,
-        COMPONENT_NAMES)
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("t0_us,t1_us,dt_us,pulses,energy_uj")
-    assert "LED0" in lines[0]
-    assert len(lines) == len(intervals) + 1
 
 
 def test_validate_clean_blink_log(blink_run):

@@ -1,4 +1,4 @@
-"""Unit helpers: conversions and formatting."""
+"""Unit helpers: conversions."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +15,6 @@ def test_time_conversions_exact():
 
 
 def test_time_roundtrips():
-    assert units.to_us(units.us(250)) == 250.0
     assert units.to_ms(units.ms(3.25)) == 3.25
     assert units.to_s(units.seconds(48)) == 48.0
 
@@ -28,29 +27,4 @@ def test_seconds_roundtrip_property(value):
 def test_electrical_conversions():
     assert units.ma(1) == 1e-3
     assert units.ua(500) == pytest.approx(500e-6)
-    assert units.to_ma(0.0025) == pytest.approx(2.5)
-    assert units.mw(61.8) == pytest.approx(0.0618)
-    assert units.to_mw(0.0618) == pytest.approx(61.8)
-    assert units.uj(8.33) == pytest.approx(8.33e-6)
     assert units.to_mj(0.52123) == pytest.approx(521.23)
-
-
-def test_fmt_time_picks_unit():
-    assert units.fmt_time(units.seconds(2)) == "2.000 s"
-    assert units.fmt_time(units.ms(1.5)) == "1.500 ms"
-    assert units.fmt_time(units.us(24)) == "24.000 us"
-    assert units.fmt_time(12) == "12.000 ns"
-    assert units.fmt_time(0) == "0 ns"
-
-
-def test_fmt_energy_picks_unit():
-    assert units.fmt_energy(1.5) == "1.500 J"
-    assert units.fmt_energy(0.18071) == "180.71 mJ"
-    assert units.fmt_energy(8.33e-6) == "8.33 uJ"
-    assert units.fmt_energy(5e-9) == "5.00 nJ"
-
-
-def test_fmt_power_picks_unit():
-    assert units.fmt_power(0.0618) == "61.800 mW"
-    assert units.fmt_power(2.0) == "2.000 W"
-    assert units.fmt_power(5e-6) == "5.00 uW"
