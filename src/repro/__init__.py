@@ -18,7 +18,7 @@ Layers, bottom up:
 * :mod:`repro.serve` — the live ingest server: framed node streams
   decoded incrementally into windowed accumulators, queryable mid-run.
 * :mod:`repro.apps` — the paper's workloads (Blink, Bounce, sense-and-
-  send, LPL, the timer leak, the DMA comparison, a flood).
+  send, LPL, the timer leak, the DMA comparison).
 * :mod:`repro.experiments` — one module per table/figure of the paper's
   evaluation, each regenerating its numbers.
 

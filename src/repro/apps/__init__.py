@@ -10,8 +10,6 @@
   the DCO-calibration leak (Figure 15).
 * :mod:`repro.apps.dma_compare` — packet transmission under interrupt-
   driven vs DMA SPI (Figure 16).
-* :mod:`repro.apps.flood` — a network flood for butterfly-effect
-  accounting (Section 5.3).
 """
 
 from repro.apps.blink import BlinkApp
@@ -20,7 +18,6 @@ from repro.apps.sense_send import SenseAndSendApp
 from repro.apps.lpl_app import LplListenApp
 from repro.apps.timer_leak import TimerLeakApp
 from repro.apps.dma_compare import OneShotSenderApp
-from repro.apps.flood import FloodApp
 
 __all__ = [
     "BlinkApp",
@@ -29,5 +26,4 @@ __all__ = [
     "LplListenApp",
     "TimerLeakApp",
     "OneShotSenderApp",
-    "FloodApp",
 ]

@@ -20,13 +20,8 @@ TOGGLE_CYCLES = 22
 class BlinkApp:
     """Red/Green/Blue blinking with per-activity attribution."""
 
-    def __init__(
-        self,
-        red_period_ns: int = seconds(1),
-        green_period_ns: int = seconds(2),
-        blue_period_ns: int = seconds(4),
-    ) -> None:
-        self.periods = (red_period_ns, green_period_ns, blue_period_ns)
+    def __init__(self) -> None:
+        self.periods = (seconds(1), seconds(2), seconds(4))
         self.names = ("Red", "Green", "Blue")
         self.node: QuantoNode | None = None
         self.toggles = [0, 0, 0]

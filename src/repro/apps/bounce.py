@@ -31,12 +31,8 @@ class BounceApp:
     """One endpoint of the two-node bounce."""
 
     def __init__(self, peer_id: int,
-                 originate: bool = True,
-                 hold_delay_ns: int = HOLD_DELAY_NS,
                  originate_delay_ns: int = ORIGINATE_DELAY_NS) -> None:
         self.peer_id = peer_id
-        self.originate = originate
-        self.hold_delay_ns = hold_delay_ns
         self.originate_delay_ns = originate_delay_ns
         self.node: QuantoNode | None = None
         self.bounces = 0
@@ -54,8 +50,6 @@ class BounceApp:
     def _radio_ready(self) -> None:
         node = self.node
         assert node is not None
-        if not self.originate:
-            return
         node.set_cpu_activity("BounceApp")
         node.vtimers.start_oneshot(
             self._originate, self.originate_delay_ns, name="originate")
@@ -83,7 +77,7 @@ class BounceApp:
         # bounce-back send is still colored by the originating node.
         node.vtimers.start_oneshot(
             lambda: self._bounce_back(frame, led_index),
-            self.hold_delay_ns, name="bounce-hold")
+            HOLD_DELAY_NS, name="bounce-hold")
 
     def _bounce_back(self, frame: Frame, led_index: int) -> None:
         node = self.node

@@ -12,20 +12,22 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.tos.am import AM_BROADCAST
 from repro.tos.node import QuantoNode
 from repro.units import ms
 
 AM_PROBE = 0x50
 
+#: The probe is a broadcast Bounce-sized packet, sent this long after the
+#: radio comes up.
+PAYLOAD_LEN = 20
+START_DELAY_NS = ms(5)
+
 
 class OneShotSenderApp:
     """Sends exactly one packet and records the phase timings."""
 
-    def __init__(self, dst: int = 0xFFFF, payload_len: int = 20,
-                 start_delay_ns: int = ms(5)) -> None:
-        self.dst = dst
-        self.payload_len = payload_len
-        self.start_delay_ns = start_delay_ns
+    def __init__(self) -> None:
         self.node: Optional[QuantoNode] = None
         self.send_started_ns: Optional[int] = None
         self.send_done_ns: Optional[int] = None
@@ -42,7 +44,7 @@ class OneShotSenderApp:
         node = self.node
         assert node is not None
         node.vtimers.start_oneshot(
-            self._send, self.start_delay_ns, name="probe-send",
+            self._send, START_DELAY_NS, name="probe-send",
             activity=node.activity("BounceApp"))
 
     def _send(self) -> None:
@@ -51,7 +53,7 @@ class OneShotSenderApp:
         node.set_cpu_activity("BounceApp")
         node.platform.mcu.consume(25)
         self.send_started_ns = node.sim.now
-        node.am.send(self.dst, AM_PROBE, bytes(self.payload_len),
+        node.am.send(AM_BROADCAST, AM_PROBE, bytes(PAYLOAD_LEN),
                      on_send_done=self._sent)
 
     def _sent(self, frame) -> None:

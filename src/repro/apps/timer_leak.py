@@ -15,22 +15,23 @@ from repro.units import ms
 
 TOGGLE_CYCLES = 18
 
+#: The two activities' toggle periods.
+PERIOD_A_NS = ms(250)
+PERIOD_B_NS = ms(400)
+
 
 class TimerLeakApp:
     """Two LED activities on a node with the DCO-calibration leak."""
 
-    def __init__(self, period_a_ns: int = ms(250),
-                 period_b_ns: int = ms(400)) -> None:
-        self.period_a_ns = period_a_ns
-        self.period_b_ns = period_b_ns
+    def __init__(self) -> None:
         self.node: QuantoNode | None = None
 
     def start(self, node: QuantoNode) -> None:
         self.node = node
         node.set_cpu_activity("ActA")
-        node.vtimers.start_periodic(self._fire_a, self.period_a_ns, name="a")
+        node.vtimers.start_periodic(self._fire_a, PERIOD_A_NS, name="a")
         node.set_cpu_activity("ActB")
-        node.vtimers.start_periodic(self._fire_b, self.period_b_ns, name="b")
+        node.vtimers.start_periodic(self._fire_b, PERIOD_B_NS, name="b")
         node.cpu_activity.set(node.idle)
 
     def _fire_a(self) -> None:

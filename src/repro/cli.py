@@ -163,6 +163,12 @@ def _cmd_blink(args: argparse.Namespace) -> int:
     from repro.tos.node import COMPONENT_NAMES, NodeConfig, QuantoNode
     from repro.units import seconds, to_mj
 
+    if args.seconds <= 0:
+        print("--seconds must be positive", file=sys.stderr)
+        return 2
+    if args.dump_limit < 0:
+        print("--dump-limit must be 0 or more", file=sys.stderr)
+        return 2
     sim = Simulator()
     node = QuantoNode(sim, NodeConfig(node_id=1),
                       rng_factory=RngFactory(args.seed))

@@ -240,11 +240,6 @@ class EnergyMap:
 
     # -- views -------------------------------------------------------------
 
-    def components(self) -> list[str]:
-        names = {component for component, _ in self.energy_j}
-        names.update(component for component, _ in self.time_ns)
-        return sorted(names)
-
     def activities(self) -> list[str]:
         names = {activity for _, activity in self.energy_j}
         names.update(activity for _, activity in self.time_ns)

@@ -97,10 +97,6 @@ class MultiActivityDevice:
         """Subscribe to MultiActivityTrack events."""
         self._trackers.append(fn)
 
-    def activities(self) -> frozenset[ActivityLabel]:
-        """The current activity set."""
-        return frozenset(self._current)
-
     def add(self, label: ActivityLabel) -> bool:
         """Add an activity; returns False if it was already present
         (mirrors the paper's error_t return)."""
@@ -121,11 +117,6 @@ class MultiActivityDevice:
         for tracker in self._trackers:
             tracker(self, label, False)
         return True
-
-    def clear(self) -> None:
-        """Remove every activity (device going idle)."""
-        for label in list(self._current):
-            self.remove(label)
 
     def reset(self) -> None:
         """Warm-start reset: empty set, zero tally, no notifications."""
@@ -154,6 +145,3 @@ class ProxyActivitySet:
             return self._labels[name]
         except KeyError:
             raise ActivityError(f"no proxy activity named {name!r}") from None
-
-    def names(self) -> list[str]:
-        return list(self._labels)

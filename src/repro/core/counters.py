@@ -10,16 +10,18 @@ discusses.
 This accountant subscribes to the same observer interfaces as the logger
 (SingleActivityTrack on the CPU plus the iCount meter), so it demonstrates
 that Quanto's event generation cleanly decouples from event consumption.
-Slot exhaustion goes to an ``overflow`` bucket rather than dropping data.
+Slot exhaustion goes to an overflow bucket rather than dropping data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.labels import ActivityLabel
-from repro.errors import ActivityError
+
+#: Slots in the table (12 bytes of state each on the real node).
+SLOTS = 16
 
 
 @dataclass
@@ -42,23 +44,11 @@ class CounterAccountant:
     an energy ``top``.
     """
 
-    #: Default number of slots (12 bytes of state each on the real node).
-    DEFAULT_SLOTS = 16
-
-    def __init__(self, sim, icount, slots: int = DEFAULT_SLOTS,
-                 energy_per_pulse_j: Optional[float] = None,
-                 mcu=None):
-        if slots < 2:
-            raise ActivityError("need at least two counter slots")
+    def __init__(self, sim, icount, mcu=None):
         self.sim = sim
         self.icount = icount
         self.mcu = mcu  # when set, spans use the cycle-advanced clock
-        self.max_slots = slots
-        self.energy_per_pulse_j = (
-            energy_per_pulse_j
-            if energy_per_pulse_j is not None
-            else icount.nominal_energy_per_pulse_j
-        )
+        self.energy_per_pulse_j = icount.nominal_energy_per_pulse_j
         self._slots: dict[ActivityLabel, ActivityCounters] = {}
         self._overflow = ActivityCounters(ActivityLabel(0, 0xFF))
         self._current: Optional[ActivityLabel] = None
@@ -102,7 +92,7 @@ class CounterAccountant:
         slot = self._slots.get(label)
         if slot is not None:
             return slot
-        if len(self._slots) >= self.max_slots:
+        if len(self._slots) >= SLOTS:
             return None  # falls into the overflow bucket
         slot = ActivityCounters(label)
         self._slots[label] = slot
@@ -141,16 +131,7 @@ class CounterAccountant:
         self._charge_current()
         return dict(self._slots)
 
-    @property
-    def overflow(self) -> ActivityCounters:
-        return self._overflow
-
     def memory_bytes(self) -> int:
         """RAM the counter table would occupy on the node: 12 bytes per
         slot (2-byte label, 4-byte time, 4-byte energy, 2-byte count)."""
-        return 12 * self.max_slots
-
-    def total_energy_j(self) -> float:
-        self._charge_current()
-        total = sum(slot.energy_j for slot in self._slots.values())
-        return total + self._overflow.energy_j
+        return 12 * SLOTS

@@ -124,27 +124,22 @@ class ActivityRegistry:
             name: aid for aid, name in self._names.items()
         }
 
-    def register(self, name: str, aid: int | None = None) -> int:
-        """Register a named activity; returns its id.  Re-registering the
-        same name returns the existing id."""
+    def register(self, name: str) -> int:
+        """Register a named activity under the next free id; returns the
+        id.  Re-registering the same name returns the existing id."""
         existing = self._by_name.get(name)
         if existing is not None:
             return existing
-        if aid is None:
-            aid = self._next_id
-            while aid in self._names:
-                aid += 1
-        if aid in self._names:
+        aid = self._next_id
+        while aid in self._names:
+            aid += 1
+        if aid >= PROXY_BASE:
             raise ActivityError(
-                f"id {aid} already registered as {self._names[aid]!r}"
-            )
-        if not 0 < aid < PROXY_BASE:
-            raise ActivityError(
-                f"application activity id {aid} must be in 1..{PROXY_BASE - 1}"
-            )
+                f"no application activity id left for {name!r} "
+                f"(ids 1..{PROXY_BASE - 1})")
         self._names[aid] = name
         self._by_name[name] = aid
-        self._next_id = max(self._next_id, aid + 1)
+        self._next_id = aid + 1
         self._rendered.clear()
         return aid
 

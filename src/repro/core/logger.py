@@ -56,6 +56,7 @@ import numpy as np
 
 from repro.core.labels import ActivityLabel
 from repro.errors import HardwareError, LoggerError
+from repro.hw.mcu import CYCLE_NS
 
 ENTRY_STRUCT = struct.Struct("<BBIIH")
 ENTRY_SIZE = ENTRY_STRUCT.size  # 12 bytes
@@ -191,11 +192,9 @@ class QuantoLogger:
         self._columns_cache: Optional[tuple[int, "LogColumns"]] = None
         self._append = self._buffer.append
         self._read_icount = icount.read
-        # Per-record constants, hoisted off the synchronous path: the
-        # mode test and the MCU's cycle length never change after
+        # Hoisted off the synchronous path: the mode never changes after
         # construction.
         self._drain_mode = mode == "drain"
-        self._cycle_ns = mcu.cycle_ns
         self.enabled = True
         self.stopped_on_overflow = False
         self.records_written = 0
@@ -250,7 +249,7 @@ class QuantoLogger:
             raise HardwareError("Mcu.consume() called outside a job")
         pending = mcu._pending_cycles + COST_TOTAL
         mcu._pending_cycles = pending
-        virtual_ns = mcu._job_start_ns + pending * self._cycle_ns
+        virtual_ns = mcu._job_start_ns + pending * CYCLE_NS
         time_us = (virtual_ns // 1000) & 0xFFFFFFFF
         # Inlined ICountMeter.read(virtual_ns): one read per record
         # makes its call frame real overhead too.  Same statements in
@@ -681,12 +680,6 @@ class LogColumns:
             icount=np.concatenate([p.icount for p in parts]),
             value=np.concatenate([p.value for p in parts]),
         )
-
-    def __getitem__(self, rows: slice) -> "LogColumns":
-        return LogColumns(
-            type=self.type[rows], res_id=self.res_id[rows],
-            time_ns=self.time_ns[rows], icount=self.icount[rows],
-            value=self.value[rows])
 
 
 def _unwrap_u32(values: np.ndarray, base: int, last: int,

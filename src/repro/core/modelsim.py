@@ -18,7 +18,7 @@ values.  The ``ablation_model_vs_meter`` experiment quantifies the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.regression import SinkColumn
 from repro.core.timeline import PowerInterval
@@ -66,7 +66,6 @@ def model_based_estimate(
     layout: Sequence[SinkColumn],
     voltage: float,
     baseline_amps: float = 0.0,
-    model_map: Optional[dict[str, tuple[str, str]]] = None,
 ) -> ModelEstimate:
     """Price every interval from the static model.
 
@@ -77,7 +76,7 @@ def model_based_estimate(
     """
     if not intervals:
         raise RegressionError("no intervals to price")
-    mapping = model_map if model_map is not None else DEFAULT_MODEL_MAP
+    mapping = DEFAULT_MODEL_MAP
     estimate = ModelEstimate()
     column_by_key = {(c.res_id, c.value): c for c in layout}
     for interval in intervals:

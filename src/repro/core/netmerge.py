@@ -71,9 +71,6 @@ class NetworkEnergyReport:
                 fractions[activity] = self.remote_fraction(activity, origin)
         return fractions
 
-    def node_ids(self) -> list[int]:
-        return sorted({node_id for node_id, _, _ in self.per_node})
-
 
 class NetworkMerger:
     """Folds per-node :class:`EnergyMap`s into one running report.
@@ -110,13 +107,10 @@ class NetworkMerger:
         return self._report
 
 
-def merge_energy_maps(
-    maps: dict[int, EnergyMap],
-    include_const: bool = False,
-) -> NetworkEnergyReport:
+def merge_energy_maps(maps: dict[int, EnergyMap]) -> NetworkEnergyReport:
     """Aggregate per-node maps into the network-wide report (the batch
-    wrapper over :class:`NetworkMerger`)."""
-    merger = NetworkMerger(include_const=include_const)
+    wrapper over :class:`NetworkMerger`), Const. excluded."""
+    merger = NetworkMerger()
     for node_id, energy_map in maps.items():
         merger.add(node_id, energy_map)
     return merger.report()

@@ -1,7 +1,7 @@
 """The PowerState / PowerStateTrack interfaces (paper Figures 1 and 3).
 
-Device drivers expose hardware power states by calling ``set`` (or
-``set_bits`` for multi-field registers) on their :class:`PowerStateVar`.
+Device drivers expose hardware power states by calling ``set`` on their
+:class:`PowerStateVar`.
 The variable is idempotent — signalling the same state twice produces no
 notification — and the :class:`PowerStateTracker` fans actual changes out
 to registered listeners (the Quanto logger, tests, online accountants).
@@ -31,13 +31,12 @@ class PowerStateVar:
         res_id: int,
         state_names: Optional[dict[int, str]] = None,
         baseline_value: int = 0,
-        initial_value: int = 0,
     ):
         self.name = name
         self.res_id = res_id
         self.state_names = dict(state_names or {0: "OFF", 1: "ON"})
         self.baseline_value = baseline_value
-        self._value = initial_value
+        self._value = 0
         self._trackers: list[PowerTrackFn] = []
         self.change_count = 0
 
@@ -49,9 +48,8 @@ class PowerStateVar:
     def value(self) -> int:
         return self._value
 
-    def state_name(self, value: Optional[int] = None) -> str:
-        v = self._value if value is None else value
-        return self.state_names.get(v, f"state{v}")
+    def state_name(self) -> str:
+        return self.state_names.get(self._value, f"state{self._value}")
 
     def set(self, value: int) -> None:
         """Set the power state.  Idempotent: no change, no notification."""
@@ -68,20 +66,12 @@ class PowerStateVar:
         for tracker in self._trackers:
             tracker(self, value)
 
-    def reset(self, initial_value: int = 0) -> None:
-        """Warm-start reset: back to the initial value without notifying
-        trackers (the boot snapshot re-records the starting vector, just
-        as it did on the cold run)."""
-        self._value = initial_value
+    def reset(self) -> None:
+        """Warm-start reset: back to 0 without notifying trackers (the
+        boot snapshot re-records the starting vector, just as it did on
+        the cold run)."""
+        self._value = 0
         self.change_count = 0
-
-    def set_bits(self, mask: int, offset: int, value: int) -> None:
-        """Update a bit-field within the state word (paper Figure 1's
-        ``setBits``), for devices whose state is a composite register."""
-        if mask < 0 or offset < 0:
-            raise PowerModelError("mask and offset must be non-negative")
-        cleared = self._value & ~(mask << offset)
-        self.set(cleared | ((value & mask) << offset))
 
 
 class PowerStateTracker:
@@ -102,14 +92,12 @@ class PowerStateTracker:
         res_id: int,
         state_names: Optional[dict[int, str]] = None,
         baseline_value: int = 0,
-        initial_value: int = 0,
     ) -> PowerStateVar:
-        """Create and register a variable for one energy sink."""
+        """Create and register a variable for one energy sink, at 0."""
         if res_id in self._vars:
             raise PowerModelError(f"res_id {res_id} already registered "
                                   f"({self._vars[res_id].name})")
-        var = PowerStateVar(name, res_id, state_names, baseline_value,
-                            initial_value)
+        var = PowerStateVar(name, res_id, state_names, baseline_value)
         var.add_tracker(self._forward)
         self._vars[res_id] = var
         return var
@@ -122,18 +110,6 @@ class PowerStateTracker:
         """Subscribe to changes of *every* registered variable."""
         self._listeners.append(fn)
 
-    def var(self, res_id: int) -> PowerStateVar:
-        try:
-            return self._vars[res_id]
-        except KeyError:
-            raise PowerModelError(f"no power-state var with res_id {res_id}") \
-                from None
-
     def all_vars(self) -> list[PowerStateVar]:
         """All variables, ordered by res_id (the analysis layout)."""
         return [self._vars[rid] for rid in sorted(self._vars)]
-
-    def snapshot(self) -> dict[int, int]:
-        """Current state of every sink (res_id -> value), e.g. for boot
-        records so the offline pass knows the initial vector."""
-        return {rid: var.value for rid, var in sorted(self._vars.items())}

@@ -16,14 +16,14 @@ aggregate energy.  The solver:
 
 Identifiability is checked explicitly: unobserved columns are dropped
 (reported), and a rank-deficient design (states that always co-occur —
-the paper's "linear independence" limitation, Section 5.2) either raises
-or is reported, depending on ``strict``.
+the paper's "linear independence" limitation, Section 5.2) is reported
+as aliased column groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -151,23 +151,14 @@ def solve_breakdown(
     energy_per_pulse_j: float,
     voltage: float,
     weighting: str = "sqrt_et",
-    min_interval_ns: int = 0,
-    strict: bool = False,
 ) -> RegressionResult:
-    """Solve the weighted least-squares energy breakdown.
-
-    ``min_interval_ns`` filters out ultra-short intervals whose pulse
-    quantization dominates (the weighting already de-emphasizes them, but
-    filtering keeps the grouped system smaller).
-    """
-    usable = [iv for iv in intervals if iv.dt_ns >= min_interval_ns]
+    """Solve the weighted least-squares energy breakdown."""
+    usable = list(intervals)
     if not usable:
         raise RegressionError("no usable power intervals")
     vectors, times_ns, energies = group_intervals(usable, energy_per_pulse_j)
     return solve_grouped(
-        vectors, times_ns, energies, layout, voltage,
-        weighting=weighting, strict=strict,
-    )
+        vectors, times_ns, energies, layout, voltage, weighting=weighting)
 
 
 def solve_grouped(
@@ -178,7 +169,6 @@ def solve_grouped(
     voltage: float,
     *,
     weighting: str = "sqrt_et",
-    strict: bool = False,
 ) -> RegressionResult:
     """Solve the breakdown from already-grouped ``(E_j, t_j)`` inputs.
 
@@ -231,14 +221,8 @@ def solve_grouped(
     # formula ``matrix_rank``'s default tolerance uses — so one SVD
     # serves both the solve and the aliasing diagnosis.
     solution, _residuals, rank, _sv = np.linalg.lstsq(xw, yw, rcond=None)
-    aliased: list[list[str]] = []
-    if rank < x.shape[1]:
-        aliased = _find_aliased(x, observed_columns)
-        if strict:
-            raise RegressionError(
-                f"design matrix is rank deficient ({rank} < {x.shape[1]}); "
-                f"aliased groups: {aliased}"
-            )
+    aliased = (_find_aliased(x, observed_columns)
+               if rank < x.shape[1] else [])
     y_hat = x @ solution
 
     power_w = {
@@ -278,7 +262,6 @@ def _find_aliased(x: np.ndarray, columns: Sequence[SinkColumn]) -> list[list[str
 def solve_from_currents(
     state_currents_ma: Sequence[tuple[Sequence[int], float]],
     column_names: Sequence[str],
-    weights: Optional[Sequence[float]] = None,
 ) -> tuple[dict[str, float], float, float]:
     """Table 2 helper: regress scope-measured *currents* (mA) on binary
     state indicators plus a constant.
@@ -292,12 +275,7 @@ def solve_from_currents(
     x = np.array([list(ind) + [1.0] for ind, _ in state_currents_ma],
                  dtype=float)
     y = np.array([current for _, current in state_currents_ma], dtype=float)
-    if weights is None:
-        w = np.ones(len(y))
-    else:
-        w = np.array(weights, dtype=float)
-    sqrt_w = np.sqrt(w)
-    solution, *_ = np.linalg.lstsq(x * sqrt_w[:, None], y * sqrt_w, rcond=None)
+    solution, *_ = np.linalg.lstsq(x, y, rcond=None)
     y_hat = x @ solution
     norm_y = float(np.linalg.norm(y))
     rel_error = float(np.linalg.norm(y - y_hat)) / norm_y if norm_y else 0.0

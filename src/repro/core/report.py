@@ -13,7 +13,7 @@ text so every experiment's output is self-contained in the bench logs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.units import to_ms
 
@@ -25,22 +25,20 @@ def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     title: str = "",
-    align_right: Optional[Sequence[bool]] = None,
 ) -> str:
-    """Render an aligned table.  Cells are str()'d; floats pre-format
-    upstream so each table controls its own precision."""
+    """Render an aligned table: the first column left-aligned, the rest
+    right-aligned.  Cells are str()'d; floats pre-format upstream so
+    each table controls its own precision."""
     text_rows = [[str(cell) for cell in row] for row in rows]
     widths = [len(header) for header in headers]
     for row in text_rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    if align_right is None:
-        align_right = [False] + [True] * (len(headers) - 1)
 
     def fmt_row(cells: Sequence[str]) -> str:
         parts = []
         for i, cell in enumerate(cells):
-            if align_right[i]:
+            if i:
                 parts.append(cell.rjust(widths[i]))
             else:
                 parts.append(cell.ljust(widths[i]))

@@ -15,7 +15,7 @@ activity the same share of the epoch's energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.counters import CounterAccountant
@@ -38,21 +38,9 @@ class EqualEnergyPolicy:
         return self.epoch_budget_j / len(registered)
 
 
-class FixedBudgetPolicy:
-    """Explicit per-activity budgets; unknown activities are unthrottled."""
-
-    def __init__(self, budgets_j: dict[ActivityLabel, float]):
-        self.budgets_j = dict(budgets_j)
-
-    def allowance(self, label: ActivityLabel,
-                  registered: list[ActivityLabel]) -> float:
-        return self.budgets_j.get(label, float("inf"))
-
-
 @dataclass
 class _Deferred:
     fn: Callable[[], None]
-    cycles: int
     label: str
     activity: ActivityLabel
 
@@ -102,7 +90,6 @@ class EnergyBudgetScheduler:
     def post(
         self,
         fn: Callable[[], None],
-        cycles: int = 0,
         label: str = "task",
         activity: Optional[ActivityLabel] = None,
     ) -> bool:
@@ -113,11 +100,10 @@ class EnergyBudgetScheduler:
             else self.scheduler.cpu_activity.get()
         )
         if self._over_budget(acting):
-            self._deferred.append(_Deferred(fn, cycles, label, acting))
+            self._deferred.append(_Deferred(fn, label, acting))
             self.deferrals += 1
             return False
-        self.scheduler.post_function(fn, cycles=cycles, label=label,
-                                     activity=acting)
+        self.scheduler.post_function(fn, label=label, activity=acting)
         return True
 
     def new_epoch(self) -> int:
@@ -132,8 +118,7 @@ class EnergyBudgetScheduler:
                 still_deferred.append(item)
                 continue
             self.scheduler.post_function(
-                item.fn, cycles=item.cycles, label=item.label,
-                activity=item.activity)
+                item.fn, label=item.label, activity=item.activity)
             released += 1
         self._deferred = still_deferred
         self.releases += released

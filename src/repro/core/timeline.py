@@ -262,11 +262,6 @@ class _SingleTracker:
     bound to the RX proxy bound to a remote activity ends up charged
     to the remote activity.
 
-    ``bind_horizon_ns`` optionally limits how far back a bind
-    reaches; useful when the same proxy has unrelated earlier
-    episodes that legitimately never resolved (e.g. LPL false
-    positives followed by a real reception).
-
     ``track_binds=False`` drops the unresolved-segment bookkeeping
     entirely: closed segments are emitted and forgotten, so memory is
     bounded by the one open segment.  ``bound_to`` is then never set —
@@ -275,21 +270,19 @@ class _SingleTracker:
     """
 
     __slots__ = ("res_id", "emit", "bump", "track_binds",
-                 "bind_horizon_ns", "_unresolved", "_open")
+                 "_unresolved", "_open")
 
     def __init__(
         self,
         res_id: int,
         emit: Callable[[ActivitySegment], None],
         track_binds: bool = True,
-        bind_horizon_ns: Optional[int] = None,
         bump: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.res_id = res_id
         self.emit = emit
         self.bump = bump
         self.track_binds = track_binds
-        self.bind_horizon_ns = bind_horizon_ns
         # Segments awaiting resolution, keyed by the label they are
         # currently attributed to (their own label, or a proxy they were
         # already bound to).
@@ -326,19 +319,11 @@ class _SingleTracker:
         if (entry.type == TYPE_ACT_BIND and previous is not None
                 and self.track_binds):
             pending = self._unresolved.pop(previous.label, [])
-            kept: list[ActivitySegment] = []
             for segment in pending:
-                if (self.bind_horizon_ns is not None
-                        and entry.time_ns - segment.t1_ns
-                        > self.bind_horizon_ns):
-                    continue  # stale episode: stays unbound
                 segment.bound_to = new_label
-                kept.append(segment)
             # Transitivity: these now follow the new label's fate.
-            if kept:
-                self._unresolved.setdefault(new_label, []).extend(kept)
-            if self.bump is not None:
-                self.bump(len(kept) - len(pending))
+            if pending:
+                self._unresolved.setdefault(new_label, []).extend(pending)
         self._open = ActivitySegment(
             res_id=self.res_id, t0_ns=entry.time_ns, t1_ns=entry.time_ns,
             label=new_label,
@@ -453,14 +438,12 @@ class TimelineStream:
         single_res_ids: Optional[Iterable[int]] = None,
         multi_res_ids: Optional[Iterable[int]] = None,
         track_binds: bool = True,
-        bind_horizon_ns: Optional[int] = None,
         on_interval: Optional[Callable[[PowerInterval], None]] = None,
         on_segment: Optional[Callable[[ActivitySegment], None]] = None,
         on_multi_segment: Optional[
             Callable[[MultiActivitySegment], None]] = None,
     ) -> None:
         self.track_binds = track_binds
-        self.bind_horizon_ns = bind_horizon_ns
         self.on_segment = on_segment or _ignore
         self.on_multi_segment = on_multi_segment or _ignore
         self._open_items = 0
@@ -489,7 +472,6 @@ class TimelineStream:
         return _SingleTracker(
             res_id, self.on_segment,
             track_binds=self.track_binds,
-            bind_horizon_ns=self.bind_horizon_ns,
             bump=self._bump,
         )
 
@@ -1443,12 +1425,6 @@ class ColumnarTimeline:
     def multi_device_ids(self) -> list[int]:
         return list(self._multis)
 
-    def single_columns(self, res_id: int) -> Optional[_SingleColumns]:
-        return self._singles.get(res_id)
-
-    def multi_columns(self, res_id: int) -> Optional[_MultiColumns]:
-        return self._multis.get(res_id)
-
     def power_intervals(self) -> list[PowerInterval]:
         """Materialize the interval columns as objects (tests, tools)."""
         self._one_log()
@@ -1480,11 +1456,10 @@ class ColumnarTimeline:
     def grouped_inputs(
         self,
         energy_per_pulse_j: float,
-        min_interval_ns: int = 0,
     ) -> tuple[list[tuple[tuple[int, int], ...]], list[int], list[float]]:
         """Group intervals by state vector straight off the columns —
         the regression's ``(E_j, t_j)`` inputs, bit-identical to
-        :func:`repro.core.regression.group_intervals` over the usable
+        :func:`repro.core.regression.group_intervals` over the
         materialized intervals (same first-occurrence group order, same
         int time sums, same float energy fold).
 
@@ -1495,10 +1470,9 @@ class ColumnarTimeline:
         are exact int64 arithmetic regardless)."""
         self._one_log()
         dt = self.interval_t1 - self.interval_t0
-        keep = dt >= min_interval_ns
-        if not bool(keep.any()):
+        if not len(dt):
             raise RegressionError("no usable power intervals")
-        vec = self.interval_vec[keep]
+        vec = self.interval_vec
         # interval_vec is already a dense code (an index into
         # self.vectors), so grouping needs no sort: a reversed fancy
         # assignment yields each code's first-occurrence row (last
@@ -1515,10 +1489,10 @@ class ColumnarTimeline:
         remap[ordered] = np.arange(len(ordered), dtype=np.intp)
         groups = remap[vec]
         times = np.bincount(
-            groups, weights=dt[keep], minlength=len(ordered))
+            groups, weights=dt, minlength=len(ordered))
         energies = np.bincount(
             groups,
-            weights=self.interval_pulses[keep] * energy_per_pulse_j,
+            weights=self.interval_pulses * energy_per_pulse_j,
             minlength=len(ordered))
         vectors = self.vectors
         grouped = [vectors[v] for v in ordered.tolist()]

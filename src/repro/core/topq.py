@@ -20,9 +20,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.counters import CounterAccountant
-from repro.core.labels import ActivityLabel, ActivityRegistry
+from repro.core.labels import ActivityLabel
 from repro.core.report import format_table
 from repro.units import seconds, to_s
+
+#: Refresh intervals kept, and activities shown per screen.
+HISTORY = 30
+TOP_N = 10
 
 
 @dataclass
@@ -39,11 +43,6 @@ class TopSample:
     def dt_s(self) -> float:
         return (self.t1_ns - self.t0_ns) * 1e-9
 
-    def power_of(self, label: ActivityLabel) -> float:
-        """Mean power (W) the activity drew over this interval."""
-        _, energy = self.deltas.get(label, (0, 0.0))
-        return energy / self.dt_s if self.dt_s > 0 else 0.0
-
 
 class QuantoTop:
     """Periodic sampler over a node's online counters."""
@@ -52,7 +51,6 @@ class QuantoTop:
         self,
         node,
         refresh_ns: int = seconds(2),
-        history: int = 30,
     ) -> None:
         if node.counters is None:
             raise ValueError(
@@ -60,21 +58,15 @@ class QuantoTop:
         self.node = node
         self.counters: CounterAccountant = node.counters
         self.refresh_ns = refresh_ns
-        self.samples: deque[TopSample] = deque(maxlen=history)
+        self.samples: deque[TopSample] = deque(maxlen=HISTORY)
         self._last_totals: dict[ActivityLabel, tuple[int, float]] = {}
         self._last_t_ns = node.sim.now
-        self._timer = None
 
     def start(self) -> None:
         """Begin sampling (call from a CPU context, e.g. the app start)."""
-        self._timer = self.node.vtimers.start_periodic(
+        self.node.vtimers.start_periodic(
             self._refresh, self.refresh_ns, name="quanto-top",
             activity=self.node.quanto_label)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self.node.vtimers.stop(self._timer)
-            self._timer = None
 
     def _refresh(self) -> None:
         """Timer callback (runs under Quanto's own activity)."""
@@ -97,18 +89,17 @@ class QuantoTop:
     def latest(self) -> Optional[TopSample]:
         return self.samples[-1] if self.samples else None
 
-    def render(self, registry: Optional[ActivityRegistry] = None,
-               top_n: int = 10) -> str:
+    def render(self) -> str:
         """The `top`-style screen: last interval's power per activity,
         sorted descending, with cumulative energy alongside."""
-        registry = registry or self.node.registry
+        registry = self.node.registry
         sample = self.latest()
         if sample is None:
             return "(no samples yet)"
         rows = []
         ranked = sorted(sample.deltas.items(),
                         key=lambda kv: kv[1][1], reverse=True)
-        for label, (d_time, d_energy) in ranked[:top_n]:
+        for label, (d_time, d_energy) in ranked[:TOP_N]:
             total_time, total_energy = self._last_totals.get(label,
                                                              (0, 0.0))
             rows.append((
@@ -124,47 +115,3 @@ class QuantoTop:
             rows,
             title=f"quanto-top, interval {sample.dt_s:.1f} s "
                   f"(refresh #{len(self.samples)})")
-
-
-class NetworkTop:
-    """The network-wide energy `top` of paper §5.3.
-
-    Aggregates the live counters of every node's :class:`QuantoTop` into
-    one view: cumulative energy per activity per node, summed across the
-    network.  Because activity ids are a network-wide namespace and
-    labels travel in packets, a remote activity's spend on a relay shows
-    up under the *originating* activity here — live, with no logs."""
-
-    def __init__(self, tops: dict[int, QuantoTop],
-                 registry: ActivityRegistry) -> None:
-        if not tops:
-            raise ValueError("NetworkTop needs at least one node")
-        self.tops = dict(tops)
-        self.registry = registry
-
-    def totals(self) -> dict[str, dict[int, float]]:
-        """activity name -> {node_id: cumulative joules}."""
-        out: dict[str, dict[int, float]] = {}
-        for node_id, top in self.tops.items():
-            for label, slot in top.counters.snapshot().items():
-                if slot.energy_j <= 0.0:
-                    continue
-                name = self.registry.name_of(label)
-                out.setdefault(name, {})[node_id] = slot.energy_j
-        return out
-
-    def render(self, top_n: int = 12) -> str:
-        totals = self.totals()
-        ranked = sorted(totals.items(),
-                        key=lambda kv: sum(kv[1].values()), reverse=True)
-        rows = []
-        for name, per_node in ranked[:top_n]:
-            rows.append((
-                name,
-                f"{sum(per_node.values()) * 1e3:.2f}",
-                ", ".join(f"n{n}:{e * 1e3:.2f}"
-                          for n, e in sorted(per_node.items())),
-            ))
-        return format_table(
-            ("activity", "network E (mJ)", "per node (mJ)"), rows,
-            title=f"network quanto-top ({len(self.tops)} nodes)")

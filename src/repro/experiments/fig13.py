@@ -26,7 +26,6 @@ import math
 from repro.core.report import format_table, render_xy
 from repro.experiments.common import ExperimentResult
 from repro.hw.catalog import default_actual_profile
-from repro.tos.mac import LplConfig
 from repro.tos.network import Network
 from repro.tos.node import NodeConfig, RES_RADIO
 from repro.units import ma, seconds, to_s
@@ -55,7 +54,6 @@ def run_channel(channel: int, seed: int = 0) -> dict:
     network = Network(seed=seed)
     node = network.add_node(NodeConfig(
         node_id=1, mac="lpl", radio_channel_number=channel,
-        lpl=LplConfig(),
         platform=PlatformConfig(voltage=LPL_VOLTAGE, profile=_lpl_profile()),
     ))
     network.add_wifi_interferer()

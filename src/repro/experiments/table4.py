@@ -25,6 +25,7 @@ from repro.core.logger import (
 )
 from repro.core.report import format_table, render_kv
 from repro.experiments.common import ExperimentResult, run_blink
+from repro.hw.mcu import CYCLE_NS
 from repro.units import to_mj, to_s
 
 
@@ -44,7 +45,7 @@ def run(seed: int = 0) -> ExperimentResult:
 
     node, app, sim = run_blink(seed)
     records = node.logger.records_written
-    logging_ns = records * COST_TOTAL * node.platform.mcu.cycle_ns
+    logging_ns = records * COST_TOTAL * CYCLE_NS
     active_ns = node.platform.mcu.total_active_time_ns
     total_ns = sim.now
 

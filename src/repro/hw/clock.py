@@ -54,12 +54,6 @@ class ClockSystem:
             self._isr()
         self.timer_a.unit(1).arm(self.sim.now + self._period_ns)
 
-    def stop(self) -> None:
-        """Disable the calibration loop (what the paper's developers did
-        once Quanto surfaced it)."""
-        self.dco_calibration = False
-        self.timer_a.unit(1).disarm()
-
     def reset(self, dco_calibration: Optional[bool] = None) -> None:
         """Warm-start reset: zero the tally and, when calibration is
         configured on, re-arm the loop exactly as :meth:`start` did at

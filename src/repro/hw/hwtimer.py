@@ -48,9 +48,6 @@ class CompareUnit:
             self._event.cancel()
             self._event = None
 
-    def armed(self) -> bool:
-        return self._event is not None and self._event.alive
-
     def reset(self) -> None:
         """Warm-start reset: forget the pending arm (the simulator reset
         already detached the event) and the fire tally.  The installed

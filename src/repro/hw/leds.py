@@ -2,14 +2,13 @@
 
 The hardware side is trivial — each LED is a sink that draws its actual
 profile current while the pin is low (LEDs on this platform are active-low,
-as the paper's Figure 2 comments note).  State-change notifications go to
-an optional listener per LED, which is where the instrumented driver plugs
-in its ``PowerState.set`` calls.
+as the paper's Figure 2 comments note).  The instrumented driver signals
+the power state itself, just before it flips the pin.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import HardwareError
 from repro.hw.catalog import ActualDrawProfile
@@ -30,13 +29,7 @@ class Led:
         self._sink = rail.register(name)
         self._on_amps = profile.current(name, "ON")
         self._is_on = False
-        self._listener: Optional[Callable[[bool], None]] = None
         self.toggle_count = 0
-
-    def set_listener(self, fn: Callable[[bool], None]) -> None:
-        """Install the driver's state-change observer (called with the new
-        on/off state after every *actual* change)."""
-        self._listener = fn
 
     @property
     def is_on(self) -> bool:
@@ -48,8 +41,6 @@ class Led:
         self._is_on = True
         self.toggle_count += 1
         self._sink.set_current(self._on_amps)
-        if self._listener:
-            self._listener(True)
 
     def off(self) -> None:
         if not self._is_on:
@@ -57,24 +48,14 @@ class Led:
         self._is_on = False
         self.toggle_count += 1
         self._sink.off()
-        if self._listener:
-            self._listener(False)
-
-    def toggle(self) -> None:
-        if self._is_on:
-            self.off()
-        else:
-            self.on()
 
     def reset(self, profile: Optional[ActualDrawProfile] = None) -> None:
         """Warm-start reset: off, tally zeroed, the on-draw re-derived
-        for the (possibly re-varied) profile.  Listeners are attached by
-        harness code, not platform construction, so they are dropped."""
+        for the (possibly re-varied) profile."""
         if profile is not None:
             self._on_amps = profile.current(self.name, "ON")
         self._is_on = False
         self.toggle_count = 0
-        self._listener = None
 
 
 class LedBank:
@@ -88,10 +69,6 @@ class LedBank:
             return self.leds[index]
         except IndexError:
             raise HardwareError(f"no LED {index}") from None
-
-    def all_off(self) -> None:
-        for led in self.leds:
-            led.off()
 
     def reset(self, profile: Optional[ActualDrawProfile] = None) -> None:
         """Warm-start reset of all three LEDs."""

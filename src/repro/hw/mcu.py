@@ -10,9 +10,9 @@ queue ahead of task jobs, which models TinyOS's "async preempts tasks"
 semantics with a latency of at most the current job's remaining cycles.
 
 Power: the CPU sink draws its ACTIVE current while any job is running and
-its sleep-state current otherwise.  Drivers observe the ACTIVE/sleep
-transitions through :meth:`add_power_listener`, which is how the Quanto
-instrumentation exposes the CPU power state without touching ground truth.
+its sleep-state current otherwise.  The Quanto instrumentation exposes the
+CPU power state from the OS side (:mod:`repro.tos.context`), never by
+reading this ground truth.
 """
 
 from __future__ import annotations
@@ -28,9 +28,13 @@ from repro.sim.engine import Simulator
 #: CPU sleep modes, shallowest to deepest (Table 1).
 SLEEP_STATES = ("LPM0", "LPM1", "LPM2", "LPM3", "LPM4")
 
+#: One cycle at the 1 MHz clock.
+CYCLE_NS = 1000
+
 
 class CpuJob:
-    """One run-to-completion block: a callback plus its base cycle cost.
+    """One run-to-completion block: a callback whose cycle cost it
+    declares with :meth:`Mcu.consume` as it runs.
 
     ``args`` are passed to ``fn`` when the job runs — callers that would
     otherwise build a closure per post (the scheduler and interrupt
@@ -38,19 +42,18 @@ class CpuJob:
     arguments instead.
     """
 
-    __slots__ = ("fn", "args", "base_cycles", "label", "irq")
+    __slots__ = ("fn", "args", "label", "irq")
 
-    def __init__(self, fn: Callable[..., None], base_cycles: int, label: str,
-                 irq: bool, args: tuple = ()):
+    def __init__(self, fn: Callable[..., None], label: str, irq: bool,
+                 args: tuple = ()):
         self.fn = fn
         self.args = args
-        self.base_cycles = base_cycles
         self.label = label
         self.irq = irq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "irq" if self.irq else "task"
-        return f"<CpuJob {kind} {self.label!r} {self.base_cycles}cy>"
+        return f"<CpuJob {kind} {self.label!r}>"
 
 
 class Mcu:
@@ -61,13 +64,11 @@ class Mcu:
         sim: Simulator,
         rail: PowerRail,
         profile: ActualDrawProfile,
-        cycle_ns: int = 1000,
         sleep_state: str = "LPM3",
     ) -> None:
         if sleep_state not in SLEEP_STATES:
             raise HardwareError(f"unknown sleep state {sleep_state!r}")
         self.sim = sim
-        self.cycle_ns = int(cycle_ns)
         self.profile = profile
         self.sleep_state = sleep_state
         # The CPU toggles ACTIVE/sleep on every wakeup; look the two
@@ -81,7 +82,6 @@ class Mcu:
         self._in_job = False
         self._pending_cycles = 0
         self._job_start_ns = 0
-        self._power_listeners: list[Callable[[str], None]] = []
         # Statistics for Table 4 / cost accounting.
         self.total_active_cycles = 0
         self.jobs_executed = 0
@@ -114,37 +114,23 @@ class Mcu:
 
     # -- power-state plumbing -------------------------------------------
 
-    def add_power_listener(self, fn: Callable[[str], None]) -> None:
-        """Subscribe to CPU power-state names ('ACTIVE', 'LPM3', ...).
-        This is the observation point the Quanto CPU driver hooks."""
-        self._power_listeners.append(fn)
-
-    def _notify_power(self, state: str) -> None:
-        for listener in self._power_listeners:
-            listener(state)
-
     def _apply_active_current(self) -> None:
         self._sink.set_current(self._active_amps)
 
     def _apply_sleep_current(self) -> None:
         self._sink.set_current(self._sleep_amps)
 
-    @property
-    def active(self) -> bool:
-        """True while the CPU is executing (not sleeping)."""
-        return self._active
-
     # -- job submission ----------------------------------------------------
 
-    def post_irq(self, fn: Callable[..., None], cycles: int = 0,
-                 label: str = "irq", args: tuple = ()) -> None:
+    def post_irq(self, fn: Callable[..., None], label: str = "irq",
+                 args: tuple = ()) -> None:
         """Queue an interrupt-context job (runs ahead of task jobs)."""
-        self._post(CpuJob(fn, int(cycles), label, irq=True, args=args))
+        self._post(CpuJob(fn, label, irq=True, args=args))
 
-    def post_task(self, fn: Callable[..., None], cycles: int = 0,
-                  label: str = "task", args: tuple = ()) -> None:
+    def post_task(self, fn: Callable[..., None], label: str = "task",
+                  args: tuple = ()) -> None:
         """Queue a task-context job (FIFO among tasks)."""
-        self._post(CpuJob(fn, int(cycles), label, irq=False, args=args))
+        self._post(CpuJob(fn, label, irq=False, args=args))
 
     def _post(self, job: CpuJob) -> None:
         if job.irq:
@@ -157,7 +143,6 @@ class Mcu:
     def _wake(self) -> None:
         self._active = True
         self._apply_active_current()
-        self._notify_power("ACTIVE")
         self.sim.call_now(self._dispatch)
 
     # -- execution -----------------------------------------------------
@@ -165,8 +150,7 @@ class Mcu:
     def _dispatch(self) -> None:
         if self._in_job:
             return
-        # Inlined _next_job (kept as a method for tests/repr): dispatch
-        # runs once per job and the call was pure overhead.
+        # Interrupt jobs first, then tasks in FIFO order.
         if self._irq_jobs:
             job = self._irq_jobs.popleft()
         elif self._task_jobs:
@@ -176,7 +160,6 @@ class Mcu:
             return
         sim = self.sim
         self._in_job = True
-        self._pending_cycles = job.base_cycles
         self._job_start_ns = sim._now
         self.jobs_executed += 1
         try:
@@ -188,21 +171,13 @@ class Mcu:
             self.total_active_cycles += cycles
             # at() directly: cycles are validated non-negative, so the
             # after() delay check is redundant on this per-job path.
-            sim.at(sim._now + cycles * self.cycle_ns, self._dispatch)
-
-    def _next_job(self) -> Optional[CpuJob]:
-        if self._irq_jobs:
-            return self._irq_jobs.popleft()
-        if self._task_jobs:
-            return self._task_jobs.popleft()
-        return None
+            sim.at(sim._now + cycles * CYCLE_NS, self._dispatch)
 
     def _go_to_sleep(self) -> None:
         if not self._active:
             return
         self._active = False
         self._apply_sleep_current()
-        self._notify_power(self.sleep_state)
 
     # -- cycle accounting ----------------------------------------------
 
@@ -218,10 +193,6 @@ class Mcu:
         if cycles < 0:
             raise HardwareError(f"negative cycle cost: {cycles}")
         self._pending_cycles += int(cycles)
-
-    def idle(self) -> bool:
-        """True when no jobs are queued or running."""
-        return not (self._in_job or self._irq_jobs or self._task_jobs)
 
     def jobs_pending(self) -> int:
         """Queued (not yet started) jobs — used by the instrumentation to
@@ -240,12 +211,12 @@ class Mcu:
         """
         if not self._in_job:
             return self.sim._now
-        return self._job_start_ns + self._pending_cycles * self.cycle_ns
+        return self._job_start_ns + self._pending_cycles * CYCLE_NS
 
     @property
     def total_active_time_ns(self) -> int:
         """Total CPU-active time implied by executed cycles."""
-        return self.total_active_cycles * self.cycle_ns
+        return self.total_active_cycles * CYCLE_NS
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "ACTIVE" if self._active else self.sleep_state

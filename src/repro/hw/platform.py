@@ -2,9 +2,12 @@
 
 A :class:`HydrowatchPlatform` owns the power rail, the MCU, both timer
 blocks, the clock system, the LED bank, the SPI bus, the radio, the
-external flash, the SHT11 sensor, the analog blocks, and the iCount meter.
-The OS layer (:mod:`repro.tos`) builds on exactly this surface; nothing in
-the platform knows about Quanto.
+external flash, the SHT11 sensor, and the iCount meter.  The MCU-internal
+blocks of Table 1 that no workload drives (the ADC, DAC, voltage
+reference, internal flash, temperature sensor, comparator and supply
+supervisor) are sinks on the rail that never draw.  The OS layer
+(:mod:`repro.tos`) builds on exactly this surface; nothing in the
+platform knows about Quanto.
 
 ``PlatformConfig`` centralizes every knob the experiments turn: supply
 voltage, actual-draw profile, device variation, meter error, scope noise,
@@ -16,19 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.hw.adc import Adc, Dac, VoltageReference
 from repro.hw.catalog import ActualDrawProfile, default_actual_profile
 from repro.hw.clock import ClockSystem
 from repro.hw.flash import ExternalFlash
 from repro.hw.hwtimer import TimerBlock
 from repro.hw.leds import LedBank
 from repro.hw.mcu import Mcu
-from repro.hw.misc import (
-    AnalogComparator,
-    InternalFlash,
-    InternalTempSensor,
-    SupplySupervisor,
-)
 from repro.hw.power import PowerRail
 from repro.hw.radio import Radio
 from repro.hw.sensor import Sht11Sensor
@@ -38,11 +34,16 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 
 
+#: The MCU-internal Table 1 sinks that stay at zero draw (the supply
+#: supervisor's is folded into the baseline), in registration order.
+IDLE_MCU_SINKS = ("VoltageReference", "ADC", "DAC", "InternalFlash",
+                  "TemperatureSensor", "AnalogComparator", "SupplySupervisor")
+
+
 @dataclass
 class PlatformConfig:
     """Per-node hardware configuration."""
 
-    node_id: int = 1
     voltage: float = 3.0
     profile: Optional[ActualDrawProfile] = None
     sleep_state: str = "LPM3"
@@ -51,7 +52,6 @@ class PlatformConfig:
     icount_gain_error: float = 0.0
     icount_jitter_pulses: float = 0.0
     device_variation: float = 0.0
-    supervisor_enabled: bool = False  # its draw is folded into the baseline
 
     def resolved_profile(self, rng_factory: RngFactory,
                          node_id: int) -> ActualDrawProfile:
@@ -74,13 +74,14 @@ class HydrowatchPlatform:
     def __init__(
         self,
         sim: Simulator,
+        node_id: int,
         config: Optional[PlatformConfig] = None,
         rng_factory: Optional[RngFactory] = None,
     ) -> None:
         self.sim = sim
+        self.node_id = node_id
         self.config = config or PlatformConfig()
         self.rng = rng_factory or RngFactory(0)
-        node_id = self.config.node_id
         self.profile = self.config.resolved_profile(self.rng, node_id)
 
         self.rail = PowerRail(sim, voltage=self.config.voltage)
@@ -104,15 +105,8 @@ class HydrowatchPlatform:
         self.sensor = Sht11Sensor(
             sim, self.rail, rng=self.rng.stream(f"node{node_id}.sht11")
         )
-        self.vref = VoltageReference(self.rail, self.profile)
-        self.adc = Adc(sim, self.rail, self.profile, self.vref)
-        self.dac = Dac(self.rail, self.profile)
-        self.internal_flash = InternalFlash(sim, self.rail, self.profile)
-        self.internal_temp = InternalTempSensor(self.rail, self.profile)
-        self.comparator = AnalogComparator(self.rail, self.profile)
-        self.supervisor = SupplySupervisor(
-            self.rail, self.profile, enabled=self.config.supervisor_enabled
-        )
+        for name in IDLE_MCU_SINKS:
+            self.rail.register(name)
         self.icount = ICountMeter(
             self.rail,
             gain_error=self.config.icount_gain_error,
@@ -132,8 +126,7 @@ class HydrowatchPlatform:
         and pushes the fresh profile into every block that caches draws,
         then re-applies the initial currents onto the zeroed rail.
         """
-        node_id = self.config.node_id
-        self.profile = self.config.resolved_profile(self.rng, node_id)
+        self.profile = self.config.resolved_profile(self.rng, self.node_id)
         profile = self.profile
         self.rail.reset()
         self._baseline.set_current(profile.baseline_amps)
@@ -146,18 +139,7 @@ class HydrowatchPlatform:
         self.radio.reset(profile)
         self.flash.reset(profile)
         self.sensor.reset()
-        self.vref.reset(profile)
-        self.adc.reset(profile)
-        self.dac.reset(profile)
-        self.internal_flash.reset(profile)
-        self.internal_temp.reset(profile)
-        self.comparator.reset(profile)
-        self.supervisor.reset(profile, enabled=self.config.supervisor_enabled)
         self.icount.reset()
-
-    @property
-    def node_id(self) -> int:
-        return self.config.node_id
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<HydrowatchPlatform node={self.node_id}>"

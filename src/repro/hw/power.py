@@ -85,13 +85,6 @@ class PowerRail:
         self._sink_energy_j[name] = 0.0
         return handle
 
-    def sink(self, name: str) -> SinkHandle:
-        """Look up a registered sink by name."""
-        try:
-            return self._sinks[name]
-        except KeyError:
-            raise PowerModelError(f"unknown sink {name!r}") from None
-
     def add_observer(self, fn: Callable[[int, float], None]) -> None:
         """Subscribe to aggregate current steps: ``fn(t_ns, total_amps)``."""
         self._observers.append(fn)
@@ -177,10 +170,6 @@ class PowerRail:
     def current(self) -> float:
         """Aggregate current draw right now, in amperes."""
         return self._total_amps
-
-    def power(self) -> float:
-        """Aggregate power draw right now, in watts."""
-        return self._total_amps * self.voltage
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

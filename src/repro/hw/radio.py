@@ -108,8 +108,9 @@ class Radio:
         self._control = rail.register("RadioControlPath")
         self._rx_path = rail.register("RadioRxPath")
         self._tx_path = rail.register("RadioTxPath")
-        self._battery_monitor = rail.register("RadioBatteryMonitor")
-        self.battery_monitor_enabled = False
+        # Table 1's battery monitor: a sink of its own that nothing here
+        # enables.
+        rail.register("RadioBatteryMonitor")
         self.state = STATE_OFF
         self.channel: Optional["RadioChannel"] = None
         self.freq_channel = 26  # 802.15.4 channel number (11..26)
@@ -119,7 +120,6 @@ class Radio:
         self.on_rx_done: Optional[Callable[[], None]] = None
         self.on_tx_sfd: Optional[Callable[[], None]] = None
         self.on_tx_done: Optional[Callable[[], None]] = None
-        self._state_listener: Optional[Callable[[str], None]] = None
         self.tx_fifo: Optional[Frame] = None
         self.rx_fifo: list[Frame] = []
         self._rx_in_progress: Optional[Frame] = None
@@ -149,7 +149,6 @@ class Radio:
         if profile is not None:
             self.profile = profile
         self._state_currents.clear()
-        self.battery_monitor_enabled = False
         self.state = STATE_OFF
         self.tx_power_dbm = 0
         self.tx_fifo = None
@@ -167,27 +166,10 @@ class Radio:
         self.channel = channel
         channel.register(self)
 
-    def set_state_listener(self, fn: Callable[[str], None]) -> None:
-        """Driver hook: observe every radio power-state transition."""
-        self._state_listener = fn
-
     def set_channel_number(self, freq_channel: int) -> None:
         if not 11 <= freq_channel <= 26:
             raise HardwareError(f"bad 802.15.4 channel {freq_channel}")
         self.freq_channel = freq_channel
-
-    def battery_monitor_enable(self) -> None:
-        """Enable the on-chip battery monitor (Table 1: 30 uA while
-        enabled).  Needs the regulator up."""
-        if self.state == STATE_OFF:
-            raise HardwareError("battery monitor needs the regulator on")
-        self.battery_monitor_enabled = True
-        self._battery_monitor.set_current(
-            self.profile.current("RadioBatteryMonitor", "ENABLED"))
-
-    def battery_monitor_disable(self) -> None:
-        self.battery_monitor_enabled = False
-        self._battery_monitor.off()
 
     # -- ground-truth plumbing -------------------------------------------
 
@@ -221,8 +203,6 @@ class Radio:
         self._control.set_current(control)
         self._rx_path.set_current(rx)
         self._tx_path.set_current(tx)
-        if self._state_listener:
-            self._state_listener(state)
 
     # -- power control -----------------------------------------------------
 
@@ -239,7 +219,6 @@ class Radio:
         self._rx_in_progress = None
         if self.channel is not None:
             self.channel.radio_stopped_listening(self)
-        self.battery_monitor_disable()
         self._enter(STATE_OFF)
 
     def osc_on(self, on_done: Callable[[], None]) -> None:

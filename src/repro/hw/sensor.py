@@ -13,7 +13,7 @@ sensor — the SHT11 is an external part).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import HardwareError
 from repro.hw.power import PowerRail
@@ -38,13 +38,8 @@ class Sht11Sensor:
         self._sink = rail.register("SHT11")
         self._rng = rng
         self.state = STATE_IDLE
-        self._listener: Optional[Callable[[str], None]] = None
         self.measurements = 0
         self._sink.set_current(IDLE_AMPS)
-
-    def set_listener(self, fn: Callable[[str], None]) -> None:
-        """Driver hook: observe IDLE/MEASURING transitions."""
-        self._listener = fn
 
     def reset(self) -> None:
         """Warm-start reset: idle, tally zeroed.  The rng stream is
@@ -56,8 +51,6 @@ class Sht11Sensor:
     def _apply(self, state: str, amps: float) -> None:
         self.state = state
         self._sink.set_current(amps)
-        if self._listener:
-            self._listener(state)
 
     def _measure(self, duration_ns: int, base: float, spread: float,
                  on_done: Callable[[float], None]) -> None:

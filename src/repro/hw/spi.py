@@ -15,7 +15,7 @@ handlers.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import HardwareError
 from repro.sim.engine import Simulator
@@ -34,9 +34,8 @@ DMA_SETUP_NS = us(24)
 class SpiBus:
     """A single-master SPI bus with pair-interrupt and DMA transfer modes."""
 
-    def __init__(self, sim: Simulator, byte_time_ns: int = BYTE_TIME_NS):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.byte_time_ns = int(byte_time_ns)
         self._busy = False
         self.pair_interrupts = 0
         self.dma_transfers = 0
@@ -72,7 +71,7 @@ class SpiBus:
             self._acquire()
         chunk = min(nbytes, PAIR_SIZE)
         self.pair_interrupts += 1
-        self.sim.after(chunk * self.byte_time_ns, on_pair_done)
+        self.sim.after(chunk * BYTE_TIME_NS, on_pair_done)
 
     def end_transfer(self) -> None:
         """Release the bus after an interrupt-driven transfer completes."""
@@ -87,21 +86,10 @@ class SpiBus:
             raise HardwareError("dma_transfer needs at least one byte")
         self._acquire()
         self.dma_transfers += 1
-        duration = DMA_SETUP_NS + nbytes * self.byte_time_ns
+        duration = DMA_SETUP_NS + nbytes * BYTE_TIME_NS
 
         def finish() -> None:
             self._release()
             on_done()
 
         self.sim.after(duration, finish)
-
-    def transfer_time_ns(self, nbytes: int, mode: str,
-                         handler_latency_ns: int = 0) -> int:
-        """Analytic transfer time for reports: DMA is setup + wire time;
-        interrupt mode adds the per-pair handler latency."""
-        if mode == "dma":
-            return DMA_SETUP_NS + nbytes * self.byte_time_ns
-        if mode == "irq":
-            pairs = (nbytes + PAIR_SIZE - 1) // PAIR_SIZE
-            return nbytes * self.byte_time_ns + pairs * handler_latency_ns
-        raise HardwareError(f"unknown SPI mode {mode!r}")

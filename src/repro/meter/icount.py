@@ -43,18 +43,12 @@ class ICountMeter:
     def __init__(
         self,
         rail: PowerRail,
-        energy_per_pulse_j: float = DEFAULT_ENERGY_PER_PULSE_J,
         gain_error: float = 0.0,
         jitter_pulses: float = 0.0,
         rng=None,
     ) -> None:
-        if energy_per_pulse_j <= 0:
-            raise ValueError("energy_per_pulse_j must be positive")
-        if gain_error and rng is None and gain_error != 0.0:
-            # gain error is deterministic once chosen; rng only needed for jitter
-            pass
         self.rail = rail
-        self.nominal_energy_per_pulse_j = float(energy_per_pulse_j)
+        self.nominal_energy_per_pulse_j = DEFAULT_ENERGY_PER_PULSE_J
         # A gain error of g means the meter behaves as if each pulse carried
         # (1+g)x the nominal energy: the count reads low for g > 0.
         self.gain_error = float(gain_error)

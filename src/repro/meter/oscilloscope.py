@@ -64,10 +64,6 @@ class ScopeTrace:
         total += prev_level * (t1_ns - prev_t)
         return total / (t1_ns - t0_ns)
 
-    def energy(self, t0_ns: int, t1_ns: int, voltage: float) -> float:
-        """Energy over the window in joules, from the exact step trace."""
-        return self.mean_current(t0_ns, t1_ns) * voltage * to_s(t1_ns - t0_ns)
-
 
 class Oscilloscope:
     """Records the rail's aggregate current and produces sampled views."""
@@ -108,7 +104,6 @@ class Oscilloscope:
         t1_ns: int,
         sample_period_ns: int,
         ripple: bool = False,
-        energy_per_pulse_j: float = 8.33e-6,
     ) -> tuple[list[int], list[float]]:
         """Sampled current waveform over a window.
 
@@ -119,7 +114,6 @@ class Oscilloscope:
         """
         times: list[int] = []
         values: list[float] = []
-        voltage = self.rail.voltage
         t = t0_ns
         while t < t1_ns:
             level = self.trace.level_at(t)

@@ -15,37 +15,31 @@ because its spectral distance (43 MHz) zeroes the overlap factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.net.channel import overlap_factor
 from repro.sim.engine import Simulator
 from repro.units import ms, to_s, us
 
 
-@dataclass
-class WifiTrafficConfig:
-    """Knobs for the interference process."""
-
-    center_mhz: float = 2437.0  # 802.11 channel 6
-    bandwidth_mhz: float = 22.0
-    beacon_period_ns: int = ms(102.4)
-    beacon_duration_ns: int = ms(1.0)
-    #: Mean idle gap between data bursts (exponential).  Together with the
-    #: burst length this sets the busy fraction; the default is tuned so a
-    #: ~7 ms LPL sampling span sees a burst ~18 % of the time (the paper's
-    #: channel-17 false-positive rate).
-    data_gap_mean_ns: int = ms(55.0)
-    #: Mean data burst duration (exponential, capped).
-    data_burst_mean_ns: int = ms(4.0)
-    data_burst_cap_ns: int = ms(20.0)
+#: 802.11 channel 6 and its occupied bandwidth.
+CENTER_MHZ = 2437.0
+BANDWIDTH_MHZ = 22.0
+BEACON_PERIOD_NS = ms(102.4)
+BEACON_DURATION_NS = ms(1.0)
+#: Mean idle gap between data bursts (exponential).  Together with the
+#: burst length this sets the busy fraction, tuned so a ~7 ms LPL sampling
+#: span sees a burst ~18 % of the time (the paper's channel-17
+#: false-positive rate).
+DATA_GAP_MEAN_NS = ms(55.0)
+#: Mean data burst duration (exponential, capped).
+DATA_BURST_MEAN_NS = ms(4.0)
+DATA_BURST_CAP_NS = ms(20.0)
 
 
 class Wifi80211Interferer:
     """Beacons plus bursty data traffic on a Wi-Fi channel."""
 
-    def __init__(self, sim: Simulator, config: WifiTrafficConfig, rng) -> None:
+    def __init__(self, sim: Simulator, rng) -> None:
         self.sim = sim
-        self.config = config
         self._rng = rng
         self._beacon_active = False
         self._data_active = False
@@ -57,20 +51,15 @@ class Wifi80211Interferer:
         if self._running:
             return
         self._running = True
-        self.sim.after(self.config.beacon_period_ns, self._beacon)
+        self.sim.after(BEACON_PERIOD_NS, self._beacon)
         self.sim.after(self._next_gap(), self._data_burst)
 
     def _next_gap(self) -> int:
-        return max(
-            us(50),
-            int(self._rng.expovariate(1.0 / self.config.data_gap_mean_ns)),
-        )
+        return max(us(50), int(self._rng.expovariate(1.0 / DATA_GAP_MEAN_NS)))
 
     def _next_burst(self) -> int:
-        duration = int(
-            self._rng.expovariate(1.0 / self.config.data_burst_mean_ns)
-        )
-        return max(us(200), min(duration, self.config.data_burst_cap_ns))
+        duration = int(self._rng.expovariate(1.0 / DATA_BURST_MEAN_NS))
+        return max(us(200), min(duration, DATA_BURST_CAP_NS))
 
     def _beacon(self) -> None:
         if not self._running:
@@ -81,8 +70,8 @@ class Wifi80211Interferer:
         def beacon_done() -> None:
             self._beacon_active = False
 
-        self.sim.after(self.config.beacon_duration_ns, beacon_done)
-        self.sim.after(self.config.beacon_period_ns, self._beacon)
+        self.sim.after(BEACON_DURATION_NS, beacon_done)
+        self.sim.after(BEACON_PERIOD_NS, self._beacon)
 
     def _data_burst(self) -> None:
         if not self._running:
@@ -109,6 +98,4 @@ class Wifi80211Interferer:
 
     def overlap(self, channel: int) -> float:
         """Spectral overlap with an 802.15.4 channel (0..1)."""
-        return overlap_factor(
-            self.config.center_mhz, self.config.bandwidth_mhz, channel
-        )
+        return overlap_factor(CENTER_MHZ, BANDWIDTH_MHZ, channel)

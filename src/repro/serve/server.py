@@ -89,7 +89,10 @@ from repro.serve.protocol import (
 )
 from repro.sim.faultinject import fire
 
-#: Socket read size for ingest bodies.
+#: Socket read size for ingest bodies, and each connection's stream
+#: buffer limit: the reader pauses the socket past twice this, so one
+#: stream holds at most that much beyond its chunk queue.  Request lines
+#: up to ``LINE_LIMIT`` are gathered across the smaller buffer.
 READ_CHUNK = 1 << 16
 
 #: Chunks buffered per node stream between the socket reader and the
@@ -310,6 +313,30 @@ class NodeSession:
         }
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request line (``b""`` at EOF, the unterminated tail if the
+    peer closes mid-line), gathered a buffer-full at a time so it may
+    exceed the stream's ``READ_CHUNK`` limit up to ``LINE_LIMIT``."""
+    parts: list[bytes] = []
+    size = 0
+    while True:
+        try:
+            part = await reader.readuntil(b"\n")
+            done = True
+        except asyncio.LimitOverrunError as exc:
+            part = await reader.readexactly(exc.consumed)
+            done = False
+        except asyncio.IncompleteReadError as exc:
+            part = exc.partial
+            done = True
+        size += len(part)
+        if size > LINE_LIMIT:
+            raise ServeError(f"request line longer than {LINE_LIMIT} bytes")
+        parts.append(part)
+        if done:
+            return b"".join(parts)
+
+
 class IngestServer:
     """The long-running service.  ``await start_tcp(...)`` and/or
     ``await start_unix(...)``, then :meth:`serve_forever` (or just keep
@@ -459,7 +486,7 @@ class IngestServer:
     async def start_tcp(self, host: str, port: int) -> tuple[str, int]:
         try:
             server = await asyncio.start_server(
-                self._handle, host, port, limit=LINE_LIMIT)
+                self._handle, host, port, limit=READ_CHUNK)
         except OSError as exc:
             raise ServeError(f"cannot listen on {host}:{port}: {exc}") \
                 from exc
@@ -478,7 +505,7 @@ class IngestServer:
             pass
         try:
             server = await asyncio.start_unix_server(
-                self._handle, path, limit=LINE_LIMIT)
+                self._handle, path, limit=READ_CHUNK)
         except OSError as exc:
             raise ServeError(f"cannot listen on unix:{path}: {exc}") \
                 from exc
@@ -587,7 +614,11 @@ class IngestServer:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
         try:
-            line = await reader.readline()
+            try:
+                line = await _read_line(reader)
+            except ServeError as exc:
+                await self._reject(writer, str(exc))
+                return
             if not line:
                 return
             verb, _, payload = line.strip().partition(b" ")

@@ -185,12 +185,12 @@ class Simulator:
 
     # -- execution -----------------------------------------------------
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
+    def run(self, until: Optional[int] = None) -> None:
         """Run events in order.
 
         ``until`` — stop once the next event lies beyond this time and set
         the clock to exactly ``until`` (so integrators can flush to the end
-        of the window).  ``max_events`` — safety valve for runaway loops.
+        of the window).
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
@@ -198,7 +198,6 @@ class Simulator:
             raise SimulationError(
                 "simulator is attached to a batch; run the batch instead")
         self._running = True
-        executed = 0
         times = self._times
         buckets = self._buckets
         try:
@@ -233,11 +232,6 @@ class Simulator:
                 self._now = time_ns
                 self._events_executed += 1
                 event.fn(*event.args)
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at t={self._now} ns"
-                    )
             if until is not None and until > self._now:
                 self._now = until
         finally:

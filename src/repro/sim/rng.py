@@ -50,9 +50,3 @@ class RngFactory:
         for name, stream in self._streams.items():
             stream.seed(self._derive(name))
 
-    def fork(self, name: str) -> "RngFactory":
-        """Derive a child factory (e.g. one per node) with its own space."""
-        digest = hashlib.sha256(
-            f"{self.master_seed}/{name}".encode("utf-8")
-        ).digest()
-        return RngFactory(int.from_bytes(digest[:8], "big"))

@@ -127,10 +127,6 @@ class PointSummary:
     wall_s: float
     from_cache: bool = False
 
-    @property
-    def seed(self) -> int:
-        return self.point.seed
-
 
 @dataclass(frozen=True)
 class MetricStats:
@@ -279,12 +275,6 @@ class SweepResult:
             hasher.update(point.point.describe().encode("utf-8"))
             hasher.update(point.digest.encode("ascii"))
         return hasher.hexdigest()
-
-    def metric(self, name: str) -> MetricStats:
-        for stats in self.metrics:
-            if stats.name == name:
-                return stats
-        raise KeyError(name)
 
     def render(self) -> str:
         mode = f"parallel x{self.jobs}" if self.jobs > 1 else "serial"

@@ -129,11 +129,10 @@ class ActiveMessageLayer:
         am_type: int,
         payload: bytes,
         on_send_done: Optional[Callable[[Frame], None]] = None,
-        activity: Optional[ActivityLabel] = None,
     ) -> Frame:
         """Submit a packet.  The hidden activity field is stamped with the
-        CPU's current activity (paper §3.3) unless overridden."""
-        label = activity if activity is not None else self.cpu_activity.get()
+        CPU's current activity (paper §3.3)."""
+        label = self.cpu_activity.get()
         self._seqno = (self._seqno + 1) & 0xFF
         frame = Frame(
             src=self.node_id,

@@ -51,11 +51,10 @@ class LedsDriver:
         self.mcu.consume(PIN_CYCLES)
         self.bank.led(index).off()
 
-    def paint(self, index: int, label: ActivityLabel | None = None) -> None:
-        """Paint an LED's activity device — with the CPU's current
-        activity by default (how applications color LED usage)."""
-        target = label if label is not None else self.cpu_activity.get()
-        self.activities[index].set(target)
+    def paint(self, index: int) -> None:
+        """Paint an LED's activity device with the CPU's current activity
+        (how applications color LED usage)."""
+        self.activities[index].set(self.cpu_activity.get())
 
     def unpaint(self, index: int) -> None:
         """Return an LED's activity to idle."""

@@ -5,8 +5,8 @@ handled by the radio driver (the Bounce configuration).
 
 **LplMac** implements the duty-cycling regime of the paper's first case
 study (Polastre-style low-power listening): the receiver sleeps, waking
-every ``check_interval`` to sample the channel; if it detects energy it
-stays in RX for up to ``detect_timeout`` waiting for a packet, otherwise
+every ``CHECK_INTERVAL_NS`` to sample the channel; if it detects energy it
+stays in RX for up to ``DETECT_TIMEOUT_NS`` waiting for a packet, otherwise
 it powers back down.  External wide-band interference therefore causes
 *false positives* that keep the radio on — the effect Figure 13
 quantifies.  Senders transmit the packet repeatedly for a full check
@@ -21,7 +21,6 @@ paper's Figure 14 displays the wasted energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.activity import SingleActivityDevice
@@ -55,19 +54,16 @@ class CsmaMac:
         self.driver.set_receive(fn)
 
 
-@dataclass
-class LplConfig:
-    """Low-power listening parameters (paper defaults: 500 ms checks)."""
-
-    check_interval_ns: int = ms(500)
-    #: CCA samples per wake-up and their spacing.  Each sample also pays
-    #: the virtual-timer dispatch cost (~1 ms of CPU at 1 MHz), so four
-    #: samples at a 1 ms gap yield the paper's ~11 ms of radio-on time
-    #: per check (2.22 % duty at 500 ms checks).
-    cca_samples: int = 4
-    cca_sample_gap_ns: int = ms(1.0)
-    #: How long a detection keeps the radio on waiting for a packet.
-    detect_timeout_ns: int = ms(100)
+#: Low-power listening parameters (the paper's defaults: 500 ms checks).
+CHECK_INTERVAL_NS = ms(500)
+#: CCA samples per wake-up and their spacing.  Each sample also pays the
+#: virtual-timer dispatch cost (~1 ms of CPU at 1 MHz), so four samples at
+#: a 1 ms gap yield the paper's ~11 ms of radio-on time per check (2.22 %
+#: duty at 500 ms checks).
+CCA_SAMPLES = 4
+CCA_SAMPLE_GAP_NS = ms(1.0)
+#: How long a detection keeps the radio on waiting for a packet.
+DETECT_TIMEOUT_NS = ms(100)
 
 
 class LplMac:
@@ -81,7 +77,6 @@ class LplMac:
         vtimer_activity: ActivityLabel,
         rx_proxy: ActivityLabel,
         idle_label: ActivityLabel,
-        config: Optional[LplConfig] = None,
     ) -> None:
         self.driver = driver
         self.vtimers = vtimers
@@ -89,7 +84,6 @@ class LplMac:
         self.vtimer_activity = vtimer_activity
         self.rx_proxy = rx_proxy
         self.idle_label = idle_label
-        self.config = config or LplConfig()
         self._started = False
         self._checking = False
         self._detected_hold = False
@@ -112,7 +106,7 @@ class LplMac:
             self.driver.stop()
             self._started = True
             self.vtimers.start_periodic(
-                self._check, self.config.check_interval_ns,
+                self._check, CHECK_INTERVAL_NS,
                 name="lpl-check", activity=self.vtimer_activity,
             )
             if on_started is not None:
@@ -135,9 +129,9 @@ class LplMac:
 
     def _radio_ready(self) -> None:
         self.driver.rx_enable()
-        self._samples_left = self.config.cca_samples
+        self._samples_left = CCA_SAMPLES
         self.vtimers.start_oneshot(
-            self._sample, self.config.cca_sample_gap_ns,
+            self._sample, CCA_SAMPLE_GAP_NS,
             name="lpl-cca", activity=self.vtimer_activity,
         )
 
@@ -152,7 +146,7 @@ class LplMac:
         self._samples_left -= 1
         if self._samples_left > 0:
             self.vtimers.start_oneshot(
-                self._sample, self.config.cca_sample_gap_ns,
+                self._sample, CCA_SAMPLE_GAP_NS,
                 name="lpl-cca", activity=self.vtimer_activity,
             )
             return
@@ -170,7 +164,7 @@ class LplMac:
         self.cpu_activity.set(self.rx_proxy)
         self.driver.radio_activity.set(self.rx_proxy)
         self.vtimers.start_oneshot(
-            self._hold_timeout, self.config.detect_timeout_ns,
+            self._hold_timeout, DETECT_TIMEOUT_NS,
             name="lpl-hold", activity=self.rx_proxy,
         )
 
@@ -200,7 +194,7 @@ class LplMac:
         self._sending = True
         self._checking = False
         deadline = (
-            self.driver.mcu.sim.now + self.config.check_interval_ns
+            self.driver.mcu.sim.now + CHECK_INTERVAL_NS
         )
 
         def started() -> None:

@@ -3,7 +3,7 @@
 The network owns the shared :class:`~repro.core.labels.ActivityRegistry`
 (activity ids are a network-wide namespace in the paper's deployments),
 the channel, and any interference sources.  It is the setup surface for
-the multi-node experiments (Bounce, flood) and for the network-wide
+the multi-node experiments (Bounce, collection) and for the network-wide
 energy merge in :mod:`repro.core.netmerge`.
 """
 
@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from repro.core.labels import ActivityRegistry
 from repro.errors import NetworkError
 from repro.net.channel import RadioChannel
-from repro.net.interference import Wifi80211Interferer, WifiTrafficConfig
+from repro.net.interference import Wifi80211Interferer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.tos.node import NodeConfig, QuantoNode
@@ -43,17 +43,13 @@ class Network:
         return node
 
     def add_wifi_interferer(
-        self, config: Optional[WifiTrafficConfig] = None,
-        name: str = "wifi",
-        audible_to: Optional[set[int]] = None,
+        self, audible_to: Optional[set[int]] = None,
     ) -> Wifi80211Interferer:
         """Attach an 802.11 interference source to the shared channel.
         ``audible_to`` restricts which nodes hear it (a source near only
         part of the deployment); None means everyone."""
         interferer = Wifi80211Interferer(
-            self.sim, config or WifiTrafficConfig(),
-            self.rng.stream(f"interferer.{name}"),
-        )
+            self.sim, self.rng.stream("interferer.wifi"))
         self.channel.add_interferer(interferer, audible_to=audible_to)
         self.interferers.append(interferer)
         return interferer

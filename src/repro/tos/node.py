@@ -71,7 +71,7 @@ from repro.tos.drivers.leds import LedsDriver
 from repro.tos.drivers.radio import RADIO_STATE_NAMES, RadioDriver
 from repro.tos.drivers.sensor import SENSOR_STATE_NAMES, SensorDriver
 from repro.tos.interrupts import InterruptController
-from repro.tos.mac import CsmaMac, LplConfig, LplMac
+from repro.tos.mac import CsmaMac, LplMac
 from repro.tos.scheduler import Scheduler
 from repro.tos.vtimer import VirtualTimerSystem
 
@@ -116,12 +116,8 @@ class NodeConfig:
     logger_buffer_entries: int = 200_000
     logger_auto_dump: bool = False
     mac: str = "csma"  # 'csma', 'lpl', or 'none'
-    lpl: LplConfig = field(default_factory=LplConfig)
     radio_channel_number: int = 26
     enable_counters: bool = False
-
-    def __post_init__(self) -> None:
-        self.platform.node_id = self.node_id
 
 
 class NodeBreakdown(NamedTuple):
@@ -149,7 +145,8 @@ class QuantoNode:
         self.node_id = self.config.node_id
         self.registry = registry or ActivityRegistry()
         self.rng = rng_factory or RngFactory(0)
-        self.platform = HydrowatchPlatform(sim, self.config.platform, self.rng)
+        self.platform = HydrowatchPlatform(
+            sim, self.node_id, self.config.platform, self.rng)
 
         # ---- Quanto core -------------------------------------------------
         self.idle = idle_label(self.node_id)
@@ -263,7 +260,7 @@ class QuantoNode:
                 self.mac = LplMac(
                     self.radio_driver, self.vtimers, self.cpu_activity,
                     self.vtimer_label, self.proxies.label("pxy_RX"),
-                    self.idle, self.config.lpl)
+                    self.idle)
             if self.mac is not None:
                 self.am = ActiveMessageLayer(
                     self.node_id, self.mac, self.cpu_activity,
@@ -294,7 +291,6 @@ class QuantoNode:
             len(self.tracker._listeners),
             tuple(len(d._trackers) for d in self._single_devices()),
             len(self.timer_activity._trackers),
-            len(self.platform.mcu._power_listeners),
         )
 
     # -- warm start -------------------------------------------------------
@@ -324,13 +320,12 @@ class QuantoNode:
         self.rng.reseed(seed if seed is not None else self.rng.master_seed)
         self.platform.reset()
         self.registry.restore_state(self._pristine_registry)
-        listeners, device_trackers, multi_trackers, power_listeners = \
+        listeners, device_trackers, multi_trackers = \
             self._pristine_hook_counts
         del self.tracker._listeners[listeners:]
         for device, count in zip(self._single_devices(), device_trackers):
             del device._trackers[count:]
         del self.timer_activity._trackers[multi_trackers:]
-        del self.platform.mcu._power_listeners[power_listeners:]
         for var in self.tracker.all_vars():
             var.reset()
         for device in self._single_devices():

@@ -19,12 +19,14 @@ from typing import Callable, Generic, Optional, TypeVar
 
 from repro.core.activity import SingleActivityDevice
 from repro.core.labels import ActivityLabel
-from repro.errors import SimulationError
 
 T = TypeVar("T")
 
 #: Cycles for queue bookkeeping per operation.
 QUEUE_CYCLES = 7
+
+#: Entries a queue holds before it drops at the tail.
+CAPACITY = 8
 
 
 class ForwardingQueue(Generic[T]):
@@ -35,25 +37,18 @@ class ForwardingQueue(Generic[T]):
         name: str,
         cpu_activity: SingleActivityDevice,
         mcu,
-        capacity: int = 8,
     ) -> None:
-        if capacity <= 0:
-            raise SimulationError("queue capacity must be positive")
         self.name = name
         self.cpu_activity = cpu_activity
         self.mcu = mcu
-        self.capacity = capacity
         self._items: deque[tuple[T, ActivityLabel]] = deque()
         self.enqueued = 0
         self.dropped = 0
         self.dequeued = 0
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     @property
     def full(self) -> bool:
-        return len(self._items) >= self.capacity
+        return len(self._items) >= CAPACITY
 
     def enqueue(self, item: T) -> bool:
         """Store the item with the CPU's current activity.  Returns False

@@ -24,20 +24,6 @@ POST_CYCLES = 6
 DISPATCH_CYCLES = 10
 
 
-class Task:
-    """A reusable task: TinyOS tasks are singletons that may be re-posted,
-    but a task already in the queue is not queued twice."""
-
-    __slots__ = ("fn", "cycles", "name", "_queued")
-
-    def __init__(self, fn: Callable[[], None], cycles: int = 0,
-                 name: str = "task"):
-        self.fn = fn
-        self.cycles = cycles
-        self.name = name
-        self._queued = False
-
-
 class Scheduler:
     """Posts instrumented task jobs onto the MCU."""
 
@@ -55,21 +41,9 @@ class Scheduler:
 
     def reset(self) -> None:
         """Warm-start reset: zero the tallies.  Queued jobs live in the
-        MCU queues (reset separately); :class:`Task` singletons belong to
-        applications, which are rebuilt per run."""
+        MCU queues (reset separately)."""
         self.tasks_posted = 0
         self.tasks_run = 0
-
-    def post(self, task: Task) -> bool:
-        """Post a task; returns False if it was already queued (TinyOS
-        semantics).  The poster's activity is captured here."""
-        if task._queued:
-            return False
-        task._queued = True
-        self._post_with_activity(task.fn, task.cycles, task.name,
-                                 self.cpu_activity.get(),
-                                 lambda: setattr(task, "_queued", False))
-        return True
 
     def post_function(
         self,
@@ -78,20 +52,10 @@ class Scheduler:
         label: str = "task",
         activity: Optional[ActivityLabel] = None,
     ) -> None:
-        """Post a one-shot function as a task.  ``activity`` overrides the
-        captured label (the virtual timer system uses this to restore a
-        timer's saved activity)."""
-        captured = activity if activity is not None else self.cpu_activity.get()
-        self._post_with_activity(fn, cycles, label, captured, None)
-
-    def _post_with_activity(
-        self,
-        fn: Callable[[], None],
-        cycles: int,
-        label: str,
-        saved: ActivityLabel,
-        on_start: Optional[Callable[[], None]],
-    ) -> None:
+        """Post a function as a task.  The poster's activity is captured
+        here; ``activity`` overrides it (the virtual timer system uses
+        this to restore a timer's saved activity)."""
+        saved = activity if activity is not None else self.cpu_activity.get()
         self.tasks_posted += 1
         if self.mcu._in_job:  # posting from CPU code costs cycles
             self.mcu.consume(POST_CYCLES)
@@ -99,7 +63,7 @@ class Scheduler:
         # captured state all travel as job args.
         self.mcu.post_task(
             self.context.run_wrapped, label=label,
-            args=(self._task_body, fn, cycles, saved, on_start),
+            args=(self._task_body, fn, cycles, saved),
         )
 
     def _task_body(
@@ -107,11 +71,8 @@ class Scheduler:
         fn: Callable[[], None],
         cycles: int,
         saved: ActivityLabel,
-        on_start: Optional[Callable[[], None]],
     ) -> None:
         self.tasks_run += 1
-        if on_start is not None:
-            on_start()
         # Restore the activity saved at post time (the instrumentation
         # the paper added to the TinyOS scheduler).
         self.cpu_activity.set(saved)

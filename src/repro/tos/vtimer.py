@@ -12,7 +12,7 @@ earliest one.  Quanto's instrumentation (paper §3.3, Table 5 "Timers"):
   up as ``1:VTimer`` in every figure of the paper;
 * the hardware timer is a **multi-activity device**: it is concurrently
   "working for" every scheduled timer's activity, so started timers add
-  their label to it and stopped/expired ones remove it (paper Figure 6's
+  their label to it and expired one-shots remove it (paper Figure 6's
   canonical example).
 """
 
@@ -40,14 +40,13 @@ class VirtualTimer:
     """One logical timer."""
 
     __slots__ = ("callback", "period_ns", "deadline_ns", "saved_activity",
-                 "running", "name", "fire_count")
+                 "name", "fire_count")
 
     def __init__(self, callback: Callable[[], None], name: str):
         self.callback = callback
         self.period_ns = 0
         self.deadline_ns = 0
         self.saved_activity: Optional[ActivityLabel] = None
-        self.running = False
         self.name = name
         self.fire_count = 0
 
@@ -77,7 +76,7 @@ class VirtualTimerSystem:
                                   body_cycles=70)
         compare.set_handler(trigger)
 
-    # -- starting and stopping ------------------------------------------------
+    # -- starting ----------------------------------------------------------------
 
     def start_periodic(
         self,
@@ -116,35 +115,23 @@ class VirtualTimerSystem:
         timer.saved_activity = (
             activity if activity is not None else self.cpu_activity.get()
         )
-        timer.running = True
         self._timers.append(timer)
         # The hardware timer now also works on behalf of this activity.
         self.timer_device.add(timer.saved_activity)
         self._rearm()
         return timer
 
-    def stop(self, timer: VirtualTimer) -> None:
-        if not timer.running:
-            return
-        timer.running = False
-        if timer in self._timers:
-            self._timers.remove(timer)
-        if timer.saved_activity is not None:
-            self.timer_device.remove(timer.saved_activity)
-        self._rearm()
-
     # -- dispatch ------------------------------------------------------------
 
     def _rearm(self) -> None:
         # Single pass over the (small) timer list: find the earliest
-        # running deadline without materializing the pending list.  One
+        # deadline without materializing the pending list.  One
         # compare arm per wakeup keeps the engine's event count
         # O(wakeups), however fine the underlying timer granularity —
         # tests/test_vtimer.py pins that property on a Blink run.
         next_deadline = None
         for timer in self._timers:
-            if timer.running and (next_deadline is None
-                                  or timer.deadline_ns < next_deadline):
+            if next_deadline is None or timer.deadline_ns < next_deadline:
                 next_deadline = timer.deadline_ns
         if next_deadline is None:
             self.compare.disarm()
@@ -160,17 +147,15 @@ class VirtualTimerSystem:
         self.cpu_activity.set(self.vtimer_activity)
         self.mcu.consume(DISPATCH_CYCLES)
         now = self.mcu.sim.now
-        expired = [t for t in self._timers if t.running and t.deadline_ns <= now]
+        expired = [t for t in self._timers if t.deadline_ns <= now]
         for timer in expired:
             self.mcu.consume(PER_TIMER_CYCLES)
             timer.fire_count += 1
             if timer.period_ns > 0:
                 timer.deadline_ns += timer.period_ns
             else:
-                timer.running = False
                 self._timers.remove(timer)
-                if timer.saved_activity is not None:
-                    self.timer_device.remove(timer.saved_activity)
+                self.timer_device.remove(timer.saved_activity)
             # The callback runs as a task that restores the timer's saved
             # activity — deferral keeps the label.
             self.scheduler.post_function(

@@ -19,11 +19,6 @@ NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
 
-def ns(value: float) -> int:
-    """Nanoseconds (identity, but rounds floats to the integer grid)."""
-    return int(round(value))
-
-
 def us(value: float) -> int:
     """Microseconds to integer nanoseconds."""
     return int(round(value * NS_PER_US))

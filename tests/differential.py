@@ -491,11 +491,19 @@ def map_of_window(snapshot) -> EnergyMap:
         span_ns=snapshot.span_ns)
 
 
+def take_rows(columns: LogColumns, rows: slice) -> LogColumns:
+    """The columns of a run of rows (a chunk of the log)."""
+    return LogColumns(
+        type=columns.type[rows], res_id=columns.res_id[rows],
+        time_ns=columns.time_ns[rows], icount=columns.icount[rows],
+        value=columns.value[rows])
+
+
 def assert_same_rows(reference: LogColumns, first_row: int,
                      got: LogColumns) -> None:
     """``got`` equals the reference decode's rows from ``first_row`` on;
     else name the first differing row and field."""
-    want = reference[first_row:first_row + len(got)]
+    want = take_rows(reference, slice(first_row, first_row + len(got)))
     for name in ("type", "res_id", "time_ns", "icount", "value"):
         a, b = getattr(want, name), getattr(got, name)
         differ = np.nonzero(a != b)[0] if len(a) == len(b) else [0]
@@ -517,12 +525,12 @@ def assert_same_timeline(view: ColumnarTimeline,
     assert view.single_device_ids() == single.single_device_ids()
     assert view.multi_device_ids() == single.multi_device_ids()
     for rid in single.single_device_ids():
-        got, want = view.single_columns(rid), single.single_columns(rid)
+        got, want = view._singles.get(rid), single._singles.get(rid)
         for name in got.__slots__:
             assert getattr(got, name).tolist() \
                 == getattr(want, name).tolist(), (rid, name)
     for rid in single.multi_device_ids():
-        got, want = view.multi_columns(rid), single.multi_columns(rid)
+        got, want = view._multis.get(rid), single._multis.get(rid)
         assert [view.label_sets[s] for s in got.set_ids] \
             == [single.label_sets[s] for s in want.set_ids]
         for name in ("t0", "t1", "close_row"):
@@ -566,7 +574,7 @@ def check_columnar(case: Case, folds=(False, True)) -> None:
                 == [s for s in segments if s.res_id == rid], f"device {rid}"
         built = []
         for rid in timeline.multi_device_ids():
-            spans = timeline.multi_columns(rid)
+            spans = timeline._multis.get(rid)
             built += [(rid, t0, t1, timeline.label_sets[set_id])
                       for t0, t1, set_id in zip(
                           spans.t0.tolist(), spans.t1.tolist(),

@@ -183,5 +183,5 @@ def test_energy_map_views():
     assert emap.energy_by_activity() == pytest.approx(
         {"1:Red": 0.15, "1:Blue": 0.2})
     assert emap.time_by_activity("CPU") == {"1:Red": 1000}
-    assert set(emap.components()) == {"LED0", "CPU"}
+    assert set(emap.energy_by_component()) == {"LED0", "CPU"}
     assert emap.total_energy_j() == pytest.approx(0.35)

@@ -46,16 +46,25 @@ def test_single_multiple_trackers_all_fire():
     assert a == [BLUE] and b == [BLUE]
 
 
+def tracked_set(device):
+    """The device's activity set as its trackers see it."""
+    current = set()
+    device.add_tracker(lambda d, label, added: (
+        current.add if added else current.discard)(label))
+    return current
+
+
 def test_multi_add_remove():
     device = MultiActivityDevice("TimerB", 9)
+    current = tracked_set(device)
     assert device.add(RED) is True
     assert device.add(RED) is False  # already present
-    assert device.activities() == {RED}
+    assert current == {RED}
     assert device.add(BLUE) is True
-    assert device.activities() == {RED, BLUE}
+    assert current == {RED, BLUE}
     assert device.remove(RED) is True
     assert device.remove(RED) is False
-    assert device.activities() == {BLUE}
+    assert current == {BLUE}
 
 
 def test_multi_tracker_events():
@@ -66,11 +75,3 @@ def test_multi_tracker_events():
     device.add(RED)  # no event
     device.remove(RED)
     assert events == [(RED, True), (RED, False)]
-
-
-def test_multi_clear():
-    device = MultiActivityDevice("TimerB", 9)
-    device.add(RED)
-    device.add(BLUE)
-    device.clear()
-    assert device.activities() == frozenset()

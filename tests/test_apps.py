@@ -96,42 +96,6 @@ def test_timer_leak_app_counts():
     assert app.calibration_interrupts() == pytest.approx(32, abs=2)
 
 
-def test_flood_reaches_all_nodes():
-    from repro.apps.flood import FloodApp
-
-    network = Network(seed=3)
-    apps = {}
-    for node_id in (1, 2, 3, 4):
-        network.add_node(NodeConfig(node_id=node_id, mac="csma"))
-        apps[node_id] = FloodApp(originate=(node_id == 1))
-    network.boot_all({nid: app.start for nid, app in apps.items()})
-    network.run(seconds(3))
-    receivers = [nid for nid, app in apps.items() if app.forwards > 0]
-    # At least some non-origin nodes heard and forwarded the flood
-    # (rebroadcasts can collide; the flood is best-effort by design).
-    assert len(receivers) >= 2
-    assert apps[1].forwards == 0  # the originator suppresses its own
-
-
-def test_flood_network_energy_attribution():
-    from repro.apps.flood import FloodApp
-    from repro.core.netmerge import merge_energy_maps
-
-    network = Network(seed=3)
-    apps = {}
-    for node_id in (1, 2, 3):
-        network.add_node(NodeConfig(node_id=node_id, mac="csma"))
-        apps[node_id] = FloodApp(originate=(node_id == 1))
-    network.boot_all({nid: app.start for nid, app in apps.items()})
-    network.run(seconds(3))
-    maps = {nid: network.node(nid).energy_map(fold_proxies=True)
-            for nid in apps}
-    report = merge_energy_maps(maps)
-    assert report.by_activity.get("1:Flood", 0.0) > 0.0
-    # Much of the flood's cost lands on nodes other than the origin.
-    assert report.remote_fraction("1:Flood", 1) > 0.2
-
-
 def test_dma_app_measures_send(bounce_run=None):
     from repro.apps.dma_compare import OneShotSenderApp
 

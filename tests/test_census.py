@@ -37,3 +37,12 @@ def test_option_scan_sees_the_ingest_server_constructor():
     assert {"retain", "state_dir", "checkpoint_bytes", "max_streams"} \
         <= params
     assert "queue_depth" not in params
+
+
+def test_option_scan_follows_keywords_through_kwargs():
+    who = {(option.callable, option.name): setter
+           for option, setter in census.option_census()}
+    # run_blink(**node_kwargs) -> NodeConfig; build_line_topology(
+    # **app_kwargs) -> CollectionApp.
+    assert who[("NodeConfig", "logger_mode")] == "product"
+    assert who[("CollectionApp", "sample_period_ns")] == "product"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.channel import RadioChannel, channel_center_mhz, overlap_factor
-from repro.net.interference import Wifi80211Interferer, WifiTrafficConfig
+from repro.net.interference import Wifi80211Interferer
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.units import seconds
@@ -31,7 +31,7 @@ def test_interferer_duty_fraction():
     produces the paper's false-positive rate (~4-8 % busy)."""
     sim = Simulator()
     interferer = Wifi80211Interferer(
-        sim, WifiTrafficConfig(), RngFactory(0).stream("wifi"))
+        sim, RngFactory(0).stream("wifi"))
     interferer.start()
     busy_ns = 0
     step = 100_000  # 0.1 ms
@@ -49,7 +49,7 @@ def test_interferer_duty_fraction():
 def test_interferer_overlap_by_channel():
     sim = Simulator()
     interferer = Wifi80211Interferer(
-        sim, WifiTrafficConfig(), RngFactory(0).stream("wifi"))
+        sim, RngFactory(0).stream("wifi"))
     assert interferer.overlap(17) > 0.1
     assert interferer.overlap(26) == 0.0
 
@@ -57,7 +57,7 @@ def test_interferer_overlap_by_channel():
 def test_interferer_stop():
     sim = Simulator()
     interferer = Wifi80211Interferer(
-        sim, WifiTrafficConfig(), RngFactory(0).stream("wifi"))
+        sim, RngFactory(0).stream("wifi"))
     interferer.start()
     sim.run(until=seconds(1))
     interferer.stop()

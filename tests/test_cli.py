@@ -37,6 +37,18 @@ def test_blink_dump(capsys):
     assert "boot" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--seconds", "0"], "--seconds must be positive"),
+    (["--seconds", "-1"], "--seconds must be positive"),
+    (["--dump", "--dump-limit", "-5"], "--dump-limit must be 0 or more"),
+])
+def test_blink_refuses_bad_input(capsys, argv, message):
+    assert main(["blink", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
+
+
 def test_validate_command(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

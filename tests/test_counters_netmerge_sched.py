@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.accounting import EnergyMap
-from repro.core.counters import CounterAccountant
+from repro.core.counters import SLOTS, CounterAccountant
 from repro.core.labels import ActivityLabel
 from repro.core.netmerge import (
     NetworkMerger,
@@ -13,7 +13,6 @@ from repro.core.netmerge import (
 from repro.core.sched_ext import (
     EnergyBudgetScheduler,
     EqualEnergyPolicy,
-    FixedBudgetPolicy,
 )
 from repro.errors import ActivityError
 from repro.hw.power import PowerRail
@@ -70,32 +69,31 @@ def test_counters_bind_merges_proxy_usage():
 
 
 def test_counters_overflow_bucket():
+    """Activities past the slot table are charged to the overflow bucket,
+    not to a slot and not dropped from the table's own slots."""
     sim, counters = _counter_stack()
-    counters.max_slots = 2
     device = _FakeDevice()
-    labels = [ActivityLabel(1, i + 1) for i in range(4)]
+    labels = [ActivityLabel(1, i + 1) for i in range(SLOTS + 2)]
     for label in labels:
         counters.on_single_activity(device, label, bound=False)
         sim.at(sim.now + seconds(1), lambda: None)
         sim.run()
-    counters.snapshot()
-    assert counters.overflow.energy_j > 0.0
+    snapshot = counters.snapshot()
+    assert set(snapshot) == set(labels[:SLOTS])
+    # 1 s at 30 mW per slotted activity; the last two seconds overflowed.
+    assert sum(slot.energy_j for slot in snapshot.values()) == \
+        pytest.approx(0.030 * SLOTS, rel=0.01)
 
 
 def test_counters_memory_and_total():
     sim, counters = _counter_stack()
-    assert counters.memory_bytes() == 12 * counters.max_slots
+    assert counters.memory_bytes() == 12 * SLOTS
     device = _FakeDevice()
     counters.on_single_activity(device, RED, bound=False)
     sim.at(seconds(2), lambda: None)
     sim.run()
-    assert counters.total_energy_j() == pytest.approx(0.060, rel=0.01)
-
-
-def test_counters_need_two_slots():
-    sim, counters = _counter_stack()
-    with pytest.raises(ActivityError):
-        CounterAccountant(sim, counters.icount, slots=1)
+    total = sum(slot.energy_j for slot in counters.snapshot().values())
+    assert total == pytest.approx(0.060, rel=0.01)
 
 
 # -- netmerge ---------------------------------------------------------------
@@ -121,8 +119,10 @@ def test_merge_aggregates_across_nodes():
     assert report.by_activity["1:BounceApp"] == pytest.approx(0.001)
     # Const excluded by default.
     assert "Const." not in report.by_activity
-    with_const = merge_energy_maps(maps, include_const=True)
-    assert with_const.by_activity["Const."] == pytest.approx(0.010)
+    merger = NetworkMerger(include_const=True)
+    for node_id, emap in maps.items():
+        merger.add(node_id, emap)
+    assert merger.report().by_activity["Const."] == pytest.approx(0.010)
 
 
 def test_remote_fraction_butterfly():
@@ -162,7 +162,7 @@ def test_spread_aggregates_per_node_per_activity():
         1: pytest.approx(0.003), 2: pytest.approx(0.003)}
     assert report.spread["2:App"] == {1: pytest.approx(0.004)}
     assert report.total_j == pytest.approx(0.010)
-    assert report.node_ids() == [1, 2]
+    assert sorted({node for node, _, _ in report.per_node}) == [1, 2]
     assert report.remote_fractions() == {
         "1:Flood": pytest.approx(0.5),
         "2:App": pytest.approx(1.0),  # all of 2:App's cost landed on node 1
@@ -219,7 +219,7 @@ def test_budget_defers_over_budget_activity():
     device = _FakeDevice()
     scheduler = _FakeScheduler(RED)
     budget = EnergyBudgetScheduler(
-        scheduler, counters, FixedBudgetPolicy({RED: 0.010}))
+        scheduler, counters, EqualEnergyPolicy(0.010))
     budget.register_activity(RED)
     # Burn 30 mJ under RED: over its 10 mJ budget.
     counters.on_single_activity(device, RED, bound=False)
@@ -236,7 +236,7 @@ def test_budget_unregistered_activity_unthrottled():
     sim, counters = _counter_stack()
     scheduler = _FakeScheduler(BLUE)
     budget = EnergyBudgetScheduler(
-        scheduler, counters, FixedBudgetPolicy({RED: 0.0}))
+        scheduler, counters, EqualEnergyPolicy(0.010))
     assert budget.post(lambda: None, activity=BLUE) is True
     assert len(scheduler.posted) == 1
 

@@ -75,7 +75,8 @@ def test_sweep_serial_and_parallel_are_byte_identical_per_seed():
     seeds = range(4)
     serial = run_sweep("table3", seeds, NOISY, jobs=1)
     parallel = run_sweep("table3", seeds, NOISY, jobs=2)
-    assert [p.seed for p in serial.points] == [p.seed for p in parallel.points]
+    assert [p.point.seed for p in serial.points] \
+        == [p.point.seed for p in parallel.points]
     assert [p.digest for p in serial.points] == \
         [p.digest for p in parallel.points]
     assert serial.digest() == parallel.digest()

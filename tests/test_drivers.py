@@ -6,16 +6,16 @@ from repro.units import ms, seconds
 
 
 def test_leds_driver_signals_powerstate_before_pin(node, sim):
+    led = node.platform.leds.led(0)
     events = []
     node.led_powerstates[0].add_tracker(
-        lambda var, value: events.append(("ps", value)))
-    node.platform.leds.led(0).set_listener(
-        lambda on: events.append(("pin", on)))
+        lambda var, value: events.append(("ps", value, led.is_on)))
     node.boot(lambda n: n.scheduler.post_function(
         lambda: n.leds.led_on(0)))
     sim.run(until=ms(5))
     # Figure 2's ordering: PowerState.set first, then the pin.
-    assert events == [("ps", 1), ("pin", True)]
+    assert events == [("ps", 1, False)]
+    assert led.is_on
 
 
 def test_leds_paint_copies_cpu_activity(node, sim):

@@ -67,14 +67,6 @@ def test_regression_zero_energy_intervals():
     assert result.const_power_w == pytest.approx(0.0, abs=1e-12)
 
 
-def test_regression_min_interval_filters_everything():
-    intervals = [PowerInterval(0, 1000, 1, ((1, 1),))]
-    layout = [SinkColumn(1, 1, "LED0")]
-    with pytest.raises(RegressionError):
-        solve_breakdown(intervals, layout, 8.33e-6, 3.0,
-                        min_interval_ns=ms(1))
-
-
 def test_node_analysis_before_boot(node):
     """Analyzing an unbooted node: empty log, graceful failure modes."""
     assert node.entries() == []

@@ -1,9 +1,8 @@
-"""Flash, sensor, and analog-block hardware models."""
+"""Flash and sensor hardware models."""
 
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw.adc import Adc, Dac, VoltageReference
 from repro.hw.catalog import default_actual_profile
 from repro.hw.flash import (
     PAGE_PROGRAM_NS,
@@ -128,73 +127,9 @@ def test_sensor_draw_while_measuring():
     assert rail.current() == pytest.approx(0.3e-6)
 
 
-def test_sensor_listener_sees_states():
+def test_sensor_state_follows_measurement():
     sim, rail, sensor = _sensor()
-    states = []
-    sensor.set_listener(states.append)
     sensor.measure_humidity(lambda v: None)
+    assert sensor.state == "MEASURING"
     sim.run()
-    assert states == ["MEASURING", "IDLE"]
-
-
-# -- ADC / DAC / VRef ------------------------------------------------------
-
-
-def _analog():
-    sim = Simulator()
-    rail = PowerRail(sim, voltage=3.0)
-    profile = default_actual_profile()
-    vref = VoltageReference(rail, profile)
-    adc = Adc(sim, rail, profile, vref)
-    dac = Dac(rail, profile)
-    return sim, rail, vref, adc, dac
-
-
-def test_adc_requires_vref():
-    sim, rail, vref, adc, dac = _analog()
-    with pytest.raises(HardwareError):
-        adc.convert(4, lambda values: None)
-
-
-def test_adc_conversion_completes():
-    sim, rail, vref, adc, dac = _analog()
-    vref.on()
-    got = []
-    adc.convert(4, got.append)
-    assert adc.converting
-    sim.run()
-    assert len(got[0]) == 4
-    assert not adc.converting
-    assert adc.conversions == 1
-
-
-def test_adc_busy_and_bad_args():
-    sim, rail, vref, adc, dac = _analog()
-    vref.on()
-    adc.convert(2, lambda v: None)
-    with pytest.raises(HardwareError):
-        adc.convert(2, lambda v: None)
-    sim.run()
-    with pytest.raises(HardwareError):
-        adc.convert(0, lambda v: None)
-
-
-def test_vref_draw_and_idempotence():
-    sim, rail, vref, adc, dac = _analog()
-    vref.on()
-    vref.on()
-    assert rail.current() == pytest.approx(500e-6)
-    vref.off()
-    assert rail.current() == 0.0
-
-
-def test_dac_modes():
-    sim, rail, vref, adc, dac = _analog()
-    dac.enable("CONVERTING-7")
-    assert rail.current() == pytest.approx(700e-6)
-    dac.enable("CONVERTING-2")
-    assert rail.current() == pytest.approx(50e-6)
-    dac.disable()
-    assert rail.current() == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(HardwareError):
-        dac.enable("CONVERTING-9")
+    assert sensor.state == "IDLE"

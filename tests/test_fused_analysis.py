@@ -39,6 +39,7 @@ from differential import (
     check_windowed,
     pack,
     regression,
+    take_rows,
 )
 from repro.core.accounting import columnar_energy_map
 from repro.core.labels import ActivityRegistry
@@ -194,7 +195,8 @@ def test_undeclared_device_is_refused(row):
     with pytest.raises(LoggerError, match="did not declare"):
         ColumnarTimeline(columns, **devices)
     with pytest.raises(LoggerError, match="log 1 names"):
-        ColumnarTimeline([columns[:2], columns], single_res_ids=[[0], [0]],
+        ColumnarTimeline([take_rows(columns, slice(2)), columns],
+                         single_res_ids=[[0], [0]],
                          multi_res_ids=[[9], [9]])
     with pytest.raises(LoggerError, match="did not declare"):
         ColumnarTimeline(columns, carry=TimelineCarry(), final=False,

@@ -1,47 +1,14 @@
-"""Remaining hardware fidelity: battery monitor, LPM sweep, lane
-rendering robustness."""
+"""Remaining hardware fidelity: LPM sweep, lane rendering robustness."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.report import LaneSegment, render_lanes
-from repro.hw.catalog import default_actual_profile
-from repro.hw.power import PowerRail
-from repro.hw.radio import Radio
-from repro.errors import HardwareError
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.tos.node import NodeConfig, QuantoNode
 from repro.hw.platform import PlatformConfig
 from repro.units import ms, seconds, ua
-
-
-def test_battery_monitor_draw():
-    sim = Simulator()
-    rail = PowerRail(sim, voltage=3.0)
-    radio = Radio(sim, rail, default_actual_profile(), node_id=1)
-    with pytest.raises(HardwareError):
-        radio.battery_monitor_enable()  # regulator off
-    done = []
-    radio.vreg_on(lambda: done.append(True))
-    sim.run()
-    base = rail.current()
-    radio.battery_monitor_enable()
-    assert rail.current() - base == pytest.approx(ua(30))
-    radio.battery_monitor_disable()
-    assert rail.current() == pytest.approx(base)
-
-
-def test_battery_monitor_cleared_by_vreg_off():
-    sim = Simulator()
-    rail = PowerRail(sim, voltage=3.0)
-    radio = Radio(sim, rail, default_actual_profile(), node_id=1)
-    radio.vreg_on(lambda: None)
-    sim.run()
-    radio.battery_monitor_enable()
-    radio.vreg_off()
-    assert not radio.battery_monitor_enabled
-    assert rail.current() == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("lpm,expected_ua", [

@@ -38,7 +38,6 @@ def test_disarm_cancels():
     unit.set_handler(lambda: pytest.fail("should not fire"))
     unit.arm(ms(5))
     unit.disarm()
-    assert not unit.armed()
     sim.run()
 
 
@@ -84,15 +83,3 @@ def test_dco_calibration_disabled_never_fires():
     clock.start(lambda: pytest.fail("leak should be off"))
     sim.run(until=seconds(2))
     assert clock.calibration_count == 0
-
-
-def test_dco_stop_halts_the_leak():
-    sim = Simulator()
-    timer_a = TimerBlock(sim, "TIMERA", 3)
-    clock = ClockSystem(sim, timer_a, dco_calibration=True)
-    clock.start(lambda: None)
-    sim.run(until=seconds(1))
-    count = clock.calibration_count
-    clock.stop()
-    sim.run(until=seconds(3))
-    assert clock.calibration_count == count

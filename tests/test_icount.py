@@ -87,9 +87,3 @@ def test_frequency_matches_paper_fit():
     freq = meter.frequency_for_current(ma(2.77))
     assert freq == pytest.approx((2.77 + 0.05) / 2.77 * 1e3, rel=1e-6)
     assert meter.frequency_for_current(0.0) >= 0.0
-
-
-def test_invalid_quantum_rejected():
-    sim, rail = _rail_with_load()
-    with pytest.raises(ValueError):
-        ICountMeter(rail, energy_per_pulse_j=0.0)

@@ -77,19 +77,15 @@ def test_registry_label_helper():
     assert other.origin == 1
 
 
-def test_registry_id_collision_rejected():
-    registry = ActivityRegistry()
-    registry.register("A", aid=5)
-    with pytest.raises(ActivityError):
-        registry.register("B", aid=5)
-
-
 def test_registry_reserved_range_protected():
     registry = ActivityRegistry()
+    ids = []
     with pytest.raises(ActivityError):
-        registry.register("Bad", aid=PROXY_BASE)
-    with pytest.raises(ActivityError):
-        registry.register("Bad", aid=IDLE_ID)
+        for i in range(PROXY_BASE):
+            ids.append(registry.register(f"act{i}"))
+    # Every id handed out is an application id: none reaches the proxy
+    # range or reuses Idle's.
+    assert ids and all(IDLE_ID < aid < PROXY_BASE for aid in ids)
 
 
 def test_registry_auto_ids_unique():
@@ -104,7 +100,8 @@ def test_proxy_set_per_node():
     label = proxies.label("pxy_RX")
     assert label.origin == 7
     assert label.aid == PROXY_IDS["pxy_RX"]
-    assert set(proxies.names()) == set(PROXY_IDS)
+    for name, aid in PROXY_IDS.items():
+        assert proxies.label(name) == ActivityLabel(origin=7, aid=aid)
     with pytest.raises(ActivityError):
         proxies.label("int_BOGUS")
     with pytest.raises(ActivityError):

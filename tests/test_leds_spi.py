@@ -8,7 +8,7 @@ from repro.hw.leds import LedBank
 from repro.hw.power import PowerRail
 from repro.hw.spi import BYTE_TIME_NS, DMA_SETUP_NS, SpiBus
 from repro.sim.engine import Simulator
-from repro.units import ma, us
+from repro.units import ma
 
 
 def _bank():
@@ -29,27 +29,21 @@ def test_led_draws_actual_current_when_on():
 def test_led_toggle_counts():
     sim, rail, bank = _bank()
     led = bank.led(1)
-    led.toggle()
-    led.toggle()
-    led.on()  # already off->on
+    led.on()
+    led.off()
+    led.on()
     assert led.toggle_count == 3
 
 
 def test_led_on_is_idempotent():
     sim, rail, bank = _bank()
     led = bank.led(2)
-    events = []
-    led.set_listener(events.append)
     led.on()
     led.on()
-    assert events == [True]
-
-
-def test_all_off():
-    sim, rail, bank = _bank()
-    for led in bank.leds:
-        led.on()
-    bank.all_off()
+    assert led.toggle_count == 1
+    led.off()
+    led.off()
+    assert led.toggle_count == 2
     assert rail.current() == 0.0
 
 
@@ -110,15 +104,3 @@ def test_zero_length_transfers_rejected():
         spi.shift_pair(0, lambda: None)
     with pytest.raises(HardwareError):
         spi.dma_transfer(0, lambda: None)
-
-
-def test_analytic_transfer_time():
-    sim = Simulator()
-    spi = SpiBus(sim)
-    irq = spi.transfer_time_ns(40, "irq", handler_latency_ns=us(200))
-    dma = spi.transfer_time_ns(40, "dma")
-    assert irq == 40 * BYTE_TIME_NS + 20 * us(200)
-    assert dma == DMA_SETUP_NS + 40 * BYTE_TIME_NS
-    assert irq > 2 * dma  # the Figure 16 relation
-    with pytest.raises(HardwareError):
-        spi.transfer_time_ns(40, "warp")

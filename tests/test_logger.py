@@ -174,7 +174,7 @@ def test_boot_snapshot_records_everything():
 
     sim, mcu, logger = _stack()
     tracker = PowerStateTracker()
-    tracker.create("CPU", 0, initial_value=1)
+    tracker.create("CPU", 0).set(1)
     tracker.create("LED0", 1)
     cpu = SingleActivityDevice("CPU", 0)
     mcu.post_task(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tos.mac import LplConfig, LplMac
+from repro.tos import mac
 from repro.tos.network import Network
 from repro.tos.node import NodeConfig
 from repro.units import ms, seconds
@@ -104,6 +104,5 @@ def test_lpl_send_retransmits_for_a_full_interval():
 
 
 def test_lpl_config_defaults_match_paper():
-    config = LplConfig()
-    assert config.check_interval_ns == ms(500)
-    assert config.detect_timeout_ns == ms(100)
+    assert mac.CHECK_INTERVAL_NS == ms(500)
+    assert mac.DETECT_TIMEOUT_NS == ms(100)

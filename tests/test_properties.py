@@ -151,7 +151,7 @@ def test_multi_device_time_split_sums_to_presence(values):
     timeline = ColumnarTimeline(LogColumns.from_entries(entries),
                                 end_time_ns=end_ns, single_res_ids=[],
                                 multi_res_ids=[9])
-    spans = timeline.multi_columns(9)
+    spans = timeline._multis.get(9)
     segments = [(t1 - t0, timeline.label_sets[set_id])
                 for t0, t1, set_id in zip(spans.t0.tolist(),
                                           spans.t1.tolist(), spans.set_ids)]

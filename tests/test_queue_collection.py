@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.labels import ActivityLabel
-from repro.errors import SimulationError
 from repro.tos.network import Network
 from repro.tos.node import NodeConfig
-from repro.tos.queue import ForwardingQueue
+from repro.tos.queue import CAPACITY, ForwardingQueue
 from repro.units import ms, seconds
 
 
@@ -32,20 +31,19 @@ def test_queue_restores_saved_activity(node, sim):
 
 
 def test_queue_drop_tail_when_full(node, sim):
-    queue = ForwardingQueue("q", node.cpu_activity, node.platform.mcu,
-                            capacity=2)
+    queue = ForwardingQueue("q", node.cpu_activity, node.platform.mcu)
     results = []
 
     def app(n):
-        results.append(queue.enqueue(1))
-        results.append(queue.enqueue(2))
-        results.append(queue.enqueue(3))  # dropped
+        for item in range(CAPACITY + 1):  # the last one is dropped
+            results.append(queue.enqueue(item))
 
     node.boot(lambda n: n.scheduler.post_function(lambda: app(node)))
     sim.run(until=ms(10))
-    assert results == [True, True, False]
+    assert results == [True] * CAPACITY + [False]
     assert queue.dropped == 1
-    assert len(queue) == 2
+    assert queue.full
+    assert queue.enqueued == CAPACITY
 
 
 def test_queue_peek_and_empty(node, sim):
@@ -65,12 +63,6 @@ def test_queue_peek_and_empty(node, sim):
         lambda: got.append((queue.dequeue(), node.cpu_activity.get())))
     sim.run(until=ms(20))
     assert got == [("x", red)]  # the head restores its saved activity
-
-
-def test_queue_capacity_validation(node):
-    with pytest.raises(SimulationError):
-        ForwardingQueue("q", node.cpu_activity, node.platform.mcu,
-                        capacity=0)
 
 
 # -- the collection protocol ---------------------------------------------

@@ -96,14 +96,10 @@ def test_second_send_while_busy_rejected():
 def test_congestion_backoff_on_busy_channel():
     """A continuously busy channel (wide-overlap interferer) forces
     congestion backoffs; the driver gives up after MAX_BACKOFFS."""
-    from repro.net.interference import WifiTrafficConfig
+    from test_network_top import AlwaysOnInBand
 
     network, node = _single_node()
-    # An interferer that is effectively always on and fully in-band.
-    interferer = network.add_wifi_interferer(WifiTrafficConfig(
-        center_mhz=2480.0,  # right on the node's channel 26
-        data_gap_mean_ns=ms(0.3), data_burst_mean_ns=ms(50),
-        data_burst_cap_ns=ms(80)))
+    network.channel.add_interferer(AlwaysOnInBand())
     done = _send_one(network, node)
     # The send eventually completed or gave up — either way the driver
     # performed multiple backoffs and did not wedge.

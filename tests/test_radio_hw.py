@@ -41,10 +41,17 @@ def _power_up(sim, radio, then=None):
 def test_power_up_sequence_and_timing():
     sim, channel, radios = _radio_pair()
     radio, rail = radios[0]
-    states = []
-    radio.set_state_listener(states.append)
-    done = []
-    _power_up(sim, radio, lambda: done.append(sim.now))
+    states, done = [], []
+
+    def osc_done():
+        states.append(radio.state)
+        done.append(sim.now)
+
+    def vreg_done():
+        states.append(radio.state)
+        radio.osc_on(osc_done)
+
+    radio.vreg_on(vreg_done)
     sim.run()
     assert states == ["VREG", "IDLE"]
     assert done == [VREG_DELAY_NS + OSC_DELAY_NS]

@@ -23,12 +23,6 @@ def test_format_table_alignment():
     assert lines[4].rstrip().endswith("22")
 
 
-def test_format_table_custom_alignment():
-    text = format_table(("a", "b"), [("x", "y")],
-                        align_right=[True, False])
-    assert "x" in text
-
-
 def test_render_lanes_places_segments():
     lanes = {
         "CPU": [LaneSegment(ms(0), ms(50), "Red")],

@@ -25,19 +25,3 @@ def test_different_seeds_differ():
     a = RngFactory(1).stream("mac")
     b = RngFactory(2).stream("mac")
     assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
-
-
-def test_fork_derives_independent_space():
-    parent = RngFactory(7)
-    child1 = parent.fork("node1")
-    child2 = parent.fork("node2")
-    assert child1.master_seed != child2.master_seed
-    s1 = child1.stream("mac")
-    s2 = child2.stream("mac")
-    assert [s1.random() for _ in range(5)] != [s2.random() for _ in range(5)]
-
-
-def test_fork_deterministic():
-    a = RngFactory(7).fork("node1").stream("mac").random()
-    b = RngFactory(7).fork("node1").stream("mac").random()
-    assert a == b

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.labels import PROXY_IDS, ActivityLabel
-from repro.tos.scheduler import Task
 from repro.units import ms, seconds
 
 
@@ -19,26 +18,6 @@ def test_tasks_run_fifo(node, sim):
     node.scheduler.post_function(app)
     sim.run(until=ms(10))
     assert order == [1, 2, 3]
-
-
-def test_task_repost_while_queued_rejected(node, sim):
-    task = Task(lambda: None, name="t")
-    results = []
-
-    def app():
-        results.append(node.scheduler.post(task))
-        results.append(node.scheduler.post(task))  # already queued
-
-    node.boot(lambda n: None)
-    node.scheduler.post_function(app)
-    sim.run(until=ms(10))
-    assert results == [True, False]
-    # After it ran, it can be posted again.
-    reposted = []
-    node.scheduler.post_function(
-        lambda: reposted.append(node.scheduler.post(task)))
-    sim.run(until=ms(20))
-    assert reposted == [True]
 
 
 def test_scheduler_saves_and_restores_activity(node, sim):
@@ -68,7 +47,7 @@ def test_cpu_goes_idle_after_last_task(node, sim):
         lambda: node.cpu_activity.set(node.activity("Red")))
     sim.run(until=ms(10))
     assert node.cpu_activity.get() == node.idle
-    assert not node.platform.mcu.active
+    assert node.cpu_powerstate.value == 0  # asleep
 
 
 def test_interrupt_sets_proxy_and_restores(node, sim):

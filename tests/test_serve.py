@@ -408,12 +408,13 @@ def test_cli_serve_sigterm_graceful_exit(tmp_path):
 def test_slow_accounting_bounds_the_bytes_in_flight(sock, monkeypatch):
     """A consumer slower than its sender backpressures the socket: the
     bytes a client has written but the session has not ingested never
-    exceed the chunk queue, the stream reader's buffer and the kernel's
-    socket buffers, however long the stream runs."""
+    exceed the chunk queue, the stream reader's buffer (paused past two
+    read chunks) and the kernel's socket buffers, however long the
+    stream runs."""
     import socket
     import threading
 
-    from repro.serve.protocol import INGEST_VERB, LINE_LIMIT, encode_json_line
+    from repro.serve.protocol import INGEST_VERB, encode_json_line
     from repro.serve.server import QUEUE_DEPTH, READ_CHUNK, NodeSession
 
     class SlowQueue(asyncio.Queue):
@@ -468,7 +469,46 @@ def test_slow_accounting_bounds_the_bytes_in_flight(sock, monkeypatch):
     # Socket slack: both ends' kernel buffers plus the chunks held
     # outside the queue (one being read, one being put, one ingesting).
     slack = 2 * sum(kernel) + 3 * READ_CHUNK
-    bound = QUEUE_DEPTH * READ_CHUNK + 2 * LINE_LIMIT + slack
+    bound = QUEUE_DEPTH * READ_CHUNK + 2 * READ_CHUNK + slack
     assert len(backlog) == total // READ_CHUNK
-    assert max(backlog) <= bound
+    assert max(backlog) <= bound, (max(backlog), bound)
     assert max(backlog) > 8 * READ_CHUNK  # the consumer did fall behind
+
+
+def test_hello_longer_than_a_read_chunk_is_accepted(sock):
+    """The stream buffer is one read chunk, yet a hello up to
+    ``LINE_LIMIT`` still parses: a registry of long activity names
+    pushes this one past 64 KB."""
+    from repro.serve.protocol import LINE_LIMIT
+    from repro.serve.server import READ_CHUNK
+
+    node, _app, _sim = run_blink(seed=3, duration_ns=seconds(4))
+    hello = hello_for_node(node, stride_ns=int(seconds(1)))
+    hello["registry"].update(
+        {str(aid): f"Padding{aid}" + "x" * 500 for aid in range(50, 190)})
+    size = len(json.dumps(hello))
+    assert READ_CHUNK < size < LINE_LIMIT
+    raw = bytes(node.logger.raw_bytes())
+
+    async def client(_server):
+        return await stream_raw(sock, hello, raw)
+
+    reply = serve_and(sock, client)
+    assert reply["ok"]
+    assert_maps_identical(final_map(reply), offline_map(node))
+
+
+def test_request_line_past_the_line_limit_is_refused(sock):
+    from repro.serve.protocol import LINE_LIMIT
+
+    async def client(_server):
+        reader, writer = await asyncio.open_unix_connection(sock)
+        writer.write(b"QUERY " + b" " * LINE_LIMIT + b"{}\n")
+        await writer.drain()
+        line = await reader.readline()
+        writer.close()
+        await writer.wait_closed()
+        return json.loads(line)
+
+    reply = serve_and(sock, client)
+    assert reply["ok"] is False and "longer than" in reply["error"]

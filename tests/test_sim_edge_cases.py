@@ -6,8 +6,6 @@ state (queued, popped, fired), scheduling from inside callbacks at the
 current instant, and ``run(until=...)`` boundary semantics.
 """
 
-import pytest
-
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 
@@ -128,17 +126,6 @@ def test_schedule_at_current_timestamp_from_callback():
     # queued for that instant, in injection order.
     assert order == ["outer", "peer", "inner-at", "inner-callnow"]
     assert sim.now == 100
-
-
-def test_nested_same_instant_scheduling_terminates_with_max_events():
-    sim = Simulator()
-
-    def respawn():
-        sim.call_now(respawn)
-
-    sim.at(10, respawn)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=50)
 
 
 def test_callback_cannot_schedule_in_the_past():

@@ -80,15 +80,16 @@ def test_run_until_includes_events_at_boundary():
     assert fired == ["boundary"]
 
 
-def test_max_events_guard():
+def test_runaway_loop_stops_at_until():
     sim = Simulator()
 
     def loop():
         sim.after(1, loop)
 
     sim.after(1, loop)
-    with pytest.raises(SimulationError):
-        sim.run(max_events=100)
+    sim.run(until=100)
+    assert sim.now == 100
+    assert sim.events_executed == 100
 
 
 def test_reentrant_run_rejected():

@@ -268,17 +268,18 @@ def test_serial_sweep_aggregates_energy_per_component_activity():
         jobs=1,
     )
     assert len(result.points) == 2
-    pair = result.metric("energy_by_pair_mj.LED0/1:Red")
+    metrics = {stats.name: stats for stats in result.metrics}
+    pair = metrics["energy_by_pair_mj.LED0/1:Red"]
     assert pair.n == 2
     assert pair.mean > 0
     assert pair.stddev > 0  # device variation makes seeds differ
-    regression = result.metric("regression_ma.LED0")
+    regression = metrics["regression_ma.LED0"]
     assert regression.mean == pytest.approx(2.51, rel=0.2)
 
 
 def test_parallel_sweep_collects_in_grid_order():
     result = run_sweep("table3", range(3), {"duration_ns": [SHORT]}, jobs=3)
-    assert [p.seed for p in result.points] == [0, 1, 2]
+    assert [p.point.seed for p in result.points] == [0, 1, 2]
     assert result.jobs == 3
 
 
@@ -291,12 +292,6 @@ def test_sweep_render_reports_stats_and_digests():
     assert "per-point digests" in text
     assert "seed=0" in text and "seed=1" in text
     assert result.digest() in text
-
-
-def test_sweep_result_lookup_raises_on_unknown_metric():
-    result = run_sweep("table3", [0], {"duration_ns": [SHORT]}, jobs=1)
-    with pytest.raises(KeyError):
-        result.metric("no_such_metric")
 
 
 # -- CLI ------------------------------------------------------------------

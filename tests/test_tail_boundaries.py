@@ -41,7 +41,7 @@ def boundary_ends(timeline):
             ends.add(segment.t0_ns)
             ends.add(segment.t1_ns)
     for res_id in timeline.multi_device_ids():
-        spans = timeline.multi_columns(res_id)
+        spans = timeline._multis.get(res_id)
         ends.update(spans.t0.tolist())
         ends.update(spans.t1.tolist())
     for interval in timeline.power_intervals():

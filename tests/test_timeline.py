@@ -155,7 +155,7 @@ def test_multi_activity_segments():
         (TYPE_ACT_REMOVE, 9, 200, 0, RED),
     )
     timeline = _timeline(entries, 300_000)
-    spans = timeline.multi_columns(9)
+    spans = timeline._multis.get(9)
     assert spans.t0.tolist() == [0, 100_000, 200_000]
     assert spans.t1.tolist() == [100_000, 200_000, 300_000]
     sets = [frozenset(l.encode() for l in timeline.label_sets[set_id])
@@ -188,4 +188,4 @@ def test_empty_log():
     timeline = _timeline([], 0)
     assert timeline.power_intervals() == []
     assert timeline.activity_segments(0) == []
-    assert len(timeline.multi_columns(9)) == 0
+    assert len(timeline._multis.get(9)) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.topq import QuantoTop
+from repro.core.topq import HISTORY, QuantoTop
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.tos.node import NodeConfig, QuantoNode
@@ -48,7 +48,7 @@ def test_top_sees_the_idle_floor(top_run):
     charges that power to Idle — and top must show it."""
     sim, node, top = top_run
     latest = top.latest()
-    idle_power = latest.power_of(node.idle)
+    idle_power = latest.deltas[node.idle][1] / latest.dt_s
     # Node draws a few mW on average; Idle carries almost all of it.
     assert idle_power > 3e-3
 
@@ -70,16 +70,6 @@ def test_top_render(top_run):
     assert "P now (mW)" in text
 
 
-def test_top_stop_halts_sampling(top_run):
-    sim, node, top = top_run
-    count = len(top.samples)
-    # stop() touches the multi-activity timer device, so it must run in
-    # CPU context like any instrumented operation.
-    node.scheduler.post_function(top.stop)
-    sim.run(until=seconds(30))
-    assert len(top.samples) <= count + 1
-
-
 def test_top_history_bounded():
     from repro.apps.blink import BlinkApp
 
@@ -87,12 +77,12 @@ def test_top_history_bounded():
     node = QuantoNode(sim, NodeConfig(node_id=1, enable_counters=True),
                       rng_factory=RngFactory(0))
     app = BlinkApp()
-    top = QuantoTop(node, refresh_ns=seconds(1), history=5)
+    top = QuantoTop(node, refresh_ns=seconds(1))
 
     def start(n):
         app.start(n)
         top.start()
 
     node.boot(start)
-    sim.run(until=seconds(20))
-    assert len(top.samples) == 5  # deque bounded
+    sim.run(until=seconds(HISTORY + 5))
+    assert len(top.samples) == HISTORY  # deque bounded

@@ -25,6 +25,7 @@ from differential import (
     live_fold,
     map_of_window,
     node_case,
+    take_rows,
 )
 from repro.core.accounting import (
     ANALYSIS_BACKENDS as BACKENDS,
@@ -162,7 +163,7 @@ def test_snapshot_under_other_devices_is_refused():
     timeline = node.timeline()
     regression = node.regression(timeline)
     accumulator = windowed_for(node, timeline, regression, int(ms(100)))
-    accumulator.feed_columns(node.logger.columns()[:60])
+    accumulator.feed_columns(take_rows(node.logger.columns(), slice(60)))
     blob = accumulator.snapshot()
     other = WindowedAccumulator(
         regression, node.registry, COMPONENT_NAMES,
@@ -206,13 +207,14 @@ def test_refused_chunk_is_never_buffered():
             end_time_ns=timeline.end_time_ns)
 
     accumulator = without_led()
-    accumulator.feed_columns(columns[:first_led])
+    accumulator.feed_columns(take_rows(columns, slice(first_led)))
     with pytest.raises(LoggerError, match="did not declare"):
-        accumulator.feed_columns(columns[first_led:first_led + 2])
+        accumulator.feed_columns(
+            take_rows(columns, slice(first_led, first_led + 2)))
     assert accumulator.live_breakdown()["span_ns"] >= 0
     accumulator.snapshot()
     clean = without_led()
-    clean.feed_columns(columns[:first_led])
+    clean.feed_columns(take_rows(columns, slice(first_led)))
     served, expected = accumulator.finish(), clean.finish()
     assert list(served.energy_j.items()) == list(expected.energy_j.items())
     assert list(served.time_ns.items()) == list(expected.time_ns.items())

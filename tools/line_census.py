@@ -69,8 +69,7 @@ CI_FILES = (ROOT / ".github" / "workflows" / "ci.yml",)
 TESTS = ROOT / "tests"
 
 #: The dataclasses whose every field is an option.
-CONFIG_CLASSES = ("NodeConfig", "PlatformConfig", "LplConfig",
-                  "CampaignManifest")
+CONFIG_CLASSES = ("NodeConfig", "PlatformConfig", "CampaignManifest")
 
 _ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 
@@ -451,10 +450,22 @@ def _python_files(origin: str) -> list[Path]:
                   for path in (ROOT / top).rglob("*.py"))
 
 
-def _call_sites(paths) -> set[tuple[str, str]]:
+def _forwarders() -> set[str]:
+    """Names of the callables (anywhere in product or tests) whose
+    signature takes ``**kwargs``."""
+    return {node.name
+            for path in _python_files("product") + _python_files("tests")
+            for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.args.kwarg is not None}
+
+
+def _call_sites(paths, forwarders: set[str]) -> set[tuple[str, str]]:
     """(called name, keyword) and (called name, "#i") for each keyword
     and positional argument index any call in ``paths`` passes.
-    ``replace(...)`` keywords count for every dataclass."""
+    ``replace(...)`` keywords count for every dataclass, and a keyword
+    passed to one of ``forwarders`` is recorded as ("**", keyword): it
+    may reach any option of that name."""
     sites = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
@@ -466,6 +477,9 @@ def _call_sites(paths) -> set[tuple[str, str]]:
             if name is None:
                 continue
             sites.update((name, kw.arg) for kw in node.keywords if kw.arg)
+            if name in forwarders:
+                sites.update(("**", kw.arg) for kw in node.keywords
+                             if kw.arg)
             sites.update((name, f"#{index}")
                          for index, arg in enumerate(node.args)
                          if not isinstance(arg, ast.Starred))
@@ -504,7 +518,8 @@ def _env_set_in_src(name: str, aliases: set[str]) -> bool:
 def option_census() -> list[tuple[Option, str]]:
     """Every option with who sets it: ``product``, ``tests`` (only) or
     ``nothing``."""
-    sites = {origin: _call_sites(_python_files(origin))
+    forwarders = _forwarders()
+    sites = {origin: _call_sites(_python_files(origin), forwarders)
              for origin in ("product", "tests")}
     product = _python_files("product")
     ci = [path for path in CI_FILES if path.is_file()]
@@ -518,7 +533,8 @@ def option_census() -> list[tuple[Option, str]]:
 
     def passed(option: Option, origin: str) -> bool:
         found = sites[origin]
-        if (option.callable, option.name) in found:
+        if ((option.callable, option.name) in found
+                or ("**", option.name) in found):
             return True
         if option.kind == "field" and ("replace", option.name) in found:
             return True
