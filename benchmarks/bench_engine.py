@@ -62,8 +62,11 @@ from the baseline's (a determinism break, not a slowdown).
 in-process executor on the 256-point :data:`PARALLEL_SEEDS` grid, at
 least :data:`PARALLEL_FLOOR` on a host with two or more usable cores.
 That gate is a ratio of two timings on one host, so its floor is
-absolute.  Runnable standalone (``PYTHONPATH=src python
-benchmarks/bench_engine.py [--check|--check-parallel]``);
+absolute.  So is the batch gate ``--check`` adds: ``batch_speedup``,
+the batched over the serial table3 sweep, at least :data:`BATCH_FLOOR`
+(batching must earn its code).  Runnable standalone
+(``PYTHONPATH=src python benchmarks/bench_engine.py
+[--check|--check-parallel]``);
 ``tests/test_bench_gates.py`` drives the gates and a smoke run.
 """
 
@@ -124,6 +127,11 @@ FLOOR = 0.75
 #: Minimum --jobs 2 speedup over the in-process executor on
 #: :data:`PARALLEL_SEEDS`, with two usable cores.
 PARALLEL_FLOOR = 1.5
+
+#: Minimum ``batch_speedup`` (batched over ``batch=1`` points/s on the
+#: reference grid): a ratio of two timings on one host, like
+#: :data:`PARALLEL_FLOOR`.
+BATCH_FLOOR = 1.15
 
 #: Samples per timed row; the median is reported.
 SAMPLES = 5
@@ -572,10 +580,10 @@ def _gate_line(row: str, label: str, value: float, floor: float) -> str:
 
 def check_against_baseline(numbers: dict, baseline: dict) -> list[str]:
     """The regression gate: one line per :data:`GATES` row, its value
-    next to its floor ``baseline × FLOOR``.  A line starts with
-    ``FAIL`` when the row is under its floor or missing from the
-    baseline; a sweep digest that differs from the baseline's adds one
-    more (a determinism break, not a slowdown)."""
+    next to its floor ``baseline × FLOOR``, then the batch gate's line.
+    A line starts with ``FAIL`` when the row is under its floor or
+    missing from the baseline; a sweep digest that differs from the
+    baseline's adds one more (a determinism break, not a slowdown)."""
     lines = []
     for row, label in GATES.items():
         if row in baseline:
@@ -584,10 +592,18 @@ def check_against_baseline(numbers: dict, baseline: dict) -> list[str]:
         else:
             lines.append(f"FAIL {row} is missing from the baseline — "
                          f"{label}")
+    lines.append(batch_gate(numbers["batch_speedup"]))
     if numbers["sweep_digest"] != baseline.get("sweep_digest"):
         lines.append("FAIL sweep_digest differs from the baseline's — "
                      "determinism break, not a perf regression")
     return lines
+
+
+def batch_gate(speedup: float) -> str:
+    """The batch gate's line for a measured ``batch_speedup``."""
+    return _gate_line("batch_speedup",
+                      f"batched over batch=1, {len(SWEEP_SEEDS)} points",
+                      speedup, BATCH_FLOOR)
 
 
 def parallel_gate(speedup: float) -> str:

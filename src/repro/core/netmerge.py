@@ -75,20 +75,19 @@ class NetworkEnergyReport:
 class NetworkMerger:
     """Folds per-node :class:`EnergyMap`s into one running report.
 
-    ``include_const`` folds each node's constant baseline in; by default
-    it is excluded so the report shows *attributable* energy (the paper's
-    activity tables treat Const. as its own row for the same reason).
+    Each node's constant baseline (Const.) is left out, so the report
+    shows *attributable* energy (the paper's activity tables treat
+    Const. as its own row for the same reason).
     """
 
-    def __init__(self, include_const: bool = False) -> None:
-        self.include_const = include_const
+    def __init__(self) -> None:
         self._report = NetworkEnergyReport()
 
     def add(self, node_id: int, energy_map: EnergyMap) -> None:
         """Fold one node's map; the map can be dropped afterwards."""
         report = self._report
         for (component, activity), joules in energy_map.energy_j.items():
-            if not self.include_const and activity == CONST_KEY:
+            if activity == CONST_KEY:
                 continue
             report.per_node[(node_id, component, activity)] = (
                 report.per_node.get((node_id, component, activity), 0.0)

@@ -25,7 +25,7 @@ from repro.errors import ExperimentParameterError
 from repro.hw.platform import PlatformConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
-from repro.tos.node import NodeConfig, QuantoNode
+from repro.tos.node import NodeConfig, QuantoNode, link_batch
 from repro.units import seconds
 
 #: Every table/figure/extension module under ``repro.experiments``.
@@ -396,9 +396,11 @@ def _run_blink_batch(
     world's schedule, rng streams, and log are bit-identical to its
     serial run (``tests/test_batched.py`` gates this per experiment).
     Afterwards the K logs are decoded in one fused pass
-    (:func:`repro.core.logger.decode_batch`), so each point's analysis
-    starts from already-decoded columns without materializing
-    ``raw_bytes``.
+    (:func:`repro.core.logger.decode_batch`) and the worlds are linked
+    as siblings (:func:`repro.tos.node.link_batch`): the first point
+    to call :meth:`QuantoNode.breakdown` analyses every sibling's log
+    in one fused timeline build and fold, and each later point is
+    served its parked, bit-identical result.
     """
     from repro.apps.blink import BlinkApp
     from repro.core.logger import decode_batch
@@ -434,6 +436,7 @@ def _run_blink_batch(
     for _, node in worlds:
         node.mark_log_end()
     decode_batch([node.logger for _, node in worlds])
+    link_batch([node for _, node in worlds])
     for (sim, node), app, seed in zip(worlds, apps, seeds):
         _BATCH_POOL[(key, duration_ns, seed)] = (node, app, sim)
         while len(_BATCH_POOL) > _BATCH_POOL_MAX:

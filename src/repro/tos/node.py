@@ -129,6 +129,29 @@ class NodeBreakdown(NamedTuple):
     energy_map: EnergyMap
 
 
+def fusable_groups(registries: Sequence[ActivityRegistry]) -> list[list[int]]:
+    """The indices of ``registries`` grouped by name map, in order of
+    first appearance.  A fused fold prices all its logs with one
+    registry, and reads it only to render labels, so logs whose
+    registries name every activity alike may share one fold (they need
+    not share one registry object); any other log gets a fold of its
+    own."""
+    groups: dict[tuple, list[int]] = {}
+    for index, registry in enumerate(registries):
+        names = tuple(sorted(registry.known_ids().items()))
+        groups.setdefault(names, []).append(index)
+    return list(groups.values())
+
+
+def link_batch(nodes: Sequence["QuantoNode"]) -> None:
+    """Link a batch's finished worlds, their logs closed, as siblings
+    for :meth:`QuantoNode.breakdown`'s fused pass.  A reset unlinks a
+    node."""
+    siblings = list(nodes)
+    for node in siblings:
+        node._batch = (siblings, node.logger.records_written, node.sim.now)
+
+
 class QuantoNode:
     """One instrumented node."""
 
@@ -283,6 +306,12 @@ class QuantoNode:
         # regression + accounting reuse one decode.
         self._timeline_cache: Optional[tuple[int, int, ColumnarTimeline]] = \
             None
+        # A batch's sibling worlds and this log's (record count, end
+        # time) as the batch left it (see link_batch), and the breakdown
+        # their fused pass parked here, keyed the same way.
+        self._batch: Optional[tuple[list[QuantoNode], int, int]] = None
+        self._parked: Optional[
+            tuple[int, int, tuple[RegressionResult, EnergyMap]]] = None
         # Warm-start snapshot: the registration/observer state as of the
         # end of construction, so reset() can drop anything attached or
         # registered by a previous run (app activities, test trackers).
@@ -343,6 +372,8 @@ class QuantoNode:
         self._booted = False
         self._log_end_mark_ns = -1
         self._timeline_cache = None
+        self._batch = None
+        self._parked = None
 
     # -- boot ------------------------------------------------------------
 
@@ -461,9 +492,45 @@ class QuantoNode:
         per-point analysis path experiments should use.  Both consumers
         read the memoized :meth:`timeline`: one ``np.frombuffer`` decode
         for the whole analysis, no per-entry objects.
+
+        A batch's worlds (:func:`link_batch`) are analysed together: the
+        first call on any of them runs one fused pass over every sibling
+        whose log is still as the batch left it and parks each one's
+        result, keyed by (record count, end time).  A call is served its
+        parked result only while its log still has that key; otherwise
+        the node is analysed alone.  Either way the result is bit for
+        bit the one analysing this log alone gives.
         """
+        if self._booted:
+            self.mark_log_end()
+        key = (self.logger.records_written, self.sim.now)
+        if self._batch is not None:
+            self._analyse_batch()
+        parked, self._parked = self._parked, None
+        if parked is not None and parked[:2] == key:
+            return parked[2]
         regression = self.regression()
         return regression, self.energy_map(regression=regression)
+
+    def _analyse_batch(self) -> None:
+        """Run the sibling group's one fused pass if this log is still
+        as the batch left it (else unlink only this node) and park each
+        analysed sibling's result."""
+        siblings = self._batch[0]
+        current = [node for node in siblings
+                   if node._batch is not None
+                   and node._batch[0] is siblings
+                   and node._batch[1:] == (node.logger.records_written,
+                                           node.sim.now)]
+        if self not in current:
+            self._batch = None
+            return
+        for node in current:
+            node._batch = None
+        for node, result in zip(current, QuantoNode._fused_breakdowns(
+                current, fold_proxies=False)):
+            node._parked = (node.logger.records_written, node.sim.now,
+                            (result.regression, result.energy_map))
 
     def energy_map(
         self,
@@ -487,12 +554,15 @@ class QuantoNode:
     @staticmethod
     def breakdown_all(nodes: Sequence["QuantoNode"]) -> list[NodeBreakdown]:
         """:meth:`breakdown` with proxy activities folded for several
-        nodes that share a simulator and an activity registry (a
-        :class:`~repro.tos.network.Network`'s), in one pass over all their
+        nodes (a :class:`~repro.tos.network.Network`'s, which share one
+        simulator and one activity registry) in one pass over all their
         logs: one :class:`ColumnarTimeline` of every log, each node's
         regression off its own log's view, and one fold into one map per
-        node.  Proxies are always folded: a network-wide view charges
-        each bound proxy to the activity it stood for.
+        node — the fused pass a batch's :meth:`breakdown` runs too.
+        Logs whose registries name an activity differently are folded
+        apart (:func:`fusable_groups`).  Proxies are always folded: a
+        network-wide view charges each bound proxy to the activity it
+        stood for.
 
         Each node's log is closed and snapshotted right after its own
         :meth:`mark_log_end`, in ``nodes`` order — so every node sees the
@@ -500,38 +570,53 @@ class QuantoNode:
         only then fused.  The results equal that loop's bit for bit, and
         each node's timeline memo holds its view.
         """
-        nodes = list(nodes)
-        if not nodes:
-            return []
-        registry = nodes[0].registry
-        if any(node.registry is not registry for node in nodes):
-            raise ValueError(
-                "a fused analysis prices every log with one registry")
+        return QuantoNode._fused_breakdowns(list(nodes), fold_proxies=True)
+
+    @staticmethod
+    def _fused_breakdowns(nodes: list["QuantoNode"],
+                          fold_proxies: bool) -> list[NodeBreakdown]:
+        """The fused analysis under :meth:`breakdown_all` and a batch's
+        :meth:`breakdown`.  Closes and snapshots each log in ``nodes``
+        order, then gives each group of logs whose registries name every
+        activity alike (:func:`fusable_groups`) one
+        :class:`ColumnarTimeline`, each node's regression off its own
+        log's view, and one fold into one map per node, priced with the
+        group's first registry.  Results come in ``nodes`` order, each
+        bit-identical to analysing that log alone, and each node's
+        timeline memo holds its view."""
         snapshots = []
         for node in nodes:
             if node._booted:
                 node.mark_log_end()
             snapshots.append((node.logger.columns(), node.sim.now,
                               node.logger.records_written))
-        timeline = ColumnarTimeline(
-            [columns for columns, _, _ in snapshots],
-            end_time_ns=[end for _, end, _ in snapshots],
-            single_res_ids=[node.single_res_ids for node in nodes],
-            multi_res_ids=[node.multi_res_ids for node in nodes],
-        )
-        views = [timeline.log(k) for k in range(len(nodes))]
-        regressions = [node._solve(view) for node, view in zip(nodes, views)]
-        maps = columnar_energy_map(
-            timeline, regressions, registry, COMPONENT_NAMES,
-            [node.platform.icount.nominal_energy_per_pulse_j
-             for node in nodes],
-            fold_proxies=True,
-            idle_names=[registry.name_of(node.idle) for node in nodes],
-        )
-        for node, (_, end, count), view in zip(nodes, snapshots, views):
-            node._timeline_cache = (count, end, view)
-        return [NodeBreakdown(*parts)
-                for parts in zip(views, regressions, maps)]
+        results: list[NodeBreakdown] = [None] * len(nodes)
+        for indices in fusable_groups([node.registry for node in nodes]):
+            group = [nodes[i] for i in indices]
+            shots = [snapshots[i] for i in indices]
+            timeline = ColumnarTimeline(
+                [columns for columns, _, _ in shots],
+                end_time_ns=[end for _, end, _ in shots],
+                single_res_ids=[node.single_res_ids for node in group],
+                multi_res_ids=[node.multi_res_ids for node in group],
+            )
+            views = [timeline.log(k) for k in range(len(group))]
+            regressions = [node._solve(view)
+                           for node, view in zip(group, views)]
+            registry = group[0].registry
+            maps = columnar_energy_map(
+                timeline, regressions, registry, COMPONENT_NAMES,
+                [node.platform.icount.nominal_energy_per_pulse_j
+                 for node in group],
+                fold_proxies=fold_proxies,
+                idle_names=[registry.name_of(node.idle) for node in group],
+            )
+            for k, index in enumerate(indices):
+                _, end, count = shots[k]
+                group[k]._timeline_cache = (count, end, views[k])
+                results[index] = NodeBreakdown(
+                    views[k], regressions[k], maps[k])
+        return results
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<QuantoNode {self.node_id} mac={self.config.mac}>"

@@ -56,7 +56,7 @@ from repro.serve import NodeSession
 from repro.serve.journal import decode_checkpoint, frame_checkpoint
 from repro.serve.protocol import make_hello
 from repro.tos.network import Network
-from repro.tos.node import COMPONENT_NAMES, NodeConfig
+from repro.tos.node import COMPONENT_NAMES, NodeConfig, fusable_groups
 from repro.units import ms, seconds
 
 # Entry types, inlined for terse generator code.
@@ -77,7 +77,7 @@ NAMES = {0: "CPU", 1: "Radio", 2: "Flash", 3: "LED", 5: "Sensor",
 SHARED_NAMES = {0: "CPU", 1: "CPU", 2: "Flash", 3: "CPU", 5: "CPU",
                 7: "CPU", 9: "CPU"}
 
-#: One registry prices every generated log (a fused fold takes one).
+#: One registry names the activities of every generated log.
 REGISTRY = ActivityRegistry()
 
 
@@ -597,28 +597,34 @@ def check_columnar_maps(case: Case, timeline: ColumnarTimeline,
 
 
 def check_fused(group: list[Case]) -> None:
-    """One timeline and one fold over the group's logs: each log's view
-    equals its one-log build, each map the reference's (which the
-    one-log build's equals, see :func:`check_columnar`)."""
-    first = group[0]
-    fused = ColumnarTimeline(
-        [case.columns for case in group],
-        end_time_ns=[case.end_time_ns for case in group],
-        single_res_ids=[case.singles for case in group],
-        multi_res_ids=[case.multis for case in group])
-    assert fused.n_logs == len(group)
-    path = f"fused K={len(group)}"
-    for k, case in enumerate(group):
-        with on_path(case, f"{path} log({k})"):
-            assert_same_timeline(fused.log(k), case.timeline())
-    for fold in (False, True):
-        maps = columnar_energy_map(
-            fused, [case.regression for case in group], first.registry,
-            first.names, [case.pulse_j for case in group],
-            fold_proxies=fold, idle_names=[case.idle_name for case in group])
-        for k, (case, emap) in enumerate(zip(group, maps)):
-            assert_same_map(case, f"{path} map {k} fold_proxies={fold}",
-                            case.oracle_map(fold), emap)
+    """One timeline and one fold per family of the group's logs whose
+    registries name every activity alike, grouped as the node layer's
+    fused pass groups them (:func:`fusable_groups`): each log's view
+    equals its one-log build, and each map the reference's, which
+    prices the log with its own registry (the one-log build's map
+    equals it, see :func:`check_columnar`)."""
+    for indices in fusable_groups([case.registry for case in group]):
+        family = [group[i] for i in indices]
+        first = family[0]
+        fused = ColumnarTimeline(
+            [case.columns for case in family],
+            end_time_ns=[case.end_time_ns for case in family],
+            single_res_ids=[case.singles for case in family],
+            multi_res_ids=[case.multis for case in family])
+        assert fused.n_logs == len(family)
+        path = f"fused K={len(family)}"
+        for k, case in enumerate(family):
+            with on_path(case, f"{path} log({k})"):
+                assert_same_timeline(fused.log(k), case.timeline())
+        for fold in (False, True):
+            maps = columnar_energy_map(
+                fused, [case.regression for case in family],
+                first.registry, first.names,
+                [case.pulse_j for case in family], fold_proxies=fold,
+                idle_names=[case.idle_name for case in family])
+            for k, (case, emap) in enumerate(zip(family, maps)):
+                assert_same_map(case, f"{path} map {k} fold_proxies={fold}",
+                                case.oracle_map(fold), emap)
 
 
 def decoded_pieces(raw: bytes, cuts, restore_at: Optional[int] = None,

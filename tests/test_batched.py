@@ -12,7 +12,11 @@ tests gate that contract at three levels:
 * the fused decode against per-world solo decode on adversarial inputs
   (ragged world lengths, u32 wraparound straddling world boundaries);
 * the BatchSimulator itself: interleaving equivalence, attach/detach
-  guards, and leftover hand-back.
+  guards, and leftover hand-back;
+* the batch's fused analysis: every sibling's ``breakdown()`` served
+  from the one fused pass equals its solo ``breakdown()`` bit for bit,
+  and a sibling whose log moved on, whose registry names an activity
+  differently, or that was reset, is analysed alone.
 
 One numpy identity the fused analysis leans on is pinned here too:
 ``np.bincount(idx, weights=w)`` accumulates each bin sequentially in
@@ -23,18 +27,31 @@ import hashlib
 import random
 
 import numpy as np
+import oracle
 import pytest
 
+import repro.experiments.common as common
+import repro.tos.node as node_module
+from repro.apps.blink import BlinkApp
 from repro.core.logger import (
     ENTRY_DTYPE,
     _unwrap_records,
     decode_batch_records,
 )
+from repro.core.timeline import ColumnarTimeline
 from repro.errors import SimulationError
-from repro.experiments.common import EXPERIMENT_IDS, run_experiment
+from repro.experiments.common import (
+    EXPERIMENT_IDS,
+    blink_batch_plan,
+    clear_batch_worlds,
+    run_blink,
+    run_experiment,
+)
+from repro.hw.platform import PlatformConfig
 from repro.sim import sweep as sweep_module
 from repro.sim.batch import WORLD_SEQ_STRIDE, BatchSimulator
 from repro.sim.engine import Simulator
+from repro.units import seconds
 
 SEEDS = (0, 1, 2)
 
@@ -236,6 +253,178 @@ def test_detach_hands_back_leftovers():
     assert sim.pending() > 0
     sim.run(until=10_000)
     assert trace == solo_trace
+
+
+# -- the batch's fused analysis -------------------------------------------
+
+#: The table3 noise configurations a sweep batches.
+TABLE3_CONFIGS = {
+    "noise-free": {},
+    "variation": {"device_variation": 0.02},
+    "jitter": {"icount_jitter_pulses": 1.0},
+    "gain-error": {"icount_gain_error": 0.01},
+}
+
+BATCH_SEEDS = (0, 1, 2, 3)
+
+
+def _blink(seed, config):
+    """``run_blink`` the way table3 calls it for ``config``."""
+    kwargs = {"platform": PlatformConfig(**config)} if config else {}
+    return run_blink(seed, **kwargs)[0]
+
+
+def _batch_nodes(config):
+    """The finished worlds of one batch of :data:`BATCH_SEEDS`, as sweep
+    points receive them: simulated together, logs closed, decoded in one
+    pass and linked as siblings."""
+    clear_batch_worlds()
+    with blink_batch_plan(BATCH_SEEDS):
+        return [_blink(seed, config) for seed in BATCH_SEEDS]
+
+
+def _solo(node):
+    """``breakdown()`` of the node's closed log analysed alone: a fresh
+    one-log timeline, its regression and map."""
+    timeline = ColumnarTimeline(
+        node.logger.columns(), end_time_ns=node.sim.now,
+        single_res_ids=node.single_res_ids,
+        multi_res_ids=node.multi_res_ids)
+    regression = node.regression(timeline)
+    return regression, node.energy_map(timeline, regression)
+
+
+def _assert_same_breakdown(want, got):
+    """Regression and map equal bit for bit: float bits and order."""
+    (want_reg, want_map), (got_reg, got_map) = want, got
+    assert [(name, float.hex(p)) for name, p in got_reg.power_w.items()] \
+        == [(name, float.hex(p)) for name, p in want_reg.power_w.items()]
+    assert float.hex(got_reg.const_power_w) \
+        == float.hex(want_reg.const_power_w)
+    assert got_reg.y.tobytes() == want_reg.y.tobytes()
+    assert got_reg.y_hat.tobytes() == want_reg.y_hat.tobytes()
+    oracle.assert_same_map(want_map, got_map)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The log count of every timeline the node layer builds."""
+    counts = []
+    real = node_module.ColumnarTimeline
+
+    def counted(*args, **kwargs):
+        timeline = real(*args, **kwargs)
+        counts.append(timeline.n_logs)
+        return timeline
+
+    monkeypatch.setattr(node_module, "ColumnarTimeline", counted)
+    return counts
+
+
+@pytest.mark.parametrize("config", TABLE3_CONFIGS.values(),
+                         ids=TABLE3_CONFIGS)
+def test_batch_breakdowns_equal_solo_breakdowns(config, builds):
+    """The first sibling's ``breakdown()`` analyses the whole batch in
+    one timeline build and one fold and parks each sibling's result;
+    every result equals the same seed's serial ``breakdown()``."""
+    clear_batch_worlds()
+    serial = [_blink(seed, config).breakdown() for seed in BATCH_SEEDS]
+    nodes = _batch_nodes(config)
+    del builds[:]
+    first = nodes[0].breakdown()
+    assert builds == [len(nodes)]
+    assert all(node._parked is not None for node in nodes[1:])
+    got = [first, *(node.breakdown() for node in nodes[1:])]
+    assert builds == [len(nodes)]
+    for want, have in zip(serial, got):
+        _assert_same_breakdown(want, have)
+
+
+def test_batch_fuses_under_the_benchmark_tracer(monkeypatch, builds):
+    """The benchmark's tracer swaps ``repro.experiments.common``'s
+    ``QuantoNode`` for a plain function that builds one: the batch path
+    must still link its worlds and fuse their analysis."""
+    real = common.QuantoNode
+    monkeypatch.setattr(common, "QuantoNode",
+                        lambda *args, **kwargs: real(*args, **kwargs))
+    nodes = _batch_nodes(TABLE3_CONFIGS["noise-free"])
+    del builds[:]
+    for node in nodes:
+        node.breakdown()
+    assert builds == [len(nodes)]
+
+
+def test_sibling_whose_log_moved_on_is_analysed_alone(builds):
+    """A sibling whose log grew after the batch stays out of the fused
+    pass, which leaves its world untouched, and is analysed alone."""
+    nodes = _batch_nodes(TABLE3_CONFIGS["variation"])
+    moved = nodes[2]
+    moved.sim.run(until=moved.sim.now + seconds(1))
+    state = (moved.logger.records_written, moved.sim.now)
+    del builds[:]
+    nodes[0].breakdown()
+    assert builds == [len(nodes) - 1]
+    assert (moved.logger.records_written, moved.sim.now) == state
+    assert moved._parked is None
+    got = moved.breakdown()
+    _assert_same_breakdown(_solo(moved), got)
+
+
+def test_parked_result_is_served_only_to_the_log_it_analysed():
+    """A sibling whose log grew after the fused pass parked its result
+    is analysed afresh."""
+    nodes = _batch_nodes(TABLE3_CONFIGS["variation"])
+    nodes[0].breakdown()
+    later = nodes[1]
+    assert later._parked is not None
+    later.sim.run(until=later.sim.now + seconds(1))
+    got = later.breakdown()
+    _assert_same_breakdown(_solo(later), got)
+
+
+def test_sibling_with_other_activity_names_is_analysed_alone(builds):
+    """A sibling whose registry names an activity differently gets a
+    pass of its own, and its own names."""
+    nodes = _batch_nodes(TABLE3_CONFIGS["noise-free"])
+    odd = nodes[1]
+    names, next_id = odd.registry.snapshot_state()
+    names[odd.registry.register("Red")] = "Rouge"
+    odd.registry.restore_state((names, next_id))
+    del builds[:]
+    nodes[0].breakdown()
+    assert builds == [len(nodes) - 1, 1]
+    got = odd.breakdown()
+    assert "1:Rouge" in got[1].activities()
+    _assert_same_breakdown(_solo(odd), got)
+
+
+def _rerun(node, seed):
+    """Reset the node and run Blink on it again, as long as table3 does,
+    its log closed; returns its (record count, end time)."""
+    node.reset(seed=seed)
+    node.boot(BlinkApp().start)
+    node.sim.run(until=seconds(48))
+    node.mark_log_end()
+    return node.logger.records_written, node.sim.now
+
+
+def test_reset_unlinks_the_node_and_drops_its_parked_result(builds):
+    """A reset world leaves its batch, and a reset drops a parked
+    result, even when the next run's log ends with the same record
+    count and time as the one the batch left."""
+    nodes = _batch_nodes(TABLE3_CONFIGS["variation"])
+    left = nodes[2]
+    batch_key = (left.logger.records_written, left.sim.now)
+    assert _rerun(left, seed=98) == batch_key
+    del builds[:]
+    nodes[0].breakdown()
+    assert builds == [len(nodes) - 1]
+    node = nodes[1]
+    parked_key = node._parked[:2]
+    assert _rerun(node, seed=99) == parked_key
+    assert node._parked is None
+    for rerun in (node, left):
+        _assert_same_breakdown(_solo(rerun), rerun.breakdown())
 
 
 # -- the numpy identity the fused fold relies on --------------------------

@@ -19,6 +19,13 @@ def _baseline() -> dict:
     return {**{row: 100.0 for row in GATED}, "sweep_digest": "d"}
 
 
+def _numbers(**rows) -> dict:
+    """A measurement equal to :func:`_baseline`, batch gate at its
+    floor, with ``rows`` overridden."""
+    return {**_baseline(), "batch_speedup": bench_engine.BATCH_FLOOR,
+            **rows}
+
+
 def _failures(numbers: dict, baseline: dict) -> list[str]:
     return [line for line in
             bench_engine.check_against_baseline(numbers, baseline)
@@ -26,14 +33,14 @@ def _failures(numbers: dict, baseline: dict) -> list[str]:
 
 
 def test_rows_equal_to_the_baseline_pass():
-    lines = bench_engine.check_against_baseline(_baseline(), _baseline())
-    assert len(lines) == len(GATED)
+    lines = bench_engine.check_against_baseline(_numbers(), _baseline())
+    assert len(lines) == len(GATED) + 1
     assert all(line.startswith("ok") for line in lines)
 
 
 @pytest.mark.parametrize("row", GATED)
 def test_row_at_70_percent_of_its_baseline_fails(row):
-    (failure,) = _failures({**_baseline(), row: 70.0}, _baseline())
+    (failure,) = _failures(_numbers(**{row: 70.0}), _baseline())
     assert f" {row} " in failure
 
 
@@ -41,14 +48,21 @@ def test_row_at_70_percent_of_its_baseline_fails(row):
 def test_row_missing_from_the_baseline_fails(row):
     baseline = _baseline()
     del baseline[row]
-    (failure,) = _failures(_baseline(), baseline)
+    (failure,) = _failures(_numbers(), baseline)
     assert f" {row} is missing" in failure
 
 
 def test_sweep_digest_change_fails():
-    (failure,) = _failures({**_baseline(), "sweep_digest": "e"},
-                           _baseline())
+    (failure,) = _failures(_numbers(sweep_digest="e"), _baseline())
     assert "sweep_digest" in failure
+
+
+def test_batch_speedup_under_its_floor_fails():
+    """The batch gate is absolute: no baseline row moves it."""
+    (failure,) = _failures(_numbers(batch_speedup=1.14), _baseline())
+    assert failure.startswith("FAIL batch_speedup ")
+    assert bench_engine.batch_gate(1.14).startswith("FAIL")
+    assert bench_engine.batch_gate(1.15).startswith("ok")
 
 
 def test_parallel_gate_floor():

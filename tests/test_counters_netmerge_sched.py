@@ -117,12 +117,16 @@ def test_merge_aggregates_across_nodes():
     report = merge_energy_maps(maps)
     assert report.by_activity["4:BounceApp"] == pytest.approx(0.009)
     assert report.by_activity["1:BounceApp"] == pytest.approx(0.001)
-    # Const excluded by default.
+    # Const. is never merged: the report holds attributable energy.
     assert "Const." not in report.by_activity
-    merger = NetworkMerger(include_const=True)
+    merger = NetworkMerger()
     for node_id, emap in maps.items():
         merger.add(node_id, emap)
-    assert merger.report().by_activity["Const."] == pytest.approx(0.010)
+    merged = merger.report()
+    assert "Const." not in merged.by_activity
+    assert all(activity != "Const."
+               for _node, _component, activity in merged.per_node)
+    assert merged.total_j == pytest.approx(0.002 + 0.003 + 0.004 + 0.001)
 
 
 def test_remote_fraction_butterfly():

@@ -2,9 +2,9 @@
 
 The harness (``tests/differential.py``) feeds each log through the
 streaming reference, the whole-log columnar fold in both proxy modes,
-the K-log fused fold, the live fold (wire decoder at byte splits into a
-windowed accumulator, at several batch sizes) and checkpoint/restore of
-an ingest session, and requires the reference's map bit for bit, the
+the K-log fused fold (logs grouped by registry names), the live fold
+(wire decoder at byte splits into a windowed accumulator, at several
+batch sizes) and checkpoint/restore of an ingest session, and requires the reference's map bit for bit, the
 one-row-batch window sequence for every split, and the last window's
 cumulative sums to be the final map.  The logs are the seeded
 adversarial ones (:data:`SEEDS`) and the real blink, bounce and
@@ -24,6 +24,7 @@ something observable.
 """
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -38,7 +39,9 @@ from differential import (
     node_case,
     plan_features,
 )
-from repro.core.accounting import WindowedAccumulator
+from repro.core.accounting import WindowedAccumulator, columnar_energy_map
+from repro.core.labels import ActivityRegistry
+from repro.tos.node import fusable_groups
 from repro.units import ms, seconds
 
 #: The generated logs every path runs on.
@@ -129,6 +132,31 @@ def test_generated_fused_matches_single_builds(cases):
         check_fused(group)
 
 
+def test_fused_families_follow_registry_names(cases):
+    """Logs whose registries are distinct objects naming every activity
+    alike share one fold and each gets its reference map; a log whose
+    registry names an activity differently is left out of that fold
+    and gets the bytes it gets alone, which the others' registry would
+    not give it."""
+    odd = next(case for case in cases
+               if any(activity == "1:act1"
+                      for _, activity in case.oracle_map(False).time_ns))
+    renamed = ActivityRegistry()
+    assert renamed.register("Renamed") == 1
+    group = [replace(case, registry=ActivityRegistry())
+             for case in cases[:3] if case is not odd]
+    group.append(replace(odd, registry=renamed))
+    assert fusable_groups([case.registry for case in group]) \
+        == [list(range(len(group) - 1)), [len(group) - 1]]
+    check_fused(group)
+    alone = group[-1]
+    (priced_by_others,) = columnar_energy_map(
+        alone.timeline(), [alone.regression], group[0].registry,
+        alone.names, [alone.pulse_j], idle_names=[alone.idle_name])
+    assert list(priced_by_others.time_ns) \
+        != list(alone.oracle_map(False).time_ns)
+
+
 def test_generated_windowed_matches_reference(cases):
     seen = set()
     for case in cases:
@@ -157,7 +185,8 @@ def test_real_logs_match_reference(real_cases):
     for name in ("blink", "bounce-1", "bounce-4"):
         check_windowed(real_cases[name])
         check_checkpoint(real_cases[name])
-    # A network's nodes share one registry, as a fused fold needs.
+    # A network's nodes share one registry, so each network is one
+    # fused family.
     check_fused([real_cases["bounce-1"], real_cases["bounce-4"]])
     check_fused([real_cases[f"collection-{nid}"] for nid in (11, 12, 13)])
 
